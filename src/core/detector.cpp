@@ -321,10 +321,9 @@ BasicDetectionResult<K> BasicDetector<K>::run(
     result.tiling_used = TilingParams{0, 0};
   } else {
     // V3/V4/V5: work unit = one block tuple of the partition covering
-    // `range`; emitted combinations are clipped to the range at the
-    // partition boundary (interior blocks pay no per-combination
-    // overhead).  V5 budgets L1 for the prefix-plane ladder when
-    // autotuning.
+    // `range`; a partial range is clipped by the exact per-prefix
+    // last-axis window, so only in-range combinations are computed.  V5
+    // budgets L1 for the prefix-plane ladder when autotuning.
     TilingParams tiling = options.tiling;
     if (!tiling.valid() && tuned) tiling = tuned->tiling;
     if (!tiling.valid()) {
@@ -336,7 +335,7 @@ BasicDetectionResult<K> BasicDetector<K>::run(
     const combinatorics::BlockGrid grid{m, tiling.bs};
     const combinatorics::BlockPartition part =
         combinatorics::partition_block_tuples<K>(grid, range);
-    const RankRange clip = partial ? range : kFullRange;
+    const LastAxisWindow<K> clip(partial ? range : kFullRange);
     // Per-thread scratch is constructed lazily by the worker that owns it,
     // not here on the submitting thread: the constructor's zero-fill is the
     // first touch of the table and prefix-plane-cache pages, so on NUMA
@@ -357,10 +356,11 @@ BasicDetectionResult<K> BasicDetector<K>::run(
               ++emitted;
               top.push(make_scored<K>(c, score));
             };
+            BlockTuple<K> bt =
+                unrank_block_tuple<K>(part.block_ranks.first + r.first);
             for (std::uint64_t b = r.first; b < r.last; ++b) {
-              run_block(tid,
-                        unrank_block_tuple<K>(part.block_ranks.first + b),
-                        on_comb);
+              run_block(tid, bt, on_comb);
+              combinatorics::next_block_tuple<K>(bt);
             }
             return emitted;
           });
@@ -504,7 +504,7 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
   const combinatorics::BlockGrid grid{m, tiling.bs};
   const combinatorics::BlockPartition part =
       combinatorics::partition_block_tuples<K>(grid, range);
-  const RankRange clip = partial ? range : kFullRange;
+  const LastAxisWindow<K> clip(partial ? range : kFullRange);
 
   // Lazily constructed by the owning worker (NUMA first touch, as in run()).
   std::vector<std::unique_ptr<BatchTupleScratch<K>>> scratch(cfg.threads);
@@ -534,9 +534,9 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
               if (p == 0) ++emitted;  // combinations, not tables
               acc[p].push(make_scored<K>(c, scorer(tb)));
             };
+        BlockTuple<K> bt =
+            unrank_block_tuple<K>(part.block_ranks.first + r.first);
         for (std::uint64_t b = r.first; b < r.last; ++b) {
-          const BlockTuple<K> bt =
-              unrank_block_tuple<K>(part.block_ranks.first + b);
           if constexpr (K == 2) {
             scan_block_pair_batched(impl_->combined, batch, tiling, cachedk,
                                     bkern, thread_scratch(tid),
@@ -547,6 +547,7 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
                                         thread_scratch(tid), bt, clip,
                                         on_table);
           }
+          combinatorics::next_block_tuple<K>(bt);
         }
         return emitted;
       });

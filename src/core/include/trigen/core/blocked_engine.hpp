@@ -55,9 +55,8 @@ using combinatorics::unrank_block_pair;
 using combinatorics::unrank_block_triple;
 using combinatorics::unrank_block_tuple;
 
-/// Clip sentinel: covers every possible rank, i.e. "no filtering".
-inline constexpr combinatorics::RankRange kFullRange{
-    0, ~std::uint64_t{0}};
+using combinatorics::kFullRange;
+using combinatorics::LastAxisWindow;
 
 /// Per-thread scratch for the V5 prefix-plane ladder: rung j
 /// (j = 2..order-1) holds the 3^j intersection planes of the current j-SNP
@@ -170,115 +169,150 @@ using PairBlockScratch = TupleBlockScratch<2>;
 
 namespace engine_detail {
 
-/// Shared skeleton of the blocked scan at any order: block bounds,
-/// three-tier rank clipping, targeted scratch clear and table emission.
-/// `accumulate(base, end)` fills the scratch tables for all in-block
-/// combinations; the direct-kernel (V3/V4) and ladder (V5) engines differ
-/// only there.  `on_table(const Combination<K>&, const
+/// Block extents of `bt`: axis j covers SNPs [base[j], end[j]).  False when
+/// some axis starts past the last SNP (the block tuple is empty).
+template <unsigned K>
+bool block_extents(std::size_t m, std::size_t bs, const BlockTuple<K>& bt,
+                   std::array<std::size_t, K>& base,
+                   std::array<std::size_t, K>& end) {
+  for (unsigned j = 0; j < K; ++j) {
+    base[j] = bt[j] * bs;
+    if (base[j] >= m) return false;
+    end[j] = std::min(base[j] + bs, m);
+  }
+  return true;
+}
+
+/// Walks the prefixes (c_0 < ... < c_{K-2}) of a block tuple in loop order
+/// (c_0 outermost) and calls `fn(comb, fresh, local, z_lo, z_hi)` for each
+/// one whose last-axis window is nonempty: comb[0..K-2] holds the prefix,
+/// [z_lo, z_hi) the in-window last-axis SNPs, `local` the prefix's table
+/// index (the table of z is local * bs + z - base[K-1]), and `fresh` the
+/// lowest axis whose index changed since the previous call (0 on the
+/// first), so callers can reuse per-prefix state built on the axes below
+/// it.  Prefixes whose window is empty cost two comparisons.
+template <unsigned K, typename Fn>
+void for_each_prefix(const std::array<std::size_t, K>& base,
+                     const std::array<std::size_t, K>& end, std::size_t bs,
+                     const combinatorics::LastAxisWindow<K>& window,
+                     Fn&& fn) {
+  combinatorics::Combination<K> comb{};
+  unsigned fresh = 0;
+  const auto walk = [&](const auto& self, unsigned j, std::size_t prev,
+                        std::size_t local) -> void {
+    if (j == K - 1) {
+      const combinatorics::RankRange z = window.z_range(
+          comb, std::max(base[j], prev + 1), end[j]);
+      if (z.empty()) return;
+      fn(static_cast<const combinatorics::Combination<K>&>(comb), fresh,
+         local, static_cast<std::size_t>(z.first),
+         static_cast<std::size_t>(z.last));
+      fresh = K - 1;
+      return;
+    }
+    const std::size_t first = j == 0 ? base[0] : std::max(base[j], prev + 1);
+    for (std::size_t i = first; i < end[j]; ++i) {
+      comb[j] = static_cast<std::uint32_t>(i);
+      fresh = std::min(fresh, j);
+      self(self, j + 1, i, local * bs + (i - base[j]));
+    }
+  };
+  walk(walk, 0, 0, 0);
+}
+
+/// Brings the prefix-plane ladder up to date for the prefix in
+/// comb[0..K-2], given that its indices below axis `fresh` are unchanged
+/// since the last call (so rungs 2..fresh still hold their planes): rung 2
+/// is built from the two leading SNPs, each deeper rung r extends rung r-1
+/// by SNP comb[r-1].  Only the last rung's popcounts feed the finalize
+/// kernels; intermediate rungs skip the POPCNT work.
+template <unsigned K>
+void update_ladder(const dataset::PhenoSplitPlanes& planes, int c,
+                   const combinatorics::Combination<K>& comb, unsigned fresh,
+                   std::size_t w0, std::size_t w1,
+                   const CachedKernelSet& cached,
+                   const GenericKernelSet& generic, PrefixPlaneCache& cache) {
+  for (unsigned r = std::max(2u, fresh + 1); r < K; ++r) {
+    if (r == 2) {
+      std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
+      cached.build(planes.plane(c, comb[0], 0), planes.plane(c, comb[0], 1),
+                   planes.plane(c, comb[1], 0), planes.plane(c, comb[1], 1),
+                   w0, w1, cache.rung(2), cache.stride(), cache.rung_pops(2));
+      continue;
+    }
+    std::uint32_t* pops = nullptr;
+    if (r == K - 1) {
+      pops = cache.rung_pops(r);
+      std::fill(pops, pops + pow3(r), 0u);
+    }
+    generic.extend(cache.rung(r - 1), pow3(r - 1), cache.stride(),
+                   planes.plane(c, comb[r - 1], 0),
+                   planes.plane(c, comb[r - 1], 1), w0, w1, cache.rung(r),
+                   cache.stride(), pops);
+  }
+}
+
+/// Shared skeleton of the blocked scan at any order: block bounds, the
+/// block-level range test, the per-prefix last-axis window, targeted
+/// scratch clear and table emission.  `accumulate(base, each_prefix)`
+/// fills the scratch tables of every in-window combination, where
+/// `each_prefix(fn)` runs `for_each_prefix` over this block tuple and
+/// window; the direct-kernel (V3/V4) and ladder (V5) engines differ only
+/// there.  `on_table(const Combination<K>&, const
 /// BasicContingencyTable<K>&)` receives each emitted combination.
 template <unsigned K, typename Accumulate, typename OnTable>
 void scan_block_tuple_impl(const dataset::PhenoSplitPlanes& planes,
                            const TilingParams& tiling,
                            TupleBlockScratch<K>& scratch,
                            const BlockTuple<K>& bt,
-                           const combinatorics::RankRange& clip,
+                           const combinatorics::LastAxisWindow<K>& window,
                            Accumulate&& accumulate, OnTable&& on_table) {
   static_assert(K >= 2 && K <= combinatorics::kMaxOrder);
   const std::size_t bs = tiling.bs;
   const std::size_t m = planes.num_snps();
   std::array<std::size_t, K> base;
   std::array<std::size_t, K> end;
-  for (unsigned j = 0; j < K; ++j) {
-    base[j] = bt[j] * bs;
-    if (base[j] >= m) return;
-    end[j] = std::min(base[j] + bs, m);
-  }
-
-  bool filter = false;
-  if (clip.first != kFullRange.first || clip.last != kFullRange.last) {
-    const combinatorics::RankRange span = combinatorics::block_tuple_span<K>(
-        combinatorics::BlockGrid{m, bs}, bt);
-    if (span.empty() || span.last <= clip.first || span.first >= clip.last) {
-      return;  // no combination of this block tuple is in range
-    }
-    filter = span.first < clip.first || span.last > clip.last;
-  }
+  if (!block_extents<K>(m, bs, bt, base, end)) return;
+  if (!window.admits(combinatorics::BlockGrid{m, bs}, bt)) return;
+  const auto each_prefix = [&](auto&& fn) {
+    for_each_prefix<K>(base, end, bs, window, fn);
+  };
 
   // Clear only the tables this block tuple accumulates into: tail blocks
-  // cover fewer than bs SNPs per axis and diagonal blocks only the strictly
-  // increasing locals, so a full bs^K clear would zero (and finalize would
-  // skip) mostly untouched memory.  The last axis of every valid prefix is
-  // a contiguous local run.
-  {
-    const auto walk = [&](const auto& self, unsigned j, std::size_t prev,
-                          std::size_t local) -> void {
-      if (j == K - 1) {
-        const std::size_t z_first = std::max(base[j], prev + 1);
-        if (z_first >= end[j]) return;
-        const std::size_t lo = local * bs + (z_first - base[j]);
-        scratch.clear_tables(lo, lo + (end[j] - z_first));
-        return;
-      }
-      const std::size_t first =
-          j == 0 ? base[0] : std::max(base[j], prev + 1);
-      for (std::size_t i = first; i < end[j]; ++i) {
-        self(self, j + 1, i, local * bs + (i - base[j]));
-      }
-    };
-    walk(walk, 0, 0, 0);
-  }
+  // cover fewer than bs SNPs per axis, diagonal blocks only the strictly
+  // increasing locals and ranged scans only the window, so a full bs^K
+  // clear would zero (and finalize would skip) mostly untouched memory.
+  // The window of every prefix is a contiguous local run.
+  each_prefix([&](const combinatorics::Combination<K>&, unsigned,
+                  std::size_t local, std::size_t z_lo, std::size_t z_hi) {
+    const std::size_t lo = local * bs + (z_lo - base[K - 1]);
+    scratch.clear_tables(lo, lo + (z_hi - z_lo));
+  });
 
-  accumulate(base, end);
+  accumulate(base, each_prefix);
 
   // Finalize: fold the NOR padding out of the all-genotype-2 cell and emit
   // tables.
-  {
-    combinatorics::Combination<K> comb{};
-    const auto walk = [&](const auto& self, unsigned j, std::size_t prev,
-                          std::size_t local) -> void {
-      if (j == K) {
-        if (filter) {
-          const std::uint64_t rank = combinatorics::rank_combination<K>(comb);
-          if (rank < clip.first || rank >= clip.last) return;
+  each_prefix([&](const combinatorics::Combination<K>& prefix, unsigned,
+                  std::size_t local, std::size_t z_lo, std::size_t z_hi) {
+    combinatorics::Combination<K> comb = prefix;
+    for (std::size_t z = z_lo; z < z_hi; ++z) {
+      comb[K - 1] = static_cast<std::uint32_t>(z);
+      scoring::BasicContingencyTable<K> t;
+      for (int c = 0; c < 2; ++c) {
+        const std::uint32_t* ft =
+            scratch.table(local * bs + (z - base[K - 1]), c);
+        auto& row = t.counts[static_cast<std::size_t>(c)];
+        for (std::size_t i = 0; i < TupleBlockScratch<K>::kCells; ++i) {
+          row[i] = ft[i];
         }
-        scoring::BasicContingencyTable<K> t;
-        for (int c = 0; c < 2; ++c) {
-          const std::uint32_t* ft = scratch.table(local, c);
-          auto& row = t.counts[static_cast<std::size_t>(c)];
-          for (std::size_t i = 0; i < TupleBlockScratch<K>::kCells; ++i) {
-            row[i] = ft[i];
-          }
-          // NOR padding shows up as phantom all-genotype-2 observations.
-          row[TupleBlockScratch<K>::kCells - 1] -=
-              static_cast<std::uint32_t>(planes.pad_bits(c));
-        }
-        on_table(static_cast<const combinatorics::Combination<K>&>(comb), t);
-        return;
+        // NOR padding shows up as phantom all-genotype-2 observations.
+        row[TupleBlockScratch<K>::kCells - 1] -=
+            static_cast<std::uint32_t>(planes.pad_bits(c));
       }
-      const std::size_t first =
-          j == 0 ? base[0] : std::max(base[j], prev + 1);
-      for (std::size_t i = first; i < end[j]; ++i) {
-        comb[j] = static_cast<std::uint32_t>(i);
-        self(self, j + 1, i, local * bs + (i - base[j]));
-      }
-    };
-    walk(walk, 0, 0, 0);
-  }
-}
-
-/// True when an index `i` chosen for axis `j` still admits a strictly
-/// increasing completion through axes j+1..K-1 (the axis bounds are
-/// monotone, so the greedy chain is the only candidate).
-template <unsigned K>
-bool has_completion(const std::array<std::size_t, K>& base,
-                    const std::array<std::size_t, K>& end, unsigned j,
-                    std::size_t i) {
-  std::size_t p = i;
-  for (unsigned l = j + 1; l < K; ++l) {
-    p = std::max(base[l], p + 1);
-    if (p >= end[l]) return false;
-  }
-  return true;
+      on_table(static_cast<const combinatorics::Combination<K>&>(comb), t);
+    }
+  });
 }
 
 }  // namespace engine_detail
@@ -288,27 +322,26 @@ bool has_completion(const std::array<std::size_t, K>& base,
 // ---------------------------------------------------------------------------
 
 /// Evaluates every order-K SNP combination inside block tuple `bt` whose
-/// colex rank lies in `clip` and calls `on_table(const Combination<K>&,
-/// const BasicContingencyTable<K>&)` for each, using the direct (V3/V4)
-/// order-generic kernel.  `scratch.bs()` must equal `tiling.bs`.
+/// colex rank lies in the range of `clip` and calls `on_table(const
+/// Combination<K>&, const BasicContingencyTable<K>&)` for each, using the
+/// direct (V3/V4) order-generic kernel.  `scratch.bs()` must equal
+/// `tiling.bs`.
 ///
-/// Clipping is rank-aware in three tiers: a block tuple whose span misses
-/// `clip` entirely returns before any kernel work; a block tuple fully
-/// inside `clip` (the interior of a partition) runs with zero
-/// per-combination overhead; only the partition's boundary blocks filter
-/// each emission by rank.  Pass `kFullRange` to disable clipping.
+/// Clipping is exact and costs nothing when off: a block tuple no window
+/// reaches returns before any kernel work, and every prefix computes,
+/// clears, accumulates and emits only the last-axis SNPs of its window
+/// (`LastAxisWindow`).  Pass `kFullRange` (or a default window) to scan the
+/// whole block tuple.
 template <unsigned K, typename OnTable>
 void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
                       const TilingParams& tiling,
                       const GenericKernelSet& kernels,
                       TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
-                      const combinatorics::RankRange& clip,
-                      OnTable&& on_table) {
+                      const LastAxisWindow<K>& clip, OnTable&& on_table) {
   const std::size_t bs = tiling.bs;
   engine_detail::scan_block_tuple_impl<K>(
       planes, tiling, scratch, bt, clip,
-      [&](const std::array<std::size_t, K>& base,
-          const std::array<std::size_t, K>& end) {
+      [&](const std::array<std::size_t, K>& base, const auto& each_prefix) {
         // Sample-blocked accumulation: for each class, stream B_P words at
         // a time through all combinations of the block tuple (Algorithm 1
         // loop order, generalized to K axes).
@@ -318,23 +351,21 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
           const std::size_t words = planes.words(c);
           for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
             const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            const auto walk = [&](const auto& self, unsigned j,
-                                  std::size_t prev,
-                                  std::size_t local) -> void {
-              if (j == K) {
+            each_prefix([&](const combinatorics::Combination<K>& prefix,
+                            unsigned fresh, std::size_t local,
+                            std::size_t z_lo, std::size_t z_hi) {
+              for (unsigned j = fresh; j + 1 < K; ++j) {
+                g0[j] = planes.plane(c, prefix[j], 0);
+                g1[j] = planes.plane(c, prefix[j], 1);
+              }
+              for (std::size_t z = z_lo; z < z_hi; ++z) {
+                g0[K - 1] = planes.plane(c, z, 0);
+                g1[K - 1] = planes.plane(c, z, 1);
                 kernels.direct(g0.data(), g1.data(), K, w0, w1,
-                               scratch.table(local, c));
-                return;
+                               scratch.table(local * bs + (z - base[K - 1]),
+                                             c));
               }
-              const std::size_t first =
-                  j == 0 ? base[0] : std::max(base[j], prev + 1);
-              for (std::size_t i = first; i < end[j]; ++i) {
-                g0[j] = planes.plane(c, i, 0);
-                g1[j] = planes.plane(c, i, 1);
-                self(self, j + 1, i, local * bs + (i - base[j]));
-              }
-            };
-            walk(walk, 0, 0, 0);
+            });
           }
         }
       },
@@ -359,16 +390,16 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
 /// identity); the last rung's planes and popcounts resolve all final-axis
 /// cells with the two-operand finalize kernel — the prefix streams leave
 /// the innermost loop entirely, and no genotype-2 plane of any prefix SNP
-/// is ever materialized.  Bit-identical to the direct kernels for every
-/// clip.
+/// is ever materialized.  Rungs are built lazily, only for prefixes whose
+/// last-axis window is nonempty, and reused while their leading SNPs stay
+/// the same.  Bit-identical to the direct kernels for every clip.
 template <unsigned K, typename OnTable>
 void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
                       const TilingParams& tiling,
                       const CachedKernelSet& cached,
                       const GenericKernelSet& generic,
                       TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
-                      const combinatorics::RankRange& clip,
-                      OnTable&& on_table) {
+                      const LastAxisWindow<K>& clip, OnTable&& on_table) {
   static_assert(K >= 3, "the prefix-plane ladder needs a length-2 prefix; "
                         "use the counts-only pair path for K == 2");
   const std::size_t bs = tiling.bs;
@@ -376,59 +407,26 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
   cache.ensure(K, tiling.bp_words);
   engine_detail::scan_block_tuple_impl<K>(
       planes, tiling, scratch, bt, clip,
-      [&](const std::array<std::size_t, K>& base,
-          const std::array<std::size_t, K>& end) {
+      [&](const std::array<std::size_t, K>& base, const auto& each_prefix) {
+        constexpr std::size_t count = pow3(K - 1);
         for (int c = 0; c < 2; ++c) {
           const std::size_t words = planes.words(c);
           for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
             const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            // walk(j, prev, local): indices for axes < j are chosen and
-            // rung j (if j >= 2) holds the planes of that prefix.
-            const auto walk = [&](const auto& self, unsigned j,
-                                  std::size_t prev,
-                                  std::size_t local) -> void {
-              if (j == K - 1) {
-                const std::size_t count = pow3(j);
-                for (std::size_t i = std::max(base[j], prev + 1); i < end[j];
-                     ++i) {
-                  generic.finalize(cache.rung(j), count, cache.stride(),
-                                   cache.rung_pops(j), planes.plane(c, i, 0),
-                                   planes.plane(c, i, 1), w0, w1,
-                                   scratch.table(local * bs + (i - base[j]),
-                                                 c));
-                }
-                return;
+            each_prefix([&](const combinatorics::Combination<K>& prefix,
+                            unsigned fresh, std::size_t local,
+                            std::size_t z_lo, std::size_t z_hi) {
+              engine_detail::update_ladder<K>(planes, c, prefix, fresh, w0,
+                                              w1, cached, generic, cache);
+              for (std::size_t z = z_lo; z < z_hi; ++z) {
+                generic.finalize(cache.rung(K - 1), count, cache.stride(),
+                                 cache.rung_pops(K - 1),
+                                 planes.plane(c, z, 0), planes.plane(c, z, 1),
+                                 w0, w1,
+                                 scratch.table(local * bs + (z - base[K - 1]),
+                                               c));
               }
-              const std::size_t first =
-                  j == 0 ? base[0] : std::max(base[j], prev + 1);
-              for (std::size_t i = first; i < end[j]; ++i) {
-                if (!engine_detail::has_completion<K>(base, end, j, i)) {
-                  continue;  // dead subtree: don't build planes nobody reads
-                }
-                if (j == 1) {
-                  std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
-                  cached.build(planes.plane(c, prev, 0),
-                               planes.plane(c, prev, 1),
-                               planes.plane(c, i, 0), planes.plane(c, i, 1),
-                               w0, w1, cache.rung(2), cache.stride(),
-                               cache.rung_pops(2));
-                } else if (j >= 2) {
-                  // Only the last rung's popcounts feed the finalize
-                  // kernel; intermediate rungs skip the POPCNT work.
-                  std::uint32_t* pops = nullptr;
-                  if (j + 1 == K - 1) {
-                    pops = cache.rung_pops(j + 1);
-                    std::fill(pops, pops + pow3(j + 1), 0u);
-                  }
-                  generic.extend(cache.rung(j), pow3(j), cache.stride(),
-                                 planes.plane(c, i, 0), planes.plane(c, i, 1),
-                                 w0, w1, cache.rung(j + 1), cache.stride(),
-                                 pops);
-                }
-                self(self, j + 1, i, local * bs + (i - base[j]));
-              }
-            };
-            walk(walk, 0, 0, 0);
+            });
           }
         }
       },
@@ -452,22 +450,21 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
 // ---------------------------------------------------------------------------
 
 /// Evaluates every SNP triplet inside block triple `bt` whose colex rank
-/// lies in `clip` and calls `on_table(Triplet, const ContingencyTable&)`
-/// for each.  `kernel` is the per-ISA triple-block kernel; `scratch.bs()`
-/// must equal `tiling.bs`.  This is the K = 3 instantiation of the generic
-/// engine skeleton, keeping the hand-tuned three-operand kernels (including
-/// their AVX-512 variants) on the hot path.
+/// lies in the range of `clip` and calls `on_table(Triplet, const
+/// ContingencyTable&)` for each.  `kernel` is the per-ISA triple-block
+/// kernel; `scratch.bs()` must equal `tiling.bs`.  This is the K = 3
+/// instantiation of the generic engine skeleton, keeping the hand-tuned
+/// three-operand kernels (including their AVX-512 variants) on the hot
+/// path.
 template <typename OnTable>
 void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
                        const TilingParams& tiling, TripleBlockKernel kernel,
                        BlockScratch& scratch, const BlockTriple& bt,
-                       const combinatorics::RankRange& clip,
-                       OnTable&& on_table) {
+                       const LastAxisWindow<3>& clip, OnTable&& on_table) {
   const std::size_t bs = tiling.bs;
   engine_detail::scan_block_tuple_impl<3>(
       planes, tiling, scratch, BlockTuple<3>{bt.b0, bt.b1, bt.b2}, clip,
-      [&](const std::array<std::size_t, 3>& base,
-          const std::array<std::size_t, 3>& end) {
+      [&](const std::array<std::size_t, 3>& base, const auto& each_prefix) {
         // Sample-blocked accumulation: for each class, stream B_P words at
         // a time through all triplets of the block triple (Algorithm 1
         // loop order).
@@ -475,21 +472,16 @@ void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
           const std::size_t words = planes.words(c);
           for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
             const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            for (std::size_t i0 = base[0]; i0 < end[0]; ++i0) {
-              for (std::size_t i1 = std::max(base[1], i0 + 1); i1 < end[1];
-                   ++i1) {
-                for (std::size_t i2 = std::max(base[2], i1 + 1); i2 < end[2];
-                     ++i2) {
-                  const std::size_t local =
-                      ((i0 - base[0]) * bs + (i1 - base[1])) * bs +
-                      (i2 - base[2]);
-                  kernel(planes.plane(c, i0, 0), planes.plane(c, i0, 1),
-                         planes.plane(c, i1, 0), planes.plane(c, i1, 1),
-                         planes.plane(c, i2, 0), planes.plane(c, i2, 1), w0,
-                         w1, scratch.table(local, c));
-                }
+            each_prefix([&](const combinatorics::Combination<3>& p, unsigned,
+                            std::size_t local, std::size_t z_lo,
+                            std::size_t z_hi) {
+              for (std::size_t z = z_lo; z < z_hi; ++z) {
+                kernel(planes.plane(c, p[0], 0), planes.plane(c, p[0], 1),
+                       planes.plane(c, p[1], 0), planes.plane(c, p[1], 1),
+                       planes.plane(c, z, 0), planes.plane(c, z, 1), w0, w1,
+                       scratch.table(local * bs + (z - base[2]), c));
               }
-            }
+            });
           }
         }
       },
@@ -510,50 +502,43 @@ void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
 }
 
 /// V5 at order 3: same walk as above, but the x∩y planes of each (i0, i1)
-/// are built once per sample chunk into the ladder's rung 2 and the z loop
-/// runs the two-operand cached kernel — the x/y plane streams and their
-/// nine intersection ANDs leave the innermost loop entirely, and the z-NOR
-/// plane is never materialized (cells (gx, gy, 2) derive from the cached
-/// chunk popcounts).  Bit-identical to the direct kernels for every clip.
+/// with a nonempty window are built once per sample chunk into the
+/// ladder's rung 2 and the z loop runs the two-operand cached kernel — the
+/// x/y plane streams and their nine intersection ANDs leave the innermost
+/// loop entirely, and the z-NOR plane is never materialized (cells (gx, gy,
+/// 2) derive from the cached chunk popcounts).  Bit-identical to the direct
+/// kernels for every clip.
 template <typename OnTable>
 void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
                        const TilingParams& tiling,
                        const CachedKernelSet& kernels, BlockScratch& scratch,
-                       const BlockTriple& bt,
-                       const combinatorics::RankRange& clip,
+                       const BlockTriple& bt, const LastAxisWindow<3>& clip,
                        OnTable&& on_table) {
   const std::size_t bs = tiling.bs;
   PairPlaneCache& cache = scratch.pair_cache();
   cache.ensure(tiling.bp_words);
   engine_detail::scan_block_tuple_impl<3>(
       planes, tiling, scratch, BlockTuple<3>{bt.b0, bt.b1, bt.b2}, clip,
-      [&](const std::array<std::size_t, 3>& base,
-          const std::array<std::size_t, 3>& end) {
+      [&](const std::array<std::size_t, 3>& base, const auto& each_prefix) {
         for (int c = 0; c < 2; ++c) {
           const std::size_t words = planes.words(c);
           for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
             const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            for (std::size_t i0 = base[0]; i0 < end[0]; ++i0) {
-              for (std::size_t i1 = std::max(base[1], i0 + 1); i1 < end[1];
-                   ++i1) {
-                const std::size_t z_first = std::max(base[2], i1 + 1);
-                if (z_first >= end[2]) continue;
-                std::fill(cache.pops(), cache.pops() + 9, 0u);
-                kernels.build(planes.plane(c, i0, 0), planes.plane(c, i0, 1),
-                              planes.plane(c, i1, 0), planes.plane(c, i1, 1),
-                              w0, w1, cache.planes(), cache.stride(),
-                              cache.pops());
-                for (std::size_t i2 = z_first; i2 < end[2]; ++i2) {
-                  const std::size_t local =
-                      ((i0 - base[0]) * bs + (i1 - base[1])) * bs +
-                      (i2 - base[2]);
-                  kernels.cached(cache.planes(), cache.stride(), cache.pops(),
-                                 planes.plane(c, i2, 0),
-                                 planes.plane(c, i2, 1), w0, w1,
-                                 scratch.table(local, c));
-                }
+            each_prefix([&](const combinatorics::Combination<3>& p, unsigned,
+                            std::size_t local, std::size_t z_lo,
+                            std::size_t z_hi) {
+              std::fill(cache.pops(), cache.pops() + 9, 0u);
+              kernels.build(planes.plane(c, p[0], 0), planes.plane(c, p[0], 1),
+                            planes.plane(c, p[1], 0), planes.plane(c, p[1], 1),
+                            w0, w1, cache.planes(), cache.stride(),
+                            cache.pops());
+              for (std::size_t z = z_lo; z < z_hi; ++z) {
+                kernels.cached(cache.planes(), cache.stride(), cache.pops(),
+                               planes.plane(c, z, 0), planes.plane(c, z, 1),
+                               w0, w1,
+                               scratch.table(local * bs + (z - base[2]), c));
               }
-            }
+            });
           }
         }
       },
@@ -578,7 +563,7 @@ void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
 // ---------------------------------------------------------------------------
 
 /// Evaluates every SNP pair inside block pair `bp` whose colex rank lies in
-/// `clip` and calls `on_table(combinatorics::Pair, const
+/// the range of `clip` and calls `on_table(combinatorics::Pair, const
 /// scoring::PairContingencyTable&)` for each.  The counts phase *is* the
 /// whole evaluation: the chunk popcounts of the nine x∩y intersections are
 /// exactly the pair table cells restricted to this chunk — no third
@@ -591,31 +576,29 @@ template <typename OnTable>
 void scan_block_pair(const dataset::PhenoSplitPlanes& planes,
                      const TilingParams& tiling,
                      const CachedKernelSet& kernels, PairBlockScratch& scratch,
-                     const BlockPair& bp,
-                     const combinatorics::RankRange& clip,
+                     const BlockPair& bp, const LastAxisWindow<2>& clip,
                      OnTable&& on_table) {
   const std::size_t bs = tiling.bs;
   engine_detail::scan_block_tuple_impl<2>(
       planes, tiling, scratch, BlockTuple<2>{bp.b0, bp.b1}, clip,
-      [&](const std::array<std::size_t, 2>& base,
-          const std::array<std::size_t, 2>& end) {
+      [&](const std::array<std::size_t, 2>& base, const auto& each_prefix) {
         for (int c = 0; c < 2; ++c) {
           const std::size_t words = planes.words(c);
           for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
             const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            for (std::size_t i0 = base[0]; i0 < end[0]; ++i0) {
-              for (std::size_t i1 = std::max(base[1], i0 + 1); i1 < end[1];
-                   ++i1) {
+            each_prefix([&](const combinatorics::Combination<2>& p, unsigned,
+                            std::size_t local, std::size_t z_lo,
+                            std::size_t z_hi) {
+              for (std::size_t z = z_lo; z < z_hi; ++z) {
                 std::array<std::uint32_t, 9> pops{};
-                kernels.count(planes.plane(c, i0, 0), planes.plane(c, i0, 1),
-                              planes.plane(c, i1, 0), planes.plane(c, i1, 1),
-                              w0, w1, pops.data());
-                const std::size_t local =
-                    (i0 - base[0]) * bs + (i1 - base[1]);
-                std::uint32_t* ft = scratch.table(local, c);
-                for (int p = 0; p < 9; ++p) ft[p] += pops[static_cast<std::size_t>(p)];
+                kernels.count(planes.plane(c, p[0], 0),
+                              planes.plane(c, p[0], 1), planes.plane(c, z, 0),
+                              planes.plane(c, z, 1), w0, w1, pops.data());
+                std::uint32_t* ft =
+                    scratch.table(local * bs + (z - base[1]), c);
+                for (std::size_t t = 0; t < 9; ++t) ft[t] += pops[t];
               }
-            }
+            });
           }
         }
       },
@@ -683,19 +666,20 @@ class BatchTupleScratch {
 };
 
 /// Batched ladder scan at any order K >= 3: evaluates every combination of
-/// block tuple `bt` within `clip` against ALL partitions of `batch` in one
-/// pass, and calls `on_table(const Combination<K>&, std::size_t partition,
-/// const BasicContingencyTable<K>&)` for each (partition index ascending
-/// within a combination).
+/// block tuple `bt` within the range of `clip` against ALL partitions of
+/// `batch` in one pass, and calls `on_table(const Combination<K>&,
+/// std::size_t partition, const BasicContingencyTable<K>&)` for each
+/// (partition index ascending within a combination).
 ///
 /// `planes` must be the phenotype-agnostic combined layout
 /// (`PhenoSplitPlanes::build_combined`): the ladder streams class 0 (all
 /// samples) exactly once per prefix and chunk, the batch kernel counts
 /// |prefix ∩ L_p| once per chunk, and each final-axis SNP then costs two
 /// broadcast-AND-popcount streams per partition — the plane streaming and
-/// ladder build are amortized across all P partitions.  Tables are exact
-/// integer counts, so every partition's result is bit-identical to a
-/// dedicated sequential scan of that partition.
+/// ladder build are amortized across all P partitions.  Prefixes whose
+/// last-axis window is empty build nothing.  Tables are exact integer
+/// counts, so every partition's result is bit-identical to a dedicated
+/// sequential scan of that partition.
 template <unsigned K, typename OnTable>
 void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
                               const dataset::PhenotypeBatch& batch,
@@ -705,7 +689,7 @@ void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
                               const BatchKernelSet& bkern,
                               BatchTupleScratch<K>& scratch,
                               const BlockTuple<K>& bt,
-                              const combinatorics::RankRange& clip,
+                              const LastAxisWindow<K>& clip,
                               OnTable&& on_table) {
   static_assert(K >= 3, "the batched ladder needs a length-2 prefix; "
                         "use scan_block_pair_batched for K == 2");
@@ -714,21 +698,8 @@ void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
   const std::size_t m = planes.num_snps();
   std::array<std::size_t, K> base;
   std::array<std::size_t, K> end;
-  for (unsigned j = 0; j < K; ++j) {
-    base[j] = bt[j] * bs;
-    if (base[j] >= m) return;
-    end[j] = std::min(base[j] + bs, m);
-  }
-
-  bool filter = false;
-  if (clip.first != kFullRange.first || clip.last != kFullRange.last) {
-    const combinatorics::RankRange span = combinatorics::block_tuple_span<K>(
-        combinatorics::BlockGrid{m, bs}, bt);
-    if (span.empty() || span.last <= clip.first || span.first >= clip.last) {
-      return;
-    }
-    filter = span.first < clip.first || span.last > clip.last;
-  }
+  if (!engine_detail::block_extents<K>(m, bs, bt, base, end)) return;
+  if (!clip.admits(combinatorics::BlockGrid{m, bs}, bt)) return;
 
   const std::size_t num_labels = batch.size();
   const std::size_t lstride = batch.stride();
@@ -739,92 +710,60 @@ void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
   cache.ensure(K, tiling.bp_words);
   constexpr std::size_t count = pow3(K - 1);
 
-  combinatorics::Combination<K> comb{};
-  const auto process_prefix = [&]() {
-    const std::size_t z_first =
-        std::max(base[K - 1], static_cast<std::size_t>(comb[K - 2]) + 1);
-    if (z_first >= end[K - 1]) return;
-    const std::size_t z_count = end[K - 1] - z_first;
-    scratch.clear_tables(z_count);
-    // Chunk loop inside the prefix: the ladder and the per-chunk label
-    // popcounts are built once and reused by every final-axis SNP and
-    // every partition.
-    for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-      const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-      std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
-      cached.build(planes.plane(0, comb[0], 0), planes.plane(0, comb[0], 1),
-                   planes.plane(0, comb[1], 0), planes.plane(0, comb[1], 1),
-                   w0, w1, cache.rung(2), cache.stride(), cache.rung_pops(2));
-      for (unsigned j = 2; j + 1 < K; ++j) {
-        std::uint32_t* pops = nullptr;
-        if (j + 1 == K - 1) {
-          pops = cache.rung_pops(j + 1);
-          std::fill(pops, pops + pow3(j + 1), 0u);
+  engine_detail::for_each_prefix<K>(
+      base, end, bs, clip,
+      [&](const combinatorics::Combination<K>& prefix, unsigned, std::size_t,
+          std::size_t z_lo, std::size_t z_hi) {
+        scratch.clear_tables(z_hi - z_lo);
+        // Chunk loop inside the prefix: the ladder and the per-chunk label
+        // popcounts are built once and reused by every final-axis SNP and
+        // every partition.
+        for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+          const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
+          engine_detail::update_ladder<K>(planes, 0, prefix, 0, w0, w1,
+                                          cached, generic, cache);
+          const Word* last = cache.rung(K - 1);
+          std::fill(scratch.label_pops(),
+                    scratch.label_pops() + count * lstride, 0u);
+          bkern.label_pops(last, count, cache.stride(), labels, num_labels,
+                           lstride, w0, w1, scratch.label_pops());
+          for (std::size_t z = z_lo; z < z_hi; ++z) {
+            bkern.finalize(last, count, cache.stride(),
+                           cache.rung_pops(K - 1), scratch.label_pops(),
+                           planes.plane(0, z, 0), planes.plane(0, z, 1),
+                           labels, num_labels, lstride, w0, w1,
+                           scratch.tables(z - z_lo), kCells);
+          }
         }
-        generic.extend(cache.rung(j), pow3(j), cache.stride(),
-                       planes.plane(0, comb[j], 0),
-                       planes.plane(0, comb[j], 1), w0, w1, cache.rung(j + 1),
-                       cache.stride(), pops);
-      }
-      const Word* last = cache.rung(K - 1);
-      std::fill(scratch.label_pops(),
-                scratch.label_pops() + count * lstride, 0u);
-      bkern.label_pops(last, count, cache.stride(), labels, num_labels,
-                       lstride, w0, w1, scratch.label_pops());
-      for (std::size_t z = z_first; z < end[K - 1]; ++z) {
-        bkern.finalize(last, count, cache.stride(), cache.rung_pops(K - 1),
-                       scratch.label_pops(), planes.plane(0, z, 0),
-                       planes.plane(0, z, 1), labels, num_labels, lstride, w0,
-                       w1, scratch.tables(z - z_first), kCells);
-      }
-    }
-    // Emit: slot 0 holds the phenotype-independent totals, slot 1+p the
-    // exact case table of partition p (label planes are zero-padded).  The
-    // control table is totals − case; only it inherits the combined
-    // planes' phantom all-genotype-2 padding.
-    for (std::size_t z = z_first; z < end[K - 1]; ++z) {
-      comb[K - 1] = static_cast<std::uint32_t>(z);
-      if (filter) {
-        const std::uint64_t rank = combinatorics::rank_combination<K>(comb);
-        if (rank < clip.first || rank >= clip.last) continue;
-      }
-      const std::uint32_t* group = scratch.tables(z - z_first);
-      for (std::size_t p = 0; p < num_labels; ++p) {
-        const std::uint32_t* case_ft = group + (1 + p) * kCells;
-        scoring::BasicContingencyTable<K> t;
-        for (std::size_t i = 0; i < kCells; ++i) {
-          t.counts[1][i] = case_ft[i];
-          t.counts[0][i] = group[i] - case_ft[i];
+        // Emit: slot 0 holds the phenotype-independent totals, slot 1+p the
+        // exact case table of partition p (label planes are zero-padded).
+        // The control table is totals − case; only it inherits the combined
+        // planes' phantom all-genotype-2 padding.
+        combinatorics::Combination<K> comb = prefix;
+        for (std::size_t z = z_lo; z < z_hi; ++z) {
+          comb[K - 1] = static_cast<std::uint32_t>(z);
+          const std::uint32_t* group = scratch.tables(z - z_lo);
+          for (std::size_t p = 0; p < num_labels; ++p) {
+            const std::uint32_t* case_ft = group + (1 + p) * kCells;
+            scoring::BasicContingencyTable<K> t;
+            for (std::size_t i = 0; i < kCells; ++i) {
+              t.counts[1][i] = case_ft[i];
+              t.counts[0][i] = group[i] - case_ft[i];
+            }
+            t.counts[0][kCells - 1] -= static_cast<std::uint32_t>(pad);
+            on_table(static_cast<const combinatorics::Combination<K>&>(comb),
+                     p, t);
+          }
         }
-        t.counts[0][kCells - 1] -= static_cast<std::uint32_t>(pad);
-        on_table(static_cast<const combinatorics::Combination<K>&>(comb), p,
-                 t);
-      }
-    }
-  };
-
-  const auto walk = [&](const auto& self, unsigned j,
-                        std::size_t prev) -> void {
-    if (j == K - 1) {
-      process_prefix();
-      return;
-    }
-    const std::size_t first = j == 0 ? base[0] : std::max(base[j], prev + 1);
-    for (std::size_t i = first; i < end[j]; ++i) {
-      if (!engine_detail::has_completion<K>(base, end, j, i)) continue;
-      comb[j] = static_cast<std::uint32_t>(i);
-      self(self, j + 1, i);
-    }
-  };
-  walk(walk, 0, 0);
+      });
 }
 
-/// Batched pair scan (K == 2): the nine x∩y planes of each pair are
-/// materialized once per chunk; their chunk popcounts are the totals and
-/// one label-popcount pass per chunk yields every partition's case cells
-/// directly — there is no final axis, so no finalize kernel is involved.
-/// Calls `on_table(const Combination<2>&, std::size_t partition, const
-/// PairContingencyTable&)`.
+/// Batched pair scan (K == 2): the nine x∩y planes of each in-window pair
+/// are materialized once per chunk; their chunk popcounts are the totals
+/// and one label-popcount pass per chunk yields every partition's case
+/// cells directly — there is no final axis, so no finalize kernel is
+/// involved.  Calls `on_table(const Combination<2>&, std::size_t
+/// partition, const PairContingencyTable&)`.
 template <typename OnTable>
 void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
                              const dataset::PhenotypeBatch& batch,
@@ -833,24 +772,15 @@ void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
                              const BatchKernelSet& bkern,
                              BatchTupleScratch<2>& scratch,
                              const BlockPair& bp,
-                             const combinatorics::RankRange& clip,
+                             const LastAxisWindow<2>& clip,
                              OnTable&& on_table) {
   const std::size_t bs = tiling.bs;
   const std::size_t m = planes.num_snps();
-  std::array<std::size_t, 2> base{bp.b0 * bs, bp.b1 * bs};
-  if (base[0] >= m || base[1] >= m) return;
-  const std::array<std::size_t, 2> end{std::min(base[0] + bs, m),
-                                       std::min(base[1] + bs, m)};
-
-  bool filter = false;
-  if (clip.first != kFullRange.first || clip.last != kFullRange.last) {
-    const combinatorics::RankRange span = combinatorics::block_tuple_span<2>(
-        combinatorics::BlockGrid{m, bs}, BlockTuple<2>{bp.b0, bp.b1});
-    if (span.empty() || span.last <= clip.first || span.first >= clip.last) {
-      return;
-    }
-    filter = span.first < clip.first || span.last > clip.last;
-  }
+  const BlockTuple<2> bt{bp.b0, bp.b1};
+  std::array<std::size_t, 2> base;
+  std::array<std::size_t, 2> end;
+  if (!engine_detail::block_extents<2>(m, bs, bt, base, end)) return;
+  if (!clip.admits(combinatorics::BlockGrid{m, bs}, bt)) return;
 
   const std::size_t num_labels = batch.size();
   const std::size_t lstride = batch.stride();
@@ -860,47 +790,48 @@ void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
   PrefixPlaneCache& cache = scratch.prefix_cache();
   cache.ensure(3, tiling.bp_words);
 
-  combinatorics::Combination<2> comb{};
-  for (std::size_t i0 = base[0]; i0 < end[0]; ++i0) {
-    for (std::size_t i1 = std::max(base[1], i0 + 1); i1 < end[1]; ++i1) {
-      comb[0] = static_cast<std::uint32_t>(i0);
-      comb[1] = static_cast<std::uint32_t>(i1);
-      if (filter) {
-        const std::uint64_t rank = combinatorics::rank_combination<2>(comb);
-        if (rank < clip.first || rank >= clip.last) continue;
-      }
-      scratch.clear_tables(1);
-      std::uint32_t* table = scratch.tables(0);
-      for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-        const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-        std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
-        cached.build(planes.plane(0, i0, 0), planes.plane(0, i0, 1),
-                     planes.plane(0, i1, 0), planes.plane(0, i1, 1), w0, w1,
-                     cache.rung(2), cache.stride(), cache.rung_pops(2));
-        std::fill(scratch.label_pops(), scratch.label_pops() + 9 * lstride,
-                  0u);
-        bkern.label_pops(cache.rung(2), 9, cache.stride(), labels, num_labels,
-                         lstride, w0, w1, scratch.label_pops());
-        for (std::size_t t = 0; t < 9; ++t) {
-          table[t] += cache.rung_pops(2)[t];
+  engine_detail::for_each_prefix<2>(
+      base, end, bs, clip,
+      [&](const combinatorics::Combination<2>& prefix, unsigned, std::size_t,
+          std::size_t z_lo, std::size_t z_hi) {
+        combinatorics::Combination<2> comb = prefix;
+        for (std::size_t z = z_lo; z < z_hi; ++z) {
+          comb[1] = static_cast<std::uint32_t>(z);
+          scratch.clear_tables(1);
+          std::uint32_t* table = scratch.tables(0);
+          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
+            std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
+            cached.build(planes.plane(0, comb[0], 0),
+                         planes.plane(0, comb[0], 1), planes.plane(0, z, 0),
+                         planes.plane(0, z, 1), w0, w1, cache.rung(2),
+                         cache.stride(), cache.rung_pops(2));
+            std::fill(scratch.label_pops(),
+                      scratch.label_pops() + 9 * lstride, 0u);
+            bkern.label_pops(cache.rung(2), 9, cache.stride(), labels,
+                             num_labels, lstride, w0, w1,
+                             scratch.label_pops());
+            for (std::size_t t = 0; t < 9; ++t) {
+              table[t] += cache.rung_pops(2)[t];
+              for (std::size_t p = 0; p < num_labels; ++p) {
+                table[(1 + p) * 9 + t] +=
+                    scratch.label_pops()[t * lstride + p];
+              }
+            }
+          }
           for (std::size_t p = 0; p < num_labels; ++p) {
-            table[(1 + p) * 9 + t] += scratch.label_pops()[t * lstride + p];
+            const std::uint32_t* case_ft = table + (1 + p) * 9;
+            scoring::PairContingencyTable t;
+            for (std::size_t i = 0; i < 9; ++i) {
+              t.counts[1][i] = case_ft[i];
+              t.counts[0][i] = table[i] - case_ft[i];
+            }
+            t.counts[0][8] -= static_cast<std::uint32_t>(pad);
+            on_table(static_cast<const combinatorics::Combination<2>&>(comb),
+                     p, t);
           }
         }
-      }
-      for (std::size_t p = 0; p < num_labels; ++p) {
-        const std::uint32_t* case_ft = table + (1 + p) * 9;
-        scoring::PairContingencyTable t;
-        for (std::size_t i = 0; i < 9; ++i) {
-          t.counts[1][i] = case_ft[i];
-          t.counts[0][i] = table[i] - case_ft[i];
-        }
-        t.counts[0][8] -= static_cast<std::uint32_t>(pad);
-        on_table(static_cast<const combinatorics::Combination<2>&>(comb), p,
-                 t);
-      }
-    }
-  }
+      });
 }
 
 }  // namespace trigen::core

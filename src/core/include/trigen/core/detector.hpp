@@ -101,9 +101,11 @@ struct ScanOptionsBase {
   /// CPU+GPU splits, sharded/multi-node scans).  Empty means the full
   /// space.  All five versions accept any sub-range: the per-combination
   /// versions (V1/V2) iterate it directly, the blocked versions (V3/V4/V5)
-  /// map it to block tuples and clip only at the partition's boundary
-  /// blocks, so a union of partial scans over any full-coverage split
-  /// reproduces the full scan combination-for-combination.  For
+  /// map it to block tuples and give every prefix its exact in-range
+  /// last-axis window, so a sub-range costs only its own combinations (a
+  /// full scan pays nothing for the window) and a union of partial scans
+  /// over any full-coverage split reproduces the full scan
+  /// combination-for-combination.  For
   /// production-scale range orchestration — planning shards,
   /// checkpoint/resume, portable result files and the exact merge — use
   /// `trigen::shard` (src/shard/) instead of driving this field by hand.

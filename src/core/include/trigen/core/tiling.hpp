@@ -72,13 +72,15 @@ TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
 /// running on (sched_getcpu) — not cpu0, which reports the wrong L1 for
 /// worker threads pinned to E-cores on hybrid parts — scanning that CPU's
 /// cache index entries for the level-1 data cache instead of assuming
-/// index0.
+/// index0.  Memoized per CPU index (thread-safe), so calling it once per
+/// scan chunk costs a map lookup, not a sysfs read.
 L1Config detect_l1_config();
 
 /// Injectable form for unit tests and explicit pinning: `sysfs_cpu_root`
 /// replaces "/sys/devices/system/cpu" (the directory holding cpuN/), and
 /// `cpu` picks the CPU to read (-1 = the calling thread's current CPU,
-/// falling back to cpu0 when its entries are missing).
+/// falling back to cpu0 when its entries are missing).  Never cached:
+/// every call reads the tree.
 L1Config detect_l1_config(const std::string& sysfs_cpu_root, int cpu = -1);
 
 /// 3^k, the genotype-cell count of one class at interaction order k.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <string>
 
 #if defined(__linux__)
@@ -136,7 +138,22 @@ std::string read_line(const std::string& path) {
 }  // namespace
 
 L1Config detect_l1_config() {
-  return detect_l1_config("/sys/devices/system/cpu", -1);
+  int cpu = -1;
+#if defined(__linux__)
+  cpu = sched_getcpu();
+#endif
+  if (cpu < 0) cpu = 0;
+  // Every run() reads the geometry, and a served or sharded job makes one
+  // run() per chunk: read sysfs once per CPU, not once per call.
+  static std::mutex mu;
+  static std::map<int, L1Config> by_cpu;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto it = by_cpu.find(cpu);
+  if (it == by_cpu.end()) {
+    it = by_cpu.emplace(cpu, detect_l1_config("/sys/devices/system/cpu", cpu))
+             .first;
+  }
+  return it->second;
 }
 
 L1Config detect_l1_config(const std::string& sysfs_cpu_root, int cpu) {

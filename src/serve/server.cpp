@@ -419,7 +419,13 @@ struct ScanServer::Impl {
     if (opt.chunk != 0) return opt.chunk;
     // Enough chunks that the pool interleaves concurrent jobs and a
     // shutdown only waits for small in-flight pieces, few enough that the
-    // per-chunk detector-call overhead stays negligible.
+    // per-chunk detector-call overhead stays small.  Each chunk is one
+    // ranged run(), and the blocked engines compute only the chunk's own
+    // combinations, so what a chunk adds is the fixed cost of a run: on a
+    // 4-vCPU AVX-512 Xeon VM, one thread, 200 SNPs x 4096 samples, 64
+    // chunks took 1.15x one whole run both for a full k = 2 scan (about
+    // 9 us per chunk) and for a k = 3 scan over a 32nd of the space (about
+    // 45 us per chunk).
     return std::max<std::uint64_t>(
         1, ranks / std::max<std::uint64_t>(64, 4ull * pool_size));
   }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "trigen/combinatorics/block_partition.hpp"
@@ -288,6 +289,108 @@ TEST(BlockPartition, EmptyRangeYieldsEmptyRun) {
   const BlockGrid g{10, 3};
   EXPECT_TRUE(partition_block_triples(g, {5, 5}).block_ranks.empty());
   EXPECT_TRUE(partition_block_triples(g, {}).block_ranks.empty());
+}
+
+TEST(BlockTupleRank, SuccessorWalksEveryRankInOrder) {
+  const auto walk = [](auto order_tag) {
+    constexpr unsigned K = decltype(order_tag)::value;
+    BlockTuple<K> t{};
+    for (std::uint64_t r = 0; r < num_block_tuples<K>(9); ++r) {
+      ASSERT_EQ(t, unrank_block_tuple<K>(r)) << "K=" << K << " rank " << r;
+      next_block_tuple<K>(t);
+    }
+  };
+  walk(std::integral_constant<unsigned, 2>{});
+  walk(std::integral_constant<unsigned, 3>{});
+  walk(std::integral_constant<unsigned, 4>{});
+  walk(std::integral_constant<unsigned, 6>{});
+}
+
+// --------------------------------------------------------------------------
+// Last-axis window
+// --------------------------------------------------------------------------
+
+/// Checks LastAxisWindow<K> against brute force over every nonempty range
+/// of the order-K space on m SNPs: per prefix, the window is exactly the
+/// set of last indices whose combination is in range, and `admits` never
+/// rules out a block tuple holding an in-range combination while always
+/// ruling out one whose span misses the range.
+template <unsigned K>
+void window_matches_brute_force(std::uint64_t m) {
+  const std::uint64_t total = n_choose_k(m, K);
+  for (std::uint64_t first = 0; first < total; ++first) {
+    for (std::uint64_t last = first + 1; last <= total; ++last) {
+      const LastAxisWindow<K> w(RankRange{first, last});
+      ASSERT_FALSE(w.full());
+      // Prefixes are the (K-1)-combinations below m - 1.
+      for_each_combination<K - 1>(
+          0, n_choose_k(m - 1, K - 1), [&](const Combination<K - 1>& p) {
+            Combination<K> c{};
+            std::copy(p.begin(), p.end(), c.begin());
+            const std::uint64_t z0 = p[K - 2] + 1;
+            const RankRange z = w.z_range(c, z0, m);
+            for (std::uint64_t zz = z0; zz < m; ++zz) {
+              c[K - 1] = static_cast<std::uint32_t>(zz);
+              const std::uint64_t r = rank_combination<K>(c);
+              const bool in_range = r >= first && r < last;
+              ASSERT_EQ(zz >= z.first && zz < z.last, in_range)
+                  << "m=" << m << " range [" << first << "," << last
+                  << ") rank " << r;
+            }
+          });
+      for (const std::uint64_t bs : {1ull, 2ull, 3ull}) {
+        const BlockGrid g{m, bs};
+        for (std::uint64_t b = 0; b < num_block_tuples<K>(g.num_blocks());
+             ++b) {
+          const BlockTuple<K> bt = unrank_block_tuple<K>(b);
+          const RankRange span = block_tuple_span<K>(g, bt);
+          const bool misses = span.empty() || span.last <= first ||
+                              span.first >= last;
+          if (misses) {
+            ASSERT_FALSE(w.admits(g, bt)) << "bs=" << bs << " block " << b;
+            continue;
+          }
+          bool holds = false;
+          for (std::uint64_t r = std::max(first, span.first);
+               r < std::min(last, span.last) && !holds; ++r) {
+            const Combination<K> c = unrank_combination<K>(r);
+            bool inside = true;
+            for (unsigned i = 0; i < K; ++i) inside &= c[i] / bs == bt[i];
+            holds = inside;
+          }
+          if (holds) {
+            ASSERT_TRUE(w.admits(g, bt)) << "bs=" << bs << " block " << b;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LastAxisWindow, MatchesBruteForceOnEveryRange) {
+  window_matches_brute_force<2>(9);
+  window_matches_brute_force<3>(8);
+  window_matches_brute_force<4>(7);
+}
+
+TEST(LastAxisWindow, FullRangeShortCircuits) {
+  const LastAxisWindow<3> whole;
+  const LastAxisWindow<3> sentinel(kFullRange);
+  EXPECT_TRUE(whole.full());
+  EXPECT_TRUE(sentinel.full());
+  // The caller's bounds pass through unchanged, even past the space.
+  const RankRange z = sentinel.z_range({4, 9, 0}, 10, 1000);
+  EXPECT_EQ(z.first, 10u);
+  EXPECT_EQ(z.last, 1000u);
+  EXPECT_TRUE(whole.admits(BlockGrid{12, 4}, BlockTuple<3>{0, 1, 2}));
+  // [0, C(m, K)) is a real range, not the sentinel.
+  EXPECT_FALSE(LastAxisWindow<3>(RankRange{0, n_choose_k(12, 3)}).full());
+}
+
+TEST(LastAxisWindow, EmptyRangeAdmitsNothing) {
+  const LastAxisWindow<3> w(RankRange{7, 7});
+  EXPECT_TRUE(w.z_range({0, 1, 0}, 2, 12).empty());
+  EXPECT_FALSE(w.admits(BlockGrid{12, 4}, BlockTuple<3>{0, 0, 0}));
 }
 
 // --------------------------------------------------------------------------

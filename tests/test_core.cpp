@@ -4,6 +4,8 @@
 #include <map>
 #include <random>
 #include <set>
+#include <thread>
+#include <tuple>
 
 #include "test_util.hpp"
 #include "trigen/core/blocked_engine.hpp"
@@ -577,6 +579,36 @@ TEST(Tiling, DetectedHostConfigIsUsable) {
   const TilingParams p = autotune_tiling(l1, 16);
   EXPECT_TRUE(p.valid());
   EXPECT_GE(p.bs, 1u);
+}
+
+TEST(Tiling, MemoizedHostConfigMatchesADirectReadFromEveryThread) {
+  // Whatever CPU a thread lands on, the memoized reader must return the
+  // geometry a direct (uncached) read of some host CPU returns.
+  const auto key = [](const L1Config& c) {
+    return std::make_tuple(c.size_bytes, c.ways, c.ways_for_tables,
+                           c.ways_for_block);
+  };
+  std::set<decltype(key(L1Config{}))> host;
+  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+  for (unsigned c = 0; c < cpus; ++c) {
+    host.insert(key(detect_l1_config("/sys/devices/system/cpu",
+                                     static_cast<int>(c))));
+  }
+  std::vector<std::vector<L1Config>> got(8);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    pool.emplace_back([&got, t] {
+      for (int rep = 0; rep < 100; ++rep) {
+        got[t].push_back(detect_l1_config());
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  for (const auto& per_thread : got) {
+    for (const L1Config& c : per_thread) {
+      EXPECT_EQ(host.count(key(c)), 1u) << c.size_bytes << " " << c.ways;
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
