@@ -7,7 +7,8 @@
 /// the microscopic version of Fig. 3's per-ISA comparison.  The V5 cached
 /// kernel (18 AND, 18 POPCNT per word against a prebuilt x∩y plane cache,
 /// plane-major so its 27 loads/word all hit L1) and its build phase are
-/// measured alongside.
+/// measured alongside, as is the pair scans' count kernel (4 AND, 4 POPCNT
+/// per word: only the genotype-0/1 cells are counted).
 
 #include <benchmark/benchmark.h>
 
@@ -106,6 +107,36 @@ void bench_build_kernel(benchmark::State& state, core::KernelIsa isa) {
   state.counters["words/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) *
           static_cast<double>(planes.words(0)),
+      benchmark::Counter::kIsRate);
+}
+
+/// The k = 2 count kernel: the four genotype-0/1 cells of one SNP pair over
+/// one class's planes (the other five cells come from per-SNP counts).
+void bench_pair_count_kernel(benchmark::State& state, core::KernelIsa isa) {
+  if (!core::kernel_available(isa)) {
+    state.SkipWithError("ISA not available on this host");
+    return;
+  }
+  const auto samples = static_cast<std::size_t>(state.range(0));
+  const auto d = dataset::generate_balanced(2, samples, 7);
+  const auto planes = dataset::PhenoSplitPlanes::build(d);
+  const core::PairPlaneCountKernel count = core::get_cached_kernels(isa).count;
+
+  std::uint32_t row[9] = {};
+  for (auto _ : state) {
+    count(planes.plane(0, 0, 0), planes.plane(0, 0, 1),
+          planes.plane(0, 1, 0), planes.plane(0, 1, 1), 0, planes.words(0),
+          row);
+    benchmark::DoNotOptimize(row);
+    benchmark::ClobberMemory();
+  }
+  state.counters["words/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(planes.words(0)),
+      benchmark::Counter::kIsRate);
+  state.counters["elements/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(planes.words(0)) * 32,
       benchmark::Counter::kIsRate);
 }
 
@@ -298,6 +329,11 @@ void register_all() {
     benchmark::RegisterBenchmark(
         ("pair_plane_build/" + core::kernel_isa_name(isa)).c_str(),
         [isa](benchmark::State& s) { bench_build_kernel(s, isa); })
+        ->Arg(2048)
+        ->Arg(65536);
+    benchmark::RegisterBenchmark(
+        ("pair_count/" + core::kernel_isa_name(isa)).c_str(),
+        [isa](benchmark::State& s) { bench_pair_count_kernel(s, isa); })
         ->Arg(2048)
         ->Arg(65536);
     benchmark::RegisterBenchmark(

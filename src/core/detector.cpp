@@ -1,6 +1,7 @@
 #include "trigen/core/detector.hpp"
 
 #include <functional>
+#include <mutex>
 #include <stdexcept>
 
 #include "trigen/combinatorics/block_partition.hpp"
@@ -52,25 +53,46 @@ std::string objective_name(Objective o) {
 
 template <unsigned K>
 struct BasicDetector<K>::Impl {
+  explicit Impl(const dataset::GenotypeMatrix& d)
+      : num_snps(d.num_snps()),
+        num_samples(d.num_samples()),
+        phenotypes(d.phenotypes().begin(), d.phenotypes().end()),
+        split(dataset::PhenoSplitPlanes::build(d)) {}
+
+  /// Fig.-1 layout, read back from `split` on first use: only V1 scans and
+  /// planes_v1() need it.
+  const dataset::BitPlanesV1& v1() const {
+    std::call_once(v1_once_, [this] {
+      v1_ = dataset::BitPlanesV1::build(split, phenotypes);
+    });
+    return v1_;
+  }
+
+  /// Phenotype-agnostic layout (class 0 = all samples, original order) for
+  /// run_batched, read back from `split` on first use; the per-partition
+  /// split happens against PhenotypeBatch label planes instead of a
+  /// baked-in phenotype.
+  const dataset::PhenoSplitPlanes& combined() const {
+    std::call_once(combined_once_, [this] {
+      combined_ = dataset::PhenoSplitPlanes::build_combined(split, phenotypes);
+    });
+    return combined_;
+  }
+
   std::size_t num_snps;
   std::size_t num_samples;
-  dataset::BitPlanesV1 v1;
+  std::vector<dataset::Phenotype> phenotypes;
   dataset::PhenoSplitPlanes split;
-  /// Phenotype-agnostic layout (class 0 = all samples, original order) for
-  /// run_batched; the per-partition split happens against PhenotypeBatch
-  /// label planes instead of a baked-in phenotype.
-  dataset::PhenoSplitPlanes combined;
+
+ private:
+  mutable std::once_flag v1_once_;
+  mutable std::once_flag combined_once_;
+  mutable dataset::BitPlanesV1 v1_;
+  mutable dataset::PhenoSplitPlanes combined_;
 };
 
 template <unsigned K>
-BasicDetector<K>::BasicDetector(const dataset::GenotypeMatrix& d)
-    : impl_(std::make_unique<Impl>(Impl{
-          d.num_snps(),
-          d.num_samples(),
-          dataset::BitPlanesV1::build(d),
-          dataset::PhenoSplitPlanes::build(d),
-          dataset::PhenoSplitPlanes::build_combined(d),
-      })) {
+BasicDetector<K>::BasicDetector(const dataset::GenotypeMatrix& d) {
   if (d.num_snps() < K) {
     throw std::invalid_argument("Detector: need at least " +
                                 std::to_string(K) + " SNPs");
@@ -78,6 +100,7 @@ BasicDetector<K>::BasicDetector(const dataset::GenotypeMatrix& d)
   if (!d.valid()) {
     throw std::invalid_argument("Detector: dataset contains invalid values");
   }
+  impl_ = std::make_unique<Impl>(d);
 }
 
 template <unsigned K>
@@ -91,7 +114,7 @@ std::size_t BasicDetector<K>::num_samples() const {
 }
 template <unsigned K>
 const dataset::BitPlanesV1& BasicDetector<K>::planes_v1() const {
-  return impl_->v1;
+  return impl_->v1();
 }
 template <unsigned K>
 const dataset::PhenoSplitPlanes& BasicDetector<K>::planes_split() const {
@@ -197,17 +220,14 @@ scoring::BasicContingencyTable<K> BasicDetector<K>::contingency(
   if constexpr (K == 3) {
     t = contingency_split(p, snps[0], snps[1], snps[2], isa);
   } else if constexpr (K == 2) {
-    // The chunk popcounts of the nine x∩y intersections are the table.
+    // Four counted cells; the per-SNP genotype counts give the other five.
     const CachedKernelSet kernels = get_cached_kernels(isa);
     for (int c = 0; c < 2; ++c) {
-      std::array<std::uint32_t, 9> pops{};
+      auto& row = t.counts[static_cast<std::size_t>(c)];
       kernels.count(p.plane(c, snps[0], 0), p.plane(c, snps[0], 1),
                     p.plane(c, snps[1], 0), p.plane(c, snps[1], 1), 0,
-                    p.words(c), pops.data());
-      auto& row = t.counts[static_cast<std::size_t>(c)];
-      for (int i = 0; i < 9; ++i) row[static_cast<std::size_t>(i)] = pops[static_cast<std::size_t>(i)];
-      // NOR padding shows up as phantom (2, 2) observations.
-      row[8] -= static_cast<std::uint32_t>(p.pad_bits(c));
+                    p.words(c), row.data());
+      complete_pair_row(p, c, snps[0], snps[1], row.data());
     }
   } else {
     const GenericKernelSet kernels = get_generic_kernels(isa);
@@ -304,6 +324,8 @@ BasicDetectionResult<K> BasicDetector<K>::run(
   if (!blocked) {
     // V1/V2: work unit = one combination rank inside `range`.
     const bool naive = options.version == CpuVersion::kV1Naive;
+    const dataset::BitPlanesV1* const v1 =
+        naive ? &impl_->v1() : nullptr;
     const KernelIsa isa = result.isa_used;
     merged = scan_best<Scored>(
         range.size(), cfg, options.top_k,
@@ -312,7 +334,7 @@ BasicDetectionResult<K> BasicDetector<K>::run(
               range.first + r.first, range.first + r.last,
               [&](const Combination<K>& c) {
                 const scoring::BasicContingencyTable<K> table =
-                    naive ? contingency_v1_of<K>(impl_->v1, c)
+                    naive ? contingency_v1_of<K>(*v1, c)
                           : contingency(c, isa);
                 top.push(make_scored<K>(c, scorer(table)));
               });
@@ -497,6 +519,7 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
   }
   result.tiling_used = tiling;
 
+  const dataset::PhenoSplitPlanes& combined = impl_->combined();
   const CachedKernelSet cachedk = get_cached_kernels(result.isa_used);
   const GenericKernelSet generic = get_generic_kernels(result.isa_used);
   const BatchKernelSet bkern = get_batch_kernels(result.isa_used);
@@ -538,11 +561,11 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
             unrank_block_tuple<K>(part.block_ranks.first + r.first);
         for (std::uint64_t b = r.first; b < r.last; ++b) {
           if constexpr (K == 2) {
-            scan_block_pair_batched(impl_->combined, batch, tiling, cachedk,
+            scan_block_pair_batched(combined, batch, tiling, cachedk,
                                     bkern, thread_scratch(tid),
                                     BlockPair{bt[0], bt[1]}, clip, on_table);
           } else {
-            scan_block_tuple_batched<K>(impl_->combined, batch, tiling,
+            scan_block_tuple_batched<K>(combined, batch, tiling,
                                         cachedk, generic, bkern,
                                         thread_scratch(tid), bt, clip,
                                         on_table);

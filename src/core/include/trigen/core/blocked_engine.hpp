@@ -21,7 +21,9 @@
 /// planes and popcounts then resolve all three final-axis cells with two
 /// ANDs + two POPCNTs per word.  At k = 3 the ladder is exactly the nine
 /// x∩y planes of the original pair-plane cache; at k = 2 it degenerates to
-/// the counts-only kernel (the chunk popcounts *are* the 9-cell table).
+/// the counts-only kernel (the chunk popcounts of the four genotype-0/1
+/// intersections, completed from the per-SNP genotype counts, *are* the
+/// 9-cell table).
 ///
 /// The block-tuple rank math and the rank-range -> block-tuple mapping live
 /// in trigen/combinatorics/block_partition.hpp; the names are re-exported
@@ -291,8 +293,7 @@ void scan_block_tuple_impl(const dataset::PhenoSplitPlanes& planes,
 
   accumulate(base, each_prefix);
 
-  // Finalize: fold the NOR padding out of the all-genotype-2 cell and emit
-  // tables.
+  // Finalize: make every row exact and emit tables.
   each_prefix([&](const combinatorics::Combination<K>& prefix, unsigned,
                   std::size_t local, std::size_t z_lo, std::size_t z_hi) {
     combinatorics::Combination<K> comb = prefix;
@@ -306,9 +307,14 @@ void scan_block_tuple_impl(const dataset::PhenoSplitPlanes& planes,
         for (std::size_t i = 0; i < TupleBlockScratch<K>::kCells; ++i) {
           row[i] = ft[i];
         }
-        // NOR padding shows up as phantom all-genotype-2 observations.
-        row[TupleBlockScratch<K>::kCells - 1] -=
-            static_cast<std::uint32_t>(planes.pad_bits(c));
+        if constexpr (K == 2) {
+          // The pair count kernel fills cells 0, 1, 3 and 4 only.
+          complete_pair_row(planes, c, comb[0], comb[1], row.data());
+        } else {
+          // NOR padding shows up as phantom all-genotype-2 observations.
+          row[TupleBlockScratch<K>::kCells - 1] -=
+              static_cast<std::uint32_t>(planes.pad_bits(c));
+        }
       }
       on_table(static_cast<const combinatorics::Combination<K>&>(comb), t);
     }
@@ -565,11 +571,13 @@ void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
 /// Evaluates every SNP pair inside block pair `bp` whose colex rank lies in
 /// the range of `clip` and calls `on_table(combinatorics::Pair, const
 /// scoring::PairContingencyTable&)` for each.  The counts phase *is* the
-/// whole evaluation: the chunk popcounts of the nine x∩y intersections are
-/// exactly the pair table cells restricted to this chunk — no third
-/// operand, no 27-cell sweep, and no materialized planes (the counts-only
-/// kernel retires zero stores and needs no L1 cache budget).  This is the
-/// K = 2 instantiation of the generic engine skeleton, shared by V3 (scalar
+/// whole evaluation: the count kernel adds the chunk popcounts of the four
+/// x∩y intersections with both genotypes in {0, 1} straight into the pair's
+/// table, and the finalize derives the five genotype-2 cells from the
+/// per-SNP genotype counts — no third operand, no genotype-2 plane, no
+/// padding correction, and no materialized planes (the counts-only kernel
+/// retires zero stores and needs no L1 cache budget).  This is the K = 2
+/// instantiation of the generic engine skeleton, shared by V3 (scalar
 /// kernel), V4 and V5 (identical here — the ladder has no rungs below
 /// order 3).
 template <typename OnTable>
@@ -590,13 +598,10 @@ void scan_block_pair(const dataset::PhenoSplitPlanes& planes,
                             std::size_t local, std::size_t z_lo,
                             std::size_t z_hi) {
               for (std::size_t z = z_lo; z < z_hi; ++z) {
-                std::array<std::uint32_t, 9> pops{};
                 kernels.count(planes.plane(c, p[0], 0),
                               planes.plane(c, p[0], 1), planes.plane(c, z, 0),
-                              planes.plane(c, z, 1), w0, w1, pops.data());
-                std::uint32_t* ft =
-                    scratch.table(local * bs + (z - base[1]), c);
-                for (std::size_t t = 0; t < 9; ++t) ft[t] += pops[t];
+                              planes.plane(c, z, 1), w0, w1,
+                              scratch.table(local * bs + (z - base[1]), c));
               }
             });
           }

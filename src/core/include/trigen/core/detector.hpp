@@ -189,8 +189,9 @@ struct BasicBatchDetectionResult : ScanStats {
 };
 
 /// Exhaustive order-K detector over one dataset.  Thread-safe for
-/// concurrent run() calls; the bit-plane layouts are built once at
-/// construction.
+/// concurrent run() and run_batched() calls.  Construction builds the
+/// class-split planes every V2-V5 scan reads; the V1 and combined
+/// (batched) layouts are read back from them once, on first use.
 template <unsigned K>
 class BasicDetector {
   static_assert(K >= 2 && K <= combinatorics::kMaxOrder);
@@ -244,6 +245,7 @@ class BasicDetector {
   std::size_t num_samples() const;
 
   /// Layout accessors (used by benches and the CARM characterization).
+  /// The first planes_v1() call builds the V1 layout.
   const dataset::BitPlanesV1& planes_v1() const;
   const dataset::PhenoSplitPlanes& planes_split() const;
 

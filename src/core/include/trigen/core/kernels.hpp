@@ -30,11 +30,15 @@
 /// of six.  Both phases exist per ISA and are exact, so V5 is
 /// bit-identical to V2-V4.
 ///
-/// NOR padding: plane tail bits are zero, so the inferred genotype-2 plane
-/// has ones there and the kernels over-count cell (2,2,2) by exactly the
-/// class's padding-bit count.  Callers subtract `PhenoSplitPlanes::pad_bits`
-/// once per class after the last word block (see blocked_engine.cpp) —
-/// keeping the hot loop mask-free.
+/// NOR padding: plane tail bits are zero, so an inferred genotype-2 plane
+/// has ones there and the kernels that form one over-count the
+/// all-genotype-2 cell by exactly the class's padding-bit count.  Callers
+/// subtract `PhenoSplitPlanes::pad_bits` once per class after the last word
+/// block (see blocked_engine.hpp) — keeping the hot loop mask-free.  The
+/// pair count kernel is the exception: it reads only the stored, zero-padded
+/// genotype 0/1 planes and never forms a genotype-2 plane, so its four
+/// cells are exact and `complete_pair_row` derives the other five from the
+/// per-SNP genotype counts, with no padding term at all.
 
 #include <cstdint>
 #include <optional>
@@ -85,15 +89,40 @@ using TripleBlockCachedKernel = void (*)(const Word* xy, std::size_t stride,
                                          std::size_t w_end,
                                          std::uint32_t* ft27);
 
-/// Counts-only sibling of the build phase: accumulates the nine x∩y
-/// intersection-plane popcounts over [w_begin, w_end) into `xy_pop9`
-/// without materializing the planes.  The blocked *pair* engine consumes
-/// only the popcounts (they are the 9-cell pair table of the chunk), so it
-/// uses this variant and retires no stores at all.
+/// Counts-only pair kernel: over [w_begin, w_end), *adds* the popcounts of
+/// the four intersections xa∩yb with a, b in {0, 1} into `xy_pop9[a*3 + b]`
+/// (cells 0, 1, 3 and 4 of a 9-cell pair row) and leaves the other five
+/// cells untouched — four AND + four POPCNT per word, no genotype-2 NOR and
+/// no stores.  Because a SNP's three genotype planes partition its class,
+/// the genotype-2 cells follow exactly from the per-SNP genotype counts
+/// once the whole sample range is summed (complete_pair_row).
 using PairPlaneCountKernel = void (*)(const Word* x0, const Word* x1,
                                       const Word* y0, const Word* y1,
                                       std::size_t w_begin, std::size_t w_end,
                                       std::uint32_t* xy_pop9);
+
+/// The pair-row cells a PairPlaneCountKernel counts, in kernel order.
+inline constexpr std::size_t kPairCountCells[4] = {0, 1, 3, 4};
+
+/// Completes one class row of the pair (x, y) table whose cells 0, 1, 3
+/// and 4 hold the exact counts over the whole class (as a
+/// PairPlaneCountKernel leaves them): with S_x(a) the class's count of
+/// genotype a at x and N_c its size,
+///   n(a,2) = S_x(a) − n(a,0) − n(a,1),   n(2,b) = S_y(b) − n(0,b) − n(1,b),
+///   n(2,2) = N_c − S_x(0) − S_x(1) − n(2,0) − n(2,1).
+/// Overwrites cells 2, 5, 6, 7 and 8.
+inline void complete_pair_row(const dataset::PhenoSplitPlanes& p, int c,
+                              std::size_t x, std::size_t y,
+                              std::uint32_t* row) {
+  const std::uint32_t sx0 = p.genotype_count(c, x, 0);
+  const std::uint32_t sx1 = p.genotype_count(c, x, 1);
+  row[2] = sx0 - row[0] - row[1];
+  row[5] = sx1 - row[3] - row[4];
+  row[6] = p.genotype_count(c, y, 0) - row[0] - row[3];
+  row[7] = p.genotype_count(c, y, 1) - row[1] - row[4];
+  row[8] = static_cast<std::uint32_t>(p.samples(c)) - sx0 - sx1 - row[6] -
+           row[7];
+}
 
 /// The V5 phases for one vectorization strategy.
 struct CachedKernelSet {

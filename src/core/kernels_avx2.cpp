@@ -214,21 +214,21 @@ void pair_plane_count_avx2(const Word* TRIGEN_RESTRICT x0,
                            const Word* TRIGEN_RESTRICT y1,
                            std::size_t w_begin, std::size_t w_end,
                            std::uint32_t* TRIGEN_RESTRICT xy_pop9) {
-  const __m256i ones = _mm256_set1_epi32(-1);
+  std::uint32_t c[4] = {};
   std::size_t w = w_begin;
   for (; w + 8 <= w_end; w += 8) {
-    __m256i xg[3], yg[3];
-    xg[0] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x0 + w));
-    xg[1] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x1 + w));
-    xg[2] = _mm256_xor_si256(_mm256_or_si256(xg[0], xg[1]), ones);
-    yg[0] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y0 + w));
-    yg[1] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y1 + w));
-    yg[2] = _mm256_xor_si256(_mm256_or_si256(yg[0], yg[1]), ones);
-    for (int p = 0; p < 9; ++p) {
-      xy_pop9[p] += popcnt256_extract(_mm256_and_si256(xg[p / 3], yg[p % 3]));
+    const __m256i xg[2] = {
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x0 + w)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x1 + w))};
+    const __m256i yg[2] = {
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y0 + w)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y1 + w))};
+    for (int p = 0; p < 4; ++p) {
+      c[p] += popcnt256_extract(_mm256_and_si256(xg[p / 2], yg[p % 2]));
     }
   }
-  pair_plane_count_scalar(x0, x1, y0, y1, w, w_end, xy_pop9);
+  for (int p = 0; p < 4; ++p) xy_pop9[kPairCountCells[p]] += c[p];
+  if (w < w_end) pair_plane_count_scalar(x0, x1, y0, y1, w, w_end, xy_pop9);
 }
 
 void pair_plane_build_avx2_harley_seal(
@@ -270,27 +270,25 @@ void pair_plane_count_avx2_harley_seal(
     const Word* TRIGEN_RESTRICT y0, const Word* TRIGEN_RESTRICT y1,
     std::size_t w_begin, std::size_t w_end,
     std::uint32_t* TRIGEN_RESTRICT xy_pop9) {
-  const __m256i ones = _mm256_set1_epi32(-1);
-  __m256i acc[9];
+  __m256i acc[4];
   for (auto& a : acc) a = _mm256_setzero_si256();
 
   std::size_t w = w_begin;
   for (; w + 8 <= w_end; w += 8) {
-    __m256i xg[3], yg[3];
-    xg[0] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x0 + w));
-    xg[1] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x1 + w));
-    xg[2] = _mm256_xor_si256(_mm256_or_si256(xg[0], xg[1]), ones);
-    yg[0] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y0 + w));
-    yg[1] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y1 + w));
-    yg[2] = _mm256_xor_si256(_mm256_or_si256(yg[0], yg[1]), ones);
-    for (int p = 0; p < 9; ++p) {
-      acc[p] = hs_accumulate(acc[p], _mm256_and_si256(xg[p / 3], yg[p % 3]));
+    const __m256i xg[2] = {
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x0 + w)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x1 + w))};
+    const __m256i yg[2] = {
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y0 + w)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y1 + w))};
+    for (int p = 0; p < 4; ++p) {
+      acc[p] = hs_accumulate(acc[p], _mm256_and_si256(xg[p / 2], yg[p % 2]));
     }
   }
-  for (int p = 0; p < 9; ++p) {
-    xy_pop9[p] += hsum_sad256(acc[p]);
+  for (int p = 0; p < 4; ++p) {
+    xy_pop9[kPairCountCells[p]] += hsum_sad256(acc[p]);
   }
-  pair_plane_count_scalar(x0, x1, y0, y1, w, w_end, xy_pop9);
+  if (w < w_end) pair_plane_count_scalar(x0, x1, y0, y1, w, w_end, xy_pop9);
 }
 
 void triple_block_cached_avx2_harley_seal(

@@ -106,30 +106,28 @@ void pair_plane_count_avx512_vpopcnt(
     const Word* TRIGEN_RESTRICT y0, const Word* TRIGEN_RESTRICT y1,
     std::size_t w_begin, std::size_t w_end,
     std::uint32_t* TRIGEN_RESTRICT xy_pop9) {
-  const __m512i ones = _mm512_set1_epi32(-1);
-  __m512i acc[9];
+  __m512i acc[4];
   for (auto& a : acc) a = _mm512_setzero_si512();
 
   std::size_t w = w_begin;
   for (; w + 16 <= w_end; w += 16) {
-    __m512i xg[3], yg[3];
-    xg[0] = _mm512_loadu_si512(reinterpret_cast<const void*>(x0 + w));
-    xg[1] = _mm512_loadu_si512(reinterpret_cast<const void*>(x1 + w));
-    xg[2] = _mm512_xor_si512(_mm512_or_si512(xg[0], xg[1]), ones);
-    yg[0] = _mm512_loadu_si512(reinterpret_cast<const void*>(y0 + w));
-    yg[1] = _mm512_loadu_si512(reinterpret_cast<const void*>(y1 + w));
-    yg[2] = _mm512_xor_si512(_mm512_or_si512(yg[0], yg[1]), ones);
-    for (int p = 0; p < 9; ++p) {
+    const __m512i xg[2] = {
+        _mm512_loadu_si512(reinterpret_cast<const void*>(x0 + w)),
+        _mm512_loadu_si512(reinterpret_cast<const void*>(x1 + w))};
+    const __m512i yg[2] = {
+        _mm512_loadu_si512(reinterpret_cast<const void*>(y0 + w)),
+        _mm512_loadu_si512(reinterpret_cast<const void*>(y1 + w))};
+    for (int p = 0; p < 4; ++p) {
       acc[p] = _mm512_add_epi32(
           acc[p],
-          _mm512_popcnt_epi32(_mm512_and_si512(xg[p / 3], yg[p % 3])));
+          _mm512_popcnt_epi32(_mm512_and_si512(xg[p / 2], yg[p % 2])));
     }
   }
-  for (int p = 0; p < 9; ++p) {
-    xy_pop9[p] +=
+  for (int p = 0; p < 4; ++p) {
+    xy_pop9[kPairCountCells[p]] +=
         static_cast<std::uint32_t>(_mm512_reduce_add_epi32(acc[p]));
   }
-  pair_plane_count_scalar(x0, x1, y0, y1, w, w_end, xy_pop9);
+  if (w < w_end) pair_plane_count_scalar(x0, x1, y0, y1, w, w_end, xy_pop9);
 }
 
 void triple_block_cached_avx512_vpopcnt(

@@ -18,9 +18,9 @@
 ///
 /// Every kernel parameter is __restrict-qualified: the engine never passes
 /// aliasing planes (SNP indices of a combination are strictly increasing,
-/// the pair path's constant z operands are dedicated buffers, and the V5
-/// cache is written only by the build phase), and the qualifier lets the
-/// compiler keep plane words in registers across the unrolled cell loops.
+/// and the V5 cache is written only by the build phase), and the qualifier
+/// lets the compiler keep plane words in registers across the unrolled
+/// cell loops.
 
 #include <cstddef>
 #include <cstdint>

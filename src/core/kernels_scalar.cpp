@@ -57,14 +57,17 @@ void pair_plane_count_scalar(const Word* TRIGEN_RESTRICT x0,
                              const Word* TRIGEN_RESTRICT y1,
                              std::size_t w_begin, std::size_t w_end,
                              std::uint32_t* TRIGEN_RESTRICT xy_pop9) {
+  std::uint32_t c00 = 0, c01 = 0, c10 = 0, c11 = 0;
   for (std::size_t w = w_begin; w < w_end; ++w) {
-    const Word xg[3] = {x0[w], x1[w], static_cast<Word>(~(x0[w] | x1[w]))};
-    const Word yg[3] = {y0[w], y1[w], static_cast<Word>(~(y0[w] | y1[w]))};
-    for (int p = 0; p < 9; ++p) {
-      xy_pop9[p] +=
-          static_cast<std::uint32_t>(std::popcount(xg[p / 3] & yg[p % 3]));
-    }
+    c00 += static_cast<std::uint32_t>(std::popcount(x0[w] & y0[w]));
+    c01 += static_cast<std::uint32_t>(std::popcount(x0[w] & y1[w]));
+    c10 += static_cast<std::uint32_t>(std::popcount(x1[w] & y0[w]));
+    c11 += static_cast<std::uint32_t>(std::popcount(x1[w] & y1[w]));
   }
+  xy_pop9[0] += c00;
+  xy_pop9[1] += c01;
+  xy_pop9[3] += c10;
+  xy_pop9[4] += c11;
 }
 
 void triple_block_cached_scalar(const Word* TRIGEN_RESTRICT xy,

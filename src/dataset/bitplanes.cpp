@@ -1,5 +1,6 @@
 #include "trigen/dataset/bitplanes.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace trigen::dataset {
@@ -10,9 +11,9 @@ namespace {
 struct ClassIndex {
   std::array<std::vector<std::size_t>, 2> members;
 
-  explicit ClassIndex(const GenotypeMatrix& d) {
-    for (std::size_t j = 0; j < d.num_samples(); ++j) {
-      members[d.phenotype(j)].push_back(j);
+  explicit ClassIndex(std::span<const Phenotype> phenotypes) {
+    for (std::size_t j = 0; j < phenotypes.size(); ++j) {
+      members[phenotypes[j]].push_back(j);
     }
   }
 };
@@ -21,25 +22,76 @@ void set_bit(Word* plane, std::size_t pos) {
   plane[pos / kWordBits] |= Word{1} << (pos % kWordBits);
 }
 
+/// The class index of `split`'s samples, given the per-sample phenotypes
+/// the planes were split by; throws when they cannot be those phenotypes.
+ClassIndex split_class_index(const PhenoSplitPlanes& split,
+                             std::span<const Phenotype> phenotypes) {
+  for (const Phenotype p : phenotypes) {
+    if (p > 1) throw std::invalid_argument("bitplanes: phenotype out of range");
+  }
+  ClassIndex idx(phenotypes);
+  if (idx.members[0].size() != split.samples(0) ||
+      idx.members[1].size() != split.samples(1)) {
+    throw std::invalid_argument(
+        "bitplanes: phenotypes do not match the split planes' classes");
+  }
+  return idx;
+}
+
+/// Calls `fn(m, g, j)` for every sample j whose genotype at SNP m is g in
+/// {0, 1}, read back from the class-split planes' set bits.
+template <typename Fn>
+void for_each_stored_genotype(const PhenoSplitPlanes& split,
+                              const ClassIndex& idx, Fn&& fn) {
+  for (std::size_t m = 0; m < split.num_snps(); ++m) {
+    for (int c = 0; c < 2; ++c) {
+      const auto& members = idx.members[static_cast<std::size_t>(c)];
+      for (int g = 0; g < 2; ++g) {
+        const Word* plane = split.plane(c, m, g);
+        for (std::size_t w = 0; w < words_for(members.size()); ++w) {
+          for (Word bits = plane[w]; bits != 0; bits &= bits - 1) {
+            fn(m, g, members[w * kWordBits +
+                             static_cast<std::size_t>(std::countr_zero(bits))]);
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 BitPlanesV1 BitPlanesV1::build(const GenotypeMatrix& d) {
+  return build(PhenoSplitPlanes::build(d), d.phenotypes());
+}
+
+BitPlanesV1 BitPlanesV1::build(const PhenoSplitPlanes& split,
+                               std::span<const Phenotype> phenotypes) {
+  const ClassIndex idx = split_class_index(split, phenotypes);
   BitPlanesV1 out;
-  out.num_snps_ = d.num_snps();
-  out.num_samples_ = d.num_samples();
-  out.words_ = padded_words_for(d.num_samples());
+  out.num_snps_ = split.num_snps();
+  out.num_samples_ = phenotypes.size();
+  out.words_ = padded_words_for(out.num_samples_);
   out.planes_.assign(out.num_snps_ * 3 * out.words_, 0);
   out.pheno_.assign(out.words_, 0);
-
-  for (std::size_t j = 0; j < d.num_samples(); ++j) {
-    if (d.phenotype(j) == 1) set_bit(out.pheno_.data(), j);
-  }
-  for (std::size_t m = 0; m < d.num_snps(); ++m) {
-    for (std::size_t j = 0; j < d.num_samples(); ++j) {
-      const int g = d.at(m, j);
-      Word* plane = out.planes_.data() +
-                    (m * 3 + static_cast<std::size_t>(g)) * out.words_;
-      set_bit(plane, j);
+  for (const std::size_t j : idx.members[1]) set_bit(out.pheno_.data(), j);
+  for_each_stored_genotype(split, idx, [&](std::size_t m, int g,
+                                           std::size_t j) {
+    set_bit(out.planes_.data() + (m * 3 + static_cast<std::size_t>(g)) *
+                                     out.words_,
+            j);
+  });
+  // Genotype 2: every real sample that neither stored plane holds; the
+  // tail bits past the last sample stay zero.
+  const std::size_t used = words_for(out.num_samples_);
+  const std::size_t tail = out.num_samples_ % kWordBits;
+  for (std::size_t m = 0; m < out.num_snps_; ++m) {
+    Word* g = out.planes_.data() + m * 3 * out.words_;
+    for (std::size_t w = 0; w < used; ++w) {
+      const Word real = w + 1 == used && tail != 0
+                            ? (Word{1} << tail) - 1
+                            : ~Word{0};
+      g[2 * out.words_ + w] = ~(g[w] | g[out.words_ + w]) & real;
     }
   }
   return out;
@@ -48,12 +100,13 @@ BitPlanesV1 BitPlanesV1::build(const GenotypeMatrix& d) {
 PhenoSplitPlanes PhenoSplitPlanes::build(const GenotypeMatrix& d) {
   PhenoSplitPlanes out;
   out.num_snps_ = d.num_snps();
-  const ClassIndex idx(d);
+  const ClassIndex idx(d.phenotypes());
   for (int c = 0; c < 2; ++c) {
     const auto cs = static_cast<std::size_t>(c);
     out.samples_[cs] = idx.members[cs].size();
     out.words_[cs] = padded_words_for(out.samples_[cs]);
     out.planes_[cs].assign(out.num_snps_ * 2 * out.words_[cs], 0);
+    out.counts_[cs].assign(out.num_snps_ * 2, 0);
   }
   for (std::size_t m = 0; m < d.num_snps(); ++m) {
     for (int c = 0; c < 2; ++c) {
@@ -61,9 +114,9 @@ PhenoSplitPlanes PhenoSplitPlanes::build(const GenotypeMatrix& d) {
       for (std::size_t p = 0; p < idx.members[cs].size(); ++p) {
         const int g = d.at(m, idx.members[cs][p]);
         if (g <= 1) {  // genotype 2 is implicit: NOR(plane0, plane1)
-          Word* plane = out.planes_[cs].data() +
-                        (m * 2 + static_cast<std::size_t>(g)) * out.words_[cs];
-          set_bit(plane, p);
+          const std::size_t row = m * 2 + static_cast<std::size_t>(g);
+          set_bit(out.planes_[cs].data() + row * out.words_[cs], p);
+          ++out.counts_[cs][row];
         }
       }
     }
@@ -72,22 +125,28 @@ PhenoSplitPlanes PhenoSplitPlanes::build(const GenotypeMatrix& d) {
 }
 
 PhenoSplitPlanes PhenoSplitPlanes::build_combined(const GenotypeMatrix& d) {
+  return build_combined(build(d), d.phenotypes());
+}
+
+PhenoSplitPlanes PhenoSplitPlanes::build_combined(
+    const PhenoSplitPlanes& split, std::span<const Phenotype> phenotypes) {
+  const ClassIndex idx = split_class_index(split, phenotypes);
+  // Class 0 holds all samples in their original order; class 1 stays
+  // empty (the batched engines split per partition via label planes
+  // instead of a baked-in phenotype).
   PhenoSplitPlanes out;
-  out.num_snps_ = d.num_snps();
-  out.samples_[0] = d.num_samples();
+  out.num_snps_ = split.num_snps();
+  out.samples_[0] = phenotypes.size();
   out.words_[0] = padded_words_for(out.samples_[0]);
   out.planes_[0].assign(out.num_snps_ * 2 * out.words_[0], 0);
-  // Class 1 stays empty: the batched engines split per partition via label
-  // planes instead of a baked-in phenotype.
-  for (std::size_t m = 0; m < d.num_snps(); ++m) {
-    for (std::size_t j = 0; j < d.num_samples(); ++j) {
-      const int g = d.at(m, j);
-      if (g <= 1) {  // genotype 2 is implicit: NOR(plane0, plane1)
-        Word* plane = out.planes_[0].data() +
-                      (m * 2 + static_cast<std::size_t>(g)) * out.words_[0];
-        set_bit(plane, j);
-      }
-    }
+  for (auto& counts : out.counts_) counts.assign(out.num_snps_ * 2, 0);
+  for_each_stored_genotype(split, idx, [&](std::size_t m, int g,
+                                           std::size_t j) {
+    const std::size_t row = m * 2 + static_cast<std::size_t>(g);
+    set_bit(out.planes_[0].data() + row * out.words_[0], j);
+  });
+  for (std::size_t row = 0; row < split.num_snps() * 2; ++row) {
+    out.counts_[0][row] = split.counts_[0][row] + split.counts_[1][row];
   }
   return out;
 }
@@ -129,7 +188,7 @@ PhenotypeBatch PhenotypeBatch::build(
 TransposedPlanes TransposedPlanes::build(const GenotypeMatrix& d) {
   TransposedPlanes out;
   out.num_snps_ = d.num_snps();
-  const ClassIndex idx(d);
+  const ClassIndex idx(d.phenotypes());
   for (int c = 0; c < 2; ++c) {
     const auto cs = static_cast<std::size_t>(c);
     out.samples_[cs] = idx.members[cs].size();
@@ -161,7 +220,7 @@ TiledPlanes TiledPlanes::build(const GenotypeMatrix& d, std::size_t tile) {
   out.num_snps_ = d.num_snps();
   out.tile_ = tile;
   out.padded_snps_ = (d.num_snps() + tile - 1) / tile * tile;
-  const ClassIndex idx(d);
+  const ClassIndex idx(d.phenotypes());
   for (int c = 0; c < 2; ++c) {
     const auto cs = static_cast<std::size_t>(c);
     out.samples_[cs] = idx.members[cs].size();

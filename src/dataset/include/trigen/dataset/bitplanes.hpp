@@ -22,11 +22,14 @@
 /// compress the input data set", §IV) and zero-padded tail bits.  For the
 /// layouts that *infer* genotype 2 via NOR, the zero padding masquerades as
 /// genotype 2; the padding bit counts are exposed so kernels can subtract
-/// the constant from the (2,2,2) contingency cell instead of masking inside
-/// the hot loop (see `pad_bits`).
+/// the constant from the all-genotype-2 contingency cell instead of masking
+/// inside the hot loop (see `pad_bits`).  `PhenoSplitPlanes` also records
+/// each SNP's per-class genotype counts, from which the pair engine derives
+/// every genotype-2 cell without touching a genotype-2 plane at all.
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "trigen/common/aligned.hpp"
@@ -57,11 +60,20 @@ constexpr std::size_t padded_words_for(std::size_t n) {
 // V1: three genotype planes + phenotype plane (Fig. 1)
 // ---------------------------------------------------------------------------
 
+class PhenoSplitPlanes;
+
 /// Naive binarized layout: for each SNP, one bit-plane per genotype value,
 /// plus a single shared phenotype plane (bit set = case).
 class BitPlanesV1 {
  public:
+  /// Same as `build(PhenoSplitPlanes::build(d), d.phenotypes())`.
   static BitPlanesV1 build(const GenotypeMatrix& d);
+  /// The layout read back from class-split planes and the per-sample
+  /// phenotypes they were split by, so a holder of the split planes needs
+  /// no genotype matrix to build it later.  Throws std::invalid_argument
+  /// when `phenotypes` does not match the planes' class sizes.
+  static BitPlanesV1 build(const PhenoSplitPlanes& split,
+                           std::span<const Phenotype> phenotypes);
 
   std::size_t num_snps() const { return num_snps_; }
   std::size_t num_samples() const { return num_samples_; }
@@ -98,8 +110,13 @@ class PhenoSplitPlanes {
   /// holds ALL samples in original column order (class 1 stays empty).  The
   /// case/control split is applied afterwards per partition by ANDing the
   /// cell planes against a PhenotypeBatch's packed label planes, so one set
-  /// of genotype planes serves every partition of the same samples.
+  /// of genotype planes serves every partition of the same samples.  Same
+  /// as `build_combined(build(d), d.phenotypes())`.
   static PhenoSplitPlanes build_combined(const GenotypeMatrix& d);
+  /// The combined layout read back from class-split planes and the
+  /// per-sample phenotypes they were split by (see BitPlanesV1's overload).
+  static PhenoSplitPlanes build_combined(const PhenoSplitPlanes& split,
+                                         std::span<const Phenotype> phenotypes);
 
   std::size_t num_snps() const { return num_snps_; }
   /// Samples in class `c` (0 = controls, 1 = cases).
@@ -108,10 +125,23 @@ class PhenoSplitPlanes {
   std::size_t words(int c) const { return words_[static_cast<std::size_t>(c)]; }
 
   /// Zero-padding tail bits of class `c`.  NOR-based genotype-2 inference
-  /// turns each of these into a phantom (2,2,2) observation; kernels must
-  /// subtract this constant from that cell once per evaluated triplet.
+  /// turns each of these into a phantom all-genotype-2 observation; the
+  /// engines that infer genotype 2 by NOR (k >= 3, and the batched pair
+  /// path) subtract this constant from that cell once per evaluated
+  /// combination.  The sequential pair path never forms a genotype-2 plane,
+  /// so it needs no correction (see `genotype_count`).
   std::size_t pad_bits(int c) const {
     return words(c) * kWordBits - samples(c);
+  }
+
+  /// Samples of class `c` whose genotype at `snp` is `g` (0..1 only; the
+  /// genotype-2 count is samples(c) minus both).  Counted while the planes
+  /// are built.  A SNP's three genotype planes partition the class, so a
+  /// pair table's genotype-2 cells follow exactly from its four {0,1} x
+  /// {0,1} cells and these counts (core::complete_pair_row).
+  std::uint32_t genotype_count(int c, std::size_t snp, int g) const {
+    return counts_[static_cast<std::size_t>(c)]
+                  [snp * 2 + static_cast<std::size_t>(g)];
   }
 
   /// Plane of genotype `g` (0..1 only) for SNP `snp` in class `c`.
@@ -125,6 +155,7 @@ class PhenoSplitPlanes {
   std::array<std::size_t, 2> samples_{};
   std::array<std::size_t, 2> words_{};
   std::array<aligned_vector<Word>, 2> planes_;  // [snp][genotype(2)][word]
+  std::array<std::vector<std::uint32_t>, 2> counts_;  // [snp][genotype(2)]
 };
 
 // ---------------------------------------------------------------------------

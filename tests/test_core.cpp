@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -671,6 +672,64 @@ const std::vector<CpuVersion>& all_versions() {
       CpuVersion::kV1Naive, CpuVersion::kV2Split, CpuVersion::kV3Blocked,
       CpuVersion::kV4Vector, CpuVersion::kV5PairCache};
   return v;
+}
+
+TEST(Detector, ConcurrentFirstUseOfTheLazyLayoutsIsSafeAndExact) {
+  // The V1 and combined layouts are built on first use; several threads
+  // asking for them at once on a fresh detector must get one build each
+  // and the results a warmed-up detector gives.
+  const auto d = planted_dataset(14, 700, 17);
+  std::vector<std::vector<dataset::Phenotype>> parts(2);
+  parts[0].assign(d.phenotypes().begin(), d.phenotypes().end());
+  parts[1] = parts[0];
+  std::reverse(parts[1].begin(), parts[1].end());
+  const auto batch = dataset::PhenotypeBatch::build(d.num_samples(), parts);
+  DetectorOptions v1;
+  v1.version = CpuVersion::kV1Naive;
+  v1.top_k = 5;
+  DetectorOptions v4;
+  v4.top_k = 5;
+
+  const Detector warm(d);
+  const auto want_v1 = warm.run(v1).best;
+  const auto want_v4 = warm.run(v4).best;
+  const auto want_batch = warm.run_batched(batch, v4).best;
+
+  const Detector fresh(d);
+  constexpr int kThreads = 6;
+  std::vector<std::vector<std::vector<ScoredTriplet>>> got(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      switch (t % 3) {
+        case 0: got[t] = {fresh.run(v1).best}; break;
+        case 1: got[t] = fresh.run_batched(batch, v4).best; break;
+        default: got[t] = {fresh.run(v4).best}; break;
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+
+  const auto expect_same = [](const std::vector<ScoredTriplet>& a,
+                              const std::vector<ScoredTriplet>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].triplet, b[i].triplet) << i;
+      EXPECT_EQ(a[i].score, b[i].score) << i;
+    }
+  };
+  for (int t = 0; t < kThreads; ++t) {
+    if (t % 3 == 1) {
+      ASSERT_EQ(got[t].size(), want_batch.size());
+      for (std::size_t p = 0; p < want_batch.size(); ++p) {
+        expect_same(got[t][p], want_batch[p]);
+      }
+    } else {
+      ASSERT_EQ(got[t].size(), 1u);
+      expect_same(got[t][0], t % 3 == 0 ? want_v1 : want_v4);
+    }
+  }
+  expect_same(want_v1, want_v4);
 }
 
 TEST(Detector, RejectsTinyDatasets) {

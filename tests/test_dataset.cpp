@@ -159,6 +159,64 @@ TEST_P(LayoutTest, PhenoSplitMatchesMatrix) {
   }
 }
 
+TEST_P(LayoutTest, PhenoSplitGenotypeCountsMatchMatrix) {
+  const GenotypeMatrix d = random_dataset(GetParam());
+  const PhenoSplitPlanes p = PhenoSplitPlanes::build(d);
+  const PhenoSplitPlanes all = PhenoSplitPlanes::build_combined(d);
+  for (std::size_t m = 0; m < d.num_snps(); ++m) {
+    std::array<std::array<std::uint32_t, 2>, 2> want{};
+    for (std::size_t j = 0; j < d.num_samples(); ++j) {
+      if (d.at(m, j) <= 1) ++want[d.phenotype(j)][d.at(m, j)];
+    }
+    for (int c = 0; c < 2; ++c) {
+      for (int g = 0; g < 2; ++g) {
+        const auto cs = static_cast<std::size_t>(c);
+        const auto gs = static_cast<std::size_t>(g);
+        EXPECT_EQ(p.genotype_count(c, m, g), want[cs][gs])
+            << "snp=" << m << " class=" << c << " g=" << g;
+      }
+    }
+    for (int g = 0; g < 2; ++g) {
+      const auto gs = static_cast<std::size_t>(g);
+      EXPECT_EQ(all.genotype_count(0, m, g), want[0][gs] + want[1][gs]);
+    }
+  }
+}
+
+TEST_P(LayoutTest, CombinedMatchesMatrix) {
+  const GenotypeMatrix d = random_dataset(GetParam());
+  const PhenoSplitPlanes p = PhenoSplitPlanes::build_combined(d);
+  ASSERT_EQ(p.samples(0), d.num_samples());
+  ASSERT_EQ(p.samples(1), 0u);
+  ASSERT_EQ(p.words(0), padded_words_for(d.num_samples()));
+  for (std::size_t m = 0; m < d.num_snps(); ++m) {
+    for (std::size_t j = 0; j < p.words(0) * kWordBits; ++j) {
+      const int geno = j < d.num_samples() ? d.at(m, j) : 2;
+      EXPECT_EQ(get_bit(p.plane(0, m, 0), j), geno == 0)
+          << "snp=" << m << " sample=" << j;
+      EXPECT_EQ(get_bit(p.plane(0, m, 1), j), geno == 1)
+          << "snp=" << m << " sample=" << j;
+    }
+  }
+}
+
+TEST(Layout, ReadBackRejectsPhenotypesThatDoNotMatchTheSplit) {
+  const GenotypeMatrix d = random_dataset({6, 40, 3});
+  const PhenoSplitPlanes split = PhenoSplitPlanes::build(d);
+  std::vector<Phenotype> flipped(d.phenotypes().begin(),
+                                 d.phenotypes().end());
+  flipped[0] = static_cast<Phenotype>(1 - flipped[0]);
+  EXPECT_THROW(BitPlanesV1::build(split, flipped), std::invalid_argument);
+  EXPECT_THROW(PhenoSplitPlanes::build_combined(split, flipped),
+               std::invalid_argument);
+  const std::vector<Phenotype> shorter(d.phenotypes().begin(),
+                                       d.phenotypes().end() - 1);
+  EXPECT_THROW(BitPlanesV1::build(split, shorter), std::invalid_argument);
+  std::vector<Phenotype> bad(d.phenotypes().begin(), d.phenotypes().end());
+  bad[1] = 2;
+  EXPECT_THROW(BitPlanesV1::build(split, bad), std::invalid_argument);
+}
+
 TEST_P(LayoutTest, PhenoSplitPadBitsFormula) {
   const GenotypeMatrix d = random_dataset(GetParam());
   const PhenoSplitPlanes p = PhenoSplitPlanes::build(d);

@@ -411,6 +411,165 @@ TEST(PairDetectorRange, ProgressSumsToTheRange) {
 }
 
 // --------------------------------------------------------------------------
+// Four counted cells + per-SNP genotype counts = the exact pair table
+// --------------------------------------------------------------------------
+
+/// Class sizes straddling the 32-bit word and the 512-bit plane boundaries,
+/// plus one-sample classes on either side.
+struct ClassSizes {
+  std::size_t controls;
+  std::size_t cases;
+};
+
+const std::vector<ClassSizes>& edge_class_sizes() {
+  static const std::vector<ClassSizes> sizes = {
+      {1, 40},    {40, 1},    {31, 31},   {32, 33},
+      {33, 32},   {511, 513}, {512, 511}, {513, 512},
+  };
+  return sizes;
+}
+
+/// Nine SNPs: SNPs 0, 1 and 2 are monomorphic (all genotype 0, 1 and 2),
+/// the rest uniform; cases are scattered at random among the samples.
+dataset::GenotypeMatrix edge_dataset(const ClassSizes& s, std::uint64_t seed) {
+  constexpr std::size_t kSnps = 9;
+  const std::size_t n = s.controls + s.cases;
+  std::mt19937_64 rng(seed);
+  std::vector<dataset::Phenotype> pheno(n, 0);
+  std::fill(pheno.begin(), pheno.begin() + static_cast<std::ptrdiff_t>(s.cases),
+            dataset::Phenotype{1});
+  std::shuffle(pheno.begin(), pheno.end(), rng);
+  dataset::GenotypeMatrix d(kSnps, n);
+  std::uniform_int_distribution<int> geno(0, 2);
+  for (std::size_t j = 0; j < n; ++j) {
+    d.set_phenotype(j, pheno[j]);
+    for (std::size_t m = 0; m < kSnps; ++m) {
+      d.set(m, j, static_cast<dataset::Genotype>(m < 3 ? m : geno(rng)));
+    }
+  }
+  return d;
+}
+
+TEST(PairIdentityEdgeCases, CountPlusCompletionMatchesReferenceForEveryIsa) {
+  std::uint64_t seed = 1;
+  for (const ClassSizes& sizes : edge_class_sizes()) {
+    const auto d = edge_dataset(sizes, seed++);
+    const auto planes = dataset::PhenoSplitPlanes::build(d);
+    std::mt19937_64 rng(seed);
+    for (const core::KernelIsa isa : core::all_kernel_isas()) {
+      if (!core::kernel_available(isa)) continue;
+      const core::PairPlaneCountKernel count =
+          core::get_cached_kernels(isa).count;
+      for (std::size_t x = 0; x < d.num_snps(); ++x) {
+        for (std::size_t y = 0; y < d.num_snps(); ++y) {
+          const PairTable want = reference_pair_table(d, x, y);
+          for (int c = 0; c < 2; ++c) {
+            // Random word chunks exercise the vector bodies' scalar tails;
+            // the counts must compose across chunks before completion.
+            const std::size_t words = planes.words(c);
+            std::uniform_int_distribution<std::size_t> cut(0, words);
+            std::vector<std::size_t> cuts = {0, words, cut(rng), cut(rng)};
+            std::sort(cuts.begin(), cuts.end());
+            std::array<std::uint32_t, 9> row{};
+            for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+              count(planes.plane(c, x, 0), planes.plane(c, x, 1),
+                    planes.plane(c, y, 0), planes.plane(c, y, 1), cuts[i],
+                    cuts[i + 1], row.data());
+            }
+            for (const std::size_t cell : {2, 5, 6, 7, 8}) {
+              ASSERT_EQ(row[cell], 0u) << "kernel wrote cell " << cell;
+            }
+            core::complete_pair_row(planes, c, x, y, row.data());
+            ASSERT_EQ(row, want.counts[static_cast<std::size_t>(c)])
+                << core::kernel_isa_name(isa) << " sizes " << sizes.controls
+                << "/" << sizes.cases << " pair " << x << "," << y
+                << " class " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PairIdentityEdgeCases, BlockedPairTablesMatchReferenceUnderRandomClips) {
+  std::uint64_t seed = 100;
+  for (const ClassSizes& sizes : edge_class_sizes()) {
+    const auto d = edge_dataset(sizes, seed++);
+    const auto planes = dataset::PhenoSplitPlanes::build(d);
+    const std::uint64_t total = num_pairs(d.num_snps());
+    const core::TilingParams tiling{4, 16};
+    const combinatorics::BlockGrid grid{d.num_snps(), tiling.bs};
+    std::mt19937_64 rng(seed);
+    for (const core::KernelIsa isa : core::all_kernel_isas()) {
+      if (!core::kernel_available(isa)) continue;
+      const core::CachedKernelSet kernels = core::get_cached_kernels(isa);
+      core::PairBlockScratch scratch(tiling.bs);
+      const std::uint64_t a = rng() % total;
+      const combinatorics::RankRange range{a, a + 1 + rng() % (total - a)};
+      std::vector<int> seen(total, 0);
+      const auto part = combinatorics::partition_block_tuples<2>(grid, range);
+      for (std::uint64_t r = part.block_ranks.first;
+           r < part.block_ranks.last; ++r) {
+        const auto bt = core::unrank_block_tuple<2>(r);
+        core::scan_block_pair(
+            planes, tiling, kernels, scratch, core::BlockPair{bt[0], bt[1]},
+            core::LastAxisWindow<2>(range),
+            [&](const combinatorics::Pair& pr, const PairTable& t) {
+              ++seen[rank_pair(pr.x, pr.y)];
+              ASSERT_EQ(t, reference_pair_table(d, pr.x, pr.y))
+                  << core::kernel_isa_name(isa) << " pair " << pr.x << ","
+                  << pr.y;
+            });
+      }
+      for (std::uint64_t r = 0; r < total; ++r) {
+        ASSERT_EQ(seen[r], r >= range.first && r < range.last ? 1 : 0)
+            << "rank " << r;
+      }
+    }
+  }
+}
+
+TEST(PairIdentityEdgeCases, EveryVersionAndRangeSplitIsBitIdentical) {
+  std::uint64_t seed = 200;
+  for (const ClassSizes& sizes : edge_class_sizes()) {
+    const auto d = edge_dataset(sizes, seed++);
+    const PairDetector det(d);
+    const std::uint64_t total = num_pairs(d.num_snps());
+    PairDetectorOptions ref_opt;
+    ref_opt.version = core::CpuVersion::kV1Naive;
+    ref_opt.top_k = total;  // every pair's score is compared
+    const auto ref = det.run(ref_opt);
+
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<std::uint64_t> cut(1, total - 1);
+    for (const auto version :
+         {core::CpuVersion::kV2Split, core::CpuVersion::kV3Blocked,
+          core::CpuVersion::kV4Vector, core::CpuVersion::kV5PairCache}) {
+      for (const core::KernelIsa isa : core::all_kernel_isas()) {
+        if (!core::kernel_available(isa)) continue;
+        PairDetectorOptions opt = ref_opt;
+        opt.version = version;
+        opt.isa = isa;
+        opt.isa_auto = false;
+        opt.tiling = {3, 16};  // two sample chunks once a class passes 512
+        expect_same_pairs(det.run(opt).best, ref.best);
+
+        std::vector<std::uint64_t> cuts = {0, total, cut(rng), cut(rng)};
+        std::sort(cuts.begin(), cuts.end());
+        core::PairTopK acc(total);
+        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+          PairDetectorOptions part = opt;
+          part.range = {cuts[i], cuts[i + 1]};
+          if (part.range.empty()) continue;
+          for (const auto& sp : det.run(part).best) acc.push(sp);
+        }
+        expect_same_pairs(acc.sorted(), ref.best);
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
 // Generic scorers agree with the 27-cell implementations
 // --------------------------------------------------------------------------
 
