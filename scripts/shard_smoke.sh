@@ -70,6 +70,19 @@ fi
 grep -q 'coverage gap' err.txt \
   || { echo "gapped merge failed without naming the gap" >&2; exit 1; }
 
+# A malformed --range is a usage error (exit 2), never a silently
+# truncated range: `3:10x` must not scan [3, 10).
+for bad in 3:10x x:10 -1:5 10:3; do
+  rc=0
+  "$TRIGEN" scan d.tg --range "$bad" --top 12 > /dev/null 2> err.txt || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "--range $bad: expected exit 2, got $rc" >&2
+    exit 1
+  fi
+  grep -q 'FIRST:LAST' err.txt \
+    || { echo "--range $bad failed without naming FIRST:LAST" >&2; exit 1; }
+done
+
 # --- real-signal leg: a SIGINT (not --stop-after) must take the same
 # "drain to the next checkpoint boundary, exit 3, resumable" path.  The
 # interrupted run pins the slow naive single-thread rung so the signal

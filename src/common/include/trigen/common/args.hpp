@@ -11,7 +11,6 @@
 /// (`--help`, `--progress`, ...) must be declared in `switches`, otherwise
 /// a following positional argument would be swallowed as their value.
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -19,6 +18,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "trigen/common/durable.hpp"
 
 namespace trigen {
 
@@ -71,22 +72,13 @@ struct Args {
   std::uint64_t get_uint(const std::string& key, std::uint64_t fallback) const {
     const auto it = flags.find(key);
     if (it == flags.end()) return fallback;
-    const std::string& v = it->second;
-    if (v.empty() || v[0] == '-') {
-      throw std::invalid_argument("--" + key +
-                                  " expects a non-negative integer, got '" +
-                                  v + "'");
-    }
-    const char* begin = v.c_str();
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(begin, &end, 10);
-    if (end == begin || *end != '\0' || errno == ERANGE) {
+    const auto parsed = parse_u64(it->second);
+    if (!parsed) {
       throw std::invalid_argument("--" + key +
                                   " expects a non-negative integer in [0, "
-                                  "2^64), got '" + v + "'");
+                                  "2^64), got '" + it->second + "'");
     }
-    return parsed;
+    return *parsed;
   }
   bool has(const std::string& key) const { return flags.count(key) != 0; }
 };

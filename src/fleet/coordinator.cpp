@@ -1,10 +1,8 @@
 #include "trigen/fleet/coordinator.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -16,6 +14,7 @@
 #endif
 
 #include "trigen/combinatorics/combinations.hpp"
+#include "trigen/common/durable.hpp"
 #include "trigen/core/scan_csv.hpp"
 #include "trigen/serve/protocol.hpp"
 #include "trigen/shard/merge.hpp"
@@ -56,13 +55,6 @@ std::string response(const char* kind, const std::string& id,
   return out;
 }
 
-std::string format_fingerprint(std::uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
-}
-
 std::string range_str(const combinatorics::RankRange& r) {
   return "[" + std::to_string(r.first) + ", " + std::to_string(r.last) + ")";
 }
@@ -80,15 +72,12 @@ std::uint64_t required_u64(const std::map<std::string, std::string>& params,
   if (it == params.end()) {
     reject(std::string(verb) + " needs " + key + "=<value>");
   }
-  const char* begin = it->second.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(begin, &end, 10);
-  if (end == begin || *end != '\0' || errno != 0 || it->second[0] == '-') {
+  const auto v = parse_u64(it->second);
+  if (!v) {
     reject(std::string(verb) + " " + key + " expects an unsigned integer, "
            "got '" + it->second + "'");
   }
-  return v;
+  return *v;
 }
 
 bool has_whitespace(const std::string& s) {
@@ -336,7 +325,7 @@ struct FleetCoordinator::Impl {
         body += line;
         body += '\n';
       }
-      shard::write_text_file_durably(opt.out, "fleet-out", body);
+      write_file_durably(opt.out, "fleet-out", body);
     }
     complete = true;
     log("fleet complete: " + std::to_string(total) + " ranks merged" +
@@ -391,7 +380,7 @@ struct FleetCoordinator::Impl {
             objective_name + " top=" + std::to_string(st.top_k) +
             " checkpoint_every=" + std::to_string(ce) + " lease_ms=" +
             std::to_string(opt.lease_ms) + " fingerprint=" +
-            format_fingerprint(fingerprint) + " ckpt=" +
+            hex16(fingerprint) + " ckpt=" +
             spool_file(ckpt_name(best->id)) + " out=" +
             spool_file(result_name(best->id)));
   }
@@ -593,7 +582,7 @@ FleetCoordinator::FleetCoordinator(const dataset::GenotypeMatrix& dataset,
     im.log("plan: " + std::to_string(plan.size()) + " shards over " +
            std::to_string(im.total) + " ranks (order " +
            std::to_string(im.opt.order) + ", fingerprint " +
-           format_fingerprint(im.fingerprint) + ")");
+           hex16(im.fingerprint) + ")");
   }
   im.maybe_finalize();
 }

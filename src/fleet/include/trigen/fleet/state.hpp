@@ -2,11 +2,10 @@
 /// \file state.hpp
 /// \brief The fleet coordinator's durable lease table.
 ///
-/// One line-oriented text format, `TRIGEN-FLEET v1`, written with the same
-/// write→fsync→rename→fsync(dir) path as the shard artifacts
-/// (shard::write_text_file_durably), so a killed coordinator always finds
-/// either the previous complete table or the new complete table — never a
-/// torn one:
+/// One line-oriented text format, `TRIGEN-FLEET v1`, written through the
+/// same durable writer as every trigen artifact (write_file_durably in
+/// common/durable.hpp), so a killed coordinator always finds either the
+/// previous complete table or the new complete table — never a torn one:
 ///
 ///   TRIGEN-FLEET v1
 ///   order 3
@@ -86,14 +85,14 @@ struct FleetState {
 };
 
 /// Atomic, crash-durable write of the lease table.  Throws
-/// shard::ShardIoError (path + errno) on I/O failure and
+/// DurableWriteError (path + errno) on I/O failure and
 /// std::invalid_argument when a spool file name contains whitespace (the
 /// token-oriented format could not read it back).
 void write_fleet_state_file(const std::string& path, const FleetState& s);
 
 /// Strict parse-or-throw reader: bad magic, truncation, malformed fields,
-/// out-of-range values and overlapping/unsorted done ranges all throw
-/// std::runtime_error naming the first violation.  Leased entries come
+/// out-of-range values, record counts above 2^24 and overlapping/unsorted
+/// done ranges all throw std::runtime_error naming the first violation.  Leased entries come
 /// back as kPending by construction of the writer.
 FleetState read_fleet_state_file(const std::string& path);
 

@@ -1,62 +1,23 @@
 #include "trigen/fleet/state.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-#include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "trigen/combinatorics/combinations.hpp"
-#include "trigen/shard/result_io.hpp"
+#include "trigen/common/durable.hpp"
 
 namespace trigen::fleet {
 namespace {
 
 constexpr char kMagic[] = "TRIGEN-FLEET";
-constexpr char kVersion[] = "v1";
+constexpr unsigned kVersion = 1;
 constexpr char kKind[] = "fleet-state";
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error(std::string(kKind) + ": " + what);
-}
-
-std::string next_token(std::istream& is, const char* what) {
-  std::string tok;
-  if (!(is >> tok)) fail(std::string("truncated file: missing ") + what);
-  return tok;
-}
-
-void expect_key(std::istream& is, const char* key) {
-  const std::string tok = next_token(is, key);
-  if (tok != key) {
-    fail("expected '" + std::string(key) + "', got '" + tok + "'");
-  }
-}
-
-std::uint64_t parse_u64(const std::string& tok, const char* what,
-                        int base = 10) {
-  const char* begin = tok.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(begin, &end, base);
-  if (end == begin || *end != '\0' || errno != 0 || tok[0] == '-') {
-    fail(std::string("malformed ") + what + " '" + tok + "'");
-  }
-  return v;
-}
-
-std::uint64_t read_u64_field(std::istream& is, const char* key,
-                             int base = 10) {
-  expect_key(is, key);
-  return parse_u64(next_token(is, key), key, base);
-}
-
-std::string format_fingerprint(std::uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
-}
+/// Plausibility bound on the shard and done-range counts: far above any
+/// real plan, low enough that a corrupted count fails as a parse error
+/// instead of an absurd allocation.
+constexpr std::uint64_t kMaxRecords = 1u << 24;
 
 bool has_whitespace(const std::string& s) {
   for (const char c : s) {
@@ -78,9 +39,9 @@ const char* shard_state_name(ShardState s) {
 
 void write_fleet_state_file(const std::string& path, const FleetState& s) {
   std::ostringstream os;
-  os << kMagic << ' ' << kVersion << '\n'
+  os << kMagic << " v" << kVersion << '\n'
      << "order " << s.order << '\n'
-     << "fingerprint " << format_fingerprint(s.fingerprint) << '\n'
+     << "fingerprint " << hex16(s.fingerprint) << '\n'
      << "snps " << s.num_snps << '\n'
      << "samples " << s.num_samples << '\n'
      << "objective " << s.objective << '\n'
@@ -108,108 +69,93 @@ void write_fleet_state_file(const std::string& path, const FleetState& s) {
        << '\n';
   }
   os << "end " << kMagic << '\n';
-  shard::write_text_file_durably(path, kKind, os.str());
+  write_file_durably(path, kKind, os.str());
 }
 
 FleetState read_fleet_state_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) fail("cannot open '" + path + "' for reading");
-
-  std::string tok = next_token(is, "magic");
-  if (tok != kMagic) {
-    fail("bad magic '" + tok + "' (expected " + kMagic + ")");
-  }
-  tok = next_token(is, "format version");
-  if (tok != kVersion) {
-    fail("unsupported format version '" + tok + "' (expected " + kVersion +
-         ")");
-  }
+  auto is = open_record_file(path, kKind);
+  RecordReader in(is, kKind);
+  in.preamble(kMagic, kVersion);
 
   FleetState s;
-  const std::uint64_t order = read_u64_field(is, "order");
+  const std::uint64_t order = in.u64_field("order");
   if (order < 2 || order > combinatorics::kMaxOrder) {
-    fail("unsupported order " + std::to_string(order));
+    in.fail("unsupported order " + std::to_string(order));
   }
   s.order = static_cast<unsigned>(order);
-  s.fingerprint = read_u64_field(is, "fingerprint", 16);
-  s.num_snps = read_u64_field(is, "snps");
-  s.num_samples = read_u64_field(is, "samples");
-  expect_key(is, "objective");
-  s.objective = next_token(is, "objective name");
-  s.top_k = read_u64_field(is, "top_k");
-  if (s.top_k == 0) fail("top_k must be >= 1");
-  s.next_shard = read_u64_field(is, "next_shard");
+  s.fingerprint = in.hex16_field("fingerprint");
+  s.num_snps = in.u64_field("snps");
+  s.num_samples = in.u64_field("samples");
+  in.expect_key("objective");
+  s.objective = in.token("objective name");
+  s.top_k = in.u64_field("top_k");
+  if (s.top_k == 0) in.fail("top_k must be >= 1");
+  s.next_shard = in.u64_field("next_shard");
 
   std::uint64_t total = 0;
   try {
     total = combinatorics::n_choose_k(s.num_snps, s.order);
   } catch (const std::overflow_error&) {
-    fail("rank space exceeds 2^64: C(" + std::to_string(s.num_snps) + "," +
-         std::to_string(s.order) + ") is not addressable");
+    in.fail("rank space exceeds 2^64: C(" + std::to_string(s.num_snps) +
+            "," + std::to_string(s.order) + ") is not addressable");
   }
 
-  const std::uint64_t n_shards = read_u64_field(is, "shards");
+  const std::uint64_t n_shards = in.count("shards", kMaxRecords);
   s.shards.reserve(n_shards);
   for (std::uint64_t i = 0; i < n_shards; ++i) {
-    expect_key(is, "s");
+    in.expect_key("s");
     ShardEntry e;
-    e.id = parse_u64(next_token(is, "shard id"), "shard id");
-    e.range.first =
-        parse_u64(next_token(is, "shard first"), "shard first");
-    e.range.last = parse_u64(next_token(is, "shard last"), "shard last");
-    const std::string state = next_token(is, "shard state");
+    e.id = in.u64("shard id");
+    e.range.first = in.u64("shard first");
+    e.range.last = in.u64("shard last");
+    const std::string state = in.token("shard state");
     if (state == "pending") {
       e.state = ShardState::kPending;
     } else if (state == "quarantined") {
       e.state = ShardState::kQuarantined;
     } else {
-      fail("unknown shard state '" + state + "' (pending|quarantined)");
+      in.fail("unknown shard state '" + state + "' (pending|quarantined)");
     }
-    e.failures = static_cast<std::uint32_t>(
-        parse_u64(next_token(is, "shard failures"), "shard failures"));
+    const std::uint64_t failures = in.u64("shard failures");
+    if (failures > std::numeric_limits<std::uint32_t>::max()) {
+      in.fail("implausible shard failures " + std::to_string(failures));
+    }
+    e.failures = static_cast<std::uint32_t>(failures);
     if (e.range.first >= e.range.last || e.range.last > total) {
-      fail("shard " + std::to_string(e.id) + " has invalid range [" +
-           std::to_string(e.range.first) + ", " +
-           std::to_string(e.range.last) + ") for a rank space of " +
-           std::to_string(total));
+      in.fail("shard " + std::to_string(e.id) + " has invalid range [" +
+              std::to_string(e.range.first) + ", " +
+              std::to_string(e.range.last) + ") for a rank space of " +
+              std::to_string(total));
     }
     if (e.id >= s.next_shard) {
-      fail("shard id " + std::to_string(e.id) + " >= next_shard " +
-           std::to_string(s.next_shard));
+      in.fail("shard id " + std::to_string(e.id) + " >= next_shard " +
+              std::to_string(s.next_shard));
     }
     s.shards.push_back(e);
   }
 
-  const std::uint64_t n_done = read_u64_field(is, "done");
+  const std::uint64_t n_done = in.count("done", kMaxRecords);
   s.done.reserve(n_done);
   for (std::uint64_t i = 0; i < n_done; ++i) {
-    expect_key(is, "d");
+    in.expect_key("d");
     DoneRange d;
-    d.range.first = parse_u64(next_token(is, "done first"), "done first");
-    d.range.last = parse_u64(next_token(is, "done last"), "done last");
-    d.file = next_token(is, "done file");
+    d.range.first = in.u64("done first");
+    d.range.last = in.u64("done last");
+    d.file = in.token("done file");
     if (d.range.first >= d.range.last || d.range.last > total) {
-      fail("done range [" + std::to_string(d.range.first) + ", " +
-           std::to_string(d.range.last) + ") is invalid for a rank space of " +
-           std::to_string(total));
+      in.fail("done range [" + std::to_string(d.range.first) + ", " +
+              std::to_string(d.range.last) +
+              ") is invalid for a rank space of " + std::to_string(total));
     }
     if (!s.done.empty() && d.range.first < s.done.back().range.last) {
-      fail("done ranges are unsorted or overlap at [" +
-           std::to_string(d.range.first) + ", " +
-           std::to_string(d.range.last) + ")");
+      in.fail("done ranges are unsorted or overlap at [" +
+              std::to_string(d.range.first) + ", " +
+              std::to_string(d.range.last) + ")");
     }
     s.done.push_back(d);
   }
 
-  expect_key(is, "end");
-  tok = next_token(is, "trailer magic");
-  if (tok != kMagic) {
-    fail("trailer names '" + tok + "' (expected " + kMagic + ")");
-  }
-  std::string extra;
-  if (is >> extra) {
-    fail("trailing content after the end trailer: '" + extra + "'");
-  }
+  in.end(kMagic);
   return s;
 }
 

@@ -11,7 +11,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -21,6 +20,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "trigen/common/durable.hpp"
+#include "trigen/serve/protocol.hpp"
 #include "trigen/shard/plan.hpp"
 #include "trigen/shard/result_io.hpp"
 #include "trigen/shard/runner.hpp"
@@ -177,14 +178,12 @@ std::uint64_t param_u64(const Reply& r, const char* key) {
   if (it == r.params.end()) {
     throw std::runtime_error(std::string("coordinator reply misses ") + key);
   }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0' || errno != 0) {
+  const auto v = parse_u64(it->second);
+  if (!v) {
     throw std::runtime_error(std::string("malformed ") + key + "='" +
                              it->second + "' in coordinator reply");
   }
-  return v;
+  return *v;
 }
 
 std::string param_str(const Reply& r, const char* key) {
@@ -295,14 +294,12 @@ template <unsigned K>
 ShardOutcome run_granted_shard(Session& s, const Reply& grant) {
   const std::uint64_t shard_id = param_u64(grant, "shard");
   const std::string range_spec = param_str(grant, "range");
-  const std::size_t colon = range_spec.find(':');
-  if (colon == std::string::npos) {
+  const auto parsed = serve::parse_rank_range(range_spec);
+  if (!parsed) {
     throw std::runtime_error("malformed range='" + range_spec +
                              "' in lease grant");
   }
-  combinatorics::RankRange range{
-      std::strtoull(range_spec.c_str(), nullptr, 10),
-      std::strtoull(range_spec.c_str() + colon + 1, nullptr, 10)};
+  const combinatorics::RankRange range = *parsed;
 
   shard::BasicShardRunOptions<core::BasicDetectorOptions<K>> ro;
   ro.detector.objective = parse_objective_token(param_str(grant, "objective"));
@@ -433,12 +430,9 @@ int run_worker(const dataset::GenotypeMatrix& dataset,
     }
 
     const std::string granted_fp = param_str(*reply, "fingerprint");
-    char fp_buf[32];
-    std::snprintf(fp_buf, sizeof fp_buf, "%016llx",
-                  static_cast<unsigned long long>(s.fingerprint));
-    if (granted_fp != fp_buf) {
+    if (granted_fp != hex16(s.fingerprint)) {
       s.log("dataset mismatch: coordinator scans fingerprint " + granted_fp +
-            ", this worker loaded " + fp_buf);
+            ", this worker loaded " + hex16(s.fingerprint));
       return kExitError;
     }
 

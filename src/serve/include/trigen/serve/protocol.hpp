@@ -47,8 +47,12 @@
 /// value bounds) happens in the server, which knows the dataset.
 
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+
+#include "trigen/combinatorics/scheduler.hpp"
 
 namespace trigen::serve {
 
@@ -81,5 +85,11 @@ bool valid_job_id(const std::string& id);
 /// invalid job id, a token that is not key=value, an unknown or duplicate
 /// key for the verb, or trailing tokens on verbs that take none.
 Request parse_request(const std::string& line);
+
+/// Strict `FIRST:LAST` rank range, the one spelling shared by a scan's
+/// `range=` parameter, a lease grant's `range=` and the CLI's `--range`:
+/// two unsigned decimals (parse_u64) with FIRST < LAST.  Returns nullopt
+/// for anything else; bounding LAST by the rank space is the caller's job.
+std::optional<combinatorics::RankRange> parse_rank_range(std::string_view spec);
 
 }  // namespace trigen::serve

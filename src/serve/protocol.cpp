@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "trigen/common/durable.hpp"
+
 namespace trigen::serve {
 namespace {
 
@@ -121,6 +123,16 @@ Request parse_request(const std::string& line) {
     }
   }
   return r;
+}
+
+std::optional<combinatorics::RankRange> parse_rank_range(
+    std::string_view spec) {
+  const std::size_t colon = spec.find(':');
+  if (colon == std::string_view::npos) return std::nullopt;
+  const auto first = parse_u64(spec.substr(0, colon));
+  const auto last = parse_u64(spec.substr(colon + 1));
+  if (!first || !last || *first >= *last) return std::nullopt;
+  return combinatorics::RankRange{*first, *last};
 }
 
 }  // namespace trigen::serve

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "trigen/common/durable.hpp"
 #include "trigen/common/rng.hpp"
 #include "trigen/core/detector.hpp"
 #include "trigen/core/scan_csv.hpp"
@@ -44,16 +44,12 @@ std::uint64_t param_u64(const std::map<std::string, std::string>& params,
                         const char* key, std::uint64_t fallback) {
   const auto it = params.find(key);
   if (it == params.end()) return fallback;
-  const std::string& v = it->second;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  if (v.empty() || v[0] == '-' || end == v.c_str() || *end != '\0' ||
-      errno == ERANGE) {
-    reject(std::string(key) + " expects a non-negative integer, got '" + v +
-           "'");
+  const auto parsed = parse_u64(it->second);
+  if (!parsed) {
+    reject(std::string(key) + " expects a non-negative integer, got '" +
+           it->second + "'");
   }
-  return parsed;
+  return *parsed;
 }
 
 core::Objective param_objective(
@@ -506,13 +502,12 @@ struct ScanServer::Impl {
       const std::uint64_t total = rank_space(d.num_snps(), K);
       combinatorics::RankRange range{0, total};
       if (const auto it = req.params.find("range"); it != req.params.end()) {
-        unsigned long long first = 0, last = 0;
-        if (std::sscanf(it->second.c_str(), "%llu:%llu", &first, &last) != 2 ||
-            first >= last || last > total) {
+        const auto parsed = parse_rank_range(it->second);
+        if (!parsed || parsed->last > total) {
           reject("range expects FIRST:LAST with FIRST < LAST <= " +
                  std::to_string(total));
         }
-        range = {first, last};
+        range = *parsed;
       }
       if (total == 0) reject("dataset has no order-" + std::to_string(K) +
                              " combinations");

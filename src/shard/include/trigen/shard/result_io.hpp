@@ -48,39 +48,14 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "trigen/combinatorics/scheduler.hpp"
+#include "trigen/common/durable.hpp"
 #include "trigen/core/topk.hpp"
 #include "trigen/shard/order.hpp"
 
 namespace trigen::shard {
-
-/// Thrown when an OS-level step of a durable artifact write fails after the
-/// writer's own bounded retries.  Carries the path and errno so callers can
-/// report precisely, and a transient/permanent classification: EINTR/EAGAIN
-/// exhaustion is transient (retrying the whole write may succeed, which
-/// run_shard does for checkpoints), ENOENT/EACCES/ENOSPC-class failures are
-/// not.
-class ShardIoError : public std::runtime_error {
- public:
-  ShardIoError(const std::string& what, std::string path, int error_number,
-               bool transient)
-      : std::runtime_error(what),
-        path_(std::move(path)),
-        error_number_(error_number),
-        transient_(transient) {}
-
-  const std::string& path() const { return path_; }
-  int error_number() const { return error_number_; }
-  bool transient() const { return transient_; }
-
- private:
-  std::string path_;
-  int error_number_;
-  bool transient_;
-};
 
 /// Completed scan of one rank-range shard, generic over the scored-entry
 /// type (core::ScoredOf<K>: ScoredTriplet for order 3, ScoredPair for
@@ -120,11 +95,11 @@ using PairCheckpoint = BasicCheckpoint<core::ScoredPair>;
 // Writers deduce the artifact's entry type; readers are parameterized on
 // it (the `_as` suffix marks the explicit-argument form).  All are
 // instantiated for every order in [2, combinatorics::kMaxOrder] in
-// result_io.cpp.  File variants write atomically and crash-durably: the
-// body is fsynced into a temp file before the rename and the parent
-// directory is synced afterwards, so neither a crash mid-write nor a power
-// loss right after the rename can leave a truncated artifact under the
-// final name.
+// result_io.cpp.  File variants write through write_file_durably
+// (common/durable.hpp), so neither a crash mid-write nor a power loss right
+// after the rename can leave a truncated artifact under the final name; an
+// I/O failure throws DurableWriteError (path + errno) and leaves the
+// previous file in place.
 
 template <typename Scored>
 void write_shard_result(std::ostream& os, const BasicShardResult<Scored>& r);
@@ -145,18 +120,6 @@ void write_checkpoint_file(const std::string& path,
                            const BasicCheckpoint<Scored>& c);
 template <typename Scored>
 BasicCheckpoint<Scored> read_checkpoint_file_as(const std::string& path);
-
-/// The write→fsync→rename→fsync(parent dir) path every durable trigen
-/// artifact uses (shard results, checkpoints, tuning profiles via their own
-/// copy, and the fleet coordinator's lease table): `body` is rendered in
-/// memory by the caller, fsynced into `path + ".tmp"` — retrying
-/// EINTR/EAGAIN with bounded backoff — renamed over `path`, and the parent
-/// directory is synced so the rename survives power loss.  `kind` names the
-/// artifact in error messages.  Throws ShardIoError (path + errno +
-/// transient classification) when retries are exhausted or a non-retryable
-/// step fails.
-void write_text_file_durably(const std::string& path, const char* kind,
-                             const std::string& body);
 
 // -- Re-splitting a live shard off its last durable checkpoint ---------------
 //

@@ -5,41 +5,20 @@
 #include <string>
 
 #include "trigen/combinatorics/combinations.hpp"
+#include "trigen/common/durable.hpp"
 
 namespace trigen::shard {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_u64(std::uint64_t& h, std::uint64_t v) {
-  unsigned char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<unsigned char>(v >> (8 * i));
-  fnv_bytes(h, buf, sizeof buf);
-}
-
-}  // namespace
-
 std::uint64_t dataset_fingerprint(const dataset::GenotypeMatrix& d) {
-  std::uint64_t h = kFnvOffset;
-  fnv_u64(h, d.num_snps());
-  fnv_u64(h, d.num_samples());
+  std::uint64_t h = kFnv1aBasis;
+  h = fnv1a64_u64(h, d.num_snps());
+  h = fnv1a64_u64(h, d.num_samples());
   for (std::size_t m = 0; m < d.num_snps(); ++m) {
     const auto row = d.snp_row(m);
-    fnv_bytes(h, row.data(), row.size());
+    h = fnv1a64(h, row.data(), row.size());
   }
   const auto ph = d.phenotypes();
-  fnv_bytes(h, ph.data(), ph.size());
-  return h;
+  return fnv1a64(h, ph.data(), ph.size());
 }
 
 std::vector<combinatorics::RankRange> plan_shards(std::uint64_t num_snps,

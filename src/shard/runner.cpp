@@ -22,7 +22,7 @@ namespace {
 /// the durable writer) must not cost the whole shard's progress: retry the
 /// complete write a few times with escalating backoff before giving up.
 /// Non-transient failures (missing directory, permissions, disk full) and
-/// exhausted retries propagate the writer's ShardIoError, which already
+/// exhausted retries propagate the writer's DurableWriteError, which already
 /// names the path and errno.
 template <typename Scored>
 void write_checkpoint_with_retry(const std::string& path,
@@ -32,7 +32,7 @@ void write_checkpoint_with_retry(const std::string& path,
     try {
       write_checkpoint_file(path, c);
       return;
-    } catch (const ShardIoError& e) {
+    } catch (const DurableWriteError& e) {
       if (!e.transient() || attempt >= kAttempts) throw;
       std::this_thread::sleep_for(std::chrono::milliseconds(10 << attempt));
     }

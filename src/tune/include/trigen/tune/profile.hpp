@@ -27,9 +27,9 @@
 ///                                    three rows above wrap for this doc)
 ///   end
 ///
-/// Throughputs are C99 hex floats ("%a"): exact round-trips, no locale.
-/// Writes are crash-durable: rendered in memory, fsynced into a temp file
-/// alongside the target, renamed over it, parent directory synced.
+/// Throughputs are C99 hex floats (`%a`): exact round-trips, no locale.
+/// The codec, the record reader and the crash-durable writer are the ones
+/// every trigen artifact uses (common/durable.hpp).
 ///
 /// Staleness is structural, not timestamped: the host fingerprint (CPU
 /// brand + feature mask + L1 geometry + NUMA node count) gates the whole
@@ -118,8 +118,9 @@ TuningProfile parse_profile(const std::string& text);
 /// Reads and parses `path` (throws on I/O errors and malformations alike).
 TuningProfile read_profile_file(const std::string& path);
 
-/// Crash-durable write: temp file + fsync + rename + directory sync.
-/// Parent directories are created when missing.
+/// Crash-durable write through write_file_durably (throws
+/// DurableWriteError on I/O failure).  Parent directories are created when
+/// missing.
 void write_profile_file(const std::string& path, const TuningProfile& profile);
 
 /// read_profile_file + host gate: throws when the profile's fingerprint

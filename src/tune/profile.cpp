@@ -1,21 +1,14 @@
 #include "trigen/tune/profile.hpp"
 
-#include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <filesystem>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <system_error>
-#include <vector>
-
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "trigen/common/cpuid.hpp"
+#include "trigen/common/durable.hpp"
 #include "trigen/common/numa.hpp"
 #include "trigen/core/tiling.hpp"
 #include "trigen/dataset/bitplanes.hpp"
@@ -24,45 +17,19 @@ namespace trigen::tune {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("tune-profile: " + what);
-}
-
+constexpr char kKind[] = "tune-profile";
 constexpr char kMagic[] = "TRIGEN-TUNE";
 constexpr unsigned kVersion = 1;
+constexpr std::uint64_t kMaxEntries = 100000;
 
-std::uint64_t fnv1a64(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a64_u64(std::uint64_t h, std::uint64_t v) {
-  // Fixed-width little-endian so the digest is byte-order independent.
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  return fnv1a64(h, b, sizeof(b));
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
+[[noreturn]] void fail(const std::string& what) {
+  throw std::runtime_error(std::string(kKind) + ": " + what);
 }
 
 }  // namespace
 
 std::uint64_t HostFingerprint::digest() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
+  std::uint64_t h = kFnv1aBasis;
   h = fnv1a64(h, cpu_brand.data(), cpu_brand.size());
   h = fnv1a64_u64(h, feature_mask);
   h = fnv1a64_u64(h, l1_size_bytes);
@@ -128,10 +95,10 @@ std::string serialize_profile(const TuningProfile& profile) {
     os << "entry " << core::kernel_family_name(key.family) << " " << key.order
        << " " << key.bucket_words << " " << key.batch_slots << " "
        << core::kernel_isa_name(e.isa) << " " << e.tiling.bs << " "
-       << e.tiling.bp_words << " " << format_double(e.throughput) << " "
+       << e.tiling.bp_words << " " << format_hexfloat(e.throughput) << " "
        << core::kernel_isa_name(e.analytic_isa) << " " << e.analytic_tiling.bs
        << " " << e.analytic_tiling.bp_words << " "
-       << format_double(e.analytic_throughput) << "\n";
+       << format_hexfloat(e.analytic_throughput) << "\n";
   }
   os << "end\n";
   return os.str();
@@ -139,231 +106,97 @@ std::string serialize_profile(const TuningProfile& profile) {
 
 namespace {
 
-/// Line cursor with the "truncated" diagnostics baked in.
-struct LineReader {
-  std::istringstream is;
-  explicit LineReader(const std::string& text) : is(text) {}
+TuningProfile parse_profile(std::istream& is) {
+  RecordReader in(is, kKind);
+  in.preamble(kMagic, kVersion);
 
-  std::string next(const char* expecting) {
-    std::string line;
-    if (!std::getline(is, line))
-      fail(std::string("truncated file: missing ") + expecting);
-    return line;
+  TuningProfile profile;
+  const std::uint64_t claimed_digest = in.hex16_field("host");
+  in.expect_key("cpu");
+  profile.host.cpu_brand = in.rest_of_line("cpu");
+  const std::uint64_t mask = in.u64_field("features", 16);
+  if (mask > std::numeric_limits<std::uint32_t>::max())
+    in.fail("implausible feature mask " + std::to_string(mask));
+  profile.host.feature_mask = static_cast<std::uint32_t>(mask);
+
+  in.expect_key("l1");
+  const std::uint64_t l1_size = in.u64("l1 size");
+  const std::uint64_t l1_ways = in.u64("l1 ways");
+  if (l1_size == 0 || l1_size > (64u << 20) || l1_ways == 0 || l1_ways > 64)
+    in.fail("implausible l1 geometry " + std::to_string(l1_size) + "/" +
+            std::to_string(l1_ways));
+  profile.host.l1_size_bytes = static_cast<std::size_t>(l1_size);
+  profile.host.l1_ways = static_cast<unsigned>(l1_ways);
+
+  const std::uint64_t numa = in.u64_field("numa");
+  if (numa == 0 || numa > 1024)
+    in.fail("implausible numa node count " + std::to_string(numa));
+  profile.host.numa_nodes = static_cast<unsigned>(numa);
+
+  if (profile.host.digest() != claimed_digest)
+    in.fail("host digest mismatch: header claims " + hex16(claimed_digest) +
+            " but the host fields hash to " + hex16(profile.host.digest()) +
+            " (corrupt or hand-edited profile)");
+
+  const std::uint64_t count = in.count("entries", kMaxEntries);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    in.expect_key("entry");
+    ProfileKey key;
+    const std::string family_name = in.token("kernel family");
+    const auto family = core::parse_kernel_family(family_name);
+    if (!family) in.fail("unknown kernel family '" + family_name + "'");
+    key.family = *family;
+    const std::uint64_t order = in.u64("order");
+    if (order < 2 || order > 16)
+      in.fail("implausible order " + std::to_string(order));
+    key.order = static_cast<unsigned>(order);
+    key.bucket_words = in.u64("bucket words");
+    key.batch_slots = in.u64("batch slots");
+    ProfileEntry e;
+    const std::string isa_name = in.token("kernel isa");
+    const auto isa = core::parse_kernel_isa(isa_name);
+    if (!isa) in.fail("unknown kernel isa '" + isa_name + "'");
+    e.isa = *isa;
+    e.tiling.bs = in.u64("tiling bs");
+    e.tiling.bp_words = in.u64("tiling bp_words");
+    if (!e.tiling.valid())
+      in.fail("invalid tiling " + std::to_string(e.tiling.bs) + "/" +
+              std::to_string(e.tiling.bp_words) + " in entry " +
+              std::to_string(i));
+    e.throughput = in.hexfloat("throughput");
+    const std::string analytic_name = in.token("analytic isa");
+    const auto aisa = core::parse_kernel_isa(analytic_name);
+    if (!aisa) in.fail("unknown analytic isa '" + analytic_name + "'");
+    e.analytic_isa = *aisa;
+    e.analytic_tiling.bs = in.u64("analytic bs");
+    e.analytic_tiling.bp_words = in.u64("analytic bp_words");
+    e.analytic_throughput = in.hexfloat("analytic throughput");
+    if (e.throughput < 0.0 || e.analytic_throughput < 0.0)
+      in.fail("negative throughput in entry " + std::to_string(i));
+    if (!profile.entries.emplace(key, e).second)
+      in.fail("duplicate entry for " + core::kernel_family_name(key.family) +
+              " order " + std::to_string(key.order));
   }
-};
-
-/// Splits `line` on single spaces; the leading token names the record.
-std::vector<std::string> fields_of(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  while (pos <= line.size()) {
-    const std::size_t sp = line.find(' ', pos);
-    if (sp == std::string::npos) {
-      fields.push_back(line.substr(pos));
-      break;
-    }
-    fields.push_back(line.substr(pos, sp - pos));
-    pos = sp + 1;
-  }
-  return fields;
-}
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  if (s.empty()) fail(std::string("empty ") + what);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size())
-    fail(std::string("malformed ") + what + " '" + s + "'");
-  return v;
-}
-
-std::uint32_t parse_hex32(const std::string& s, const char* what) {
-  if (s.empty()) fail(std::string("empty ") + what);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 16);
-  if (errno != 0 || end != s.c_str() + s.size() || v > 0xffffffffull)
-    fail(std::string("malformed ") + what + " '" + s + "'");
-  return static_cast<std::uint32_t>(v);
-}
-
-double parse_throughput(const std::string& s, const char* what) {
-  if (s.empty()) fail(std::string("empty ") + what);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size() || v < 0.0)
-    fail(std::string("malformed ") + what + " '" + s + "'");
-  return v;
+  in.end(nullptr);
+  return profile;
 }
 
 }  // namespace
 
 TuningProfile parse_profile(const std::string& text) {
-  LineReader lines(text);
-
-  const std::string magic = lines.next("magic line");
-  if (magic.rfind(kMagic, 0) != 0)
-    fail("bad magic: expected '" + std::string(kMagic) + " v" +
-         std::to_string(kVersion) + "', got '" + magic + "'");
-  if (magic != std::string(kMagic) + " v" + std::to_string(kVersion))
-    fail("unsupported version '" + magic.substr(std::strlen(kMagic) + 1) +
-         "' (this build reads v" + std::to_string(kVersion) + ")");
-
-  TuningProfile profile;
-
-  const auto record = [&](const char* name) {
-    const std::string line = lines.next(name);
-    const std::string prefix = std::string(name) + " ";
-    if (line.rfind(prefix, 0) != 0)
-      fail(std::string("expected '") + name + "' record, got '" + line + "'");
-    return line.substr(prefix.size());
-  };
-
-  const std::string host_hex = record("host");
-  if (host_hex.size() != 16 ||
-      host_hex.find_first_not_of("0123456789abcdef") != std::string::npos)
-    fail("malformed host digest '" + host_hex + "'");
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t claimed_digest =
-      std::strtoull(host_hex.c_str(), &end, 16);
-  if (errno != 0 || end != host_hex.c_str() + host_hex.size())
-    fail("malformed host digest '" + host_hex + "'");
-
-  profile.host.cpu_brand = record("cpu");
-  profile.host.feature_mask = parse_hex32(record("features"), "feature mask");
-
-  const std::vector<std::string> l1 = fields_of(record("l1"));
-  if (l1.size() != 2) fail("malformed l1 record: expected '<size> <ways>'");
-  profile.host.l1_size_bytes =
-      static_cast<std::size_t>(parse_u64(l1[0], "l1 size"));
-  profile.host.l1_ways = static_cast<unsigned>(parse_u64(l1[1], "l1 ways"));
-  if (profile.host.l1_size_bytes == 0 ||
-      profile.host.l1_size_bytes > (64u << 20) || profile.host.l1_ways == 0 ||
-      profile.host.l1_ways > 64)
-    fail("implausible l1 geometry " + std::to_string(profile.host.l1_size_bytes) +
-         "/" + std::to_string(profile.host.l1_ways));
-
-  profile.host.numa_nodes =
-      static_cast<unsigned>(parse_u64(record("numa"), "numa node count"));
-  if (profile.host.numa_nodes == 0 || profile.host.numa_nodes > 1024)
-    fail("implausible numa node count " +
-         std::to_string(profile.host.numa_nodes));
-
-  if (profile.host.digest() != claimed_digest)
-    fail("host digest mismatch: header claims " + host_hex +
-         " but the host fields hash to " + hex16(profile.host.digest()) +
-         " (corrupt or hand-edited profile)");
-
-  const std::uint64_t count = parse_u64(record("entries"), "entry count");
-  if (count > 100000) fail("implausible entry count " + std::to_string(count));
-
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string line = lines.next("entry line");
-    const std::vector<std::string> f = fields_of(line);
-    if (f.size() != 13 || f[0] != "entry")
-      fail("malformed entry line '" + line +
-           "' (expected 'entry' plus 12 fields)");
-    ProfileKey key;
-    const auto family = core::parse_kernel_family(f[1]);
-    if (!family) fail("unknown kernel family '" + f[1] + "'");
-    key.family = *family;
-    key.order = static_cast<unsigned>(parse_u64(f[2], "order"));
-    if (key.order < 2 || key.order > 16)
-      fail("implausible order " + f[2]);
-    key.bucket_words = parse_u64(f[3], "bucket words");
-    key.batch_slots = parse_u64(f[4], "batch slots");
-    ProfileEntry e;
-    const auto isa = core::parse_kernel_isa(f[5]);
-    if (!isa) fail("unknown kernel isa '" + f[5] + "'");
-    e.isa = *isa;
-    e.tiling.bs = static_cast<std::size_t>(parse_u64(f[6], "tiling bs"));
-    e.tiling.bp_words =
-        static_cast<std::size_t>(parse_u64(f[7], "tiling bp_words"));
-    if (!e.tiling.valid()) fail("invalid tiling in entry '" + line + "'");
-    e.throughput = parse_throughput(f[8], "throughput");
-    const auto aisa = core::parse_kernel_isa(f[9]);
-    if (!aisa) fail("unknown analytic isa '" + f[9] + "'");
-    e.analytic_isa = *aisa;
-    e.analytic_tiling.bs =
-        static_cast<std::size_t>(parse_u64(f[10], "analytic bs"));
-    e.analytic_tiling.bp_words =
-        static_cast<std::size_t>(parse_u64(f[11], "analytic bp_words"));
-    e.analytic_throughput = parse_throughput(f[12], "analytic throughput");
-    if (!profile.entries.emplace(key, e).second)
-      fail("duplicate entry for " + core::kernel_family_name(key.family) +
-           " order " + std::to_string(key.order));
-  }
-
-  const std::string trailer = lines.next("'end' trailer");
-  if (trailer != "end")
-    fail("expected 'end' trailer, got '" + trailer + "' (truncated file?)");
-  return profile;
+  std::istringstream is(text);
+  return parse_profile(is);
 }
 
 TuningProfile read_profile_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) fail("cannot open '" + path + "': " + std::strerror(errno));
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (is.bad()) fail("read error on '" + path + "'");
-  return parse_profile(buf.str());
+  auto is = open_record_file(path, kKind);
+  return parse_profile(is);
 }
 
 void write_profile_file(const std::string& path, const TuningProfile& profile) {
-  const std::string body = serialize_profile(profile);
-
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (slash != std::string::npos) {
-    // Create missing parents (mkdir -p); EEXIST along the way is fine.
-    std::string sofar = dir[0] == '/' ? "/" : "";
-    std::istringstream parts(dir);
-    std::string part;
-    while (std::getline(parts, part, '/')) {
-      if (part.empty()) continue;
-      if (!sofar.empty() && sofar != "/") sofar += '/';
-      sofar += part;
-      if (::mkdir(sofar.c_str(), 0777) != 0 && errno != EEXIST)
-        fail("cannot create directory '" + sofar +
-             "': " + std::strerror(errno));
-    }
-  }
-
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) fail("cannot create '" + tmp + "': " + std::strerror(errno));
-  std::size_t written = 0;
-  while (written < body.size()) {
-    const ssize_t n = ::write(fd, body.data() + written, body.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      fail("write to '" + tmp + "' failed: " + std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    fail("fsync of '" + tmp + "' failed: " + std::strerror(err));
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
-    ::unlink(tmp.c_str());
-    fail("rename to '" + path + "' failed: " + std::strerror(err));
-  }
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);  // make the rename itself durable; best effort
-    ::close(dfd);
-  }
+  const auto parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
+  write_file_durably(path, kKind, serialize_profile(profile));
 }
 
 TuningProfile load_profile_for_this_host(const std::string& path) {

@@ -194,6 +194,38 @@ TEST(FleetState, ReaderRejectsCorruptFiles) {
                         "overlap");
 }
 
+TEST(FleetState, CorruptRecordCountsAreParseErrors) {
+  // A count read from the file must be bounded before anything is
+  // reserved for it: an absurd count is a `fleet-state:` parse error, not
+  // std::bad_alloc or std::length_error.
+  const std::string path = fresh_dir("state_counts") + "/fleet.state";
+  write_fleet_state_file(path, sample_state());
+  std::string good;
+  {
+    std::ifstream is(path);
+    std::stringstream ss;
+    ss << is.rdbuf();
+    good = ss.str();
+  }
+  for (const std::string key : {"shards ", "done "}) {
+    for (const char* count : {"1000000000000", "18446744073709551615"}) {
+      std::string bad = good;
+      bad.replace(bad.find("\n" + key + "2\n") + 1, key.size() + 1,
+                  key + count);
+      std::ofstream(path) << bad;
+      try {
+        read_fleet_state_file(path);
+        ADD_FAILURE() << "accepted " << key << count;
+      } catch (const std::runtime_error& e) {
+        expect_error_contains(e.what(), "fleet-state:");
+        expect_error_contains(e.what(), "exceeds the limit");
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "wrong exception for " << count << ": " << e.what();
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------------------
 // clip-at-the-kill-point exactness (the harvest property)
 // --------------------------------------------------------------------------

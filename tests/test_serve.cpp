@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -66,6 +67,23 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
                std::invalid_argument);
   EXPECT_THROW(serve::parse_request("ping extra"), std::invalid_argument);
   EXPECT_THROW(serve::parse_request("cancel"), std::invalid_argument);
+}
+
+TEST(ServeProtocol, RankRangeIsStrict) {
+  const auto r = serve::parse_rank_range("3:10");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->first, 3u);
+  EXPECT_EQ(r->last, 10u);
+  const auto wide = serve::parse_rank_range("0:18446744073709551615");
+  ASSERT_TRUE(wide.has_value());
+  EXPECT_EQ(wide->last, ~std::uint64_t{0});
+  // Trailing junk, non-digits, signs, an inverted or empty range, a
+  // missing side, overflow and extra colons are all refused.
+  for (const char* bad : {"3:10x", "x:10", "-1:5", "10:3", ":5", "5:", "5:5",
+                          "+1:5", " 1:5", "1:5 ", "3", "", "1:2:3",
+                          "0:18446744073709551616"}) {
+    EXPECT_FALSE(serve::parse_rank_range(bad).has_value()) << bad;
+  }
 }
 
 TEST(ServeProtocol, JobIdCharset) {
@@ -230,12 +248,14 @@ TEST(ServeServer, RejectsBadRequestsAndStaysOperational) {
   EXPECT_TRUE(server.submit_line("scan j1 objective=nope", c.sink()));
   EXPECT_TRUE(server.submit_line("scan j1 range=5:4", c.sink()));
   EXPECT_TRUE(server.submit_line("scan j1 range=0:999999", c.sink()));
+  EXPECT_TRUE(server.submit_line("scan j1 range=3:10x", c.sink()));
   EXPECT_TRUE(server.submit_line("significance j1 permutations=-3",
                                  c.sink()));
   EXPECT_TRUE(server.submit_line("cancel ghost", c.sink()));
   for (const auto& l : c.lines()) {
     EXPECT_EQ(l.compare(0, 6, "error "), 0) << l;
   }
+  EXPECT_EQ(c.lines().size(), 11u);
   EXPECT_EQ(server.jobs_live(), 0u);
 
   // The server is still fully operational afterwards.

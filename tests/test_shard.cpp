@@ -957,9 +957,9 @@ TEST(ShardIo, DurableWriteFailuresCarryPathAndErrno) {
   const std::string path =
       temp_path("no_such_dir") + "/sub/artifact.state";
   try {
-    write_text_file_durably(path, "test-artifact", "body\n");
-    FAIL() << "expected ShardIoError";
-  } catch (const ShardIoError& e) {
+    write_file_durably(path, "test-artifact", "body\n");
+    FAIL() << "expected DurableWriteError";
+  } catch (const DurableWriteError& e) {
     // A missing parent directory is a permanent failure: retrying the
     // write cannot succeed, so callers must not classify it transient.
     EXPECT_FALSE(e.transient());

@@ -46,6 +46,7 @@
 #include "trigen/gpusim/device_spec.hpp"
 #include "trigen/pairwise/pair_detector.hpp"
 #include "trigen/serve/endpoint.hpp"
+#include "trigen/serve/protocol.hpp"
 #include "trigen/serve/server.hpp"
 #include "trigen/shard/merge.hpp"
 #include "trigen/shard/plan.hpp"
@@ -466,16 +467,14 @@ int cmd_scan_generic(const Args& a) {
                                          bs, Cli::kOrder);
     opt.range = plan[static_cast<std::size_t>(i)];
   } else if (a.has("range")) {
-    unsigned long long first = 0, last = 0;
-    if (std::sscanf(a.get("range", "").c_str(), "%llu:%llu", &first, &last) !=
-            2 ||
-        first >= last || last > total) {
+    const auto range = serve::parse_rank_range(a.get("range", ""));
+    if (!range || range->last > total) {
       std::fprintf(stderr,
                    "--range expects FIRST:LAST with FIRST < LAST <= %llu\n",
                    static_cast<unsigned long long>(total));
       return 2;
     }
-    opt.range = {first, last};
+    opt.range = *range;
   }
   const combinatorics::RankRange eff =
       opt.range.empty() ? combinatorics::RankRange{0, total} : opt.range;
