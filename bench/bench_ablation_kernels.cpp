@@ -2,13 +2,16 @@
 /// \brief Ablation: triple-block contingency kernel throughput per ISA
 /// (google-benchmark).
 ///
-/// Measures the exact hot loop of the detector (6 loads, 3 NOR, 27 AND, 27
-/// POPCNT per word) for every vectorization strategy, in words/second —
-/// the microscopic version of Fig. 3's per-ISA comparison.  The V5 cached
-/// kernel (18 AND, 18 POPCNT per word against a prebuilt x∩y plane cache,
-/// plane-major so its 27 loads/word all hit L1) and its build phase are
-/// measured alongside, as is the pair scans' count kernel (4 AND, 4 POPCNT
-/// per word: only the genotype-0/1 cells are counted).
+/// Measures the exact hot loop of the paper's V4 detector (6 loads, 3 NOR,
+/// 27 AND, 27 POPCNT per word) for every vectorization strategy, in
+/// words/second — the microscopic version of Fig. 3's per-ISA comparison.
+/// The V5 order-3 path (`triple_final01`: the extend01 rung of one (x, y)
+/// prefix plus finalize with count 4 for each of B_S z-SNPs, 8 AND + 8
+/// POPCNT per triplet word) is measured alongside, as are the nine-plane
+/// cached kernel (18 AND, 18 POPCNT per word) with its build phase, still
+/// used by the k >= 4 ladder and the batched engines, and the pair scans'
+/// count kernel (4 AND, 4 POPCNT per word: only the genotype-0/1 cells
+/// are counted).
 
 #include <benchmark/benchmark.h>
 
@@ -83,6 +86,45 @@ void bench_cached_kernel(benchmark::State& state, core::KernelIsa isa) {
       static_cast<double>(state.iterations()) *
           static_cast<double>(planes.words(0)) * 32,
       benchmark::Counter::kIsRate);
+}
+
+/// The V5 order-3 hot path of one (x, y) prefix and sample chunk: the
+/// extend01 rung (the four xa∩yb planes, a, b in {0, 1}) amortized over a
+/// B_S-wide z walk of finalize calls with count 4.  Rates count triplet
+/// words (B_S per iteration and plane word).
+void bench_triple_final01(benchmark::State& state, core::KernelIsa isa) {
+  if (!core::kernel_available(isa)) {
+    state.SkipWithError("ISA not available on this host");
+    return;
+  }
+  constexpr std::size_t kBs = 5;
+  const auto samples = static_cast<std::size_t>(state.range(0));
+  const auto d = dataset::generate_balanced(2 + kBs, samples, 7);
+  const auto planes = dataset::PhenoSplitPlanes::build(d);
+  const std::size_t words = planes.words(0);
+  const core::GenericKernelSet gk = core::get_generic_kernels(isa);
+  core::PrefixPlaneCache cache;
+  cache.ensure(3, words);
+
+  std::uint32_t ft[kBs][12] = {};
+  for (auto _ : state) {
+    std::fill(cache.rung_pops(2), cache.rung_pops(2) + 4, 0u);
+    gk.extend01(planes.plane(0, 0, 0), 2, words, planes.plane(0, 1, 0),
+                planes.plane(0, 1, 1), 0, words, cache.rung(2),
+                cache.stride(), cache.rung_pops(2));
+    for (std::size_t z = 0; z < kBs; ++z) {
+      gk.finalize(cache.rung(2), 4, cache.stride(), cache.rung_pops(2),
+                  planes.plane(0, 2 + z, 0), planes.plane(0, 2 + z, 1), 0,
+                  words, ft[z]);
+    }
+    benchmark::DoNotOptimize(ft);
+  }
+  const double triplet_words = static_cast<double>(state.iterations()) *
+                               static_cast<double>(words * kBs);
+  state.counters["words/s"] =
+      benchmark::Counter(triplet_words, benchmark::Counter::kIsRate);
+  state.counters["elements/s"] =
+      benchmark::Counter(triplet_words * 32, benchmark::Counter::kIsRate);
 }
 
 void bench_build_kernel(benchmark::State& state, core::KernelIsa isa) {
@@ -327,6 +369,11 @@ void register_all() {
         ->Arg(2048)
         ->Arg(65536);
     benchmark::RegisterBenchmark(
+        ("triple_final01/" + core::kernel_isa_name(isa)).c_str(),
+        [isa](benchmark::State& s) { bench_triple_final01(s, isa); })
+        ->Arg(2048)
+        ->Arg(65536);
+    benchmark::RegisterBenchmark(
         ("pair_plane_build/" + core::kernel_isa_name(isa)).c_str(),
         [isa](benchmark::State& s) { bench_build_kernel(s, isa); })
         ->Arg(2048)
@@ -342,9 +389,10 @@ void register_all() {
         ->Arg(2048)
         ->Arg(65536);
   }
-  // The order-4 generic family.  Vector strategies all dispatch to the
-  // widest compiled generic path (see get_generic_kernels), so one vector
-  // ISA representative plus scalar covers the distinct code paths.
+  // The order-4 generic family.  Its extend and direct kernels are the
+  // widest compiled generic path for every vector strategy (see
+  // get_generic_kernels; only finalize has AVX-512 bodies), so one vector
+  // ISA representative plus scalar covers the direct and extend paths.
   std::vector<core::KernelIsa> generic_isas = {core::KernelIsa::kScalar};
   if (core::best_kernel_isa() != core::KernelIsa::kScalar) {
     generic_isas.push_back(core::best_kernel_isa());

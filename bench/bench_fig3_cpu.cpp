@@ -24,8 +24,10 @@
 /// elements/cycle/core; AVX-512-without-vector-POPCNT is the *worst* per
 /// cycle (double-extract overhead); per (cycle x vector width), narrow
 /// vectors look best (CA1) alongside VPOPCNTDQ.  V5 should beat V4 on
-/// every ISA whose popcount path dominates (it retires 18 POPCNTs + 18
-/// ANDs per word against V4's 27 + 42).
+/// every ISA whose popcount path dominates (at k = 3 it retires 8 POPCNTs
+/// + 8 ANDs per word against V4's 27 + 42).  The generic engine is then
+/// measured at k = 4, 5 and 6, V4 (direct kernels) against V5 (the
+/// prefix-plane ladder), since V5 is the default rung at every order.
 
 #include <chrono>
 #include <cstdio>
@@ -72,6 +74,63 @@ struct Measurement {
   double triplets_per_s = 0;
   double elements_per_s = 0;
 };
+
+/// V4 (direct kernels) vs V5 (prefix-plane ladder) of the generic engine at
+/// order K on `snps` x `samples`, every available ISA, one core.  Logs
+/// `fig3_cpu/order<K>-<version>/<isa>/snps=<M>` plus the per-ISA V5/V4
+/// speedup `fig3_cpu/order<K>_speedup_v5_vs_v4/<isa>`.
+template <unsigned K>
+void bench_generic_order(std::size_t snps, std::size_t samples,
+                         const std::vector<core::CpuVersion>& versions,
+                         std::vector<Measurement>& log) {
+  const auto d = bench::paper_style_dataset(snps, samples);
+  const core::BasicDetector<K> det(d);
+  const std::string order = "order" + std::to_string(K);
+  TextTable table({"SNPs", "version", "strategy", "Gel/s/core", "Mtuples/s",
+                   "V5/V4"});
+  for (const core::KernelIsa isa : core::all_kernel_isas()) {
+    if (!core::kernel_available(isa)) continue;
+    std::map<core::CpuVersion, double> eps_of;
+    for (const core::CpuVersion version : versions) {
+      core::BasicDetectorOptions<K> opt;
+      opt.version = version;
+      opt.isa = isa;
+      opt.isa_auto = false;
+      opt.threads = 1;
+      const auto r = det.run(opt);
+      const double eps = r.elements_per_second();
+      const double tps =
+          r.seconds > 0.0
+              ? static_cast<double>(r.combinations_evaluated) / r.seconds
+              : 0.0;
+      eps_of[version] = eps;
+      table.add_row(
+          {std::to_string(snps), core::cpu_version_name(version),
+           core::kernel_isa_name(isa), TextTable::fmt(eps / 1e9, 2),
+           TextTable::fmt(tps / 1e6, 3),
+           version == core::CpuVersion::kV5PairCache &&
+                   eps_of[core::CpuVersion::kV4Vector] > 0.0
+               ? TextTable::fmt(eps / eps_of[core::CpuVersion::kV4Vector], 2)
+               : "-"});
+      log.push_back({"fig3_cpu/" + order + "-" +
+                         core::cpu_version_name(version) + "/" +
+                         core::kernel_isa_name(isa) +
+                         "/snps=" + std::to_string(snps),
+                     tps > 0.0 ? 1e9 / tps : 0.0, tps, eps});
+    }
+    const double v4 = eps_of[core::CpuVersion::kV4Vector];
+    const double v5 = eps_of[core::CpuVersion::kV5PairCache];
+    if (v4 > 0.0 && v5 > 0.0) {
+      log.push_back({"fig3_cpu/" + order + "_speedup_v5_vs_v4/" +
+                         core::kernel_isa_name(isa),
+                     0.0, 0.0, v5 / v4});
+    }
+  }
+  std::printf(
+      "\nk=%u generic engine (prefix-plane ladder vs direct kernels), "
+      "%zu SNPs, one core:\n%s",
+      K, snps, table.to_ascii().c_str());
+}
 
 /// One batched-vs-sequential permutation-test measurement at order K: both
 /// paths run the identical seeded test (sequential = one full scan per
@@ -208,59 +267,14 @@ int main(int argc, char** argv) {
       "\nV5 pair-plane cache vs V4, largest size (%zu SNPs), one core:\n%s",
       snp_sizes.back(), speedup.to_ascii().c_str());
 
-  // ---- k=4 generic engine: prefix-plane cached vs direct ----------------
-  // One size per mode (the order-4 space grows as M^4/24); both blocked
-  // rungs of the generic engine, every ISA, one core.  This is the
+  // ---- k >= 4 generic engine: prefix-plane cached vs direct -------------
+  // One size per order and mode (the order-k space grows as M^k/k!); both
+  // blocked rungs of the generic engine, every ISA, one core.  This is the
   // trajectory anchor for the K >= 4 engine: V5's ladder must not lose to
-  // the direct kernels anywhere.
-  {
-    const std::size_t snps4 = quick ? 40 : 64;
-    const auto d4 = bench::paper_style_dataset(snps4, samples);
-    const core::BasicDetector<4> det4(d4);
-    TextTable order4({"SNPs", "version", "strategy", "Gel/s/core",
-                      "Mtuples/s", "V5/V4"});
-    for (const core::KernelIsa isa : core::all_kernel_isas()) {
-      if (!core::kernel_available(isa)) continue;
-      std::map<core::CpuVersion, double> eps4;
-      for (const core::CpuVersion version : versions) {
-        core::BasicDetectorOptions<4> opt;
-        opt.version = version;
-        opt.isa = isa;
-        opt.isa_auto = false;
-        opt.threads = 1;
-        const auto r = det4.run(opt);
-        const double eps = r.elements_per_second();
-        const double tps =
-            r.seconds > 0.0
-                ? static_cast<double>(r.combinations_evaluated) / r.seconds
-                : 0.0;
-        eps4[version] = eps;
-        order4.add_row(
-            {std::to_string(snps4), core::cpu_version_name(version),
-             core::kernel_isa_name(isa), TextTable::fmt(eps / 1e9, 2),
-             TextTable::fmt(tps / 1e6, 3),
-             version == core::CpuVersion::kV5PairCache &&
-                     eps4[core::CpuVersion::kV4Vector] > 0.0
-                 ? TextTable::fmt(eps / eps4[core::CpuVersion::kV4Vector], 2)
-                 : "-"});
-        log.push_back({"fig3_cpu/order4-" + core::cpu_version_name(version) +
-                           "/" + core::kernel_isa_name(isa) +
-                           "/snps=" + std::to_string(snps4),
-                       tps > 0.0 ? 1e9 / tps : 0.0, tps, eps});
-      }
-      const double v4 = eps4[core::CpuVersion::kV4Vector];
-      const double v5 = eps4[core::CpuVersion::kV5PairCache];
-      if (v4 > 0.0 && v5 > 0.0) {
-        log.push_back(
-            {"fig3_cpu/order4_speedup_v5_vs_v4/" + core::kernel_isa_name(isa),
-             0.0, 0.0, v5 / v4});
-      }
-    }
-    std::printf(
-        "\nk=4 generic engine (prefix-plane ladder vs direct kernels), "
-        "%zu SNPs, one core:\n%s",
-        snps4, order4.to_ascii().c_str());
-  }
+  // the direct kernels at any order it is the default for.
+  bench_generic_order<4>(quick ? 40 : 64, samples, versions, log);
+  bench_generic_order<5>(quick ? 18 : 22, samples, versions, log);
+  bench_generic_order<6>(quick ? 14 : 16, samples, versions, log);
 
   // ---- permutation testing: batched partitions vs sequential re-scans ----
   // 64 seeded permutations at orders 2 and 3, one core: the sequential path

@@ -5,7 +5,7 @@
 ///
 ///   $ ./quickstart
 ///
-/// Everything fits in ~30 lines: the library defaults (V4 kernel, widest
+/// Everything fits in ~30 lines: the library defaults (V5 rung, widest
 /// host ISA, K2 score, L1-derived tiling) are production settings.
 
 #include <cstdio>

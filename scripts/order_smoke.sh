@@ -5,7 +5,8 @@
 # worker killed partway and resumed from its checkpoint) -> `merge` ->
 # diff against the unsharded scan.  The CSV sections (everything but the
 # '#' comment lines, which carry timings) must be byte-identical.  Also
-# checks that `merge` refuses to mix interaction orders.
+# checks that `merge` refuses to mix interaction orders and that a scan
+# without --version runs the default rung `scan --help` names.
 #
 # usage: scripts/order_smoke.sh path/to/trigen
 set -euo pipefail
@@ -99,5 +100,23 @@ for a in 2 3 4; do
            exit 1; }
   done
 done
+
+# A scan without --version runs the default rung `scan --help` names (the
+# library's ScanOptionsBase default): the header names the same rung as
+# an explicit --version of that number, and the CSV equals V4's.
+default=$("$TRIGEN" scan --help | sed -n 's/.*; default \([1-5]\)).*/\1/p')
+[ -n "$default" ] \
+  || { echo "scan --help does not name the default rung" >&2; exit 1; }
+"$TRIGEN" scan d.tg --top 12 --threads 2 > implicit.txt
+"$TRIGEN" scan d.tg --top 12 --threads 2 --version "$default" > explicit.txt
+"$TRIGEN" scan d.tg --top 12 --threads 2 --version 4 > v4.txt
+rung() { head -1 "$1" | cut -d, -f4; }
+if [ "$(rung implicit.txt)" != "$(rung explicit.txt)" ]; then
+  echo "default scan ran$(rung implicit.txt), not rung $default" >&2
+  exit 1
+fi
+diff <(grep -v '^#' implicit.txt) <(grep -v '^#' v4.txt) \
+  || { echo "default rung and V4 print different CSV" >&2; exit 1; }
+echo "default rung $default:$(rung implicit.txt), CSV identical to V4"
 
 echo "order smoke: orders 2, 3 and 4 shard, resume and merge exactly"

@@ -2,7 +2,7 @@
 # run_benches.sh — populate and regression-gate the repo's CPU performance
 # trajectory.
 #
-# Runs the fig3 harness (V4 + V5 per ISA at k=3 and k=4, with the V5-vs-V4
+# Runs the fig3 harness (V4 + V5 per ISA at k=3..6, with the V5-vs-V4
 # speedups) and, when built, the google-benchmark kernel ablation with
 # --benchmark_format=json, and folds everything into one JSON file keyed
 # by bench name with ns/op and triplets/s (kernel-level entries carry

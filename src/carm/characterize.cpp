@@ -13,22 +13,26 @@ using gpusim::GpuVersion;
 using gpusim::OpCountModel;
 using gpusim::OpMix;
 
-OpMix cpu_op_mix(CpuVersion v, OpCountModel model) {
+OpMix cpu_op_mix(CpuVersion v, OpCountModel model, std::size_t bs) {
   if (v == CpuVersion::kV5PairCache) {
-    // Steady-state cached kernel (the build phase amortizes over the B_S
-    // z-SNPs of a block): 18 ANDs (z0/z1 against each cached plane; the z2
-    // cells derive from the cached popcounts) and 18 POPCNTs per word per
-    // triplet.  The implementation is plane-major — the word loop runs
-    // inside each of the 9 plane passes — so z0/z1 are re-read per pass:
-    // 9 * (1 cache + 2 z) = 27 32-bit loads per word, all L1-resident
-    // (the loop-order tradeoff buys minimal register pressure).  The paper
-    // predates V5 and prints no counts for it, and the kernel computes no
-    // NOR (the one op the kPaper/kExact models count differently), so the
-    // same mix serves both models.
+    // The order-3 path counts the eight genotype-{0,1}^3 cells.  Per word
+    // of each triplet, finalize ANDs z0/z1 against the four cached xa∩yb
+    // planes and counts the results: 8 ANDs + 8 POPCNTs (the (a, b, 2)
+    // cells derive from the cached popcounts).  It loads each z word once
+    // per group of four planes: 2 z + 4 cache = 6 32-bit loads, all
+    // L1-resident.  The extend01 rung adds 4 ANDs + 4 POPCNTs and 4 loads
+    // (x0, x1, y0, y1) per word of each (x, y) prefix, amortized over the
+    // B_S = `bs` last-axis SNPs of a block.  The pair tables that complete
+    // the other 19 cells cost about 3/M of the triplet work and are not
+    // counted.  The paper predates V5 and prints no counts for it, and the
+    // path computes no NOR (the one op the kPaper/kExact models count
+    // differently), so the same mix serves both models.
+    const double per_prefix =
+        1.0 / static_cast<double>(std::max<std::size_t>(1, bs));
     OpMix m;
-    m.popcnt = 18;
-    m.logic = 18;
-    m.loads = 27;
+    m.popcnt = 8 + 4 * per_prefix;
+    m.logic = 8 + 4 * per_prefix;
+    m.loads = 6 + 4 * per_prefix;
     return m;
   }
   const GpuVersion mapped = v == CpuVersion::kV1Naive
@@ -44,7 +48,7 @@ KernelPoint characterize_cpu_version(const core::Detector& det, CpuVersion v,
   opt.threads = threads;
   const core::DetectionResult r = det.run(opt);
 
-  const OpMix mix = cpu_op_mix(v, model);
+  const OpMix mix = cpu_op_mix(v, model, r.tiling_used.bs);
   const double words =
       v == CpuVersion::kV1Naive
           ? static_cast<double>(det.planes_v1().words())

@@ -29,9 +29,14 @@ struct KernelPoint {
 };
 
 /// Op-count accounting for a CPU ladder version (maps V1 to the naive mix
-/// and V2..V4 to the phenotype-split mix).
-gpusim::OpMix cpu_op_mix(core::CpuVersion v,
-                         gpusim::OpCountModel model = gpusim::OpCountModel::kExact);
+/// and V2..V4 to the phenotype-split mix).  V5's mix is its own: the 8
+/// AND + 8 POPCNT per triplet word of the 2^k-cell order-3 path, plus the
+/// prefix rung's 4 AND + 4 POPCNT per word amortized over `bs` (B_S, the
+/// last-axis SNPs of a block; 5 is the paper's tile).
+gpusim::OpMix cpu_op_mix(
+    core::CpuVersion v,
+    gpusim::OpCountModel model = gpusim::OpCountModel::kExact,
+    std::size_t bs = 5);
 
 /// Runs one CPU version and characterizes it.
 KernelPoint characterize_cpu_version(

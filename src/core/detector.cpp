@@ -30,6 +30,15 @@ std::string cpu_version_name(CpuVersion v) {
   return "unknown";
 }
 
+unsigned cpu_version_number(CpuVersion v) {
+  return static_cast<unsigned>(v) + 1;
+}
+
+std::optional<CpuVersion> cpu_version_from_number(std::uint64_t n) {
+  if (n < 1 || n > 5) return std::nullopt;
+  return static_cast<CpuVersion>(n - 1);
+}
+
 KernelFamily scan_kernel_family(unsigned order, CpuVersion version,
                                 bool batched) {
   if (batched) return KernelFamily::kFinalizeBatched;
@@ -401,25 +410,21 @@ BasicDetectionResult<K> BasicDetector<K>::run(
                           on_comb(Combination<2>{pr.x, pr.y}, scorer(tb));
                         });
       });
-    } else if constexpr (K == 3) {
-      // The hand-tuned three-operand kernels (all per-ISA variants) stay on
-      // the hot path of the order the paper measures.
-      const auto run3 = [&](auto&& engine_kernels) {
-        return scan_blocks([&](unsigned tid, const BlockTuple<3>& bt,
-                               const auto& on_comb) {
-          scan_block_triple(impl_->split, tiling, engine_kernels,
-                            thread_scratch(tid),
-                            BlockTriple{bt[0], bt[1], bt[2]},
-                            clip,
+    } else if (K == 3 && !cached) {
+      if constexpr (K == 3) {
+        // V3/V4 keep the paper's hand-tuned three-operand kernels.
+        const TripleBlockKernel kernel = get_kernel(result.isa_used);
+        merged = scan_blocks([&](unsigned tid, const BlockTuple<3>& bt,
+                                 const auto& on_comb) {
+          scan_block_triple(impl_->split, tiling, kernel, thread_scratch(tid),
+                            BlockTriple{bt[0], bt[1], bt[2]}, clip,
                             [&](const combinatorics::Triplet& tr,
-                                const scoring::ContingencyTable& tb) {
+                                const ContingencyTable& tb) {
                               on_comb(Combination<3>{tr.x, tr.y, tr.z},
                                       scorer(tb));
                             });
         });
-      };
-      merged = cached ? run3(get_cached_kernels(result.isa_used))
-                      : run3(get_kernel(result.isa_used));
+      }
     } else {
       const GenericKernelSet generic = get_generic_kernels(result.isa_used);
       const auto on_table = [&](const auto& on_comb) {
@@ -430,6 +435,8 @@ BasicDetectionResult<K> BasicDetector<K>::run(
         };
       };
       if (cached) {
+        // The prefix-plane ladder; at K = 3 it counts 8 of the 27 cells and
+        // completes the rest from pair tables.
         const CachedKernelSet ck = get_cached_kernels(result.isa_used);
         merged = scan_blocks([&](unsigned tid, const BlockTuple<K>& bt,
                                  const auto& on_comb) {

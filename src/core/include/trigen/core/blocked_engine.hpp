@@ -12,18 +12,27 @@
 ///
 /// V5 goes one step further with a recursive *prefix-plane ladder*: all B_S
 /// last-axis SNPs of a block tuple share the same length-(k-1) prefix, so
-/// the ladder materializes, once per (prefix, sample-chunk), the 3^j
-/// intersection planes of each j-SNP prefix (rung j, j = 2..k-1).  Rung 2
-/// is built directly from two SNPs' genotype planes; rung j+1 extends rung
-/// j by ANDing each plane with one SNP's two stored planes and deriving the
-/// third child from the partition identity (the three genotype planes of a
-/// SNP partition every sample bit, padding included).  The last rung's
-/// planes and popcounts then resolve all three final-axis cells with two
-/// ANDs + two POPCNTs per word.  At k = 3 the ladder is exactly the nine
-/// x∩y planes of the original pair-plane cache; at k = 2 it degenerates to
-/// the counts-only kernel (the chunk popcounts of the four genotype-0/1
-/// intersections, completed from the per-SNP genotype counts, *are* the
-/// 9-cell table).
+/// the ladder materializes, once per (prefix, sample-chunk), the
+/// intersection planes of each j-SNP prefix (rung j, j = 2..k-1) and the
+/// last-axis loop only combines the last rung with each z.
+///
+/// At k = 3 the ladder counts only the eight genotype-{0,1}^3 cells: rung 2
+/// holds the four planes xa∩yb with a, b in {0, 1} (`extend01` straight
+/// from x's two stored planes, no NOR plane), each z costs 8 ANDs + 8
+/// POPCNTs per word (`finalize` with count 4, the (a, b, 2) cells from the
+/// chunk popcounts), and at emit `complete_triple_row` derives the fifteen
+/// cells with genotype 2 at x or y from the xz and yz {0,1} pair tables,
+/// which a per-thread `PairTableCache` counts once per last-axis block.
+///
+/// At k >= 4 rung j holds all 3^j planes: rung 2 is built directly from
+/// two SNPs' genotype planes, rung j+1 extends rung j by ANDing each plane
+/// with one SNP's two stored planes and deriving the third child from the
+/// partition identity (the three genotype planes of a SNP partition every
+/// sample bit, padding included), and the last rung's planes and popcounts
+/// resolve all three final-axis cells with two ANDs + two POPCNTs per word.
+/// At k = 2 the engine degenerates to the counts-only kernel (the chunk
+/// popcounts of the four genotype-0/1 intersections, completed from the
+/// per-SNP genotype counts, *are* the 9-cell table).
 ///
 /// The block-tuple rank math and the rank-range -> block-tuple mapping live
 /// in trigen/combinatorics/block_partition.hpp; the names are re-exported
@@ -65,8 +74,9 @@ using combinatorics::LastAxisWindow;
 /// prefix restricted to the current sample chunk, plus their chunk
 /// popcounts.  Planes share one stride rounded up to a whole number of
 /// AVX-512 registers, so every plane start stays 64-byte aligned
-/// (aligned_vector provides the base alignment).  At order 3 the ladder is
-/// the original pair-plane cache: rung 2's nine x∩y planes and popcounts.
+/// (aligned_vector provides the base alignment).  The order-3 scan uses
+/// only the first four planes of rung 2 (its xa∩yb, a, b in {0, 1}); the
+/// batched order-3 engine uses all nine.
 class PrefixPlaneCache {
  public:
   /// Grows the ladder to cover rungs 2..order-1 with at least `words` of
@@ -98,8 +108,7 @@ class PrefixPlaneCache {
     return pops_.data() + rung_offset(j);
   }
 
-  /// Rung-2 accessors, the original PairPlaneCache API: the nine x∩y
-  /// planes and their chunk popcounts.
+  /// Rung-2 accessors: the x∩y planes and their chunk popcounts.
   Word* planes() { return rung(2); }
   const Word* planes() const { return rung(2); }
   std::uint32_t* pops() { return rung_pops(2); }
@@ -121,8 +130,62 @@ class PrefixPlaneCache {
   std::vector<std::uint32_t> pops_;
 };
 
-/// The K = 3 ladder (rung 2 alone) is the original pair-plane cache.
+/// Rung 2 alone: the nine-plane pair-plane cache of the kernel tests and
+/// benchmarks.
 using PairPlaneCache = PrefixPlaneCache;
+
+/// Per-thread cache of the pair tables that complete order-3 rows
+/// (complete_triple_row): for every SNP u and every SNP z of one last-axis
+/// block, the four {0,1} cells of pair (u, z) per class, in
+/// kPairCountCells order.  A table is counted by the pair count kernel over
+/// the whole class the first time an emitted triplet needs it, and every
+/// table is dropped when the cache moves to another block, so memory stays
+/// O(M · B_S) (32 bytes per slot), a full scan counts each pair about once
+/// per thread (about 3/M of the triplet work), and a ranged scan counts
+/// only the pairs its windows touch.
+class PairTableCache {
+ public:
+  /// Serves the last-axis block of `planes` whose SNPs start at `z_base`
+  /// (at most `bs` of them), dropping every table counted for another
+  /// block, block size or dataset.
+  void select(const dataset::PhenoSplitPlanes& planes, std::size_t bs,
+              std::size_t z_base) {
+    if (&planes == planes_ && bs == bs_ && z_base == z_base_) return;
+    planes_ = &planes;
+    bs_ = bs;
+    z_base_ = z_base;
+    tables_.resize(planes.num_snps() * bs * 8);
+    counted_.assign(planes.num_snps() * bs, 0);
+  }
+
+  /// Class-`c` cells of the pair (u, z), z in the selected block, counted
+  /// with `count` (both classes) on first use.
+  const std::uint32_t* row(PairPlaneCountKernel count, std::size_t u,
+                           std::size_t z, int c) {
+    const std::size_t slot = u * bs_ + (z - z_base_);
+    std::uint32_t* t = tables_.data() + slot * 8;
+    if (counted_[slot] == 0) {
+      const dataset::PhenoSplitPlanes& p = *planes_;
+      for (int k = 0; k < 2; ++k) {
+        std::uint32_t cells[9] = {};
+        count(p.plane(k, u, 0), p.plane(k, u, 1), p.plane(k, z, 0),
+              p.plane(k, z, 1), 0, p.words(k), cells);
+        for (std::size_t i = 0; i < 4; ++i) {
+          t[static_cast<std::size_t>(k) * 4 + i] = cells[kPairCountCells[i]];
+        }
+      }
+      counted_[slot] = 1;
+    }
+    return t + static_cast<std::size_t>(c) * 4;
+  }
+
+ private:
+  const dataset::PhenoSplitPlanes* planes_ = nullptr;
+  std::size_t bs_ = 0;
+  std::size_t z_base_ = 0;
+  std::vector<std::uint32_t> tables_;  ///< [u][z - z_base][class][4]
+  std::vector<std::uint8_t> counted_;  ///< [u][z - z_base]
+};
 
 /// Per-thread scratch: frequency tables for all combinations of a block
 /// tuple.  Layout: [local][class][3^K] uint32; local =
@@ -149,8 +212,8 @@ class TupleBlockScratch {
   }
   /// V5 prefix-plane ladder (unused and unallocated for V3/V4 scans).
   PrefixPlaneCache& prefix_cache() { return cache_; }
-  /// Historical name for the K = 3 ladder.
-  PairPlaneCache& pair_cache() { return cache_; }
+  /// Pair tables completing V5 order-3 rows (unallocated otherwise).
+  PairTableCache& pair_tables() { return pairs_; }
 
  private:
   static std::size_t locals(std::size_t bs) {
@@ -162,6 +225,7 @@ class TupleBlockScratch {
   std::size_t bs_;
   std::vector<std::uint32_t> ft_;
   PrefixPlaneCache cache_;
+  PairTableCache pairs_;
 };
 
 /// Triplet scratch: bs^3 tables of 27 cells.
@@ -254,21 +318,44 @@ void update_ladder(const dataset::PhenoSplitPlanes& planes, int c,
   }
 }
 
+/// Row completion of the engines whose scratch tables hold every cell:
+/// the direct kernels (V3/V4), the nine-plane ladder (V5, k >= 4) and the
+/// counts-only pair kernel.  Copies the class-`c` table `ft` into `row`
+/// and makes it exact: NOR padding shows up as phantom all-genotype-2
+/// observations, and the pair count kernel fills cells 0, 1, 3 and 4 only.
+template <unsigned K>
+auto full_row(const dataset::PhenoSplitPlanes& planes) {
+  return [&planes](const combinatorics::Combination<K>& comb, int c,
+                   const std::uint32_t* ft, std::uint32_t* row) {
+    constexpr std::size_t kCells = scoring::num_cells(K);
+    std::copy(ft, ft + kCells, row);
+    if constexpr (K == 2) {
+      complete_pair_row(planes, c, comb[0], comb[1], row);
+    } else {
+      row[kCells - 1] -= static_cast<std::uint32_t>(planes.pad_bits(c));
+    }
+  };
+}
+
 /// Shared skeleton of the blocked scan at any order: block bounds, the
 /// block-level range test, the per-prefix last-axis window, targeted
 /// scratch clear and table emission.  `accumulate(base, each_prefix)`
 /// fills the scratch tables of every in-window combination, where
 /// `each_prefix(fn)` runs `for_each_prefix` over this block tuple and
-/// window; the direct-kernel (V3/V4) and ladder (V5) engines differ only
-/// there.  `on_table(const Combination<K>&, const
-/// BasicContingencyTable<K>&)` receives each emitted combination.
-template <unsigned K, typename Accumulate, typename OnTable>
+/// window, and `complete_row(comb, c, ft, row)` turns the accumulated
+/// class-`c` table `ft` into the exact 3^K-cell `row`; the direct-kernel
+/// (V3/V4) and ladder (V5) engines differ only there.  `on_table(const
+/// Combination<K>&, const BasicContingencyTable<K>&)` receives each
+/// emitted combination.
+template <unsigned K, typename Accumulate, typename CompleteRow,
+          typename OnTable>
 void scan_block_tuple_impl(const dataset::PhenoSplitPlanes& planes,
                            const TilingParams& tiling,
                            TupleBlockScratch<K>& scratch,
                            const BlockTuple<K>& bt,
                            const combinatorics::LastAxisWindow<K>& window,
-                           Accumulate&& accumulate, OnTable&& on_table) {
+                           Accumulate&& accumulate, CompleteRow&& complete_row,
+                           OnTable&& on_table) {
   static_assert(K >= 2 && K <= combinatorics::kMaxOrder);
   const std::size_t bs = tiling.bs;
   const std::size_t m = planes.num_snps();
@@ -301,20 +388,9 @@ void scan_block_tuple_impl(const dataset::PhenoSplitPlanes& planes,
       comb[K - 1] = static_cast<std::uint32_t>(z);
       scoring::BasicContingencyTable<K> t;
       for (int c = 0; c < 2; ++c) {
-        const std::uint32_t* ft =
-            scratch.table(local * bs + (z - base[K - 1]), c);
-        auto& row = t.counts[static_cast<std::size_t>(c)];
-        for (std::size_t i = 0; i < TupleBlockScratch<K>::kCells; ++i) {
-          row[i] = ft[i];
-        }
-        if constexpr (K == 2) {
-          // The pair count kernel fills cells 0, 1, 3 and 4 only.
-          complete_pair_row(planes, c, comb[0], comb[1], row.data());
-        } else {
-          // NOR padding shows up as phantom all-genotype-2 observations.
-          row[TupleBlockScratch<K>::kCells - 1] -=
-              static_cast<std::uint32_t>(planes.pad_bits(c));
-        }
+        complete_row(static_cast<const combinatorics::Combination<K>&>(comb),
+                     c, scratch.table(local * bs + (z - base[K - 1]), c),
+                     t.counts[static_cast<std::size_t>(c)].data());
       }
       on_table(static_cast<const combinatorics::Combination<K>&>(comb), t);
     }
@@ -375,7 +451,7 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
           }
         }
       },
-      static_cast<OnTable&&>(on_table));
+      engine_detail::full_row<K>(planes), static_cast<OnTable&&>(on_table));
 }
 
 /// Unclipped direct scan: every combination of the block tuple is emitted.
@@ -389,16 +465,25 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
                       static_cast<OnTable&&>(on_table));
 }
 
-/// V5 at any order K >= 3: the recursive prefix-plane ladder.  Rung 2 (the
-/// 3^2 planes of the two leading SNPs) is built once per (prefix,
-/// sample-chunk) by the per-ISA build kernel; each deeper rung j+1 extends
-/// rung j by one SNP (two ANDs per plane, third child by the partition
-/// identity); the last rung's planes and popcounts resolve all final-axis
-/// cells with the two-operand finalize kernel — the prefix streams leave
-/// the innermost loop entirely, and no genotype-2 plane of any prefix SNP
-/// is ever materialized.  Rungs are built lazily, only for prefixes whose
-/// last-axis window is nonempty, and reused while their leading SNPs stay
-/// the same.  Bit-identical to the direct kernels for every clip.
+/// V5 at any order K >= 3: the recursive prefix-plane ladder.  Rungs are
+/// built once per (prefix, sample-chunk), lazily — only for prefixes whose
+/// last-axis window is nonempty — and reused while their leading SNPs stay
+/// the same, so the prefix streams leave the innermost loop entirely and no
+/// genotype-2 plane of any prefix SNP is ever materialized.
+///
+/// K = 3 counts 8 of the 27 cells: rung 2 holds the four xa∩yb planes
+/// (a, b in {0, 1}, built by `generic.extend01`), the z loop runs
+/// `generic.finalize` with count 4 into the first twelve cells of each
+/// scratch table, and the emit completes each row from the scratch
+/// `PairTableCache` (pair tables counted by `cached.count`) with
+/// complete_triple_row.
+///
+/// K >= 4 keeps all 3^j planes per rung: rung 2 comes from the per-ISA
+/// nine-plane build kernel, each deeper rung j+1 extends rung j by one SNP
+/// (two ANDs per plane, third child by the partition identity), and the
+/// last rung's planes and popcounts resolve all final-axis cells with the
+/// two-operand finalize kernel.  Bit-identical to the direct kernels for
+/// every clip.
 template <unsigned K, typename OnTable>
 void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
                       const TilingParams& tiling,
@@ -411,32 +496,58 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
   const std::size_t bs = tiling.bs;
   PrefixPlaneCache& cache = scratch.prefix_cache();
   cache.ensure(K, tiling.bp_words);
-  engine_detail::scan_block_tuple_impl<K>(
-      planes, tiling, scratch, bt, clip,
-      [&](const std::array<std::size_t, K>& base, const auto& each_prefix) {
-        constexpr std::size_t count = pow3(K - 1);
-        for (int c = 0; c < 2; ++c) {
-          const std::size_t words = planes.words(c);
-          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            each_prefix([&](const combinatorics::Combination<K>& prefix,
-                            unsigned fresh, std::size_t local,
-                            std::size_t z_lo, std::size_t z_hi) {
-              engine_detail::update_ladder<K>(planes, c, prefix, fresh, w0,
-                                              w1, cached, generic, cache);
-              for (std::size_t z = z_lo; z < z_hi; ++z) {
-                generic.finalize(cache.rung(K - 1), count, cache.stride(),
-                                 cache.rung_pops(K - 1),
-                                 planes.plane(c, z, 0), planes.plane(c, z, 1),
-                                 w0, w1,
-                                 scratch.table(local * bs + (z - base[K - 1]),
-                                               c));
-              }
-            });
+  // Prefix planes per final-axis kernel call: the four {0,1} planes of the
+  // order-3 rung, 3^(K-1) otherwise.
+  constexpr std::size_t count = K == 3 ? 4 : pow3(K - 1);
+  const auto accumulate = [&](const std::array<std::size_t, K>& base,
+                              const auto& each_prefix) {
+    for (int c = 0; c < 2; ++c) {
+      const std::size_t words = planes.words(c);
+      for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+        const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
+        each_prefix([&](const combinatorics::Combination<K>& prefix,
+                        unsigned fresh, std::size_t local, std::size_t z_lo,
+                        std::size_t z_hi) {
+          if constexpr (K == 3) {
+            // Rung 1 is a view: x's two stored planes sit words(c) apart.
+            std::fill(cache.rung_pops(2), cache.rung_pops(2) + count, 0u);
+            generic.extend01(planes.plane(c, prefix[0], 0) + w0, 2, words,
+                             planes.plane(c, prefix[1], 0),
+                             planes.plane(c, prefix[1], 1), w0, w1,
+                             cache.rung(2), cache.stride(),
+                             cache.rung_pops(2));
+          } else {
+            engine_detail::update_ladder<K>(planes, c, prefix, fresh, w0, w1,
+                                            cached, generic, cache);
           }
-        }
-      },
-      static_cast<OnTable&&>(on_table));
+          for (std::size_t z = z_lo; z < z_hi; ++z) {
+            generic.finalize(cache.rung(K - 1), count, cache.stride(),
+                             cache.rung_pops(K - 1), planes.plane(c, z, 0),
+                             planes.plane(c, z, 1), w0, w1,
+                             scratch.table(local * bs + (z - base[K - 1]), c));
+          }
+        });
+      }
+    }
+  };
+  if constexpr (K == 3) {
+    PairTableCache& pairs = scratch.pair_tables();
+    pairs.select(planes, bs, static_cast<std::size_t>(bt[2]) * bs);
+    engine_detail::scan_block_tuple_impl<3>(
+        planes, tiling, scratch, bt, clip, accumulate,
+        [&](const combinatorics::Combination<3>& comb, int c,
+            const std::uint32_t* ft, std::uint32_t* row) {
+          complete_triple_row(planes, c, comb[0], comb[1], comb[2],
+                              pairs.row(cached.count, comb[0], comb[2], c),
+                              pairs.row(cached.count, comb[1], comb[2], c),
+                              ft, row);
+        },
+        static_cast<OnTable&&>(on_table));
+  } else {
+    engine_detail::scan_block_tuple_impl<K>(
+        planes, tiling, scratch, bt, clip, accumulate,
+        engine_detail::full_row<K>(planes), static_cast<OnTable&&>(on_table));
+  }
 }
 
 /// Unclipped ladder scan: every combination of the block tuple is emitted.
@@ -491,6 +602,7 @@ void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
           }
         }
       },
+      engine_detail::full_row<3>(planes),
       [&](const combinatorics::Combination<3>& c,
           const scoring::ContingencyTable& t) {
         on_table(combinatorics::Triplet{c[0], c[1], c[2]}, t);
@@ -504,63 +616,6 @@ void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
                        BlockScratch& scratch, const BlockTriple& bt,
                        OnTable&& on_table) {
   scan_block_triple(planes, tiling, kernel, scratch, bt, kFullRange,
-                    static_cast<OnTable&&>(on_table));
-}
-
-/// V5 at order 3: same walk as above, but the x∩y planes of each (i0, i1)
-/// with a nonempty window are built once per sample chunk into the
-/// ladder's rung 2 and the z loop runs the two-operand cached kernel — the
-/// x/y plane streams and their nine intersection ANDs leave the innermost
-/// loop entirely, and the z-NOR plane is never materialized (cells (gx, gy,
-/// 2) derive from the cached chunk popcounts).  Bit-identical to the direct
-/// kernels for every clip.
-template <typename OnTable>
-void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
-                       const TilingParams& tiling,
-                       const CachedKernelSet& kernels, BlockScratch& scratch,
-                       const BlockTriple& bt, const LastAxisWindow<3>& clip,
-                       OnTable&& on_table) {
-  const std::size_t bs = tiling.bs;
-  PairPlaneCache& cache = scratch.pair_cache();
-  cache.ensure(tiling.bp_words);
-  engine_detail::scan_block_tuple_impl<3>(
-      planes, tiling, scratch, BlockTuple<3>{bt.b0, bt.b1, bt.b2}, clip,
-      [&](const std::array<std::size_t, 3>& base, const auto& each_prefix) {
-        for (int c = 0; c < 2; ++c) {
-          const std::size_t words = planes.words(c);
-          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            each_prefix([&](const combinatorics::Combination<3>& p, unsigned,
-                            std::size_t local, std::size_t z_lo,
-                            std::size_t z_hi) {
-              std::fill(cache.pops(), cache.pops() + 9, 0u);
-              kernels.build(planes.plane(c, p[0], 0), planes.plane(c, p[0], 1),
-                            planes.plane(c, p[1], 0), planes.plane(c, p[1], 1),
-                            w0, w1, cache.planes(), cache.stride(),
-                            cache.pops());
-              for (std::size_t z = z_lo; z < z_hi; ++z) {
-                kernels.cached(cache.planes(), cache.stride(), cache.pops(),
-                               planes.plane(c, z, 0), planes.plane(c, z, 1),
-                               w0, w1,
-                               scratch.table(local * bs + (z - base[2]), c));
-              }
-            });
-          }
-        }
-      },
-      [&](const combinatorics::Combination<3>& c,
-          const scoring::ContingencyTable& t) {
-        on_table(combinatorics::Triplet{c[0], c[1], c[2]}, t);
-      });
-}
-
-/// Unclipped V5 scan: every triplet of the block triple is emitted.
-template <typename OnTable>
-void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
-                       const TilingParams& tiling,
-                       const CachedKernelSet& kernels, BlockScratch& scratch,
-                       const BlockTriple& bt, OnTable&& on_table) {
-  scan_block_triple(planes, tiling, kernels, scratch, bt, kFullRange,
                     static_cast<OnTable&&>(on_table));
 }
 
@@ -607,6 +662,7 @@ void scan_block_pair(const dataset::PhenoSplitPlanes& planes,
           }
         }
       },
+      engine_detail::full_row<2>(planes),
       [&](const combinatorics::Combination<2>& c,
           const scoring::PairContingencyTable& t) {
         on_table(combinatorics::Pair{c[0], c[1]}, t);

@@ -7,7 +7,7 @@
 ///   using namespace trigen;
 ///   dataset::GenotypeMatrix d = dataset::read_text_file("study.tg");
 ///   core::Detector det(d);                     // = BasicDetector<3>
-///   core::DetectorOptions opt;                 // defaults: V4, K2, auto ISA
+///   core::DetectorOptions opt;                 // defaults: V5, K2, auto ISA
 ///   core::DetectionResult r = det.run(opt);
 ///   // r.best.front().triplet is the most likely epistatic triplet.
 /// \endcode
@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "trigen/combinatorics/scheduler.hpp"
@@ -43,16 +44,25 @@ enum class CpuVersion {
   kV2Split,      ///< phenotype-split planes, genotype-2 inferred via NOR
   kV3Blocked,    ///< + loop tiling to L1 (Algorithm 1)
   kV4Vector,     ///< + vector intrinsics (per-ISA POPCNT strategy)
-  kV5PairCache,  ///< + the prefix-plane ladder: the 3^j intersection planes
-                 ///< of every j-SNP prefix (j = 2..k-1) are built once per
+  kV5PairCache,  ///< + the prefix-plane ladder: the intersection planes of
+                 ///< every j-SNP prefix (j = 2..k-1) are built once per
                  ///< (prefix, sample-chunk) and shared by all B_S last-axis
                  ///< SNPs, cutting the hot loop to two ANDs + two POPCNTs
                  ///< per cached plane and word (same per-ISA strategies,
-                 ///< bit-identical results).  At k = 2 the counts-only pair
-                 ///< path makes this identical to V4.
+                 ///< bit-identical results).  At k = 3 only the four
+                 ///< genotype-{0,1} planes are cached and the other cells
+                 ///< are completed from pair tables; at k = 2 the
+                 ///< counts-only pair path makes this identical to V4.
 };
 
 std::string cpu_version_name(CpuVersion v);
+
+/// The rung's number on the ladder (1..5), as the CLI's `--version` and the
+/// server's `version=` spell it.
+unsigned cpu_version_number(CpuVersion v);
+
+/// Inverse of cpu_version_number; nullopt outside 1..5.
+std::optional<CpuVersion> cpu_version_from_number(std::uint64_t n);
 
 /// The kernel family that dominates an order-`order` scan at `version`
 /// (`batched` overrides both: run_batched always ends in the batched
@@ -85,9 +95,12 @@ make_normalized_scorer_of(Objective o, std::uint32_t num_samples);
 /// Scan parameters shared by every interaction order.  Zero-valued fields
 /// mean "auto".
 struct ScanOptionsBase {
-  /// Default stays V4 until the fig3 benchmarks justify flipping; opt into
-  /// the prefix-plane-cached engine with kV5PairCache (CLI: --version 5).
-  CpuVersion version = CpuVersion::kV4Vector;
+  /// The rung every entry point defaults to (the CLI's --version, the
+  /// server's version=, fleet workers), at every order: bench_fig3_cpu
+  /// measures it ahead of V4 at k = 3..6 on every ISA, and at k = 2 both
+  /// run the same counts-only kernel.  V1-V4 stay selectable as the
+  /// paper's reference ladder.
+  CpuVersion version = CpuVersion::kV5PairCache;
   /// Vector strategy for V4/V5 (ignored by V1/V3, which are scalar by
   /// definition).  Defaults to the widest the host supports.
   KernelIsa isa = KernelIsa::kScalar;

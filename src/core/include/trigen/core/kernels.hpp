@@ -18,26 +18,31 @@
 /// matching the per-ISA strategies of the paper's V4; the scalar
 /// implementation doubles as the V2/V3 kernel.
 ///
-/// The **V5 pair-plane-cached** kernels split the work in two phases so
-/// the x∩y intersections are computed once per (x, y) instead of once per
-/// (x, y, z): `pair_plane_build` materializes the nine genotype
-/// intersection planes xg∩yg for one sample-word chunk (plus their
-/// popcounts), and `triple_block_cached` combines them with a z operand.
-/// Because the three z genotype planes partition every sample bit,
-/// |xy∩z2| = |xy| - |xy∩z0| - |xy∩z1|: the cached kernel needs only 18
-/// ANDs + 18 POPCNTs per word against V4's 42 ANDs + 27 POPCNTs, never
-/// materializes the z NOR plane, and streams two plane operands instead
-/// of six.  Both phases exist per ISA and are exact, so V5 is
-/// bit-identical to V2-V4.
+/// The **V5** order-3 path counts only the eight genotype-{0,1}^3 cells.
+/// Once per (x, y, sample chunk) the order-generic `extend01` kernel
+/// materializes the four planes xa∩yb with a, b in {0, 1} (plus their
+/// popcounts) straight from the two stored planes of each SNP, and the
+/// generic `finalize` kernel with count = 4 combines them with a z operand:
+/// 8 ANDs + 8 POPCNTs per word against V4's 42 ANDs + 27 POPCNTs.  The
+/// (a, b, 2) cells come from the chunk popcounts (the z genotype planes
+/// partition every bit), and `complete_triple_row` derives the fifteen
+/// cells with genotype 2 at x or y from the xz and yz pair tables of the
+/// counts-only pair kernel plus the per-SNP genotype counts.  Every step is
+/// exact integer arithmetic, so V5 is bit-identical to V2-V4.  The
+/// nine-plane `pair_plane_build` kernel remains as rung 2 of the k >= 4
+/// ladder and of the batched engines.  `triple_block_cached` has no caller
+/// in the engines any more; it is kept only for perfbench's kernel probe
+/// and the kernel benchmarks.
 ///
 /// NOR padding: plane tail bits are zero, so an inferred genotype-2 plane
 /// has ones there and the kernels that form one over-count the
 /// all-genotype-2 cell by exactly the class's padding-bit count.  Callers
 /// subtract `PhenoSplitPlanes::pad_bits` once per class after the last word
 /// block (see blocked_engine.hpp) — keeping the hot loop mask-free.  The
-/// pair count kernel is the exception: it reads only the stored, zero-padded
-/// genotype 0/1 planes and never forms a genotype-2 plane, so its four
-/// cells are exact and `complete_pair_row` derives the other five from the
+/// pair count kernel and the V5 order-3 path are the exception: they read
+/// only the stored, zero-padded genotype 0/1 planes of x and y and never
+/// form a genotype-2 plane, so their counted cells are exact and
+/// `complete_pair_row` / `complete_triple_row` derive the rest from the
 /// per-SNP genotype counts, with no padding term at all.
 
 #include <cstdint>
@@ -62,10 +67,11 @@ using TripleBlockKernel = void (*)(const Word* x0, const Word* x1,
                                    std::size_t w_begin, std::size_t w_end,
                                    std::uint32_t* ft27);
 
-/// V5 phase 1: materializes the nine x∩y genotype intersection planes of
-/// one (x, y) SNP pair for words [w_begin, w_end).  Plane p = gx*3 + gy is
-/// written to `xy[p*stride + (w - w_begin)]`; each plane's popcount over
-/// the chunk is *added* into `xy_pop9[p]` (callers zero it per chunk).
+/// Pair-plane build (rung 2 of the nine-plane ladder): materializes the
+/// nine x∩y genotype intersection planes of one (x, y) SNP pair for words
+/// [w_begin, w_end).  Plane p = gx*3 + gy is written to
+/// `xy[p*stride + (w - w_begin)]`; each plane's popcount over the chunk is
+/// *added* into `xy_pop9[p]` (callers zero it per chunk).
 /// `stride` must be >= w_end - w_begin; planes start 64-byte aligned when
 /// `xy` is 64-byte aligned and `stride` is a multiple of 16 words.
 using PairPlaneBuildKernel = void (*)(const Word* x0, const Word* x1,
@@ -74,11 +80,12 @@ using PairPlaneBuildKernel = void (*)(const Word* x0, const Word* x1,
                                       Word* xy, std::size_t stride,
                                       std::uint32_t* xy_pop9);
 
-/// V5 phase 2: accumulates the 27 counts of one triplet from the cached
-/// planes of its (x, y) pair plus the z operand planes.  The cache is read
-/// at relative offsets [0, w_end - w_begin); z0/z1 are indexed absolutely
-/// at [w_begin, w_end).  Cells (gx, gy, 2) are derived from the chunk
-/// popcounts: |xy ∩ z2| = xy_pop9[p] - |xy ∩ z0| - |xy ∩ z1| (the z
+/// Pair-plane-cached triple kernel: accumulates the 27 counts of one
+/// triplet from the nine cached planes of its (x, y) pair plus the z
+/// operand planes.  The cache is read at relative offsets [0, w_end -
+/// w_begin); z0/z1 are indexed absolutely at [w_begin, w_end).  Cells
+/// (gx, gy, 2) are derived from the chunk popcounts:
+/// |xy ∩ z2| = xy_pop9[p] - |xy ∩ z0| - |xy ∩ z1| (the z
 /// genotype planes partition every bit, padding included, so the phantom
 /// (2,2,2) padding observations behave exactly as in the direct kernels).
 /// Adds into `ft27` (not zeroed here).
@@ -124,7 +131,49 @@ inline void complete_pair_row(const dataset::PhenoSplitPlanes& p, int c,
            row[7];
 }
 
-/// The V5 phases for one vectorization strategy.
+/// The twelve order-3 cells the V5 path counts: n(a, b, g) for a, b in
+/// {0, 1} and every g sit at ft12[(a*2 + b)*3 + g], the layout the
+/// finalize kernel leaves after a four-plane extend01 rung.
+///
+/// Completes one class row of the triplet (x, y, z) table from those cells
+/// (exact over the whole class) and the four {0,1} cells of the pair
+/// tables (x, z) and (y, z), in kPairCountCells order as a
+/// PairPlaneCountKernel leaves them.  With the pair tables completed by
+/// complete_pair_row, every cell with a genotype-2 at x or y follows from
+/// the partition of each class by a SNP's three genotypes:
+///   n(a,2,g) = n_xz(a,g) − n(a,0,g) − n(a,1,g),
+///   n(2,b,g) = n_yz(b,g) − n(0,b,g) − n(1,b,g),
+///   n(2,2,g) = n_xz(2,g) − n(2,0,g) − n(2,1,g).
+/// Writes all 27 cells of `row`.
+inline void complete_triple_row(const dataset::PhenoSplitPlanes& p, int c,
+                                std::size_t x, std::size_t y, std::size_t z,
+                                const std::uint32_t* xz4,
+                                const std::uint32_t* yz4,
+                                const std::uint32_t* ft12,
+                                std::uint32_t* row) {
+  std::uint32_t xz[9] = {xz4[0], xz4[1], 0, xz4[2], xz4[3]};
+  std::uint32_t yz[9] = {yz4[0], yz4[1], 0, yz4[2], yz4[3]};
+  complete_pair_row(p, c, x, z, xz);
+  complete_pair_row(p, c, y, z, yz);
+  for (std::size_t g = 0; g < 3; ++g) {
+    for (std::size_t a = 0; a < 2; ++a) {
+      for (std::size_t b = 0; b < 2; ++b) {
+        row[a * 9 + b * 3 + g] = ft12[(a * 2 + b) * 3 + g];
+      }
+      row[a * 9 + 6 + g] =
+          xz[a * 3 + g] - row[a * 9 + g] - row[a * 9 + 3 + g];
+    }
+    for (std::size_t b = 0; b < 2; ++b) {
+      row[18 + b * 3 + g] = yz[b * 3 + g] - row[b * 3 + g] - row[9 + b * 3 + g];
+    }
+    row[24 + g] = xz[6 + g] - row[18 + g] - row[21 + g];
+  }
+}
+
+/// The nine-plane V5 phases for one vectorization strategy plus the
+/// counts-only pair kernel.  `build` is rung 2 of the k >= 4 ladder and of
+/// the batched engines; `cached` is called only by perfbench's kernel probe
+/// and the kernel benchmarks.
 struct CachedKernelSet {
   PairPlaneBuildKernel build = nullptr;
   TripleBlockCachedKernel cached = nullptr;
@@ -142,10 +191,11 @@ struct CachedKernelSet {
 // (the SNP's three genotype planes partition every sample bit, padding
 // included, so P∩s2 = P ^ (P∩s0) ^ (P∩s1)).  The final SNP never
 // materializes planes at all: |P∩z2| = |P| - |P∩z0| - |P∩z1|, exactly the
-// triple-cached kernel with 3^(K-2) prefixes instead of 9.  The k=2/k=3
-// engines keep their dedicated kernels above; these runtime-count variants
-// serve K >= 4 (scalar + AVX2; the AVX-512 strategies dispatch to the
-// widest compiled generic path).
+// triple-cached kernel with 3^(K-2) prefixes instead of 9.  `extend01`
+// keeps only the two genotype-{0,1} children, the rung of the order-3
+// 2^k-cell path.  Every strategy carries its own extend01; VPOPCNTDQ also
+// carries its own finalize, and the rest of the family runs the widest
+// compiled AVX2 (or scalar) body.
 
 /// Ladder extension: for each of `count` cached prefix planes
 /// (`prefix[t*stride + rel]`, rel in [0, w_end - w_begin)), writes the
@@ -161,11 +211,21 @@ using PrefixExtendKernel = void (*)(const Word* prefix, std::size_t count,
                                     std::size_t out_stride,
                                     std::uint32_t* out_pops);
 
+/// {0,1} extension (`extend01`, same signature): for each of `count`
+/// prefix planes writes only the two children P∩s0 and P∩s1 to
+/// `out[(t*2 + g)*out_stride + rel]`, g in {0, 1}, and — when `out_pops`
+/// is non-null — *adds* their chunk popcounts into `out_pops[t*2 + g]`.
+/// At order 3 the prefix is x's two stored planes (`prefix` = x0 + w_begin,
+/// `stride` = the class's words, since x1 directly follows x0), so the
+/// four output planes are xa∩yb, a, b in {0, 1}, in finalize order.
+
 /// Ladder final rung: accumulates the 3^K counts of one combination from
 /// the `count` = 3^(K-1) cached prefix planes plus the last SNP's operand
 /// planes; cell layout ft[t*3 + g] matches cell = sum g_j * 3^(K-1-j).
 /// Semantics otherwise identical to TripleBlockCachedKernel (which is this
-/// kernel with count = 9).  Adds into `ft` (not zeroed here).
+/// kernel with count = 9); any count works, e.g. count = 4 over an
+/// extend01 rung fills the twelve cells complete_triple_row reads.  Adds
+/// into `ft` (not zeroed here).
 using PrefixFinalKernel = void (*)(const Word* prefix, std::size_t count,
                                    std::size_t stride,
                                    const std::uint32_t* prefix_pops,
@@ -185,6 +245,7 @@ using TupleBlockKernel = void (*)(const Word* const* g0, const Word* const* g1,
 /// The order-generic kernel family for one vectorization strategy.
 struct GenericKernelSet {
   PrefixExtendKernel extend = nullptr;
+  PrefixExtendKernel extend01 = nullptr;
   PrefixFinalKernel finalize = nullptr;
   TupleBlockKernel direct = nullptr;
 };
@@ -282,11 +343,13 @@ TripleBlockKernel get_kernel(KernelIsa isa);
 CachedKernelSet get_cached_kernels(KernelIsa isa);
 
 /// Fetch the order-generic kernel family for `isa`; throws
-/// std::runtime_error if unavailable.  The scalar strategy maps to the
-/// scalar generics; every vector strategy maps to the widest compiled
-/// generic path (AVX2 when built, scalar otherwise) — any host that can
-/// execute an AVX-512 strategy can execute AVX2, and the generics are
-/// exact on every path.
+/// std::runtime_error if unavailable.  `extend01` is always the strategy's
+/// own body.  VPOPCNTDQ also gets its own `finalize`; `extend`, `direct`
+/// and every other strategy's `finalize` are the widest compiled generic
+/// path (AVX2 when built, scalar otherwise): any host that can execute an
+/// AVX-512 strategy can execute AVX2, and the generics are exact on every
+/// path.  (An extract + scalar POPCNT AVX-512 finalize measured no faster
+/// than the AVX2 body at k = 3 or 4.)
 GenericKernelSet get_generic_kernels(KernelIsa isa);
 
 /// Fetch the batched multi-phenotype kernels for `isa`; throws

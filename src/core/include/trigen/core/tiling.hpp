@@ -39,18 +39,19 @@ struct L1Config {
 /// bp_words down to a multiple of the kernel's vector width ("B_P is
 /// rounded to the closest multiple of the number of 32-bit integers that
 /// fit in the vector registers").  When `pair_cache` is set (the V5
-/// engine), the streamed-block budget additionally covers the nine cached
-/// x∩y planes, so B_P solves B_S*B_P*4*2 + 9*B_P*4 <= size_Block instead
-/// of the plain two-plane-stream formula.
+/// engine), the streamed-block budget additionally covers the four cached
+/// {0,1} x∩y planes, so B_P solves B_S*B_P*4*2 + 4*B_P*4 <= size_Block
+/// instead of the plain two-plane-stream formula.
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              bool pair_cache = false);
 
 /// Order-generic sizing: B_S solves B_S^order * 4 * 2 * 3^order <= size_FT
 /// (the tables of one block tuple hold 3^order cells per class), and the
 /// streamed-block budget covers the prefix-plane ladder when `cached` is
-/// set: rungs 2..order-1 hold sum 3^j planes of B_P words each.  The
-/// 3-argument overload above is exactly `order == 3` with `cached ==
-/// pair_cache`.
+/// set: the four {0,1} planes of rung 2 at order 3 (pair_cache_bytes),
+/// rungs 2..order-1 with sum 3^j planes of B_P words each above
+/// (prefix_cache_bytes).  The 3-argument overload above is exactly
+/// `order == 3` with `cached == pair_cache`.
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              unsigned order, bool cached);
 
@@ -98,9 +99,9 @@ constexpr std::size_t tuple_tables_bytes(std::size_t bs, unsigned order) {
   return tuples * 4 * 2 * pow3(order);
 }
 
-/// Bytes the prefix-plane ladder occupies for a B_P-word chunk at order k:
-/// rungs 2..k-1 hold sum 3^j intersection planes of 32-bit words (zero for
-/// k <= 2, the nine-plane pair cache for k == 3).
+/// Bytes the nine-plane prefix-plane ladder occupies for a B_P-word chunk
+/// at order k: rungs 2..k-1 hold sum 3^j intersection planes of 32-bit
+/// words (zero for k <= 2; the batched engines' nine planes at k == 3).
 constexpr std::size_t prefix_cache_bytes(std::size_t bp_words, unsigned order) {
   std::size_t planes = 0;
   for (unsigned j = 2; j < order; ++j) planes += pow3(j);
@@ -117,10 +118,10 @@ constexpr std::size_t block_bytes(std::size_t bs, std::size_t bp_words) {
   return bs * bp_words * 4 * 2;
 }
 
-/// Bytes the V5 pair-plane cache occupies for a B_P-word chunk (nine x∩y
-/// intersection planes of 32-bit words).
+/// Bytes the V5 order-3 rung occupies for a B_P-word chunk (the four
+/// {0,1} x∩y intersection planes of 32-bit words).
 constexpr std::size_t pair_cache_bytes(std::size_t bp_words) {
-  return 9 * bp_words * 4;
+  return 4 * bp_words * 4;
 }
 
 }  // namespace trigen::core

@@ -380,6 +380,92 @@ void prefix_extend_avx2(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
   }
 }
 
+namespace {
+
+/// extend01 with the popcount strategy `Pop` (extract or Harley-Seal):
+/// `Pop::add(acc, v)` folds the bit count of v into a per-plane accumulator
+/// and `Pop::sum(acc)` reduces it.
+template <typename Pop>
+void prefix_extend01_avx2_with(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops) {
+  const std::size_t n = w_end - w_begin;
+  for (std::size_t t = 0; t < count; ++t) {
+    const Word* TRIGEN_RESTRICT pt = prefix + t * stride;
+    Word* TRIGEN_RESTRICT o0 = out + (t * 2 + 0) * out_stride;
+    Word* TRIGEN_RESTRICT o1 = out + (t * 2 + 1) * out_stride;
+    typename Pop::Acc acc0 = Pop::zero();
+    typename Pop::Acc acc1 = Pop::zero();
+    std::size_t r = 0;
+    for (; r + 8 <= n; r += 8) {
+      const __m256i p =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pt + r));
+      const __m256i a = _mm256_and_si256(
+          p, _mm256_loadu_si256(
+                 reinterpret_cast<const __m256i*>(s0 + w_begin + r)));
+      const __m256i b = _mm256_and_si256(
+          p, _mm256_loadu_si256(
+                 reinterpret_cast<const __m256i*>(s1 + w_begin + r)));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(o0 + r), a);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(o1 + r), b);
+      acc0 = Pop::add(acc0, a);
+      acc1 = Pop::add(acc1, b);
+    }
+    std::uint32_t c0 = Pop::sum(acc0);
+    std::uint32_t c1 = Pop::sum(acc1);
+    for (; r < n; ++r) {
+      const Word a = pt[r] & s0[w_begin + r];
+      const Word b = pt[r] & s1[w_begin + r];
+      o0[r] = a;
+      o1[r] = b;
+      c0 += static_cast<std::uint32_t>(std::popcount(a));
+      c1 += static_cast<std::uint32_t>(std::popcount(b));
+    }
+    if (out_pops != nullptr) {
+      out_pops[t * 2 + 0] += c0;
+      out_pops[t * 2 + 1] += c1;
+    }
+  }
+}
+
+struct ExtractPop {
+  using Acc = std::uint32_t;
+  static Acc zero() { return 0; }
+  static Acc add(Acc acc, __m256i v) { return acc + popcnt256_extract(v); }
+  static std::uint32_t sum(Acc acc) { return acc; }
+};
+
+struct HarleySealPop {
+  using Acc = __m256i;
+  static Acc zero() { return _mm256_setzero_si256(); }
+  static Acc add(Acc acc, __m256i v) { return hs_accumulate(acc, v); }
+  static std::uint32_t sum(Acc acc) { return hsum_sad256(acc); }
+};
+
+}  // namespace
+
+void prefix_extend01_avx2(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops) {
+  prefix_extend01_avx2_with<ExtractPop>(prefix, count, stride, s0, s1,
+                                        w_begin, w_end, out, out_stride,
+                                        out_pops);
+}
+
+void prefix_extend01_avx2_harley_seal(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops) {
+  prefix_extend01_avx2_with<HarleySealPop>(prefix, count, stride, s0, s1,
+                                           w_begin, w_end, out, out_stride,
+                                           out_pops);
+}
+
 void prefix_final_avx2(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
                        std::size_t stride,
                        const std::uint32_t* TRIGEN_RESTRICT prefix_pops,

@@ -166,6 +166,47 @@ void triple_block_cached_avx512_extract(
   }
 }
 
+void prefix_extend01_avx512_extract(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops) {
+  const std::size_t n = w_end - w_begin;
+  for (std::size_t t = 0; t < count; ++t) {
+    const Word* TRIGEN_RESTRICT pt = prefix + t * stride;
+    Word* TRIGEN_RESTRICT o0 = out + (t * 2 + 0) * out_stride;
+    Word* TRIGEN_RESTRICT o1 = out + (t * 2 + 1) * out_stride;
+    std::uint32_t c0 = 0, c1 = 0;
+    std::size_t r = 0;
+    for (; r + 16 <= n; r += 16) {
+      const __m512i p =
+          _mm512_loadu_si512(reinterpret_cast<const void*>(pt + r));
+      const __m512i a = _mm512_and_si512(
+          p,
+          _mm512_loadu_si512(reinterpret_cast<const void*>(s0 + w_begin + r)));
+      const __m512i b = _mm512_and_si512(
+          p,
+          _mm512_loadu_si512(reinterpret_cast<const void*>(s1 + w_begin + r)));
+      _mm512_storeu_si512(reinterpret_cast<void*>(o0 + r), a);
+      _mm512_storeu_si512(reinterpret_cast<void*>(o1 + r), b);
+      c0 += popcnt512_extract(a);
+      c1 += popcnt512_extract(b);
+    }
+    for (; r < n; ++r) {
+      const Word a = pt[r] & s0[w_begin + r];
+      const Word b = pt[r] & s1[w_begin + r];
+      o0[r] = a;
+      o1[r] = b;
+      c0 += static_cast<std::uint32_t>(std::popcount(a));
+      c1 += static_cast<std::uint32_t>(std::popcount(b));
+    }
+    if (out_pops != nullptr) {
+      out_pops[t * 2 + 0] += c0;
+      out_pops[t * 2 + 1] += c1;
+    }
+  }
+}
+
 namespace {
 
 // Batched label-pops over a window of G sixteen-lane label groups.  One pass

@@ -170,6 +170,139 @@ void triple_block_cached_avx512_vpopcnt(
   }
 }
 
+void prefix_extend01_avx512_vpopcnt(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops) {
+  const std::size_t n = w_end - w_begin;
+  for (std::size_t t = 0; t < count; ++t) {
+    const Word* TRIGEN_RESTRICT pt = prefix + t * stride;
+    Word* TRIGEN_RESTRICT o0 = out + (t * 2 + 0) * out_stride;
+    Word* TRIGEN_RESTRICT o1 = out + (t * 2 + 1) * out_stride;
+    __m512i acc0 = _mm512_setzero_si512();
+    __m512i acc1 = _mm512_setzero_si512();
+    std::size_t r = 0;
+    for (; r + 16 <= n; r += 16) {
+      const __m512i p =
+          _mm512_loadu_si512(reinterpret_cast<const void*>(pt + r));
+      const __m512i a = _mm512_and_si512(
+          p,
+          _mm512_loadu_si512(reinterpret_cast<const void*>(s0 + w_begin + r)));
+      const __m512i b = _mm512_and_si512(
+          p,
+          _mm512_loadu_si512(reinterpret_cast<const void*>(s1 + w_begin + r)));
+      _mm512_storeu_si512(reinterpret_cast<void*>(o0 + r), a);
+      _mm512_storeu_si512(reinterpret_cast<void*>(o1 + r), b);
+      acc0 = _mm512_add_epi32(acc0, _mm512_popcnt_epi32(a));
+      acc1 = _mm512_add_epi32(acc1, _mm512_popcnt_epi32(b));
+    }
+    std::uint32_t c0 =
+        static_cast<std::uint32_t>(_mm512_reduce_add_epi32(acc0));
+    std::uint32_t c1 =
+        static_cast<std::uint32_t>(_mm512_reduce_add_epi32(acc1));
+    for (; r < n; ++r) {
+      const Word a = pt[r] & s0[w_begin + r];
+      const Word b = pt[r] & s1[w_begin + r];
+      o0[r] = a;
+      o1[r] = b;
+      c0 += static_cast<std::uint32_t>(std::popcount(a));
+      c1 += static_cast<std::uint32_t>(std::popcount(b));
+    }
+    if (out_pops != nullptr) {
+      out_pops[t * 2 + 0] += c0;
+      out_pops[t * 2 + 1] += c1;
+    }
+  }
+}
+
+namespace {
+
+/// Finalize over G <= 4 consecutive prefix planes: each z word is loaded
+/// once per group and ANDed against all G planes; the 2*G lane-wise
+/// accumulators are reduced once at the end (32-bit lanes cannot overflow
+/// for any plane shorter than 2^26 words).
+template <int G>
+void prefix_final_group_vpopcnt(const Word* TRIGEN_RESTRICT prefix,
+                                std::size_t stride,
+                                const std::uint32_t* TRIGEN_RESTRICT pops,
+                                const Word* TRIGEN_RESTRICT z0,
+                                const Word* TRIGEN_RESTRICT z1,
+                                std::size_t w_begin, std::size_t n,
+                                std::uint32_t* TRIGEN_RESTRICT ft) {
+  __m512i a0[G];
+  __m512i a1[G];
+  for (int g = 0; g < G; ++g) {
+    a0[g] = _mm512_setzero_si512();
+    a1[g] = _mm512_setzero_si512();
+  }
+  std::size_t r = 0;
+  for (; r + 16 <= n; r += 16) {
+    const __m512i v0 =
+        _mm512_loadu_si512(reinterpret_cast<const void*>(z0 + w_begin + r));
+    const __m512i v1 =
+        _mm512_loadu_si512(reinterpret_cast<const void*>(z1 + w_begin + r));
+    for (int g = 0; g < G; ++g) {
+      const __m512i v = _mm512_loadu_si512(reinterpret_cast<const void*>(
+          prefix + static_cast<std::size_t>(g) * stride + r));
+      a0[g] = _mm512_add_epi32(a0[g],
+                               _mm512_popcnt_epi32(_mm512_and_si512(v, v0)));
+      a1[g] = _mm512_add_epi32(a1[g],
+                               _mm512_popcnt_epi32(_mm512_and_si512(v, v1)));
+    }
+  }
+  std::uint32_t c0[G];
+  std::uint32_t c1[G];
+  for (int g = 0; g < G; ++g) {
+    c0[g] = static_cast<std::uint32_t>(_mm512_reduce_add_epi32(a0[g]));
+    c1[g] = static_cast<std::uint32_t>(_mm512_reduce_add_epi32(a1[g]));
+  }
+  for (; r < n; ++r) {
+    for (int g = 0; g < G; ++g) {
+      const Word v = prefix[static_cast<std::size_t>(g) * stride + r];
+      c0[g] += static_cast<std::uint32_t>(std::popcount(v & z0[w_begin + r]));
+      c1[g] += static_cast<std::uint32_t>(std::popcount(v & z1[w_begin + r]));
+    }
+  }
+  for (int g = 0; g < G; ++g) {
+    ft[g * 3 + 0] += c0[g];
+    ft[g * 3 + 1] += c1[g];
+    ft[g * 3 + 2] += pops[g] - c0[g] - c1[g];
+  }
+}
+
+}  // namespace
+
+void prefix_final_avx512_vpopcnt(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
+    const Word* TRIGEN_RESTRICT z0, const Word* TRIGEN_RESTRICT z1,
+    std::size_t w_begin, std::size_t w_end, std::uint32_t* TRIGEN_RESTRICT ft) {
+  const std::size_t n = w_end - w_begin;
+  std::size_t t = 0;
+  for (; t + 4 <= count; t += 4) {
+    prefix_final_group_vpopcnt<4>(prefix + t * stride, stride,
+                                  prefix_pops + t, z0, z1, w_begin, n,
+                                  ft + t * 3);
+  }
+  const Word* const rest = prefix + t * stride;
+  switch (count - t) {
+    case 3:
+      prefix_final_group_vpopcnt<3>(rest, stride, prefix_pops + t, z0, z1,
+                                    w_begin, n, ft + t * 3);
+      break;
+    case 2:
+      prefix_final_group_vpopcnt<2>(rest, stride, prefix_pops + t, z0, z1,
+                                    w_begin, n, ft + t * 3);
+      break;
+    case 1:
+      prefix_final_group_vpopcnt<1>(rest, stride, prefix_pops + t, z0, z1,
+                                    w_begin, n, ft + t * 3);
+      break;
+    default: break;
+  }
+}
+
 namespace {
 
 // Batched label-pops over a window of G sixteen-lane label groups: one pass

@@ -71,6 +71,11 @@ void prefix_extend_scalar(const Word* TRIGEN_RESTRICT prefix,
                           std::size_t w_end, Word* TRIGEN_RESTRICT out,
                           std::size_t out_stride,
                           std::uint32_t* TRIGEN_RESTRICT out_pops);
+void prefix_extend01_scalar(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops);
 void prefix_final_scalar(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
                          std::size_t stride,
                          const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
@@ -159,6 +164,16 @@ void prefix_extend_avx2(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
                         std::size_t w_end, Word* TRIGEN_RESTRICT out,
                         std::size_t out_stride,
                         std::uint32_t* TRIGEN_RESTRICT out_pops);
+void prefix_extend01_avx2(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops);
+void prefix_extend01_avx2_harley_seal(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops);
 void prefix_final_avx2(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
                        std::size_t stride,
                        const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
@@ -214,6 +229,11 @@ void pair_plane_count_avx512_extract(
     const Word* TRIGEN_RESTRICT y0, const Word* TRIGEN_RESTRICT y1,
     std::size_t w_begin, std::size_t w_end,
     std::uint32_t* TRIGEN_RESTRICT xy_pop9);
+void prefix_extend01_avx512_extract(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops);
 void batch_label_pops_avx512(const Word* TRIGEN_RESTRICT prefix,
                              std::size_t count, std::size_t stride,
                              const Word* TRIGEN_RESTRICT labels,
@@ -259,6 +279,16 @@ void pair_plane_count_avx512_vpopcnt(
     const Word* TRIGEN_RESTRICT y0, const Word* TRIGEN_RESTRICT y1,
     std::size_t w_begin, std::size_t w_end,
     std::uint32_t* TRIGEN_RESTRICT xy_pop9);
+void prefix_extend01_avx512_vpopcnt(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops);
+void prefix_final_avx512_vpopcnt(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
+    const Word* TRIGEN_RESTRICT z0, const Word* TRIGEN_RESTRICT z1,
+    std::size_t w_begin, std::size_t w_end, std::uint32_t* TRIGEN_RESTRICT ft);
 void batch_label_pops_avx512_vpopcnt(
     const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
     const Word* TRIGEN_RESTRICT labels, std::size_t num_labels,

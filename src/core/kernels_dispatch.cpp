@@ -186,20 +186,43 @@ GenericKernelSet get_generic_kernels(KernelIsa isa) {
     throw std::runtime_error("kernel '" + kernel_isa_name(isa) +
                              "' not available on this host");
   }
-  // Scalar stays scalar; every vector strategy maps to the widest compiled
-  // generic path.  An AVX-512-capable host always executes AVX2, and every
-  // variant is exact, so results are bit-identical across the mapping.
-  if (isa == KernelIsa::kScalar) {
-    return {&detail::prefix_extend_scalar, &detail::prefix_final_scalar,
-            &detail::tuple_block_scalar};
-  }
+  // Each strategy has its own extend01, and VPOPCNTDQ its own finalize;
+  // the rest maps to the widest compiled generic path.  An
+  // AVX-512-capable host always executes AVX2, and every variant is exact,
+  // so results are bit-identical across the mapping.
 #if defined(TRIGEN_KERNEL_AVX2)
-  return {&detail::prefix_extend_avx2, &detail::prefix_final_avx2,
-          &detail::tuple_block_avx2};
+  GenericKernelSet k{&detail::prefix_extend_avx2, nullptr,
+                     &detail::prefix_final_avx2, &detail::tuple_block_avx2};
 #else
-  return {&detail::prefix_extend_scalar, &detail::prefix_final_scalar,
-          &detail::tuple_block_scalar};
+  GenericKernelSet k{&detail::prefix_extend_scalar, nullptr,
+                     &detail::prefix_final_scalar, &detail::tuple_block_scalar};
 #endif
+  switch (isa) {
+    case KernelIsa::kScalar:
+      return {&detail::prefix_extend_scalar, &detail::prefix_extend01_scalar,
+              &detail::prefix_final_scalar, &detail::tuple_block_scalar};
+#if defined(TRIGEN_KERNEL_AVX2)
+    case KernelIsa::kAvx2:
+      k.extend01 = &detail::prefix_extend01_avx2;
+      return k;
+    case KernelIsa::kAvx2HarleySeal:
+      k.extend01 = &detail::prefix_extend01_avx2_harley_seal;
+      return k;
+#endif
+#if defined(TRIGEN_KERNEL_AVX512)
+    case KernelIsa::kAvx512Extract:
+      k.extend01 = &detail::prefix_extend01_avx512_extract;
+      return k;
+#endif
+#if defined(TRIGEN_KERNEL_AVX512VPOPCNT)
+    case KernelIsa::kAvx512Vpopcnt:
+      k.extend01 = &detail::prefix_extend01_avx512_vpopcnt;
+      k.finalize = &detail::prefix_final_avx512_vpopcnt;
+      return k;
+#endif
+    default:
+      throw std::runtime_error("kernel not compiled in");
+  }
 }
 
 BatchKernelSet get_batch_kernels(KernelIsa isa) {

@@ -132,6 +132,32 @@ void prefix_extend_scalar(const Word* TRIGEN_RESTRICT prefix,
   }
 }
 
+void prefix_extend01_scalar(
+    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
+    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
+    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
+    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops) {
+  const std::size_t n = w_end - w_begin;
+  for (std::size_t t = 0; t < count; ++t) {
+    const Word* TRIGEN_RESTRICT pt = prefix + t * stride;
+    Word* TRIGEN_RESTRICT o0 = out + (t * 2 + 0) * out_stride;
+    Word* TRIGEN_RESTRICT o1 = out + (t * 2 + 1) * out_stride;
+    std::uint32_t c0 = 0, c1 = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const Word a = pt[r] & s0[w_begin + r];
+      const Word b = pt[r] & s1[w_begin + r];
+      o0[r] = a;
+      o1[r] = b;
+      c0 += static_cast<std::uint32_t>(std::popcount(a));
+      c1 += static_cast<std::uint32_t>(std::popcount(b));
+    }
+    if (out_pops != nullptr) {
+      out_pops[t * 2 + 0] += c0;
+      out_pops[t * 2 + 1] += c1;
+    }
+  }
+}
+
 void prefix_final_scalar(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
                          std::size_t stride,
                          const std::uint32_t* TRIGEN_RESTRICT prefix_pops,

@@ -43,16 +43,18 @@ TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
 
   // B_S * B_P * 4 * 2 <= size_Block, B_P a multiple of the vector width.
   // The cached engine keeps the prefix-plane ladder (rungs 2..order-1) hot
-  // alongside the streamed block, so its chunk adds prefix_cache_bytes to
-  // the budget.  PrefixPlaneCache rounds its per-plane stride up to a
-  // whole number of AVX-512 registers, so B_P itself is rounded to that
-  // granularity — stride == B_P and the budgeted footprint is the
-  // allocated one.
+  // alongside the streamed block, so its chunk adds the ladder's bytes to
+  // the budget: the four {0,1} planes of rung 2 at order 3, every rung's
+  // 3^j planes above.  PrefixPlaneCache rounds its per-plane stride up to
+  // a whole number of AVX-512 registers, so B_P itself is rounded to that
+  // granularity — stride == B_P and the budgeted footprint is the one the
+  // scan touches.
   const bool has_cache_planes = cached && order >= 3;
+  const std::size_t ladder_bytes =
+      order == 3 ? pair_cache_bytes(1) : prefix_cache_bytes(1, order);
   const double bytes_per_bp =
       4.0 * 2 * static_cast<double>(bs) +
-      (has_cache_planes ? static_cast<double>(prefix_cache_bytes(1, order))
-                        : 0.0);
+      (has_cache_planes ? static_cast<double>(ladder_bytes) : 0.0);
   std::size_t bp = static_cast<std::size_t>(size_block / bytes_per_bp);
   const std::size_t granule =
       has_cache_planes ? std::max(vector_words, dataset::kWordsPerVector)

@@ -43,7 +43,7 @@ struct WorkerOptions {
   /// to w<pid>.
   std::string id = "worker";
   unsigned threads = 0;  ///< 0 = hardware concurrency
-  core::CpuVersion version = core::CpuVersion::kV4Vector;
+  core::CpuVersion version = core::ScanOptionsBase{}.version;
   std::optional<core::KernelIsa> isa;  ///< pin a kernel ISA (else auto/config)
   core::ConfigResolver config;         ///< tuning-profile resolver
   std::uint64_t poll_ms = 200;         ///< wait/retry granularity

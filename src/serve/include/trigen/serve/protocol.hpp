@@ -13,6 +13,10 @@
 ///     ping
 ///     shutdown
 ///
+/// `version=` picks the ladder rung; without it a scan runs the library
+/// default, `core::ScanOptionsBase{}.version` (V5), and the `ok` line that
+/// accepts a scan names the rung it will run (`version=N`).
+///
 /// plus the fleet-coordination verbs spoken by `trigen work` against a
 /// `trigen coordinate` service (same transports, same response shapes; a
 /// plain scan server rejects them with a precise error and vice versa):

@@ -64,14 +64,13 @@ core::Objective param_objective(
 
 core::CpuVersion param_version(
     const std::map<std::string, std::string>& params) {
-  switch (param_u64(params, "version", 4)) {
-    case 1: return core::CpuVersion::kV1Naive;
-    case 2: return core::CpuVersion::kV2Split;
-    case 3: return core::CpuVersion::kV3Blocked;
-    case 4: return core::CpuVersion::kV4Vector;
-    case 5: return core::CpuVersion::kV5PairCache;
-    default: reject("version expects 1..5");
+  if (params.find("version") == params.end()) {
+    return core::ScanOptionsBase{}.version;
   }
+  const auto version =
+      core::cpu_version_from_number(param_u64(params, "version", 0));
+  if (!version) reject("version expects 1..5");
+  return *version;
 }
 
 /// Runtime order -> compile-time instantiation (same dispatch shape as the
@@ -495,7 +494,8 @@ struct ScanServer::Impl {
       dopt.top_k =
           static_cast<std::size_t>(param_u64(req.params, "top", 10));
       if (dopt.top_k == 0) reject("top expects >= 1");
-      dopt.version = param_version(req.params);
+      const core::CpuVersion version = param_version(req.params);
+      dopt.version = version;
       dopt.threads = 1;  // parallelism comes from the shared pool
       dopt.config = opt.config;
       core::ensure_default_scorer(dopt, d.num_samples());
@@ -516,7 +516,8 @@ struct ScanServer::Impl {
           chunk_for(range.size()), fingerprint);
       add_job(std::move(job), sink,
               "accepted scan order=" + std::to_string(K) +
-                  " ranks=" + std::to_string(range.size()));
+                  " ranks=" + std::to_string(range.size()) + " version=" +
+                  std::to_string(core::cpu_version_number(version)));
     });
   }
 

@@ -100,8 +100,8 @@ TEST(Characterize, CpuOpMixMapping) {
   EXPECT_DOUBLE_EQ(v2.popcnt, v3.popcnt);
   EXPECT_DOUBLE_EQ(v3.popcnt, v4.popcnt);
   EXPECT_DOUBLE_EQ(v2.logic, v4.logic);
-  // The pair-plane cache removes a third of the POPCNTs and over half the
-  // logic from the hot loop.
+  // Counting 8 of the 27 cells from four cached planes removes about two
+  // thirds of the POPCNTs and most of the logic from the hot loop.
   EXPECT_LT(v5.popcnt, v4.popcnt);
   EXPECT_LT(v5.logic, v4.logic);
   EXPECT_GT(v5.loads, v4.loads);  // cache reads replace the x/y streams

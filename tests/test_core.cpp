@@ -12,6 +12,7 @@
 #include "trigen/core/blocked_engine.hpp"
 #include "trigen/core/detector.hpp"
 #include "trigen/core/kernels.hpp"
+#include "trigen/core/scan_csv.hpp"
 #include "trigen/core/tiling.hpp"
 #include "trigen/core/topk.hpp"
 
@@ -19,6 +20,7 @@ namespace trigen::core {
 namespace {
 
 using combinatorics::Triplet;
+using combinatorics::Combination;
 using scoring::ContingencyTable;
 using scoring::reference_contingency;
 using trigen::test::Shape;
@@ -395,14 +397,18 @@ TEST_P(BlockedEngineTest, CachedEngineCoversEveryTripletExactlyOnceWithCorrectTa
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const TilingParams tiling{bs, 32};
   const CachedKernelSet ks = get_cached_kernels(KernelIsa::kScalar);
+  const GenericKernelSet gk = get_generic_kernels(KernelIsa::kScalar);
   BlockScratch scratch(bs);
 
   const std::size_t m = d.num_snps();
   const std::uint64_t nb = (m + bs - 1) / bs;
   std::map<std::uint64_t, int> seen;
   for (std::uint64_t r = 0; r < num_block_triples(nb); ++r) {
-    scan_block_triple(planes, tiling, ks, scratch, unrank_block_triple(r),
-                      [&](const Triplet& t, const ContingencyTable& table) {
+    scan_block_tuple<3>(planes, tiling, ks, gk, scratch,
+                        unrank_block_tuple<3>(r),
+                        [&](const Combination<3>& c,
+                            const ContingencyTable& table) {
+                        const Triplet t{c[0], c[1], c[2]};
                         ++seen[combinatorics::rank_triplet(t)];
                         ASSERT_EQ(table,
                                   reference_contingency(d, t.x, t.y, t.z))
@@ -422,6 +428,7 @@ TEST(BlockedEngine, CachedClipEmitsExactlyTheTripletsInRange) {
   const std::size_t bs = 3;
   const TilingParams tiling{bs, 16};
   const CachedKernelSet ks = get_cached_kernels(KernelIsa::kScalar);
+  const GenericKernelSet gk = get_generic_kernels(KernelIsa::kScalar);
   BlockScratch scratch(bs);
   const std::uint64_t nb = (10 + bs - 1) / bs;
   const std::uint64_t total = combinatorics::num_triplets(10);
@@ -433,9 +440,11 @@ TEST(BlockedEngine, CachedClipEmitsExactlyTheTripletsInRange) {
         combinatorics::RankRange{3, total - 3}}) {
     std::set<std::uint64_t> emitted;
     for (std::uint64_t r = 0; r < num_block_triples(nb); ++r) {
-      scan_block_triple(planes, tiling, ks, scratch, unrank_block_triple(r),
-                        clip,
-                        [&](const Triplet& t, const ContingencyTable& table) {
+      scan_block_tuple<3>(planes, tiling, ks, gk, scratch,
+                          unrank_block_tuple<3>(r), clip,
+                          [&](const Combination<3>& c,
+                              const ContingencyTable& table) {
+                          const Triplet t{c[0], c[1], c[2]};
                           const std::uint64_t rank =
                               combinatorics::rank_triplet(t);
                           ASSERT_TRUE(emitted.insert(rank).second) << rank;
@@ -449,6 +458,285 @@ TEST(BlockedEngine, CachedClipEmitsExactlyTheTripletsInRange) {
       ASSERT_LT(rank, clip.last);
     }
   }
+}
+
+// --------------------------------------------------------------------------
+// The 2^k-cell order-3 path: extend01 + finalize(4) + pair-table completion
+// --------------------------------------------------------------------------
+
+TEST(Kernels, Extend01AndFinalizeMatchScalarOnEveryIsa) {
+  // Random planes, word ranges with a nonzero start and tails that are not
+  // a multiple of 16 words, every count the engines use: each vector body
+  // must reproduce the scalar one word for word and count for count.
+  std::mt19937_64 rng(91);
+  const std::size_t words = 200;
+  const std::size_t stride = 176;  // >= the longest range below
+  std::vector<Word> s0(words), s1(words), z0(words), z1(words);
+  for (std::size_t w = 0; w < words; ++w) {
+    const auto a = static_cast<Word>(rng());
+    const auto b = static_cast<Word>(rng()) & ~a;  // a genotype partition
+    s0[w] = a;
+    s1[w] = b;
+    z0[w] = static_cast<Word>(rng());
+    z1[w] = static_cast<Word>(rng()) & ~z0[w];
+  }
+  const GenericKernelSet ref = get_generic_kernels(KernelIsa::kScalar);
+  for (const std::size_t count : {std::size_t{2}, std::size_t{4},
+                                  std::size_t{9}, std::size_t{27}}) {
+    aligned_vector<Word> prefix(count * stride);
+    for (auto& v : prefix) v = static_cast<Word>(rng());
+    std::vector<std::uint32_t> pops(count);
+    for (auto& v : pops) v = static_cast<std::uint32_t>(rng() % 4096);
+    for (const auto& [w0, w1] :
+         {std::pair<std::size_t, std::size_t>{3, 3 + 37},
+          std::pair<std::size_t, std::size_t>{5, 5 + 3 * 16 + 7},
+          std::pair<std::size_t, std::size_t>{16, 16 + 9 * 16 + 13}}) {
+      aligned_vector<Word> want_planes(2 * count * stride, 0);
+      std::vector<std::uint32_t> want_pops(2 * count, 7);
+      ref.extend01(prefix.data(), count, stride, s0.data(), s1.data(), w0,
+                   w1, want_planes.data(), stride, want_pops.data());
+      std::vector<std::uint32_t> want_ft(count * 3, 11);
+      ref.finalize(prefix.data(), count, stride, pops.data(), z0.data(),
+                   z1.data(), w0, w1, want_ft.data());
+      for (const KernelIsa isa : all_kernel_isas()) {
+        if (!kernel_available(isa)) continue;
+        const GenericKernelSet k = get_generic_kernels(isa);
+        aligned_vector<Word> got_planes(2 * count * stride, 0);
+        std::vector<std::uint32_t> got_pops(2 * count, 7);
+        k.extend01(prefix.data(), count, stride, s0.data(), s1.data(), w0, w1,
+                   got_planes.data(), stride, got_pops.data());
+        ASSERT_TRUE(std::equal(want_planes.begin(), want_planes.end(),
+                               got_planes.begin()))
+            << kernel_isa_name(isa) << " count " << count << " [" << w0
+            << ", " << w1 << ")";
+        ASSERT_EQ(got_pops, want_pops)
+            << kernel_isa_name(isa) << " count " << count;
+        std::vector<std::uint32_t> got_ft(count * 3, 11);
+        k.finalize(prefix.data(), count, stride, pops.data(), z0.data(),
+                   z1.data(), w0, w1, got_ft.data());
+        ASSERT_EQ(got_ft, want_ft)
+            << kernel_isa_name(isa) << " count " << count << " [" << w0
+            << ", " << w1 << ")";
+      }
+    }
+  }
+}
+
+TEST(TripleIdentityEdgeCases, CountPlusCompletionMatchesReferenceForEveryIsa) {
+  // Kernel level: the four x∩y {0,1} planes (extend01 over x's two stored
+  // planes), finalize with count 4 and complete_triple_row over the pair
+  // count kernel's xz and yz tables give the exact 27-cell table of every
+  // ordered SNP triple, for class sizes around word and plane boundaries,
+  // one-sample classes and monomorphic SNPs, with random chunk cuts.
+  std::uint64_t seed = 1;
+  for (const test::ClassSizes& sizes : test::edge_class_sizes()) {
+    const auto d = test::edge_dataset(sizes, seed++);
+    const auto planes = dataset::PhenoSplitPlanes::build(d);
+    const std::size_t m = d.num_snps();
+    std::mt19937_64 rng(seed);
+    for (const KernelIsa isa : all_kernel_isas()) {
+      if (!kernel_available(isa)) continue;
+      const GenericKernelSet gk = get_generic_kernels(isa);
+      const PairPlaneCountKernel count = get_cached_kernels(isa).count;
+      PrefixPlaneCache cache;
+      cache.ensure(3, std::max(planes.words(0), planes.words(1)));
+      for (std::size_t x = 0; x < m; ++x) {
+        for (std::size_t y = 0; y < m; ++y) {
+          for (std::size_t z = 0; z < m; ++z) {
+            if (x == y || y == z || x == z) continue;
+            ContingencyTable t;
+            for (int c = 0; c < 2; ++c) {
+              const std::size_t words = planes.words(c);
+              std::uniform_int_distribution<std::size_t> cut(0, words);
+              std::vector<std::size_t> cuts = {0, words, cut(rng), cut(rng)};
+              std::sort(cuts.begin(), cuts.end());
+              std::uint32_t ft[12] = {};
+              for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+                const std::size_t w0 = cuts[i];
+                const std::size_t w1 = cuts[i + 1];
+                std::fill(cache.rung_pops(2), cache.rung_pops(2) + 4, 0u);
+                gk.extend01(planes.plane(c, x, 0) + w0, 2, words,
+                            planes.plane(c, y, 0), planes.plane(c, y, 1), w0,
+                            w1, cache.rung(2), cache.stride(),
+                            cache.rung_pops(2));
+                gk.finalize(cache.rung(2), 4, cache.stride(),
+                            cache.rung_pops(2), planes.plane(c, z, 0),
+                            planes.plane(c, z, 1), w0, w1, ft);
+              }
+              std::uint32_t xz[9] = {};
+              std::uint32_t yz[9] = {};
+              count(planes.plane(c, x, 0), planes.plane(c, x, 1),
+                    planes.plane(c, z, 0), planes.plane(c, z, 1), 0, words,
+                    xz);
+              count(planes.plane(c, y, 0), planes.plane(c, y, 1),
+                    planes.plane(c, z, 0), planes.plane(c, z, 1), 0, words,
+                    yz);
+              const std::uint32_t xz4[4] = {xz[0], xz[1], xz[3], xz[4]};
+              const std::uint32_t yz4[4] = {yz[0], yz[1], yz[3], yz[4]};
+              complete_triple_row(planes, c, x, y, z, xz4, yz4, ft,
+                                  t.counts[static_cast<std::size_t>(c)].data());
+            }
+            ASSERT_EQ(t, reference_contingency(d, x, y, z))
+                << kernel_isa_name(isa) << " sizes " << sizes.controls << "/"
+                << sizes.cases << " triple " << x << "," << y << "," << z;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TripleIdentityEdgeCases,
+     BlockedTripleTablesMatchReferenceUnderRandomClips) {
+  // Engine level, M = 9 on a B_S = 4 grid (a partial last block): every
+  // emitted V5 table equals the reference and a random clip emits exactly
+  // its ranks, on every ISA.
+  std::uint64_t seed = 100;
+  for (const test::ClassSizes& sizes : test::edge_class_sizes()) {
+    const auto d = test::edge_dataset(sizes, seed++);
+    const auto planes = dataset::PhenoSplitPlanes::build(d);
+    const std::uint64_t total = combinatorics::num_triplets(d.num_snps());
+    const TilingParams tiling{4, 16};
+    const combinatorics::BlockGrid grid{d.num_snps(), tiling.bs};
+    std::mt19937_64 rng(seed);
+    for (const KernelIsa isa : all_kernel_isas()) {
+      if (!kernel_available(isa)) continue;
+      const CachedKernelSet ck = get_cached_kernels(isa);
+      const GenericKernelSet gk = get_generic_kernels(isa);
+      BlockScratch scratch(tiling.bs);
+      const std::uint64_t a = rng() % total;
+      const combinatorics::RankRange range{a, a + 1 + rng() % (total - a)};
+      std::vector<int> seen(total, 0);
+      const auto part = combinatorics::partition_block_tuples<3>(grid, range);
+      for (std::uint64_t r = part.block_ranks.first;
+           r < part.block_ranks.last; ++r) {
+        scan_block_tuple<3>(
+            planes, tiling, ck, gk, scratch, unrank_block_tuple<3>(r),
+            LastAxisWindow<3>(range),
+            [&](const Combination<3>& c, const ContingencyTable& t) {
+              ++seen[combinatorics::rank_triplet(Triplet{c[0], c[1], c[2]})];
+              ASSERT_EQ(t, reference_contingency(d, c[0], c[1], c[2]))
+                  << kernel_isa_name(isa) << " triple " << c[0] << ","
+                  << c[1] << "," << c[2];
+            });
+      }
+      for (std::uint64_t r = 0; r < total; ++r) {
+        ASSERT_EQ(seen[r], r >= range.first && r < range.last ? 1 : 0)
+            << "rank " << r;
+      }
+    }
+  }
+}
+
+TEST(TripleIdentityEdgeCases, EveryVersionAndRangeSplitIsBitIdentical) {
+  // Detector level: V2, V4 and V5 print the same CSV as the V1 reference
+  // on every ISA with top_k > C(9, 3), and random 8-way range splits merge
+  // back to the full scan.
+  std::uint64_t seed = 200;
+  for (const test::ClassSizes& sizes : test::edge_class_sizes()) {
+    const auto d = test::edge_dataset(sizes, seed++);
+    const Detector det(d);
+    const std::uint64_t total = combinatorics::num_triplets(d.num_snps());
+    DetectorOptions ref_opt;
+    ref_opt.version = CpuVersion::kV1Naive;
+    ref_opt.top_k = total + 16;  // every triplet's score is compared
+    const auto want = scan_csv_lines<3>(det.run(ref_opt).best);
+    ASSERT_EQ(want.size(), total + 1);
+
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<std::uint64_t> cut(1, total - 1);
+    for (const auto version : {CpuVersion::kV2Split, CpuVersion::kV4Vector,
+                               CpuVersion::kV5PairCache}) {
+      for (const KernelIsa isa : all_kernel_isas()) {
+        if (!kernel_available(isa)) continue;
+        DetectorOptions opt = ref_opt;
+        opt.version = version;
+        opt.isa = isa;
+        opt.isa_auto = false;
+        opt.tiling = {4, 16};  // M = 9 is not a multiple of B_S
+        ASSERT_EQ(scan_csv_lines<3>(det.run(opt).best), want)
+            << cpu_version_name(version) << " " << kernel_isa_name(isa);
+
+        std::vector<std::uint64_t> cuts = {0, total};
+        for (int i = 0; i < 7; ++i) cuts.push_back(cut(rng));
+        std::sort(cuts.begin(), cuts.end());
+        TopK acc(opt.top_k);
+        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+          DetectorOptions part = opt;
+          part.range = {cuts[i], cuts[i + 1]};
+          if (part.range.empty()) continue;
+          for (const auto& sp : det.run(part).best) acc.push(sp);
+        }
+        ASSERT_EQ(scan_csv_lines<3>(acc.sorted()), want)
+            << cpu_version_name(version) << " " << kernel_isa_name(isa)
+            << " 8-way split";
+      }
+    }
+  }
+}
+
+TEST(PairTableCache, BlockChangesInsideOneScratchKeepTablesExact) {
+  // One scratch visits the block triples in a shuffled order, so its pair
+  // cache moves between last-axis blocks and back again; every table must
+  // still match the reference.
+  const auto d = random_dataset({14, 300, 29});
+  const auto planes = dataset::PhenoSplitPlanes::build(d);
+  const TilingParams tiling{3, 16};
+  const std::uint64_t nb = (14 + tiling.bs - 1) / tiling.bs;
+  std::vector<std::uint64_t> order(num_block_triples(nb));
+  for (std::uint64_t r = 0; r < order.size(); ++r) order[r] = r;
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(5));
+  const KernelIsa isa = best_kernel_isa();
+  BlockScratch scratch(tiling.bs);
+  std::size_t emitted = 0;
+  for (const std::uint64_t r : order) {
+    scan_block_tuple<3>(planes, tiling, get_cached_kernels(isa),
+                        get_generic_kernels(isa), scratch,
+                        unrank_block_tuple<3>(r),
+                        [&](const Combination<3>& c,
+                            const ContingencyTable& t) {
+                          ++emitted;
+                          ASSERT_EQ(t, reference_contingency(d, c[0], c[1],
+                                                             c[2]));
+                        });
+  }
+  EXPECT_EQ(emitted, combinatorics::num_triplets(14));
+}
+
+TEST(PairTableCache, OneThreadChunkCrossingBlockChangesMatchesV4) {
+  // One thread, one scheduler chunk covering every block triple of a
+  // B_S = 2 grid: the thread's pair cache crosses every last-axis block
+  // change inside its chunk.  Also two threads with tiny chunks, so each
+  // thread's cache jumps between blocks.
+  const auto d = random_dataset({23, 700, 31});
+  const Detector det(d);
+  DetectorOptions v4;
+  v4.version = CpuVersion::kV4Vector;
+  v4.top_k = 50;
+  v4.tiling = {2, 16};
+  const auto want = scan_csv_lines<3>(det.run(v4).best);
+  for (const auto& [threads, chunk] :
+       {std::pair<unsigned, std::uint64_t>{1, 1u << 20},
+        std::pair<unsigned, std::uint64_t>{2, 3}}) {
+    DetectorOptions v5 = v4;
+    v5.version = CpuVersion::kV5PairCache;
+    v5.threads = threads;
+    v5.chunk_size = chunk;
+    EXPECT_EQ(scan_csv_lines<3>(det.run(v5).best), want)
+        << threads << " thread(s), chunk " << chunk;
+  }
+}
+
+TEST(Defaults, ScanOptionsDefaultToV5) {
+  EXPECT_EQ(ScanOptionsBase{}.version, CpuVersion::kV5PairCache);
+  EXPECT_EQ(DetectorOptions{}.version, ScanOptionsBase{}.version);
+  for (unsigned n = 1; n <= 5; ++n) {
+    const auto v = cpu_version_from_number(n);
+    ASSERT_TRUE(v.has_value()) << n;
+    EXPECT_EQ(cpu_version_number(*v), n);
+  }
+  EXPECT_FALSE(cpu_version_from_number(0).has_value());
+  EXPECT_FALSE(cpu_version_from_number(6).has_value());
 }
 
 // --------------------------------------------------------------------------
@@ -547,8 +835,9 @@ TEST(Tiling, BpMultipleOfVectorWords) {
 }
 
 TEST(Tiling, PairCacheFootprintStaysInsideTheL1Budget) {
-  // The V5 autotuner must budget the streamed block AND the 9-plane cache
-  // inside the block ways, for every cache geometry and vector width.
+  // The V5 autotuner must budget the streamed block AND the four cached
+  // {0,1} planes inside the block ways, for every cache geometry and
+  // vector width.
   for (const L1Config l1 :
        {L1Config{48 * 1024, 12, 7, 4}, L1Config{32 * 1024, 8, 7, 1},
         L1Config{64 * 1024, 16, 7, 8}, L1Config{24 * 1024, 6, 4, 2}}) {

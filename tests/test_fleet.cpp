@@ -100,6 +100,10 @@ FleetState sample_state() {
   return s;
 }
 
+TEST(FleetWorker, DefaultOptionsRunTheLibraryDefaultRung) {
+  EXPECT_EQ(WorkerOptions{}.version, core::ScanOptionsBase{}.version);
+}
+
 TEST(FleetState, RoundTripsThroughFile) {
   const std::string path = fresh_dir("state_rt") + "/fleet.state";
   const FleetState s = sample_state();

@@ -173,6 +173,22 @@ TEST(ServeServer, ScanPayloadIsBitIdenticalToDetector) {
   EXPECT_TRUE(c.any_starts_with("done j1 "));
 }
 
+TEST(ServeServer, ScanWithoutVersionRunsTheLibraryDefaultRung) {
+  const auto d = test::planted_dataset(8, 64, 2);
+  serve::ScanServer server(d, {});
+  Collector c;
+  ASSERT_TRUE(server.submit_line("scan j1 order=3 top=3", c.sink()));
+  ASSERT_TRUE(server.submit_line("scan j2 order=3 top=3 version=4", c.sink()));
+  ASSERT_TRUE(server.drain());
+  const std::string rung = std::to_string(
+      core::cpu_version_number(core::ScanOptionsBase{}.version));
+  EXPECT_TRUE(c.any_starts_with(
+      "ok j1 accepted scan order=3 ranks=56 version=" + rung));
+  EXPECT_TRUE(
+      c.any_starts_with("ok j2 accepted scan order=3 ranks=56 version=4"));
+  EXPECT_EQ(c.payload("j1"), c.payload("j2"));
+}
+
 TEST(ServeServer, SignificancePayloadIsBitIdenticalToPermutationTest) {
   const auto d = test::planted_dataset(10, 96, 5);
   serve::ScanServer server(d, {});

@@ -1,7 +1,10 @@
 #pragma once
 /// Shared helpers for the trigen test suite.
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
+#include <vector>
 #include <ostream>
 #include <tuple>
 
@@ -58,6 +61,43 @@ inline dataset::GenotypeMatrix planted_dataset(std::size_t snps,
       dataset::InteractionModel::kXor3, 0.05, 0.85);
   spec.interaction = planted;
   return dataset::generate(spec);
+}
+
+/// Class sizes straddling the 32-bit word and the 512-bit plane boundaries,
+/// plus one-sample classes on either side.
+struct ClassSizes {
+  std::size_t controls;
+  std::size_t cases;
+};
+
+inline const std::vector<ClassSizes>& edge_class_sizes() {
+  static const std::vector<ClassSizes> sizes = {
+      {1, 40},    {40, 1},    {31, 31},   {32, 33},
+      {33, 32},   {511, 513}, {512, 511}, {513, 512},
+  };
+  return sizes;
+}
+
+/// Nine SNPs: SNPs 0, 1 and 2 are monomorphic (all genotype 0, 1 and 2),
+/// the rest uniform; cases are scattered at random among the samples.
+inline dataset::GenotypeMatrix edge_dataset(const ClassSizes& s,
+                                            std::uint64_t seed) {
+  constexpr std::size_t kSnps = 9;
+  const std::size_t n = s.controls + s.cases;
+  std::mt19937_64 rng(seed);
+  std::vector<dataset::Phenotype> pheno(n, 0);
+  std::fill(pheno.begin(), pheno.begin() + static_cast<std::ptrdiff_t>(s.cases),
+            dataset::Phenotype{1});
+  std::shuffle(pheno.begin(), pheno.end(), rng);
+  dataset::GenotypeMatrix d(kSnps, n);
+  std::uniform_int_distribution<int> geno(0, 2);
+  for (std::size_t j = 0; j < n; ++j) {
+    d.set_phenotype(j, pheno[j]);
+    for (std::size_t m = 0; m < kSnps; ++m) {
+      d.set(m, j, static_cast<dataset::Genotype>(m < 3 ? m : geno(rng)));
+    }
+  }
+  return d;
 }
 
 }  // namespace trigen::test

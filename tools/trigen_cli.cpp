@@ -156,14 +156,11 @@ core::Objective parse_objective(const std::string& s) {
 /// (and whether this host can run them), instead of failing deep inside
 /// the detector.
 core::CpuVersion parse_version(const Args& a) {
-  const long v = a.get_int("version", 4);
-  switch (v) {
-    case 1: return core::CpuVersion::kV1Naive;
-    case 2: return core::CpuVersion::kV2Split;
-    case 3: return core::CpuVersion::kV3Blocked;
-    case 4: return core::CpuVersion::kV4Vector;
-    case 5: return core::CpuVersion::kV5PairCache;
-    default: break;
+  if (!a.has("version")) return core::ScanOptionsBase{}.version;
+  const long v = a.get_int("version", 0);
+  if (const auto version =
+          core::cpu_version_from_number(static_cast<std::uint64_t>(v))) {
+    return *version;
   }
   std::string isas;
   for (const core::KernelIsa isa : core::all_kernel_isas()) {
@@ -397,7 +394,7 @@ void print_scan_usage() {
       "[2, %u] (--order 3 is the default `scan`; `scan2` = --order 2);\n"
       "--version picks the optimization-ladder rung (1 naive planes,\n"
       "2 split planes, 3 + L1 blocking, 4 + vector kernels, 5 + prefix-\n"
-      "plane cache; default 4);\n"
+      "plane cache; default %u);\n"
       "--range scans only %s ranks [FIRST, LAST) — any version,\n"
       "including the blocked V3/V4/V5 (shard results merge exactly);\n"
       "--progress reports percent scanned on stderr.\n"
@@ -406,7 +403,9 @@ void print_scan_usage() {
       "--checkpoint persists progress after every chunk and resumes\n"
       "from it when the file already exists; --stop-after stops\n"
       "cleanly once RANKS ranks are done (exit code 3, resumable).\n",
-      Cli::label().c_str(), combinatorics::kMaxOrder, Cli::noun().c_str());
+      Cli::label().c_str(), combinatorics::kMaxOrder,
+      core::cpu_version_number(core::ScanOptionsBase{}.version),
+      Cli::noun().c_str());
 }
 
 /// Order-generic scan subcommand: full space, rank range, or one shard of
@@ -545,9 +544,10 @@ int cmd_scan_generic(const Args& a) {
 
   if (a.has("progress")) opt.progress = make_progress_printer(Cli::label());
   const auto r = det.run(opt);
-  std::printf("# %llu %s, %.3f s, %.2f Gel/s, kernel %s, %u thread(s)\n",
+  std::printf("# %llu %s, %.3f s, %.2f Gel/s, %s, kernel %s, %u thread(s)\n",
               static_cast<unsigned long long>(Cli::evaluated(r)), Cli::noun().c_str(),
               r.seconds, r.elements_per_second() / 1e9,
+              core::cpu_version_name(opt.version).c_str(),
               core::kernel_isa_name(r.isa_used).c_str(), r.threads_used);
   std::printf("# partition: ranks [%llu, %llu) of %llu (%.1f%% of the space)\n",
               static_cast<unsigned long long>(eff.first),
