@@ -64,8 +64,8 @@ void bench_cached_kernel(benchmark::State& state, core::KernelIsa isa) {
   const auto d = dataset::generate_balanced(4, samples, 7);
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const core::CachedKernelSet ks = core::get_cached_kernels(isa);
-  core::PairPlaneCache cache;
-  cache.ensure(planes.words(0));
+  core::PrefixPlaneCache cache;
+  cache.ensure(3, planes.words(0));
   std::fill(cache.pops(), cache.pops() + 9, 0u);
   ks.build(planes.plane(0, 0, 0), planes.plane(0, 0, 1),
            planes.plane(0, 1, 0), planes.plane(0, 1, 1), 0, planes.words(0),
@@ -136,8 +136,8 @@ void bench_build_kernel(benchmark::State& state, core::KernelIsa isa) {
   const auto d = dataset::generate_balanced(4, samples, 7);
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const core::CachedKernelSet ks = core::get_cached_kernels(isa);
-  core::PairPlaneCache cache;
-  cache.ensure(planes.words(0));
+  core::PrefixPlaneCache cache;
+  cache.ensure(3, planes.words(0));
 
   for (auto _ : state) {
     std::fill(cache.pops(), cache.pops() + 9, 0u);
@@ -327,8 +327,8 @@ void bench_batch_finalize(benchmark::State& state, core::KernelIsa isa) {
 
   const core::CachedKernelSet cached = core::get_cached_kernels(isa);
   const core::BatchKernelSet bk = core::get_batch_kernels(isa);
-  core::PairPlaneCache cache;
-  cache.ensure(words);
+  core::PrefixPlaneCache cache;
+  cache.ensure(3, words);
   std::fill(cache.pops(), cache.pops() + 9, 0u);
   cached.build(planes.plane(0, 0, 0), planes.plane(0, 0, 1),
                planes.plane(0, 1, 0), planes.plane(0, 1, 1), 0, words,

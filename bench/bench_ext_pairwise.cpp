@@ -2,21 +2,20 @@
 /// \brief Extension: pairwise (2-way) vs three-way scan cost on the host,
 /// plus the pairwise optimization-ladder payoff.
 ///
-/// The pairwise module reuses the triple-block kernels (a constant
-/// all-ones/all-zeros plane pins g_z = 0), so per-combination cost matches
-/// the 3-way kernel while the combination count drops from C(M,3) to
-/// C(M,2) — this harness quantifies both effects per ISA.  It also pits
-/// the pre-refactor engine (the per-pair unrank loop, now the V2 rung)
-/// against the blocked/tiled V4 engine and the V5 cache-direct engine
-/// (whose pair table falls straight out of the pair-plane build phase),
-/// so the payoff of each k=2 rung is captured in the bench trajectory.
+/// Pair scans run `core::BasicDetector<2>`: the blocked engine with the
+/// counts-only pair kernel (4 ANDs + 4 POPCNTs per word, the other five
+/// cells from per-SNP genotype counts), while the combination count drops
+/// from C(M,3) to C(M,2) — this harness quantifies both effects per ISA.
+/// It also pits the per-pair unrank loop (the V2 rung) against the
+/// blocked V4 engine and V5 (the same direct engine at k = 2, since the
+/// prefix-plane ladder has no rungs below order 3), so the payoff of each
+/// k=2 rung is captured in the bench trajectory.
 
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "trigen/common/table.hpp"
 #include "trigen/core/detector.hpp"
-#include "trigen/pairwise/pair_detector.hpp"
 
 int main(int argc, char** argv) {
   using namespace trigen;
@@ -28,12 +27,12 @@ int main(int argc, char** argv) {
   const auto d = bench::paper_style_dataset(snps, samples);
   std::printf("workload: %zu SNPs x %zu samples; C(M,2) = %llu, C(M,3) = %llu\n",
               snps, samples,
-              static_cast<unsigned long long>(pairwise::num_pairs(snps)),
+              static_cast<unsigned long long>(combinatorics::num_pairs(snps)),
               static_cast<unsigned long long>(
                   combinatorics::num_triplets(snps)));
 
   TextTable t({"scan", "ISA", "combinations", "time [s]", "Gel/s"});
-  const pairwise::PairDetector pairs(d);
+  const core::BasicDetector<2> pairs(d);
   const core::Detector triples(d);
   double best_loop_eps = 0.0, best_blocked_eps = 0.0, best_cached_eps = 0.0;
   for (const core::KernelIsa isa : core::all_kernel_isas()) {
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
 
     // The pre-refactor pairwise engine: one kernel invocation per pair
     // over the full sample range (V2-split per-pair loop).
-    pairwise::PairDetectorOptions loop_opt;
+    core::BasicDetectorOptions<2> loop_opt;
     loop_opt.version = core::CpuVersion::kV2Split;
     loop_opt.isa = isa;
     loop_opt.isa_auto = false;
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
                TextTable::fmt(lr.elements_per_second() / 1e9, 2)});
 
     // The blocked/tiled pairwise engine (V4 on this ISA).
-    pairwise::PairDetectorOptions popt;
+    core::BasicDetectorOptions<2> popt;
     popt.version = core::CpuVersion::kV4Vector;
     popt.isa = isa;
     popt.isa_auto = false;
@@ -64,9 +63,8 @@ int main(int argc, char** argv) {
                TextTable::fmt(pr.seconds, 3),
                TextTable::fmt(pr.elements_per_second() / 1e9, 2)});
 
-    // The V5 cache-direct pairwise engine: 9 ANDs + 9 POPCNTs per word,
-    // no z operand.
-    pairwise::PairDetectorOptions copt;
+    // V5: at k = 2 the same direct engine as V4.
+    core::BasicDetectorOptions<2> copt;
     copt.version = core::CpuVersion::kV5PairCache;
     copt.isa = isa;
     copt.isa_auto = false;
@@ -95,7 +93,7 @@ int main(int argc, char** argv) {
   }
   if (best_blocked_eps > 0.0) {
     std::printf(
-        "cache-direct V5 pairwise engine vs blocked V4 (best ISA each): "
+        "V5 pairwise engine vs blocked V4 (best ISA each): "
         "%.2fx\n",
         best_cached_eps / best_blocked_eps);
   }

@@ -5,8 +5,9 @@
 # worker killed partway and resumed from its checkpoint) -> `merge` ->
 # diff against the unsharded scan.  The CSV sections (everything but the
 # '#' comment lines, which carry timings) must be byte-identical.  Also
-# checks that `merge` refuses to mix interaction orders and that a scan
-# without --version runs the default rung `scan --help` names.
+# checks that `merge` refuses to mix interaction orders, and that at each
+# order a scan without --version runs the default rung `scan --help` names
+# and prints the same CSV as --version 3 and --version 4.
 #
 # usage: scripts/order_smoke.sh path/to/trigen
 set -euo pipefail
@@ -101,22 +102,31 @@ for a in 2 3 4; do
   done
 done
 
-# A scan without --version runs the default rung `scan --help` names (the
-# library's ScanOptionsBase default): the header names the same rung as
-# an explicit --version of that number, and the CSV equals V4's.
+# At every order, a scan without --version runs the default rung `scan
+# --help` names (the library's ScanOptionsBase default): the header names
+# the same rung as an explicit --version of that number.  The default
+# rung, V3 and V4 must all print V4's CSV: at k = 2 and 3 the default and
+# V3/V4 reach different engines (V5 at k = 2 runs the direct engine, V5
+# at k = 3 the ladder), so this checks every CLI dispatch path.
 default=$("$TRIGEN" scan --help | sed -n 's/.*; default \([1-5]\)).*/\1/p')
 [ -n "$default" ] \
   || { echo "scan --help does not name the default rung" >&2; exit 1; }
-"$TRIGEN" scan d.tg --top 12 --threads 2 > implicit.txt
-"$TRIGEN" scan d.tg --top 12 --threads 2 --version "$default" > explicit.txt
-"$TRIGEN" scan d.tg --top 12 --threads 2 --version 4 > v4.txt
 rung() { head -1 "$1" | cut -d, -f4; }
-if [ "$(rung implicit.txt)" != "$(rung explicit.txt)" ]; then
-  echo "default scan ran$(rung implicit.txt), not rung $default" >&2
-  exit 1
-fi
-diff <(grep -v '^#' implicit.txt) <(grep -v '^#' v4.txt) \
-  || { echo "default rung and V4 print different CSV" >&2; exit 1; }
-echo "default rung $default:$(rung implicit.txt), CSV identical to V4"
+for k in 2 3 4; do
+  "$TRIGEN" scan d.tg --order "$k" --top 12 --threads 2 > "implicit$k.txt"
+  for v in "$default" 3 4; do
+    "$TRIGEN" scan d.tg --order "$k" --top 12 --threads 2 --version "$v" \
+      > "v${v}_$k.txt"
+  done
+  if [ "$(rung "implicit$k.txt")" != "$(rung "v${default}_$k.txt")" ]; then
+    echo "order $k: default scan ran$(rung "implicit$k.txt"), not rung $default" >&2
+    exit 1
+  fi
+  for f in "implicit$k.txt" "v${default}_$k.txt" "v3_$k.txt"; do
+    diff <(grep -v '^#' "$f") <(grep -v '^#' "v4_$k.txt") \
+      || { echo "order $k: $f and V4 print different CSV" >&2; exit 1; }
+  done
+  echo "order $k: default rung $default:$(rung "implicit$k.txt"), V3 and V4 print the same CSV"
+done
 
 echo "order smoke: orders 2, 3 and 4 shard, resume and merge exactly"

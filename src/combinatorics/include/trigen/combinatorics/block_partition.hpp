@@ -12,9 +12,7 @@
 /// math for every order, `partition_block_tuples<K>`, which converts a
 /// combination rank range into a contiguous run of block-tuple ranks, and
 /// `LastAxisWindow<K>`, which tells the engines, per prefix, exactly which
-/// last-axis SNPs fall inside the range.  The `BlockPair`/`BlockTriple`
-/// types remain as the named k=2/k=3 views, implemented on the generic
-/// machinery.
+/// last-axis SNPs fall inside the range.
 ///
 /// Key monotonicity fact: ordering block tuples by colex block rank also
 /// orders both the smallest and the largest combination rank each nonempty
@@ -253,51 +251,5 @@ class LastAxisWindow {
   Combination<K> a_{};  ///< unrank(range.first)
   Combination<K> b_{};  ///< unrank(range.last - 1)
 };
-
-// ---------------------------------------------------------------------------
-// Named k=3 / k=2 views (the orders the engine grew up with)
-// ---------------------------------------------------------------------------
-
-/// Ordered block triple b0 <= b1 <= b2.
-struct BlockTriple {
-  std::uint32_t b0, b1, b2;
-  friend bool operator==(const BlockTriple&, const BlockTriple&) = default;
-};
-
-/// Number of block triples for `nb` blocks: C(nb + 2, 3).
-std::uint64_t num_block_triples(std::uint64_t nb);
-
-/// Colex rank of a multiset triple: C(b2+2,3) + C(b1+1,2) + C(b0,1).
-std::uint64_t rank_block_triple(const BlockTriple& t);
-
-/// Inverse of rank_block_triple.
-BlockTriple unrank_block_triple(std::uint64_t rank);
-
-/// Triplet rank span covered by block triple `bt` on grid `g`.
-RankRange block_triplet_span(const BlockGrid& g, const BlockTriple& bt);
-
-/// Maps triplet rank range `range` onto the block-triple space of `g`.
-BlockPartition partition_block_triples(const BlockGrid& g, RankRange range);
-
-/// Ordered block pair b0 <= b1.
-struct BlockPair {
-  std::uint32_t b0, b1;
-  friend bool operator==(const BlockPair&, const BlockPair&) = default;
-};
-
-/// Number of block pairs for `nb` blocks: C(nb + 1, 2).
-std::uint64_t num_block_pairs(std::uint64_t nb);
-
-/// Colex rank of a multiset pair: C(b1+1,2) + C(b0,1).
-std::uint64_t rank_block_pair(const BlockPair& p);
-
-/// Inverse of rank_block_pair.
-BlockPair unrank_block_pair(std::uint64_t rank);
-
-/// Pair rank span covered by block pair `bp` on grid `g`.
-RankRange block_pair_span(const BlockGrid& g, const BlockPair& bp);
-
-/// Maps pair rank range `range` onto the block-pair space of `g`.
-BlockPartition partition_block_pairs(const BlockGrid& g, RankRange range);
 
 }  // namespace trigen::combinatorics

@@ -19,6 +19,8 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 
 namespace trigen::combinatorics {
 
@@ -26,6 +28,19 @@ namespace trigen::combinatorics {
 /// A compile-time ceiling: the per-order code (kernels, shard IO, CLI
 /// dispatch) is stamped out for every k in [2, kMaxOrder].
 inline constexpr unsigned kMaxOrder = 6;
+
+/// Runtime order -> compile-time instantiation: calls
+/// `fn(std::integral_constant<unsigned, K>{})` with K == `order` and
+/// returns true, or returns false without calling `fn` when `order` lies
+/// outside [2, kMaxOrder].  Callers word their own rejection.
+template <typename Fn>
+bool with_order(std::uint64_t order, Fn&& fn) {
+  return [&]<unsigned... I>(std::integer_sequence<unsigned, I...>) {
+    return ((order == I + 2 &&
+             (fn(std::integral_constant<unsigned, I + 2>{}), true)) ||
+            ...);
+  }(std::make_integer_sequence<unsigned, kMaxOrder - 1>{});
+}
 
 /// C(n, k) in unsigned 64-bit arithmetic.  Throws std::overflow_error when
 /// the true value exceeds 2^64-1; returns 0 when k > n.

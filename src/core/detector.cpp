@@ -225,34 +225,20 @@ scoring::BasicContingencyTable<K> BasicDetector<K>::contingency(
     }
   }
   const dataset::PhenoSplitPlanes& p = impl_->split;
+  const DirectKernel<K> kernel = get_direct_kernel<K>(isa);
+  const auto complete_row = engine_detail::full_row<K>(p);
   scoring::BasicContingencyTable<K> t;
-  if constexpr (K == 3) {
-    t = contingency_split(p, snps[0], snps[1], snps[2], isa);
-  } else if constexpr (K == 2) {
-    // Four counted cells; the per-SNP genotype counts give the other five.
-    const CachedKernelSet kernels = get_cached_kernels(isa);
-    for (int c = 0; c < 2; ++c) {
-      auto& row = t.counts[static_cast<std::size_t>(c)];
-      kernels.count(p.plane(c, snps[0], 0), p.plane(c, snps[0], 1),
-                    p.plane(c, snps[1], 0), p.plane(c, snps[1], 1), 0,
-                    p.words(c), row.data());
-      complete_pair_row(p, c, snps[0], snps[1], row.data());
+  std::array<const Word*, K> g0;
+  std::array<const Word*, K> g1;
+  for (int c = 0; c < 2; ++c) {
+    for (unsigned i = 0; i < K; ++i) {
+      g0[i] = p.plane(c, snps[i], 0);
+      g1[i] = p.plane(c, snps[i], 1);
     }
-  } else {
-    const GenericKernelSet kernels = get_generic_kernels(isa);
-    std::array<const Word*, K> g0;
-    std::array<const Word*, K> g1;
-    for (int c = 0; c < 2; ++c) {
-      for (unsigned i = 0; i < K; ++i) {
-        g0[i] = p.plane(c, snps[i], 0);
-        g1[i] = p.plane(c, snps[i], 1);
-      }
-      auto& row = t.counts[static_cast<std::size_t>(c)];
-      kernels.direct(g0.data(), g1.data(), K, 0, p.words(c), row.data());
-      // NOR padding shows up as phantom all-genotype-2 observations.
-      row[scoring::num_cells(K) - 1] -=
-          static_cast<std::uint32_t>(p.pad_bits(c));
-    }
+    std::array<std::uint32_t, scoring::num_cells(K)> ft{};
+    kernel(g0.data(), g1.data(), 0, p.words(c), ft.data());
+    complete_row(snps, c, ft.data(),
+                 t.counts[static_cast<std::size_t>(c)].data());
   }
   return t;
 }
@@ -396,62 +382,34 @@ BasicDetectionResult<K> BasicDetector<K>::run(
             return emitted;
           });
     };
-    if constexpr (K == 2) {
-      // The counts-only kernel is the whole pair evaluation; V3 runs its
-      // scalar variant, V4 and V5 the vector one (identical here — the
-      // ladder has no rungs below order 3).
-      const CachedKernelSet kernels = get_cached_kernels(result.isa_used);
-      merged = scan_blocks([&](unsigned tid, const BlockTuple<2>& bt,
-                               const auto& on_comb) {
-        scan_block_pair(impl_->split, tiling, kernels, thread_scratch(tid),
-                        BlockPair{bt[0], bt[1]}, clip,
-                        [&](const combinatorics::Pair& pr,
-                            const scoring::PairContingencyTable& tb) {
-                          on_comb(Combination<2>{pr.x, pr.y}, scorer(tb));
-                        });
-      });
-    } else if (K == 3 && !cached) {
-      if constexpr (K == 3) {
-        // V3/V4 keep the paper's hand-tuned three-operand kernels.
-        const TripleBlockKernel kernel = get_kernel(result.isa_used);
-        merged = scan_blocks([&](unsigned tid, const BlockTuple<3>& bt,
-                                 const auto& on_comb) {
-          scan_block_triple(impl_->split, tiling, kernel, thread_scratch(tid),
-                            BlockTriple{bt[0], bt[1], bt[2]}, clip,
-                            [&](const combinatorics::Triplet& tr,
-                                const ContingencyTable& tb) {
-                              on_comb(Combination<3>{tr.x, tr.y, tr.z},
-                                      scorer(tb));
-                            });
-        });
-      }
-    } else {
-      const GenericKernelSet generic = get_generic_kernels(result.isa_used);
-      const auto on_table = [&](const auto& on_comb) {
-        return [&scorer, on_comb](
-                   const Combination<K>& c,
-                   const scoring::BasicContingencyTable<K>& tb) {
-          on_comb(c, scorer(tb));
-        };
+    const auto on_table = [&](const auto& on_comb) {
+      return [&scorer, on_comb](const Combination<K>& c,
+                                const scoring::BasicContingencyTable<K>& tb) {
+        on_comb(c, scorer(tb));
       };
-      if (cached) {
+    };
+    if (K >= 3 && cached) {
+      if constexpr (K >= 3) {
         // The prefix-plane ladder; at K = 3 it counts 8 of the 27 cells and
         // completes the rest from pair tables.
         const CachedKernelSet ck = get_cached_kernels(result.isa_used);
+        const GenericKernelSet generic = get_generic_kernels(result.isa_used);
         merged = scan_blocks([&](unsigned tid, const BlockTuple<K>& bt,
                                  const auto& on_comb) {
           scan_block_tuple<K>(impl_->split, tiling, ck, generic,
                               thread_scratch(tid), bt, clip,
                               on_table(on_comb));
         });
-      } else {
-        merged = scan_blocks([&](unsigned tid, const BlockTuple<K>& bt,
-                                 const auto& on_comb) {
-          scan_block_tuple<K>(impl_->split, tiling, generic,
-                              thread_scratch(tid), bt, clip,
-                              on_table(on_comb));
-        });
       }
+    } else {
+      // The direct engine: V3 runs the scalar kernel, V4 (and V5 at K = 2,
+      // where the ladder has no rungs) the vector one.
+      const DirectKernel<K> kernel = get_direct_kernel<K>(result.isa_used);
+      merged = scan_blocks([&](unsigned tid, const BlockTuple<K>& bt,
+                               const auto& on_comb) {
+        scan_block_tuple<K>(impl_->split, tiling, kernel, thread_scratch(tid),
+                            bt, clip, on_table(on_comb));
+      });
     }
   }
   result.seconds = sw.seconds();
@@ -569,8 +527,8 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
         for (std::uint64_t b = r.first; b < r.last; ++b) {
           if constexpr (K == 2) {
             scan_block_pair_batched(combined, batch, tiling, cachedk,
-                                    bkern, thread_scratch(tid),
-                                    BlockPair{bt[0], bt[1]}, clip, on_table);
+                                    bkern, thread_scratch(tid), bt, clip,
+                                    on_table);
           } else {
             scan_block_tuple_batched<K>(combined, batch, tiling,
                                         cachedk, generic, bkern,

@@ -8,7 +8,10 @@
 /// <= B_S^k contained SNP combinations in an L1-resident array, and streams
 /// the sample dimension in B_P-word chunks, so every loaded cache line is
 /// reused by up to B_S^{k-1} combinations before eviction.  This is the
-/// paper's V3; selecting a vector kernel turns it into V4.
+/// paper's V3; selecting a vector kernel turns it into V4.  One direct
+/// engine serves every order: its `DirectKernel<K>` is the counts-only pair
+/// kernel at k = 2, the paper's per-ISA triple-block kernel at k = 3 and the
+/// order-generic direct kernel above that.
 ///
 /// V5 goes one step further with a recursive *prefix-plane ladder*: all B_S
 /// last-axis SNPs of a block tuple share the same length-(k-1) prefix, so
@@ -30,9 +33,9 @@
 /// partition identity (the three genotype planes of a SNP partition every
 /// sample bit, padding included), and the last rung's planes and popcounts
 /// resolve all three final-axis cells with two ANDs + two POPCNTs per word.
-/// At k = 2 the engine degenerates to the counts-only kernel (the chunk
-/// popcounts of the four genotype-0/1 intersections, completed from the
-/// per-SNP genotype counts, *are* the 9-cell table).
+/// At k = 2 the ladder has no rungs, so V5 runs the direct engine: the
+/// chunk popcounts of the four genotype-0/1 intersections, completed from
+/// the per-SNP genotype counts, *are* the 9-cell table.
 ///
 /// The block-tuple rank math and the rank-range -> block-tuple mapping live
 /// in trigen/combinatorics/block_partition.hpp; the names are re-exported
@@ -53,17 +56,9 @@
 
 namespace trigen::core {
 
-using combinatorics::BlockPair;
-using combinatorics::BlockTriple;
 using combinatorics::BlockTuple;
-using combinatorics::num_block_pairs;
-using combinatorics::num_block_triples;
 using combinatorics::num_block_tuples;
-using combinatorics::rank_block_pair;
-using combinatorics::rank_block_triple;
 using combinatorics::rank_block_tuple;
-using combinatorics::unrank_block_pair;
-using combinatorics::unrank_block_triple;
 using combinatorics::unrank_block_tuple;
 
 using combinatorics::kFullRange;
@@ -93,8 +88,6 @@ class PrefixPlaneCache {
     planes_.assign(planes * stride_, 0);
     pops_.assign(planes, 0);
   }
-  /// Pair-plane compatibility surface: rung 2 only (order 3).
-  void ensure(std::size_t words) { ensure(3, words); }
 
   /// Planes of rung `j` (3^j planes of stride() words each).
   Word* rung(unsigned j) { return planes_.data() + rung_offset(j) * stride_; }
@@ -129,10 +122,6 @@ class PrefixPlaneCache {
   aligned_vector<Word> planes_;
   std::vector<std::uint32_t> pops_;
 };
-
-/// Rung 2 alone: the nine-plane pair-plane cache of the kernel tests and
-/// benchmarks.
-using PairPlaneCache = PrefixPlaneCache;
 
 /// Per-thread cache of the pair tables that complete order-3 rows
 /// (complete_triple_row): for every SNP u and every SNP z of one last-axis
@@ -228,11 +217,6 @@ class TupleBlockScratch {
   PairTableCache pairs_;
 };
 
-/// Triplet scratch: bs^3 tables of 27 cells.
-using BlockScratch = TupleBlockScratch<3>;
-/// Pair scratch: bs^2 tables of 9 cells.
-using PairBlockScratch = TupleBlockScratch<2>;
-
 namespace engine_detail {
 
 /// Block extents of `bt`: axis j covers SNPs [base[j], end[j]).  False when
@@ -318,11 +302,11 @@ void update_ladder(const dataset::PhenoSplitPlanes& planes, int c,
   }
 }
 
-/// Row completion of the engines whose scratch tables hold every cell:
-/// the direct kernels (V3/V4), the nine-plane ladder (V5, k >= 4) and the
-/// counts-only pair kernel.  Copies the class-`c` table `ft` into `row`
-/// and makes it exact: NOR padding shows up as phantom all-genotype-2
-/// observations, and the pair count kernel fills cells 0, 1, 3 and 4 only.
+/// Row completion of the direct engine (every order, DirectKernel<K>) and
+/// of the nine-plane ladder (V5, k >= 4).  Copies the class-`c` table `ft`
+/// into `row` and makes it exact: NOR padding shows up as phantom
+/// all-genotype-2 observations, and the pair count kernel fills cells 0,
+/// 1, 3 and 4 only.
 template <unsigned K>
 auto full_row(const dataset::PhenoSplitPlanes& planes) {
   return [&planes](const combinatorics::Combination<K>& comb, int c,
@@ -400,14 +384,14 @@ void scan_block_tuple_impl(const dataset::PhenoSplitPlanes& planes,
 }  // namespace engine_detail
 
 // ---------------------------------------------------------------------------
-// Order-generic entry points
+// Single-phenotype engines: direct (V3/V4, and V5 at k = 2) and ladder (V5)
 // ---------------------------------------------------------------------------
 
 /// Evaluates every order-K SNP combination inside block tuple `bt` whose
 /// colex rank lies in the range of `clip` and calls `on_table(const
 /// Combination<K>&, const BasicContingencyTable<K>&)` for each, using the
-/// direct (V3/V4) order-generic kernel.  `scratch.bs()` must equal
-/// `tiling.bs`.
+/// direct kernel of order K (V3 with the scalar strategy, V4 with a vector
+/// one; also V5 at K = 2).  `scratch.bs()` must equal `tiling.bs`.
 ///
 /// Clipping is exact and costs nothing when off: a block tuple no window
 /// reaches returns before any kernel work, and every prefix computes,
@@ -417,7 +401,7 @@ void scan_block_tuple_impl(const dataset::PhenoSplitPlanes& planes,
 template <unsigned K, typename OnTable>
 void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
                       const TilingParams& tiling,
-                      const GenericKernelSet& kernels,
+                      const DirectKernel<K>& kernel,
                       TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
                       const LastAxisWindow<K>& clip, OnTable&& on_table) {
   const std::size_t bs = tiling.bs;
@@ -443,26 +427,14 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
               for (std::size_t z = z_lo; z < z_hi; ++z) {
                 g0[K - 1] = planes.plane(c, z, 0);
                 g1[K - 1] = planes.plane(c, z, 1);
-                kernels.direct(g0.data(), g1.data(), K, w0, w1,
-                               scratch.table(local * bs + (z - base[K - 1]),
-                                             c));
+                kernel(g0.data(), g1.data(), w0, w1,
+                       scratch.table(local * bs + (z - base[K - 1]), c));
               }
             });
           }
         }
       },
       engine_detail::full_row<K>(planes), static_cast<OnTable&&>(on_table));
-}
-
-/// Unclipped direct scan: every combination of the block tuple is emitted.
-template <unsigned K, typename OnTable>
-void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
-                      const TilingParams& tiling,
-                      const GenericKernelSet& kernels,
-                      TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
-                      OnTable&& on_table) {
-  scan_block_tuple<K>(planes, tiling, kernels, scratch, bt, kFullRange,
-                      static_cast<OnTable&&>(on_table));
 }
 
 /// V5 at any order K >= 3: the recursive prefix-plane ladder.  Rungs are
@@ -492,7 +464,7 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
                       TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
                       const LastAxisWindow<K>& clip, OnTable&& on_table) {
   static_assert(K >= 3, "the prefix-plane ladder needs a length-2 prefix; "
-                        "use the counts-only pair path for K == 2");
+                        "K == 2 runs the direct engine");
   const std::size_t bs = tiling.bs;
   PrefixPlaneCache& cache = scratch.prefix_cache();
   cache.ensure(K, tiling.bp_words);
@@ -548,135 +520,6 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
         planes, tiling, scratch, bt, clip, accumulate,
         engine_detail::full_row<K>(planes), static_cast<OnTable&&>(on_table));
   }
-}
-
-/// Unclipped ladder scan: every combination of the block tuple is emitted.
-template <unsigned K, typename OnTable>
-void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
-                      const TilingParams& tiling,
-                      const CachedKernelSet& cached,
-                      const GenericKernelSet& generic,
-                      TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
-                      OnTable&& on_table) {
-  scan_block_tuple<K>(planes, tiling, cached, generic, scratch, bt,
-                      kFullRange, static_cast<OnTable&&>(on_table));
-}
-
-// ---------------------------------------------------------------------------
-// Third order: the per-ISA triplet instantiation
-// ---------------------------------------------------------------------------
-
-/// Evaluates every SNP triplet inside block triple `bt` whose colex rank
-/// lies in the range of `clip` and calls `on_table(Triplet, const
-/// ContingencyTable&)` for each.  `kernel` is the per-ISA triple-block
-/// kernel; `scratch.bs()` must equal `tiling.bs`.  This is the K = 3
-/// instantiation of the generic engine skeleton, keeping the hand-tuned
-/// three-operand kernels (including their AVX-512 variants) on the hot
-/// path.
-template <typename OnTable>
-void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
-                       const TilingParams& tiling, TripleBlockKernel kernel,
-                       BlockScratch& scratch, const BlockTriple& bt,
-                       const LastAxisWindow<3>& clip, OnTable&& on_table) {
-  const std::size_t bs = tiling.bs;
-  engine_detail::scan_block_tuple_impl<3>(
-      planes, tiling, scratch, BlockTuple<3>{bt.b0, bt.b1, bt.b2}, clip,
-      [&](const std::array<std::size_t, 3>& base, const auto& each_prefix) {
-        // Sample-blocked accumulation: for each class, stream B_P words at
-        // a time through all triplets of the block triple (Algorithm 1
-        // loop order).
-        for (int c = 0; c < 2; ++c) {
-          const std::size_t words = planes.words(c);
-          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            each_prefix([&](const combinatorics::Combination<3>& p, unsigned,
-                            std::size_t local, std::size_t z_lo,
-                            std::size_t z_hi) {
-              for (std::size_t z = z_lo; z < z_hi; ++z) {
-                kernel(planes.plane(c, p[0], 0), planes.plane(c, p[0], 1),
-                       planes.plane(c, p[1], 0), planes.plane(c, p[1], 1),
-                       planes.plane(c, z, 0), planes.plane(c, z, 1), w0, w1,
-                       scratch.table(local * bs + (z - base[2]), c));
-              }
-            });
-          }
-        }
-      },
-      engine_detail::full_row<3>(planes),
-      [&](const combinatorics::Combination<3>& c,
-          const scoring::ContingencyTable& t) {
-        on_table(combinatorics::Triplet{c[0], c[1], c[2]}, t);
-      });
-}
-
-/// Unclipped scan: every triplet of the block triple is emitted.
-template <typename OnTable>
-void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
-                       const TilingParams& tiling, TripleBlockKernel kernel,
-                       BlockScratch& scratch, const BlockTriple& bt,
-                       OnTable&& on_table) {
-  scan_block_triple(planes, tiling, kernel, scratch, bt, kFullRange,
-                    static_cast<OnTable&&>(on_table));
-}
-
-// ---------------------------------------------------------------------------
-// Second order: the counts-only pair instantiation
-// ---------------------------------------------------------------------------
-
-/// Evaluates every SNP pair inside block pair `bp` whose colex rank lies in
-/// the range of `clip` and calls `on_table(combinatorics::Pair, const
-/// scoring::PairContingencyTable&)` for each.  The counts phase *is* the
-/// whole evaluation: the count kernel adds the chunk popcounts of the four
-/// x∩y intersections with both genotypes in {0, 1} straight into the pair's
-/// table, and the finalize derives the five genotype-2 cells from the
-/// per-SNP genotype counts — no third operand, no genotype-2 plane, no
-/// padding correction, and no materialized planes (the counts-only kernel
-/// retires zero stores and needs no L1 cache budget).  This is the K = 2
-/// instantiation of the generic engine skeleton, shared by V3 (scalar
-/// kernel), V4 and V5 (identical here — the ladder has no rungs below
-/// order 3).
-template <typename OnTable>
-void scan_block_pair(const dataset::PhenoSplitPlanes& planes,
-                     const TilingParams& tiling,
-                     const CachedKernelSet& kernels, PairBlockScratch& scratch,
-                     const BlockPair& bp, const LastAxisWindow<2>& clip,
-                     OnTable&& on_table) {
-  const std::size_t bs = tiling.bs;
-  engine_detail::scan_block_tuple_impl<2>(
-      planes, tiling, scratch, BlockTuple<2>{bp.b0, bp.b1}, clip,
-      [&](const std::array<std::size_t, 2>& base, const auto& each_prefix) {
-        for (int c = 0; c < 2; ++c) {
-          const std::size_t words = planes.words(c);
-          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            each_prefix([&](const combinatorics::Combination<2>& p, unsigned,
-                            std::size_t local, std::size_t z_lo,
-                            std::size_t z_hi) {
-              for (std::size_t z = z_lo; z < z_hi; ++z) {
-                kernels.count(planes.plane(c, p[0], 0),
-                              planes.plane(c, p[0], 1), planes.plane(c, z, 0),
-                              planes.plane(c, z, 1), w0, w1,
-                              scratch.table(local * bs + (z - base[1]), c));
-              }
-            });
-          }
-        }
-      },
-      engine_detail::full_row<2>(planes),
-      [&](const combinatorics::Combination<2>& c,
-          const scoring::PairContingencyTable& t) {
-        on_table(combinatorics::Pair{c[0], c[1]}, t);
-      });
-}
-
-/// Unclipped pair scan: every pair of the block pair is emitted.
-template <typename OnTable>
-void scan_block_pair(const dataset::PhenoSplitPlanes& planes,
-                     const TilingParams& tiling,
-                     const CachedKernelSet& kernels, PairBlockScratch& scratch,
-                     const BlockPair& bp, OnTable&& on_table) {
-  scan_block_pair(planes, tiling, kernels, scratch, bp, kFullRange,
-                  static_cast<OnTable&&>(on_table));
 }
 
 // ---------------------------------------------------------------------------
@@ -832,12 +675,11 @@ void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
                              const CachedKernelSet& cached,
                              const BatchKernelSet& bkern,
                              BatchTupleScratch<2>& scratch,
-                             const BlockPair& bp,
+                             const BlockTuple<2>& bt,
                              const LastAxisWindow<2>& clip,
                              OnTable&& on_table) {
   const std::size_t bs = tiling.bs;
   const std::size_t m = planes.num_snps();
-  const BlockTuple<2> bt{bp.b0, bp.b1};
   std::array<std::size_t, 2> base;
   std::array<std::size_t, 2> end;
   if (!engine_detail::block_extents<2>(m, bs, bt, base, end)) return;

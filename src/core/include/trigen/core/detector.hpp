@@ -13,8 +13,8 @@
 /// \endcode
 ///
 /// `BasicDetector<K>` runs the same stack at any interaction order
-/// K in [2, combinatorics::kMaxOrder]: `Detector` (K = 3) and the pairwise
-/// module's `PairDetector` (K = 2) are aliases of it.  The five
+/// K in [2, combinatorics::kMaxOrder]; `Detector` is its K = 3 alias, and
+/// pair scans use `BasicDetector<2>` directly.  The five
 /// `CpuVersion`s implement the paper's optimization ladder plus the
 /// prefix-plane-cached V5 extension; all produce identical results, they
 /// only differ in speed (and are cross-checked against each other in the
@@ -242,7 +242,7 @@ class BasicDetector {
       const combinatorics::Combination<K>& snps,
       KernelIsa isa = KernelIsa::kScalar) const;
 
-  /// Pairwise-API compatibility form of contingency().
+  /// Two-index form of contingency() for pairs.
   scoring::PairContingencyTable contingency(
       std::size_t x, std::size_t y,
       KernelIsa isa = KernelIsa::kScalar) const

@@ -18,6 +18,12 @@
 /// matching the per-ISA strategies of the paper's V4; the scalar
 /// implementation doubles as the V2/V3 kernel.
 ///
+/// The blocked engine's direct (V3/V4) path names one kernel per order,
+/// chosen at compile time by `DirectKernel<K>` / `get_direct_kernel<K>`:
+/// the counts-only pair kernel at k = 2, the triple-block kernel at k = 3
+/// and the order-generic `direct` kernel above that.  The detectors'
+/// single-combination `contingency` uses the same choice.
+///
 /// The **V5** order-3 path counts only the eight genotype-{0,1}^3 cells.
 /// Once per (x, y, sample chunk) the order-generic `extend01` kernel
 /// materializes the four planes xa∩yb with a, b in {0, 1} (plus their
@@ -48,6 +54,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "trigen/combinatorics/combinations.hpp"
@@ -172,8 +179,9 @@ inline void complete_triple_row(const dataset::PhenoSplitPlanes& p, int c,
 
 /// The nine-plane V5 phases for one vectorization strategy plus the
 /// counts-only pair kernel.  `build` is rung 2 of the k >= 4 ladder and of
-/// the batched engines; `cached` is called only by perfbench's kernel probe
-/// and the kernel benchmarks.
+/// the batched engines; `count` is the k = 2 direct kernel and fills the
+/// pair tables of the V5 order-3 path; `cached` is called only by
+/// perfbench's kernel probe and the kernel benchmarks.
 struct CachedKernelSet {
   PairPlaneBuildKernel build = nullptr;
   TripleBlockCachedKernel cached = nullptr;
@@ -351,6 +359,45 @@ CachedKernelSet get_cached_kernels(KernelIsa isa);
 /// path.  (An extract + scalar POPCNT AVX-512 finalize measured no faster
 /// than the AVX2 body at k = 3 or 4.)
 GenericKernelSet get_generic_kernels(KernelIsa isa);
+
+/// The direct (V3/V4) kernel of order K, chosen at compile time: the
+/// counts-only pair kernel at K = 2 (cells 0, 1, 3 and 4 only, completed by
+/// complete_pair_row), the paper's per-ISA triple-block kernel at K = 3 and
+/// the order-generic `direct` kernel above that (both NOR-padded).  The
+/// call adds the class counts of the combination whose i-th SNP has the
+/// genotype planes g0[i], g1[i] over words [w_begin, w_end) into `ft`.
+template <unsigned K>
+struct DirectKernel {
+  using Fn = std::conditional_t<
+      K == 2, PairPlaneCountKernel,
+      std::conditional_t<K == 3, TripleBlockKernel, TupleBlockKernel>>;
+  Fn fn = nullptr;
+
+  void operator()(const Word* const* g0, const Word* const* g1,
+                  std::size_t w_begin, std::size_t w_end,
+                  std::uint32_t* ft) const {
+    if constexpr (K == 2) {
+      fn(g0[0], g1[0], g0[1], g1[1], w_begin, w_end, ft);
+    } else if constexpr (K == 3) {
+      fn(g0[0], g1[0], g0[1], g1[1], g0[2], g1[2], w_begin, w_end, ft);
+    } else {
+      fn(g0, g1, K, w_begin, w_end, ft);
+    }
+  }
+};
+
+/// Fetch the order-K direct kernel for `isa`; throws std::runtime_error if
+/// unavailable.
+template <unsigned K>
+DirectKernel<K> get_direct_kernel(KernelIsa isa) {
+  if constexpr (K == 2) {
+    return {get_cached_kernels(isa).count};
+  } else if constexpr (K == 3) {
+    return {get_kernel(isa)};
+  } else {
+    return {get_generic_kernels(isa).direct};
+  }
+}
 
 /// Fetch the batched multi-phenotype kernels for `isa`; throws
 /// std::runtime_error if unavailable.  The scalar strategy maps to the

@@ -27,22 +27,6 @@ namespace {
   throw std::invalid_argument(what);
 }
 
-/// Runtime order -> compile-time instantiation (same dispatch shape as the
-/// CLI and the scan server).
-template <typename Fn>
-void with_order(unsigned order, Fn&& fn) {
-  switch (order) {
-    case 2: fn(std::integral_constant<unsigned, 2>{}); return;
-    case 3: fn(std::integral_constant<unsigned, 3>{}); return;
-    case 4: fn(std::integral_constant<unsigned, 4>{}); return;
-    case 5: fn(std::integral_constant<unsigned, 5>{}); return;
-    case 6: fn(std::integral_constant<unsigned, 6>{}); return;
-    default: break;
-  }
-  reject("order expects an interaction order in [2, " +
-         std::to_string(combinatorics::kMaxOrder) + "]");
-}
-
 std::string response(const char* kind, const std::string& id,
                      const std::string& rest) {
   std::string out = kind;
@@ -287,7 +271,7 @@ struct FleetCoordinator::Impl {
       log("lease expired: shard " + std::to_string(id) + " worker " +
           e->worker + " watermark " + std::to_string(e->watermark));
       ++reassignment_count;
-      with_order(st.order, [&](auto kc) {
+      combinatorics::with_order(st.order, [&](auto kc) {
         this->requeue<decltype(kc)::value>(
             id, /*count_failure=*/true, /*rescan_from_scratch=*/false,
             "lease expired");
@@ -313,7 +297,7 @@ struct FleetCoordinator::Impl {
           "fleet: no shards left but coverage is incomplete (internal "
           "invariant violated)");
     }
-    with_order(st.order, [&](auto kc) {
+    combinatorics::with_order(st.order, [&](auto kc) {
       constexpr unsigned K = decltype(kc)::value;
       const auto r = shard::read_shard_result_file_as<core::ScoredOf<K>>(
           spool_file(st.done[0].file));
@@ -421,7 +405,7 @@ struct FleetCoordinator::Impl {
     }
 
     std::string verdict;
-    with_order(st.order, [&](auto kc) {
+    combinatorics::with_order(st.order, [&](auto kc) {
       constexpr unsigned K = decltype(kc)::value;
       using Scored = core::ScoredOf<K>;
       const std::string file = result_name(id);
@@ -456,7 +440,7 @@ struct FleetCoordinator::Impl {
       // accounting against repeat offenders).
       log("bad result: shard " + std::to_string(id) + " worker " + worker +
           ": " + verdict);
-      with_order(st.order, [&](auto kc) {
+      combinatorics::with_order(st.order, [&](auto kc) {
         this->requeue<decltype(kc)::value>(
             id, /*count_failure=*/true, /*rescan_from_scratch=*/true,
             "bad result");
@@ -481,7 +465,7 @@ struct FleetCoordinator::Impl {
     }
     log("abandoned: shard " + std::to_string(id) + " worker " + worker +
         (reason == params.end() ? "" : " reason " + reason->second));
-    with_order(st.order, [&](auto kc) {
+    combinatorics::with_order(st.order, [&](auto kc) {
       this->requeue<decltype(kc)::value>(
           id, /*count_failure=*/false, /*rescan_from_scratch=*/false,
           "abandoned");

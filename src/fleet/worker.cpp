@@ -202,20 +202,6 @@ core::Objective parse_objective_token(const std::string& s) {
                            "'");
 }
 
-template <typename Fn>
-void with_order(unsigned order, Fn&& fn) {
-  switch (order) {
-    case 2: fn(std::integral_constant<unsigned, 2>{}); return;
-    case 3: fn(std::integral_constant<unsigned, 3>{}); return;
-    case 4: fn(std::integral_constant<unsigned, 4>{}); return;
-    case 5: fn(std::integral_constant<unsigned, 5>{}); return;
-    case 6: fn(std::integral_constant<unsigned, 6>{}); return;
-    default: break;
-  }
-  throw std::runtime_error("coordinator granted unsupported order " +
-                           std::to_string(order));
-}
-
 /// Per-order detectors, built lazily (a fleet has one order, so exactly
 /// one slot ever fills).
 struct DetectorCache {
@@ -438,11 +424,13 @@ int run_worker(const dataset::GenotypeMatrix& dataset,
 
     ShardOutcome outcome = ShardOutcome::kFailed;
     try {
-      with_order(static_cast<unsigned>(param_u64(*reply, "order")),
-                 [&](auto kc) {
-                   outcome =
-                       run_granted_shard<decltype(kc)::value>(s, *reply);
-                 });
+      const std::uint64_t order = param_u64(*reply, "order");
+      if (!combinatorics::with_order(order, [&](auto kc) {
+            outcome = run_granted_shard<decltype(kc)::value>(s, *reply);
+          })) {
+        throw std::runtime_error("coordinator granted unsupported order " +
+                                 std::to_string(order));
+      }
     } catch (const std::exception& e) {
       // Deliberately no abandon: letting the lease expire charges the
       // shard a failure, which is what drives the coordinator's backoff

@@ -73,20 +73,15 @@ core::CpuVersion param_version(
   return *version;
 }
 
-/// Runtime order -> compile-time instantiation (same dispatch shape as the
-/// CLI's cmd_scan).
+/// Runs `fn` at the compile-time order of the `order=` parameter (default
+/// 3), rejecting an order outside [2, kMaxOrder].
 template <typename Fn>
-void with_order(unsigned order, Fn&& fn) {
-  switch (order) {
-    case 2: fn(std::integral_constant<unsigned, 2>{}); return;
-    case 3: fn(std::integral_constant<unsigned, 3>{}); return;
-    case 4: fn(std::integral_constant<unsigned, 4>{}); return;
-    case 5: fn(std::integral_constant<unsigned, 5>{}); return;
-    case 6: fn(std::integral_constant<unsigned, 6>{}); return;
-    default: break;
+void with_param_order(const std::map<std::string, std::string>& params,
+                      Fn&& fn) {
+  if (!combinatorics::with_order(param_u64(params, "order", 3), fn)) {
+    reject("order expects an interaction order in [2, " +
+           std::to_string(combinatorics::kMaxOrder) + "]");
   }
-  reject("order expects an interaction order in [2, " +
-         std::to_string(combinatorics::kMaxOrder) + "]");
 }
 
 /// C(M, K), with the >2^64 overflow turned into a client-facing rejection.
@@ -485,9 +480,7 @@ struct ScanServer::Impl {
   }
 
   void submit_scan(const Request& req, const EventSink& sink) {
-    const unsigned order =
-        static_cast<unsigned>(param_u64(req.params, "order", 3));
-    with_order(order, [&](auto kc) {
+    with_param_order(req.params, [&](auto kc) {
       constexpr unsigned K = decltype(kc)::value;
       core::BasicDetectorOptions<K> dopt;
       dopt.objective = param_objective(req.params);
@@ -522,9 +515,7 @@ struct ScanServer::Impl {
   }
 
   void submit_significance(const Request& req, const EventSink& sink) {
-    const unsigned order =
-        static_cast<unsigned>(param_u64(req.params, "order", 3));
-    with_order(order, [&](auto kc) {
+    with_param_order(req.params, [&](auto kc) {
       constexpr unsigned K = decltype(kc)::value;
       const auto permutations =
           static_cast<unsigned>(param_u64(req.params, "permutations", 19));

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "trigen/core/detector.hpp"
-#include "trigen/pairwise/pair_detector.hpp"
 #include "trigen/shard/result_io.hpp"
 
 namespace trigen::shard {

@@ -23,7 +23,6 @@
 
 #include "trigen/combinatorics/scheduler.hpp"
 #include "trigen/core/detector.hpp"
-#include "trigen/pairwise/pair_detector.hpp"
 #include "trigen/shard/result_io.hpp"
 
 namespace trigen::shard {
@@ -54,7 +53,7 @@ struct BasicShardRunOptions {
 };
 
 using ShardRunOptions = BasicShardRunOptions<core::DetectorOptions>;
-using PairShardRunOptions = BasicShardRunOptions<pairwise::PairDetectorOptions>;
+using PairShardRunOptions = BasicShardRunOptions<core::BasicDetectorOptions<2>>;
 
 template <typename Scored>
 struct BasicShardRunReport {
@@ -98,7 +97,7 @@ inline ShardRunReport run_shard(
 
 /// One shard of a 2-way scan (= run_shard_of<2>).
 inline PairShardRunReport run_pair_shard(
-    const pairwise::PairDetector& detector, std::uint64_t fingerprint,
+    const core::BasicDetector<2>& detector, std::uint64_t fingerprint,
     const PairShardRunOptions& options,
     const std::function<void(const std::string& reason)>&
         on_checkpoint_discarded = {}) {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "trigen/core/detector.hpp"
-#include "trigen/pairwise/pair_detector.hpp"
 
 namespace trigen::stats {
 

@@ -286,9 +286,10 @@ TuningProfile TuneReport::to_profile() const {
 
 TuneReport run_tuning_grid(const TuneOptions& options) {
   for (const unsigned k : options.orders) {
-    if (k < 2 || k > 6)
-      throw std::invalid_argument("tune: order " + std::to_string(k) +
-                                  " out of range [2, 6]");
+    if (k < 2 || k > combinatorics::kMaxOrder)
+      throw std::invalid_argument(
+          "tune: order " + std::to_string(k) + " out of range [2, " +
+          std::to_string(combinatorics::kMaxOrder) + "]");
   }
   if (options.n_samples == 0)
     throw std::invalid_argument("tune: n_samples must be positive");
@@ -306,13 +307,8 @@ TuneReport run_tuning_grid(const TuneOptions& options) {
   const std::set<unsigned> orders(options.orders.begin(),
                                   options.orders.end());
   for (const unsigned k : orders) {
-    switch (k) {
-      case 2: measure_order<2>(ctx); break;
-      case 3: measure_order<3>(ctx); break;
-      case 4: measure_order<4>(ctx); break;
-      case 5: measure_order<5>(ctx); break;
-      case 6: measure_order<6>(ctx); break;
-    }
+    combinatorics::with_order(
+        k, [&](auto kc) { measure_order<decltype(kc)::value>(ctx); });
   }
   return report;
 }

@@ -195,19 +195,38 @@ TEST(PairIteration, SubrangeAndEmpty) {
   for_each_pair(9, 9, [&](const Pair&) { FAIL(); });
 }
 
+TEST(WithOrder, DispatchesEverySupportedOrderOnceAndRejectsTheRest) {
+  for (std::uint64_t order = 0; order <= kMaxOrder + 2; ++order) {
+    unsigned called = 0;
+    unsigned seen = 0;
+    const bool ok = with_order(order, [&](auto kc) {
+      ++called;
+      seen = decltype(kc)::value;
+    });
+    const bool supported = order >= 2 && order <= kMaxOrder;
+    EXPECT_EQ(ok, supported) << order;
+    EXPECT_EQ(called, supported ? 1u : 0u) << order;
+    if (supported) {
+      EXPECT_EQ(seen, order);
+    }
+  }
+  EXPECT_FALSE(with_order(~std::uint64_t{0}, [](auto) { FAIL(); }));
+  EXPECT_FALSE(with_order(std::uint64_t{1} << 32 | 3, [](auto) { FAIL(); }));
+}
+
 // --------------------------------------------------------------------------
 // Block partition (triplet rank range -> block triples)
 // --------------------------------------------------------------------------
 
 /// Brute-force span of a block triple: min/max rank over every triplet it
 /// contains.
-RankRange brute_span(const BlockGrid& g, const BlockTriple& bt) {
+RankRange brute_span(const BlockGrid& g, const BlockTuple<3>& bt) {
   std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
   bool any = false;
   for (std::uint32_t z = 2; z < g.m; ++z) {
     for (std::uint32_t y = 1; y < z; ++y) {
       for (std::uint32_t x = 0; x < y; ++x) {
-        if (x / g.bs != bt.b0 || y / g.bs != bt.b1 || z / g.bs != bt.b2) {
+        if (x / g.bs != bt[0] || y / g.bs != bt[1] || z / g.bs != bt[2]) {
           continue;
         }
         const std::uint64_t r = rank_triplet({x, y, z});
@@ -224,10 +243,10 @@ TEST(BlockPartition, SpanMatchesBruteForceExhaustively) {
   for (const std::uint64_t m : {3ull, 4ull, 6ull, 7ull, 10ull, 13ull}) {
     for (const std::uint64_t bs : {1ull, 2ull, 3ull, 5ull, 16ull}) {
       const BlockGrid g{m, bs};
-      for (std::uint64_t r = 0; r < num_block_triples(g.num_blocks()); ++r) {
-        const BlockTriple bt = unrank_block_triple(r);
+      for (std::uint64_t r = 0; r < num_block_tuples<3>(g.num_blocks()); ++r) {
+        const BlockTuple<3> bt = unrank_block_tuple<3>(r);
         const RankRange expect = brute_span(g, bt);
-        const RankRange got = block_triplet_span(g, bt);
+        const RankRange got = block_tuple_span<3>(g, bt);
         ASSERT_EQ(got.empty(), expect.empty())
             << "m=" << m << " bs=" << bs << " block " << r;
         if (!expect.empty()) {
@@ -240,14 +259,14 @@ TEST(BlockPartition, SpanMatchesBruteForceExhaustively) {
 }
 
 TEST(BlockPartition, SpansAreMonotoneOverNonemptyBlocks) {
-  // The fact partition_block_triples relies on: block rank order sorts
+  // The fact partition_block_tuples<3> relies on: block rank order sorts
   // both span endpoints over nonempty block triples.
   for (const std::uint64_t bs : {1ull, 2ull, 3ull, 5ull}) {
     const BlockGrid g{17, bs};
     RankRange prev{};
     bool have_prev = false;
-    for (std::uint64_t r = 0; r < num_block_triples(g.num_blocks()); ++r) {
-      const RankRange s = block_triplet_span(g, unrank_block_triple(r));
+    for (std::uint64_t r = 0; r < num_block_tuples<3>(g.num_blocks()); ++r) {
+      const RankRange s = block_tuple_span<3>(g, unrank_block_tuple<3>(r));
       if (s.empty()) continue;
       if (have_prev) {
         ASSERT_GT(s.first, prev.first) << "bs=" << bs << " block " << r;
@@ -266,15 +285,15 @@ TEST(BlockPartition, RunCoversEveryBlockIntersectingTheRange) {
     for (const RankRange range :
          {RankRange{0, total}, RankRange{0, 1}, RankRange{total - 1, total},
           RankRange{7, 23}, RankRange{total / 3, 2 * total / 3}}) {
-      const BlockPartition part = partition_block_triples(g, range);
+      const BlockPartition part = partition_block_tuples<3>(g, range);
       EXPECT_EQ(part.clip.first, range.first);
       EXPECT_EQ(part.clip.last, range.last);
       ASSERT_LE(part.block_ranks.last,
-                num_block_triples(g.num_blocks()));
+                num_block_tuples<3>(g.num_blocks()));
       // Every triplet of the range lives in a block inside the run.
       for (std::uint64_t r = range.first; r < range.last; ++r) {
         const Triplet t = unrank_triplet(r);
-        const std::uint64_t br = rank_block_triple(
+        const std::uint64_t br = rank_block_tuple<3>(
             {static_cast<std::uint32_t>(t.x / bs),
              static_cast<std::uint32_t>(t.y / bs),
              static_cast<std::uint32_t>(t.z / bs)});
@@ -287,8 +306,8 @@ TEST(BlockPartition, RunCoversEveryBlockIntersectingTheRange) {
 
 TEST(BlockPartition, EmptyRangeYieldsEmptyRun) {
   const BlockGrid g{10, 3};
-  EXPECT_TRUE(partition_block_triples(g, {5, 5}).block_ranks.empty());
-  EXPECT_TRUE(partition_block_triples(g, {}).block_ranks.empty());
+  EXPECT_TRUE(partition_block_tuples<3>(g, {5, 5}).block_ranks.empty());
+  EXPECT_TRUE(partition_block_tuples<3>(g, {}).block_ranks.empty());
 }
 
 TEST(BlockTupleRank, SuccessorWalksEveryRankInOrder) {
@@ -401,22 +420,22 @@ TEST(BlockPairRank, RoundTripExhaustive) {
   std::uint64_t rank = 0;
   for (std::uint32_t b1 = 0; b1 < 40; ++b1) {
     for (std::uint32_t b0 = 0; b0 <= b1; ++b0) {
-      const BlockPair bp{b0, b1};
-      ASSERT_EQ(rank_block_pair(bp), rank);
-      ASSERT_EQ(unrank_block_pair(rank), bp);
+      const BlockTuple<2> bp{b0, b1};
+      ASSERT_EQ(rank_block_tuple<2>(bp), rank);
+      ASSERT_EQ(unrank_block_tuple<2>(rank), bp);
       ++rank;
     }
   }
-  EXPECT_EQ(rank, num_block_pairs(40));
+  EXPECT_EQ(rank, num_block_tuples<2>(40));
 }
 
 /// Brute-force span of a block pair: min/max rank over every pair in it.
-RankRange brute_pair_span(const BlockGrid& g, const BlockPair& bp) {
+RankRange brute_pair_span(const BlockGrid& g, const BlockTuple<2>& bp) {
   std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
   bool any = false;
   for (std::uint32_t y = 1; y < g.m; ++y) {
     for (std::uint32_t x = 0; x < y; ++x) {
-      if (x / g.bs != bp.b0 || y / g.bs != bp.b1) continue;
+      if (x / g.bs != bp[0] || y / g.bs != bp[1]) continue;
       const std::uint64_t r = rank_pair({x, y});
       lo = std::min(lo, r);
       hi = std::max(hi, r);
@@ -430,10 +449,10 @@ TEST(BlockPairPartition, SpanMatchesBruteForceExhaustively) {
   for (const std::uint64_t m : {2ull, 3ull, 4ull, 6ull, 7ull, 10ull, 13ull}) {
     for (const std::uint64_t bs : {1ull, 2ull, 3ull, 5ull, 16ull}) {
       const BlockGrid g{m, bs};
-      for (std::uint64_t r = 0; r < num_block_pairs(g.num_blocks()); ++r) {
-        const BlockPair bp = unrank_block_pair(r);
+      for (std::uint64_t r = 0; r < num_block_tuples<2>(g.num_blocks()); ++r) {
+        const BlockTuple<2> bp = unrank_block_tuple<2>(r);
         const RankRange expect = brute_pair_span(g, bp);
-        const RankRange got = block_pair_span(g, bp);
+        const RankRange got = block_tuple_span<2>(g, bp);
         ASSERT_EQ(got.empty(), expect.empty())
             << "m=" << m << " bs=" << bs << " block " << r;
         if (!expect.empty()) {
@@ -446,14 +465,14 @@ TEST(BlockPairPartition, SpanMatchesBruteForceExhaustively) {
 }
 
 TEST(BlockPairPartition, SpansAreMonotoneOverNonemptyBlocks) {
-  // The fact partition_block_pairs relies on: block rank order sorts both
+  // The fact partition_block_tuples<2> relies on: block rank order sorts both
   // span endpoints over nonempty block pairs.
   for (const std::uint64_t bs : {1ull, 2ull, 3ull, 5ull}) {
     const BlockGrid g{17, bs};
     RankRange prev{};
     bool have_prev = false;
-    for (std::uint64_t r = 0; r < num_block_pairs(g.num_blocks()); ++r) {
-      const RankRange s = block_pair_span(g, unrank_block_pair(r));
+    for (std::uint64_t r = 0; r < num_block_tuples<2>(g.num_blocks()); ++r) {
+      const RankRange s = block_tuple_span<2>(g, unrank_block_tuple<2>(r));
       if (s.empty()) continue;
       if (have_prev) {
         ASSERT_GT(s.first, prev.first) << "bs=" << bs << " block " << r;
@@ -472,15 +491,15 @@ TEST(BlockPairPartition, RunCoversEveryBlockIntersectingTheRange) {
     for (const RankRange range :
          {RankRange{0, total}, RankRange{0, 1}, RankRange{total - 1, total},
           RankRange{7, 23}, RankRange{total / 3, 2 * total / 3}}) {
-      const BlockPartition part = partition_block_pairs(g, range);
+      const BlockPartition part = partition_block_tuples<2>(g, range);
       EXPECT_EQ(part.clip.first, range.first);
       EXPECT_EQ(part.clip.last, range.last);
-      ASSERT_LE(part.block_ranks.last, num_block_pairs(g.num_blocks()));
+      ASSERT_LE(part.block_ranks.last, num_block_tuples<2>(g.num_blocks()));
       // Every pair of the range lives in a block inside the run.
       for (std::uint64_t r = range.first; r < range.last; ++r) {
         const Pair p = unrank_pair(r);
         const std::uint64_t br =
-            rank_block_pair({static_cast<std::uint32_t>(p.x / bs),
+            rank_block_tuple<2>({static_cast<std::uint32_t>(p.x / bs),
                              static_cast<std::uint32_t>(p.y / bs)});
         ASSERT_GE(br, part.block_ranks.first) << "bs=" << bs << " r=" << r;
         ASSERT_LT(br, part.block_ranks.last) << "bs=" << bs << " r=" << r;
@@ -491,8 +510,8 @@ TEST(BlockPairPartition, RunCoversEveryBlockIntersectingTheRange) {
 
 TEST(BlockPairPartition, EmptyRangeYieldsEmptyRun) {
   const BlockGrid g{10, 3};
-  EXPECT_TRUE(partition_block_pairs(g, {5, 5}).block_ranks.empty());
-  EXPECT_TRUE(partition_block_pairs(g, {}).block_ranks.empty());
+  EXPECT_TRUE(partition_block_tuples<2>(g, {5, 5}).block_ranks.empty());
+  EXPECT_TRUE(partition_block_tuples<2>(g, {}).block_ranks.empty());
 }
 
 // --------------------------------------------------------------------------

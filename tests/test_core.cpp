@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -174,14 +175,14 @@ TEST_P(KernelShapeTest, CachedKernelMatchesReferenceForEveryIsa) {
   for (const KernelIsa isa : all_kernel_isas()) {
     if (!kernel_available(isa)) continue;
     const CachedKernelSet ks = get_cached_kernels(isa);
-    PairPlaneCache cache;
+    PrefixPlaneCache cache;
     for (std::size_t x = 0; x < m; ++x) {
       for (std::size_t y = x + 1; y < m; ++y) {
         for (std::size_t z = y + 1; z < m; ++z) {
           ContingencyTable t;
           for (int c = 0; c < 2; ++c) {
             const std::size_t words = planes.words(c);
-            cache.ensure(words);
+            cache.ensure(3, words);
             std::fill(cache.pops(), cache.pops() + 9, 0u);
             ks.build(planes.plane(c, x, 0), planes.plane(c, x, 1),
                      planes.plane(c, y, 0), planes.plane(c, y, 1), 0, words,
@@ -207,10 +208,10 @@ TEST(Kernels, CachedKernelWordSubrangesCompose) {
   const auto d = random_dataset({6, 200, 17});
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const CachedKernelSet ks = get_cached_kernels(KernelIsa::kScalar);
-  PairPlaneCache cache;
+  PrefixPlaneCache cache;
   for (int c = 0; c < 2; ++c) {
     const std::size_t words = planes.words(c);
-    cache.ensure(words);
+    cache.ensure(3, words);
     std::uint32_t full[27] = {};
     std::uint32_t split_acc[27] = {};
     std::fill(cache.pops(), cache.pops() + 9, 0u);
@@ -264,10 +265,10 @@ TEST(Kernels, SplitKernelWordSubrangesCompose) {
 // --------------------------------------------------------------------------
 
 TEST(BlockTriples, CountMatchesMultisetFormula) {
-  EXPECT_EQ(num_block_triples(1), 1u);   // (0,0,0)
-  EXPECT_EQ(num_block_triples(2), 4u);   // C(4,3)
-  EXPECT_EQ(num_block_triples(3), 10u);  // C(5,3)
-  EXPECT_EQ(num_block_triples(10), 220u);
+  EXPECT_EQ(num_block_tuples<3>(1), 1u);   // (0,0,0)
+  EXPECT_EQ(num_block_tuples<3>(2), 4u);   // C(4,3)
+  EXPECT_EQ(num_block_tuples<3>(3), 10u);  // C(5,3)
+  EXPECT_EQ(num_block_tuples<3>(10), 220u);
 }
 
 TEST(BlockTriples, RoundTripExhaustive) {
@@ -275,24 +276,24 @@ TEST(BlockTriples, RoundTripExhaustive) {
   for (std::uint32_t c = 0; c < 20; ++c) {
     for (std::uint32_t b = 0; b <= c; ++b) {
       for (std::uint32_t a = 0; a <= b; ++a) {
-        const BlockTriple t{a, b, c};
-        ASSERT_EQ(rank_block_triple(t), rank);
-        ASSERT_EQ(unrank_block_triple(rank), t);
+        const BlockTuple<3> t{a, b, c};
+        ASSERT_EQ(rank_block_tuple<3>(t), rank);
+        ASSERT_EQ(unrank_block_tuple<3>(rank), t);
         ++rank;
       }
     }
   }
-  EXPECT_EQ(rank, num_block_triples(20));
+  EXPECT_EQ(rank, num_block_tuples<3>(20));
 }
 
 TEST(BlockTriples, LargeRanksRoundTrip) {
-  const std::uint64_t total = num_block_triples(5000);
+  const std::uint64_t total = num_block_tuples<3>(5000);
   for (std::uint64_t i = 1; i <= 500; ++i) {
     const std::uint64_t rank = (total / 501) * i;
-    const BlockTriple t = unrank_block_triple(rank);
-    ASSERT_LE(t.b0, t.b1);
-    ASSERT_LE(t.b1, t.b2);
-    ASSERT_EQ(rank_block_triple(t), rank);
+    const BlockTuple<3> t = unrank_block_tuple<3>(rank);
+    ASSERT_LE(t[0], t[1]);
+    ASSERT_LE(t[1], t[2]);
+    ASSERT_EQ(rank_block_tuple<3>(t), rank);
   }
 }
 
@@ -313,20 +314,23 @@ TEST_P(BlockedEngineTest, CoversEveryTripletExactlyOnceWithCorrectTables) {
   const std::size_t bs = std::get<1>(GetParam());
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const TilingParams tiling{bs, 32};
-  const TripleBlockKernel kernel = get_kernel(KernelIsa::kScalar);
-  BlockScratch scratch(bs);
+  const DirectKernel<3> kernel = get_direct_kernel<3>(KernelIsa::kScalar);
+  TupleBlockScratch<3> scratch(bs);
 
   const std::size_t m = d.num_snps();
   const std::uint64_t nb = (m + bs - 1) / bs;
   std::map<std::uint64_t, int> seen;
-  for (std::uint64_t r = 0; r < num_block_triples(nb); ++r) {
-    scan_block_triple(planes, tiling, kernel, scratch, unrank_block_triple(r),
-                      [&](const Triplet& t, const ContingencyTable& table) {
-                        ++seen[combinatorics::rank_triplet(t)];
-                        ASSERT_EQ(table,
-                                  reference_contingency(d, t.x, t.y, t.z))
-                            << t.x << "," << t.y << "," << t.z;
-                      });
+  for (std::uint64_t r = 0; r < num_block_tuples<3>(nb); ++r) {
+    scan_block_tuple<3>(planes, tiling, kernel, scratch,
+                        unrank_block_tuple<3>(r), kFullRange,
+                        [&](const Combination<3>& c,
+                            const ContingencyTable& table) {
+                          const Triplet t{c[0], c[1], c[2]};
+                          ++seen[combinatorics::rank_triplet(t)];
+                          ASSERT_EQ(table,
+                                    reference_contingency(d, t.x, t.y, t.z))
+                              << t.x << "," << t.y << "," << t.z;
+                        });
   }
   const std::uint64_t total = combinatorics::num_triplets(m);
   ASSERT_EQ(seen.size(), total);
@@ -340,8 +344,8 @@ TEST(BlockedEngine, ClipEmitsExactlyTheTripletsInRange) {
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const std::size_t bs = 3;
   const TilingParams tiling{bs, 16};
-  const TripleBlockKernel kernel = get_kernel(KernelIsa::kScalar);
-  BlockScratch scratch(bs);
+  const DirectKernel<3> kernel = get_direct_kernel<3>(KernelIsa::kScalar);
+  TupleBlockScratch<3> scratch(bs);
   const std::uint64_t nb = (10 + bs - 1) / bs;
   const std::uint64_t total = combinatorics::num_triplets(10);
 
@@ -351,16 +355,18 @@ TEST(BlockedEngine, ClipEmitsExactlyTheTripletsInRange) {
         combinatorics::RankRange{total / 2, total},
         combinatorics::RankRange{3, total - 3}}) {
     std::set<std::uint64_t> emitted;
-    for (std::uint64_t r = 0; r < num_block_triples(nb); ++r) {
-      scan_block_triple(planes, tiling, kernel, scratch,
-                        unrank_block_triple(r), clip,
-                        [&](const Triplet& t, const ContingencyTable& table) {
-                          const std::uint64_t rank =
-                              combinatorics::rank_triplet(t);
-                          ASSERT_TRUE(emitted.insert(rank).second) << rank;
-                          ASSERT_EQ(table,
-                                    reference_contingency(d, t.x, t.y, t.z));
-                        });
+    for (std::uint64_t r = 0; r < num_block_tuples<3>(nb); ++r) {
+      scan_block_tuple<3>(planes, tiling, kernel, scratch,
+                          unrank_block_tuple<3>(r), clip,
+                          [&](const Combination<3>& c,
+                              const ContingencyTable& table) {
+                            const Triplet t{c[0], c[1], c[2]};
+                            const std::uint64_t rank =
+                                combinatorics::rank_triplet(t);
+                            ASSERT_TRUE(emitted.insert(rank).second) << rank;
+                            ASSERT_EQ(table,
+                                      reference_contingency(d, t.x, t.y, t.z));
+                          });
     }
     ASSERT_EQ(emitted.size(), clip.size());
     for (const std::uint64_t rank : emitted) {
@@ -375,17 +381,18 @@ TEST(BlockedEngine, BpSmallerThanWordsStillCorrect) {
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   for (std::size_t bp : {1u, 3u, 16u, 1000u}) {
     const TilingParams tiling{3, bp};
-    BlockScratch scratch(3);
-    const TripleBlockKernel kernel = get_kernel(KernelIsa::kScalar);
+    TupleBlockScratch<3> scratch(3);
+    const DirectKernel<3> kernel = get_direct_kernel<3>(KernelIsa::kScalar);
     std::uint64_t count = 0;
-    for (std::uint64_t r = 0; r < num_block_triples(3); ++r) {
-      scan_block_triple(planes, tiling, kernel, scratch,
-                        unrank_block_triple(r),
-                        [&](const Triplet& t, const ContingencyTable& table) {
-                          ++count;
-                          ASSERT_EQ(table,
-                                    reference_contingency(d, t.x, t.y, t.z));
-                        });
+    for (std::uint64_t r = 0; r < num_block_tuples<3>(3); ++r) {
+      scan_block_tuple<3>(planes, tiling, kernel, scratch,
+                          unrank_block_tuple<3>(r), kFullRange,
+                          [&](const Combination<3>& c,
+                              const ContingencyTable& table) {
+                            ++count;
+                            ASSERT_EQ(table, reference_contingency(d, c[0],
+                                                                   c[1], c[2]));
+                          });
     }
     EXPECT_EQ(count, combinatorics::num_triplets(9)) << "bp=" << bp;
   }
@@ -398,14 +405,14 @@ TEST_P(BlockedEngineTest, CachedEngineCoversEveryTripletExactlyOnceWithCorrectTa
   const TilingParams tiling{bs, 32};
   const CachedKernelSet ks = get_cached_kernels(KernelIsa::kScalar);
   const GenericKernelSet gk = get_generic_kernels(KernelIsa::kScalar);
-  BlockScratch scratch(bs);
+  TupleBlockScratch<3> scratch(bs);
 
   const std::size_t m = d.num_snps();
   const std::uint64_t nb = (m + bs - 1) / bs;
   std::map<std::uint64_t, int> seen;
-  for (std::uint64_t r = 0; r < num_block_triples(nb); ++r) {
+  for (std::uint64_t r = 0; r < num_block_tuples<3>(nb); ++r) {
     scan_block_tuple<3>(planes, tiling, ks, gk, scratch,
-                        unrank_block_tuple<3>(r),
+                        unrank_block_tuple<3>(r), kFullRange,
                         [&](const Combination<3>& c,
                             const ContingencyTable& table) {
                         const Triplet t{c[0], c[1], c[2]};
@@ -429,7 +436,7 @@ TEST(BlockedEngine, CachedClipEmitsExactlyTheTripletsInRange) {
   const TilingParams tiling{bs, 16};
   const CachedKernelSet ks = get_cached_kernels(KernelIsa::kScalar);
   const GenericKernelSet gk = get_generic_kernels(KernelIsa::kScalar);
-  BlockScratch scratch(bs);
+  TupleBlockScratch<3> scratch(bs);
   const std::uint64_t nb = (10 + bs - 1) / bs;
   const std::uint64_t total = combinatorics::num_triplets(10);
 
@@ -439,7 +446,7 @@ TEST(BlockedEngine, CachedClipEmitsExactlyTheTripletsInRange) {
         combinatorics::RankRange{total / 2, total},
         combinatorics::RankRange{3, total - 3}}) {
     std::set<std::uint64_t> emitted;
-    for (std::uint64_t r = 0; r < num_block_triples(nb); ++r) {
+    for (std::uint64_t r = 0; r < num_block_tuples<3>(nb); ++r) {
       scan_block_tuple<3>(planes, tiling, ks, gk, scratch,
                           unrank_block_tuple<3>(r), clip,
                           [&](const Combination<3>& c,
@@ -586,93 +593,147 @@ TEST(TripleIdentityEdgeCases, CountPlusCompletionMatchesReferenceForEveryIsa) {
   }
 }
 
-TEST(TripleIdentityEdgeCases,
-     BlockedTripleTablesMatchReferenceUnderRandomClips) {
-  // Engine level, M = 9 on a B_S = 4 grid (a partial last block): every
-  // emitted V5 table equals the reference and a random clip emits exactly
-  // its ranks, on every ISA.
+// --------------------------------------------------------------------------
+// Identity edge cases at every order the engines specialize (k = 2..5)
+// --------------------------------------------------------------------------
+
+/// Engine level, M = 9 on a B_S = 4 grid (a partial last block): every
+/// table the direct engine (and, from K = 3, the V5 ladder) emits equals
+/// the reference and a random clip emits exactly its ranks, on every ISA.
+template <unsigned K>
+void expect_clipped_tables_match_reference() {
   std::uint64_t seed = 100;
   for (const test::ClassSizes& sizes : test::edge_class_sizes()) {
     const auto d = test::edge_dataset(sizes, seed++);
     const auto planes = dataset::PhenoSplitPlanes::build(d);
-    const std::uint64_t total = combinatorics::num_triplets(d.num_snps());
+    const std::uint64_t total = combinatorics::n_choose_k(d.num_snps(), K);
     const TilingParams tiling{4, 16};
     const combinatorics::BlockGrid grid{d.num_snps(), tiling.bs};
     std::mt19937_64 rng(seed);
-    for (const KernelIsa isa : all_kernel_isas()) {
-      if (!kernel_available(isa)) continue;
-      const CachedKernelSet ck = get_cached_kernels(isa);
-      const GenericKernelSet gk = get_generic_kernels(isa);
-      BlockScratch scratch(tiling.bs);
+    // Runs `scan_block(bt, clip, on_table)` over the block tuples of one
+    // random range.
+    const auto check = [&](const char* engine, KernelIsa isa,
+                           const auto& scan_block) {
       const std::uint64_t a = rng() % total;
       const combinatorics::RankRange range{a, a + 1 + rng() % (total - a)};
       std::vector<int> seen(total, 0);
-      const auto part = combinatorics::partition_block_tuples<3>(grid, range);
+      const auto part = combinatorics::partition_block_tuples<K>(grid, range);
       for (std::uint64_t r = part.block_ranks.first;
            r < part.block_ranks.last; ++r) {
-        scan_block_tuple<3>(
-            planes, tiling, ck, gk, scratch, unrank_block_tuple<3>(r),
-            LastAxisWindow<3>(range),
-            [&](const Combination<3>& c, const ContingencyTable& t) {
-              ++seen[combinatorics::rank_triplet(Triplet{c[0], c[1], c[2]})];
-              ASSERT_EQ(t, reference_contingency(d, c[0], c[1], c[2]))
-                  << kernel_isa_name(isa) << " triple " << c[0] << ","
-                  << c[1] << "," << c[2];
-            });
+        scan_block(unrank_block_tuple<K>(r), LastAxisWindow<K>(range),
+                   [&](const Combination<K>& c,
+                       const scoring::BasicContingencyTable<K>& t) {
+                     ++seen[combinatorics::rank_combination<K>(c)];
+                     ASSERT_EQ(t, scoring::reference_contingency_k<K>(d, c))
+                         << "k=" << K << " " << engine << " "
+                         << kernel_isa_name(isa) << " rank "
+                         << combinatorics::rank_combination<K>(c);
+                   });
       }
       for (std::uint64_t r = 0; r < total; ++r) {
         ASSERT_EQ(seen[r], r >= range.first && r < range.last ? 1 : 0)
-            << "rank " << r;
+            << "k=" << K << " " << engine << " " << kernel_isa_name(isa)
+            << " rank " << r;
+      }
+    };
+    for (const KernelIsa isa : all_kernel_isas()) {
+      if (!kernel_available(isa)) continue;
+      const DirectKernel<K> direct = get_direct_kernel<K>(isa);
+      TupleBlockScratch<K> scratch(tiling.bs);
+      check("direct", isa,
+            [&](const BlockTuple<K>& bt, const LastAxisWindow<K>& clip,
+                const auto& on_table) {
+              scan_block_tuple<K>(planes, tiling, direct, scratch, bt, clip,
+                                  on_table);
+            });
+      if constexpr (K >= 3) {
+        const CachedKernelSet ck = get_cached_kernels(isa);
+        const GenericKernelSet gk = get_generic_kernels(isa);
+        TupleBlockScratch<K> ladder_scratch(tiling.bs);
+        check("ladder", isa,
+              [&](const BlockTuple<K>& bt, const LastAxisWindow<K>& clip,
+                  const auto& on_table) {
+                scan_block_tuple<K>(planes, tiling, ck, gk, ladder_scratch,
+                                    bt, clip, on_table);
+              });
       }
     }
   }
 }
 
-TEST(TripleIdentityEdgeCases, EveryVersionAndRangeSplitIsBitIdentical) {
-  // Detector level: V2, V4 and V5 print the same CSV as the V1 reference
-  // on every ISA with top_k > C(9, 3), and random 8-way range splits merge
-  // back to the full scan.
+/// Detector level: V2-V5 print the same CSV, with bit-identical scores, as
+/// the V1 reference on every ISA with top_k > C(9, K), and random 8-way
+/// range splits merge back to the full scan.
+template <unsigned K>
+void expect_every_version_and_split_identical() {
+  const auto expect_same = [](const std::vector<ScoredOf<K>>& got,
+                              const std::vector<ScoredOf<K>>& want,
+                              const std::string& what) {
+    ASSERT_EQ(scan_csv_lines<K>(got), scan_csv_lines<K>(want)) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].score),
+                std::bit_cast<std::uint64_t>(want[i].score))
+          << what << " entry " << i;
+    }
+  };
   std::uint64_t seed = 200;
   for (const test::ClassSizes& sizes : test::edge_class_sizes()) {
     const auto d = test::edge_dataset(sizes, seed++);
-    const Detector det(d);
-    const std::uint64_t total = combinatorics::num_triplets(d.num_snps());
-    DetectorOptions ref_opt;
+    const BasicDetector<K> det(d);
+    const std::uint64_t total = combinatorics::n_choose_k(d.num_snps(), K);
+    BasicDetectorOptions<K> ref_opt;
     ref_opt.version = CpuVersion::kV1Naive;
-    ref_opt.top_k = total + 16;  // every triplet's score is compared
-    const auto want = scan_csv_lines<3>(det.run(ref_opt).best);
-    ASSERT_EQ(want.size(), total + 1);
+    ref_opt.top_k = total + 16;  // every combination's score is compared
+    const auto want = det.run(ref_opt).best;
+    ASSERT_EQ(want.size(), total);
 
     std::mt19937_64 rng(seed);
     std::uniform_int_distribution<std::uint64_t> cut(1, total - 1);
-    for (const auto version : {CpuVersion::kV2Split, CpuVersion::kV4Vector,
-                               CpuVersion::kV5PairCache}) {
+    for (const auto version :
+         {CpuVersion::kV2Split, CpuVersion::kV3Blocked, CpuVersion::kV4Vector,
+          CpuVersion::kV5PairCache}) {
       for (const KernelIsa isa : all_kernel_isas()) {
         if (!kernel_available(isa)) continue;
-        DetectorOptions opt = ref_opt;
+        BasicDetectorOptions<K> opt = ref_opt;
         opt.version = version;
         opt.isa = isa;
         opt.isa_auto = false;
         opt.tiling = {4, 16};  // M = 9 is not a multiple of B_S
-        ASSERT_EQ(scan_csv_lines<3>(det.run(opt).best), want)
-            << cpu_version_name(version) << " " << kernel_isa_name(isa);
+        const std::string what = "k=" + std::to_string(K) + " " +
+                                 cpu_version_name(version) + " " +
+                                 kernel_isa_name(isa) + " sizes " +
+                                 std::to_string(sizes.controls) + "/" +
+                                 std::to_string(sizes.cases);
+        expect_same(det.run(opt).best, want, what);
 
         std::vector<std::uint64_t> cuts = {0, total};
         for (int i = 0; i < 7; ++i) cuts.push_back(cut(rng));
         std::sort(cuts.begin(), cuts.end());
-        TopK acc(opt.top_k);
+        BasicTopK<ScoredOf<K>> acc(opt.top_k);
         for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-          DetectorOptions part = opt;
+          BasicDetectorOptions<K> part = opt;
           part.range = {cuts[i], cuts[i + 1]};
           if (part.range.empty()) continue;
           for (const auto& sp : det.run(part).best) acc.push(sp);
         }
-        ASSERT_EQ(scan_csv_lines<3>(acc.sorted()), want)
-            << cpu_version_name(version) << " " << kernel_isa_name(isa)
-            << " 8-way split";
+        expect_same(acc.sorted(), want, what + " 8-way split");
       }
     }
   }
+}
+
+TEST(OrderIdentityEdgeCases, BlockedTablesMatchReferenceUnderRandomClips) {
+  expect_clipped_tables_match_reference<2>();
+  expect_clipped_tables_match_reference<3>();
+  expect_clipped_tables_match_reference<4>();
+  expect_clipped_tables_match_reference<5>();
+}
+
+TEST(OrderIdentityEdgeCases, EveryVersionAndRangeSplitIsBitIdentical) {
+  expect_every_version_and_split_identical<2>();
+  expect_every_version_and_split_identical<3>();
+  expect_every_version_and_split_identical<4>();
+  expect_every_version_and_split_identical<5>();
 }
 
 TEST(PairTableCache, BlockChangesInsideOneScratchKeepTablesExact) {
@@ -683,16 +744,16 @@ TEST(PairTableCache, BlockChangesInsideOneScratchKeepTablesExact) {
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const TilingParams tiling{3, 16};
   const std::uint64_t nb = (14 + tiling.bs - 1) / tiling.bs;
-  std::vector<std::uint64_t> order(num_block_triples(nb));
+  std::vector<std::uint64_t> order(num_block_tuples<3>(nb));
   for (std::uint64_t r = 0; r < order.size(); ++r) order[r] = r;
   std::shuffle(order.begin(), order.end(), std::mt19937_64(5));
   const KernelIsa isa = best_kernel_isa();
-  BlockScratch scratch(tiling.bs);
+  TupleBlockScratch<3> scratch(tiling.bs);
   std::size_t emitted = 0;
   for (const std::uint64_t r : order) {
     scan_block_tuple<3>(planes, tiling, get_cached_kernels(isa),
                         get_generic_kernels(isa), scratch,
-                        unrank_block_tuple<3>(r),
+                        unrank_block_tuple<3>(r), kFullRange,
                         [&](const Combination<3>& c,
                             const ContingencyTable& t) {
                           ++emitted;
@@ -775,9 +836,9 @@ TEST(Alignment, KernelVisiblePlanesAre64ByteAligned) {
 }
 
 TEST(Alignment, PairPlaneCachePlanesAre64ByteAligned) {
-  PairPlaneCache cache;
+  PrefixPlaneCache cache;
   for (const std::size_t words : {1u, 17u, 400u, 1000u}) {
-    cache.ensure(words);
+    cache.ensure(3, words);
     ASSERT_GE(cache.stride(), words);
     EXPECT_EQ(cache.stride() % dataset::kWordsPerVector, 0u) << words;
     for (int p = 0; p < 9; ++p) {
@@ -790,7 +851,7 @@ TEST(Alignment, PairPlaneCachePlanesAre64ByteAligned) {
   }
   // ensure() never shrinks: capacity stays usable by earlier chunks.
   const std::size_t grown = cache.stride();
-  cache.ensure(8);
+  cache.ensure(3, 8);
   EXPECT_EQ(cache.stride(), grown);
 }
 
@@ -852,7 +913,7 @@ TEST(Tiling, PairCacheFootprintStaysInsideTheL1Budget) {
                 block_budget)
           << "L1 " << l1.size_bytes << " vec " << vec;
       EXPECT_EQ(p.bp_words % vec, 0u);
-      // B_P lands on the PairPlaneCache stride granule, so the budgeted
+      // B_P lands on the prefix-plane cache stride granule, so the budgeted
       // footprint equals the allocated one (ensure() rounds the stride up
       // to whole AVX-512 registers).
       EXPECT_EQ(p.bp_words % dataset::kWordsPerVector, 0u);

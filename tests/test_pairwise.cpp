@@ -5,12 +5,12 @@
 #include <random>
 
 #include "test_util.hpp"
-#include "trigen/pairwise/pair_detector.hpp"
+#include "trigen/core/detector.hpp"
 #include "trigen/scoring/chi_squared.hpp"
 #include "trigen/scoring/generic.hpp"
 #include "trigen/scoring/mutual_information.hpp"
 
-namespace trigen::pairwise {
+namespace trigen::core {
 namespace {
 
 using trigen::test::ClassSizes;
@@ -25,27 +25,27 @@ using trigen::test::small_shapes;
 // --------------------------------------------------------------------------
 
 TEST(PairRank, FirstPairs) {
-  EXPECT_EQ(rank_pair(0, 1), 0u);
-  EXPECT_EQ(rank_pair(0, 2), 1u);
-  EXPECT_EQ(rank_pair(1, 2), 2u);
-  EXPECT_EQ(rank_pair(0, 3), 3u);
+  EXPECT_EQ(combinatorics::rank_pair({0, 1}), 0u);
+  EXPECT_EQ(combinatorics::rank_pair({0, 2}), 1u);
+  EXPECT_EQ(combinatorics::rank_pair({1, 2}), 2u);
+  EXPECT_EQ(combinatorics::rank_pair({0, 3}), 3u);
 }
 
 TEST(PairRank, CountsMatch) {
-  EXPECT_EQ(num_pairs(2), 1u);
-  EXPECT_EQ(num_pairs(10), 45u);
-  EXPECT_EQ(num_pairs(1000), 499500u);
+  EXPECT_EQ(combinatorics::num_pairs(2), 1u);
+  EXPECT_EQ(combinatorics::num_pairs(10), 45u);
+  EXPECT_EQ(combinatorics::num_pairs(1000), 499500u);
 }
 
 TEST(PairRank, ExhaustiveOrdering) {
   std::uint64_t rank = 0;
   for (std::uint32_t y = 1; y < 60; ++y) {
     for (std::uint32_t x = 0; x < y; ++x) {
-      ASSERT_EQ(rank_pair(x, y), rank);
+      ASSERT_EQ(combinatorics::rank_pair({x, y}), rank);
       ++rank;
     }
   }
-  EXPECT_EQ(rank, num_pairs(60));
+  EXPECT_EQ(rank, combinatorics::num_pairs(60));
 }
 
 // --------------------------------------------------------------------------
@@ -54,17 +54,13 @@ TEST(PairRank, ExhaustiveOrdering) {
 
 TEST(PairTableRef, CountsEverySampleOnce) {
   const auto d = random_dataset({6, 100, 3});
-  const PairTable t = reference_pair_table(d, 1, 4);
+  const scoring::PairContingencyTable t =
+      scoring::reference_contingency_k<2>(d, {1, 4});
   std::uint32_t total = 0;
   for (int c = 0; c < 2; ++c) {
     for (const auto v : t.counts[static_cast<std::size_t>(c)]) total += v;
   }
   EXPECT_EQ(total, d.num_samples());
-}
-
-TEST(PairTableRef, OutOfRangeThrows) {
-  const auto d = random_dataset({4, 20, 1});
-  EXPECT_THROW(reference_pair_table(d, 0, 4), std::out_of_range);
 }
 
 class PairKernelShapeTest : public ::testing::TestWithParam<Shape> {};
@@ -74,13 +70,14 @@ INSTANTIATE_TEST_SUITE_P(Shapes, PairKernelShapeTest,
 
 TEST_P(PairKernelShapeTest, KernelMatchesReferenceForEveryIsa) {
   const auto d = random_dataset(GetParam());
-  const PairDetector det(d);
+  const BasicDetector<2> det(d);
   const std::size_t m = d.num_snps();
   for (const core::KernelIsa isa : core::all_kernel_isas()) {
     if (!core::kernel_available(isa)) continue;
-    for (std::size_t x = 0; x < m; ++x) {
-      for (std::size_t y = x + 1; y < m; ++y) {
-        ASSERT_EQ(det.contingency(x, y, isa), reference_pair_table(d, x, y))
+    for (std::uint32_t x = 0; x < m; ++x) {
+      for (std::uint32_t y = x + 1; y < m; ++y) {
+        ASSERT_EQ(det.contingency(x, y, isa),
+                  scoring::reference_contingency_k<2>(d, {x, y}))
             << core::kernel_isa_name(isa) << " " << x << "," << y;
       }
     }
@@ -89,7 +86,7 @@ TEST_P(PairKernelShapeTest, KernelMatchesReferenceForEveryIsa) {
 
 TEST(PairDetector, ContingencyArgumentValidation) {
   const auto d = random_dataset({5, 40, 7});
-  const PairDetector det(d);
+  const BasicDetector<2> det(d);
   EXPECT_THROW((void)det.contingency(0, 5), std::out_of_range);
   EXPECT_THROW((void)det.contingency(2, 2), std::out_of_range);
 }
@@ -116,12 +113,12 @@ dataset::GenotypeMatrix planted_pair_dataset(std::uint64_t seed) {
 
 TEST(PairDetector, RejectsTinyDatasets) {
   dataset::GenotypeMatrix d(1, 10);
-  EXPECT_THROW(PairDetector{d}, std::invalid_argument);
+  EXPECT_THROW(BasicDetector<2>{d}, std::invalid_argument);
 }
 
 TEST(PairDetector, FindsPlantedPair) {
   const auto d = planted_pair_dataset(5);
-  const PairDetector det(d);
+  const BasicDetector<2> det(d);
   const auto r = det.run({});
   ASSERT_FALSE(r.best.empty());
   EXPECT_EQ(r.best[0].x, 2u);
@@ -130,11 +127,11 @@ TEST(PairDetector, FindsPlantedPair) {
 
 TEST(PairDetector, AllObjectivesFindPlantedPair) {
   const auto d = planted_pair_dataset(9);
-  const PairDetector det(d);
+  const BasicDetector<2> det(d);
   for (const auto o :
        {core::Objective::kK2, core::Objective::kMutualInformation,
         core::Objective::kChiSquared}) {
-    PairDetectorOptions opt;
+    BasicDetectorOptions<2> opt;
     opt.objective = o;
     const auto r = det.run(opt);
     EXPECT_EQ(r.best[0].x, 2u) << core::objective_name(o);
@@ -144,15 +141,15 @@ TEST(PairDetector, AllObjectivesFindPlantedPair) {
 
 TEST(PairDetector, AllIsasIdenticalResults) {
   const auto d = random_dataset({16, 333, 11});
-  const PairDetector det(d);
-  PairDetectorOptions base;
+  const BasicDetector<2> det(d);
+  BasicDetectorOptions<2> base;
   base.isa = core::KernelIsa::kScalar;
   base.isa_auto = false;
   base.top_k = 8;
   const auto ref = det.run(base);
   for (const core::KernelIsa isa : core::all_kernel_isas()) {
     if (!core::kernel_available(isa)) continue;
-    PairDetectorOptions opt = base;
+    BasicDetectorOptions<2> opt = base;
     opt.isa = isa;
     const auto r = det.run(opt);
     ASSERT_EQ(r.best.size(), ref.best.size());
@@ -166,8 +163,8 @@ TEST(PairDetector, AllIsasIdenticalResults) {
 
 TEST(PairDetector, DeterministicAcrossThreads) {
   const auto d = random_dataset({18, 150, 13});
-  const PairDetector det(d);
-  PairDetectorOptions opt;
+  const BasicDetector<2> det(d);
+  BasicDetectorOptions<2> opt;
   opt.top_k = 5;
   const auto one = det.run(opt);
   for (unsigned threads : {2u, 5u}) {
@@ -184,9 +181,9 @@ TEST(PairDetector, DeterministicAcrossThreads) {
 
 TEST(PairDetector, CountsAndMetadata) {
   const auto d = random_dataset({12, 90, 17});
-  const PairDetector det(d);
+  const BasicDetector<2> det(d);
   const auto r = det.run({});
-  EXPECT_EQ(r.combinations_evaluated, num_pairs(12));
+  EXPECT_EQ(r.combinations_evaluated, combinatorics::num_pairs(12));
   EXPECT_EQ(r.elements, r.combinations_evaluated * 90);
   EXPECT_GT(r.seconds, 0.0);
   EXPECT_EQ(det.num_snps(), 12u);
@@ -195,26 +192,26 @@ TEST(PairDetector, CountsAndMetadata) {
 
 TEST(PairDetector, TopKSortedUnique) {
   const auto d = random_dataset({15, 120, 19});
-  const PairDetector det(d);
-  PairDetectorOptions opt;
+  const BasicDetector<2> det(d);
+  BasicDetectorOptions<2> opt;
   opt.top_k = 12;
   const auto r = det.run(opt);
   ASSERT_EQ(r.best.size(), 12u);
   for (std::size_t i = 1; i < r.best.size(); ++i) {
     EXPECT_LE(r.best[i - 1].score, r.best[i].score);
-    EXPECT_NE(rank_pair(r.best[i - 1].x, r.best[i - 1].y),
-              rank_pair(r.best[i].x, r.best[i].y));
+    EXPECT_NE(combinatorics::rank_pair({r.best[i - 1].x, r.best[i - 1].y}),
+              combinatorics::rank_pair({r.best[i].x, r.best[i].y}));
   }
 }
 
 TEST(PairDetector, BadOptionsThrow) {
   const auto d = random_dataset({6, 50, 23});
-  const PairDetector det(d);
-  PairDetectorOptions opt;
+  const BasicDetector<2> det(d);
+  BasicDetectorOptions<2> opt;
   opt.top_k = 0;
   EXPECT_THROW(det.run(opt), std::invalid_argument);
-  PairDetectorOptions bad_range;
-  bad_range.range = {0, num_pairs(6) + 1};
+  BasicDetectorOptions<2> bad_range;
+  bad_range.range = {0, combinatorics::num_pairs(6) + 1};
   EXPECT_THROW(det.run(bad_range), std::invalid_argument);
 }
 
@@ -247,8 +244,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, PairVersionShapeTest,
 
 TEST_P(PairVersionShapeTest, EveryVersionMatchesTheNaiveReferenceExactly) {
   const auto d = random_dataset(GetParam());
-  const PairDetector det(d);
-  PairDetectorOptions ref_opt;
+  const BasicDetector<2> det(d);
+  BasicDetectorOptions<2> ref_opt;
   ref_opt.version = core::CpuVersion::kV1Naive;
   ref_opt.top_k = 6;
   const auto ref = det.run(ref_opt);
@@ -258,7 +255,7 @@ TEST_P(PairVersionShapeTest, EveryVersionMatchesTheNaiveReferenceExactly) {
         core::CpuVersion::kV4Vector, core::CpuVersion::kV5PairCache}) {
     for (const core::KernelIsa isa : core::all_kernel_isas()) {
       if (!core::kernel_available(isa)) continue;
-      PairDetectorOptions opt;
+      BasicDetectorOptions<2> opt;
       opt.version = version;
       opt.isa = isa;
       opt.isa_auto = false;
@@ -274,12 +271,12 @@ TEST_P(PairVersionShapeTest, EveryVersionMatchesTheNaiveReferenceExactly) {
 
 TEST(PairDetector, PlantedPairFoundByEveryVersion) {
   const auto d = planted_pair_dataset(21);
-  const PairDetector det(d);
+  const BasicDetector<2> det(d);
   for (const auto version :
        {core::CpuVersion::kV1Naive, core::CpuVersion::kV2Split,
         core::CpuVersion::kV3Blocked, core::CpuVersion::kV4Vector,
         core::CpuVersion::kV5PairCache}) {
-    PairDetectorOptions opt;
+    BasicDetectorOptions<2> opt;
     opt.version = version;
     const auto r = det.run(opt);
     EXPECT_EQ(r.best[0].x, 2u) << core::cpu_version_name(version);
@@ -293,10 +290,10 @@ TEST(PairDetector, PlantedPairFoundByEveryVersion) {
 
 TEST(PairDetectorRange, KWayRandomSplitsReproduceTheFullScanExactly) {
   const auto d = random_dataset({18, 150, 37});
-  const PairDetector det(d);
-  const std::uint64_t total = num_pairs(18);
+  const BasicDetector<2> det(d);
+  const std::uint64_t total = combinatorics::num_pairs(18);
 
-  PairDetectorOptions base;
+  BasicDetectorOptions<2> base;
   base.top_k = 9;
   const auto full = det.run(base);
 
@@ -313,7 +310,7 @@ TEST(PairDetectorRange, KWayRandomSplitsReproduceTheFullScanExactly) {
 
     core::PairTopK acc(base.top_k);
     for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-      PairDetectorOptions opt = base;
+      BasicDetectorOptions<2> opt = base;
       opt.range = {cuts[i], cuts[i + 1]};
       // Rotate the engine version (and an odd tiling) across partitions:
       // the merged result must not care who scanned what.
@@ -336,17 +333,17 @@ TEST(PairDetectorRange, V5BitIdenticalToV2OverRandomRankRanges) {
   // reproduces the V2 per-pair reference exactly, full-scan and over
   // random K-way splits, for every compiled-in ISA.
   const auto d = random_dataset({18, 150, 37});
-  const PairDetector det(d);
-  const std::uint64_t total = num_pairs(18);
+  const BasicDetector<2> det(d);
+  const std::uint64_t total = combinatorics::num_pairs(18);
 
-  PairDetectorOptions ref_opt;
+  BasicDetectorOptions<2> ref_opt;
   ref_opt.version = core::CpuVersion::kV2Split;
   ref_opt.top_k = 9;
   const auto ref = det.run(ref_opt);
 
   for (const core::KernelIsa isa : core::all_kernel_isas()) {
     if (!core::kernel_available(isa)) continue;
-    PairDetectorOptions v5;
+    BasicDetectorOptions<2> v5;
     v5.version = core::CpuVersion::kV5PairCache;
     v5.isa = isa;
     v5.isa_auto = false;
@@ -366,7 +363,7 @@ TEST(PairDetectorRange, V5BitIdenticalToV2OverRandomRankRanges) {
       core::PairTopK acc(v5.top_k);
       std::uint64_t covered = 0;
       for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-        PairDetectorOptions part = v5;
+        BasicDetectorOptions<2> part = v5;
         part.range = {cuts[i], cuts[i + 1]};
         const auto r = det.run(part);
         covered += r.combinations_evaluated;
@@ -380,14 +377,14 @@ TEST(PairDetectorRange, V5BitIdenticalToV2OverRandomRankRanges) {
 
 TEST(PairDetectorRange, SinglePairRangesCoverTheSpace) {
   const auto d = random_dataset({8, 100, 41});
-  const PairDetector det(d);
-  const std::uint64_t total = num_pairs(8);
-  PairDetectorOptions base;
+  const BasicDetector<2> det(d);
+  const std::uint64_t total = combinatorics::num_pairs(8);
+  BasicDetectorOptions<2> base;
   base.top_k = 4;
   const auto full = det.run(base);
   core::PairTopK acc(base.top_k);
   for (std::uint64_t r = 0; r < total; ++r) {
-    PairDetectorOptions opt = base;
+    BasicDetectorOptions<2> opt = base;
     opt.range = {r, r + 1};
     const auto part = det.run(opt);
     ASSERT_EQ(part.best.size(), 1u);
@@ -398,8 +395,8 @@ TEST(PairDetectorRange, SinglePairRangesCoverTheSpace) {
 
 TEST(PairDetectorRange, ProgressSumsToTheRange) {
   const auto d = random_dataset({16, 200, 43});
-  const PairDetector det(d);
-  PairDetectorOptions opt;
+  const BasicDetector<2> det(d);
+  BasicDetectorOptions<2> opt;
   opt.range = {11, 97};
   std::uint64_t last_done = 0;
   std::uint64_t reported_total = 0;
@@ -427,9 +424,10 @@ TEST(PairIdentityEdgeCases, CountPlusCompletionMatchesReferenceForEveryIsa) {
       if (!core::kernel_available(isa)) continue;
       const core::PairPlaneCountKernel count =
           core::get_cached_kernels(isa).count;
-      for (std::size_t x = 0; x < d.num_snps(); ++x) {
-        for (std::size_t y = 0; y < d.num_snps(); ++y) {
-          const PairTable want = reference_pair_table(d, x, y);
+      for (std::uint32_t x = 0; x < d.num_snps(); ++x) {
+        for (std::uint32_t y = 0; y < d.num_snps(); ++y) {
+          const scoring::PairContingencyTable want =
+              scoring::reference_contingency_k<2>(d, {x, y});
           for (int c = 0; c < 2; ++c) {
             // Random word chunks exercise the vector bodies' scalar tails;
             // the counts must compose across chunks before completion.
@@ -453,84 +451,6 @@ TEST(PairIdentityEdgeCases, CountPlusCompletionMatchesReferenceForEveryIsa) {
                 << " class " << c;
           }
         }
-      }
-    }
-  }
-}
-
-TEST(PairIdentityEdgeCases, BlockedPairTablesMatchReferenceUnderRandomClips) {
-  std::uint64_t seed = 100;
-  for (const ClassSizes& sizes : edge_class_sizes()) {
-    const auto d = edge_dataset(sizes, seed++);
-    const auto planes = dataset::PhenoSplitPlanes::build(d);
-    const std::uint64_t total = num_pairs(d.num_snps());
-    const core::TilingParams tiling{4, 16};
-    const combinatorics::BlockGrid grid{d.num_snps(), tiling.bs};
-    std::mt19937_64 rng(seed);
-    for (const core::KernelIsa isa : core::all_kernel_isas()) {
-      if (!core::kernel_available(isa)) continue;
-      const core::CachedKernelSet kernels = core::get_cached_kernels(isa);
-      core::PairBlockScratch scratch(tiling.bs);
-      const std::uint64_t a = rng() % total;
-      const combinatorics::RankRange range{a, a + 1 + rng() % (total - a)};
-      std::vector<int> seen(total, 0);
-      const auto part = combinatorics::partition_block_tuples<2>(grid, range);
-      for (std::uint64_t r = part.block_ranks.first;
-           r < part.block_ranks.last; ++r) {
-        const auto bt = core::unrank_block_tuple<2>(r);
-        core::scan_block_pair(
-            planes, tiling, kernels, scratch, core::BlockPair{bt[0], bt[1]},
-            core::LastAxisWindow<2>(range),
-            [&](const combinatorics::Pair& pr, const PairTable& t) {
-              ++seen[rank_pair(pr.x, pr.y)];
-              ASSERT_EQ(t, reference_pair_table(d, pr.x, pr.y))
-                  << core::kernel_isa_name(isa) << " pair " << pr.x << ","
-                  << pr.y;
-            });
-      }
-      for (std::uint64_t r = 0; r < total; ++r) {
-        ASSERT_EQ(seen[r], r >= range.first && r < range.last ? 1 : 0)
-            << "rank " << r;
-      }
-    }
-  }
-}
-
-TEST(PairIdentityEdgeCases, EveryVersionAndRangeSplitIsBitIdentical) {
-  std::uint64_t seed = 200;
-  for (const ClassSizes& sizes : edge_class_sizes()) {
-    const auto d = edge_dataset(sizes, seed++);
-    const PairDetector det(d);
-    const std::uint64_t total = num_pairs(d.num_snps());
-    PairDetectorOptions ref_opt;
-    ref_opt.version = core::CpuVersion::kV1Naive;
-    ref_opt.top_k = total;  // every pair's score is compared
-    const auto ref = det.run(ref_opt);
-
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<std::uint64_t> cut(1, total - 1);
-    for (const auto version :
-         {core::CpuVersion::kV2Split, core::CpuVersion::kV3Blocked,
-          core::CpuVersion::kV4Vector, core::CpuVersion::kV5PairCache}) {
-      for (const core::KernelIsa isa : core::all_kernel_isas()) {
-        if (!core::kernel_available(isa)) continue;
-        PairDetectorOptions opt = ref_opt;
-        opt.version = version;
-        opt.isa = isa;
-        opt.isa_auto = false;
-        opt.tiling = {3, 16};  // two sample chunks once a class passes 512
-        expect_same_pairs(det.run(opt).best, ref.best);
-
-        std::vector<std::uint64_t> cuts = {0, total, cut(rng), cut(rng)};
-        std::sort(cuts.begin(), cuts.end());
-        core::PairTopK acc(total);
-        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-          PairDetectorOptions part = opt;
-          part.range = {cuts[i], cuts[i + 1]};
-          if (part.range.empty()) continue;
-          for (const auto& sp : det.run(part).best) acc.push(sp);
-        }
-        expect_same_pairs(acc.sorted(), ref.best);
       }
     }
   }
@@ -575,4 +495,4 @@ TEST(GenericScoring, PairwisePenetranceIgnoresThirdSnp) {
 }
 
 }  // namespace
-}  // namespace trigen::pairwise
+}  // namespace trigen::core

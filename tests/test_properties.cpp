@@ -332,14 +332,15 @@ TEST(BlockedDegenerate, SingleBlockCoversWholeDataset) {
   const auto d = random_dataset({7, 90, 69});
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const core::TilingParams tiling{16, 8};  // bs > M: one block
-  core::BlockScratch scratch(16);
+  core::TupleBlockScratch<3> scratch(16);
   std::size_t count = 0;
-  core::scan_block_triple(
-      planes, tiling, core::get_kernel(core::KernelIsa::kScalar), scratch,
-      core::BlockTriple{0, 0, 0},
-      [&](const Triplet& t, const ContingencyTable& table) {
+  core::scan_block_tuple<3>(
+      planes, tiling, core::get_direct_kernel<3>(core::KernelIsa::kScalar),
+      scratch, core::BlockTuple<3>{0, 0, 0}, core::kFullRange,
+      [&](const combinatorics::Combination<3>& c,
+          const ContingencyTable& table) {
         ++count;
-        ASSERT_EQ(table, reference_contingency(d, t.x, t.y, t.z));
+        ASSERT_EQ(table, reference_contingency(d, c[0], c[1], c[2]));
       });
   EXPECT_EQ(count, combinatorics::num_triplets(7));
 }
@@ -348,14 +349,14 @@ TEST(BlockedDegenerate, OutOfRangeBlockTripleIsEmpty) {
   const auto d = random_dataset({6, 64, 71});
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const core::TilingParams tiling{2, 8};
-  core::BlockScratch scratch(2);
+  core::TupleBlockScratch<3> scratch(2);
   int calls = 0;
-  core::scan_block_triple(planes, tiling,
-                          core::get_kernel(core::KernelIsa::kScalar), scratch,
-                          core::BlockTriple{9, 9, 9},
-                          [&](const Triplet&, const ContingencyTable&) {
-                            ++calls;
-                          });
+  core::scan_block_tuple<3>(
+      planes, tiling, core::get_direct_kernel<3>(core::KernelIsa::kScalar),
+      scratch, core::BlockTuple<3>{9, 9, 9}, core::kFullRange,
+      [&](const combinatorics::Combination<3>&, const ContingencyTable&) {
+        ++calls;
+      });
   EXPECT_EQ(calls, 0);
 }
 

@@ -14,8 +14,8 @@
 #include "test_util.hpp"
 #include "trigen/combinatorics/combinations.hpp"
 #include "trigen/core/detector.hpp"
+#include "trigen/core/scan_csv.hpp"
 #include "trigen/dataset/io.hpp"
-#include "trigen/pairwise/pair_detector.hpp"
 #include "trigen/shard/merge.hpp"
 #include "trigen/shard/plan.hpp"
 #include "trigen/shard/result_io.hpp"
@@ -479,13 +479,13 @@ class PairShard : public ::testing::Test {
  protected:
   void SetUp() override {
     d_ = random_dataset({24, 150, 53});
-    det_ = std::make_unique<pairwise::PairDetector>(d_);
+    det_ = std::make_unique<core::BasicDetector<2>>(d_);
     fp_ = dataset_fingerprint(d_);
-    total_ = pairwise::num_pairs(24);
+    total_ = combinatorics::num_pairs(24);
   }
 
   PairShardResult scan_pair_range(RankRange range, std::size_t top_k,
-                                  pairwise::PairDetectorOptions dopt = {}) {
+                                  core::BasicDetectorOptions<2> dopt = {}) {
     PairShardRunOptions opt;
     opt.detector = dopt;
     opt.detector.top_k = top_k;
@@ -496,7 +496,7 @@ class PairShard : public ::testing::Test {
   }
 
   dataset::GenotypeMatrix d_;
-  std::unique_ptr<pairwise::PairDetector> det_;
+  std::unique_ptr<core::BasicDetector<2>> det_;
   std::uint64_t fp_ = 0;
   std::uint64_t total_ = 0;
 };
@@ -549,7 +549,7 @@ TEST_F(PairShard, EveryTruncationIsRejected) {
 
 TEST_F(PairShard, RandomFullCoverageSplitsReproduceTheFullPairScanExactly) {
   std::mt19937_64 rng(777);
-  pairwise::PairDetectorOptions base;
+  core::BasicDetectorOptions<2> base;
   base.top_k = 11;
   const auto full = det_->run(base);
 
@@ -565,7 +565,7 @@ TEST_F(PairShard, RandomFullCoverageSplitsReproduceTheFullPairScanExactly) {
     std::vector<PairShardResult> shards;
     for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
       // Rotate engine versions across shards, like the triplet battery.
-      pairwise::PairDetectorOptions dopt;
+      core::BasicDetectorOptions<2> dopt;
       dopt.version = static_cast<core::CpuVersion>(i % 4);
       if (dopt.version == core::CpuVersion::kV3Blocked ||
           dopt.version == core::CpuVersion::kV4Vector) {
@@ -601,7 +601,7 @@ TEST_F(PairShard, MergeRejectsGapsOverlapsAndMismatches) {
   EXPECT_EQ(left.range.last, 180u);
   const PairMergedScan all =
       merge_pair_shards({to_shard_result(left), hi});
-  pairwise::PairDetectorOptions base;
+  core::BasicDetectorOptions<2> base;
   base.top_k = 4;
   expect_same_pair_entries(all.result.best, det_->run(base).best);
 }
@@ -1141,6 +1141,94 @@ TEST_F(ShardMerge, RejectsEmptyOverlapGapAndMismatches) {
   const ShardResult skinny = scan_range(*det_, fp_, {100, 300}, 3);
   expect_error_contains(error_of([&] { merge_shards({lo, skinny, hi}); }),
                         "top_k mismatch");
+}
+
+// --------------------------------------------------------------------------
+// Tied scores across range boundaries
+// --------------------------------------------------------------------------
+
+/// M = 24 SNPs over 400 samples: SNPs 0..11 are copies of one
+/// phenotype-linked column and the rest are independent noise, so every
+/// order-K combination inside the first twelve SNPs has the same table and
+/// score, and those combinations hold exactly the ranks [0, C(12, K)): one
+/// tie run at the top of the ranking, ordered by rank alone.
+dataset::GenotypeMatrix tied_dataset() {
+  constexpr std::size_t kSnps = 24;
+  constexpr std::size_t kSamples = 400;
+  std::mt19937_64 rng(4242);
+  std::uniform_int_distribution<int> geno(0, 2);
+  std::bernoulli_distribution flip(0.1);
+  dataset::GenotypeMatrix d(kSnps, kSamples);
+  for (std::size_t j = 0; j < kSamples; ++j) {
+    const auto linked = static_cast<dataset::Genotype>(geno(rng));
+    const bool risk = linked == 2;
+    d.set_phenotype(j, static_cast<dataset::Phenotype>(risk != flip(rng)));
+    for (std::size_t m = 0; m < kSnps; ++m) {
+      d.set(m, j, m < 12 ? linked : static_cast<dataset::Genotype>(geno(rng)));
+    }
+  }
+  return d;
+}
+
+/// Cuts the rank space inside the tie run (twice inside the top-k itself)
+/// and checks that both the TopK merge of the ranged runs and the shard
+/// merge reproduce the full scan's CSV and score bits, for every version.
+template <unsigned K>
+void expect_tie_run_splits_merge_exactly() {
+  const auto d = tied_dataset();
+  const core::BasicDetector<K> det(d);
+  const std::uint64_t fp = dataset_fingerprint(d);
+  const std::uint64_t run = combinatorics::n_choose_k(12, K);
+  const std::uint64_t total = combinatorics::n_choose_k(d.num_snps(), K);
+  constexpr std::size_t kTop = 10;
+  const std::vector<std::uint64_t> cuts = {0,       3,         7, run / 2,
+                                           run - 1, total / 2, total};
+  for (unsigned v = 1; v <= 5; ++v) {
+    core::BasicDetectorOptions<K> opt;
+    opt.version = *core::cpu_version_from_number(v);
+    opt.top_k = kTop;
+    const auto full = det.run(opt).best;
+    ASSERT_EQ(full.size(), kTop);
+    // The whole top-k sits inside the tie run: only the rank tie-break
+    // orders it.
+    for (std::size_t i = 0; i < kTop; ++i) {
+      ASSERT_TRUE(same_bits(full[i].score, full[0].score)) << "entry " << i;
+      ASSERT_EQ(combinatorics::rank_combination<K>(core::snps_of<K>(full[i])),
+                i);
+    }
+    const auto want = core::scan_csv_lines<K>(full);
+
+    core::BasicTopK<core::ScoredOf<K>> acc(kTop);
+    std::vector<BasicShardResult<core::ScoredOf<K>>> shards;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      core::BasicDetectorOptions<K> part = opt;
+      part.range = {cuts[i], cuts[i + 1]};
+      for (const auto& sp : det.run(part).best) acc.push(sp);
+      BasicShardRunOptions<core::BasicDetectorOptions<K>> so;
+      so.detector = opt;
+      so.range = part.range;
+      const auto rep = run_shard_of<K>(det, fp, so);
+      ASSERT_TRUE(rep.completed);
+      shards.push_back(rep.result);
+    }
+    std::reverse(shards.begin(), shards.end());
+    const auto merged = merge_shards_of<K>(shards).result.best;
+    const auto ranged = acc.sorted();
+    EXPECT_EQ(core::scan_csv_lines<K>(ranged), want) << "TopK merge, V" << v;
+    EXPECT_EQ(core::scan_csv_lines<K>(merged), want) << "shard merge, V" << v;
+    for (std::size_t i = 0; i < kTop; ++i) {
+      EXPECT_TRUE(same_bits(ranged[i].score, full[i].score)) << i;
+      EXPECT_TRUE(same_bits(merged[i].score, full[i].score)) << i;
+    }
+  }
+}
+
+TEST(ShardTies, PairTieRunCutInsideTheTopKMergesToTheFullScan) {
+  expect_tie_run_splits_merge_exactly<2>();
+}
+
+TEST(ShardTies, TripletTieRunCutInsideTheTopKMergesToTheFullScan) {
+  expect_tie_run_splits_merge_exactly<3>();
 }
 
 // --------------------------------------------------------------------------

@@ -44,7 +44,6 @@
 #include "trigen/fleet/coordinator.hpp"
 #include "trigen/fleet/worker.hpp"
 #include "trigen/gpusim/device_spec.hpp"
-#include "trigen/pairwise/pair_detector.hpp"
 #include "trigen/serve/endpoint.hpp"
 #include "trigen/serve/protocol.hpp"
 #include "trigen/serve/server.hpp"
@@ -295,7 +294,7 @@ int cmd_info(const Args& a) {
               static_cast<unsigned long long>(
                   combinatorics::num_triplets(d.num_snps())),
               static_cast<unsigned long long>(
-                  pairwise::num_pairs(d.num_snps())));
+                  combinatorics::num_pairs(d.num_snps())));
   // Genotype distribution.
   std::size_t counts[3] = {};
   for (std::size_t m = 0; m < d.num_snps(); ++m) {
@@ -564,13 +563,12 @@ int cmd_scan_generic(const Args& a) {
 /// `scan2` is the historical spelling of --order 2.  The runtime order
 /// picks the compile-time instantiation of the one generic engine.
 int cmd_scan(const Args& a) {
-  switch (a.get_int("order", 3)) {
-    case 2: return cmd_scan_generic<OrderCli<2>>(a);
-    case 3: return cmd_scan_generic<OrderCli<3>>(a);
-    case 4: return cmd_scan_generic<OrderCli<4>>(a);
-    case 5: return cmd_scan_generic<OrderCli<5>>(a);
-    case 6: return cmd_scan_generic<OrderCli<6>>(a);
-    default: break;
+  int rc = 0;
+  if (combinatorics::with_order(
+          static_cast<std::uint64_t>(a.get_int("order", 3)), [&](auto kc) {
+            rc = cmd_scan_generic<OrderCli<decltype(kc)::value>>(a);
+          })) {
+    return rc;
   }
   std::fprintf(stderr, "--order expects an interaction order in [2, %u]\n",
                combinatorics::kMaxOrder);
@@ -625,13 +623,12 @@ int cmd_merge(const Args& a) {
   }
   // The first file picks the order; a mixed set fails inside the readers
   // with a precise order-mismatch error.
-  switch (shard::probe_shard_order(a.positional[0])) {
-    case 2: return cmd_merge_generic<OrderCli<2>>(a);
-    case 3: return cmd_merge_generic<OrderCli<3>>(a);
-    case 4: return cmd_merge_generic<OrderCli<4>>(a);
-    case 5: return cmd_merge_generic<OrderCli<5>>(a);
-    case 6: return cmd_merge_generic<OrderCli<6>>(a);
-    default: break;
+  int rc = 0;
+  if (combinatorics::with_order(
+          shard::probe_shard_order(a.positional[0]), [&](auto kc) {
+            rc = cmd_merge_generic<OrderCli<decltype(kc)::value>>(a);
+          })) {
+    return rc;
   }
   // Out-of-range orders fall through to the reader for its precise
   // "unsupported order" message.
@@ -715,13 +712,14 @@ int cmd_significance(const Args& a) {
   const auto isa = parse_isa_flag(a);
   core::ConfigResolver config = isa ? core::ConfigResolver{}
                                     : load_tuning_resolver(a);
-  switch (a.get_int("order", 3)) {
-    case 2: return cmd_significance_of<2>(d, permutations, seed, objective, threads, batch, progress, isa, std::move(config));
-    case 3: return cmd_significance_of<3>(d, permutations, seed, objective, threads, batch, progress, isa, std::move(config));
-    case 4: return cmd_significance_of<4>(d, permutations, seed, objective, threads, batch, progress, isa, std::move(config));
-    case 5: return cmd_significance_of<5>(d, permutations, seed, objective, threads, batch, progress, isa, std::move(config));
-    case 6: return cmd_significance_of<6>(d, permutations, seed, objective, threads, batch, progress, isa, std::move(config));
-    default: break;
+  int rc = 0;
+  if (combinatorics::with_order(
+          static_cast<std::uint64_t>(a.get_int("order", 3)), [&](auto kc) {
+            rc = cmd_significance_of<decltype(kc)::value>(
+                d, permutations, seed, objective, threads, batch, progress,
+                isa, std::move(config));
+          })) {
+    return rc;
   }
   std::fprintf(stderr, "--order expects an interaction order in [2, %u]\n",
                combinatorics::kMaxOrder);
