@@ -9,19 +9,46 @@
 /// It also pits the per-pair unrank loop (the V2 rung) against the
 /// blocked V4 engine and V5 (the same direct engine at k = 2, since the
 /// prefix-plane ladder has no rungs below order 3), so the payoff of each
-/// k=2 rung is captured in the bench trajectory.
+/// k=2 rung is captured in the bench trajectory.  Every row is timed at the
+/// host's thread count and at one thread, each as the median of runs that
+/// add up to at least 0.2 s.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "trigen/common/table.hpp"
 #include "trigen/core/detector.hpp"
 
+namespace {
+
+using namespace trigen;
+
+/// Median of `scan()`'s reported scan seconds over runs that add up to at
+/// least 0.2 s: one 2-3 ms pair scan is too short to time a fork/join
+/// fairly, while a long 3-way scan runs once.
+template <typename Scan>
+double median_seconds(const Scan& scan) {
+  std::vector<double> runs;
+  double total = 0.0;
+  while (total < 0.2) {
+    runs.push_back(scan());
+    total += runs.back();
+  }
+  std::sort(runs.begin(), runs.end());
+  return runs[runs.size() / 2];
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace trigen;
   const bool paper = bench::has_flag(argc, argv, "--paper-scale");
   const std::size_t snps = paper ? 1024 : 160;
   const std::size_t samples = paper ? 16384 : 8192;
+  const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
 
   bench::print_header("Extension — pairwise vs three-way scan");
   const auto d = bench::paper_style_dataset(snps, samples);
@@ -30,72 +57,77 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(combinatorics::num_pairs(snps)),
               static_cast<unsigned long long>(
                   combinatorics::num_triplets(snps)));
+  std::printf("each time is the median over >= 0.2 s of scans, at %u "
+              "threads and at one thread\n",
+              threads);
 
-  TextTable t({"scan", "ISA", "combinations", "time [s]", "Gel/s"});
+  const std::string nt = std::to_string(threads) + "T";
+  TextTable t({"scan", "ISA", "combinations", "time " + nt + " [s]",
+               "Gel/s " + nt, "time 1T [s]", "Gel/s 1T"});
   const core::BasicDetector<2> pairs(d);
   const core::Detector triples(d);
-  double best_loop_eps = 0.0, best_blocked_eps = 0.0, best_cached_eps = 0.0;
+  // Best elements/s per pair rung, at [0] all threads and [1] one thread.
+  double best_loop[2] = {}, best_blocked[2] = {}, best_cached[2] = {};
+  // One row: `run(opt)` at every thread count, timed by median_seconds.
+  const auto row = [&](const char* scan, core::KernelIsa isa, auto opt,
+                       const auto& run, double* best) {
+    opt.isa = isa;
+    opt.isa_auto = false;
+    std::vector<std::string> cells = {scan, core::kernel_isa_name(isa), ""};
+    for (int i = 0; i < 2; ++i) {
+      opt.threads = i == 0 ? threads : 1;
+      std::uint64_t combinations = 0;
+      const double s = median_seconds([&] {
+        const auto r = run(opt);
+        combinations = r.combinations_evaluated;
+        return r.seconds;
+      });
+      const double eps = static_cast<double>(combinations) *
+                         static_cast<double>(samples) / s;
+      if (best != nullptr) best[i] = std::max(best[i], eps);
+      cells[2] = std::to_string(combinations);
+      cells.push_back(TextTable::fmt(s, 4));
+      cells.push_back(TextTable::fmt(eps / 1e9, 2));
+    }
+    t.add_row(cells);
+  };
+  const auto run_pairs = [&](const core::BasicDetectorOptions<2>& o) {
+    return pairs.run(o);
+  };
+  const auto run_triples = [&](const core::DetectorOptions& o) {
+    return triples.run(o);
+  };
   for (const core::KernelIsa isa : core::all_kernel_isas()) {
     if (!core::kernel_available(isa)) continue;
-
+    core::BasicDetectorOptions<2> popt;
     // The pre-refactor pairwise engine: one kernel invocation per pair
     // over the full sample range (V2-split per-pair loop).
-    core::BasicDetectorOptions<2> loop_opt;
-    loop_opt.version = core::CpuVersion::kV2Split;
-    loop_opt.isa = isa;
-    loop_opt.isa_auto = false;
-    const auto lr = pairs.run(loop_opt);
-    best_loop_eps = std::max(best_loop_eps, lr.elements_per_second());
-    t.add_row({"2-way per-pair", core::kernel_isa_name(isa),
-               std::to_string(lr.combinations_evaluated),
-               TextTable::fmt(lr.seconds, 3),
-               TextTable::fmt(lr.elements_per_second() / 1e9, 2)});
-
+    popt.version = core::CpuVersion::kV2Split;
+    row("2-way per-pair", isa, popt, run_pairs, best_loop);
     // The blocked/tiled pairwise engine (V4 on this ISA).
-    core::BasicDetectorOptions<2> popt;
     popt.version = core::CpuVersion::kV4Vector;
-    popt.isa = isa;
-    popt.isa_auto = false;
-    const auto pr = pairs.run(popt);
-    best_blocked_eps = std::max(best_blocked_eps, pr.elements_per_second());
-    t.add_row({"2-way blocked", core::kernel_isa_name(isa),
-               std::to_string(pr.combinations_evaluated),
-               TextTable::fmt(pr.seconds, 3),
-               TextTable::fmt(pr.elements_per_second() / 1e9, 2)});
-
+    row("2-way blocked", isa, popt, run_pairs, best_blocked);
     // V5: at k = 2 the same direct engine as V4.
-    core::BasicDetectorOptions<2> copt;
-    copt.version = core::CpuVersion::kV5PairCache;
-    copt.isa = isa;
-    copt.isa_auto = false;
-    const auto cr = pairs.run(copt);
-    best_cached_eps = std::max(best_cached_eps, cr.elements_per_second());
-    t.add_row({"2-way cached", core::kernel_isa_name(isa),
-               std::to_string(cr.combinations_evaluated),
-               TextTable::fmt(cr.seconds, 3),
-               TextTable::fmt(cr.elements_per_second() / 1e9, 2)});
-
+    popt.version = core::CpuVersion::kV5PairCache;
+    row("2-way cached", isa, popt, run_pairs, best_cached);
     core::DetectorOptions topt;
     topt.version = core::CpuVersion::kV4Vector;
-    topt.isa = isa;
-    topt.isa_auto = false;
-    const auto tr = triples.run(topt);
-    t.add_row({"3-way blocked", core::kernel_isa_name(isa),
-               std::to_string(tr.combinations_evaluated),
-               TextTable::fmt(tr.seconds, 3),
-               TextTable::fmt(tr.elements_per_second() / 1e9, 2)});
+    row("3-way blocked", isa, topt, run_triples, nullptr);
   }
   std::printf("%s", t.to_ascii().c_str());
-  if (best_loop_eps > 0.0) {
-    std::printf(
-        "blocked pairwise engine vs per-pair loop (best ISA each): %.2fx\n",
-        best_blocked_eps / best_loop_eps);
-  }
-  if (best_blocked_eps > 0.0) {
-    std::printf(
-        "V5 pairwise engine vs blocked V4 (best ISA each): "
-        "%.2fx\n",
-        best_cached_eps / best_blocked_eps);
+  for (int i = 0; i < 2; ++i) {
+    const std::string at = i == 0 ? nt : "1T";
+    if (best_loop[i] > 0.0) {
+      std::printf(
+          "blocked pairwise engine vs per-pair loop (best ISA each, %s): "
+          "%.2fx\n",
+          at.c_str(), best_blocked[i] / best_loop[i]);
+    }
+    if (best_blocked[i] > 0.0) {
+      std::printf("V5 pairwise engine vs blocked V4 (best ISA each, %s): "
+                  "%.2fx\n",
+                  at.c_str(), best_cached[i] / best_blocked[i]);
+    }
   }
   return 0;
 }

@@ -472,9 +472,9 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
   cfg.progress = options.progress;
   cfg.progress_total = range.size();
 
-  // Always the cached blocked engine (the whole point is amortizing the
-  // ladder), with the batch-aware L1 budget: the per-tuple tables grow to
-  // 1 + P slots and the resident label rows join the streamed block.
+  // Always the batched blocked engine (the whole point is amortizing the
+  // prefix planes), with the batch-aware budget: the per-tuple tables grow
+  // to 1 + P slots and the resident label rows join the streamed block.
   TilingParams tiling = options.tiling;
   if (!tiling.valid() && tuned) tiling = tuned->tiling;
   if (!tiling.valid()) {
@@ -525,16 +525,9 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
         BlockTuple<K> bt =
             unrank_block_tuple<K>(part.block_ranks.first + r.first);
         for (std::uint64_t b = r.first; b < r.last; ++b) {
-          if constexpr (K == 2) {
-            scan_block_pair_batched(combined, batch, tiling, cachedk,
-                                    bkern, thread_scratch(tid), bt, clip,
-                                    on_table);
-          } else {
-            scan_block_tuple_batched<K>(combined, batch, tiling,
-                                        cachedk, generic, bkern,
-                                        thread_scratch(tid), bt, clip,
-                                        on_table);
-          }
+          scan_block_tuple_batched<K>(combined, batch, tiling, cachedk,
+                                      generic, bkern, thread_scratch(tid),
+                                      bt, clip, on_table);
           combinatorics::next_block_tuple<K>(bt);
         }
         return emitted;

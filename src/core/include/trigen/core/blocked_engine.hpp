@@ -37,6 +37,12 @@
 /// chunk popcounts of the four genotype-0/1 intersections, completed from
 /// the per-SNP genotype counts, *are* the 9-cell table.
 ///
+/// The batched engine (`scan_block_tuple_batched`) scores P phenotype
+/// partitions in one pass over the phenotype-agnostic combined layout: at
+/// k >= 3 against the last rung of the full ladder, at k = 2 against x's
+/// two stored planes (4 of the 9 cells, the rest completed from per-SNP and
+/// per-partition genotype counts).
+///
 /// The block-tuple rank math and the rank-range -> block-tuple mapping live
 /// in trigen/combinatorics/block_partition.hpp; the names are re-exported
 /// here for the engine's callers.
@@ -523,27 +529,76 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
 }
 
 // ---------------------------------------------------------------------------
-// Batched multi-phenotype engines
+// Batched multi-phenotype engine
 // ---------------------------------------------------------------------------
 
-/// Per-thread scratch of the batched engines: the prefix-plane ladder, the
-/// chunk |prefix ∩ label| popcounts, and the live (1 + P)-slot tables (slot
-/// 0 totals, slot 1+p the case table of partition p).  At order >= 3 the
-/// tables of all final-axis combinations of one prefix are live together
-/// (B_S of them); at order 2 one pair emits before the next starts.
+/// Per-thread cache of the per-partition genotype counts that complete the
+/// batched order-2 rows: for every SNP z of one last-axis block,
+/// |z_b ∩ L_p| for b in {0, 1} and every partition p of a batch, counted by
+/// the batch label-popcount kernel over all words the first time an emitted
+/// pair needs them.  Every count is dropped when the cache moves to another
+/// block, so memory stays O(B_S · P) and a ranged scan counts only the SNPs
+/// its windows touch (the PairTableCache idiom).
+class LabelPopsCache {
+ public:
+  /// Serves the last-axis block of `planes` (the combined layout) whose
+  /// SNPs start at `z_base` (at most `bs` of them), against `batch`.
+  void select(const dataset::PhenoSplitPlanes& planes,
+              const dataset::PhenotypeBatch& batch, std::size_t bs,
+              std::size_t z_base) {
+    if (&planes == planes_ && &batch == batch_ && bs == bs_ &&
+        z_base == z_base_) {
+      return;
+    }
+    planes_ = &planes;
+    batch_ = &batch;
+    bs_ = bs;
+    z_base_ = z_base;
+    pops_.resize(bs * 2 * batch.stride());
+    counted_.assign(bs, 0);
+  }
+
+  /// |z_b ∩ L_p| of SNP z of the selected block at [b * batch.stride() +
+  /// p], counted with `kernel` on first use.
+  const std::uint32_t* pops(BatchLabelPopsKernel kernel, std::size_t z) {
+    const std::size_t lstride = batch_->stride();
+    const std::size_t slot = z - z_base_;
+    std::uint32_t* t = pops_.data() + slot * 2 * lstride;
+    if (counted_[slot] == 0) {
+      const std::size_t words = planes_->words(0);
+      std::fill(t, t + 2 * lstride, 0u);
+      // z's two stored planes sit `words` apart: a two-plane prefix view.
+      kernel(planes_->plane(0, z, 0), 2, words, batch_->word_labels(),
+             batch_->size(), lstride, 0, words, t);
+      counted_[slot] = 1;
+    }
+    return t;
+  }
+
+ private:
+  const dataset::PhenoSplitPlanes* planes_ = nullptr;
+  const dataset::PhenotypeBatch* batch_ = nullptr;
+  std::size_t bs_ = 0;
+  std::size_t z_base_ = 0;
+  std::vector<std::uint32_t> pops_;    ///< [z - z_base][b][lane]
+  std::vector<std::uint8_t> counted_;  ///< [z - z_base]
+};
+
+/// Per-thread scratch of the batched engine: the prefix-plane ladder
+/// (order >= 3), the chunk |prefix ∩ label| popcounts, the order-2
+/// LabelPopsCache, and the live (1 + P)-slot tables (slot 0 totals, slot
+/// 1+p the case table of partition p) of all B_S final-axis combinations
+/// of one prefix.
 template <unsigned K>
 class BatchTupleScratch {
  public:
   static constexpr std::size_t kCells = scoring::num_cells(K);
-  /// Planes the label-popcount kernel runs against: the materialized pair
-  /// planes at order 2, the last ladder rung otherwise.
-  static constexpr std::size_t kPrefixPlanes = K == 2 ? 9 : pow3(K - 1);
 
   BatchTupleScratch(std::size_t bs, std::size_t slots, std::size_t lstride)
       : bs_(bs),
         slots_(slots),
-        tables_((K >= 3 ? bs : 1) * (1 + slots) * kCells),
-        label_pops_(kPrefixPlanes * lstride) {}
+        tables_(bs * (1 + slots) * kCells),
+        label_pops_(pow3(K - 1) * lstride) {}
 
   std::size_t bs() const { return bs_; }
   std::size_t slots() const { return slots_; }
@@ -558,8 +613,13 @@ class BatchTupleScratch {
                                     z_count * (1 + slots_) * kCells),
               0u);
   }
+  /// Rows of |prefix plane ∩ L_p|, `lstride` lanes each: one per prefix
+  /// plane (at most 3^(K-1)).
   std::uint32_t* label_pops() { return label_pops_.data(); }
   PrefixPlaneCache& prefix_cache() { return cache_; }
+  /// Per-partition genotype counts completing order-2 rows (unallocated
+  /// at higher orders).
+  LabelPopsCache& z_label_pops() { return z_pops_; }
 
  private:
   std::size_t bs_;
@@ -567,23 +627,38 @@ class BatchTupleScratch {
   std::vector<std::uint32_t> tables_;
   std::vector<std::uint32_t> label_pops_;
   PrefixPlaneCache cache_;
+  LabelPopsCache z_pops_;
 };
 
-/// Batched ladder scan at any order K >= 3: evaluates every combination of
-/// block tuple `bt` within the range of `clip` against ALL partitions of
-/// `batch` in one pass, and calls `on_table(const Combination<K>&,
-/// std::size_t partition, const BasicContingencyTable<K>&)` for each
-/// (partition index ascending within a combination).
+/// Batched scan at any order K: evaluates every combination of block tuple
+/// `bt` within the range of `clip` against ALL partitions of `batch` in one
+/// pass, and calls `on_table(const Combination<K>&, std::size_t partition,
+/// const BasicContingencyTable<K>&)` for each (partition index ascending
+/// within a combination).
 ///
 /// `planes` must be the phenotype-agnostic combined layout
-/// (`PhenoSplitPlanes::build_combined`): the ladder streams class 0 (all
-/// samples) exactly once per prefix and chunk, the batch kernel counts
-/// |prefix ∩ L_p| once per chunk, and each final-axis SNP then costs two
-/// broadcast-AND-popcount streams per partition — the plane streaming and
-/// ladder build are amortized across all P partitions.  Prefixes whose
-/// last-axis window is empty build nothing.  Tables are exact integer
-/// counts, so every partition's result is bit-identical to a dedicated
-/// sequential scan of that partition.
+/// (`PhenoSplitPlanes::build_combined`): the prefix planes come from class
+/// 0 (all samples) exactly once per prefix and chunk, the batch kernel
+/// counts |prefix ∩ L_p| once per chunk, and each final-axis SNP then costs
+/// two broadcast-AND-popcount streams per prefix plane and partition — the
+/// plane streaming and prefix work are amortized across all P partitions.
+/// Prefixes whose last-axis window is empty build nothing.
+///
+/// K = 2 counts 4 of the 9 cells: the prefix planes are a view of x's two
+/// stored planes (x1 sits `words` after x0), and `bkern.finalize` with
+/// count 2 counts xa∩zb for a, b in {0, 1} for the totals and every
+/// partition, deriving each case row's (a, 2) cells from |xa ∩ L_p|.  The
+/// emit completes the rest: the totals with complete_pair_row over the
+/// combined layout's one class (the per-SNP genotype counts and N), each
+/// partition's x = 2 case row with complete_pair_x2_row from |zb ∩ L_p|
+/// (the scratch LabelPopsCache) and its case count.  No genotype-2 plane is
+/// formed, so there is no padding term.
+///
+/// K >= 3 runs the ladder (update_ladder, all 3^(K-1) planes of the last
+/// rung) and counts every cell; the control table inherits the combined
+/// planes' phantom all-genotype-2 padding, subtracted at emit.  Tables are
+/// exact integer counts at every order, so every partition's result is
+/// bit-identical to a dedicated sequential scan of that partition.
 template <unsigned K, typename OnTable>
 void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
                               const dataset::PhenotypeBatch& batch,
@@ -595,8 +670,6 @@ void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
                               const BlockTuple<K>& bt,
                               const LastAxisWindow<K>& clip,
                               OnTable&& on_table) {
-  static_assert(K >= 3, "the batched ladder needs a length-2 prefix; "
-                        "use scan_block_pair_batched for K == 2");
   constexpr std::size_t kCells = BatchTupleScratch<K>::kCells;
   const std::size_t bs = tiling.bs;
   const std::size_t m = planes.num_snps();
@@ -609,128 +682,87 @@ void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
   const std::size_t lstride = batch.stride();
   const Word* labels = batch.word_labels();
   const std::size_t words = planes.words(0);
-  const std::size_t pad = planes.pad_bits(0);
+  // Prefix planes each final-axis SNP combines with: x's two stored planes
+  // at K = 2, the last ladder rung's 3^(K-1) planes above.
+  constexpr std::size_t count = K == 2 ? 2 : pow3(K - 1);
   PrefixPlaneCache& cache = scratch.prefix_cache();
-  cache.ensure(K, tiling.bp_words);
-  constexpr std::size_t count = pow3(K - 1);
+  LabelPopsCache& z_pops = scratch.z_label_pops();
+  if constexpr (K == 2) {
+    z_pops.select(planes, batch, bs, base[1]);
+  } else {
+    cache.ensure(K, tiling.bp_words);
+  }
 
   engine_detail::for_each_prefix<K>(
       base, end, bs, clip,
       [&](const combinatorics::Combination<K>& prefix, unsigned, std::size_t,
           std::size_t z_lo, std::size_t z_hi) {
         scratch.clear_tables(z_hi - z_lo);
-        // Chunk loop inside the prefix: the ladder and the per-chunk label
-        // popcounts are built once and reused by every final-axis SNP and
-        // every partition.
+        // Chunk loop inside the prefix: the prefix planes and the per-chunk
+        // label popcounts are built once and reused by every final-axis SNP
+        // and every partition.
         for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
           const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-          engine_detail::update_ladder<K>(planes, 0, prefix, 0, w0, w1,
-                                          cached, generic, cache);
-          const Word* last = cache.rung(K - 1);
+          const Word* rung = nullptr;
+          std::size_t stride = 0;
+          const std::uint32_t* rung_pops = nullptr;
+          if constexpr (K == 2) {
+            // The emit overwrites the totals' (a, 2) cells, so x's planes
+            // need no chunk popcounts.
+            static constexpr std::uint32_t kNoPops[2] = {};
+            rung = planes.plane(0, prefix[0], 0) + w0;
+            stride = words;
+            rung_pops = kNoPops;
+          } else {
+            engine_detail::update_ladder<K>(planes, 0, prefix, 0, w0, w1,
+                                            cached, generic, cache);
+            rung = cache.rung(K - 1);
+            stride = cache.stride();
+            rung_pops = cache.rung_pops(K - 1);
+          }
           std::fill(scratch.label_pops(),
                     scratch.label_pops() + count * lstride, 0u);
-          bkern.label_pops(last, count, cache.stride(), labels, num_labels,
-                           lstride, w0, w1, scratch.label_pops());
+          bkern.label_pops(rung, count, stride, labels, num_labels, lstride,
+                           w0, w1, scratch.label_pops());
           for (std::size_t z = z_lo; z < z_hi; ++z) {
-            bkern.finalize(last, count, cache.stride(),
-                           cache.rung_pops(K - 1), scratch.label_pops(),
-                           planes.plane(0, z, 0), planes.plane(0, z, 1),
-                           labels, num_labels, lstride, w0, w1,
-                           scratch.tables(z - z_lo), kCells);
+            bkern.finalize(rung, count, stride, rung_pops,
+                           scratch.label_pops(), planes.plane(0, z, 0),
+                           planes.plane(0, z, 1), labels, num_labels, lstride,
+                           w0, w1, scratch.tables(z - z_lo), kCells);
           }
         }
         // Emit: slot 0 holds the phenotype-independent totals, slot 1+p the
-        // exact case table of partition p (label planes are zero-padded).
-        // The control table is totals − case; only it inherits the combined
-        // planes' phantom all-genotype-2 padding.
+        // exact case table of partition p (label planes are zero-padded),
+        // and the control table is totals − case.
         combinatorics::Combination<K> comb = prefix;
         for (std::size_t z = z_lo; z < z_hi; ++z) {
           comb[K - 1] = static_cast<std::uint32_t>(z);
-          const std::uint32_t* group = scratch.tables(z - z_lo);
+          std::uint32_t* group = scratch.tables(z - z_lo);
+          const std::uint32_t* zl = nullptr;
+          if constexpr (K == 2) {
+            complete_pair_row(planes, 0, prefix[0], z, group);
+            zl = z_pops.pops(bkern.label_pops, z);
+          }
           for (std::size_t p = 0; p < num_labels; ++p) {
             const std::uint32_t* case_ft = group + (1 + p) * kCells;
             scoring::BasicContingencyTable<K> t;
+            std::copy(case_ft, case_ft + kCells, t.counts[1].begin());
+            if constexpr (K == 2) {
+              complete_pair_x2_row(
+                  zl[p], zl[lstride + p],
+                  static_cast<std::uint32_t>(batch.cases(p)),
+                  t.counts[1].data());
+            }
             for (std::size_t i = 0; i < kCells; ++i) {
-              t.counts[1][i] = case_ft[i];
-              t.counts[0][i] = group[i] - case_ft[i];
+              t.counts[0][i] = group[i] - t.counts[1][i];
             }
-            t.counts[0][kCells - 1] -= static_cast<std::uint32_t>(pad);
+            if constexpr (K >= 3) {
+              // Only the control table inherits the combined planes'
+              // phantom all-genotype-2 padding.
+              t.counts[0][kCells - 1] -=
+                  static_cast<std::uint32_t>(planes.pad_bits(0));
+            }
             on_table(static_cast<const combinatorics::Combination<K>&>(comb),
-                     p, t);
-          }
-        }
-      });
-}
-
-/// Batched pair scan (K == 2): the nine x∩y planes of each in-window pair
-/// are materialized once per chunk; their chunk popcounts are the totals
-/// and one label-popcount pass per chunk yields every partition's case
-/// cells directly — there is no final axis, so no finalize kernel is
-/// involved.  Calls `on_table(const Combination<2>&, std::size_t
-/// partition, const PairContingencyTable&)`.
-template <typename OnTable>
-void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
-                             const dataset::PhenotypeBatch& batch,
-                             const TilingParams& tiling,
-                             const CachedKernelSet& cached,
-                             const BatchKernelSet& bkern,
-                             BatchTupleScratch<2>& scratch,
-                             const BlockTuple<2>& bt,
-                             const LastAxisWindow<2>& clip,
-                             OnTable&& on_table) {
-  const std::size_t bs = tiling.bs;
-  const std::size_t m = planes.num_snps();
-  std::array<std::size_t, 2> base;
-  std::array<std::size_t, 2> end;
-  if (!engine_detail::block_extents<2>(m, bs, bt, base, end)) return;
-  if (!clip.admits(combinatorics::BlockGrid{m, bs}, bt)) return;
-
-  const std::size_t num_labels = batch.size();
-  const std::size_t lstride = batch.stride();
-  const Word* labels = batch.word_labels();
-  const std::size_t words = planes.words(0);
-  const std::size_t pad = planes.pad_bits(0);
-  PrefixPlaneCache& cache = scratch.prefix_cache();
-  cache.ensure(3, tiling.bp_words);
-
-  engine_detail::for_each_prefix<2>(
-      base, end, bs, clip,
-      [&](const combinatorics::Combination<2>& prefix, unsigned, std::size_t,
-          std::size_t z_lo, std::size_t z_hi) {
-        combinatorics::Combination<2> comb = prefix;
-        for (std::size_t z = z_lo; z < z_hi; ++z) {
-          comb[1] = static_cast<std::uint32_t>(z);
-          scratch.clear_tables(1);
-          std::uint32_t* table = scratch.tables(0);
-          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
-            cached.build(planes.plane(0, comb[0], 0),
-                         planes.plane(0, comb[0], 1), planes.plane(0, z, 0),
-                         planes.plane(0, z, 1), w0, w1, cache.rung(2),
-                         cache.stride(), cache.rung_pops(2));
-            std::fill(scratch.label_pops(),
-                      scratch.label_pops() + 9 * lstride, 0u);
-            bkern.label_pops(cache.rung(2), 9, cache.stride(), labels,
-                             num_labels, lstride, w0, w1,
-                             scratch.label_pops());
-            for (std::size_t t = 0; t < 9; ++t) {
-              table[t] += cache.rung_pops(2)[t];
-              for (std::size_t p = 0; p < num_labels; ++p) {
-                table[(1 + p) * 9 + t] +=
-                    scratch.label_pops()[t * lstride + p];
-              }
-            }
-          }
-          for (std::size_t p = 0; p < num_labels; ++p) {
-            const std::uint32_t* case_ft = table + (1 + p) * 9;
-            scoring::PairContingencyTable t;
-            for (std::size_t i = 0; i < 9; ++i) {
-              t.counts[1][i] = case_ft[i];
-              t.counts[0][i] = table[i] - case_ft[i];
-            }
-            t.counts[0][8] -= static_cast<std::uint32_t>(pad);
-            on_table(static_cast<const combinatorics::Combination<2>&>(comb),
                      p, t);
           }
         }

@@ -228,7 +228,9 @@ class BasicDetector {
   /// cost far less than P runs.  Each partition's ranking is bit-identical
   /// to a dedicated run() with that partition as the phenotype (same
   /// integer tables, same scorer, same deterministic merge).  Always runs
-  /// the cached blocked engine; `options.version` is ignored.  This is the
+  /// the batched blocked engine (scan_block_tuple_batched: the prefix-plane
+  /// ladder at K >= 3, x's two stored planes and 4 of the 9 cells at
+  /// K = 2); `options.version` is ignored.  This is the
   /// engine under permutation testing (observed + shuffled nulls = one
   /// batch) and multi-trait scans.
   BasicBatchDetectionResult<K> run_batched(

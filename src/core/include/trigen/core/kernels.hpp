@@ -35,21 +35,23 @@
 /// cells with genotype 2 at x or y from the xz and yz pair tables of the
 /// counts-only pair kernel plus the per-SNP genotype counts.  Every step is
 /// exact integer arithmetic, so V5 is bit-identical to V2-V4.  The
-/// nine-plane `pair_plane_build` kernel remains as rung 2 of the k >= 4
-/// ladder and of the batched engines.  `triple_block_cached` has no caller
-/// in the engines any more; it is kept only for perfbench's kernel probe
-/// and the kernel benchmarks.
+/// nine-plane `pair_plane_build` kernel remains only as rung 2 of the
+/// k >= 4 ladder and of the batched k >= 3 engine (the batched k = 2 path
+/// runs the batch kernels straight over x's two stored planes).
+/// `triple_block_cached` has no caller in the engines any more; it is kept
+/// only for perfbench's kernel probe and the kernel benchmarks.
 ///
 /// NOR padding: plane tail bits are zero, so an inferred genotype-2 plane
 /// has ones there and the kernels that form one over-count the
 /// all-genotype-2 cell by exactly the class's padding-bit count.  Callers
 /// subtract `PhenoSplitPlanes::pad_bits` once per class after the last word
 /// block (see blocked_engine.hpp) — keeping the hot loop mask-free.  The
-/// pair count kernel and the V5 order-3 path are the exception: they read
-/// only the stored, zero-padded genotype 0/1 planes of x and y and never
-/// form a genotype-2 plane, so their counted cells are exact and
-/// `complete_pair_row` / `complete_triple_row` derive the rest from the
-/// per-SNP genotype counts, with no padding term at all.
+/// pair count kernel, the V5 order-3 path and the batched pair path are the
+/// exception: they read only the stored, zero-padded genotype 0/1 planes
+/// and never form a genotype-2 plane, so their counted cells are exact and
+/// `complete_pair_row` / `complete_pair_x2_row` / `complete_triple_row`
+/// derive the rest from per-SNP (or per-partition) genotype counts, with no
+/// padding term at all.
 
 #include <cstdint>
 #include <optional>
@@ -118,24 +120,35 @@ using PairPlaneCountKernel = void (*)(const Word* x0, const Word* x1,
 /// The pair-row cells a PairPlaneCountKernel counts, in kernel order.
 inline constexpr std::size_t kPairCountCells[4] = {0, 1, 3, 4};
 
+/// Completes the x = 2 row of a pair row whose x = 0 and x = 1 rows hold
+/// exact counts over a set of `n` samples, `sy0` and `sy1` of which have
+/// genotype 0 and 1 at y (a SNP's three genotypes partition every set):
+///   n(2,b) = S_y(b) − n(0,b) − n(1,b),
+///   n(2,2) = n − Σ_{a<2, g} n(a,g) − n(2,0) − n(2,1).
+/// Overwrites cells 6, 7 and 8.  complete_pair_row applies it to a class;
+/// the batched pair path applies it to the totals and to the case set of
+/// every partition.
+inline void complete_pair_x2_row(std::uint32_t sy0, std::uint32_t sy1,
+                                 std::uint32_t n, std::uint32_t* row) {
+  row[6] = sy0 - row[0] - row[3];
+  row[7] = sy1 - row[1] - row[4];
+  row[8] = n - row[0] - row[1] - row[2] - row[3] - row[4] - row[5] - row[6] -
+           row[7];
+}
+
 /// Completes one class row of the pair (x, y) table whose cells 0, 1, 3
 /// and 4 hold the exact counts over the whole class (as a
 /// PairPlaneCountKernel leaves them): with S_x(a) the class's count of
-/// genotype a at x and N_c its size,
-///   n(a,2) = S_x(a) − n(a,0) − n(a,1),   n(2,b) = S_y(b) − n(0,b) − n(1,b),
-///   n(2,2) = N_c − S_x(0) − S_x(1) − n(2,0) − n(2,1).
+/// genotype a at x, n(a,2) = S_x(a) − n(a,0) − n(a,1), and the x = 2 row
+/// follows from S_y(b) and the class size (complete_pair_x2_row).
 /// Overwrites cells 2, 5, 6, 7 and 8.
 inline void complete_pair_row(const dataset::PhenoSplitPlanes& p, int c,
                               std::size_t x, std::size_t y,
                               std::uint32_t* row) {
-  const std::uint32_t sx0 = p.genotype_count(c, x, 0);
-  const std::uint32_t sx1 = p.genotype_count(c, x, 1);
-  row[2] = sx0 - row[0] - row[1];
-  row[5] = sx1 - row[3] - row[4];
-  row[6] = p.genotype_count(c, y, 0) - row[0] - row[3];
-  row[7] = p.genotype_count(c, y, 1) - row[1] - row[4];
-  row[8] = static_cast<std::uint32_t>(p.samples(c)) - sx0 - sx1 - row[6] -
-           row[7];
+  row[2] = p.genotype_count(c, x, 0) - row[0] - row[1];
+  row[5] = p.genotype_count(c, x, 1) - row[3] - row[4];
+  complete_pair_x2_row(p.genotype_count(c, y, 0), p.genotype_count(c, y, 1),
+                       static_cast<std::uint32_t>(p.samples(c)), row);
 }
 
 /// The twelve order-3 cells the V5 path counts: n(a, b, g) for a, b in
@@ -179,8 +192,8 @@ inline void complete_triple_row(const dataset::PhenoSplitPlanes& p, int c,
 
 /// The nine-plane V5 phases for one vectorization strategy plus the
 /// counts-only pair kernel.  `build` is rung 2 of the k >= 4 ladder and of
-/// the batched engines; `count` is the k = 2 direct kernel and fills the
-/// pair tables of the V5 order-3 path; `cached` is called only by
+/// the batched k >= 3 engine; `count` is the k = 2 direct kernel and fills
+/// the pair tables of the V5 order-3 path; `cached` is called only by
 /// perfbench's kernel probe and the kernel benchmarks.
 struct CachedKernelSet {
   PairPlaneBuildKernel build = nullptr;
@@ -274,7 +287,10 @@ struct GenericKernelSet {
 // phenotype is ~1/8 (AVX2) or ~1/16 (AVX-512) of a dedicated pass.  Label
 // planes have zero tail bits, so case counts need no padding correction;
 // control rows are derived as totals - cases with the usual all-genotype-2
-// padding subtraction on the totals side.
+// padding subtraction on the totals side.  At order 2 the prefix planes are
+// x's two stored planes (count = 2), no genotype-2 plane is formed and the
+// x = 2 rows are completed from genotype counts instead, with no padding
+// term.
 
 /// Chunk popcounts |prefix_t ∩ L_p| for every cached plane t and label lane
 /// p: `label_pops[t * lstride + p]` is *added to* (callers zero per chunk).

@@ -57,10 +57,12 @@ TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
 
 /// Batch-aware sizing for multi-phenotype scans: the frequency-table budget
 /// covers 1 + `batch_slots` tables per tuple (totals plus one case table per
-/// partition; the batched engines keep per-z tables live, so the per-tuple
-/// term is (1+P)*3^order*4 bytes), and the streamed-block budget adds the
-/// resident label planes — `label_stride` lanes (the PhenotypeBatch stride)
-/// per sample word.  `batch_slots == 0` degrades to the overload above.
+/// partition; at every order the batched engine keeps the tables of all
+/// B_S final-axis SNPs of a prefix live, so B_S is sized, within [4, 64],
+/// against a 512 kB budget of (1+P)*3^order*4 bytes per SNP), and the
+/// streamed-block budget adds the resident label planes — `label_stride`
+/// lanes (the PhenotypeBatch stride) per sample word.  `batch_slots == 0`
+/// degrades to the overload above.
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              unsigned order, bool cached,
                              std::size_t batch_slots,
@@ -101,7 +103,7 @@ constexpr std::size_t tuple_tables_bytes(std::size_t bs, unsigned order) {
 
 /// Bytes the nine-plane prefix-plane ladder occupies for a B_P-word chunk
 /// at order k: rungs 2..k-1 hold sum 3^j intersection planes of 32-bit
-/// words (zero for k <= 2; the batched engines' nine planes at k == 3).
+/// words (zero for k <= 2; the batched engine's nine planes at k == 3).
 constexpr std::size_t prefix_cache_bytes(std::size_t bp_words, unsigned order) {
   std::size_t planes = 0;
   for (unsigned j = 2; j < order; ++j) planes += pow3(j);

@@ -126,10 +126,11 @@ class PhenoSplitPlanes {
 
   /// Zero-padding tail bits of class `c`.  NOR-based genotype-2 inference
   /// turns each of these into a phantom all-genotype-2 observation; the
-  /// engines that infer genotype 2 by NOR (k >= 3, and the batched pair
-  /// path) subtract this constant from that cell once per evaluated
-  /// combination.  The sequential pair path never forms a genotype-2 plane,
-  /// so it needs no correction (see `genotype_count`).
+  /// engines that infer genotype 2 by NOR (the direct engine at k >= 3, the
+  /// ladder at k >= 4 and the batched engine at k >= 3) subtract this
+  /// constant from that cell once per evaluated combination.  The pair
+  /// paths, sequential and batched, and V5 at k = 3 never form a genotype-2
+  /// plane, so they need no correction (see `genotype_count`).
   std::size_t pad_bits(int c) const {
     return words(c) * kWordBits - samples(c);
   }

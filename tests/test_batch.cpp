@@ -7,9 +7,10 @@
 /// deterministic top-k — for k in {2, 3, 4}, on every compiled-in ISA,
 /// over the full rank space and over arbitrary rank splits.  On top of
 /// that: the batch kernels against their scalar reference, degenerate
-/// (all-case / all-control / single-sample-class) partitions, the
-/// batched-vs-sequential permutation test, and the batch-aware tiling
-/// budget.
+/// (all-case / all-control / single-sample-class) partitions, edge
+/// datasets (monomorphic SNPs, class sizes around word and plane
+/// boundaries), the batched-vs-sequential permutation test, and the
+/// batch-aware tiling budget.
 
 #include <gtest/gtest.h>
 
@@ -156,54 +157,71 @@ TEST(PhenotypeBatch, RejectsBadInput) {
 // ---------------------------------------------------------------------------
 
 TEST(BatchKernels, EveryIsaMatchesScalar) {
-  constexpr std::size_t kCount = 9;       // planes (a k=3 final rung)
-  constexpr std::size_t kStride = 32;     // plane stride in words
   constexpr std::size_t kLabels = 19;     // partitions (not a lane multiple)
   constexpr std::size_t kLStride = 32;    // label lane stride
   constexpr std::size_t kWords = 27;      // odd word count: no vector shape
-  Xoshiro256 rng(123);
+  // Prefix shapes: nine planes at a padded cache stride (a k = 3 final
+  // rung), and two planes at the unpadded word stride (the k = 2 prefix, a
+  // SNP's two stored planes with x1 right after x0).
+  struct PrefixShape {
+    std::size_t count;
+    std::size_t stride;
+  };
+  for (const PrefixShape shape : {PrefixShape{9, 32}, PrefixShape{2, kWords}}) {
+    // The whole range and a chunk that starts mid-plane (the prefix planes
+    // are read from the chunk start, the labels and z absolutely).
+    for (const std::size_t w0 : {std::size_t{0}, std::size_t{5}}) {
+      SCOPED_TRACE(::testing::Message() << "count " << shape.count
+                                        << " stride " << shape.stride
+                                        << " w0 " << w0);
+      const std::size_t count = shape.count;
+      Xoshiro256 rng(123 + count + w0);
+      aligned_vector<Word> planes(count * shape.stride);
+      aligned_vector<Word> labels(kWords * kLStride, 0);
+      aligned_vector<Word> z0(kWords), z1(kWords);
+      for (Word& w : planes) w = static_cast<Word>(rng());
+      for (std::size_t w = 0; w < kWords; ++w) {
+        for (std::size_t p = 0; p < kLabels; ++p) {
+          labels[w * kLStride + p] = static_cast<Word>(rng());
+        }
+        z0[w] = static_cast<Word>(rng());
+        z1[w] = static_cast<Word>(~z0[w] & rng());  // disjoint, like planes
+      }
+      const Word* prefix = planes.data() + w0;
+      std::vector<std::uint32_t> prefix_pops(count, 0);
+      for (std::size_t t = 0; t < count; ++t) {
+        for (std::size_t r = 0; r < kWords - w0; ++r) {
+          prefix_pops[t] += static_cast<std::uint32_t>(
+              std::popcount(prefix[t * shape.stride + r]));
+        }
+      }
 
-  aligned_vector<Word> prefix(kCount * kStride);
-  aligned_vector<Word> labels(kWords * kLStride, 0);
-  aligned_vector<Word> z0(kWords), z1(kWords);
-  for (Word& w : prefix) w = static_cast<Word>(rng());
-  for (std::size_t w = 0; w < kWords; ++w) {
-    for (std::size_t p = 0; p < kLabels; ++p) {
-      labels[w * kLStride + p] = static_cast<Word>(rng());
+      const core::BatchKernelSet ref =
+          core::get_batch_kernels(KernelIsa::kScalar);
+      std::vector<std::uint32_t> ref_pops(count * kLStride, 0);
+      ref.label_pops(prefix, count, shape.stride, labels.data(), kLabels,
+                     kLStride, w0, kWords, ref_pops.data());
+      const std::size_t cells = count * 3;
+      // Adds, not zeroes.
+      std::vector<std::uint32_t> ref_ft((1 + kLabels) * cells, 7);
+      ref.finalize(prefix, count, shape.stride, prefix_pops.data(),
+                   ref_pops.data(), z0.data(), z1.data(), labels.data(),
+                   kLabels, kLStride, w0, kWords, ref_ft.data(), cells);
+
+      for (const KernelIsa isa : compiled_isas()) {
+        SCOPED_TRACE(core::kernel_isa_name(isa));
+        const core::BatchKernelSet k = core::get_batch_kernels(isa);
+        std::vector<std::uint32_t> pops(count * kLStride, 0);
+        k.label_pops(prefix, count, shape.stride, labels.data(), kLabels,
+                     kLStride, w0, kWords, pops.data());
+        EXPECT_EQ(pops, ref_pops);
+        std::vector<std::uint32_t> ft((1 + kLabels) * cells, 7);
+        k.finalize(prefix, count, shape.stride, prefix_pops.data(),
+                   pops.data(), z0.data(), z1.data(), labels.data(), kLabels,
+                   kLStride, w0, kWords, ft.data(), cells);
+        EXPECT_EQ(ft, ref_ft);
+      }
     }
-    z0[w] = static_cast<Word>(rng());
-    z1[w] = static_cast<Word>(~z0[w] & rng());  // disjoint, like planes
-  }
-  std::vector<std::uint32_t> prefix_pops(kCount, 0);
-  for (std::size_t t = 0; t < kCount; ++t) {
-    for (std::size_t w = 0; w < kWords; ++w) {
-      prefix_pops[t] += static_cast<std::uint32_t>(
-          std::popcount(prefix[t * kStride + w]));
-    }
-  }
-
-  const core::BatchKernelSet ref = core::get_batch_kernels(KernelIsa::kScalar);
-  std::vector<std::uint32_t> ref_pops(kCount * kLStride, 0);
-  ref.label_pops(prefix.data(), kCount, kStride, labels.data(), kLabels,
-                 kLStride, 0, kWords, ref_pops.data());
-  constexpr std::size_t kCells = kCount * 3;
-  std::vector<std::uint32_t> ref_ft((1 + kLabels) * kCells, 7);  // adds, not zeroes
-  ref.finalize(prefix.data(), kCount, kStride, prefix_pops.data(),
-               ref_pops.data(), z0.data(), z1.data(), labels.data(), kLabels,
-               kLStride, 0, kWords, ref_ft.data(), kCells);
-
-  for (const KernelIsa isa : compiled_isas()) {
-    SCOPED_TRACE(core::kernel_isa_name(isa));
-    const core::BatchKernelSet k = core::get_batch_kernels(isa);
-    std::vector<std::uint32_t> pops(kCount * kLStride, 0);
-    k.label_pops(prefix.data(), kCount, kStride, labels.data(), kLabels,
-                 kLStride, 0, kWords, pops.data());
-    EXPECT_EQ(pops, ref_pops);
-    std::vector<std::uint32_t> ft((1 + kLabels) * kCells, 7);
-    k.finalize(prefix.data(), kCount, kStride, prefix_pops.data(),
-               pops.data(), z0.data(), z1.data(), labels.data(), kLabels,
-               kLStride, 0, kWords, ft.data(), kCells);
-    EXPECT_EQ(ft, ref_ft);
   }
 }
 
@@ -281,7 +299,8 @@ TEST(BatchedScan, MatchesSequentialOnRandomRankSplits) {
 // Degenerate partitions
 // ---------------------------------------------------------------------------
 
-TEST(BatchedScan, DegeneratePartitionsMatchSequentialEveryObjective) {
+template <unsigned K>
+void degenerate_partitions_match_sequential() {
   const GenotypeMatrix d = random_dataset({10, 67, 41}, 0.4);
   const std::size_t n = d.num_samples();
   std::vector<std::vector<Phenotype>> parts;
@@ -295,24 +314,97 @@ TEST(BatchedScan, DegeneratePartitionsMatchSequentialEveryObjective) {
   parts.push_back(one_ctrl);
 
   const PhenotypeBatch batch = PhenotypeBatch::build(n, parts);
-  const BasicDetector<3> det(d);
+  const BasicDetector<K> det(d);
   for (const Objective obj :
        {Objective::kK2, Objective::kMutualInformation,
         Objective::kChiSquared}) {
     SCOPED_TRACE(core::objective_name(obj));
-    BasicDetectorOptions<3> opt;
+    BasicDetectorOptions<K> opt;
     opt.objective = obj;
     opt.top_k = 2;
     const auto batched = det.run_batched(batch, opt);
     for (std::size_t p = 0; p < parts.size(); ++p) {
       SCOPED_TRACE(p);
-      const auto sequential = sequential_best<3>(d, parts[p], opt);
-      expect_same_ranking<3>(batched.best[p], sequential, "degenerate");
+      const auto sequential = sequential_best<K>(d, parts[p], opt);
+      expect_same_ranking<K>(batched.best[p], sequential, "degenerate");
       for (const auto& s : batched.best[p]) {
         EXPECT_FALSE(std::isnan(s.score));
       }
     }
   }
+}
+
+TEST(BatchedScan, DegeneratePartitionsMatchSequentialEveryObjective) {
+  {
+    SCOPED_TRACE("k=2");
+    degenerate_partitions_match_sequential<2>();
+  }
+  {
+    SCOPED_TRACE("k=3");
+    degenerate_partitions_match_sequential<3>();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Edge datasets: monomorphic SNPs and class sizes around word and plane
+// boundaries
+// ---------------------------------------------------------------------------
+
+/// On every `edge_dataset` and compiled ISA, with P = 17 and 33 partitions
+/// (one and three 16-lane label groups): a whole batched run and the
+/// per-partition TopK merge of a 64-way range split both rank every
+/// combination exactly as P sequential scans do.
+template <unsigned K>
+void edge_datasets_match_sequential() {
+  std::uint64_t seed = 300;
+  for (const test::ClassSizes& sizes : test::edge_class_sizes()) {
+    SCOPED_TRACE(::testing::Message() << "k=" << K << " sizes "
+                                      << sizes.controls << "/" << sizes.cases);
+    const GenotypeMatrix d = test::edge_dataset(sizes, seed++);
+    const BasicDetector<K> det(d);
+    const std::uint64_t total = combinatorics::n_choose_k(d.num_snps(), K);
+    BasicDetectorOptions<K> opt;
+    opt.top_k = total + 16;  // every combination's score is compared
+    opt.threads = 1;
+    for (const std::size_t nparts : {std::size_t{17}, std::size_t{33}}) {
+      SCOPED_TRACE(nparts);
+      const auto parts = make_partitions(d, nparts, seed);
+      const PhenotypeBatch batch =
+          PhenotypeBatch::build(d.num_samples(), parts);
+      std::vector<std::vector<core::ScoredOf<K>>> sequential;
+      for (const auto& labels : parts) {
+        sequential.push_back(sequential_best<K>(d, labels, opt));
+      }
+      for (const KernelIsa isa : compiled_isas()) {
+        SCOPED_TRACE(core::kernel_isa_name(isa));
+        BasicDetectorOptions<K> o = opt;
+        o.isa = isa;
+        o.isa_auto = false;
+        const auto whole = det.run_batched(batch, o);
+        std::vector<core::BasicTopK<core::ScoredOf<K>>> merged(
+            nparts, core::BasicTopK<core::ScoredOf<K>>(opt.top_k));
+        for (std::uint64_t i = 0; i < 64; ++i) {
+          o.range = {total * i / 64, total * (i + 1) / 64};
+          if (o.range.empty()) continue;  // an empty range means "all"
+          const auto chunk = det.run_batched(batch, o);
+          for (std::size_t p = 0; p < nparts; ++p) {
+            for (const auto& s : chunk.best[p]) merged[p].push(s);
+          }
+        }
+        for (std::size_t p = 0; p < nparts; ++p) {
+          SCOPED_TRACE(p);
+          expect_same_ranking<K>(whole.best[p], sequential[p], "whole");
+          expect_same_ranking<K>(merged[p].sorted(), sequential[p],
+                                 "64-way split");
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchedScan, EdgeDatasetsMatchSequentialEveryIsaAndSplit) {
+  edge_datasets_match_sequential<2>();
+  edge_datasets_match_sequential<3>();
 }
 
 // ---------------------------------------------------------------------------
@@ -383,27 +475,32 @@ TEST(BatchTiling, BudgetsTablesAndLabelPlanes) {
   EXPECT_EQ(zero.bs, plain.bs);
   EXPECT_EQ(zero.bp_words, plain.bp_words);
 
-  std::size_t prev_bs = 65;
-  for (const std::size_t slots : {1ul, 16ul, 64ul, 512ul}) {
-    SCOPED_TRACE(slots);
-    const std::size_t lstride =
-        (slots + dataset::kWordsPerVector - 1) / dataset::kWordsPerVector *
-        dataset::kWordsPerVector;
-    const auto t = core::autotune_tiling(l1, 16, 3, true, slots, lstride);
-    EXPECT_TRUE(t.valid());
-    // Per-z tables stream (they are writeback-only), so bs is sized for
-    // completion reuse against an L2-scale budget, shrinking with P down
-    // to a floor of 4.
-    const std::size_t table_bytes = t.bs * (1 + slots) * 27 * 4;
-    EXPECT_TRUE(table_bytes <= 512 * 1024 || t.bs == 4);
-    EXPECT_LE(t.bs, 64u);
-    EXPECT_LE(t.bs, prev_bs);
-    prev_bs = t.bs;
-    // Chunks are granule-aligned and floored at sixteen granules: label
-    // rows stream from L2 at real P, so tiny chunks only multiply the
-    // per-chunk ladder, label-pops and writeback overheads.
-    EXPECT_EQ(t.bp_words % dataset::kWordsPerVector, 0u);
-    EXPECT_GE(t.bp_words, 16 * dataset::kWordsPerVector);
+  for (const unsigned order : {2u, 3u}) {
+    SCOPED_TRACE(order);
+    std::size_t prev_bs = 65;
+    for (const std::size_t slots : {1ul, 16ul, 64ul, 512ul}) {
+      SCOPED_TRACE(slots);
+      const std::size_t lstride =
+          (slots + dataset::kWordsPerVector - 1) / dataset::kWordsPerVector *
+          dataset::kWordsPerVector;
+      const auto t =
+          core::autotune_tiling(l1, 16, order, true, slots, lstride);
+      EXPECT_TRUE(t.valid());
+      // Per-z tables stream (they are writeback-only), so at every order bs
+      // is sized for completion reuse against an L2-scale budget, shrinking
+      // with P down to a floor of 4.
+      const std::size_t table_bytes =
+          t.bs * (1 + slots) * core::pow3(order) * 4;
+      EXPECT_TRUE(table_bytes <= 512 * 1024 || t.bs == 4);
+      EXPECT_LE(t.bs, 64u);
+      EXPECT_LE(t.bs, prev_bs);
+      prev_bs = t.bs;
+      // Chunks are granule-aligned and floored at sixteen granules: label
+      // rows stream from L2 at real P, so tiny chunks only multiply the
+      // per-chunk ladder, label-pops and writeback overheads.
+      EXPECT_EQ(t.bp_words % dataset::kWordsPerVector, 0u);
+      EXPECT_GE(t.bp_words, 16 * dataset::kWordsPerVector);
+    }
   }
 }
 
