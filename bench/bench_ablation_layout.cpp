@@ -56,7 +56,7 @@ void print_cost_view() {
   std::printf("\nDevice cost-model view (GN3 model, 2048 SNPs x 16384 "
               "samples):\n");
   gpusim::WorkloadShape w;
-  w.triplets = combinatorics::num_triplets(2048);
+  w.triplets = combinatorics::n_choose_k(2048, 3);
   w.samples = 16384;
   w.words_total = dataset::padded_words_for(8192) * 2;
   TextTable t({"version", "bound", "t_mem [s]", "t_popcnt [s]", "Gel/s"});

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   const auto l1 = core::detect_l1_config();
   const auto derived = core::autotune_tiling(
-      l1, core::kernel_vector_words(core::best_kernel_isa()));
+      l1, core::kernel_vector_words(core::best_kernel_isa()), 3, false);
   std::printf("workload: %zu SNPs x %zu samples; derived <BS=%zu, BP=%zu>\n",
               snps, samples, derived.bs, derived.bp_words);
 

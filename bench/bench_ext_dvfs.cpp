@@ -35,7 +35,7 @@ int main() {
   bench::print_header("Extension — DVFS sweep (compute-bound roofline + cubic power)");
 
   gpusim::WorkloadShape w;
-  w.triplets = combinatorics::num_triplets(2048);
+  w.triplets = combinatorics::n_choose_k(2048, 3);
   w.samples = 16384;
   w.words_total = dataset::padded_words_for(8192) * 2;
 

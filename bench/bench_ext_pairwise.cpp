@@ -54,9 +54,10 @@ int main(int argc, char** argv) {
   const auto d = bench::paper_style_dataset(snps, samples);
   std::printf("workload: %zu SNPs x %zu samples; C(M,2) = %llu, C(M,3) = %llu\n",
               snps, samples,
-              static_cast<unsigned long long>(combinatorics::num_pairs(snps)),
               static_cast<unsigned long long>(
-                  combinatorics::num_triplets(snps)));
+                  combinatorics::n_choose_k(snps, 2)),
+              static_cast<unsigned long long>(
+                  combinatorics::n_choose_k(snps, 3)));
   std::printf("each time is the median over >= 0.2 s of scans, at %u "
               "threads and at one thread\n",
               threads);

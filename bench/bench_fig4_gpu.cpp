@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                "el/cyc/stream-core (4c)", "total Gel/s", "bound"});
   for (const std::uint64_t snps : snp_sizes) {
     gpusim::WorkloadShape w;
-    w.triplets = combinatorics::num_triplets(snps);
+    w.triplets = combinatorics::n_choose_k(snps, 3);
     w.samples = samples;
     w.words_total = dataset::padded_words_for(samples / 2) * 2;
     for (const auto& dev : gpusim::gpu_device_db()) {

@@ -19,7 +19,7 @@ using namespace trigen;
 
 double gpu_eps(const std::string& id) {
   gpusim::WorkloadShape w;
-  w.triplets = combinatorics::num_triplets(2048);
+  w.triplets = combinatorics::n_choose_k(2048, 3);
   w.samples = 16384;
   w.words_total = dataset::padded_words_for(8192) * 2;
   return gpusim::estimate_gpu_cost(gpusim::gpu_device(id),
@@ -46,12 +46,12 @@ int main() {
   bench::print_header("§V-D — heterogeneous CPU+GPU projections");
   TextTable ht({"pairing", "CPU Gel/s", "GPU Gel/s", "combined Gel/s",
                 "CPU share", "speedup vs GPU"});
-  struct Pair {
+  struct Pairing {
     const char* cpu;
     const char* gpu;
   };
-  for (const Pair p : {Pair{"CI3", "GN1"}, Pair{"CI3", "GN3"},
-                       Pair{"CI1", "GN3"}, Pair{"CA1", "GN3"}}) {
+  for (const Pairing p : {Pairing{"CI3", "GN1"}, Pairing{"CI3", "GN3"},
+                          Pairing{"CI1", "GN3"}, Pairing{"CA1", "GN3"}}) {
     const double ceps =
         gpusim::project_cpu_elements_per_sec(gpusim::cpu_device(p.cpu), true);
     const double geps = gpu_eps(p.gpu);
@@ -72,7 +72,7 @@ int main() {
       "blocked V4");
   const auto d = bench::paper_style_dataset(96, 2048);
   const core::Detector det(d);
-  const std::uint64_t total = combinatorics::num_triplets(d.num_snps());
+  const std::uint64_t total = combinatorics::n_choose_k(d.num_snps(), 3);
   // The same partial range a co-run would hand the CPU side: the blocked
   // V4 path used to be unavailable here (it rejected partial ranges),
   // forcing the coordinator onto the per-triplet V2 path.
@@ -110,7 +110,7 @@ int main() {
               r.overlap_seconds,
               core::cpu_version_name(r.cpu_version).c_str(),
               core::kernel_isa_name(r.cpu_isa_used).c_str(),
-              r.cpu_calibrated_eps / 1e9, r.best[0].triplet.x,
-              r.best[0].triplet.y, r.best[0].triplet.z, r.best[0].score);
+              r.cpu_calibrated_eps / 1e9, r.best[0].snps[0],
+              r.best[0].snps[1], r.best[0].snps[2], r.best[0].score);
   return 0;
 }

@@ -22,7 +22,7 @@ int main() {
         dev.l1d_bytes, dev.l1d_ways,
         7u, dev.l1d_ways >= 12 ? dev.l1d_ways - 8 : 1u};
     const auto tiling = core::autotune_tiling(
-        l1, dev.vector_popcnt || dev.vector_bits >= 512 ? 16 : 8);
+        l1, dev.vector_popcnt || dev.vector_bits >= 512 ? 16 : 8, 3, false);
     ct.add_row({dev.id, dev.name, dev.arch, TextTable::fmt(dev.base_ghz, 1),
                 std::to_string(dev.cores),
                 std::to_string(dev.vector_bits) + "-bit",
@@ -54,7 +54,7 @@ int main() {
               core::kernel_isa_name(core::best_kernel_isa()).c_str());
   const auto l1 = core::detect_l1_config();
   const auto tiling = core::autotune_tiling(
-      l1, core::kernel_vector_words(core::best_kernel_isa()));
+      l1, core::kernel_vector_words(core::best_kernel_isa()), 3, false);
   std::printf("L1D: %zu kB, %u-way; derived tiling <BS=%zu, BP=%zu words>\n",
               l1.size_bytes / 1024, l1.ways, tiling.bs, tiling.bp_words);
   return 0;

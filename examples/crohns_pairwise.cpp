@@ -42,9 +42,10 @@ int main() {
   std::printf("2-way scan: %llu pairs in %.3f s\n",
               static_cast<unsigned long long>(pr.combinations_evaluated), pr.seconds);
   for (std::size_t i = 0; i < pr.best.size(); ++i) {
-    std::printf("  #%zu (%2u, %2u)  K2 = %.3f%s\n", i + 1, pr.best[i].x,
-                pr.best[i].y, pr.best[i].score,
-                pr.best[i].x == 9 && pr.best[i].y == 33 ? "  <-- planted" : "");
+    const auto& p = pr.best[i].snps;
+    std::printf("  #%zu (%2u, %2u)  K2 = %.3f%s\n", i + 1, p[0], p[1],
+                pr.best[i].score,
+                p[0] == 9 && p[1] == 33 ? "  <-- planted" : "");
   }
 
   // 3-way scan on the same data: triplets containing (9, 33) dominate.
@@ -57,12 +58,14 @@ int main() {
               tr.seconds);
   int containing = 0;
   for (std::size_t i = 0; i < tr.best.size(); ++i) {
-    const auto& t = tr.best[i].triplet;
-    const bool has_pair = (t.x == 9 && t.y == 33) || (t.x == 9 && t.z == 33) ||
-                          (t.y == 9 && t.z == 33);
+    const auto& t = tr.best[i].snps;
+    const bool has_pair = (t[0] == 9 && t[1] == 33) ||
+                          (t[0] == 9 && t[2] == 33) ||
+                          (t[1] == 9 && t[2] == 33);
     containing += has_pair ? 1 : 0;
-    std::printf("  #%zu (%2u, %2u, %2u)  K2 = %.3f%s\n", i + 1, t.x, t.y, t.z,
-                tr.best[i].score, has_pair ? "  <-- contains the pair" : "");
+    std::printf("  #%zu (%2u, %2u, %2u)  K2 = %.3f%s\n", i + 1, t[0], t[1],
+                t[2], tr.best[i].score,
+                has_pair ? "  <-- contains the pair" : "");
   }
   std::printf("\n%d of the top-5 triplets contain the causal pair; the "
               "pairwise scan needed %.1fx\nfewer combination evaluations.\n",

@@ -23,7 +23,7 @@ int main() {
   std::printf("workload: %zu SNPs x %zu samples (%llu triplets)\n",
               data.num_snps(), data.num_samples(),
               static_cast<unsigned long long>(
-                  combinatorics::num_triplets(data.num_snps())));
+                  combinatorics::n_choose_k(data.num_snps(), 3)));
 
   struct Entry {
     std::string device;
@@ -52,11 +52,11 @@ int main() {
                      base.run(1).elements_per_second() / 1e9, "measured"});
 
   // Every GPU model: functional execution + modelled device throughput.
-  combinatorics::Triplet best{0, 0, 0};
+  combinatorics::Combination<3> best{};
   for (const auto& spec : gpusim::gpu_device_db()) {
     const gpusim::GpuSimulator sim(spec, data);
     const auto r = sim.run({});
-    best = r.best[0].triplet;
+    best = r.best[0].snps;
     entries.push_back({spec.id + " " + spec.name, "GPU V4 (model)",
                        r.cost.elements_per_second / 1e9, "modelled"});
   }
@@ -71,6 +71,6 @@ int main() {
   }
   std::printf("%s", t.to_ascii().c_str());
   std::printf("\nall engines agree on the best triplet: (%u, %u, %u)\n",
-              best.x, best.y, best.z);
+              best[0], best[1], best[2]);
   return 0;
 }

@@ -32,9 +32,7 @@ const char* arg_value(int argc, char** argv, const char* flag,
 }
 
 core::Objective parse_objective(const std::string& name) {
-  if (name == "k2") return core::Objective::kK2;
-  if (name == "mi") return core::Objective::kMutualInformation;
-  if (name == "chi2") return core::Objective::kChiSquared;
+  if (const auto o = core::objective_from_name(name)) return *o;
   std::fprintf(stderr, "unknown objective '%s', using k2\n", name.c_str());
   return core::Objective::kK2;
 }
@@ -91,8 +89,8 @@ int main(int argc, char** argv) {
               result.threads_used);
   for (std::size_t i = 0; i < result.best.size(); ++i) {
     const auto& hit = result.best[i];
-    std::printf("%4zu, %5u, %5u, %5u, %.4f\n", i + 1, hit.triplet.x,
-                hit.triplet.y, hit.triplet.z, hit.score);
+    std::printf("%4zu, %5u, %5u, %5u, %.4f\n", i + 1, hit.snps[0],
+                hit.snps[1], hit.snps[2], hit.score);
   }
 
   if (!csv_path.empty()) {
@@ -100,16 +98,16 @@ int main(int argc, char** argv) {
     os << "rank,snp_x,snp_y,snp_z,score\n";
     for (std::size_t i = 0; i < result.best.size(); ++i) {
       const auto& hit = result.best[i];
-      os << i + 1 << ',' << hit.triplet.x << ',' << hit.triplet.y << ','
-         << hit.triplet.z << ',' << hit.score << '\n';
+      os << i + 1 << ',' << hit.snps[0] << ',' << hit.snps[1] << ','
+         << hit.snps[2] << ',' << hit.score << '\n';
     }
     std::printf("\nwrote %s\n", csv_path.c_str());
   }
 
   if (path.empty()) {
-    const auto& top = result.best.front().triplet;
+    const auto& top = result.best.front().snps;
     std::printf("\ndemo verification: planted interaction (12, 57, 99) %s\n",
-                top.x == 12 && top.y == 57 && top.z == 99
+                top[0] == 12 && top[1] == 57 && top[2] == 99
                     ? "recovered at rank 1"
                     : "NOT at rank 1 (unexpected)");
   }

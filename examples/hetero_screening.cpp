@@ -26,8 +26,8 @@ int main() {
     const hetero::HeteroCoordinator coord(data, gpusim::gpu_device(id));
     const auto r = coord.run({});
     char triplet[48];
-    std::snprintf(triplet, sizeof triplet, "(%u,%u,%u)", r.best[0].triplet.x,
-                  r.best[0].triplet.y, r.best[0].triplet.z);
+    std::snprintf(triplet, sizeof triplet, "(%u,%u,%u)", r.best[0].snps[0],
+                  r.best[0].snps[1], r.best[0].snps[2]);
     t.add_row({id, TextTable::fmt(r.cpu_share, 4),
                TextTable::fmt(r.cpu_seconds, 3),
                TextTable::fmt(r.gpu_sim_seconds, 4),

@@ -47,9 +47,9 @@ int main() {
   std::printf("top %zu triplets by K2 score (lower = more likely epistatic):\n",
               result.best.size());
   for (const auto& hit : result.best) {
-    std::printf("  (%2u, %2u, %2u)  K2 = %.3f%s\n", hit.triplet.x,
-                hit.triplet.y, hit.triplet.z, hit.score,
-                hit.triplet.x == 7 && hit.triplet.y == 21 && hit.triplet.z == 40
+    std::printf("  (%2u, %2u, %2u)  K2 = %.3f%s\n", hit.snps[0],
+                hit.snps[1], hit.snps[2], hit.score,
+                hit.snps[0] == 7 && hit.snps[1] == 21 && hit.snps[2] == 40
                     ? "   <-- planted interaction"
                     : "");
   }

@@ -83,6 +83,31 @@ for bad in 3:10x x:10 -1:5 10:3; do
     || { echo "--range $bad failed without naming FIRST:LAST" >&2; exit 1; }
 done
 
+# A negative count flag is a usage error (exit 2) naming the flag, never a
+# two's-complement wrap into a huge count (`--threads -1` must not ask for
+# 2^32-1 workers).
+expect_usage_error() {
+  local flag=$1; shift
+  local rc=0
+  "$TRIGEN" "$@" > /dev/null 2> err.txt || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "$*: expected exit 2, got $rc" >&2
+    exit 1
+  fi
+  grep -q -- "--$flag expects a non-negative integer" err.txt \
+    || { echo "$*: failed without naming --$flag" >&2; exit 1; }
+}
+for flag in threads top; do
+  expect_usage_error "$flag" scan d.tg --"$flag" -1
+  expect_usage_error "$flag" baseline d.tg --"$flag" -1
+done
+for flag in permutations batch seed threads; do
+  expect_usage_error "$flag" significance d.tg --"$flag" -1
+done
+for flag in snps samples seed; do
+  expect_usage_error "$flag" generate bad.tg --"$flag" -1
+done
+
 # --- real-signal leg: a SIGINT (not --stop-after) must take the same
 # "drain to the next checkpoint boundary, exit 3, resumable" path.  The
 # interrupted run pins the slow naive single-thread rung so the signal

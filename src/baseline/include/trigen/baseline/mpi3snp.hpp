@@ -29,7 +29,7 @@ namespace trigen::baseline {
 
 /// Result of a baseline run (same shape as core::DetectionResult).
 struct BaselineResult {
-  std::vector<core::ScoredTriplet> best;  ///< normalized (lower = better)
+  std::vector<core::ScoredOf<3>> best;  ///< normalized (lower = better)
   std::uint64_t triplets_evaluated = 0;
   std::uint64_t elements = 0;
   double seconds = 0.0;

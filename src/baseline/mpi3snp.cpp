@@ -122,19 +122,20 @@ BaselineResult Mpi3SnpEngine::run(unsigned threads, std::size_t top_k) const {
 
   BaselineResult result;
   result.threads_used = threads;
-  result.triplets_evaluated = combinatorics::num_triplets(m);
+  result.triplets_evaluated = combinatorics::n_choose_k(m, 3);
   result.elements = result.triplets_evaluated * impl_->num_samples;
 
-  const auto scorer = core::make_normalized_scorer(
+  const auto scorer = core::make_normalized_scorer_of<3>(
       core::Objective::kMutualInformation,
       static_cast<std::uint32_t>(impl_->num_samples));
 
-  std::vector<core::TopK> per_thread(threads, core::TopK(top_k));
+  using Top = core::BasicTopK<core::ScoredOf<3>>;
+  std::vector<Top> per_thread(threads, Top(top_k));
 
   // Static triangular distribution: (x, y) pairs are dealt round-robin to
   // workers (the MPI3SNP rank distribution); each worker runs all z > y.
   auto worker = [&](unsigned tid) {
-    core::TopK& top = per_thread[tid];
+    Top& top = per_thread[tid];
     std::uint64_t pair_index = 0;
     for (std::size_t x = 0; x + 2 < m; ++x) {
       for (std::size_t y = x + 1; y + 1 < m; ++y, ++pair_index) {
@@ -142,11 +143,10 @@ BaselineResult Mpi3SnpEngine::run(unsigned threads, std::size_t top_k) const {
         for (std::size_t z = y + 1; z < m; ++z) {
           const ContingencyTable t =
               contingency_baseline(impl_->planes, x, y, z);
-          top.push(core::ScoredTriplet{
-              combinatorics::Triplet{static_cast<std::uint32_t>(x),
-                                     static_cast<std::uint32_t>(y),
-                                     static_cast<std::uint32_t>(z)},
-              scorer(t)});
+          top.push({{static_cast<std::uint32_t>(x),
+                     static_cast<std::uint32_t>(y),
+                     static_cast<std::uint32_t>(z)},
+                    scorer(t)});
         }
       }
     }
@@ -163,7 +163,7 @@ BaselineResult Mpi3SnpEngine::run(unsigned threads, std::size_t top_k) const {
   }
   result.seconds = sw.seconds();
 
-  core::TopK merged(top_k);
+  Top merged(top_k);
   for (const auto& t : per_thread) merged.merge(t);
   result.best = merged.sorted();
   return result;

@@ -83,7 +83,7 @@ std::vector<KernelPoint> characterize_gpu_ladder(
     const gpusim::GpuDeviceSpec& dev, std::size_t num_snps,
     std::size_t num_samples, OpCountModel model) {
   gpusim::WorkloadShape shape;
-  shape.triplets = combinatorics::num_triplets(num_snps);
+  shape.triplets = combinatorics::n_choose_k(num_snps, 3);
   shape.samples = num_samples;
   shape.words_total = dataset::padded_words_for(num_samples / 2) * 2;
 

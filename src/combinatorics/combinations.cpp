@@ -60,22 +60,4 @@ void throw_rank_overflow(const char* fn) {
 
 }  // namespace detail
 
-std::uint64_t rank_pair(const Pair& p) {
-  return rank_combination<2>({p.x, p.y});
-}
-
-Pair unrank_pair(std::uint64_t rank) {
-  const Combination<2> c = unrank_combination<2>(rank);
-  return Pair{c[0], c[1]};
-}
-
-std::uint64_t rank_triplet(const Triplet& t) {
-  return rank_combination<3>({t.x, t.y, t.z});
-}
-
-Triplet unrank_triplet(std::uint64_t rank) {
-  const Combination<3> c = unrank_combination<3>(rank);
-  return Triplet{c[0], c[1], c[2]};
-}
-
 }  // namespace trigen::combinatorics

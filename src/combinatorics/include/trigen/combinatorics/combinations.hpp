@@ -8,9 +8,7 @@
 /// integer in [0, C(M,k)) that every engine can partition into contiguous
 /// work chunks without materializing the combinations.  Every interaction
 /// order k in [2, kMaxOrder] gets the same rank/unrank/iterate toolkit
-/// through `Combination<K>`; the historical `Pair`/`Triplet` types remain
-/// as the named k=2/k=3 views the second- and third-order layers grew up
-/// with, implemented on the generic machinery.
+/// through `Combination<K>`.
 ///
 /// All rank accumulation is overflow-checked: C(n,k) grows past 2^64 for
 /// modest n once k >= 4 (C(2.6e5, 4) already exceeds it), so the generic
@@ -45,9 +43,6 @@ bool with_order(std::uint64_t order, Fn&& fn) {
 /// C(n, k) in unsigned 64-bit arithmetic.  Throws std::overflow_error when
 /// the true value exceeds 2^64-1; returns 0 when k > n.
 std::uint64_t n_choose_k(std::uint64_t n, unsigned k);
-
-/// Number of SNP triplets for M SNPs: C(M, 3).
-inline std::uint64_t num_triplets(std::uint64_t m) { return n_choose_k(m, 3); }
 
 /// "Elements" metric the paper reports: nCr(M,k) * N (processed
 /// combinations times samples, §V).
@@ -130,52 +125,6 @@ void for_each_combination(std::uint64_t first, std::uint64_t last, Fn&& fn) {
     ++c[i];
     for (unsigned j = 0; j < i; ++j) c[j] = j;
   }
-}
-
-/// Strictly increasing SNP triplet.
-struct Triplet {
-  std::uint32_t x, y, z;
-  friend bool operator==(const Triplet&, const Triplet&) = default;
-};
-
-/// Colex rank of (x < y < z): C(z,3) + C(y,2) + C(x,1) (overflow-checked).
-std::uint64_t rank_triplet(const Triplet& t);
-
-/// Inverse of rank_triplet; valid for any rank < C(2^32, 3) representable
-/// in 64 bits.
-Triplet unrank_triplet(std::uint64_t rank);
-
-/// Strictly increasing SNP pair (the second-order search space).
-struct Pair {
-  std::uint32_t x, y;
-  friend bool operator==(const Pair&, const Pair&) = default;
-};
-
-/// Number of SNP pairs for M SNPs: C(M, 2).
-inline std::uint64_t num_pairs(std::uint64_t m) { return n_choose_k(m, 2); }
-
-/// Colex rank of (x < y): C(y,2) + C(x,1).
-std::uint64_t rank_pair(const Pair& p);
-
-/// Inverse of rank_pair.
-Pair unrank_pair(std::uint64_t rank);
-
-/// Calls `fn(Pair)` for every pair with rank in [first, last), in rank
-/// order, without per-pair unranking cost.
-template <typename Fn>
-void for_each_pair(std::uint64_t first, std::uint64_t last, Fn&& fn) {
-  for_each_combination<2>(first, last, [&fn](const Combination<2>& c) {
-    fn(Pair{c[0], c[1]});
-  });
-}
-
-/// Calls `fn(Triplet)` for every triplet with rank in [first, last), in
-/// rank order, without per-triplet unranking cost.
-template <typename Fn>
-void for_each_triplet(std::uint64_t first, std::uint64_t last, Fn&& fn) {
-  for_each_combination<3>(first, last, [&fn](const Combination<3>& c) {
-    fn(Triplet{c[0], c[1], c[2]});
-  });
 }
 
 }  // namespace trigen::combinatorics

@@ -32,7 +32,7 @@ namespace trigen {
 /// writer's own bounded retries.  Carries the path and errno so callers can
 /// report precisely, and a transient/permanent classification: EINTR/EAGAIN
 /// exhaustion is transient (retrying the whole write may succeed, which
-/// shard::run_shard does for checkpoints), ENOENT/EACCES/ENOSPC/EFBIG-class
+/// shard::run_shard_of does for checkpoints), ENOENT/EACCES/ENOSPC/EFBIG-class
 /// failures are not.
 class DurableWriteError : public std::runtime_error {
  public:

@@ -8,16 +8,12 @@
 #include "trigen/combinatorics/scheduler.hpp"
 #include "trigen/common/stopwatch.hpp"
 #include "trigen/core/scan_driver.hpp"
-#include "trigen/scoring/chi_squared.hpp"
 #include "trigen/scoring/generic.hpp"
-#include "trigen/scoring/k2.hpp"
-#include "trigen/scoring/mutual_information.hpp"
 
 namespace trigen::core {
 
 using combinatorics::Combination;
 using combinatorics::RankRange;
-using scoring::ContingencyTable;
 
 std::string cpu_version_name(CpuVersion v) {
   switch (v) {
@@ -58,6 +54,16 @@ std::string objective_name(Objective o) {
     case Objective::kChiSquared: return "chi-squared";
   }
   return "unknown";
+}
+
+std::optional<Objective> objective_from_name(std::string_view name) {
+  for (const Objective o : {Objective::kK2, Objective::kMutualInformation,
+                            Objective::kChiSquared}) {
+    if (name == objective_name(o)) return o;
+  }
+  if (name == "mi") return Objective::kMutualInformation;
+  if (name == "chi2") return Objective::kChiSquared;
+  return std::nullopt;
 }
 
 template <unsigned K>
@@ -130,51 +136,28 @@ const dataset::PhenoSplitPlanes& BasicDetector<K>::planes_split() const {
   return impl_->split;
 }
 
-std::function<double(const ContingencyTable&)> make_normalized_scorer(
-    Objective o, std::uint32_t num_samples) {
-  switch (o) {
-    case Objective::kK2: {
-      auto k2 = std::make_shared<scoring::K2Score>(num_samples);
-      return [k2](const ContingencyTable& t) { return (*k2)(t); };
-    }
-    case Objective::kMutualInformation:
-      return [mi = scoring::MutualInformation{}](const ContingencyTable& t) {
-        return -mi(t);
-      };
-    case Objective::kChiSquared:
-      return [chi = scoring::ChiSquared{}](const ContingencyTable& t) {
-        return -chi(t);
-      };
-  }
-  throw std::invalid_argument("unknown objective");
-}
-
 template <unsigned K>
 std::function<double(const scoring::BasicContingencyTable<K>&)>
 make_normalized_scorer_of(Objective o, std::uint32_t num_samples) {
-  if constexpr (K == 3) {
-    return make_normalized_scorer(o, num_samples);
-  } else {
-    using Table = scoring::BasicContingencyTable<K>;
-    switch (o) {
-      case Objective::kK2: {
-        auto logfact =
-            std::make_shared<scoring::LogFactorialTable>(num_samples + 1);
-        return [logfact](const Table& t) {
-          return scoring::k2_score_cells(*logfact, t.counts[0], t.counts[1]);
-        };
-      }
-      case Objective::kMutualInformation:
-        return [](const Table& t) {
-          return -scoring::mutual_information_cells(t.counts[0], t.counts[1]);
-        };
-      case Objective::kChiSquared:
-        return [](const Table& t) {
-          return -scoring::chi_squared_cells(t.counts[0], t.counts[1]);
-        };
+  using Table = scoring::BasicContingencyTable<K>;
+  switch (o) {
+    case Objective::kK2: {
+      auto logfact =
+          std::make_shared<scoring::LogFactorialTable>(num_samples + 1);
+      return [logfact](const Table& t) {
+        return scoring::k2_score_cells(*logfact, t.counts[0], t.counts[1]);
+      };
     }
-    throw std::invalid_argument("unknown objective");
+    case Objective::kMutualInformation:
+      return [](const Table& t) {
+        return -scoring::mutual_information_cells(t.counts[0], t.counts[1]);
+      };
+    case Objective::kChiSquared:
+      return [](const Table& t) {
+        return -scoring::chi_squared_cells(t.counts[0], t.counts[1]);
+      };
   }
+  throw std::invalid_argument("unknown objective");
 }
 
 namespace {
@@ -183,35 +166,6 @@ unsigned resolve_threads(unsigned requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-/// V1 evaluation at any order from the naive Fig.-1 layout: per-cell
-/// genotype-plane ANDs against the phenotype / negated phenotype plane.
-/// Zero-padded genotype planes contribute nothing, so no pad correction.
-template <unsigned K>
-scoring::BasicContingencyTable<K> contingency_v1_of(
-    const dataset::BitPlanesV1& p, const Combination<K>& s) {
-  scoring::BasicContingencyTable<K> t;
-  const Word* pheno = p.phenotype_plane();
-  for (std::size_t cell = 0; cell < scoring::num_cells(K); ++cell) {
-    std::array<const Word*, K> g;
-    std::size_t rem = cell;
-    for (unsigned i = K; i-- > 0;) {
-      g[i] = p.plane(s[i], static_cast<int>(rem % 3));
-      rem /= 3;
-    }
-    std::uint32_t ctrl = 0;
-    std::uint32_t cases = 0;
-    for (std::size_t w = 0; w < p.words(); ++w) {
-      Word v = g[0][w];
-      for (unsigned i = 1; i < K; ++i) v &= g[i][w];
-      cases += static_cast<std::uint32_t>(std::popcount(v & pheno[w]));
-      ctrl += static_cast<std::uint32_t>(std::popcount(v & ~pheno[w]));
-    }
-    t.counts[0][cell] = ctrl;
-    t.counts[1][cell] = cases;
-  }
-  return t;
 }
 
 }  // namespace
@@ -224,23 +178,7 @@ scoring::BasicContingencyTable<K> BasicDetector<K>::contingency(
       throw std::out_of_range("Detector::contingency: bad SNP indices");
     }
   }
-  const dataset::PhenoSplitPlanes& p = impl_->split;
-  const DirectKernel<K> kernel = get_direct_kernel<K>(isa);
-  const auto complete_row = engine_detail::full_row<K>(p);
-  scoring::BasicContingencyTable<K> t;
-  std::array<const Word*, K> g0;
-  std::array<const Word*, K> g1;
-  for (int c = 0; c < 2; ++c) {
-    for (unsigned i = 0; i < K; ++i) {
-      g0[i] = p.plane(c, snps[i], 0);
-      g1[i] = p.plane(c, snps[i], 1);
-    }
-    std::array<std::uint32_t, scoring::num_cells(K)> ft{};
-    kernel(g0.data(), g1.data(), 0, p.words(c), ft.data());
-    complete_row(snps, c, ft.data(),
-                 t.counts[static_cast<std::size_t>(c)].data());
-  }
-  return t;
+  return contingency_split<K>(impl_->split, snps, isa);
 }
 
 template <unsigned K>
@@ -303,7 +241,7 @@ BasicDetectionResult<K> BasicDetector<K>::run(
                 static_cast<std::uint32_t>(impl_->num_samples));
 
   // One shared driver runs every version: it owns the fork/join, the
-  // per-thread TopK accumulators, the throttled progress callback and the
+  // per-thread top-k accumulators, the throttled progress callback and the
   // deterministic rank-ordered merge.  The versions only differ in how a
   // scheduled work unit maps to combinations.
   ScanConfig cfg;
@@ -329,7 +267,7 @@ BasicDetectionResult<K> BasicDetector<K>::run(
               range.first + r.first, range.first + r.last,
               [&](const Combination<K>& c) {
                 const scoring::BasicContingencyTable<K> table =
-                    naive ? contingency_v1_of<K>(*v1, c)
+                    naive ? contingency_v1<K>(*v1, c)
                           : contingency(c, isa);
                 top.push(make_scored<K>(c, scorer(table)));
               });
@@ -506,7 +444,7 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
   };
 
   Stopwatch sw;
-  // One TopK per partition per thread; the per-partition merge keeps each
+  // One top-k per partition per thread; the per-partition merge keeps each
   // ranking deterministic (score-then-rank tie-break) and independent.
   std::vector<std::vector<BasicTopK<Scored>>> per_thread(
       cfg.threads,

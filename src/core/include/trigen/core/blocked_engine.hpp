@@ -309,21 +309,14 @@ void update_ladder(const dataset::PhenoSplitPlanes& planes, int c,
 }
 
 /// Row completion of the direct engine (every order, DirectKernel<K>) and
-/// of the nine-plane ladder (V5, k >= 4).  Copies the class-`c` table `ft`
-/// into `row` and makes it exact: NOR padding shows up as phantom
-/// all-genotype-2 observations, and the pair count kernel fills cells 0,
-/// 1, 3 and 4 only.
+/// of the nine-plane ladder (V5, k >= 4): copies the class-`c` table `ft`
+/// into `row` and makes it exact with complete_direct_row.
 template <unsigned K>
 auto full_row(const dataset::PhenoSplitPlanes& planes) {
   return [&planes](const combinatorics::Combination<K>& comb, int c,
                    const std::uint32_t* ft, std::uint32_t* row) {
-    constexpr std::size_t kCells = scoring::num_cells(K);
-    std::copy(ft, ft + kCells, row);
-    if constexpr (K == 2) {
-      complete_pair_row(planes, c, comb[0], comb[1], row);
-    } else {
-      row[kCells - 1] -= static_cast<std::uint32_t>(planes.pad_bits(c));
-    }
+    std::copy(ft, ft + scoring::num_cells(K), row);
+    complete_direct_row<K>(planes, c, comb, row);
   };
 }
 

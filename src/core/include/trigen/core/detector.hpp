@@ -9,7 +9,7 @@
 ///   core::Detector det(d);                     // = BasicDetector<3>
 ///   core::DetectorOptions opt;                 // defaults: V5, K2, auto ISA
 ///   core::DetectionResult r = det.run(opt);
-///   // r.best.front().triplet is the most likely epistatic triplet.
+///   // r.best.front().snps is the most likely epistatic triplet.
 /// \endcode
 ///
 /// `BasicDetector<K>` runs the same stack at any interaction order
@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "trigen/combinatorics/scheduler.hpp"
@@ -77,17 +78,20 @@ enum class Objective {
   kChiSquared,         ///< Pearson X^2 (higher is better)
 };
 
+/// The objective's canonical name ("k2", "mutual-information",
+/// "chi-squared"), as shard and checkpoint headers and the fleet protocol
+/// carry it.
 std::string objective_name(Objective o);
 
-/// Scorer for `o` normalized to lower-is-better (MI and X^2 are negated),
-/// sized for datasets of `num_samples`.  Shared by the CPU detector, the
-/// GPU simulator and the baseline engine so scores are comparable.
-std::function<double(const scoring::ContingencyTable&)> make_normalized_scorer(
-    Objective o, std::uint32_t num_samples);
+/// Inverse of objective_name that also accepts the short forms "mi" and
+/// "chi2" the CLI and the server spell; nullopt for anything else.
+/// Callers word their own rejection.
+std::optional<Objective> objective_from_name(std::string_view name);
 
-/// Order-generic scorer factory: the 3^K-cell counterpart of
-/// make_normalized_scorer (which it delegates to at K = 3), normalized to
-/// lower-is-better and sized for datasets of `num_samples`.
+/// Scorer for `o` over the 3^K-cell table, normalized to lower-is-better
+/// (MI and X^2 are negated) and sized for datasets of `num_samples`.
+/// Shared by the CPU detector, the GPU simulator and the baseline engine
+/// so scores are comparable.
 template <unsigned K>
 std::function<double(const scoring::BasicContingencyTable<K>&)>
 make_normalized_scorer_of(Objective o, std::uint32_t num_samples);
@@ -243,18 +247,6 @@ class BasicDetector {
   scoring::BasicContingencyTable<K> contingency(
       const combinatorics::Combination<K>& snps,
       KernelIsa isa = KernelIsa::kScalar) const;
-
-  /// Two-index form of contingency() for pairs.
-  scoring::PairContingencyTable contingency(
-      std::size_t x, std::size_t y,
-      KernelIsa isa = KernelIsa::kScalar) const
-    requires(K == 2)
-  {
-    return contingency(
-        combinatorics::Combination<2>{static_cast<std::uint32_t>(x),
-                                      static_cast<std::uint32_t>(y)},
-        isa);
-  }
 
   std::size_t num_snps() const;
   std::size_t num_samples() const;

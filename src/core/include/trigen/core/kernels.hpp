@@ -429,21 +429,41 @@ BatchKernelSet get_batch_kernels(KernelIsa isa);
 std::size_t kernel_vector_words(KernelIsa isa);
 
 // ---------------------------------------------------------------------------
-// Whole-triplet conveniences
+// Whole-combination conveniences (any order K in [2, kMaxOrder])
 // ---------------------------------------------------------------------------
 
-/// V1: naive evaluation from the Fig.-1 layout (AND with the phenotype /
-/// negated phenotype planes, all three genotype planes explicit).
-scoring::ContingencyTable contingency_v1(const dataset::BitPlanesV1& p,
-                                         std::size_t x, std::size_t y,
-                                         std::size_t z);
+/// Turns the class-`c` counts a DirectKernel<K> accumulated over the whole
+/// class into the exact 3^K-cell `row`: the pair rows complete their
+/// genotype-2 cells from genotype counts (complete_pair_row), the
+/// NOR-padded kernels above order 2 drop the class's padding bits from the
+/// all-genotype-2 cell.
+template <unsigned K>
+void complete_direct_row(const dataset::PhenoSplitPlanes& p, int c,
+                         const combinatorics::Combination<K>& snps,
+                         std::uint32_t* row) {
+  if constexpr (K == 2) {
+    complete_pair_row(p, c, snps[0], snps[1], row);
+  } else {
+    row[scoring::num_cells(K) - 1] -= static_cast<std::uint32_t>(p.pad_bits(c));
+  }
+}
 
-/// V2+: evaluation from the phenotype-split layout using the triple-block
-/// kernel for `isa` over the full sample range, with the (2,2,2) padding
-/// correction applied.
-scoring::ContingencyTable contingency_split(const dataset::PhenoSplitPlanes& p,
-                                            std::size_t x, std::size_t y,
-                                            std::size_t z,
-                                            KernelIsa isa = KernelIsa::kScalar);
+/// V1: naive evaluation from the Fig.-1 layout — per-cell ANDs of every
+/// SNP's explicit genotype plane with the phenotype / negated phenotype
+/// plane.  Zero-padded genotype planes contribute nothing, so no pad
+/// correction.
+template <unsigned K>
+scoring::BasicContingencyTable<K> contingency_v1(
+    const dataset::BitPlanesV1& p, const combinatorics::Combination<K>& snps);
+
+/// V2+: evaluation from the phenotype-split layout with the order-K direct
+/// kernel for `isa` over the full sample range, completed by
+/// complete_direct_row.  No index checks (BasicDetector::contingency
+/// validates first).
+template <unsigned K>
+scoring::BasicContingencyTable<K> contingency_split(
+    const dataset::PhenoSplitPlanes& p,
+    const combinatorics::Combination<K>& snps,
+    KernelIsa isa = KernelIsa::kScalar);
 
 }  // namespace trigen::core

@@ -2,14 +2,13 @@
 /// \file scan_driver.hpp
 /// \brief Shared fork/join scan driver for every exhaustive detector path.
 ///
-/// All four CPU versions, the pairwise detector and any future sharded
-/// engine share the same execution skeleton: a dynamic chunk scheduler over
-/// contiguous work units, one accumulator per worker thread (no hot-loop
-/// synchronization, §IV-A), an optional throttled progress callback, and a
-/// deterministic reduction at the end.  `parallel_scan` owns that skeleton;
-/// `scan_topk` specializes it for triplet top-k accumulation with the
-/// rank-tie-broken merge that makes results identical under any thread
-/// count, chunk size or rank-range partition.
+/// Every CPU version at every interaction order shares the same execution
+/// skeleton: a dynamic chunk scheduler over contiguous work units, one
+/// accumulator per worker thread (no hot-loop synchronization, §IV-A), an
+/// optional throttled progress callback, and a deterministic reduction at
+/// the end.  `parallel_scan` owns that skeleton; `scan_best` specializes it
+/// for top-k accumulation with the rank-tie-broken merge that makes results
+/// identical under any thread count, chunk size or rank-range partition.
 
 #include <cstdint>
 #include <functional>
@@ -76,8 +75,7 @@ void parallel_scan(std::uint64_t total_units, const ScanConfig& cfg,
 /// the final rank-ordered merge.  Because the scored types break score ties
 /// by combination rank, the merged k-best set is unique — the result is
 /// deterministic for any thread count and work split.  `Scored` is
-/// `ScoredTriplet` for the 3-way scans and `ScoredPair` for the 2-way
-/// scans; `scan_topk` below fixes the former for the existing callers.
+/// `ScoredOf<K>` for an order-K scan.
 template <typename Scored, typename Body>
 BasicTopK<Scored> scan_best(std::uint64_t total_units, const ScanConfig& cfg,
                             std::size_t top_k, Body&& body) {
@@ -88,14 +86,6 @@ BasicTopK<Scored> scan_best(std::uint64_t total_units, const ScanConfig& cfg,
   BasicTopK<Scored> merged(top_k);
   for (const BasicTopK<Scored>& t : per_thread) merged.merge(t);
   return merged;
-}
-
-/// Triplet shorthand used by the 3-way detector paths.
-template <typename Body>
-TopK scan_topk(std::uint64_t total_units, const ScanConfig& cfg,
-               std::size_t top_k, Body&& body) {
-  return scan_best<ScoredTriplet>(total_units, cfg, top_k,
-                                  static_cast<Body&&>(body));
 }
 
 }  // namespace trigen::core

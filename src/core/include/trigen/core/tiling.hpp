@@ -35,23 +35,17 @@ struct L1Config {
   unsigned ways_for_block = 4;   ///< ways reserved for the streamed block
 };
 
-/// Applies the paper's sizing formulas to `l1`.  `vector_words` rounds
-/// bp_words down to a multiple of the kernel's vector width ("B_P is
-/// rounded to the closest multiple of the number of 32-bit integers that
-/// fit in the vector registers").  When `pair_cache` is set (the V5
-/// engine), the streamed-block budget additionally covers the four cached
-/// {0,1} x∩y planes, so B_P solves B_S*B_P*4*2 + 4*B_P*4 <= size_Block
-/// instead of the plain two-plane-stream formula.
-TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
-                             bool pair_cache = false);
-
-/// Order-generic sizing: B_S solves B_S^order * 4 * 2 * 3^order <= size_FT
-/// (the tables of one block tuple hold 3^order cells per class), and the
-/// streamed-block budget covers the prefix-plane ladder when `cached` is
-/// set: the four {0,1} planes of rung 2 at order 3 (pair_cache_bytes),
-/// rungs 2..order-1 with sum 3^j planes of B_P words each above
-/// (prefix_cache_bytes).  The 3-argument overload above is exactly
-/// `order == 3` with `cached == pair_cache`.
+/// Applies the paper's sizing formulas to `l1` at interaction order
+/// `order`.  `vector_words` rounds bp_words down to a multiple of the
+/// kernel's vector width ("B_P is rounded to the closest multiple of the
+/// number of 32-bit integers that fit in the vector registers").  B_S
+/// solves B_S^order * 4 * 2 * 3^order <= size_FT (the tables of one block
+/// tuple hold 3^order cells per class), and the streamed-block budget
+/// covers the prefix-plane ladder when `cached` is set (the V5 engine):
+/// the four {0,1} planes of rung 2 at order 3 (pair_cache_bytes), so B_P
+/// solves B_S*B_P*4*2 + 4*B_P*4 <= size_Block instead of the plain
+/// two-plane-stream formula, and rungs 2..order-1 with sum 3^j planes of
+/// B_P words each above (prefix_cache_bytes).
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              unsigned order, bool cached);
 

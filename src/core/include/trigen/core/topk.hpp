@@ -6,9 +6,8 @@
 /// hot loop, §IV-A) and the detector merges them at the end.  Ordering is
 /// normalized to lower-is-better; ties break on combination rank so results
 /// are deterministic under any thread count.  The accumulator is generic
-/// over the scored-combination type: `ScoredTriplet` for the 3-way scans,
-/// `ScoredPair` for the 2-way scans — anything with a strict-weak `<` whose
-/// tie-break is a total order.
+/// over the scored-combination type: `ScoredOf<K>` at every order, or
+/// anything else with a strict-weak `<` whose tie-break is a total order.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,88 +17,30 @@
 
 namespace trigen::core {
 
-/// One scored SNP triplet.
-struct ScoredTriplet {
-  combinatorics::Triplet triplet{};
-  double score = 0.0;  ///< normalized: lower is better
-
-  friend bool operator<(const ScoredTriplet& a, const ScoredTriplet& b) {
-    if (a.score != b.score) return a.score < b.score;
-    return combinatorics::rank_triplet(a.triplet) <
-           combinatorics::rank_triplet(b.triplet);
-  }
-};
-
-/// One scored SNP pair (the k=2 counterpart of ScoredTriplet).
-struct ScoredPair {
-  std::uint32_t x = 0, y = 0;
-  double score = 0.0;  ///< normalized: lower is better
-
-  friend bool operator<(const ScoredPair& a, const ScoredPair& b) {
-    if (a.score != b.score) return a.score < b.score;
-    return combinatorics::rank_pair({a.x, a.y}) <
-           combinatorics::rank_pair({b.x, b.y});
-  }
-};
-
-/// One scored order-K SNP combination (the generic counterpart of
-/// ScoredTriplet / ScoredPair, used by the order-generic scan stack for
-/// K >= 4).
+/// One scored order-K SNP combination, any K in [2, kMaxOrder].
 template <unsigned K>
-struct ScoredTuple {
+struct ScoredOf {
+  static constexpr unsigned kOrder = K;
   combinatorics::Combination<K> snps{};
   double score = 0.0;  ///< normalized: lower is better
 
-  friend bool operator<(const ScoredTuple& a, const ScoredTuple& b) {
+  friend bool operator<(const ScoredOf& a, const ScoredOf& b) {
     if (a.score != b.score) return a.score < b.score;
     return combinatorics::rank_combination<K>(a.snps) <
            combinatorics::rank_combination<K>(b.snps);
   }
 };
 
-namespace topk_detail {
-template <unsigned K>
-struct ScoredOf_ {
-  using type = ScoredTuple<K>;
-};
-template <>
-struct ScoredOf_<2> {
-  using type = ScoredPair;
-};
-template <>
-struct ScoredOf_<3> {
-  using type = ScoredTriplet;
-};
-}  // namespace topk_detail
-
-/// The scored-combination type of interaction order K: ScoredPair for K=2
-/// and ScoredTriplet for K=3 (their named members are part of the public
-/// API), ScoredTuple<K> beyond.
-template <unsigned K>
-using ScoredOf = typename topk_detail::ScoredOf_<K>::type;
-
 /// Builds a ScoredOf<K> from a combination and its score.
 template <unsigned K>
 ScoredOf<K> make_scored(const combinatorics::Combination<K>& c, double score) {
-  if constexpr (K == 2) {
-    return ScoredPair{c[0], c[1], score};
-  } else if constexpr (K == 3) {
-    return ScoredTriplet{combinatorics::Triplet{c[0], c[1], c[2]}, score};
-  } else {
-    return ScoredTuple<K>{c, score};
-  }
+  return {c, score};
 }
 
-/// The SNP indices of a ScoredOf<K> as a Combination<K>.
+/// The SNP indices of a ScoredOf<K>.
 template <unsigned K>
 combinatorics::Combination<K> snps_of(const ScoredOf<K>& s) {
-  if constexpr (K == 2) {
-    return {s.x, s.y};
-  } else if constexpr (K == 3) {
-    return {s.triplet.x, s.triplet.y, s.triplet.z};
-  } else {
-    return s.snps;
-  }
+  return s.snps;
 }
 
 /// Keeps the K best (lowest-ordered) combinations seen so far.
@@ -141,8 +82,5 @@ class BasicTopK {
   std::size_t k_;
   std::vector<Scored> entries_;  // max-heap: front() is the worst kept
 };
-
-using TopK = BasicTopK<ScoredTriplet>;
-using PairTopK = BasicTopK<ScoredPair>;
 
 }  // namespace trigen::core

@@ -1,3 +1,4 @@
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -277,48 +278,63 @@ void batch_final_scalar(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
 
 }  // namespace detail
 
-scoring::ContingencyTable contingency_v1(const dataset::BitPlanesV1& p,
-                                         std::size_t x, std::size_t y,
-                                         std::size_t z) {
-  scoring::ContingencyTable t;
+template <unsigned K>
+scoring::BasicContingencyTable<K> contingency_v1(
+    const dataset::BitPlanesV1& p, const combinatorics::Combination<K>& snps) {
+  scoring::BasicContingencyTable<K> t;
   const Word* pheno = p.phenotype_plane();
-  for (int gx = 0; gx < 3; ++gx) {
-    const Word* px = p.plane(x, gx);
-    for (int gy = 0; gy < 3; ++gy) {
-      const Word* py = p.plane(y, gy);
-      for (int gz = 0; gz < 3; ++gz) {
-        const Word* pz = p.plane(z, gz);
-        const auto cell =
-            static_cast<std::size_t>(scoring::cell_index(gx, gy, gz));
-        std::uint32_t ctrl = 0;
-        std::uint32_t cases = 0;
-        for (std::size_t w = 0; w < p.words(); ++w) {
-          const Word g = px[w] & py[w] & pz[w];
-          cases += static_cast<std::uint32_t>(std::popcount(g & pheno[w]));
-          ctrl += static_cast<std::uint32_t>(std::popcount(g & ~pheno[w]));
-        }
-        t.counts[0][cell] = ctrl;
-        t.counts[1][cell] = cases;
-      }
+  for (std::size_t cell = 0; cell < scoring::num_cells(K); ++cell) {
+    std::array<const Word*, K> g;
+    std::size_t rem = cell;
+    for (unsigned i = K; i-- > 0;) {
+      g[i] = p.plane(snps[i], static_cast<int>(rem % 3));
+      rem /= 3;
     }
+    std::uint32_t ctrl = 0;
+    std::uint32_t cases = 0;
+    for (std::size_t w = 0; w < p.words(); ++w) {
+      Word v = g[0][w];
+      for (unsigned i = 1; i < K; ++i) v &= g[i][w];
+      cases += static_cast<std::uint32_t>(std::popcount(v & pheno[w]));
+      ctrl += static_cast<std::uint32_t>(std::popcount(v & ~pheno[w]));
+    }
+    t.counts[0][cell] = ctrl;
+    t.counts[1][cell] = cases;
   }
   return t;
 }
 
-scoring::ContingencyTable contingency_split(const dataset::PhenoSplitPlanes& p,
-                                            std::size_t x, std::size_t y,
-                                            std::size_t z, KernelIsa isa) {
-  const TripleBlockKernel kernel = get_kernel(isa);
-  scoring::ContingencyTable t;
+template <unsigned K>
+scoring::BasicContingencyTable<K> contingency_split(
+    const dataset::PhenoSplitPlanes& p,
+    const combinatorics::Combination<K>& snps, KernelIsa isa) {
+  const DirectKernel<K> kernel = get_direct_kernel<K>(isa);
+  scoring::BasicContingencyTable<K> t;
+  std::array<const Word*, K> g0;
+  std::array<const Word*, K> g1;
   for (int c = 0; c < 2; ++c) {
-    kernel(p.plane(c, x, 0), p.plane(c, x, 1), p.plane(c, y, 0),
-           p.plane(c, y, 1), p.plane(c, z, 0), p.plane(c, z, 1), 0, p.words(c),
-           t.counts[static_cast<std::size_t>(c)].data());
-    // NOR padding shows up as phantom (2,2,2) observations.
-    t.counts[static_cast<std::size_t>(c)][26] -=
-        static_cast<std::uint32_t>(p.pad_bits(c));
+    for (unsigned i = 0; i < K; ++i) {
+      g0[i] = p.plane(c, snps[i], 0);
+      g1[i] = p.plane(c, snps[i], 1);
+    }
+    std::uint32_t* row = t.counts[static_cast<std::size_t>(c)].data();
+    kernel(g0.data(), g1.data(), 0, p.words(c), row);
+    complete_direct_row<K>(p, c, snps, row);
   }
   return t;
 }
+
+#define TRIGEN_CONTINGENCY_INSTANTIATE(K)                                    \
+  template scoring::BasicContingencyTable<K> contingency_v1<K>(             \
+      const dataset::BitPlanesV1&, const combinatorics::Combination<K>&);   \
+  template scoring::BasicContingencyTable<K> contingency_split<K>(          \
+      const dataset::PhenoSplitPlanes&, const combinatorics::Combination<K>&, \
+      KernelIsa);
+TRIGEN_CONTINGENCY_INSTANTIATE(2)
+TRIGEN_CONTINGENCY_INSTANTIATE(3)
+TRIGEN_CONTINGENCY_INSTANTIATE(4)
+TRIGEN_CONTINGENCY_INSTANTIATE(5)
+TRIGEN_CONTINGENCY_INSTANTIATE(6)
+#undef TRIGEN_CONTINGENCY_INSTANTIATE
 
 }  // namespace trigen::core

@@ -16,11 +16,6 @@
 namespace trigen::core {
 
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
-                             bool pair_cache) {
-  return autotune_tiling(l1, vector_words, 3, pair_cache);
-}
-
-TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              unsigned order, bool cached) {
   const double way_bytes =
       static_cast<double>(l1.size_bytes) / std::max(1u, l1.ways);

@@ -195,9 +195,7 @@ std::string param_str(const Reply& r, const char* key) {
 }
 
 core::Objective parse_objective_token(const std::string& s) {
-  if (s == "k2") return core::Objective::kK2;
-  if (s == "mi") return core::Objective::kMutualInformation;
-  if (s == "chi2") return core::Objective::kChiSquared;
+  if (const auto o = core::objective_from_name(s)) return *o;
   throw std::runtime_error("coordinator granted unknown objective '" + s +
                            "'");
 }

@@ -23,13 +23,17 @@ scoring::ContingencyTable gpu_thread_v1(const dataset::BitPlanesV1& p,
                                         std::size_t z) {
   // Identical arithmetic to the CPU V1 kernel; on the GPU this is executed
   // by one thread with strided (gather-like) loads.
-  return core::contingency_v1(p, x, y, z);
+  return core::contingency_v1<3>(p, {static_cast<std::uint32_t>(x),
+                                     static_cast<std::uint32_t>(y),
+                                     static_cast<std::uint32_t>(z)});
 }
 
 scoring::ContingencyTable gpu_thread_v2(const dataset::PhenoSplitPlanes& p,
                                         std::size_t x, std::size_t y,
                                         std::size_t z) {
-  return core::contingency_split(p, x, y, z, core::KernelIsa::kScalar);
+  return core::contingency_split<3>(p, {static_cast<std::uint32_t>(x),
+                                        static_cast<std::uint32_t>(y),
+                                        static_cast<std::uint32_t>(z)});
 }
 
 namespace {

@@ -37,7 +37,7 @@ struct GpuRunOptions {
 
 /// Outcome of a simulated scan.
 struct GpuRunResult {
-  std::vector<core::ScoredTriplet> best;  ///< best-first, normalized scores
+  std::vector<core::ScoredOf<3>> best;  ///< best-first, normalized scores
   std::uint64_t triplets = 0;
   std::uint64_t elements = 0;   ///< triplets x samples
   std::uint64_t launches = 0;   ///< kernel enqueues (B_Sched^3 each)

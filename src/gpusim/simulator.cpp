@@ -6,7 +6,6 @@
 
 namespace trigen::gpusim {
 
-using combinatorics::Triplet;
 using scoring::ContingencyTable;
 
 struct GpuSimulator::Impl {
@@ -56,7 +55,7 @@ GpuRunResult GpuSimulator::run(const GpuRunOptions& options) const {
   if (options.launch.bsched == 0 || options.launch.bs == 0) {
     throw std::invalid_argument("GpuRunOptions: launch parameters must be non-zero");
   }
-  const std::uint64_t total = combinatorics::num_triplets(impl_->num_snps);
+  const std::uint64_t total = combinatorics::n_choose_k(impl_->num_snps, 3);
   combinatorics::RankRange range = options.range;
   if (range.empty()) range = {0, total};
   if (range.last > total) {
@@ -73,31 +72,31 @@ GpuRunResult GpuSimulator::run(const GpuRunOptions& options) const {
       options.launch.bsched * options.launch.bsched;
   result.launches = (range.size() + per_launch - 1) / per_launch;
 
-  const auto scorer = core::make_normalized_scorer(
+  const auto scorer = core::make_normalized_scorer_of<3>(
       options.objective, static_cast<std::uint32_t>(impl_->num_samples));
 
-  core::TopK top(options.top_k);
+  core::BasicTopK<core::ScoredOf<3>> top(options.top_k);
   Stopwatch sw;
   // Functional execution: per-thread work of Algorithm 2, one thread per
   // combination, in launch order.
-  combinatorics::for_each_triplet(
-      range.first, range.last, [&](const Triplet& t) {
+  combinatorics::for_each_combination<3>(
+      range.first, range.last, [&](const combinatorics::Combination<3>& t) {
         ContingencyTable table;
         switch (options.version) {
           case GpuVersion::kV1Naive:
-            table = gpu_thread_v1(impl_->v1, t.x, t.y, t.z);
+            table = gpu_thread_v1(impl_->v1, t[0], t[1], t[2]);
             break;
           case GpuVersion::kV2Split:
-            table = gpu_thread_v2(impl_->split, t.x, t.y, t.z);
+            table = gpu_thread_v2(impl_->split, t[0], t[1], t[2]);
             break;
           case GpuVersion::kV3Transposed:
-            table = gpu_thread_v3(impl_->transposed, t.x, t.y, t.z);
+            table = gpu_thread_v3(impl_->transposed, t[0], t[1], t[2]);
             break;
           case GpuVersion::kV4Tiled:
-            table = gpu_thread_v4(impl_->tiled, t.x, t.y, t.z);
+            table = gpu_thread_v4(impl_->tiled, t[0], t[1], t[2]);
             break;
         }
-        top.push(core::ScoredTriplet{t, scorer(table)});
+        top.push({t, scorer(table)});
       });
   result.host_seconds = sw.seconds();
   result.best = top.sorted();

@@ -39,7 +39,7 @@ HeteroResult HeteroCoordinator::run(const HeteroOptions& options) const {
   if (options.cpu_share > 1.0) {
     throw std::invalid_argument("HeteroOptions::cpu_share must be <= 1");
   }
-  const std::uint64_t total = combinatorics::num_triplets(impl_->num_snps);
+  const std::uint64_t total = combinatorics::n_choose_k(impl_->num_snps, 3);
 
   // The CPU side runs at full blocked speed on a partial rank range — the
   // range-aware blocked engine is what makes the co-run competitive (§V-D
@@ -66,7 +66,7 @@ HeteroResult HeteroCoordinator::run(const HeteroOptions& options) const {
       tuned ? tuned->tiling
             : core::autotune_tiling(
                   core::detect_l1_config(),
-                  core::kernel_vector_words(cpu_base.isa),
+                  core::kernel_vector_words(cpu_base.isa), 3,
                   cpu_base.version == core::CpuVersion::kV5PairCache);
 
   HeteroResult result;
@@ -111,7 +111,7 @@ HeteroResult HeteroCoordinator::run(const HeteroOptions& options) const {
   result.cpu_triplets = cpu_count;
   result.gpu_triplets = total - cpu_count;
 
-  core::TopK merged(options.top_k);
+  core::BasicTopK<core::ScoredOf<3>> merged(options.top_k);
 
   if (cpu_count > 0) {
     core::DetectorOptions copt = cpu_base;

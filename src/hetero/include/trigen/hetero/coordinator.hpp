@@ -55,7 +55,7 @@ struct HeteroOptions {
 
 /// Outcome of a co-run.
 struct HeteroResult {
-  std::vector<core::ScoredTriplet> best;  ///< merged, best-first
+  std::vector<core::ScoredOf<3>> best;  ///< merged, best-first
   std::uint64_t cpu_triplets = 0;
   std::uint64_t gpu_triplets = 0;
   double cpu_share = 0;

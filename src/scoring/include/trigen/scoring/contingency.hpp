@@ -8,11 +8,12 @@
 /// is i = sum g_l * 3^(k-1-l).  Every kernel in the repository — CPU V1-V5,
 /// the GPU-simulator kernels, and the MPI3SNP-style baseline — produces this
 /// exact structure, which is what makes them cross-checkable bit-for-bit.
-/// The classic 27x2 triplet table and the 9x2 pair table are the K = 3 and
-/// K = 2 instantiations of one template.
+/// Every order instantiates one template; `ContingencyTable` names the
+/// paper's 27x2 triplet table.
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 
 #include "trigen/dataset/genotype_matrix.hpp"
 
@@ -25,19 +26,10 @@ constexpr std::size_t num_cells(unsigned k) {
   return v;
 }
 
-/// Number of genotype combinations for a SNP triplet: 3^3.
-inline constexpr int kCells = 27;
-
 /// Cell index for a triplet genotype combination.
 constexpr int cell_index(int gx, int gy, int gz) {
   return gx * 9 + gy * 3 + gz;
 }
-
-/// Number of genotype combinations for a SNP pair: 3^2.
-inline constexpr int kPairCells = 9;
-
-/// Cell index for a pair genotype combination.
-constexpr int pair_cell_index(int gx, int gy) { return gx * 3 + gy; }
 
 /// 3^K x 2 frequency table of one order-K SNP combination.
 template <unsigned K>
@@ -77,21 +69,19 @@ struct BasicContingencyTable {
 /// 27x2 frequency table of a SNP triplet.
 using ContingencyTable = BasicContingencyTable<3>;
 
-/// 9x2 frequency table of a SNP pair.
-using PairContingencyTable = BasicContingencyTable<2>;
-
 /// Ground-truth builder: counts genotype combinations directly from the
-/// unencoded dataset with a per-sample loop.  O(N) per triplet — used only
-/// by tests and the quickstart, never by the kernels.
-ContingencyTable reference_contingency(const dataset::GenotypeMatrix& d,
-                                       std::size_t x, std::size_t y,
-                                       std::size_t z);
-
-/// Order-generic ground truth: per-sample counting over an arbitrary strictly
-/// increasing SNP index set.  O(N * k) per combination — tests only.
+/// unencoded dataset with a per-sample loop over the SNPs `snps`.  O(N * k)
+/// per combination — used only by tests and examples, never by the
+/// kernels.  Throws std::out_of_range for an index past the dataset.
 template <unsigned K>
 BasicContingencyTable<K> reference_contingency_k(
     const dataset::GenotypeMatrix& d, const std::array<std::uint32_t, K>& snps) {
+  for (const std::uint32_t s : snps) {
+    if (s >= d.num_snps()) {
+      throw std::out_of_range(
+          "reference_contingency_k: SNP index out of range");
+    }
+  }
   BasicContingencyTable<K> t;
   for (std::size_t j = 0; j < d.num_samples(); ++j) {
     std::size_t cell = 0;

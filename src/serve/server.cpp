@@ -56,9 +56,7 @@ core::Objective param_objective(
     const std::map<std::string, std::string>& params) {
   const auto it = params.find("objective");
   const std::string v = it == params.end() ? "k2" : it->second;
-  if (v == "k2") return core::Objective::kK2;
-  if (v == "mi") return core::Objective::kMutualInformation;
-  if (v == "chi2") return core::Objective::kChiSquared;
+  if (const auto o = core::objective_from_name(v)) return *o;
   reject("unknown objective '" + v + "' (k2|mi|chi2)");
 }
 

@@ -10,10 +10,9 @@
 /// presented.  The merge refuses anything that would silently break that
 /// guarantee: mixed fingerprints/objectives/top_k, overlapping shards, or
 /// coverage gaps.  Every interaction order merges through one shared
-/// implementation, `merge_shards_of<K>`; `merge_shards` (3-way) and
-/// `merge_pair_shards` (2-way) are its historical entry points.  Order
-/// mixing is impossible by construction — the readers in result_io.hpp
-/// already reject files of the wrong order.
+/// implementation, `merge_shards_of<K>`.  Order mixing is impossible by
+/// construction — the readers in result_io.hpp already reject files of the
+/// wrong order.
 
 #include <vector>
 
@@ -49,9 +48,6 @@ struct BasicMergedScan {
 template <unsigned K>
 using MergedScanOf = BasicMergedScan<core::BasicDetectionResult<K>>;
 
-using MergedScan = MergedScanOf<3>;
-using PairMergedScan = MergedScanOf<2>;
-
 /// What a merge must cover.
 enum class MergeCoverage {
   kFullScan,    ///< exactly [0, C(M,k)): the unsharded-scan reconstruction
@@ -71,20 +67,6 @@ template <unsigned K>
 MergedScanOf<K> merge_shards_of(
     const std::vector<BasicShardResult<core::ScoredOf<K>>>& shards,
     MergeCoverage coverage = MergeCoverage::kFullScan);
-
-/// Merges 3-way shard results (= merge_shards_of<3>).
-inline MergedScan merge_shards(
-    const std::vector<ShardResult>& shards,
-    MergeCoverage coverage = MergeCoverage::kFullScan) {
-  return merge_shards_of<3>(shards, coverage);
-}
-
-/// Merges 2-way shard results (= merge_shards_of<2>).
-inline PairMergedScan merge_pair_shards(
-    const std::vector<PairShardResult>& shards,
-    MergeCoverage coverage = MergeCoverage::kFullScan) {
-  return merge_shards_of<2>(shards, coverage);
-}
 
 /// The merged scan repackaged as a shard result over `m.range` — the
 /// artifact an intermediate merge writes for the next merge level.

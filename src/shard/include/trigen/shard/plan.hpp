@@ -5,7 +5,7 @@
 /// A *scan plan* cuts the colex combination rank space [0, C(M,k)) — any
 /// interaction order k in [2, combinatorics::kMaxOrder] — into W contiguous,
 /// non-empty, non-overlapping rank ranges.  Each shard is an ordinary
-/// `range` scan (`DetectorOptions::range` / `PairDetectorOptions::range`),
+/// `range` scan (`BasicDetectorOptions<K>::range`),
 /// so any worker — another process, another node, a resumed crash survivor
 /// — produces a result that merges exactly (see merge.hpp).  The plan also
 /// carries a content fingerprint of the dataset so artifacts produced

@@ -53,13 +53,11 @@
 #include "trigen/combinatorics/scheduler.hpp"
 #include "trigen/common/durable.hpp"
 #include "trigen/core/topk.hpp"
-#include "trigen/shard/order.hpp"
 
 namespace trigen::shard {
 
 /// Completed scan of one rank-range shard, generic over the scored-entry
-/// type (core::ScoredOf<K>: ScoredTriplet for order 3, ScoredPair for
-/// order 2, ScoredTuple<K> beyond).
+/// type (core::ScoredOf<K> for an order-K scan).
 template <typename Scored>
 struct BasicShardResult {
   std::uint64_t fingerprint = 0;   ///< dataset_fingerprint() of the input
@@ -71,9 +69,6 @@ struct BasicShardResult {
   double seconds = 0.0;            ///< compute time spent on this shard
   std::vector<Scored> entries;     ///< best-first, rank-tie-broken
 };
-
-using ShardResult = BasicShardResult<core::ScoredTriplet>;
-using PairShardResult = BasicShardResult<core::ScoredPair>;
 
 /// Persistent progress of a partially scanned shard.
 template <typename Scored>
@@ -88,9 +83,6 @@ struct BasicCheckpoint {
   double seconds = 0.0;
   std::vector<Scored> entries;
 };
-
-using Checkpoint = BasicCheckpoint<core::ScoredTriplet>;
-using PairCheckpoint = BasicCheckpoint<core::ScoredPair>;
 
 // Writers deduce the artifact's entry type; readers are parameterized on
 // it (the `_as` suffix marks the explicit-argument form).  All are
@@ -162,33 +154,6 @@ BasicShardResult<Scored> clip_to_prefix(const BasicCheckpoint<Scored>& c) {
 template <typename Scored>
 combinatorics::RankRange remaining_range(const BasicCheckpoint<Scored>& c) {
   return combinatorics::RankRange{c.watermark, c.range.last};
-}
-
-// Historical per-order reader names.
-
-inline ShardResult read_shard_result(std::istream& is) {
-  return read_shard_result_as<core::ScoredTriplet>(is);
-}
-inline PairShardResult read_pair_shard_result(std::istream& is) {
-  return read_shard_result_as<core::ScoredPair>(is);
-}
-inline ShardResult read_shard_result_file(const std::string& path) {
-  return read_shard_result_file_as<core::ScoredTriplet>(path);
-}
-inline PairShardResult read_pair_shard_result_file(const std::string& path) {
-  return read_shard_result_file_as<core::ScoredPair>(path);
-}
-inline Checkpoint read_checkpoint(std::istream& is) {
-  return read_checkpoint_as<core::ScoredTriplet>(is);
-}
-inline PairCheckpoint read_pair_checkpoint(std::istream& is) {
-  return read_checkpoint_as<core::ScoredPair>(is);
-}
-inline Checkpoint read_checkpoint_file(const std::string& path) {
-  return read_checkpoint_file_as<core::ScoredTriplet>(path);
-}
-inline PairCheckpoint read_pair_checkpoint_file(const std::string& path) {
-  return read_checkpoint_file_as<core::ScoredPair>(path);
 }
 
 /// Reads just enough of a shard-result file to report its interaction

@@ -13,9 +13,7 @@
 /// for bit.
 ///
 /// The runner is order-generic: `run_shard_of<K>` drives the order-K
-/// `core::BasicDetector<K>` for any K in [2, combinatorics::kMaxOrder];
-/// `run_shard` and `run_pair_shard` are its historical K = 3 / K = 2
-/// entry points.
+/// `core::BasicDetector<K>` for any K in [2, combinatorics::kMaxOrder].
 
 #include <cstdint>
 #include <functional>
@@ -52,9 +50,6 @@ struct BasicShardRunOptions {
   std::function<bool(std::uint64_t done, std::uint64_t total)> keep_going;
 };
 
-using ShardRunOptions = BasicShardRunOptions<core::DetectorOptions>;
-using PairShardRunOptions = BasicShardRunOptions<core::BasicDetectorOptions<2>>;
-
 template <typename Scored>
 struct BasicShardRunReport {
   /// Shard header + top-k.  Complete only when `completed`; on an early
@@ -66,9 +61,6 @@ struct BasicShardRunReport {
   std::uint64_t resumed_from = 0;  ///< adopted watermark (range.first if not)
   std::uint64_t checkpoints_written = 0;
 };
-
-using ShardRunReport = BasicShardRunReport<core::ScoredTriplet>;
-using PairShardRunReport = BasicShardRunReport<core::ScoredPair>;
 
 /// Runs (or resumes) one shard of an order-K scan.  Throws
 /// std::invalid_argument for a bad range and std::runtime_error when an
@@ -84,26 +76,6 @@ BasicShardRunReport<core::ScoredOf<K>> run_shard_of(
     const BasicShardRunOptions<core::BasicDetectorOptions<K>>& options,
     const std::function<void(const std::string& reason)>&
         on_checkpoint_discarded = {});
-
-/// One shard of a 3-way scan (= run_shard_of<3>).
-inline ShardRunReport run_shard(
-    const core::Detector& detector, std::uint64_t fingerprint,
-    const ShardRunOptions& options,
-    const std::function<void(const std::string& reason)>&
-        on_checkpoint_discarded = {}) {
-  return run_shard_of<3>(detector, fingerprint, options,
-                         on_checkpoint_discarded);
-}
-
-/// One shard of a 2-way scan (= run_shard_of<2>).
-inline PairShardRunReport run_pair_shard(
-    const core::BasicDetector<2>& detector, std::uint64_t fingerprint,
-    const PairShardRunOptions& options,
-    const std::function<void(const std::string& reason)>&
-        on_checkpoint_discarded = {}) {
-  return run_shard_of<2>(detector, fingerprint, options,
-                         on_checkpoint_discarded);
-}
 
 extern template BasicShardRunReport<core::ScoredOf<2>> run_shard_of<2>(
     const core::BasicDetector<2>&, std::uint64_t,

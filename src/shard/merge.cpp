@@ -17,11 +17,13 @@ std::string range_str(const combinatorics::RankRange& r) {
   return "[" + std::to_string(r.first) + ", " + std::to_string(r.last) + ")";
 }
 
-/// The shared merge body.
-template <typename Scored, typename ResultT>
-BasicMergedScan<ResultT> merge_impl(
-    const std::vector<BasicShardResult<Scored>>& shards,
+}  // namespace
+
+template <unsigned K>
+MergedScanOf<K> merge_shards_of(
+    const std::vector<BasicShardResult<core::ScoredOf<K>>>& shards,
     MergeCoverage coverage) {
+  using Scored = core::ScoredOf<K>;
   if (shards.empty()) {
     throw std::invalid_argument("shard merge: no shard results to merge");
   }
@@ -61,7 +63,7 @@ BasicMergedScan<ResultT> merge_impl(
                const BasicShardResult<Scored>* b) {
               return a->range.first < b->range.first;
             });
-  const std::uint64_t total = OrderTraits<Scored>::space(ref.num_snps);
+  const std::uint64_t total = combinatorics::n_choose_k(ref.num_snps, K);
   const bool full = coverage == MergeCoverage::kFullScan;
   std::uint64_t expect = full ? 0 : by_rank.front()->range.first;
   for (const BasicShardResult<Scored>* s : by_rank) {
@@ -80,7 +82,7 @@ BasicMergedScan<ResultT> merge_impl(
            std::to_string(total) + ") are in no shard");
   }
 
-  BasicMergedScan<ResultT> m;
+  MergedScanOf<K> m;
   m.range = {by_rank.front()->range.first, expect};
   m.fingerprint = ref.fingerprint;
   m.num_snps = ref.num_snps;
@@ -101,10 +103,9 @@ BasicMergedScan<ResultT> merge_impl(
   return m;
 }
 
-template <typename Scored, typename ResultT>
-BasicShardResult<Scored> to_shard_result_impl(
-    const BasicMergedScan<ResultT>& m) {
-  BasicShardResult<Scored> r;
+template <unsigned K>
+BasicShardResult<core::ScoredOf<K>> to_shard_result(const MergedScanOf<K>& m) {
+  BasicShardResult<core::ScoredOf<K>> r;
   r.fingerprint = m.fingerprint;
   r.num_snps = m.num_snps;
   r.num_samples = m.num_samples;
@@ -114,21 +115,6 @@ BasicShardResult<Scored> to_shard_result_impl(
   r.seconds = m.result.seconds;
   r.entries = m.result.best;
   return r;
-}
-
-}  // namespace
-
-template <unsigned K>
-MergedScanOf<K> merge_shards_of(
-    const std::vector<BasicShardResult<core::ScoredOf<K>>>& shards,
-    MergeCoverage coverage) {
-  return merge_impl<core::ScoredOf<K>, core::BasicDetectionResult<K>>(
-      shards, coverage);
-}
-
-template <unsigned K>
-BasicShardResult<core::ScoredOf<K>> to_shard_result(const MergedScanOf<K>& m) {
-  return to_shard_result_impl<core::ScoredOf<K>>(m);
 }
 
 template MergedScanOf<2> merge_shards_of<2>(

@@ -110,11 +110,10 @@ Header read_header(RecordReader& in, const char* magic) {
 
 template <typename Scored>
 void write_entries(std::ostream& os, const std::vector<Scored>& entries) {
-  using Traits = OrderTraits<Scored>;
   os << "entries " << entries.size() << '\n';
   for (const auto& e : entries) {
     os << 'e';
-    for (const std::uint32_t snp : Traits::snps(e)) os << ' ' << snp;
+    for (const std::uint32_t snp : e.snps) os << ' ' << snp;
     os << ' ' << format_hexfloat(e.score) << '\n';
   }
 }
@@ -126,7 +125,7 @@ void write_entries(std::ostream& os, const std::vector<Scored>& entries) {
 template <typename Scored>
 std::vector<Scored> read_entries(RecordReader& in, const Header& h,
                                  std::uint64_t covered) {
-  using Traits = OrderTraits<Scored>;
+  constexpr unsigned K = Scored::kOrder;
   const std::uint64_t expected = std::min<std::uint64_t>(h.top_k, covered);
   const std::uint64_t n = in.u64_field("entries");
   if (n != expected) {
@@ -138,9 +137,9 @@ std::vector<Scored> read_entries(RecordReader& in, const Header& h,
   entries.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     in.expect_key("e");
-    std::array<std::uint32_t, Traits::kOrder> snps{};
+    combinatorics::Combination<K> snps{};
     bool valid = true;
-    for (unsigned j = 0; j < Traits::kOrder; ++j) {
+    for (unsigned j = 0; j < K; ++j) {
       // Bounds are checked on the u64 so no value wraps into range.
       const std::uint64_t snp = in.u64("entry snp");
       if (snp >= h.num_snps || (j > 0 && snp <= snps[j - 1])) valid = false;
@@ -149,11 +148,11 @@ std::vector<Scored> read_entries(RecordReader& in, const Header& h,
     const double score = in.hexfloat("entry score");
     if (!valid) {
       in.fail("entry " + std::to_string(i) + " is not a strictly " +
-              "increasing order-" + std::to_string(Traits::kOrder) +
+              "increasing order-" + std::to_string(K) +
               " combination below " + std::to_string(h.num_snps));
     }
-    const Scored s = Traits::make(snps, score);
-    const std::uint64_t rank = Traits::rank(s);
+    const Scored s{snps, score};
+    const std::uint64_t rank = combinatorics::rank_combination<K>(snps);
     if (rank < h.range.first || rank >= h.range.first + covered) {
       in.fail("entry " + std::to_string(i) + " rank " + std::to_string(rank) +
               " outside the covered ranks [" + std::to_string(h.range.first) +
@@ -172,7 +171,7 @@ std::vector<Scored> read_entries(RecordReader& in, const Header& h,
 
 template <typename Scored>
 void write_shard_result(std::ostream& os, const BasicShardResult<Scored>& r) {
-  write_header(os, kShardMagic, OrderTraits<Scored>::kOrder,
+  write_header(os, kShardMagic, Scored::kOrder,
                Header{r.fingerprint, r.num_snps, r.num_samples, r.objective,
                       r.top_k, r.range});
   os << "seconds " << format_hexfloat(r.seconds) << '\n';
@@ -183,7 +182,7 @@ void write_shard_result(std::ostream& os, const BasicShardResult<Scored>& r) {
 template <typename Scored>
 BasicShardResult<Scored> read_shard_result_as(std::istream& is) {
   RecordReader in(is, "shard-result");
-  const Header h = read_header<OrderTraits<Scored>::kOrder>(in, kShardMagic);
+  const Header h = read_header<Scored::kOrder>(in, kShardMagic);
   BasicShardResult<Scored> r;
   r.fingerprint = h.fingerprint;
   r.num_snps = h.num_snps;
@@ -214,7 +213,7 @@ BasicShardResult<Scored> read_shard_result_file_as(const std::string& path) {
 
 template <typename Scored>
 void write_checkpoint(std::ostream& os, const BasicCheckpoint<Scored>& c) {
-  write_header(os, kCheckpointMagic, OrderTraits<Scored>::kOrder,
+  write_header(os, kCheckpointMagic, Scored::kOrder,
                Header{c.fingerprint, c.num_snps, c.num_samples, c.objective,
                       c.top_k, c.range});
   os << "watermark " << c.watermark << '\n';
@@ -227,7 +226,7 @@ template <typename Scored>
 BasicCheckpoint<Scored> read_checkpoint_as(std::istream& is) {
   RecordReader in(is, "checkpoint");
   const Header h =
-      read_header<OrderTraits<Scored>::kOrder>(in, kCheckpointMagic);
+      read_header<Scored::kOrder>(in, kCheckpointMagic);
   BasicCheckpoint<Scored> c;
   c.fingerprint = h.fingerprint;
   c.num_snps = h.num_snps;
@@ -277,11 +276,11 @@ BasicCheckpoint<Scored> read_checkpoint_file_as(const std::string& path) {
                                          const BasicCheckpoint<S>&);          \
   template BasicCheckpoint<S> read_checkpoint_file_as<S>(const std::string&);
 
-TRIGEN_SHARD_IO_INSTANTIATE(core::ScoredPair)
-TRIGEN_SHARD_IO_INSTANTIATE(core::ScoredTriplet)
-TRIGEN_SHARD_IO_INSTANTIATE(core::ScoredTuple<4>)
-TRIGEN_SHARD_IO_INSTANTIATE(core::ScoredTuple<5>)
-TRIGEN_SHARD_IO_INSTANTIATE(core::ScoredTuple<6>)
+TRIGEN_SHARD_IO_INSTANTIATE(core::ScoredOf<2>)
+TRIGEN_SHARD_IO_INSTANTIATE(core::ScoredOf<3>)
+TRIGEN_SHARD_IO_INSTANTIATE(core::ScoredOf<4>)
+TRIGEN_SHARD_IO_INSTANTIATE(core::ScoredOf<5>)
+TRIGEN_SHARD_IO_INSTANTIATE(core::ScoredOf<6>)
 #undef TRIGEN_SHARD_IO_INSTANTIATE
 
 unsigned probe_shard_order(const std::string& path) {

@@ -78,25 +78,24 @@ std::optional<BasicCheckpoint<Scored>> adopt_checkpoint(
   return c;
 }
 
-/// The shared runner body: everything order-specific comes in through
-/// `Scored` (entry type + rank space via OrderTraits) and the detector /
-/// options types.
-template <typename Scored, typename Detector, typename Options>
-BasicShardRunReport<Scored> run_shard_impl(
-    const Detector& detector, std::uint64_t fingerprint,
-    const BasicShardRunOptions<Options>& options,
+}  // namespace
+
+template <unsigned K>
+BasicShardRunReport<core::ScoredOf<K>> run_shard_of(
+    const core::BasicDetector<K>& detector, std::uint64_t fingerprint,
+    const BasicShardRunOptions<core::BasicDetectorOptions<K>>& options,
     const std::function<void(const std::string&)>& on_checkpoint_discarded) {
-  using Traits = OrderTraits<Scored>;
-  const std::uint64_t total = Traits::space(detector.num_snps());
+  using Scored = core::ScoredOf<K>;
+  const std::uint64_t total = combinatorics::n_choose_k(detector.num_snps(), K);
   const combinatorics::RankRange range = options.range;
   if (range.empty() || range.last > total) {
     throw std::invalid_argument(
-        "run_shard: shard range [" + std::to_string(range.first) + ", " +
+        "run_shard_of: shard range [" + std::to_string(range.first) + ", " +
         std::to_string(range.last) + ") is empty or exceeds C(M," +
-        std::to_string(Traits::kOrder) + ") = " + std::to_string(total));
+        std::to_string(K) + ") = " + std::to_string(total));
   }
   if (options.detector.top_k == 0) {
-    throw std::invalid_argument("run_shard: top_k must be >= 1");
+    throw std::invalid_argument("run_shard_of: top_k must be >= 1");
   }
 
   const std::uint64_t top_k = options.detector.top_k;
@@ -133,7 +132,7 @@ BasicShardRunReport<Scored> run_shard_impl(
           ? options.checkpoint_every
           : std::max<std::uint64_t>(1, range.size() / 64);
 
-  Options dopt = options.detector;
+  core::BasicDetectorOptions<K> dopt = options.detector;
   // Progress is shard-relative and owned by the runner; a caller-supplied
   // detector.progress would see chunk-local counts, so it is ignored in
   // favor of BasicShardRunOptions::progress.
@@ -181,17 +180,6 @@ BasicShardRunReport<Scored> run_shard_impl(
   report.result.entries = acc.sorted();
   report.completed = watermark == range.last;
   return report;
-}
-
-}  // namespace
-
-template <unsigned K>
-BasicShardRunReport<core::ScoredOf<K>> run_shard_of(
-    const core::BasicDetector<K>& detector, std::uint64_t fingerprint,
-    const BasicShardRunOptions<core::BasicDetectorOptions<K>>& options,
-    const std::function<void(const std::string&)>& on_checkpoint_discarded) {
-  return run_shard_impl<core::ScoredOf<K>>(detector, fingerprint, options,
-                                           on_checkpoint_discarded);
 }
 
 template BasicShardRunReport<core::ScoredOf<2>> run_shard_of<2>(

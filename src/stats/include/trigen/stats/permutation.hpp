@@ -51,13 +51,6 @@ struct BasicPermutationTestResult {
   bool significant_at(double alpha) const { return p_value <= alpha; }
 };
 
-using PermutationTestOptions = BasicPermutationTestOptions<3>;
-using PermutationTestResult = BasicPermutationTestResult<3>;
-/// Second-order significance testing: the same phenotype-permutation
-/// procedure over the pairwise scan (the BOOST/GBOOST setting).
-using PairPermutationTestOptions = BasicPermutationTestOptions<2>;
-using PairPermutationTestResult = BasicPermutationTestResult<2>;
-
 /// Runs the full order-K permutation test.  Cost: (permutations + 1)
 /// exhaustive scans; use the V4/V5 kernels and multiple threads for real
 /// datasets.  Every order shares one implementation — the observed scan
@@ -68,19 +61,6 @@ template <unsigned K>
 BasicPermutationTestResult<K> permutation_test_of(
     const dataset::GenotypeMatrix& d,
     const BasicPermutationTestOptions<K>& options);
-
-/// The 3-way permutation test (= permutation_test_of<3>).
-inline PermutationTestResult permutation_test(
-    const dataset::GenotypeMatrix& d, const PermutationTestOptions& options) {
-  return permutation_test_of<3>(d, options);
-}
-
-/// The pairwise permutation test (= permutation_test_of<2>).
-inline PairPermutationTestResult pair_permutation_test(
-    const dataset::GenotypeMatrix& d,
-    const PairPermutationTestOptions& options) {
-  return permutation_test_of<2>(d, options);
-}
 
 extern template BasicPermutationTestResult<2> permutation_test_of<2>(
     const dataset::GenotypeMatrix&, const BasicPermutationTestOptions<2>&);

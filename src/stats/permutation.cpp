@@ -155,7 +155,7 @@ BasicPermutationTestResult<K> permutation_test_of(
     const dataset::GenotypeMatrix& d,
     const BasicPermutationTestOptions<K>& options) {
   if (options.permutations == 0) {
-    throw std::invalid_argument("permutation_test: need >= 1 permutation");
+    throw std::invalid_argument("permutation_test_of: need >= 1 permutation");
   }
   // Every scan of the test shares one normalized scorer (the K2
   // log-factorial table depends only on the sample count, which

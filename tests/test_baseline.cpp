@@ -7,8 +7,7 @@
 namespace trigen::baseline {
 namespace {
 
-using combinatorics::Triplet;
-using scoring::reference_contingency;
+using combinatorics::Combination;
 using trigen::test::Shape;
 using trigen::test::planted_dataset;
 using trigen::test::random_dataset;
@@ -35,11 +34,11 @@ TEST_P(BaselineShapeTest, ContingencyMatchesReference) {
   if (d.num_snps() < 3) GTEST_SKIP();
   const Mpi3SnpEngine engine(d);
   const std::size_t m = d.num_snps();
-  for (std::size_t x = 0; x < m; ++x) {
-    for (std::size_t y = x + 1; y < m; ++y) {
-      for (std::size_t z = y + 1; z < m; ++z) {
+  for (std::uint32_t x = 0; x < m; ++x) {
+    for (std::uint32_t y = x + 1; y < m; ++y) {
+      for (std::uint32_t z = y + 1; z < m; ++z) {
         ASSERT_EQ(engine.contingency(x, y, z),
-                  reference_contingency(d, x, y, z))
+                  scoring::reference_contingency_k<3>(d, {x, y, z}))
             << x << "," << y << "," << z;
       }
     }
@@ -51,7 +50,7 @@ TEST(Baseline, FindsPlantedInteraction) {
   const Mpi3SnpEngine engine(d);
   const BaselineResult r = engine.run(1);
   ASSERT_FALSE(r.best.empty());
-  EXPECT_EQ(r.best[0].triplet, (Triplet{1, 3, 5}));
+  EXPECT_EQ(r.best[0].snps, (Combination<3>{1, 3, 5}));
 }
 
 TEST(Baseline, AgreesWithDetectorUnderMiObjective) {
@@ -65,7 +64,7 @@ TEST(Baseline, AgreesWithDetectorUnderMiObjective) {
   const auto base = engine.run(1, 5);
   ASSERT_EQ(cpu.best.size(), base.best.size());
   for (std::size_t i = 0; i < cpu.best.size(); ++i) {
-    EXPECT_EQ(cpu.best[i].triplet, base.best[i].triplet) << i;
+    EXPECT_EQ(cpu.best[i].snps, base.best[i].snps) << i;
     EXPECT_NEAR(cpu.best[i].score, base.best[i].score, 1e-12) << i;
   }
 }
@@ -79,7 +78,7 @@ TEST(Baseline, StaticDistributionDeterministicAcrossThreads) {
     EXPECT_EQ(multi.threads_used, threads);
     ASSERT_EQ(multi.best.size(), one.best.size());
     for (std::size_t i = 0; i < one.best.size(); ++i) {
-      EXPECT_EQ(multi.best[i].triplet, one.best[i].triplet) << i;
+      EXPECT_EQ(multi.best[i].snps, one.best[i].snps) << i;
       EXPECT_DOUBLE_EQ(multi.best[i].score, one.best[i].score) << i;
     }
   }
@@ -89,7 +88,7 @@ TEST(Baseline, CountsAndPerfMetric) {
   const auto d = random_dataset({10, 128, 81});
   const Mpi3SnpEngine engine(d);
   const auto r = engine.run(1);
-  EXPECT_EQ(r.triplets_evaluated, combinatorics::num_triplets(10));
+  EXPECT_EQ(r.triplets_evaluated, combinatorics::n_choose_k(10, 3));
   EXPECT_EQ(r.elements, r.triplets_evaluated * 128);
   EXPECT_GT(r.seconds, 0.0);
   EXPECT_GT(r.elements_per_second(), 0.0);

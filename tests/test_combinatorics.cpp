@@ -57,7 +57,7 @@ TEST(Choose, OverflowThrows) {
 
 TEST(Choose, ElementsMetric) {
   EXPECT_EQ(num_elements(10, 3, 100), 12000u);
-  EXPECT_EQ(num_triplets(10), 120u);
+  EXPECT_EQ(n_choose_k(10, 3), 120u);
 }
 
 // --------------------------------------------------------------------------
@@ -65,11 +65,11 @@ TEST(Choose, ElementsMetric) {
 // --------------------------------------------------------------------------
 
 TEST(TripletRank, FirstTriplets) {
-  EXPECT_EQ(rank_triplet({0, 1, 2}), 0u);
-  EXPECT_EQ(rank_triplet({0, 1, 3}), 1u);
-  EXPECT_EQ(rank_triplet({0, 2, 3}), 2u);
-  EXPECT_EQ(rank_triplet({1, 2, 3}), 3u);
-  EXPECT_EQ(rank_triplet({0, 1, 4}), 4u);
+  EXPECT_EQ(rank_combination<3>({0, 1, 2}), 0u);
+  EXPECT_EQ(rank_combination<3>({0, 1, 3}), 1u);
+  EXPECT_EQ(rank_combination<3>({0, 2, 3}), 2u);
+  EXPECT_EQ(rank_combination<3>({1, 2, 3}), 3u);
+  EXPECT_EQ(rank_combination<3>({0, 1, 4}), 4u);
 }
 
 TEST(TripletRank, RoundTripExhaustiveSmall) {
@@ -79,44 +79,44 @@ TEST(TripletRank, RoundTripExhaustiveSmall) {
   for (std::uint32_t z = 2; z < kM; ++z) {
     for (std::uint32_t y = 1; y < z; ++y) {
       for (std::uint32_t x = 0; x < y; ++x) {
-        const Triplet t{x, y, z};
-        ASSERT_EQ(rank_triplet(t), rank);
-        const Triplet back = unrank_triplet(rank);
+        const Combination<3> t{x, y, z};
+        ASSERT_EQ(rank_combination<3>(t), rank);
+        const Combination<3> back = unrank_combination<3>(rank);
         ASSERT_EQ(back, t);
         ++rank;
       }
     }
   }
-  EXPECT_EQ(rank, num_triplets(kM));
+  EXPECT_EQ(rank, n_choose_k(kM, 3));
 }
 
 TEST(TripletRank, RoundTripLargeRandomRanks) {
   // Ranks up to C(100000, 3) ~ 1.7e14.
-  const std::uint64_t total = num_triplets(100000);
+  const std::uint64_t total = n_choose_k(100000, 3);
   for (std::uint64_t i = 1; i <= 1000; ++i) {
     const std::uint64_t rank = (total / 1001) * i;
-    const Triplet t = unrank_triplet(rank);
-    ASSERT_LT(t.x, t.y);
-    ASSERT_LT(t.y, t.z);
-    ASSERT_EQ(rank_triplet(t), rank);
+    const Combination<3> t = unrank_combination<3>(rank);
+    ASSERT_LT(t[0], t[1]);
+    ASSERT_LT(t[1], t[2]);
+    ASSERT_EQ(rank_combination<3>(t), rank);
   }
 }
 
 TEST(TripletRank, BoundaryRanks) {
   for (std::uint64_t m : {3ull, 4ull, 100ull, 8192ull}) {
-    const std::uint64_t last = num_triplets(m) - 1;
-    const Triplet t = unrank_triplet(last);
-    EXPECT_EQ(t.z, m - 1) << m;
-    EXPECT_EQ(t.y, m - 2) << m;
-    EXPECT_EQ(t.x, m - 3) << m;
+    const std::uint64_t last = n_choose_k(m, 3) - 1;
+    const Combination<3> t = unrank_combination<3>(last);
+    EXPECT_EQ(t[2], m - 1) << m;
+    EXPECT_EQ(t[1], m - 2) << m;
+    EXPECT_EQ(t[0], m - 3) << m;
   }
 }
 
 TEST(TripletIteration, MatchesUnrankEverywhere) {
-  const std::uint64_t total = num_triplets(25);
+  const std::uint64_t total = n_choose_k(25, 3);
   std::uint64_t expected_rank = 0;
-  for_each_triplet(0, total, [&](const Triplet& t) {
-    ASSERT_EQ(t, unrank_triplet(expected_rank));
+  for_each_combination<3>(0, total, [&](const Combination<3>& t) {
+    ASSERT_EQ(t, unrank_combination<3>(expected_rank));
     ++expected_rank;
   });
   EXPECT_EQ(expected_rank, total);
@@ -125,8 +125,8 @@ TEST(TripletIteration, MatchesUnrankEverywhere) {
 TEST(TripletIteration, SubrangeMatches) {
   for (std::uint64_t first : {0ull, 1ull, 17ull, 119ull}) {
     std::uint64_t rank = first;
-    for_each_triplet(first, first + 50, [&](const Triplet& t) {
-      ASSERT_EQ(rank_triplet(t), rank);
+    for_each_combination<3>(first, first + 50, [&](const Combination<3>& t) {
+      ASSERT_EQ(rank_combination<3>(t), rank);
       ++rank;
     });
     EXPECT_EQ(rank, first + 50);
@@ -135,8 +135,8 @@ TEST(TripletIteration, SubrangeMatches) {
 
 TEST(TripletIteration, EmptyRangeDoesNothing) {
   int calls = 0;
-  for_each_triplet(10, 10, [&](const Triplet&) { ++calls; });
-  for_each_triplet(10, 5, [&](const Triplet&) { ++calls; });
+  for_each_combination<3>(10, 10, [&](const Combination<3>&) { ++calls; });
+  for_each_combination<3>(10, 5, [&](const Combination<3>&) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -145,41 +145,41 @@ TEST(TripletIteration, EmptyRangeDoesNothing) {
 // --------------------------------------------------------------------------
 
 TEST(PairRank, FirstPairs) {
-  EXPECT_EQ(rank_pair({0, 1}), 0u);
-  EXPECT_EQ(rank_pair({0, 2}), 1u);
-  EXPECT_EQ(rank_pair({1, 2}), 2u);
-  EXPECT_EQ(rank_pair({0, 3}), 3u);
+  EXPECT_EQ(rank_combination<2>({0, 1}), 0u);
+  EXPECT_EQ(rank_combination<2>({0, 2}), 1u);
+  EXPECT_EQ(rank_combination<2>({1, 2}), 2u);
+  EXPECT_EQ(rank_combination<2>({0, 3}), 3u);
 }
 
 TEST(PairRank, RoundTripExhaustiveSmall) {
   std::uint64_t rank = 0;
   for (std::uint32_t y = 1; y < 80; ++y) {
     for (std::uint32_t x = 0; x < y; ++x) {
-      const Pair p{x, y};
-      ASSERT_EQ(rank_pair(p), rank);
-      ASSERT_EQ(unrank_pair(rank), p);
+      const Combination<2> p{x, y};
+      ASSERT_EQ(rank_combination<2>(p), rank);
+      ASSERT_EQ(unrank_combination<2>(rank), p);
       ++rank;
     }
   }
-  EXPECT_EQ(rank, num_pairs(80));
+  EXPECT_EQ(rank, n_choose_k(80, 2));
 }
 
 TEST(PairRank, RoundTripLargeRandomRanks) {
   std::uint64_t r = 0x9e3779b97f4a7c15ull % n_choose_k(1u << 20, 2);
   for (int i = 0; i < 200; ++i) {
-    const Pair p = unrank_pair(r);
-    ASSERT_LT(p.x, p.y);
-    ASSERT_EQ(rank_pair(p), r);
+    const Combination<2> p = unrank_combination<2>(r);
+    ASSERT_LT(p[0], p[1]);
+    ASSERT_EQ(rank_combination<2>(p), r);
     r = (r * 6364136223846793005ull + 1442695040888963407ull) %
         n_choose_k(1u << 20, 2);
   }
 }
 
 TEST(PairIteration, MatchesUnrankEverywhere) {
-  const std::uint64_t total = num_pairs(40);
+  const std::uint64_t total = n_choose_k(40, 2);
   std::uint64_t expect = 0;
-  for_each_pair(0, total, [&](const Pair& p) {
-    ASSERT_EQ(p, unrank_pair(expect));
+  for_each_combination<2>(0, total, [&](const Combination<2>& p) {
+    ASSERT_EQ(p, unrank_combination<2>(expect));
     ++expect;
   });
   EXPECT_EQ(expect, total);
@@ -187,12 +187,12 @@ TEST(PairIteration, MatchesUnrankEverywhere) {
 
 TEST(PairIteration, SubrangeAndEmpty) {
   std::uint64_t expect = 137;
-  for_each_pair(137, 512, [&](const Pair& p) {
-    ASSERT_EQ(rank_pair(p), expect);
+  for_each_combination<2>(137, 512, [&](const Combination<2>& p) {
+    ASSERT_EQ(rank_combination<2>(p), expect);
     ++expect;
   });
   EXPECT_EQ(expect, 512u);
-  for_each_pair(9, 9, [&](const Pair&) { FAIL(); });
+  for_each_combination<2>(9, 9, [&](const Combination<2>&) { FAIL(); });
 }
 
 TEST(WithOrder, DispatchesEverySupportedOrderOnceAndRejectsTheRest) {
@@ -229,7 +229,7 @@ RankRange brute_span(const BlockGrid& g, const BlockTuple<3>& bt) {
         if (x / g.bs != bt[0] || y / g.bs != bt[1] || z / g.bs != bt[2]) {
           continue;
         }
-        const std::uint64_t r = rank_triplet({x, y, z});
+        const std::uint64_t r = rank_combination<3>({x, y, z});
         lo = std::min(lo, r);
         hi = std::max(hi, r);
         any = true;
@@ -281,7 +281,7 @@ TEST(BlockPartition, SpansAreMonotoneOverNonemptyBlocks) {
 TEST(BlockPartition, RunCoversEveryBlockIntersectingTheRange) {
   for (const std::uint64_t bs : {1ull, 2ull, 3ull, 5ull}) {
     const BlockGrid g{12, bs};
-    const std::uint64_t total = num_triplets(g.m);
+    const std::uint64_t total = n_choose_k(g.m, 3);
     for (const RankRange range :
          {RankRange{0, total}, RankRange{0, 1}, RankRange{total - 1, total},
           RankRange{7, 23}, RankRange{total / 3, 2 * total / 3}}) {
@@ -292,11 +292,11 @@ TEST(BlockPartition, RunCoversEveryBlockIntersectingTheRange) {
                 num_block_tuples<3>(g.num_blocks()));
       // Every triplet of the range lives in a block inside the run.
       for (std::uint64_t r = range.first; r < range.last; ++r) {
-        const Triplet t = unrank_triplet(r);
+        const Combination<3> t = unrank_combination<3>(r);
         const std::uint64_t br = rank_block_tuple<3>(
-            {static_cast<std::uint32_t>(t.x / bs),
-             static_cast<std::uint32_t>(t.y / bs),
-             static_cast<std::uint32_t>(t.z / bs)});
+            {static_cast<std::uint32_t>(t[0] / bs),
+             static_cast<std::uint32_t>(t[1] / bs),
+             static_cast<std::uint32_t>(t[2] / bs)});
         ASSERT_GE(br, part.block_ranks.first) << "bs=" << bs << " r=" << r;
         ASSERT_LT(br, part.block_ranks.last) << "bs=" << bs << " r=" << r;
       }
@@ -436,7 +436,7 @@ RankRange brute_pair_span(const BlockGrid& g, const BlockTuple<2>& bp) {
   for (std::uint32_t y = 1; y < g.m; ++y) {
     for (std::uint32_t x = 0; x < y; ++x) {
       if (x / g.bs != bp[0] || y / g.bs != bp[1]) continue;
-      const std::uint64_t r = rank_pair({x, y});
+      const std::uint64_t r = rank_combination<2>({x, y});
       lo = std::min(lo, r);
       hi = std::max(hi, r);
       any = true;
@@ -487,7 +487,7 @@ TEST(BlockPairPartition, SpansAreMonotoneOverNonemptyBlocks) {
 TEST(BlockPairPartition, RunCoversEveryBlockIntersectingTheRange) {
   for (const std::uint64_t bs : {1ull, 2ull, 3ull, 5ull}) {
     const BlockGrid g{12, bs};
-    const std::uint64_t total = num_pairs(g.m);
+    const std::uint64_t total = n_choose_k(g.m, 2);
     for (const RankRange range :
          {RankRange{0, total}, RankRange{0, 1}, RankRange{total - 1, total},
           RankRange{7, 23}, RankRange{total / 3, 2 * total / 3}}) {
@@ -497,10 +497,10 @@ TEST(BlockPairPartition, RunCoversEveryBlockIntersectingTheRange) {
       ASSERT_LE(part.block_ranks.last, num_block_tuples<2>(g.num_blocks()));
       // Every pair of the range lives in a block inside the run.
       for (std::uint64_t r = range.first; r < range.last; ++r) {
-        const Pair p = unrank_pair(r);
+        const Combination<2> p = unrank_combination<2>(r);
         const std::uint64_t br =
-            rank_block_tuple<2>({static_cast<std::uint32_t>(p.x / bs),
-                             static_cast<std::uint32_t>(p.y / bs)});
+            rank_block_tuple<2>({static_cast<std::uint32_t>(p[0] / bs),
+                             static_cast<std::uint32_t>(p[1] / bs)});
         ASSERT_GE(br, part.block_ranks.first) << "bs=" << bs << " r=" << r;
         ASSERT_LT(br, part.block_ranks.last) << "bs=" << bs << " r=" << r;
       }

@@ -20,10 +20,9 @@
 namespace trigen::core {
 namespace {
 
-using combinatorics::Triplet;
 using combinatorics::Combination;
 using scoring::ContingencyTable;
-using scoring::reference_contingency;
+using scoring::reference_contingency_k;
 using trigen::test::Shape;
 using trigen::test::planted_dataset;
 using trigen::test::random_dataset;
@@ -136,11 +135,11 @@ TEST_P(KernelShapeTest, V1MatchesReferenceForAllTriplets) {
   const auto d = random_dataset(GetParam());
   const auto planes = dataset::BitPlanesV1::build(d);
   const std::size_t m = d.num_snps();
-  for (std::size_t x = 0; x < m; ++x) {
-    for (std::size_t y = x + 1; y < m; ++y) {
-      for (std::size_t z = y + 1; z < m; ++z) {
-        ASSERT_EQ(contingency_v1(planes, x, y, z),
-                  reference_contingency(d, x, y, z))
+  for (std::uint32_t x = 0; x < m; ++x) {
+    for (std::uint32_t y = x + 1; y < m; ++y) {
+      for (std::uint32_t z = y + 1; z < m; ++z) {
+        ASSERT_EQ(contingency_v1<3>(planes, {x, y, z}),
+                  reference_contingency_k<3>(d, {x, y, z}))
             << x << "," << y << "," << z;
       }
     }
@@ -153,11 +152,11 @@ TEST_P(KernelShapeTest, SplitKernelMatchesReferenceForEveryIsa) {
   const std::size_t m = d.num_snps();
   for (const KernelIsa isa : all_kernel_isas()) {
     if (!kernel_available(isa)) continue;
-    for (std::size_t x = 0; x < m; ++x) {
-      for (std::size_t y = x + 1; y < m; ++y) {
-        for (std::size_t z = y + 1; z < m; ++z) {
-          ASSERT_EQ(contingency_split(planes, x, y, z, isa),
-                    reference_contingency(d, x, y, z))
+    for (std::uint32_t x = 0; x < m; ++x) {
+      for (std::uint32_t y = x + 1; y < m; ++y) {
+        for (std::uint32_t z = y + 1; z < m; ++z) {
+          ASSERT_EQ(contingency_split<3>(planes, {x, y, z}, isa),
+                    reference_contingency_k<3>(d, {x, y, z}))
               << kernel_isa_name(isa) << " " << x << "," << y << "," << z;
         }
       }
@@ -176,9 +175,9 @@ TEST_P(KernelShapeTest, CachedKernelMatchesReferenceForEveryIsa) {
     if (!kernel_available(isa)) continue;
     const CachedKernelSet ks = get_cached_kernels(isa);
     PrefixPlaneCache cache;
-    for (std::size_t x = 0; x < m; ++x) {
-      for (std::size_t y = x + 1; y < m; ++y) {
-        for (std::size_t z = y + 1; z < m; ++z) {
+    for (std::uint32_t x = 0; x < m; ++x) {
+      for (std::uint32_t y = x + 1; y < m; ++y) {
+        for (std::uint32_t z = y + 1; z < m; ++z) {
           ContingencyTable t;
           for (int c = 0; c < 2; ++c) {
             const std::size_t words = planes.words(c);
@@ -193,7 +192,7 @@ TEST_P(KernelShapeTest, CachedKernelMatchesReferenceForEveryIsa) {
             t.counts[static_cast<std::size_t>(c)][26] -=
                 static_cast<std::uint32_t>(planes.pad_bits(c));
           }
-          ASSERT_EQ(t, reference_contingency(d, x, y, z))
+          ASSERT_EQ(t, reference_contingency_k<3>(d, {x, y, z}))
               << kernel_isa_name(isa) << " " << x << "," << y << "," << z;
         }
       }
@@ -323,16 +322,15 @@ TEST_P(BlockedEngineTest, CoversEveryTripletExactlyOnceWithCorrectTables) {
   for (std::uint64_t r = 0; r < num_block_tuples<3>(nb); ++r) {
     scan_block_tuple<3>(planes, tiling, kernel, scratch,
                         unrank_block_tuple<3>(r), kFullRange,
-                        [&](const Combination<3>& c,
+                        [&](const Combination<3>& t,
                             const ContingencyTable& table) {
-                          const Triplet t{c[0], c[1], c[2]};
-                          ++seen[combinatorics::rank_triplet(t)];
+                          ++seen[combinatorics::rank_combination<3>(t)];
                           ASSERT_EQ(table,
-                                    reference_contingency(d, t.x, t.y, t.z))
-                              << t.x << "," << t.y << "," << t.z;
+                                    reference_contingency_k<3>(d, t))
+                              << t[0] << "," << t[1] << "," << t[2];
                         });
   }
-  const std::uint64_t total = combinatorics::num_triplets(m);
+  const std::uint64_t total = combinatorics::n_choose_k(m, 3);
   ASSERT_EQ(seen.size(), total);
   for (const auto& [rank, count] : seen) {
     ASSERT_EQ(count, 1) << "rank " << rank;
@@ -347,7 +345,7 @@ TEST(BlockedEngine, ClipEmitsExactlyTheTripletsInRange) {
   const DirectKernel<3> kernel = get_direct_kernel<3>(KernelIsa::kScalar);
   TupleBlockScratch<3> scratch(bs);
   const std::uint64_t nb = (10 + bs - 1) / bs;
-  const std::uint64_t total = combinatorics::num_triplets(10);
+  const std::uint64_t total = combinatorics::n_choose_k(10, 3);
 
   for (const auto clip :
        {combinatorics::RankRange{0, total}, combinatorics::RankRange{17, 18},
@@ -358,14 +356,13 @@ TEST(BlockedEngine, ClipEmitsExactlyTheTripletsInRange) {
     for (std::uint64_t r = 0; r < num_block_tuples<3>(nb); ++r) {
       scan_block_tuple<3>(planes, tiling, kernel, scratch,
                           unrank_block_tuple<3>(r), clip,
-                          [&](const Combination<3>& c,
+                          [&](const Combination<3>& t,
                               const ContingencyTable& table) {
-                            const Triplet t{c[0], c[1], c[2]};
                             const std::uint64_t rank =
-                                combinatorics::rank_triplet(t);
+                                combinatorics::rank_combination<3>(t);
                             ASSERT_TRUE(emitted.insert(rank).second) << rank;
                             ASSERT_EQ(table,
-                                      reference_contingency(d, t.x, t.y, t.z));
+                                      reference_contingency_k<3>(d, t));
                           });
     }
     ASSERT_EQ(emitted.size(), clip.size());
@@ -390,11 +387,10 @@ TEST(BlockedEngine, BpSmallerThanWordsStillCorrect) {
                           [&](const Combination<3>& c,
                               const ContingencyTable& table) {
                             ++count;
-                            ASSERT_EQ(table, reference_contingency(d, c[0],
-                                                                   c[1], c[2]));
+                            ASSERT_EQ(table, reference_contingency_k<3>(d, c));
                           });
     }
-    EXPECT_EQ(count, combinatorics::num_triplets(9)) << "bp=" << bp;
+    EXPECT_EQ(count, combinatorics::n_choose_k(9, 3)) << "bp=" << bp;
   }
 }
 
@@ -413,16 +409,15 @@ TEST_P(BlockedEngineTest, CachedEngineCoversEveryTripletExactlyOnceWithCorrectTa
   for (std::uint64_t r = 0; r < num_block_tuples<3>(nb); ++r) {
     scan_block_tuple<3>(planes, tiling, ks, gk, scratch,
                         unrank_block_tuple<3>(r), kFullRange,
-                        [&](const Combination<3>& c,
+                        [&](const Combination<3>& t,
                             const ContingencyTable& table) {
-                        const Triplet t{c[0], c[1], c[2]};
-                        ++seen[combinatorics::rank_triplet(t)];
+                        ++seen[combinatorics::rank_combination<3>(t)];
                         ASSERT_EQ(table,
-                                  reference_contingency(d, t.x, t.y, t.z))
-                            << t.x << "," << t.y << "," << t.z;
+                                  reference_contingency_k<3>(d, t))
+                            << t[0] << "," << t[1] << "," << t[2];
                       });
   }
-  const std::uint64_t total = combinatorics::num_triplets(m);
+  const std::uint64_t total = combinatorics::n_choose_k(m, 3);
   ASSERT_EQ(seen.size(), total);
   for (const auto& [rank, count] : seen) {
     ASSERT_EQ(count, 1) << "rank " << rank;
@@ -438,7 +433,7 @@ TEST(BlockedEngine, CachedClipEmitsExactlyTheTripletsInRange) {
   const GenericKernelSet gk = get_generic_kernels(KernelIsa::kScalar);
   TupleBlockScratch<3> scratch(bs);
   const std::uint64_t nb = (10 + bs - 1) / bs;
-  const std::uint64_t total = combinatorics::num_triplets(10);
+  const std::uint64_t total = combinatorics::n_choose_k(10, 3);
 
   for (const auto clip :
        {combinatorics::RankRange{0, total}, combinatorics::RankRange{17, 18},
@@ -449,14 +444,13 @@ TEST(BlockedEngine, CachedClipEmitsExactlyTheTripletsInRange) {
     for (std::uint64_t r = 0; r < num_block_tuples<3>(nb); ++r) {
       scan_block_tuple<3>(planes, tiling, ks, gk, scratch,
                           unrank_block_tuple<3>(r), clip,
-                          [&](const Combination<3>& c,
+                          [&](const Combination<3>& t,
                               const ContingencyTable& table) {
-                          const Triplet t{c[0], c[1], c[2]};
                           const std::uint64_t rank =
-                              combinatorics::rank_triplet(t);
+                              combinatorics::rank_combination<3>(t);
                           ASSERT_TRUE(emitted.insert(rank).second) << rank;
                           ASSERT_EQ(table,
-                                    reference_contingency(d, t.x, t.y, t.z));
+                                    reference_contingency_k<3>(d, t));
                         });
     }
     ASSERT_EQ(emitted.size(), clip.size());
@@ -547,9 +541,9 @@ TEST(TripleIdentityEdgeCases, CountPlusCompletionMatchesReferenceForEveryIsa) {
       const PairPlaneCountKernel count = get_cached_kernels(isa).count;
       PrefixPlaneCache cache;
       cache.ensure(3, std::max(planes.words(0), planes.words(1)));
-      for (std::size_t x = 0; x < m; ++x) {
-        for (std::size_t y = 0; y < m; ++y) {
-          for (std::size_t z = 0; z < m; ++z) {
+      for (std::uint32_t x = 0; x < m; ++x) {
+        for (std::uint32_t y = 0; y < m; ++y) {
+          for (std::uint32_t z = 0; z < m; ++z) {
             if (x == y || y == z || x == z) continue;
             ContingencyTable t;
             for (int c = 0; c < 2; ++c) {
@@ -583,7 +577,7 @@ TEST(TripleIdentityEdgeCases, CountPlusCompletionMatchesReferenceForEveryIsa) {
               complete_triple_row(planes, c, x, y, z, xz4, yz4, ft,
                                   t.counts[static_cast<std::size_t>(c)].data());
             }
-            ASSERT_EQ(t, reference_contingency(d, x, y, z))
+            ASSERT_EQ(t, reference_contingency_k<3>(d, {x, y, z}))
                 << kernel_isa_name(isa) << " sizes " << sizes.controls << "/"
                 << sizes.cases << " triple " << x << "," << y << "," << z;
           }
@@ -624,7 +618,7 @@ void expect_clipped_tables_match_reference() {
                    [&](const Combination<K>& c,
                        const scoring::BasicContingencyTable<K>& t) {
                      ++seen[combinatorics::rank_combination<K>(c)];
-                     ASSERT_EQ(t, scoring::reference_contingency_k<K>(d, c))
+                     ASSERT_EQ(t, reference_contingency_k<K>(d, c))
                          << "k=" << K << " " << engine << " "
                          << kernel_isa_name(isa) << " rank "
                          << combinatorics::rank_combination<K>(c);
@@ -757,11 +751,10 @@ TEST(PairTableCache, BlockChangesInsideOneScratchKeepTablesExact) {
                         [&](const Combination<3>& c,
                             const ContingencyTable& t) {
                           ++emitted;
-                          ASSERT_EQ(t, reference_contingency(d, c[0], c[1],
-                                                             c[2]));
+                          ASSERT_EQ(t, reference_contingency_k<3>(d, c));
                         });
   }
-  EXPECT_EQ(emitted, combinatorics::num_triplets(14));
+  EXPECT_EQ(emitted, combinatorics::n_choose_k(14, 3));
 }
 
 TEST(PairTableCache, OneThreadChunkCrossingBlockChangesMatchesV4) {
@@ -863,7 +856,7 @@ TEST(Tiling, PaperIceLakeConfig) {
   // Ice Lake SP: 48 kB 12-way L1D, 7 ways tables + 4 ways block, AVX-512
   // (16 words/vector) => the paper's <5, 400>.
   L1Config l1{48 * 1024, 12, 7, 4};
-  const TilingParams p = autotune_tiling(l1, 16);
+  const TilingParams p = autotune_tiling(l1, 16, 3, false);
   EXPECT_EQ(p.bs, 5u);
   EXPECT_EQ(p.bp_words, 400u);
 }
@@ -872,7 +865,7 @@ TEST(Tiling, PaperAvxConfig) {
   // 32 kB 8-way L1D, 7 ways tables + 1 way block, AVX (8 words/vector)
   // => the paper's <5, 96>.
   L1Config l1{32 * 1024, 8, 7, 1};
-  const TilingParams p = autotune_tiling(l1, 8);
+  const TilingParams p = autotune_tiling(l1, 8, 3, false);
   EXPECT_EQ(p.bs, 5u);
   EXPECT_EQ(p.bp_words, 96u);
 }
@@ -880,7 +873,7 @@ TEST(Tiling, PaperAvxConfig) {
 TEST(Tiling, FrequencyTablesFitBudget) {
   for (unsigned ways_ft : {4u, 7u}) {
     L1Config l1{32 * 1024, 8, ways_ft, 1};
-    const TilingParams p = autotune_tiling(l1, 8);
+    const TilingParams p = autotune_tiling(l1, 8, 3, false);
     EXPECT_LE(tables_bytes(p.bs), l1.size_bytes / l1.ways * ways_ft);
     EXPECT_GT(tables_bytes(p.bs + 1), l1.size_bytes / l1.ways * ways_ft);
   }
@@ -889,7 +882,7 @@ TEST(Tiling, FrequencyTablesFitBudget) {
 TEST(Tiling, BpMultipleOfVectorWords) {
   for (std::size_t vec : {1u, 8u, 16u}) {
     L1Config l1{48 * 1024, 12, 7, 4};
-    const TilingParams p = autotune_tiling(l1, vec);
+    const TilingParams p = autotune_tiling(l1, vec, 3, false);
     EXPECT_EQ(p.bp_words % vec, 0u) << vec;
     EXPECT_GE(p.bp_words, vec);
   }
@@ -907,7 +900,7 @@ TEST(Tiling, PairCacheFootprintStaysInsideTheL1Budget) {
         l1.size_bytes / l1.ways * l1.ways_for_block;
     for (const std::size_t vec : {std::size_t{1}, std::size_t{8},
                                   std::size_t{16}}) {
-      const TilingParams p = autotune_tiling(l1, vec, true);
+      const TilingParams p = autotune_tiling(l1, vec, 3, true);
       EXPECT_LE(tables_bytes(p.bs), ft_budget) << vec;
       EXPECT_LE(block_bytes(p.bs, p.bp_words) + pair_cache_bytes(p.bp_words),
                 block_budget)
@@ -918,7 +911,7 @@ TEST(Tiling, PairCacheFootprintStaysInsideTheL1Budget) {
       // to whole AVX-512 registers).
       EXPECT_EQ(p.bp_words % dataset::kWordsPerVector, 0u);
       // The cache-aware B_P can only shrink relative to the V4 sizing.
-      EXPECT_LE(p.bp_words, autotune_tiling(l1, vec, false).bp_words);
+      EXPECT_LE(p.bp_words, autotune_tiling(l1, vec, 3, false).bp_words);
     }
   }
 }
@@ -927,7 +920,7 @@ TEST(Tiling, DetectedHostConfigIsUsable) {
   const L1Config l1 = detect_l1_config();
   EXPECT_GT(l1.size_bytes, 0u);
   EXPECT_GT(l1.ways, 0u);
-  const TilingParams p = autotune_tiling(l1, 16);
+  const TilingParams p = autotune_tiling(l1, 16, 3, false);
   EXPECT_TRUE(p.valid());
   EXPECT_GE(p.bs, 1u);
 }
@@ -967,9 +960,9 @@ TEST(Tiling, MemoizedHostConfigMatchesADirectReadFromEveryThread) {
 // --------------------------------------------------------------------------
 
 TEST(TopK, KeepsBestK) {
-  TopK top(3);
+  BasicTopK<ScoredOf<3>> top(3);
   for (int i = 10; i >= 1; --i) {
-    top.push({Triplet{0, 1, static_cast<std::uint32_t>(i + 1)},
+    top.push({Combination<3>{0, 1, static_cast<std::uint32_t>(i + 1)},
               static_cast<double>(i)});
   }
   const auto sorted = top.sorted();
@@ -980,19 +973,19 @@ TEST(TopK, KeepsBestK) {
 }
 
 TEST(TopK, TieBreaksOnRank) {
-  TopK top(2);
-  top.push({Triplet{0, 1, 3}, 5.0});
-  top.push({Triplet{0, 1, 2}, 5.0});
-  top.push({Triplet{0, 2, 3}, 5.0});
+  BasicTopK<ScoredOf<3>> top(2);
+  top.push({Combination<3>{0, 1, 3}, 5.0});
+  top.push({Combination<3>{0, 1, 2}, 5.0});
+  top.push({Combination<3>{0, 2, 3}, 5.0});
   const auto sorted = top.sorted();
-  EXPECT_EQ(sorted[0].triplet, (Triplet{0, 1, 2}));
-  EXPECT_EQ(sorted[1].triplet, (Triplet{0, 1, 3}));
+  EXPECT_EQ(sorted[0].snps, (Combination<3>{0, 1, 2}));
+  EXPECT_EQ(sorted[1].snps, (Combination<3>{0, 1, 3}));
 }
 
 TEST(TopK, MergeEqualsSequentialPushes) {
-  TopK a(4), b(4), all(4);
+  BasicTopK<ScoredOf<3>> a(4), b(4), all(4);
   for (int i = 0; i < 20; ++i) {
-    const ScoredTriplet s{Triplet{0, 1, static_cast<std::uint32_t>(i + 2)},
+    const ScoredOf<3> s{Combination<3>{0, 1, static_cast<std::uint32_t>(i + 2)},
                           static_cast<double>((i * 7) % 13)};
     (i % 2 == 0 ? a : b).push(s);
     all.push(s);
@@ -1002,14 +995,14 @@ TEST(TopK, MergeEqualsSequentialPushes) {
   const auto rhs = all.sorted();
   ASSERT_EQ(lhs.size(), rhs.size());
   for (std::size_t i = 0; i < lhs.size(); ++i) {
-    EXPECT_EQ(lhs[i].triplet, rhs[i].triplet);
+    EXPECT_EQ(lhs[i].snps, rhs[i].snps);
     EXPECT_DOUBLE_EQ(lhs[i].score, rhs[i].score);
   }
 }
 
 TEST(TopK, ZeroCapacityClampsToOne) {
-  TopK top(0);
-  top.push({Triplet{0, 1, 2}, 1.0});
+  BasicTopK<ScoredOf<3>> top(0);
+  top.push({Combination<3>{0, 1, 2}, 1.0});
   EXPECT_EQ(top.sorted().size(), 1u);
 }
 
@@ -1047,7 +1040,7 @@ TEST(Detector, ConcurrentFirstUseOfTheLazyLayoutsIsSafeAndExact) {
 
   const Detector fresh(d);
   constexpr int kThreads = 6;
-  std::vector<std::vector<std::vector<ScoredTriplet>>> got(kThreads);
+  std::vector<std::vector<std::vector<ScoredOf<3>>>> got(kThreads);
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
@@ -1060,11 +1053,11 @@ TEST(Detector, ConcurrentFirstUseOfTheLazyLayoutsIsSafeAndExact) {
   }
   for (auto& th : pool) th.join();
 
-  const auto expect_same = [](const std::vector<ScoredTriplet>& a,
-                              const std::vector<ScoredTriplet>& b) {
+  const auto expect_same = [](const std::vector<ScoredOf<3>>& a,
+                              const std::vector<ScoredOf<3>>& b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].triplet, b[i].triplet) << i;
+      EXPECT_EQ(a[i].snps, b[i].snps) << i;
       EXPECT_EQ(a[i].score, b[i].score) << i;
     }
   };
@@ -1092,7 +1085,7 @@ TEST(Detector, RejectsBadOptions) {
   opt.top_k = 0;
   EXPECT_THROW(det.run(opt), std::invalid_argument);
   opt = {};
-  opt.range = {0, combinatorics::num_triplets(6) + 1};
+  opt.range = {0, combinatorics::n_choose_k(6, 3) + 1};
   EXPECT_THROW(det.run(opt), std::invalid_argument);
 }
 
@@ -1107,7 +1100,7 @@ TEST(Detector, AllVersionsAgreeOnBestTriplet) {
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
     ASSERT_FALSE(results[i].best.empty());
-    EXPECT_EQ(results[i].best[0].triplet, results[0].best[0].triplet)
+    EXPECT_EQ(results[i].best[0].snps, results[0].best[0].snps)
         << cpu_version_name(all_versions()[i]);
     EXPECT_DOUBLE_EQ(results[i].best[0].score, results[0].best[0].score);
   }
@@ -1130,7 +1123,7 @@ TEST_P(DetectorVersionTest, FindsPlantedInteraction) {
   opt.version = GetParam();
   const DetectionResult r = det.run(opt);
   ASSERT_FALSE(r.best.empty());
-  EXPECT_EQ(r.best[0].triplet, (Triplet{1, 3, 5}));
+  EXPECT_EQ(r.best[0].snps, (Combination<3>{1, 3, 5}));
 }
 
 TEST_P(DetectorVersionTest, DeterministicAcrossThreadCounts) {
@@ -1145,7 +1138,7 @@ TEST_P(DetectorVersionTest, DeterministicAcrossThreadCounts) {
     const DetectionResult multi = det.run(opt);
     ASSERT_EQ(multi.best.size(), one.best.size());
     for (std::size_t i = 0; i < one.best.size(); ++i) {
-      EXPECT_EQ(multi.best[i].triplet, one.best[i].triplet) << i;
+      EXPECT_EQ(multi.best[i].snps, one.best[i].snps) << i;
       EXPECT_DOUBLE_EQ(multi.best[i].score, one.best[i].score) << i;
     }
   }
@@ -1153,7 +1146,7 @@ TEST_P(DetectorVersionTest, DeterministicAcrossThreadCounts) {
 
 TEST_P(DetectorVersionTest, TieBreakingMakesOneAndEightThreadsIdentical) {
   // A dataset with duplicated SNP columns produces exact score ties; the
-  // rank tie-break in TopK and in the final merge must make the reported
+  // rank tie-break in BasicTopK and in the final merge must make the reported
   // top-k identical whatever the thread count.
   const auto base = random_dataset({7, 160, 77});
   dataset::GenotypeMatrix d(14, base.num_samples());
@@ -1176,7 +1169,7 @@ TEST_P(DetectorVersionTest, TieBreakingMakesOneAndEightThreadsIdentical) {
   const DetectionResult eight = det.run(opt);
   ASSERT_EQ(one.best.size(), eight.best.size());
   for (std::size_t i = 0; i < one.best.size(); ++i) {
-    EXPECT_EQ(eight.best[i].triplet, one.best[i].triplet) << i;
+    EXPECT_EQ(eight.best[i].snps, one.best[i].snps) << i;
     EXPECT_DOUBLE_EQ(eight.best[i].score, one.best[i].score) << i;
   }
 }
@@ -1187,7 +1180,7 @@ TEST_P(DetectorVersionTest, CountsAndMetadata) {
   DetectorOptions opt;
   opt.version = GetParam();
   const DetectionResult r = det.run(opt);
-  EXPECT_EQ(r.combinations_evaluated, combinatorics::num_triplets(10));
+  EXPECT_EQ(r.combinations_evaluated, combinatorics::n_choose_k(10, 3));
   EXPECT_EQ(r.elements, r.combinations_evaluated * 100);
   EXPECT_GT(r.seconds, 0.0);
   EXPECT_GT(r.elements_per_second(), 0.0);
@@ -1233,7 +1226,7 @@ TEST(Detector, AllIsasProduceIdenticalResults) {
     const DetectionResult r = det.run(opt);
     ASSERT_EQ(r.best.size(), ref.best.size());
     for (std::size_t i = 0; i < ref.best.size(); ++i) {
-      EXPECT_EQ(r.best[i].triplet, ref.best[i].triplet)
+      EXPECT_EQ(r.best[i].snps, ref.best[i].snps)
           << kernel_isa_name(isa) << " rank " << i;
       EXPECT_DOUBLE_EQ(r.best[i].score, ref.best[i].score);
     }
@@ -1249,7 +1242,7 @@ TEST(Detector, ObjectivesRankPlantedTripleFirst) {
     opt.objective = o;
     const DetectionResult r = det.run(opt);
     ASSERT_FALSE(r.best.empty());
-    EXPECT_EQ(r.best[0].triplet, (Triplet{1, 3, 5})) << objective_name(o);
+    EXPECT_EQ(r.best[0].snps, (Combination<3>{1, 3, 5})) << objective_name(o);
   }
 }
 
@@ -1263,7 +1256,7 @@ TEST(Detector, TopKSortedAndUnique) {
   std::set<std::uint64_t> ranks;
   for (std::size_t i = 0; i < r.best.size(); ++i) {
     if (i > 0) EXPECT_LE(r.best[i - 1].score, r.best[i].score);
-    ranks.insert(combinatorics::rank_triplet(r.best[i].triplet));
+    ranks.insert(combinatorics::rank_combination<3>(r.best[i].snps));
   }
   EXPECT_EQ(ranks.size(), 20u);
 }
@@ -1271,7 +1264,7 @@ TEST(Detector, TopKSortedAndUnique) {
 TEST(Detector, RangeRestrictionSplitsCoverageForEveryVersion) {
   const auto d = random_dataset({10, 100, 19});
   const Detector det(d);
-  const std::uint64_t total = combinatorics::num_triplets(10);
+  const std::uint64_t total = combinatorics::n_choose_k(10, 3);
 
   for (const CpuVersion v : all_versions()) {
     DetectorOptions full;
@@ -1290,7 +1283,7 @@ TEST(Detector, RangeRestrictionSplitsCoverageForEveryVersion) {
       EXPECT_EQ(a.combinations_evaluated + b.combinations_evaluated, total);
       const auto& merged_best =
           a.best[0].score <= b.best[0].score ? a.best[0] : b.best[0];
-      EXPECT_EQ(merged_best.triplet, best_full.triplet)
+      EXPECT_EQ(merged_best.snps, best_full.snps)
           << cpu_version_name(v) << " s=" << s;
     }
   }
@@ -1303,7 +1296,7 @@ TEST(Detector, KWaySplitReproducesFullTopKExactly) {
   // boundaries are deliberately unaligned).
   const auto d = random_dataset({16, 200, 7});
   const Detector det(d);
-  const std::uint64_t total = combinatorics::num_triplets(16);
+  const std::uint64_t total = combinatorics::n_choose_k(16, 3);
 
   for (const TilingParams tiling : {TilingParams{0, 0}, TilingParams{3, 16},
                                     TilingParams{5, 8}}) {
@@ -1316,7 +1309,7 @@ TEST(Detector, KWaySplitReproducesFullTopKExactly) {
     const auto full = det.run(base);
 
     for (const unsigned k : {2u, 3u, 5u, 8u}) {
-      TopK merged(base.top_k);
+      BasicTopK<ScoredOf<3>> merged(base.top_k);
       std::uint64_t covered = 0;
       for (unsigned i = 0; i < k; ++i) {
         DetectorOptions part = base;
@@ -1329,7 +1322,7 @@ TEST(Detector, KWaySplitReproducesFullTopKExactly) {
       const auto got = merged.sorted();
       ASSERT_EQ(got.size(), full.best.size()) << k;
       for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].triplet, full.best[i].triplet)
+        EXPECT_EQ(got[i].snps, full.best[i].snps)
             << "k=" << k << " bs=" << tiling.bs << " rank " << i << " "
             << cpu_version_name(version);
         EXPECT_DOUBLE_EQ(got[i].score, full.best[i].score);
@@ -1345,7 +1338,7 @@ TEST(Detector, V5BitIdenticalToV2OverRandomRankRanges) {
   // over the full space and over arbitrary K-way rank splits.
   const auto d = random_dataset({17, 210, 97});
   const Detector det(d);
-  const std::uint64_t total = combinatorics::num_triplets(17);
+  const std::uint64_t total = combinatorics::n_choose_k(17, 3);
 
   DetectorOptions ref_opt;
   ref_opt.version = CpuVersion::kV2Split;
@@ -1363,7 +1356,7 @@ TEST(Detector, V5BitIdenticalToV2OverRandomRankRanges) {
     const auto full = det.run(v5);
     ASSERT_EQ(full.best.size(), ref.best.size()) << kernel_isa_name(isa);
     for (std::size_t i = 0; i < ref.best.size(); ++i) {
-      EXPECT_EQ(full.best[i].triplet, ref.best[i].triplet)
+      EXPECT_EQ(full.best[i].snps, ref.best[i].snps)
           << kernel_isa_name(isa) << " rank " << i;
       EXPECT_EQ(full.best[i].score, ref.best[i].score)
           << kernel_isa_name(isa) << " rank " << i;
@@ -1380,7 +1373,7 @@ TEST(Detector, V5BitIdenticalToV2OverRandomRankRanges) {
       }
       std::sort(cuts.begin(), cuts.end());
       cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-      TopK acc(v5.top_k);
+      BasicTopK<ScoredOf<3>> acc(v5.top_k);
       std::uint64_t covered = 0;
       for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
         DetectorOptions part = v5;
@@ -1393,7 +1386,7 @@ TEST(Detector, V5BitIdenticalToV2OverRandomRankRanges) {
       const auto got = acc.sorted();
       ASSERT_EQ(got.size(), ref.best.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].triplet, ref.best[i].triplet)
+        EXPECT_EQ(got[i].snps, ref.best[i].snps)
             << kernel_isa_name(isa) << " round " << round << " rank " << i;
         EXPECT_EQ(got[i].score, ref.best[i].score);
       }
@@ -1406,7 +1399,7 @@ TEST(Detector, BlockedPartialRangeCountsEveryTripletOnce) {
   // (each in-range triplet is emitted exactly once across boundary blocks).
   const auto d = random_dataset({12, 96, 3});
   const Detector det(d);
-  const std::uint64_t total = combinatorics::num_triplets(12);
+  const std::uint64_t total = combinatorics::n_choose_k(12, 3);
   for (const CpuVersion v : {CpuVersion::kV3Blocked, CpuVersion::kV4Vector,
                              CpuVersion::kV5PairCache}) {
     for (const std::uint64_t first : {std::uint64_t{0}, total / 3}) {
@@ -1438,13 +1431,13 @@ TEST(Detector, ProgressCallbackIsMonotoneAndComplete) {
     opt.chunk_size = 7;
     std::vector<std::uint64_t> reports;
     opt.progress = [&](std::uint64_t done, std::uint64_t total) {
-      EXPECT_EQ(total, combinatorics::num_triplets(12));
+      EXPECT_EQ(total, combinatorics::n_choose_k(12, 3));
       reports.push_back(done);
     };
     det.run(opt);
     ASSERT_FALSE(reports.empty()) << cpu_version_name(v);
     EXPECT_TRUE(std::is_sorted(reports.begin(), reports.end()));
-    EXPECT_EQ(reports.back(), combinatorics::num_triplets(12))
+    EXPECT_EQ(reports.back(), combinatorics::n_choose_k(12, 3))
         << cpu_version_name(v);
   }
 }
@@ -1472,7 +1465,7 @@ TEST(Detector, ChunkSizeDoesNotChangeResults)
     opt.chunk_size = chunk;
     const auto r = det.run(opt);
     for (std::size_t i = 0; i < ref.best.size(); ++i) {
-      EXPECT_EQ(r.best[i].triplet, ref.best[i].triplet) << chunk;
+      EXPECT_EQ(r.best[i].snps, ref.best[i].snps) << chunk;
     }
   }
 }

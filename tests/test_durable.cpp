@@ -44,8 +44,8 @@ namespace {
 // leading zero digits, a quarantined shard and a leased one that persists
 // as pending.
 
-shard::ShardResult golden_shard_result() {
-  shard::ShardResult r;
+shard::BasicShardResult<core::ScoredOf<3>> golden_shard_result() {
+  shard::BasicShardResult<core::ScoredOf<3>> r;
   r.fingerprint = 0x0123456789abcdefull;
   r.num_snps = 12;
   r.num_samples = 64;
@@ -61,8 +61,8 @@ shard::ShardResult golden_shard_result() {
   return r;
 }
 
-shard::PairCheckpoint golden_checkpoint() {
-  shard::PairCheckpoint c;
+shard::BasicCheckpoint<core::ScoredOf<2>> golden_checkpoint() {
+  shard::BasicCheckpoint<core::ScoredOf<2>> c;
   c.fingerprint = 0xfedcba9876543210ull;
   c.num_snps = 20;
   c.num_samples = 100;
@@ -201,20 +201,20 @@ const std::vector<Format>& formats() {
       {"shard_v2",
        [](const std::string& t) {
          std::istringstream is(t);
-         return render(&shard::write_shard_result<core::ScoredTriplet>,
-                       shard::read_shard_result(is));
+         return render(&shard::write_shard_result<core::ScoredOf<3>>,
+                       shard::read_shard_result_as<core::ScoredOf<3>>(is));
        }},
       {"shard_v1",
        [](const std::string& t) {
          std::istringstream is(t);
-         return render(&shard::write_shard_result<core::ScoredTriplet>,
-                       shard::read_shard_result(is));
+         return render(&shard::write_shard_result<core::ScoredOf<3>>,
+                       shard::read_shard_result_as<core::ScoredOf<3>>(is));
        }},
       {"checkpoint_v2",
        [](const std::string& t) {
          std::istringstream is(t);
-         return render(&shard::write_checkpoint<core::ScoredPair>,
-                       shard::read_pair_checkpoint(is));
+         return render(&shard::write_checkpoint<core::ScoredOf<2>>,
+                       shard::read_checkpoint_as<core::ScoredOf<2>>(is));
        }},
       {"fleet_v1", fleet_round_trip},
       {"tune_v1",
@@ -390,9 +390,8 @@ TEST(DurableGolden, ReadersAcceptGoldenFilesAndRoundTripThem) {
     const std::string want = golden(f.name == "shard_v1" ? "shard_v2" : f.name);
     EXPECT_EQ(f.round_trip(golden(f.name)), want);
   }
-  const shard::ShardResult v1 =
-      shard::read_shard_result_file(std::string(TRIGEN_TEST_DATA_DIR) +
-                                    "/shard_v1.golden");
+  const auto v1 = shard::read_shard_result_file_as<core::ScoredOf<3>>(
+      std::string(TRIGEN_TEST_DATA_DIR) + "/shard_v1.golden");
   EXPECT_EQ(v1.fingerprint, golden_shard_result().fingerprint);
   EXPECT_EQ(v1.entries.size(), 5u);
 }
@@ -453,7 +452,7 @@ void expect_all_or_nothing(const std::string& path,
 }
 
 TEST(DurableWrite, EveryWriterIsAllOrNothingUnderEfbig) {
-  shard::ShardResult r2 = golden_shard_result();
+  shard::BasicShardResult<core::ScoredOf<3>> r2 = golden_shard_result();
   r2.seconds = 9.0;
   const std::string shard_path = temp_path("efbig.shard");
   expect_all_or_nothing(
@@ -463,7 +462,7 @@ TEST(DurableWrite, EveryWriterIsAllOrNothingUnderEfbig) {
       },
       [&] { shard::write_shard_result_file(shard_path, r2); });
 
-  shard::PairCheckpoint c2 = golden_checkpoint();
+  shard::BasicCheckpoint<core::ScoredOf<2>> c2 = golden_checkpoint();
   c2.seconds = 9.0;
   const std::string ckpt_path = temp_path("efbig.ckpt");
   expect_all_or_nothing(

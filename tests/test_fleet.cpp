@@ -390,7 +390,7 @@ struct Rig {
   /// `stop_after` ranks are done (leaving a durable checkpoint behind) —
   /// and writes the result file iff the scan completed.
   bool scan_grant(const Reply& grant, std::uint64_t stop_after = 0) {
-    shard::ShardRunOptions ro;
+    shard::BasicShardRunOptions<core::DetectorOptions> ro;
     ro.detector.top_k = static_cast<std::size_t>(num(grant, "top"));
     ro.range = range_of(grant);
     ro.checkpoint_path = grant.params.at("ckpt");
@@ -400,7 +400,7 @@ struct Rig {
         return done < stop_after;
       };
     }
-    const auto rep = shard::run_shard(det, fp, ro);
+    const auto rep = shard::run_shard_of<3>(det, fp, ro);
     if (rep.completed) {
       shard::write_shard_result_file(grant.params.at("out"), rep.result);
     }
@@ -426,9 +426,11 @@ struct Rig {
     FAIL() << "fleet did not drain";
   }
 
-  std::vector<std::string> reference_csv() {
+  std::vector<std::string> reference_csv(
+      core::Objective objective = core::Objective::kK2) {
     core::DetectorOptions opt;
     opt.top_k = 8;
+    opt.objective = objective;
     return core::scan_csv_lines<3>(det.run(opt).best);
   }
 };
@@ -679,11 +681,15 @@ TEST(FleetProtocol, ParsesFleetVerbs) {
 
 #ifndef _WIN32
 
-TEST(FleetSocket, TwoWorkersDrainTheFleetBitIdentically) {
-  Rig rig("socket");  // only borrowing the dataset/reference helpers
-  auto co = rig.base_options();
+/// Drains a six-shard coordinator with options `co` (real clock) through
+/// a real Unix socket with two run_worker threads; returns the
+/// coordinator's final CSV after checking every exit code and the CSV file
+/// it wrote.  A worker that gives up (a fleet stalled on quarantined
+/// shards) still ends the session: the endpoint is interrupted once both
+/// workers are gone.
+std::vector<std::string> drain_socket_fleet(Rig& rig, CoordinatorOptions co) {
+  const core::Objective objective = co.objective;
   co.shards = 6;
-  co.lease_ms = 30000;  // real clock from here on; no fake expiries
   co.now_ms = {};
   co.spool = rig.spool;
   co.out = rig.spool + "/fleet.csv";
@@ -710,18 +716,42 @@ TEST(FleetSocket, TwoWorkersDrainTheFleetBitIdentically) {
   std::thread w2(worker, "w2", std::ref(rc2));
   w1.join();
   w2.join();
+  if (!coordinator.finished()) interrupted = true;
   endpoint.join();
 
+  EXPECT_TRUE(coordinator.finished()) << core::objective_name(objective);
   EXPECT_EQ(endpoint_rc, 0);
   EXPECT_EQ(rc1, 0);
   EXPECT_EQ(rc2, 0);
-  EXPECT_EQ(coordinator.final_csv(), rig.reference_csv());
-  // And the CSV file the coordinator wrote matches line for line.
+  // The CSV file the coordinator wrote matches its final CSV line for line.
   std::ifstream csv(rig.spool + "/fleet.csv");
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(csv, line)) lines.push_back(line);
-  EXPECT_EQ(lines, rig.reference_csv());
+  EXPECT_EQ(lines, coordinator.final_csv());
+  return coordinator.final_csv();
+}
+
+TEST(FleetSocket, TwoWorkersDrainTheFleetBitIdentically) {
+  Rig rig("socket");  // only borrowing the dataset/reference helpers
+  auto co = rig.base_options();
+  co.lease_ms = 30000;  // real clock from here on; no fake expiries
+  EXPECT_EQ(drain_socket_fleet(rig, co), rig.reference_csv());
+}
+
+TEST(FleetSocket, EveryObjectiveDrainsToTheSingleProcessCsv) {
+  // The grant spells the objective by its canonical name
+  // ("mutual-information", "chi-squared"); the workers must accept it.
+  for (const core::Objective o :
+       {core::Objective::kMutualInformation, core::Objective::kChiSquared}) {
+    Rig rig("socket-" + core::objective_name(o));
+    auto co = rig.base_options();
+    co.objective = o;
+    co.lease_ms = 5000;   // a rejected grant fails fast: its lease
+    co.max_failures = 1;  // expires and the shard is quarantined
+    EXPECT_EQ(drain_socket_fleet(rig, co), rig.reference_csv(o))
+        << core::objective_name(o);
+  }
 }
 
 #endif  // !_WIN32

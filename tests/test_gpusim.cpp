@@ -13,8 +13,6 @@
 namespace trigen::gpusim {
 namespace {
 
-using combinatorics::Triplet;
-using scoring::reference_contingency;
 using trigen::test::Shape;
 using trigen::test::planted_dataset;
 using trigen::test::random_dataset;
@@ -22,7 +20,7 @@ using trigen::test::small_shapes;
 
 WorkloadShape paper_workload(std::uint64_t snps, std::uint64_t samples) {
   WorkloadShape w;
-  w.triplets = combinatorics::num_triplets(snps);
+  w.triplets = combinatorics::n_choose_k(snps, 3);
   w.samples = samples;
   w.words_total = dataset::padded_words_for(samples / 2) * 2;
   return w;
@@ -102,10 +100,10 @@ TEST_P(GpuKernelShapeTest, AllVersionsMatchReference) {
   const auto tiled = dataset::TiledPlanes::build(d, 4);
 
   const std::size_t m = d.num_snps();
-  for (std::size_t x = 0; x < m; ++x) {
-    for (std::size_t y = x + 1; y < m; ++y) {
-      for (std::size_t z = y + 1; z < m; ++z) {
-        const auto ref = reference_contingency(d, x, y, z);
+  for (std::uint32_t x = 0; x < m; ++x) {
+    for (std::uint32_t y = x + 1; y < m; ++y) {
+      for (std::uint32_t z = y + 1; z < m; ++z) {
+        const auto ref = scoring::reference_contingency_k<3>(d, {x, y, z});
         ASSERT_EQ(gpu_thread_v1(v1, x, y, z), ref);
         ASSERT_EQ(gpu_thread_v2(split, x, y, z), ref);
         ASSERT_EQ(gpu_thread_v3(trans, x, y, z), ref);
@@ -362,7 +360,7 @@ TEST(Simulator, MatchesCpuDetectorOnPlantedData) {
     opt.version = v;
     const GpuRunResult r = sim.run(opt);
     ASSERT_FALSE(r.best.empty()) << gpu_version_name(v);
-    EXPECT_EQ(r.best[0].triplet, cpu_best.triplet) << gpu_version_name(v);
+    EXPECT_EQ(r.best[0].snps, cpu_best.snps) << gpu_version_name(v);
     EXPECT_DOUBLE_EQ(r.best[0].score, cpu_best.score);
   }
 }
@@ -373,7 +371,7 @@ TEST(Simulator, LaunchAccounting) {
   GpuRunOptions opt;
   opt.launch.bsched = 4;  // 64 combinations per enqueue
   const GpuRunResult r = sim.run(opt);
-  const std::uint64_t total = combinatorics::num_triplets(12);
+  const std::uint64_t total = combinatorics::n_choose_k(12, 3);
   EXPECT_EQ(r.triplets, total);
   EXPECT_EQ(r.launches, (total + 63) / 64);
 }
@@ -381,7 +379,7 @@ TEST(Simulator, LaunchAccounting) {
 TEST(Simulator, RangeRestriction) {
   const auto d = random_dataset({10, 64, 3});
   const GpuSimulator sim(gpu_device("GA3"), d);
-  const std::uint64_t total = combinatorics::num_triplets(10);
+  const std::uint64_t total = combinatorics::n_choose_k(10, 3);
   GpuRunOptions opt;
   opt.range = {10, 50};
   const GpuRunResult r = sim.run(opt);

@@ -7,7 +7,7 @@
 namespace trigen::hetero {
 namespace {
 
-using combinatorics::Triplet;
+using combinatorics::Combination;
 using trigen::test::planted_dataset;
 using trigen::test::random_dataset;
 
@@ -56,9 +56,9 @@ TEST_P(HeteroShareTest, AnySplitFindsGlobalBest) {
   opt.cpu_share = GetParam();
   const HeteroResult r = h.run(opt);
   ASSERT_FALSE(r.best.empty());
-  EXPECT_EQ(r.best[0].triplet, (Triplet{1, 3, 5}));
+  EXPECT_EQ(r.best[0].snps, (Combination<3>{1, 3, 5}));
   EXPECT_EQ(r.cpu_triplets + r.gpu_triplets,
-            combinatorics::num_triplets(10));
+            combinatorics::n_choose_k(10, 3));
 }
 
 TEST(HeteroCoordinator, CalibratedShareIsSane) {
@@ -97,7 +97,7 @@ TEST(HeteroCoordinator, CpuSideRunsCachedBlockedV5WithTheWidestIsa) {
   if (core::best_kernel_isa() != core::KernelIsa::kScalar) {
     EXPECT_NE(r.cpu_isa_used, core::KernelIsa::kScalar);
   }
-  EXPECT_EQ(r.best[0].triplet, (Triplet{1, 3, 5}));
+  EXPECT_EQ(r.best[0].snps, (Combination<3>{1, 3, 5}));
 }
 
 TEST(HeteroCoordinator, CpuVersionOptionSelectsTheEngine) {
@@ -109,7 +109,7 @@ TEST(HeteroCoordinator, CpuVersionOptionSelectsTheEngine) {
   opt.cpu_version = core::CpuVersion::kV4Vector;
   const HeteroResult r = h.run(opt);
   EXPECT_EQ(r.cpu_version, core::CpuVersion::kV4Vector);
-  EXPECT_EQ(r.best[0].triplet, (Triplet{1, 3, 5}));
+  EXPECT_EQ(r.best[0].snps, (Combination<3>{1, 3, 5}));
 }
 
 TEST(HeteroCoordinator, CalibrationMeasuresTheConfiguredEngine) {
@@ -131,7 +131,7 @@ TEST(HeteroCoordinator, MatchesHomogeneousResults) {
   opt.cpu_share = 0.4;
   opt.top_k = 3;
   const HeteroResult r = h.run(opt);
-  EXPECT_EQ(r.best[0].triplet, expected.triplet);
+  EXPECT_EQ(r.best[0].snps, expected.snps);
   EXPECT_DOUBLE_EQ(r.best[0].score, expected.score);
 }
 

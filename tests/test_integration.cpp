@@ -12,7 +12,7 @@
 namespace trigen {
 namespace {
 
-using combinatorics::Triplet;
+using combinatorics::Combination;
 using trigen::test::planted_dataset;
 using trigen::test::random_dataset;
 
@@ -20,7 +20,7 @@ using trigen::test::random_dataset;
 /// dataset, must converge on the same triplet.
 TEST(Integration, AllEnginesAgreeOnPlantedTriple) {
   const auto d = planted_dataset(12, 1200, 7);
-  const Triplet expected{1, 3, 5};
+  const Combination<3> expected{1, 3, 5};
 
   // CPU ladder.
   const core::Detector det(d);
@@ -29,7 +29,7 @@ TEST(Integration, AllEnginesAgreeOnPlantedTriple) {
         core::CpuVersion::kV3Blocked, core::CpuVersion::kV4Vector}) {
     core::DetectorOptions opt;
     opt.version = v;
-    EXPECT_EQ(det.run(opt).best[0].triplet, expected)
+    EXPECT_EQ(det.run(opt).best[0].snps, expected)
         << core::cpu_version_name(v);
   }
 
@@ -40,19 +40,19 @@ TEST(Integration, AllEnginesAgreeOnPlantedTriple) {
         gpusim::GpuVersion::kV3Transposed, gpusim::GpuVersion::kV4Tiled}) {
     gpusim::GpuRunOptions opt;
     opt.version = v;
-    EXPECT_EQ(sim.run(opt).best[0].triplet, expected)
+    EXPECT_EQ(sim.run(opt).best[0].snps, expected)
         << gpusim::gpu_version_name(v);
   }
 
   // MPI3SNP-style baseline (mutual information objective).
   const baseline::Mpi3SnpEngine base(d);
-  EXPECT_EQ(base.run(2).best[0].triplet, expected);
+  EXPECT_EQ(base.run(2).best[0].snps, expected);
 
   // Heterogeneous co-run.
   const hetero::HeteroCoordinator h(d, gpusim::gpu_device("GN3"));
   hetero::HeteroOptions hopt;
   hopt.cpu_share = 0.3;
-  EXPECT_EQ(h.run(hopt).best[0].triplet, expected);
+  EXPECT_EQ(h.run(hopt).best[0].snps, expected);
 }
 
 /// Serialization in the loop: write, read back, detect.
@@ -68,7 +68,7 @@ TEST(Integration, DetectAfterIoRoundTrip) {
   ASSERT_EQ(from_binary, d);
 
   const core::Detector det(from_text);
-  EXPECT_EQ(det.run({}).best[0].triplet, (Triplet{1, 3, 5}));
+  EXPECT_EQ(det.run({}).best[0].snps, (Combination<3>{1, 3, 5}));
 }
 
 /// The paper's headline metric is invariant across engines: equal element
@@ -107,7 +107,7 @@ TEST(Integration, DetectsAllInteractionModels) {
     const auto d = dataset::generate(spec);
 
     const core::Detector det(d);
-    EXPECT_EQ(det.run({}).best[0].triplet, (Triplet{2, 4, 8}))
+    EXPECT_EQ(det.run({}).best[0].snps, (Combination<3>{2, 4, 8}))
         << "model " << static_cast<int>(model);
   }
 }
@@ -127,7 +127,7 @@ TEST(Integration, TopKConsistentAcrossEngines) {
   const auto b = sim.run(gopt).best;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].triplet, b[i].triplet) << i;
+    EXPECT_EQ(a[i].snps, b[i].snps) << i;
     EXPECT_DOUBLE_EQ(a[i].score, b[i].score) << i;
   }
 }
@@ -141,7 +141,7 @@ TEST(Integration, ExtremeClassImbalance) {
   core::DetectorOptions opt;
   opt.version = core::CpuVersion::kV1Naive;
   const auto naive = det.run(opt);
-  EXPECT_EQ(ref.best[0].triplet, naive.best[0].triplet);
+  EXPECT_EQ(ref.best[0].snps, naive.best[0].snps);
   EXPECT_DOUBLE_EQ(ref.best[0].score, naive.best[0].score);
 }
 

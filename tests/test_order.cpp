@@ -20,7 +20,6 @@
 #include "trigen/core/detector.hpp"
 #include "trigen/scoring/contingency.hpp"
 #include "trigen/scoring/generic.hpp"
-#include "trigen/scoring/k2.hpp"
 
 namespace trigen {
 namespace {

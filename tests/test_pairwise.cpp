@@ -6,9 +6,7 @@
 
 #include "test_util.hpp"
 #include "trigen/core/detector.hpp"
-#include "trigen/scoring/chi_squared.hpp"
 #include "trigen/scoring/generic.hpp"
-#include "trigen/scoring/mutual_information.hpp"
 
 namespace trigen::core {
 namespace {
@@ -25,27 +23,27 @@ using trigen::test::small_shapes;
 // --------------------------------------------------------------------------
 
 TEST(PairRank, FirstPairs) {
-  EXPECT_EQ(combinatorics::rank_pair({0, 1}), 0u);
-  EXPECT_EQ(combinatorics::rank_pair({0, 2}), 1u);
-  EXPECT_EQ(combinatorics::rank_pair({1, 2}), 2u);
-  EXPECT_EQ(combinatorics::rank_pair({0, 3}), 3u);
+  EXPECT_EQ(combinatorics::rank_combination<2>({0, 1}), 0u);
+  EXPECT_EQ(combinatorics::rank_combination<2>({0, 2}), 1u);
+  EXPECT_EQ(combinatorics::rank_combination<2>({1, 2}), 2u);
+  EXPECT_EQ(combinatorics::rank_combination<2>({0, 3}), 3u);
 }
 
 TEST(PairRank, CountsMatch) {
-  EXPECT_EQ(combinatorics::num_pairs(2), 1u);
-  EXPECT_EQ(combinatorics::num_pairs(10), 45u);
-  EXPECT_EQ(combinatorics::num_pairs(1000), 499500u);
+  EXPECT_EQ(combinatorics::n_choose_k(2, 2), 1u);
+  EXPECT_EQ(combinatorics::n_choose_k(10, 2), 45u);
+  EXPECT_EQ(combinatorics::n_choose_k(1000, 2), 499500u);
 }
 
 TEST(PairRank, ExhaustiveOrdering) {
   std::uint64_t rank = 0;
   for (std::uint32_t y = 1; y < 60; ++y) {
     for (std::uint32_t x = 0; x < y; ++x) {
-      ASSERT_EQ(combinatorics::rank_pair({x, y}), rank);
+      ASSERT_EQ(combinatorics::rank_combination<2>({x, y}), rank);
       ++rank;
     }
   }
-  EXPECT_EQ(rank, combinatorics::num_pairs(60));
+  EXPECT_EQ(rank, combinatorics::n_choose_k(60, 2));
 }
 
 // --------------------------------------------------------------------------
@@ -54,7 +52,7 @@ TEST(PairRank, ExhaustiveOrdering) {
 
 TEST(PairTableRef, CountsEverySampleOnce) {
   const auto d = random_dataset({6, 100, 3});
-  const scoring::PairContingencyTable t =
+  const scoring::BasicContingencyTable<2> t =
       scoring::reference_contingency_k<2>(d, {1, 4});
   std::uint32_t total = 0;
   for (int c = 0; c < 2; ++c) {
@@ -76,7 +74,7 @@ TEST_P(PairKernelShapeTest, KernelMatchesReferenceForEveryIsa) {
     if (!core::kernel_available(isa)) continue;
     for (std::uint32_t x = 0; x < m; ++x) {
       for (std::uint32_t y = x + 1; y < m; ++y) {
-        ASSERT_EQ(det.contingency(x, y, isa),
+        ASSERT_EQ(det.contingency({x, y}, isa),
                   scoring::reference_contingency_k<2>(d, {x, y}))
             << core::kernel_isa_name(isa) << " " << x << "," << y;
       }
@@ -87,8 +85,8 @@ TEST_P(PairKernelShapeTest, KernelMatchesReferenceForEveryIsa) {
 TEST(PairDetector, ContingencyArgumentValidation) {
   const auto d = random_dataset({5, 40, 7});
   const BasicDetector<2> det(d);
-  EXPECT_THROW((void)det.contingency(0, 5), std::out_of_range);
-  EXPECT_THROW((void)det.contingency(2, 2), std::out_of_range);
+  EXPECT_THROW((void)det.contingency({0, 5}), std::out_of_range);
+  EXPECT_THROW((void)det.contingency({2, 2}), std::out_of_range);
 }
 
 // --------------------------------------------------------------------------
@@ -121,8 +119,8 @@ TEST(PairDetector, FindsPlantedPair) {
   const BasicDetector<2> det(d);
   const auto r = det.run({});
   ASSERT_FALSE(r.best.empty());
-  EXPECT_EQ(r.best[0].x, 2u);
-  EXPECT_EQ(r.best[0].y, 6u);
+  EXPECT_EQ(r.best[0].snps[0], 2u);
+  EXPECT_EQ(r.best[0].snps[1], 6u);
 }
 
 TEST(PairDetector, AllObjectivesFindPlantedPair) {
@@ -134,8 +132,8 @@ TEST(PairDetector, AllObjectivesFindPlantedPair) {
     BasicDetectorOptions<2> opt;
     opt.objective = o;
     const auto r = det.run(opt);
-    EXPECT_EQ(r.best[0].x, 2u) << core::objective_name(o);
-    EXPECT_EQ(r.best[0].y, 6u) << core::objective_name(o);
+    EXPECT_EQ(r.best[0].snps[0], 2u) << core::objective_name(o);
+    EXPECT_EQ(r.best[0].snps[1], 6u) << core::objective_name(o);
   }
 }
 
@@ -154,8 +152,8 @@ TEST(PairDetector, AllIsasIdenticalResults) {
     const auto r = det.run(opt);
     ASSERT_EQ(r.best.size(), ref.best.size());
     for (std::size_t i = 0; i < ref.best.size(); ++i) {
-      EXPECT_EQ(r.best[i].x, ref.best[i].x) << i;
-      EXPECT_EQ(r.best[i].y, ref.best[i].y) << i;
+      EXPECT_EQ(r.best[i].snps[0], ref.best[i].snps[0]) << i;
+      EXPECT_EQ(r.best[i].snps[1], ref.best[i].snps[1]) << i;
       EXPECT_DOUBLE_EQ(r.best[i].score, ref.best[i].score) << i;
     }
   }
@@ -172,8 +170,8 @@ TEST(PairDetector, DeterministicAcrossThreads) {
     const auto multi = det.run(opt);
     ASSERT_EQ(multi.best.size(), one.best.size());
     for (std::size_t i = 0; i < one.best.size(); ++i) {
-      EXPECT_EQ(multi.best[i].x, one.best[i].x) << i;
-      EXPECT_EQ(multi.best[i].y, one.best[i].y) << i;
+      EXPECT_EQ(multi.best[i].snps[0], one.best[i].snps[0]) << i;
+      EXPECT_EQ(multi.best[i].snps[1], one.best[i].snps[1]) << i;
       EXPECT_DOUBLE_EQ(multi.best[i].score, one.best[i].score) << i;
     }
   }
@@ -183,7 +181,7 @@ TEST(PairDetector, CountsAndMetadata) {
   const auto d = random_dataset({12, 90, 17});
   const BasicDetector<2> det(d);
   const auto r = det.run({});
-  EXPECT_EQ(r.combinations_evaluated, combinatorics::num_pairs(12));
+  EXPECT_EQ(r.combinations_evaluated, combinatorics::n_choose_k(12, 2));
   EXPECT_EQ(r.elements, r.combinations_evaluated * 90);
   EXPECT_GT(r.seconds, 0.0);
   EXPECT_EQ(det.num_snps(), 12u);
@@ -199,8 +197,8 @@ TEST(PairDetector, TopKSortedUnique) {
   ASSERT_EQ(r.best.size(), 12u);
   for (std::size_t i = 1; i < r.best.size(); ++i) {
     EXPECT_LE(r.best[i - 1].score, r.best[i].score);
-    EXPECT_NE(combinatorics::rank_pair({r.best[i - 1].x, r.best[i - 1].y}),
-              combinatorics::rank_pair({r.best[i].x, r.best[i].y}));
+    EXPECT_NE(combinatorics::rank_combination<2>(r.best[i - 1].snps),
+              combinatorics::rank_combination<2>(r.best[i].snps));
   }
 }
 
@@ -211,7 +209,7 @@ TEST(PairDetector, BadOptionsThrow) {
   opt.top_k = 0;
   EXPECT_THROW(det.run(opt), std::invalid_argument);
   BasicDetectorOptions<2> bad_range;
-  bad_range.range = {0, combinatorics::num_pairs(6) + 1};
+  bad_range.range = {0, combinatorics::n_choose_k(6, 2) + 1};
   EXPECT_THROW(det.run(bad_range), std::invalid_argument);
 }
 
@@ -226,12 +224,12 @@ bool same_bits(double a, double b) {
   return ua == ub;
 }
 
-void expect_same_pairs(const std::vector<ScoredPair>& got,
-                       const std::vector<ScoredPair>& want) {
+void expect_same_pairs(const std::vector<ScoredOf<2>>& got,
+                       const std::vector<ScoredOf<2>>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].x, want[i].x) << "entry " << i;
-    EXPECT_EQ(got[i].y, want[i].y) << "entry " << i;
+    EXPECT_EQ(got[i].snps[0], want[i].snps[0]) << "entry " << i;
+    EXPECT_EQ(got[i].snps[1], want[i].snps[1]) << "entry " << i;
     EXPECT_TRUE(same_bits(got[i].score, want[i].score))
         << "entry " << i << ": " << got[i].score << " vs " << want[i].score;
   }
@@ -279,8 +277,8 @@ TEST(PairDetector, PlantedPairFoundByEveryVersion) {
     BasicDetectorOptions<2> opt;
     opt.version = version;
     const auto r = det.run(opt);
-    EXPECT_EQ(r.best[0].x, 2u) << core::cpu_version_name(version);
-    EXPECT_EQ(r.best[0].y, 6u) << core::cpu_version_name(version);
+    EXPECT_EQ(r.best[0].snps[0], 2u) << core::cpu_version_name(version);
+    EXPECT_EQ(r.best[0].snps[1], 6u) << core::cpu_version_name(version);
   }
 }
 
@@ -291,7 +289,7 @@ TEST(PairDetector, PlantedPairFoundByEveryVersion) {
 TEST(PairDetectorRange, KWayRandomSplitsReproduceTheFullScanExactly) {
   const auto d = random_dataset({18, 150, 37});
   const BasicDetector<2> det(d);
-  const std::uint64_t total = combinatorics::num_pairs(18);
+  const std::uint64_t total = combinatorics::n_choose_k(18, 2);
 
   BasicDetectorOptions<2> base;
   base.top_k = 9;
@@ -308,7 +306,7 @@ TEST(PairDetectorRange, KWayRandomSplitsReproduceTheFullScanExactly) {
     std::sort(cuts.begin(), cuts.end());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
-    core::PairTopK acc(base.top_k);
+    core::BasicTopK<core::ScoredOf<2>> acc(base.top_k);
     for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
       BasicDetectorOptions<2> opt = base;
       opt.range = {cuts[i], cuts[i + 1]};
@@ -334,7 +332,7 @@ TEST(PairDetectorRange, V5BitIdenticalToV2OverRandomRankRanges) {
   // random K-way splits, for every compiled-in ISA.
   const auto d = random_dataset({18, 150, 37});
   const BasicDetector<2> det(d);
-  const std::uint64_t total = combinatorics::num_pairs(18);
+  const std::uint64_t total = combinatorics::n_choose_k(18, 2);
 
   BasicDetectorOptions<2> ref_opt;
   ref_opt.version = core::CpuVersion::kV2Split;
@@ -360,7 +358,7 @@ TEST(PairDetectorRange, V5BitIdenticalToV2OverRandomRankRanges) {
       }
       std::sort(cuts.begin(), cuts.end());
       cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-      core::PairTopK acc(v5.top_k);
+      core::BasicTopK<core::ScoredOf<2>> acc(v5.top_k);
       std::uint64_t covered = 0;
       for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
         BasicDetectorOptions<2> part = v5;
@@ -378,11 +376,11 @@ TEST(PairDetectorRange, V5BitIdenticalToV2OverRandomRankRanges) {
 TEST(PairDetectorRange, SinglePairRangesCoverTheSpace) {
   const auto d = random_dataset({8, 100, 41});
   const BasicDetector<2> det(d);
-  const std::uint64_t total = combinatorics::num_pairs(8);
+  const std::uint64_t total = combinatorics::n_choose_k(8, 2);
   BasicDetectorOptions<2> base;
   base.top_k = 4;
   const auto full = det.run(base);
-  core::PairTopK acc(base.top_k);
+  core::BasicTopK<core::ScoredOf<2>> acc(base.top_k);
   for (std::uint64_t r = 0; r < total; ++r) {
     BasicDetectorOptions<2> opt = base;
     opt.range = {r, r + 1};
@@ -426,7 +424,7 @@ TEST(PairIdentityEdgeCases, CountPlusCompletionMatchesReferenceForEveryIsa) {
           core::get_cached_kernels(isa).count;
       for (std::uint32_t x = 0; x < d.num_snps(); ++x) {
         for (std::uint32_t y = 0; y < d.num_snps(); ++y) {
-          const scoring::PairContingencyTable want =
+          const scoring::BasicContingencyTable<2> want =
               scoring::reference_contingency_k<2>(d, {x, y});
           for (int c = 0; c < 2; ++c) {
             // Random word chunks exercise the vector bodies' scalar tails;
@@ -457,28 +455,8 @@ TEST(PairIdentityEdgeCases, CountPlusCompletionMatchesReferenceForEveryIsa) {
 }
 
 // --------------------------------------------------------------------------
-// Generic scorers agree with the 27-cell implementations
+// Pairwise penetrance
 // --------------------------------------------------------------------------
-
-TEST(GenericScoring, MatchesTripletScorersOn27Cells) {
-  const auto d = random_dataset({8, 400, 29});
-  const auto table = scoring::reference_contingency(d, 1, 4, 6);
-  const scoring::LogFactorialTable logfact(400 + 1);
-
-  const scoring::K2Score k2(400);
-  EXPECT_NEAR(
-      scoring::k2_score_cells(logfact, table.counts[0], table.counts[1]),
-      k2(table), 1e-9);
-
-  const scoring::MutualInformation mi;
-  EXPECT_NEAR(
-      scoring::mutual_information_cells(table.counts[0], table.counts[1]),
-      mi(table), 1e-12);
-
-  const scoring::ChiSquared chi;
-  EXPECT_NEAR(scoring::chi_squared_cells(table.counts[0], table.counts[1]),
-              chi(table), 1e-9);
-}
 
 TEST(GenericScoring, PairwisePenetranceIgnoresThirdSnp) {
   const auto t = dataset::make_penetrance_pairwise(

@@ -19,16 +19,13 @@
 #include "trigen/dataset/io.hpp"
 #include "trigen/gpusim/cost_model.hpp"
 #include "trigen/gpusim/device_spec.hpp"
-#include "trigen/scoring/k2.hpp"
-#include "trigen/scoring/mutual_information.hpp"
+#include "trigen/scoring/generic.hpp"
 
 namespace trigen {
 namespace {
 
-using combinatorics::Triplet;
 using dataset::GenotypeMatrix;
 using scoring::ContingencyTable;
-using scoring::reference_contingency;
 using trigen::test::random_dataset;
 
 // --------------------------------------------------------------------------
@@ -46,8 +43,9 @@ GenotypeMatrix flip_classes(const GenotypeMatrix& d) {
 TEST(Symmetry, ClassFlipSwapsContingencyColumns) {
   const auto d = random_dataset({8, 123, 51});
   const auto flipped = flip_classes(d);
-  const ContingencyTable a = reference_contingency(d, 1, 3, 6);
-  const ContingencyTable b = reference_contingency(flipped, 1, 3, 6);
+  const ContingencyTable a = scoring::reference_contingency_k<3>(d, {1, 3, 6});
+  const ContingencyTable b =
+      scoring::reference_contingency_k<3>(flipped, {1, 3, 6});
   EXPECT_EQ(a.counts[0], b.counts[1]);
   EXPECT_EQ(a.counts[1], b.counts[0]);
 }
@@ -66,7 +64,7 @@ TEST(Symmetry, ScoresInvariantUnderClassFlip) {
     const auto b = core::Detector(flipped).run(opt);
     ASSERT_EQ(a.best.size(), b.best.size());
     for (std::size_t i = 0; i < a.best.size(); ++i) {
-      EXPECT_EQ(a.best[i].triplet, b.best[i].triplet)
+      EXPECT_EQ(a.best[i].snps, b.best[i].snps)
           << core::objective_name(o) << " rank " << i;
       EXPECT_NEAR(a.best[i].score, b.best[i].score, 1e-9);
     }
@@ -90,18 +88,18 @@ TEST(Linearity, DuplicatingSamplesDoublesCounts) {
     doubled.set_phenotype(j, d.phenotype(j));
     doubled.set_phenotype(j + 77, d.phenotype(j));
   }
-  const ContingencyTable once = reference_contingency(d, 0, 2, 4);
-  const ContingencyTable twice = reference_contingency(doubled, 0, 2, 4);
+  const ContingencyTable once =
+      scoring::reference_contingency_k<3>(d, {0, 2, 4});
+  const ContingencyTable twice =
+      scoring::reference_contingency_k<3>(doubled, {0, 2, 4});
   // Check through the kernel path too.
   const auto planes = dataset::PhenoSplitPlanes::build(doubled);
   const ContingencyTable kernel_twice =
-      core::contingency_split(planes, 0, 2, 4);
-  for (int c = 0; c < 2; ++c) {
-    for (int i = 0; i < scoring::kCells; ++i) {
-      const auto cs = static_cast<std::size_t>(c);
-      const auto is = static_cast<std::size_t>(i);
-      ASSERT_EQ(twice.counts[cs][is], 2 * once.counts[cs][is]);
-      ASSERT_EQ(kernel_twice.counts[cs][is], 2 * once.counts[cs][is]);
+      core::contingency_split<3>(planes, {0, 2, 4});
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t i = 0; i < ContingencyTable::kNumCells; ++i) {
+      ASSERT_EQ(twice.counts[c][i], 2 * once.counts[c][i]);
+      ASSERT_EQ(kernel_twice.counts[c][i], 2 * once.counts[c][i]);
     }
   }
 }
@@ -125,9 +123,9 @@ TEST(Equivariance, ReversingSnpOrderMapsBestTriplet) {
   const auto a = core::Detector(d).run({}).best[0];
   const auto b = core::Detector(reversed).run({}).best[0];
   // (x, y, z) maps to sorted (m-1-z, m-1-y, m-1-x).
-  EXPECT_EQ(b.triplet.x, m - 1 - a.triplet.z);
-  EXPECT_EQ(b.triplet.y, m - 1 - a.triplet.y);
-  EXPECT_EQ(b.triplet.z, m - 1 - a.triplet.x);
+  EXPECT_EQ(b.snps[0], m - 1 - a.snps[2]);
+  EXPECT_EQ(b.snps[1], m - 1 - a.snps[1]);
+  EXPECT_EQ(b.snps[2], m - 1 - a.snps[0]);
   EXPECT_NEAR(a.score, b.score, 1e-9);
 }
 
@@ -153,7 +151,7 @@ TEST(Equivariance, ShufflingSamplesKeepsAllScores) {
   const auto a = core::Detector(d).run(opt);
   const auto b = core::Detector(shuffled).run(opt);
   for (std::size_t i = 0; i < a.best.size(); ++i) {
-    EXPECT_EQ(a.best[i].triplet, b.best[i].triplet) << i;
+    EXPECT_EQ(a.best[i].snps, b.best[i].snps) << i;
     EXPECT_NEAR(a.best[i].score, b.best[i].score, 1e-9) << i;
   }
 }
@@ -163,7 +161,7 @@ TEST(Equivariance, ShufflingSamplesKeepsAllScores) {
 // --------------------------------------------------------------------------
 
 gpusim::WorkloadShape shape_for(std::uint64_t snps, std::uint64_t samples) {
-  return {combinatorics::num_triplets(snps), samples,
+  return {combinatorics::n_choose_k(snps, 3), samples,
           dataset::padded_words_for(samples / 2) * 2};
 }
 
@@ -300,12 +298,12 @@ TEST(TopKProperty, MatchesFullSortOnRandomStreams) {
   Xoshiro256 rng(31415);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t k = 1 + rng.bounded(10);
-    core::TopK top(k);
-    std::vector<core::ScoredTriplet> all;
+    core::BasicTopK<core::ScoredOf<3>> top(k);
+    std::vector<core::ScoredOf<3>> all;
     const std::size_t n = 50 + rng.bounded(200);
     for (std::size_t i = 0; i < n; ++i) {
-      core::ScoredTriplet s;
-      s.triplet = combinatorics::unrank_triplet(rng.bounded(100000));
+      core::ScoredOf<3> s;
+      s.snps = combinatorics::unrank_combination<3>(rng.bounded(100000));
       s.score = static_cast<double>(rng.bounded(1000)) / 10.0;
       top.push(s);
       all.push_back(s);
@@ -316,8 +314,8 @@ TEST(TopKProperty, MatchesFullSortOnRandomStreams) {
     const auto kept = top.sorted();
     ASSERT_EQ(kept.size(), std::min(k, all.size()));
     for (std::size_t i = 0; i < kept.size(); ++i) {
-      EXPECT_EQ(combinatorics::rank_triplet(kept[i].triplet),
-                combinatorics::rank_triplet(all[i].triplet))
+      EXPECT_EQ(combinatorics::rank_combination<3>(kept[i].snps),
+                combinatorics::rank_combination<3>(all[i].snps))
           << "trial " << trial << " rank " << i;
       EXPECT_DOUBLE_EQ(kept[i].score, all[i].score);
     }
@@ -340,9 +338,9 @@ TEST(BlockedDegenerate, SingleBlockCoversWholeDataset) {
       [&](const combinatorics::Combination<3>& c,
           const ContingencyTable& table) {
         ++count;
-        ASSERT_EQ(table, reference_contingency(d, c[0], c[1], c[2]));
+        ASSERT_EQ(table, scoring::reference_contingency_k<3>(d, c));
       });
-  EXPECT_EQ(count, combinatorics::num_triplets(7));
+  EXPECT_EQ(count, combinatorics::n_choose_k(7, 3));
 }
 
 TEST(BlockedDegenerate, OutOfRangeBlockTripleIsEmpty) {
@@ -372,11 +370,11 @@ TEST(Duality, NegatedMiOrderingMatchesDirectMi) {
   opt.objective = core::Objective::kMutualInformation;
   opt.top_k = 8;
   const auto r = core::Detector(d).run(opt);
-  const scoring::MutualInformation mi;
   double prev = 1e300;
   for (const auto& s : r.best) {
+    const auto t = scoring::reference_contingency_k<3>(d, s.snps);
     const double raw =
-        mi(reference_contingency(d, s.triplet.x, s.triplet.y, s.triplet.z));
+        scoring::mutual_information_cells(t.counts[0], t.counts[1]);
     EXPECT_NEAR(-s.score, raw, 1e-12);
     EXPECT_LE(raw, prev + 1e-12);
     prev = raw;

@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "test_util.hpp"
 #include "trigen/common/rng.hpp"
-#include "trigen/scoring/chi_squared.hpp"
+#include "trigen/core/detector.hpp"
 #include "trigen/scoring/contingency.hpp"
-#include "trigen/scoring/k2.hpp"
-#include "trigen/scoring/mutual_information.hpp"
+#include "trigen/scoring/generic.hpp"
 
 namespace trigen::scoring {
 namespace {
@@ -19,12 +19,27 @@ ContingencyTable random_table(std::uint64_t seed, std::uint32_t max_count) {
   Xoshiro256 rng(seed);
   ContingencyTable t;
   for (int c = 0; c < 2; ++c) {
-    for (int i = 0; i < kCells; ++i) {
-      t.counts[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)] =
+    for (std::size_t i = 0; i < ContingencyTable::kNumCells; ++i) {
+      t.counts[static_cast<std::size_t>(c)][i] =
           static_cast<std::uint32_t>(rng.bounded(max_count + 1));
     }
   }
   return t;
+}
+
+/// The three objectives over a table's control and case rows.
+template <unsigned K>
+double k2(const BasicContingencyTable<K>& t, std::uint32_t num_samples) {
+  return k2_score_cells(LogFactorialTable(num_samples + 1), t.counts[0],
+                        t.counts[1]);
+}
+template <unsigned K>
+double mi(const BasicContingencyTable<K>& t) {
+  return mutual_information_cells(t.counts[0], t.counts[1]);
+}
+template <unsigned K>
+double chi(const BasicContingencyTable<K>& t) {
+  return chi_squared_cells(t.counts[0], t.counts[1]);
 }
 
 // --------------------------------------------------------------------------
@@ -59,7 +74,7 @@ TEST(Contingency, ReferenceCountsEverySampleOnce) {
   for (const auto& shape : small_shapes()) {
     const auto d = random_dataset(shape);
     if (d.num_snps() < 3) continue;
-    const ContingencyTable t = reference_contingency(d, 0, 1, 2);
+    const ContingencyTable t = reference_contingency_k<3>(d, {0, 1, 2});
     EXPECT_EQ(t.total(), d.num_samples());
     EXPECT_EQ(t.class_total(0), d.class_count(0));
     EXPECT_EQ(t.class_total(1), d.class_count(1));
@@ -77,7 +92,7 @@ TEST(Contingency, ReferenceMatchesHandComputedExample) {
   d.set(0, 3, 1); d.set(1, 3, 0); d.set(2, 3, 0);
   d.set_phenotype(1, 1);
   d.set_phenotype(2, 1);
-  const ContingencyTable t = reference_contingency(d, 0, 1, 2);
+  const ContingencyTable t = reference_contingency_k<3>(d, {0, 1, 2});
   EXPECT_EQ(t.at(0, 1, 2, 0), 1u);
   EXPECT_EQ(t.at(0, 1, 2, 1), 1u);
   EXPECT_EQ(t.at(2, 2, 2, 1), 1u);
@@ -87,7 +102,7 @@ TEST(Contingency, ReferenceMatchesHandComputedExample) {
 
 TEST(Contingency, ReferenceOutOfRangeThrows) {
   const auto d = random_dataset({4, 10, 1});
-  EXPECT_THROW(reference_contingency(d, 0, 1, 4), std::out_of_range);
+  EXPECT_THROW(reference_contingency_k<3>(d, {0, 1, 4}), std::out_of_range);
 }
 
 // --------------------------------------------------------------------------
@@ -130,9 +145,9 @@ TEST(LogFactorial, Monotone) {
 double k2_direct(const ContingencyTable& t) {
   // Literal evaluation of Eq. 1 with lgamma.
   double score = 0.0;
-  for (int i = 0; i < kCells; ++i) {
-    const double r0 = t.counts[0][static_cast<std::size_t>(i)];
-    const double r1 = t.counts[1][static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < ContingencyTable::kNumCells; ++i) {
+    const double r0 = t.counts[0][i];
+    const double r1 = t.counts[1][i];
     score += std::lgamma(r0 + r1 + 2.0) - std::lgamma(r0 + 1.0) -
              std::lgamma(r1 + 1.0);
   }
@@ -140,19 +155,15 @@ double k2_direct(const ContingencyTable& t) {
 }
 
 TEST(K2, MatchesDirectFormula) {
-  const K2Score k2(4096);
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const ContingencyTable t = random_table(seed, 150);
-    EXPECT_NEAR(k2(t), k2_direct(t), 1e-7) << "seed=" << seed;
+    EXPECT_NEAR(k2(t, 4096), k2_direct(t), 1e-7) << "seed=" << seed;
   }
 }
 
 TEST(K2, EmptyTableScoresZero) {
-  const K2Score k2(16);
-  EXPECT_NEAR(k2(ContingencyTable{}), 0.0, 1e-12);
+  EXPECT_NEAR(k2(ContingencyTable{}, 16), 0.0, 1e-12);
 }
-
-TEST(K2, LowerIsBetterTrait) { EXPECT_TRUE(K2Score::kLowerIsBetter); }
 
 TEST(K2, SeparatedClassesScoreLowerThanMixed) {
   // A cell with (10, 10) costs more than cells with (20, 0): separation
@@ -162,8 +173,7 @@ TEST(K2, SeparatedClassesScoreLowerThanMixed) {
   mixed.counts[1][0] = 10;
   separated.counts[0][0] = 20;
   separated.counts[1][0] = 0;
-  const K2Score k2(64);
-  EXPECT_LT(k2(separated), k2(mixed));
+  EXPECT_LT(k2(separated, 64), k2(mixed, 64));
 }
 
 TEST(K2, PermutationInvariantAcrossCells) {
@@ -174,8 +184,7 @@ TEST(K2, PermutationInvariantAcrossCells) {
   a.counts[0][5] = 1; a.counts[1][5] = 9;
   b.counts[0][20] = 8; b.counts[1][20] = 3;
   b.counts[0][13] = 1; b.counts[1][13] = 9;
-  const K2Score k2(32);
-  EXPECT_DOUBLE_EQ(k2(a), k2(b));
+  EXPECT_DOUBLE_EQ(k2(a, 32), k2(b, 32));
 }
 
 // --------------------------------------------------------------------------
@@ -183,7 +192,6 @@ TEST(K2, PermutationInvariantAcrossCells) {
 // --------------------------------------------------------------------------
 
 TEST(MutualInformation, EmptyTableIsZero) {
-  const MutualInformation mi;
   EXPECT_DOUBLE_EQ(mi(ContingencyTable{}), 0.0);
 }
 
@@ -194,7 +202,6 @@ TEST(MutualInformation, IndependentIsZero) {
     t.counts[0][static_cast<std::size_t>(i)] = 10;
     t.counts[1][static_cast<std::size_t>(i)] = 10;
   }
-  const MutualInformation mi;
   EXPECT_NEAR(mi(t), 0.0, 1e-12);
 }
 
@@ -203,12 +210,10 @@ TEST(MutualInformation, PerfectlyPredictiveEqualsClassEntropy) {
   ContingencyTable t;
   t.counts[0][0] = 50;
   t.counts[1][1] = 50;
-  const MutualInformation mi;
   EXPECT_NEAR(mi(t), std::log(2.0), 1e-12);
 }
 
 TEST(MutualInformation, NonNegativeAndBounded) {
-  const MutualInformation mi;
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     const ContingencyTable t = random_table(seed, 60);
     const double v = mi(t);
@@ -217,16 +222,11 @@ TEST(MutualInformation, NonNegativeAndBounded) {
   }
 }
 
-TEST(MutualInformation, HigherIsBetterTrait) {
-  EXPECT_FALSE(MutualInformation::kLowerIsBetter);
-}
-
 // --------------------------------------------------------------------------
 // Chi-squared
 // --------------------------------------------------------------------------
 
 TEST(ChiSquared, EmptyTableIsZero) {
-  const ChiSquared chi;
   EXPECT_DOUBLE_EQ(chi(ContingencyTable{}), 0.0);
 }
 
@@ -236,7 +236,6 @@ TEST(ChiSquared, NoAssociationIsZero) {
     t.counts[0][static_cast<std::size_t>(i)] = 7;
     t.counts[1][static_cast<std::size_t>(i)] = 7;
   }
-  const ChiSquared chi;
   EXPECT_NEAR(chi(t), 0.0, 1e-12);
 }
 
@@ -249,12 +248,10 @@ TEST(ChiSquared, KnownTwoByTwoValue) {
   t.counts[1][0] = 10;
   t.counts[0][1] = 10;
   t.counts[1][1] = 30;
-  const ChiSquared chi;
   EXPECT_NEAR(chi(t), 20.0, 1e-9);
 }
 
 TEST(ChiSquared, NonNegative) {
-  const ChiSquared chi;
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     ASSERT_GE(chi(random_table(seed, 40)), -1e-12);
   }
@@ -266,7 +263,6 @@ TEST(ChiSquared, StrongerAssociationScoresHigher) {
   weak.counts[0][1] = 15; weak.counts[1][1] = 25;
   strong.counts[0][0] = 35; strong.counts[1][0] = 5;
   strong.counts[0][1] = 5;  strong.counts[1][1] = 35;
-  const ChiSquared chi;
   EXPECT_GT(chi(strong), chi(weak));
 }
 
@@ -278,15 +274,67 @@ TEST(Scores, AgreeOnPlantedSignalDirection) {
   // On a dataset with a strong planted interaction, the planted triple must
   // beat a random triple under all three objectives.
   const auto d = trigen::test::planted_dataset(8, 2000, 3);
-  const ContingencyTable planted = reference_contingency(d, 1, 3, 5);
-  const ContingencyTable random = reference_contingency(d, 0, 2, 6);
+  const ContingencyTable planted = reference_contingency_k<3>(d, {1, 3, 5});
+  const ContingencyTable random = reference_contingency_k<3>(d, {0, 2, 6});
 
-  const K2Score k2(2000);
-  const MutualInformation mi;
-  const ChiSquared chi;
-  EXPECT_LT(k2(planted), k2(random));
+  EXPECT_LT(k2(planted, 2000), k2(random, 2000));
   EXPECT_GT(mi(planted), mi(random));
   EXPECT_GT(chi(planted), chi(random));
+}
+
+/// The fixed tables the pinned scores below are computed on: empty, one
+/// class only, every sample in one cell, and a mixed table.
+template <unsigned K>
+std::array<BasicContingencyTable<K>, 4> pinned_tables() {
+  constexpr std::size_t kC = num_cells(K);
+  std::array<BasicContingencyTable<K>, 4> v{};
+  for (std::size_t i = 0; i < kC; ++i) {
+    v[1].counts[0][i] = static_cast<std::uint32_t>((i * 7) % 5 + 1);
+  }
+  v[2].counts[0][kC / 2] = 40;
+  v[2].counts[1][kC / 2] = 60;
+  for (std::size_t i = 0; i < kC; ++i) {
+    v[3].counts[0][i] = static_cast<std::uint32_t>((i * 37 + 11) % 23);
+    v[3].counts[1][i] = static_cast<std::uint32_t>((i * 53 + 5) % 19);
+  }
+  return v;
+}
+
+/// Pins every objective bit-for-bit, {K2, MI, X^2} per pinned table, both
+/// raw and through the engines' normalized scorer (K2 as-is, MI and X^2
+/// negated), each sized for the table's own sample count.
+template <unsigned K>
+void expect_pinned(const std::array<std::array<double, 3>, 4>& want) {
+  const auto tables = pinned_tables<K>();
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    const auto& t = tables[i];
+    const std::uint32_t n = t.total();
+    EXPECT_EQ(k2(t, n), want[i][0]) << "K=" << K << " table " << i;
+    EXPECT_EQ(mi(t), want[i][1]) << "K=" << K << " table " << i;
+    EXPECT_EQ(chi(t), want[i][2]) << "K=" << K << " table " << i;
+    const auto score = [&](core::Objective o) {
+      return core::make_normalized_scorer_of<K>(o, n)(t);
+    };
+    EXPECT_EQ(score(core::Objective::kK2), want[i][0]);
+    EXPECT_EQ(score(core::Objective::kMutualInformation), -want[i][1]);
+    EXPECT_EQ(score(core::Objective::kChiSquared), -want[i][2]);
+  }
+}
+
+TEST(Scores, PinnedTripletTableValues) {
+  expect_pinned<3>({{{0x0p+0, 0x0p+0, 0x0p+0},
+                     {0x1.17ce3a8b51bd5p+5, 0x0p+0, 0x0p+0},
+                     {0x1.159f6b58d7e2ep+6, 0x0p+0, 0x0p+0},
+                     {0x1.54113abada326p+8, 0x1.c4086c29cdbap-4,
+                      0x1.8ff6ed7613bb9p+6}}});
+}
+
+TEST(Scores, PinnedPairTableValues) {
+  expect_pinned<2>({{{0x0p+0, 0x0p+0, 0x0p+0},
+                     {0x1.7191efbd15023p+3, 0x0p+0, 0x0p+0},
+                     {0x1.159f6b58d7e2ep+6, 0x0p+0, 0x0p+0},
+                     {0x1.de0ce45a7c2ap+6, 0x1.71a44a3e1914p-5,
+                      0x1.bdd34c0a13b6ep+3}}});
 }
 
 }  // namespace

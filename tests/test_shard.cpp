@@ -25,7 +25,9 @@ namespace trigen::shard {
 namespace {
 
 using combinatorics::RankRange;
-using combinatorics::num_triplets;
+using Scored2 = core::ScoredOf<2>;
+using Scored3 = core::ScoredOf<3>;
+using combinatorics::n_choose_k;
 using trigen::test::random_dataset;
 
 bool same_bits(double a, double b) {
@@ -54,23 +56,25 @@ void expect_error_contains(const std::string& msg, const std::string& needle) {
 
 /// Scans one rank range through the runner (no checkpointing) and asserts
 /// completion.
-ShardResult scan_range(const core::Detector& det, std::uint64_t fp,
-                       RankRange range, std::size_t top_k,
-                       core::DetectorOptions detector = {}) {
-  ShardRunOptions opt;
+BasicShardResult<Scored3> scan_range(const core::Detector& det,
+                                     std::uint64_t fp, RankRange range,
+                                     std::size_t top_k,
+                                     core::DetectorOptions detector = {}) {
+  BasicShardRunOptions<core::DetectorOptions> opt;
   opt.detector = detector;
   opt.detector.top_k = top_k;
   opt.range = range;
-  const ShardRunReport rep = run_shard(det, fp, opt);
+  const auto rep = run_shard_of<3>(det, fp, opt);
   EXPECT_TRUE(rep.completed);
   return rep.result;
 }
 
-void expect_same_entries(const std::vector<core::ScoredTriplet>& got,
-                         const std::vector<core::ScoredTriplet>& want) {
+template <unsigned K>
+void expect_same_entries(const std::vector<core::ScoredOf<K>>& got,
+                         const std::vector<core::ScoredOf<K>>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].triplet, want[i].triplet) << "entry " << i;
+    EXPECT_EQ(got[i].snps, want[i].snps) << "entry " << i;
     EXPECT_TRUE(same_bits(got[i].score, want[i].score))
         << "entry " << i << ": " << got[i].score << " vs " << want[i].score;
   }
@@ -91,7 +95,7 @@ std::string temp_path(const std::string& name) {
 
 TEST(ShardPlan, EvenSplitTilesTheSpace) {
   for (const std::uint64_t m : {4u, 10u, 16u}) {
-    const std::uint64_t total = num_triplets(m);
+    const std::uint64_t total = n_choose_k(m, 3);
     for (unsigned w = 1; w <= 7; ++w) {
       if (w > total) continue;
       const auto shards = plan_shards(m, w);
@@ -127,7 +131,7 @@ TEST(ShardPlan, RejectsDegenerateWorkerCounts) {
 
 TEST(ShardPlan, BlockAlignedBoundariesAreLayerCuts) {
   const std::uint64_t m = 16, bs = 3;
-  const std::uint64_t total = num_triplets(m);
+  const std::uint64_t total = n_choose_k(m, 3);
   const auto shards = plan_shards(m, 4, SplitStrategy::kBlockAligned, bs);
   ASSERT_EQ(shards.size(), 4u);
   std::uint64_t expect = 0;
@@ -195,28 +199,28 @@ TEST(ShardFingerprint, SensitiveToEveryField) {
 class ShardResultIo : public ::testing::Test {
  protected:
   /// A genuine shard result from a real partial scan.
-  ShardResult real_result() {
+  BasicShardResult<Scored3> real_result() {
     const auto d = random_dataset({12, 100, 21});
     const core::Detector det(d);
     return scan_range(det, dataset_fingerprint(d), {40, 180}, 7);
   }
 
-  std::string serialized(const ShardResult& r) {
+  std::string serialized(const BasicShardResult<Scored3>& r) {
     std::stringstream ss;
     write_shard_result(ss, r);
     return ss.str();
   }
 
-  ShardResult parse(const std::string& text) {
+  BasicShardResult<Scored3> parse(const std::string& text) {
     std::istringstream is(text);
-    return read_shard_result(is);
+    return read_shard_result_as<Scored3>(is);
   }
 };
 
 TEST_F(ShardResultIo, RoundTripIsExact) {
-  const ShardResult r = real_result();
+  const BasicShardResult<Scored3> r = real_result();
   ASSERT_EQ(r.entries.size(), 7u);
-  const ShardResult back = parse(serialized(r));
+  const BasicShardResult<Scored3> back = parse(serialized(r));
   EXPECT_EQ(back.fingerprint, r.fingerprint);
   EXPECT_EQ(back.num_snps, r.num_snps);
   EXPECT_EQ(back.num_samples, r.num_samples);
@@ -231,7 +235,7 @@ TEST_F(ShardResultIo, RoundTripIsExact) {
 TEST_F(ShardResultIo, ExtremeScoresSurviveTheTextFormat) {
   // Hex-float serialization must preserve every double bit pattern:
   // huge magnitudes, subnormals, and the sign of negative zero.
-  ShardResult r;
+  BasicShardResult<Scored3> r;
   r.fingerprint = 0xdeadbeefcafef00dull;
   r.num_snps = 12;
   r.num_samples = 64;
@@ -240,22 +244,24 @@ TEST_F(ShardResultIo, ExtremeScoresSurviveTheTextFormat) {
   r.range = {0, 220};
   r.seconds = 1.0 / 3.0;
   const double scores[6] = {-1e300, -1e-5, -5e-324, -0.0, 0.0, 1e300};
-  const combinatorics::Triplet triplets[6] = {{0, 1, 2}, {0, 1, 3}, {0, 2, 3},
-                                              {1, 2, 3}, {0, 1, 4}, {0, 2, 4}};
+  const combinatorics::Combination<3> triplets[6] = {
+      {0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}, {0, 1, 4}, {0, 2, 4}};
   for (int i = 0; i < 6; ++i) r.entries.push_back({triplets[i], scores[i]});
-  const ShardResult back = parse(serialized(r));
+  const BasicShardResult<Scored3> back = parse(serialized(r));
   expect_same_entries(back.entries, r.entries);
   EXPECT_TRUE(same_bits(back.seconds, r.seconds));
 }
 
 TEST_F(ShardResultIo, FileRoundTripAndMissingFile) {
-  const ShardResult r = real_result();
+  const BasicShardResult<Scored3> r = real_result();
   const std::string path = temp_path("roundtrip.shard");
   write_shard_result_file(path, r);
-  const ShardResult back = read_shard_result_file(path);
+  const auto back = read_shard_result_file_as<Scored3>(path);
   expect_same_entries(back.entries, r.entries);
   expect_error_contains(
-      error_of([&] { read_shard_result_file(temp_path("nope.shard")); }),
+      error_of([&] {
+        read_shard_result_file_as<Scored3>(temp_path("nope.shard"));
+      }),
       "cannot open");
 }
 
@@ -272,7 +278,7 @@ TEST_F(ShardResultIo, EveryTruncationIsRejected) {
 }
 
 TEST_F(ShardResultIo, RejectsBadMagicAndVersion) {
-  const ShardResult r = real_result();
+  const BasicShardResult<Scored3> r = real_result();
   std::string text = serialized(r);
 
   std::string wrong_magic = text;
@@ -285,7 +291,7 @@ TEST_F(ShardResultIo, RejectsBadMagicAndVersion) {
                         "unsupported format version");
 
   // A checkpoint is not a shard result.
-  Checkpoint c;
+  BasicCheckpoint<Scored3> c;
   c.fingerprint = r.fingerprint;
   c.num_snps = r.num_snps;
   c.num_samples = r.num_samples;
@@ -300,7 +306,7 @@ TEST_F(ShardResultIo, RejectsBadMagicAndVersion) {
 }
 
 TEST_F(ShardResultIo, RejectsMalformedFieldsAndEntries) {
-  const ShardResult r = real_result();
+  const BasicShardResult<Scored3> r = real_result();
   const std::string text = serialized(r);
 
   auto replaced = [&](const std::string& from, const std::string& to) {
@@ -347,7 +353,7 @@ TEST_F(ShardResultIo, RejectsMalformedFieldsAndEntries) {
 TEST_F(ShardResultIo, RejectsEntriesOutsideTheDeclaredRange) {
   // Entry ranks must lie inside `range`: a hand-built result whose last
   // entry sits at rank 5 stops parsing when the range shrinks to [0, 5).
-  ShardResult r;
+  BasicShardResult<Scored3> r;
   r.fingerprint = 42;
   r.num_snps = 12;
   r.num_samples = 64;
@@ -355,7 +361,7 @@ TEST_F(ShardResultIo, RejectsEntriesOutsideTheDeclaredRange) {
   r.top_k = 5;
   r.range = {0, 6};
   // Ranks 0,1,2,3,5 with ascending scores: a valid top-5 of 6 ranks.
-  const combinatorics::Triplet triplets[5] = {
+  const combinatorics::Combination<3> triplets[5] = {
       {0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}, {0, 2, 4}};
   for (int i = 0; i < 5; ++i) {
     r.entries.push_back({triplets[i], static_cast<double>(i)});
@@ -383,8 +389,8 @@ std::string as_v1(std::string text) {
 }
 
 TEST_F(ShardResultIo, LegacyV1FilesStillParse) {
-  const ShardResult r = real_result();
-  const ShardResult back = parse(as_v1(serialized(r)));
+  const BasicShardResult<Scored3> r = real_result();
+  const BasicShardResult<Scored3> back = parse(as_v1(serialized(r)));
   EXPECT_EQ(back.fingerprint, r.fingerprint);
   EXPECT_EQ(back.range.first, r.range.first);
   EXPECT_EQ(back.range.last, r.range.last);
@@ -402,12 +408,12 @@ TEST_F(ShardResultIo, OrderMismatchesAreRejectedPrecisely) {
   // An order-3 file is not an order-2 artifact — v2 and legacy v1 alike.
   expect_error_contains(error_of([&] {
                           std::istringstream is(triplet_text);
-                          read_pair_shard_result(is);
+                          read_shard_result_as<Scored2>(is);
                         }),
                         "order mismatch");
   expect_error_contains(error_of([&] {
                           std::istringstream is(as_v1(triplet_text));
-                          read_pair_shard_result(is);
+                          read_shard_result_as<Scored2>(is);
                         }),
                         "order mismatch");
 
@@ -422,7 +428,7 @@ TEST_F(ShardResultIo, OrderMismatchesAreRejectedPrecisely) {
   order4.replace(order4.find("order 3"), 7, "order 4");
   expect_error_contains(error_of([&] {
                           std::istringstream is(order4);
-                          read_pair_shard_result(is);
+                          read_shard_result_as<Scored2>(is);
                         }),
                         "order mismatch");
 
@@ -431,7 +437,7 @@ TEST_F(ShardResultIo, OrderMismatchesAreRejectedPrecisely) {
   weird.replace(weird.find("order 3"), 7, "order 7");
   expect_error_contains(error_of([&] {
                           std::istringstream is(weird);
-                          read_pair_shard_result(is);
+                          read_shard_result_as<Scored2>(is);
                         }),
                         "unsupported order");
 }
@@ -465,32 +471,22 @@ TEST_F(ShardResultIo, ProbeShardOrderDispatches) {
 // Order 2: pair shard results, runner, files and merge
 // --------------------------------------------------------------------------
 
-void expect_same_pair_entries(const std::vector<core::ScoredPair>& got,
-                              const std::vector<core::ScoredPair>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].x, want[i].x) << "entry " << i;
-    EXPECT_EQ(got[i].y, want[i].y) << "entry " << i;
-    EXPECT_TRUE(same_bits(got[i].score, want[i].score)) << "entry " << i;
-  }
-}
-
 class PairShard : public ::testing::Test {
  protected:
   void SetUp() override {
     d_ = random_dataset({24, 150, 53});
     det_ = std::make_unique<core::BasicDetector<2>>(d_);
     fp_ = dataset_fingerprint(d_);
-    total_ = combinatorics::num_pairs(24);
+    total_ = combinatorics::n_choose_k(24, 2);
   }
 
-  PairShardResult scan_pair_range(RankRange range, std::size_t top_k,
+  BasicShardResult<Scored2> scan_pair_range(RankRange range, std::size_t top_k,
                                   core::BasicDetectorOptions<2> dopt = {}) {
-    PairShardRunOptions opt;
+    BasicShardRunOptions<core::BasicDetectorOptions<2>> opt;
     opt.detector = dopt;
     opt.detector.top_k = top_k;
     opt.range = range;
-    const PairShardRunReport rep = run_pair_shard(*det_, fp_, opt);
+    const auto rep = run_shard_of<2>(*det_, fp_, opt);
     EXPECT_TRUE(rep.completed);
     return rep.result;
   }
@@ -517,22 +513,22 @@ TEST_F(PairShard, PlanShardsTilesThePairSpace) {
 }
 
 TEST_F(PairShard, ResultFileRoundTripIsExact) {
-  const PairShardResult r = scan_pair_range({30, 200}, 7);
+  const BasicShardResult<Scored2> r = scan_pair_range({30, 200}, 7);
   ASSERT_EQ(r.entries.size(), 7u);
   std::stringstream ss;
   write_shard_result(ss, r);
   EXPECT_NE(ss.str().find("TRIGEN-SHARD v2\norder 2\n"), std::string::npos);
   std::istringstream is(ss.str());
-  const PairShardResult back = read_pair_shard_result(is);
+  const auto back = read_shard_result_as<Scored2>(is);
   EXPECT_EQ(back.fingerprint, r.fingerprint);
   EXPECT_EQ(back.range.first, r.range.first);
   EXPECT_EQ(back.range.last, r.range.last);
-  expect_same_pair_entries(back.entries, r.entries);
+  expect_same_entries(back.entries, r.entries);
 
   const std::string path = temp_path("pair_roundtrip.shard");
   write_shard_result_file(path, r);
   EXPECT_EQ(probe_shard_order(path), 2u);
-  expect_same_pair_entries(read_pair_shard_result_file(path).entries,
+  expect_same_entries(read_shard_result_file_as<Scored2>(path).entries,
                            r.entries);
 }
 
@@ -542,7 +538,7 @@ TEST_F(PairShard, EveryTruncationIsRejected) {
   const std::string text = ss.str();
   for (std::size_t cut = 0; cut + 1 < text.size(); cut += 7) {
     std::istringstream is(text.substr(0, cut));
-    EXPECT_THROW(read_pair_shard_result(is), std::runtime_error)
+    EXPECT_THROW(read_shard_result_as<Scored2>(is), std::runtime_error)
         << "prefix of " << cut << " bytes parsed";
   }
 }
@@ -562,7 +558,7 @@ TEST_F(PairShard, RandomFullCoverageSplitsReproduceTheFullPairScanExactly) {
     std::sort(cuts.begin(), cuts.end());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
-    std::vector<PairShardResult> shards;
+    std::vector<BasicShardResult<Scored2>> shards;
     for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
       // Rotate engine versions across shards, like the triplet battery.
       core::BasicDetectorOptions<2> dopt;
@@ -574,44 +570,44 @@ TEST_F(PairShard, RandomFullCoverageSplitsReproduceTheFullPairScanExactly) {
       shards.push_back(scan_pair_range({cuts[i], cuts[i + 1]}, 11, dopt));
     }
     std::shuffle(shards.begin(), shards.end(), rng);
-    const PairMergedScan m = merge_pair_shards(shards);
-    expect_same_pair_entries(m.result.best, full.best);
+    const MergedScanOf<2> m = merge_shards_of<2>(shards);
+    expect_same_entries(m.result.best, full.best);
     EXPECT_EQ(m.result.combinations_evaluated, total_);
     EXPECT_EQ(m.result.elements, total_ * d_.num_samples());
   }
 }
 
 TEST_F(PairShard, MergeRejectsGapsOverlapsAndMismatches) {
-  const PairShardResult lo = scan_pair_range({0, 60}, 4);
-  const PairShardResult mid = scan_pair_range({60, 180}, 4);
-  const PairShardResult hi = scan_pair_range({180, total_}, 4);
-  EXPECT_NO_THROW(merge_pair_shards({hi, lo, mid}));
-  expect_error_contains(error_of([&] { merge_pair_shards({lo, hi}); }),
+  const BasicShardResult<Scored2> lo = scan_pair_range({0, 60}, 4);
+  const BasicShardResult<Scored2> mid = scan_pair_range({60, 180}, 4);
+  const BasicShardResult<Scored2> hi = scan_pair_range({180, total_}, 4);
+  EXPECT_NO_THROW(merge_shards_of<2>({hi, lo, mid}));
+  expect_error_contains(error_of([&] { merge_shards_of<2>({lo, hi}); }),
                         "coverage gap");
-  PairShardResult foreign = mid;
+  BasicShardResult<Scored2> foreign = mid;
   foreign.fingerprint ^= 1;
   expect_error_contains(
-      error_of([&] { merge_pair_shards({lo, foreign, hi}); }),
+      error_of([&] { merge_shards_of<2>({lo, foreign, hi}); }),
       "fingerprint mismatch");
 
   // Contiguous partial merges compose, as for triplets.
-  const PairMergedScan left =
-      merge_pair_shards({lo, mid}, MergeCoverage::kContiguous);
+  const MergedScanOf<2> left =
+      merge_shards_of<2>({lo, mid}, MergeCoverage::kContiguous);
   EXPECT_EQ(left.range.first, 0u);
   EXPECT_EQ(left.range.last, 180u);
-  const PairMergedScan all =
-      merge_pair_shards({to_shard_result(left), hi});
+  const MergedScanOf<2> all =
+      merge_shards_of<2>({to_shard_result(left), hi});
   core::BasicDetectorOptions<2> base;
   base.top_k = 4;
-  expect_same_pair_entries(all.result.best, det_->run(base).best);
+  expect_same_entries(all.result.best, det_->run(base).best);
 }
 
 TEST_F(PairShard, KillAndResumeIsIdenticalToUninterrupted) {
   const RankRange range{10, 250};
-  const PairShardResult uninterrupted = scan_pair_range(range, 8);
+  const BasicShardResult<Scored2> uninterrupted = scan_pair_range(range, 8);
 
   const std::string ckpt = temp_path("pair_kill.ckpt");
-  PairShardRunOptions killed;
+  BasicShardRunOptions<core::BasicDetectorOptions<2>> killed;
   killed.detector.top_k = 8;
   killed.range = range;
   killed.checkpoint_every = 32;
@@ -619,30 +615,31 @@ TEST_F(PairShard, KillAndResumeIsIdenticalToUninterrupted) {
   killed.keep_going = [](std::uint64_t done, std::uint64_t) {
     return done < 64;
   };
-  const auto first = run_pair_shard(*det_, fp_, killed);
+  const auto first = run_shard_of<2>(*det_, fp_, killed);
   EXPECT_FALSE(first.completed);
   EXPECT_GT(first.checkpoints_written, 0u);
 
   // The on-disk checkpoint is an order-2 v2 artifact...
-  const PairCheckpoint c = read_pair_checkpoint_file(ckpt);
+  const auto c = read_checkpoint_file_as<Scored2>(ckpt);
   EXPECT_EQ(c.watermark, 74u);  // 64 done rounds up to the next 32-chunk
   // ...that the order-3 reader refuses.
-  expect_error_contains(error_of([&] { read_checkpoint_file(ckpt); }),
-                        "order mismatch");
+  expect_error_contains(
+      error_of([&] { read_checkpoint_file_as<Scored3>(ckpt); }),
+      "order mismatch");
 
-  PairShardRunOptions resume = killed;
+  BasicShardRunOptions<core::BasicDetectorOptions<2>> resume = killed;
   resume.keep_going = {};
-  const auto second = run_pair_shard(*det_, fp_, resume);
+  const auto second = run_shard_of<2>(*det_, fp_, resume);
   EXPECT_TRUE(second.completed);
   EXPECT_TRUE(second.resumed);
   EXPECT_GT(second.resumed_from, range.first);
-  expect_same_pair_entries(second.result.entries, uninterrupted.entries);
+  expect_same_entries(second.result.entries, uninterrupted.entries);
 }
 
 TEST_F(PairShard, StalePairCheckpointsAreRejected) {
   const RankRange range{0, 200};
   const std::string ckpt = temp_path("pair_stale.ckpt");
-  PairShardRunOptions opt;
+  BasicShardRunOptions<core::BasicDetectorOptions<2>> opt;
   opt.detector.top_k = 5;
   opt.range = range;
   opt.checkpoint_every = 32;
@@ -650,18 +647,18 @@ TEST_F(PairShard, StalePairCheckpointsAreRejected) {
   opt.keep_going = [](std::uint64_t done, std::uint64_t) {
     return done < 64;
   };
-  ASSERT_FALSE(run_pair_shard(*det_, fp_, opt).completed);
+  ASSERT_FALSE(run_shard_of<2>(*det_, fp_, opt).completed);
 
   opt.keep_going = {};
   expect_error_contains(error_of([&] {
                           auto o = opt;
-                          run_pair_shard(*det_, fp_ ^ 9, o);
+                          run_shard_of<2>(*det_, fp_ ^ 9, o);
                         }),
                         "different dataset");
   expect_error_contains(error_of([&] {
                           auto o = opt;
                           o.detector.top_k = 2;
-                          run_pair_shard(*det_, fp_, o);
+                          run_shard_of<2>(*det_, fp_, o);
                         }),
                         "top_k");
 }
@@ -674,15 +671,6 @@ using Scored4 = core::ScoredOf<4>;
 using Shard4Result = BasicShardResult<Scored4>;
 using Detector4Options = core::BasicDetectorOptions<4>;
 using Shard4RunOptions = BasicShardRunOptions<Detector4Options>;
-
-void expect_same_tuple_entries(const std::vector<Scored4>& got,
-                               const std::vector<Scored4>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].snps, want[i].snps) << "entry " << i;
-    EXPECT_TRUE(same_bits(got[i].score, want[i].score)) << "entry " << i;
-  }
-}
 
 class Order4Shard : public ::testing::Test {
  protected:
@@ -734,18 +722,20 @@ TEST_F(Order4Shard, ResultFileRoundTripIsExact) {
   EXPECT_EQ(back.fingerprint, r.fingerprint);
   EXPECT_EQ(back.range.first, r.range.first);
   EXPECT_EQ(back.range.last, r.range.last);
-  expect_same_tuple_entries(back.entries, r.entries);
+  expect_same_entries(back.entries, r.entries);
 
   const std::string path = temp_path("order4_roundtrip.shard");
   write_shard_result_file(path, r);
   EXPECT_EQ(probe_shard_order(path), 4u);
-  expect_same_tuple_entries(
+  expect_same_entries(
       read_shard_result_file_as<Scored4>(path).entries, r.entries);
   // The order-2 and order-3 readers both refuse the order-4 artifact.
   expect_error_contains(
-      error_of([&] { read_pair_shard_result_file(path); }), "order mismatch");
+      error_of([&] { read_shard_result_file_as<Scored2>(path); }),
+      "order mismatch");
   expect_error_contains(
-      error_of([&] { read_shard_result_file(path); }), "order mismatch");
+      error_of([&] { read_shard_result_file_as<Scored3>(path); }),
+      "order mismatch");
 }
 
 TEST_F(Order4Shard, RandomFullCoverageSplitsReproduceTheFullScanExactly) {
@@ -776,7 +766,7 @@ TEST_F(Order4Shard, RandomFullCoverageSplitsReproduceTheFullScanExactly) {
     }
     std::shuffle(shards.begin(), shards.end(), rng);
     const MergedScanOf<4> m = merge_shards_of<4>(shards);
-    expect_same_tuple_entries(m.result.best, full.best);
+    expect_same_entries(m.result.best, full.best);
     EXPECT_EQ(m.result.combinations_evaluated, total_);
     EXPECT_EQ(m.result.elements, total_ * d_.num_samples());
   }
@@ -789,7 +779,7 @@ TEST_F(Order4Shard, MergedResultsComposeAndRejectMixedOrders) {
   const auto all = merge_shards_of<4>({to_shard_result(left), hi});
   Detector4Options base;
   base.top_k = 5;
-  expect_same_tuple_entries(all.result.best, det_->run(base).best);
+  expect_same_entries(all.result.best, det_->run(base).best);
 
   // An order-4 file fed to the order-3 CLI path fails in the reader; the
   // typed merge itself rejects foreign fingerprints like any other order.
@@ -821,8 +811,9 @@ TEST_F(Order4Shard, KillAndResumeIsIdenticalToUninterrupted) {
   const auto c = read_checkpoint_file_as<Scored4>(ckpt);
   EXPECT_GE(c.watermark, 128u + range.first);
   // ...that the order-3 reader refuses.
-  expect_error_contains(error_of([&] { read_checkpoint_file(ckpt); }),
-                        "order mismatch");
+  expect_error_contains(
+      error_of([&] { read_checkpoint_file_as<Scored3>(ckpt); }),
+      "order mismatch");
 
   Shard4RunOptions resume = killed;
   resume.keep_going = {};
@@ -830,7 +821,7 @@ TEST_F(Order4Shard, KillAndResumeIsIdenticalToUninterrupted) {
   EXPECT_TRUE(second.completed);
   EXPECT_TRUE(second.resumed);
   EXPECT_GT(second.resumed_from, range.first);
-  expect_same_tuple_entries(second.result.entries, uninterrupted.entries);
+  expect_same_entries(second.result.entries, uninterrupted.entries);
 }
 
 TEST_F(Order4Shard, StaleCheckpointsAreRejected) {
@@ -870,7 +861,7 @@ TEST(CheckpointIo, RoundTripIsExact) {
   const std::uint64_t fp = dataset_fingerprint(d);
 
   // Produce a genuine checkpoint by interrupting a run.
-  ShardRunOptions opt;
+  BasicShardRunOptions<core::DetectorOptions> opt;
   opt.detector.top_k = 5;
   opt.range = {10, 110};
   opt.checkpoint_every = 20;
@@ -878,10 +869,10 @@ TEST(CheckpointIo, RoundTripIsExact) {
   opt.keep_going = [](std::uint64_t done, std::uint64_t) {
     return done < 40;
   };
-  const auto rep = run_shard(det, fp, opt);
+  const auto rep = run_shard_of<3>(det, fp, opt);
   ASSERT_FALSE(rep.completed);
 
-  const Checkpoint c = read_checkpoint_file(opt.checkpoint_path);
+  const auto c = read_checkpoint_file_as<Scored3>(opt.checkpoint_path);
   EXPECT_EQ(c.fingerprint, fp);
   EXPECT_EQ(c.range.first, 10u);
   EXPECT_EQ(c.range.last, 110u);
@@ -890,13 +881,13 @@ TEST(CheckpointIo, RoundTripIsExact) {
 
   std::stringstream ss;
   write_checkpoint(ss, c);
-  const Checkpoint back = read_checkpoint(ss);
+  const auto back = read_checkpoint_as<Scored3>(ss);
   EXPECT_EQ(back.watermark, c.watermark);
   expect_same_entries(back.entries, c.entries);
 }
 
 TEST(CheckpointIo, RejectsWatermarkOutsideRange) {
-  Checkpoint c;
+  BasicCheckpoint<Scored3> c;
   c.fingerprint = 1;
   c.num_snps = 10;
   c.num_samples = 50;
@@ -906,7 +897,8 @@ TEST(CheckpointIo, RejectsWatermarkOutsideRange) {
   c.watermark = 111;
   std::stringstream ss;
   write_checkpoint(ss, c);
-  expect_error_contains(error_of([&] { read_checkpoint(ss); }), "watermark");
+  expect_error_contains(error_of([&] { read_checkpoint_as<Scored3>(ss); }),
+                        "watermark");
 }
 
 TEST(CheckpointIo, ClipToPrefixSplitsAlongTheWatermark) {
@@ -914,7 +906,7 @@ TEST(CheckpointIo, ClipToPrefixSplitsAlongTheWatermark) {
   const core::Detector det(d);
   const std::uint64_t fp = dataset_fingerprint(d);
 
-  ShardRunOptions opt;
+  BasicShardRunOptions<core::DetectorOptions> opt;
   opt.detector.top_k = 5;
   opt.range = {10, 110};
   opt.checkpoint_every = 20;
@@ -922,13 +914,13 @@ TEST(CheckpointIo, ClipToPrefixSplitsAlongTheWatermark) {
   opt.keep_going = [](std::uint64_t done, std::uint64_t) {
     return done < 40;
   };
-  ASSERT_FALSE(run_shard(det, fp, opt).completed);
-  const Checkpoint c = read_checkpoint_file(opt.checkpoint_path);
+  ASSERT_FALSE(run_shard_of<3>(det, fp, opt).completed);
+  const auto c = read_checkpoint_file_as<Scored3>(opt.checkpoint_path);
 
   // The prefix is a self-contained shard result over [first, watermark) —
   // header copied, entries shared — and the remainder picks up exactly at
   // the watermark.
-  const ShardResult prefix = clip_to_prefix(c);
+  const BasicShardResult<Scored3> prefix = clip_to_prefix(c);
   EXPECT_EQ(prefix.fingerprint, c.fingerprint);
   EXPECT_EQ(prefix.objective, c.objective);
   EXPECT_EQ(prefix.top_k, c.top_k);
@@ -943,12 +935,12 @@ TEST(CheckpointIo, ClipToPrefixSplitsAlongTheWatermark) {
                       scan_range(det, fp, prefix.range, 5).entries);
 
   // An untouched checkpoint has no prefix to clip.
-  Checkpoint empty = c;
+  BasicCheckpoint<Scored3> empty = c;
   empty.watermark = empty.range.first;
   expect_error_contains(error_of([&] { clip_to_prefix(empty); }),
                         "no completed prefix");
   // A fully scanned checkpoint leaves an empty remainder.
-  Checkpoint full = c;
+  BasicCheckpoint<Scored3> full = c;
   full.watermark = full.range.last;
   EXPECT_TRUE(remaining_range(full).empty());
 }
@@ -979,7 +971,7 @@ class ShardMerge : public ::testing::Test {
     d_ = random_dataset({16, 200, 7});
     det_ = std::make_unique<core::Detector>(d_);
     fp_ = dataset_fingerprint(d_);
-    total_ = num_triplets(16);
+    total_ = n_choose_k(16, 3);
   }
 
   /// Random full-coverage split with `w` shards (distinct sorted cuts).
@@ -1011,7 +1003,7 @@ TEST_F(ShardMerge, RandomFullCoverageSplitsReproduceTheFullScanExactly) {
 
     for (int round = 0; round < 6; ++round) {
       auto split = random_split(rng, 2 + round);
-      std::vector<ShardResult> shards;
+      std::vector<BasicShardResult<Scored3>> shards;
       for (std::size_t i = 0; i < split.size(); ++i) {
         // Shards may be scanned by different engine versions (and an
         // unaligned tiling): the artifacts must still merge exactly.
@@ -1024,7 +1016,7 @@ TEST_F(ShardMerge, RandomFullCoverageSplitsReproduceTheFullScanExactly) {
         shards.push_back(scan_range(*det_, fp_, split[i], top_k, dopt));
       }
       std::shuffle(shards.begin(), shards.end(), rng);
-      const MergedScan m = merge_shards(shards);
+      const MergedScanOf<3> m = merge_shards_of<3>(shards);
       expect_same_entries(m.result.best, full.best);
       EXPECT_EQ(m.result.combinations_evaluated, total_);
       EXPECT_EQ(m.result.elements, total_ * d_.num_samples());
@@ -1037,20 +1029,20 @@ TEST_F(ShardMerge, SingleTripletShardsMergeInAnyOrder) {
   const auto small = random_dataset({6, 64, 11});
   const core::Detector det(small);
   const std::uint64_t fp = dataset_fingerprint(small);
-  const std::uint64_t total = num_triplets(6);
+  const std::uint64_t total = n_choose_k(6, 3);
 
   core::DetectorOptions base;
   base.top_k = 5;
   const auto full = det.run(base);
 
-  std::vector<ShardResult> shards;
+  std::vector<BasicShardResult<Scored3>> shards;
   for (std::uint64_t r = 0; r < total; ++r) {
     shards.push_back(scan_range(det, fp, {r, r + 1}, 5));
     EXPECT_EQ(shards.back().entries.size(), 1u);
   }
   std::mt19937_64 rng(99);
   std::shuffle(shards.begin(), shards.end(), rng);
-  expect_same_entries(merge_shards(shards).result.best, full.best);
+  expect_same_entries(merge_shards_of<3>(shards).result.best, full.best);
 }
 
 TEST_F(ShardMerge, BlockAlignedPlanMergesExactly) {
@@ -1060,11 +1052,11 @@ TEST_F(ShardMerge, BlockAlignedPlanMergesExactly) {
   const auto full = det_->run(base);
 
   const auto plan = plan_shards(16, 4, SplitStrategy::kBlockAligned, 3);
-  std::vector<ShardResult> shards;
+  std::vector<BasicShardResult<Scored3>> shards;
   for (const RankRange& r : plan) {
     shards.push_back(scan_range(*det_, fp_, r, 12, base));
   }
-  expect_same_entries(merge_shards(shards).result.best, full.best);
+  expect_same_entries(merge_shards_of<3>(shards).result.best, full.best);
 }
 
 TEST_F(ShardMerge, ContiguousPartialMergesComposeIntoTheFullScan) {
@@ -1074,12 +1066,14 @@ TEST_F(ShardMerge, ContiguousPartialMergesComposeIntoTheFullScan) {
 
   // Two-level tree: 6 leaf shards -> 2 intermediate merges -> final merge.
   const auto plan = plan_shards(16, 6);
-  std::vector<ShardResult> left, right;
+  std::vector<BasicShardResult<Scored3>> left, right;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     (i < 3 ? left : right).push_back(scan_range(*det_, fp_, plan[i], 9));
   }
-  const MergedScan rack0 = merge_shards(left, MergeCoverage::kContiguous);
-  const MergedScan rack1 = merge_shards(right, MergeCoverage::kContiguous);
+  const MergedScanOf<3> rack0 =
+      merge_shards_of<3>(left, MergeCoverage::kContiguous);
+  const MergedScanOf<3> rack1 =
+      merge_shards_of<3>(right, MergeCoverage::kContiguous);
   EXPECT_EQ(rack0.range.first, 0u);
   EXPECT_EQ(rack0.range.last, rack1.range.first);
   EXPECT_EQ(rack1.range.last, total_);
@@ -1088,58 +1082,59 @@ TEST_F(ShardMerge, ContiguousPartialMergesComposeIntoTheFullScan) {
   const std::string f0 = temp_path("rack0.shard"), f1 = temp_path("rack1.shard");
   write_shard_result_file(f0, to_shard_result(rack0));
   write_shard_result_file(f1, to_shard_result(rack1));
-  const MergedScan m = merge_shards(
-      {read_shard_result_file(f0), read_shard_result_file(f1)});
+  const MergedScanOf<3> m =
+      merge_shards_of<3>({read_shard_result_file_as<Scored3>(f0),
+                          read_shard_result_file_as<Scored3>(f1)});
   expect_same_entries(m.result.best, full.best);
   EXPECT_EQ(m.result.combinations_evaluated, total_);
 
   // ...and partial coverage is only legal when asked for; interior gaps
   // never are.
-  expect_error_contains(error_of([&] { merge_shards(left); }),
+  expect_error_contains(error_of([&] { merge_shards_of<3>(left); }),
                         "coverage gap");
-  std::vector<ShardResult> gapped = {left[0], left[2]};
+  std::vector<BasicShardResult<Scored3>> gapped = {left[0], left[2]};
   expect_error_contains(
-      error_of([&] { merge_shards(gapped, MergeCoverage::kContiguous); }),
+      error_of([&] { merge_shards_of<3>(gapped, MergeCoverage::kContiguous); }),
       "coverage gap");
 }
 
 TEST_F(ShardMerge, RejectsEmptyOverlapGapAndMismatches) {
-  EXPECT_THROW(merge_shards({}), std::invalid_argument);
+  EXPECT_THROW(merge_shards_of<3>({}), std::invalid_argument);
 
-  const ShardResult lo = scan_range(*det_, fp_, {0, 100}, 4);
-  const ShardResult mid = scan_range(*det_, fp_, {100, 300}, 4);
-  const ShardResult hi = scan_range(*det_, fp_, {300, total_}, 4);
-  EXPECT_NO_THROW(merge_shards({hi, lo, mid}));
+  const auto lo = scan_range(*det_, fp_, {0, 100}, 4);
+  const auto mid = scan_range(*det_, fp_, {100, 300}, 4);
+  const auto hi = scan_range(*det_, fp_, {300, total_}, 4);
+  EXPECT_NO_THROW(merge_shards_of<3>({hi, lo, mid}));
 
   // Overlap: [0,100) + [50,300) + [300,total).
-  const ShardResult overlap = scan_range(*det_, fp_, {50, 300}, 4);
+  const auto overlap = scan_range(*det_, fp_, {50, 300}, 4);
   expect_error_contains(
-      error_of([&] { merge_shards({lo, overlap, hi}); }), "overlap");
+      error_of([&] { merge_shards_of<3>({lo, overlap, hi}); }), "overlap");
 
   // Gaps: missing middle, missing head, missing tail.
-  expect_error_contains(error_of([&] { merge_shards({lo, hi}); }),
+  expect_error_contains(error_of([&] { merge_shards_of<3>({lo, hi}); }),
                         "coverage gap: ranks [100, 300)");
-  expect_error_contains(error_of([&] { merge_shards({mid, hi}); }),
+  expect_error_contains(error_of([&] { merge_shards_of<3>({mid, hi}); }),
                         "coverage gap: ranks [0, 100)");
   expect_error_contains(
-      error_of([&] { merge_shards({lo, mid}); }),
+      error_of([&] { merge_shards_of<3>({lo, mid}); }),
       "coverage gap: ranks [300, " + std::to_string(total_) + ")");
 
   // Fingerprint mismatch: same shard scanned against "another" dataset.
-  ShardResult foreign = mid;
+  BasicShardResult<Scored3> foreign = mid;
   foreign.fingerprint ^= 1;
   expect_error_contains(
-      error_of([&] { merge_shards({lo, foreign, hi}); }),
+      error_of([&] { merge_shards_of<3>({lo, foreign, hi}); }),
       "fingerprint mismatch");
 
-  ShardResult other_objective = mid;
+  BasicShardResult<Scored3> other_objective = mid;
   other_objective.objective = "chi-squared";
   expect_error_contains(
-      error_of([&] { merge_shards({lo, other_objective, hi}); }),
+      error_of([&] { merge_shards_of<3>({lo, other_objective, hi}); }),
       "objective mismatch");
 
-  const ShardResult skinny = scan_range(*det_, fp_, {100, 300}, 3);
-  expect_error_contains(error_of([&] { merge_shards({lo, skinny, hi}); }),
+  const auto skinny = scan_range(*det_, fp_, {100, 300}, 3);
+  expect_error_contains(error_of([&] { merge_shards_of<3>({lo, skinny, hi}); }),
                         "top_k mismatch");
 }
 
@@ -1214,7 +1209,7 @@ void expect_tie_run_splits_merge_exactly() {
     std::reverse(shards.begin(), shards.end());
     const auto merged = merge_shards_of<K>(shards).result.best;
     const auto ranged = acc.sorted();
-    EXPECT_EQ(core::scan_csv_lines<K>(ranged), want) << "TopK merge, V" << v;
+    EXPECT_EQ(core::scan_csv_lines<K>(ranged), want) << "top-k merge, V" << v;
     EXPECT_EQ(core::scan_csv_lines<K>(merged), want) << "shard merge, V" << v;
     for (std::size_t i = 0; i < kTop; ++i) {
       EXPECT_TRUE(same_bits(ranged[i].score, full[i].score)) << i;
@@ -1241,11 +1236,12 @@ class ShardRunner : public ::testing::Test {
     d_ = trigen::test::planted_dataset(16, 128, 5);
     det_ = std::make_unique<core::Detector>(d_);
     fp_ = dataset_fingerprint(d_);
-    total_ = num_triplets(16);
+    total_ = n_choose_k(16, 3);
   }
 
-  ShardRunOptions base_options(RankRange range, const std::string& ckpt) {
-    ShardRunOptions opt;
+  BasicShardRunOptions<core::DetectorOptions> base_options(
+      RankRange range, const std::string& ckpt) {
+    BasicShardRunOptions<core::DetectorOptions> opt;
     opt.detector.top_k = 9;
     opt.detector.chunk_size = 11;  // tiny: exercise many scheduler chunks
     opt.range = range;
@@ -1264,27 +1260,27 @@ TEST_F(ShardRunner, FullRangeMatchesDetectorRun) {
   core::DetectorOptions plain;
   plain.top_k = 9;
   const auto direct = det_->run(plain);
-  const ShardResult via_runner =
+  const BasicShardResult<Scored3> via_runner =
       scan_range(*det_, fp_, {0, total_}, 9);
   expect_same_entries(via_runner.entries, direct.best);
   EXPECT_EQ(via_runner.range.size(), direct.combinations_evaluated);
 }
 
 TEST_F(ShardRunner, ValidatesItsInputs) {
-  ShardRunOptions opt;
+  BasicShardRunOptions<core::DetectorOptions> opt;
   opt.detector.top_k = 1;
   opt.range = {50, 50};
-  EXPECT_THROW(run_shard(*det_, fp_, opt), std::invalid_argument);
+  EXPECT_THROW(run_shard_of<3>(*det_, fp_, opt), std::invalid_argument);
   opt.range = {0, total_ + 1};
-  EXPECT_THROW(run_shard(*det_, fp_, opt), std::invalid_argument);
+  EXPECT_THROW(run_shard_of<3>(*det_, fp_, opt), std::invalid_argument);
   opt.range = {0, total_};
   opt.detector.top_k = 0;
-  EXPECT_THROW(run_shard(*det_, fp_, opt), std::invalid_argument);
+  EXPECT_THROW(run_shard_of<3>(*det_, fp_, opt), std::invalid_argument);
 }
 
 TEST_F(ShardRunner, KillAndResumeIsIdenticalToUninterrupted) {
   const RankRange range{37, 437};
-  const ShardResult uninterrupted = scan_range(*det_, fp_, range, 9);
+  const auto uninterrupted = scan_range(*det_, fp_, range, 9);
 
   // Kill at several different points, always via the progress/keep_going
   // hook, then resume from the persisted checkpoint.
@@ -1297,12 +1293,12 @@ TEST_F(ShardRunner, KillAndResumeIsIdenticalToUninterrupted) {
       EXPECT_LE(done, total);
       return done < stop_at;
     };
-    const auto first = run_shard(*det_, fp_, killed);
+    const auto first = run_shard_of<3>(*det_, fp_, killed);
     EXPECT_FALSE(first.completed) << stop_at;
     EXPECT_GT(first.checkpoints_written, 0u) << stop_at;
 
     auto resume = base_options(range, ckpt);
-    const auto second = run_shard(*det_, fp_, resume);
+    const auto second = run_shard_of<3>(*det_, fp_, resume);
     EXPECT_TRUE(second.completed) << stop_at;
     EXPECT_TRUE(second.resumed) << stop_at;
     EXPECT_GT(second.resumed_from, range.first) << stop_at;
@@ -1315,14 +1311,14 @@ TEST_F(ShardRunner, KillAndResumeIsIdenticalToUninterrupted) {
 
 TEST_F(ShardRunner, TruncatedCheckpointIsDiscardedAndRecovered) {
   const RankRange range{0, 300};
-  const ShardResult uninterrupted = scan_range(*det_, fp_, range, 9);
+  const auto uninterrupted = scan_range(*det_, fp_, range, 9);
   const std::string ckpt = temp_path("truncated.ckpt");
 
   auto killed = base_options(range, ckpt);
   killed.keep_going = [](std::uint64_t done, std::uint64_t) {
     return done < 64;
   };
-  ASSERT_FALSE(run_shard(*det_, fp_, killed).completed);
+  ASSERT_FALSE(run_shard_of<3>(*det_, fp_, killed).completed);
 
   // Simulate a torn write: chop the checkpoint file in half.
   std::string bytes;
@@ -1341,9 +1337,9 @@ TEST_F(ShardRunner, TruncatedCheckpointIsDiscardedAndRecovered) {
 
   std::vector<std::string> discarded;
   auto resume = base_options(range, ckpt);
-  const auto rep = run_shard(*det_, fp_, resume, [&](const std::string& why) {
-    discarded.push_back(why);
-  });
+  const auto rep = run_shard_of<3>(
+      *det_, fp_, resume,
+      [&](const std::string& why) { discarded.push_back(why); });
   EXPECT_TRUE(rep.completed);
   EXPECT_FALSE(rep.resumed);  // damaged checkpoint => full rescan
   EXPECT_EQ(rep.resumed_from, range.first);
@@ -1359,17 +1355,19 @@ TEST_F(ShardRunner, StaleCheckpointsAreRejectedNotMerged) {
   killed.keep_going = [](std::uint64_t done, std::uint64_t) {
     return done < 64;
   };
-  ASSERT_FALSE(run_shard(*det_, fp_, killed).completed);
+  ASSERT_FALSE(run_shard_of<3>(*det_, fp_, killed).completed);
 
   // Different dataset fingerprint.
   expect_error_contains(
-      error_of([&] { run_shard(*det_, fp_ ^ 7, base_options(range, ckpt)); }),
+      error_of([&] {
+        run_shard_of<3>(*det_, fp_ ^ 7, base_options(range, ckpt));
+      }),
       "different dataset");
 
   // Different shard range.
   expect_error_contains(
       error_of([&] {
-        run_shard(*det_, fp_, base_options({0, 400}, ckpt));
+        run_shard_of<3>(*det_, fp_, base_options({0, 400}, ckpt));
       }),
       "covers ranks");
 
@@ -1377,7 +1375,7 @@ TEST_F(ShardRunner, StaleCheckpointsAreRejectedNotMerged) {
   expect_error_contains(error_of([&] {
                           auto o = base_options(range, ckpt);
                           o.detector.top_k = 3;
-                          run_shard(*det_, fp_, o);
+                          run_shard_of<3>(*det_, fp_, o);
                         }),
                         "top_k");
 
@@ -1386,7 +1384,7 @@ TEST_F(ShardRunner, StaleCheckpointsAreRejectedNotMerged) {
                           auto o = base_options(range, ckpt);
                           o.detector.objective =
                               core::Objective::kMutualInformation;
-                          run_shard(*det_, fp_, o);
+                          run_shard_of<3>(*det_, fp_, o);
                         }),
                         "objective");
 }
@@ -1394,10 +1392,10 @@ TEST_F(ShardRunner, StaleCheckpointsAreRejectedNotMerged) {
 TEST_F(ShardRunner, RerunOfACompletedShardIsANoOpResume) {
   const RankRange range{100, 260};
   const std::string ckpt = temp_path("complete.ckpt");
-  const auto first = run_shard(*det_, fp_, base_options(range, ckpt));
+  const auto first = run_shard_of<3>(*det_, fp_, base_options(range, ckpt));
   ASSERT_TRUE(first.completed);
 
-  const auto again = run_shard(*det_, fp_, base_options(range, ckpt));
+  const auto again = run_shard_of<3>(*det_, fp_, base_options(range, ckpt));
   EXPECT_TRUE(again.completed);
   EXPECT_TRUE(again.resumed);
   EXPECT_EQ(again.resumed_from, range.last);
@@ -1413,7 +1411,7 @@ TEST_F(ShardRunner, ProgressSpansResumeMonotonically) {
   killed.keep_going = [](std::uint64_t done, std::uint64_t) {
     return done < 48;
   };
-  ASSERT_FALSE(run_shard(*det_, fp_, killed).completed);
+  ASSERT_FALSE(run_shard_of<3>(*det_, fp_, killed).completed);
 
   std::vector<std::uint64_t> dones;
   auto resume = base_options(range, ckpt);
@@ -1421,7 +1419,7 @@ TEST_F(ShardRunner, ProgressSpansResumeMonotonically) {
     EXPECT_EQ(total, range.size());
     dones.push_back(done);
   };
-  ASSERT_TRUE(run_shard(*det_, fp_, resume).completed);
+  ASSERT_TRUE(run_shard_of<3>(*det_, fp_, resume).completed);
   ASSERT_FALSE(dones.empty());
   EXPECT_GT(dones.front(), 0u);  // resumed ranks count as already done
   EXPECT_TRUE(std::is_sorted(dones.begin(), dones.end()));
@@ -1449,21 +1447,23 @@ TEST_F(ShardRunner, KilledAndResumedShardedScanMergesToTheFullScan) {
       opt.keep_going = [](std::uint64_t done, std::uint64_t) {
         return done < 32;
       };
-      ASSERT_FALSE(run_shard(*det_, fp_, opt).completed);
+      ASSERT_FALSE(run_shard_of<3>(*det_, fp_, opt).completed);
       // ...and a replacement resumes from its checkpoint.
       opt.keep_going = {};
     }
-    const auto rep = run_shard(*det_, fp_, opt);
+    const auto rep = run_shard_of<3>(*det_, fp_, opt);
     ASSERT_TRUE(rep.completed) << i;
     if (i == 2) EXPECT_TRUE(rep.resumed);
     write_shard_result_file(shard_file, rep.result);
     files.push_back(shard_file);
   }
 
-  std::vector<ShardResult> shards;
-  for (const auto& f : files) shards.push_back(read_shard_result_file(f));
+  std::vector<BasicShardResult<Scored3>> shards;
+  for (const auto& f : files) {
+    shards.push_back(read_shard_result_file_as<Scored3>(f));
+  }
   std::reverse(shards.begin(), shards.end());  // merge order must not matter
-  const MergedScan m = merge_shards(shards);
+  const MergedScanOf<3> m = merge_shards_of<3>(shards);
   expect_same_entries(m.result.best, full.best);
   EXPECT_EQ(m.result.combinations_evaluated, full.combinations_evaluated);
   EXPECT_EQ(m.result.elements, full.elements);

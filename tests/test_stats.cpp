@@ -41,18 +41,18 @@ TEST(ShufflePhenotypes, ActuallyPermutes) {
 
 TEST(PermutationTest, RejectsZeroPermutations) {
   const auto d = random_dataset({6, 80, 97});
-  PermutationTestOptions opt;
+  BasicPermutationTestOptions<3> opt;
   opt.permutations = 0;
-  EXPECT_THROW(permutation_test(d, opt), std::invalid_argument);
+  EXPECT_THROW(permutation_test_of<3>(d, opt), std::invalid_argument);
 }
 
 TEST(PermutationTest, PlantedInteractionIsSignificant) {
   const auto d = planted_dataset(10, 1500, 99);
-  PermutationTestOptions opt;
+  BasicPermutationTestOptions<3> opt;
   opt.permutations = 19;  // minimum for p = 0.05 resolution
   opt.seed = 101;
-  const auto r = permutation_test(d, opt);
-  EXPECT_EQ(r.observed.triplet, (combinatorics::Triplet{1, 3, 5}));
+  const auto r = permutation_test_of<3>(d, opt);
+  EXPECT_EQ(r.observed.snps, (combinatorics::Combination<3>{1, 3, 5}));
   EXPECT_EQ(r.null_scores.size(), 19u);
   // A strong planted signal beats every label permutation.
   EXPECT_DOUBLE_EQ(r.p_value, 1.0 / 20.0);
@@ -65,18 +65,18 @@ TEST(PermutationTest, NullDatasetIsNotSignificant) {
   // uniform on {1/20..20/20} under the null; this fixed seed draws 0.45 —
   // dataset seed 103, for example, legitimately draws the 1-in-20 p=0.05.)
   const auto d = random_dataset({10, 400, 104});
-  PermutationTestOptions opt;
+  BasicPermutationTestOptions<3> opt;
   opt.permutations = 19;
   opt.seed = 107;
-  const auto r = permutation_test(d, opt);
+  const auto r = permutation_test_of<3>(d, opt);
   EXPECT_GT(r.p_value, 0.05);
 }
 
 TEST(PermutationTest, PValueBounds) {
   const auto d = random_dataset({8, 120, 109});
-  PermutationTestOptions opt;
+  BasicPermutationTestOptions<3> opt;
   opt.permutations = 9;
-  const auto r = permutation_test(d, opt);
+  const auto r = permutation_test_of<3>(d, opt);
   EXPECT_GE(r.p_value, 1.0 / 10.0);
   EXPECT_LE(r.p_value, 1.0);
 }
@@ -85,17 +85,17 @@ TEST(PermutationTest, BlockedV4MultiThreadMatchesDefault) {
   // The null scans reuse the shared scan driver with the config resolved
   // on the observed scan; version/threads must not change any score.
   const auto d = planted_dataset(9, 500, 121);
-  PermutationTestOptions a_opt;
+  BasicPermutationTestOptions<3> a_opt;
   a_opt.permutations = 5;
   a_opt.seed = 77;
-  const auto a = permutation_test(d, a_opt);
+  const auto a = permutation_test_of<3>(d, a_opt);
 
-  PermutationTestOptions b_opt = a_opt;
+  BasicPermutationTestOptions<3> b_opt = a_opt;
   b_opt.detector.version = core::CpuVersion::kV4Vector;
   b_opt.detector.threads = 4;
-  const auto b = permutation_test(d, b_opt);
+  const auto b = permutation_test_of<3>(d, b_opt);
 
-  EXPECT_EQ(a.observed.triplet, b.observed.triplet);
+  EXPECT_EQ(a.observed.snps, b.observed.snps);
   ASSERT_EQ(a.null_scores.size(), b.null_scores.size());
   for (std::size_t i = 0; i < a.null_scores.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.null_scores[i], b.null_scores[i]) << i;
@@ -105,11 +105,11 @@ TEST(PermutationTest, BlockedV4MultiThreadMatchesDefault) {
 
 TEST(PermutationTest, DeterministicInSeed) {
   const auto d = random_dataset({8, 150, 113});
-  PermutationTestOptions opt;
+  BasicPermutationTestOptions<3> opt;
   opt.permutations = 5;
   opt.seed = 31;
-  const auto a = permutation_test(d, opt);
-  const auto b = permutation_test(d, opt);
+  const auto a = permutation_test_of<3>(d, opt);
+  const auto b = permutation_test_of<3>(d, opt);
   EXPECT_EQ(a.null_scores, b.null_scores);
   EXPECT_DOUBLE_EQ(a.p_value, b.p_value);
 }
@@ -136,19 +136,19 @@ dataset::GenotypeMatrix planted_pair_dataset(std::uint64_t seed) {
 
 TEST(PairPermutationTest, RejectsZeroPermutations) {
   const auto d = random_dataset({6, 80, 131});
-  PairPermutationTestOptions opt;
+  BasicPermutationTestOptions<2> opt;
   opt.permutations = 0;
-  EXPECT_THROW(pair_permutation_test(d, opt), std::invalid_argument);
+  EXPECT_THROW(permutation_test_of<2>(d, opt), std::invalid_argument);
 }
 
 TEST(PairPermutationTest, PlantedPairIsSignificant) {
   const auto d = planted_pair_dataset(133);
-  PairPermutationTestOptions opt;
+  BasicPermutationTestOptions<2> opt;
   opt.permutations = 19;
   opt.seed = 101;
-  const auto r = pair_permutation_test(d, opt);
-  EXPECT_EQ(r.observed.x, 2u);
-  EXPECT_EQ(r.observed.y, 6u);
+  const auto r = permutation_test_of<2>(d, opt);
+  EXPECT_EQ(r.observed.snps[0], 2u);
+  EXPECT_EQ(r.observed.snps[1], 6u);
   EXPECT_EQ(r.null_scores.size(), 19u);
   EXPECT_DOUBLE_EQ(r.p_value, 1.0 / 20.0);
   EXPECT_TRUE(r.significant_at(0.05));
@@ -156,10 +156,10 @@ TEST(PairPermutationTest, PlantedPairIsSignificant) {
 
 TEST(PairPermutationTest, NullDatasetIsNotSignificant) {
   const auto d = random_dataset({10, 400, 137});
-  PairPermutationTestOptions opt;
+  BasicPermutationTestOptions<2> opt;
   opt.permutations = 19;
   opt.seed = 107;
-  const auto r = pair_permutation_test(d, opt);
+  const auto r = permutation_test_of<2>(d, opt);
   EXPECT_GT(r.p_value, 0.05);
 }
 
@@ -168,18 +168,18 @@ TEST(PairPermutationTest, VersionAndThreadsDoNotChangeScores) {
   // explicitly blocked multi-thread configuration must reproduce the same
   // null distribution bit for bit.
   const auto d = planted_pair_dataset(139);
-  PairPermutationTestOptions a_opt;
+  BasicPermutationTestOptions<2> a_opt;
   a_opt.permutations = 5;
   a_opt.seed = 77;
-  const auto a = pair_permutation_test(d, a_opt);
+  const auto a = permutation_test_of<2>(d, a_opt);
 
-  PairPermutationTestOptions b_opt = a_opt;
+  BasicPermutationTestOptions<2> b_opt = a_opt;
   b_opt.detector.version = core::CpuVersion::kV2Split;
   b_opt.detector.threads = 4;
-  const auto b = pair_permutation_test(d, b_opt);
+  const auto b = permutation_test_of<2>(d, b_opt);
 
-  EXPECT_EQ(a.observed.x, b.observed.x);
-  EXPECT_EQ(a.observed.y, b.observed.y);
+  EXPECT_EQ(a.observed.snps[0], b.observed.snps[0]);
+  EXPECT_EQ(a.observed.snps[1], b.observed.snps[1]);
   ASSERT_EQ(a.null_scores.size(), b.null_scores.size());
   for (std::size_t i = 0; i < a.null_scores.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.null_scores[i], b.null_scores[i]) << i;
@@ -189,11 +189,11 @@ TEST(PairPermutationTest, VersionAndThreadsDoNotChangeScores) {
 
 TEST(PairPermutationTest, DeterministicInSeed) {
   const auto d = random_dataset({8, 150, 149});
-  PairPermutationTestOptions opt;
+  BasicPermutationTestOptions<2> opt;
   opt.permutations = 5;
   opt.seed = 31;
-  const auto a = pair_permutation_test(d, opt);
-  const auto b = pair_permutation_test(d, opt);
+  const auto a = permutation_test_of<2>(d, opt);
+  const auto b = permutation_test_of<2>(d, opt);
   EXPECT_EQ(a.null_scores, b.null_scores);
   EXPECT_DOUBLE_EQ(a.p_value, b.p_value);
 }
@@ -202,9 +202,9 @@ TEST(PermutationTest, NullScoresComeFromNullDistribution) {
   // Every null score must be >= the planted observed score (strict
   // dominance of the real signal), and they should not all be equal.
   const auto d = planted_dataset(10, 1200, 117);
-  PermutationTestOptions opt;
+  BasicPermutationTestOptions<3> opt;
   opt.permutations = 10;
-  const auto r = permutation_test(d, opt);
+  const auto r = permutation_test_of<3>(d, opt);
   for (const double s : r.null_scores) EXPECT_GT(s, r.observed.score);
   const auto [mn, mx] =
       std::minmax_element(r.null_scores.begin(), r.null_scores.end());

@@ -338,7 +338,7 @@ TEST(TuneResolver, ResolvedChoiceLandsInScanStatsAndIsBitIdentical) {
   // ...and the results are bit-identical to the analytic configuration.
   ASSERT_EQ(resolved.best.size(), base.best.size());
   for (std::size_t i = 0; i < base.best.size(); ++i) {
-    EXPECT_EQ(resolved.best[i].triplet, base.best[i].triplet);
+    EXPECT_EQ(resolved.best[i].snps, base.best[i].snps);
     EXPECT_EQ(std::memcmp(&resolved.best[i].score, &base.best[i].score,
                           sizeof(double)),
               0);

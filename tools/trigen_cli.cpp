@@ -143,9 +143,7 @@ core::ProgressFn make_progress_printer(std::string label) {
 }
 
 core::Objective parse_objective(const std::string& s) {
-  if (s == "k2") return core::Objective::kK2;
-  if (s == "mi") return core::Objective::kMutualInformation;
-  if (s == "chi2") return core::Objective::kChiSquared;
+  if (const auto o = core::objective_from_name(s)) return *o;
   std::fprintf(stderr, "unknown objective '%s' (k2|mi|chi2)\n", s.c_str());
   std::exit(2);
 }
@@ -250,9 +248,10 @@ int cmd_generate(const Args& a) {
     return a.has("help") ? 0 : 2;
   }
   dataset::SyntheticSpec spec;
-  spec.num_snps = static_cast<std::size_t>(a.get_int("snps", 100));
-  spec.num_samples = static_cast<std::size_t>(a.get_int("samples", 1000));
-  spec.seed = static_cast<std::uint64_t>(a.get_int("seed", 42));
+  spec.num_snps = static_cast<std::size_t>(get_uint_or_die(a, "snps", 100));
+  spec.num_samples =
+      static_cast<std::size_t>(get_uint_or_die(a, "samples", 1000));
+  spec.seed = get_uint_or_die(a, "seed", 42);
   spec.maf_min = a.get_double("maf-min", 0.05);
   spec.maf_max = a.get_double("maf-max", 0.5);
   spec.prevalence = a.get_double("prevalence", 0.5);
@@ -292,9 +291,9 @@ int cmd_info(const Args& a) {
               d.class_count(1));
   std::printf("3-way combinations: %llu\n2-way combinations: %llu\n",
               static_cast<unsigned long long>(
-                  combinatorics::num_triplets(d.num_snps())),
+                  combinatorics::n_choose_k(d.num_snps(), 3)),
               static_cast<unsigned long long>(
-                  combinatorics::num_pairs(d.num_snps())));
+                  combinatorics::n_choose_k(d.num_snps(), 2)));
   // Genotype distribution.
   std::size_t counts[3] = {};
   for (std::size_t m = 0; m < d.num_snps(); ++m) {
@@ -328,8 +327,6 @@ struct OrderCli {
   using Scored = core::ScoredOf<K>;
   using Detector = core::BasicDetector<K>;
   using DetectorOptions = core::BasicDetectorOptions<K>;
-  using ShardRunOptions = shard::BasicShardRunOptions<DetectorOptions>;
-  using ShardResult = shard::BasicShardResult<Scored>;
 
   /// The command spelling that reproduces this order (usage + progress).
   static std::string label() {
@@ -349,25 +346,6 @@ struct OrderCli {
     } else {
       return std::to_string(K) + "-tuples";
     }
-  }
-  static std::uint64_t space(std::uint64_t m) {
-    return combinatorics::n_choose_k(m, K);
-  }
-  template <typename Discard>
-  static shard::BasicShardRunReport<Scored> run_shard(
-      const Detector& det, std::uint64_t fp, const ShardRunOptions& o,
-      Discard&& discard) {
-    return shard::run_shard_of<K>(det, fp, o, discard);
-  }
-  static ShardResult read_shard_file(const std::string& path) {
-    return shard::read_shard_result_file_as<Scored>(path);
-  }
-  static shard::MergedScanOf<K> merge(const std::vector<ShardResult>& shards,
-                                      shard::MergeCoverage coverage) {
-    return shard::merge_shards_of<K>(shards, coverage);
-  }
-  static std::uint64_t evaluated(const core::BasicDetectionResult<K>& r) {
-    return r.combinations_evaluated;
   }
   /// The CSV section shared by `scan` (full or shard), `merge` and the
   /// resident server's scan-job payload, so shell pipelines can diff any
@@ -420,8 +398,8 @@ int cmd_scan_generic(const Args& a) {
   // `--version` fails instantly even on a multi-gigabyte input.
   typename Cli::DetectorOptions opt;
   opt.objective = parse_objective(a.get("objective", "k2"));
-  opt.top_k = static_cast<std::size_t>(a.get_int("top", 10));
-  opt.threads = static_cast<unsigned>(a.get_int("threads", 0));
+  opt.top_k = static_cast<std::size_t>(get_uint_or_die(a, "top", 10));
+  opt.threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
   opt.version = parse_version(a);
   if (const auto isa = parse_isa_flag(a)) {
     opt.isa = *isa;
@@ -431,7 +409,8 @@ int cmd_scan_generic(const Args& a) {
   }
   const auto d = load(a.positional[0]);
   typename Cli::Detector det(d);
-  const std::uint64_t total = Cli::space(d.num_snps());
+  const std::uint64_t total =
+      combinatorics::n_choose_k(d.num_snps(), Cli::kOrder);
 
   if (a.has("shards") || a.has("shard")) {
     if (a.has("range")) {
@@ -454,7 +433,8 @@ int cmd_scan_generic(const Args& a) {
       strategy = shard::SplitStrategy::kBlockAligned;
       bs = core::autotune_tiling(core::detect_l1_config(),
                                  core::kernel_vector_words(
-                                     core::best_kernel_isa()))
+                                     core::best_kernel_isa()),
+                                 3, false)
                .bs;
     } else if (split != "even") {
       std::fprintf(stderr, "--split expects even|block\n");
@@ -480,7 +460,7 @@ int cmd_scan_generic(const Args& a) {
   // Orchestrated path: any of --out / --checkpoint / --stop-after routes
   // through the checkpointing shard runner instead of a bare run().
   if (a.has("out") || a.has("checkpoint") || a.has("stop-after")) {
-    typename Cli::ShardRunOptions ropt;
+    shard::BasicShardRunOptions<typename Cli::DetectorOptions> ropt;
     ropt.detector = opt;
     ropt.range = eff;
     ropt.checkpoint_path = a.get("checkpoint", "");
@@ -498,7 +478,7 @@ int cmd_scan_generic(const Args& a) {
     };
     if (a.has("progress")) ropt.progress = make_progress_printer(Cli::label());
     const std::uint64_t fp = shard::dataset_fingerprint(d);
-    const auto report = Cli::run_shard(
+    const auto report = shard::run_shard_of<Cli::kOrder>(
         det, fp, ropt, [](const std::string& reason) {
           std::fprintf(stderr,
                        "warning: discarding unusable checkpoint (%s); "
@@ -544,7 +524,8 @@ int cmd_scan_generic(const Args& a) {
   if (a.has("progress")) opt.progress = make_progress_printer(Cli::label());
   const auto r = det.run(opt);
   std::printf("# %llu %s, %.3f s, %.2f Gel/s, %s, kernel %s, %u thread(s)\n",
-              static_cast<unsigned long long>(Cli::evaluated(r)), Cli::noun().c_str(),
+              static_cast<unsigned long long>(r.combinations_evaluated),
+              Cli::noun().c_str(),
               r.seconds, r.elements_per_second() / 1e9,
               core::cpu_version_name(opt.version).c_str(),
               core::kernel_isa_name(r.isa_used).c_str(), r.threads_used);
@@ -579,14 +560,15 @@ int cmd_scan2(const Args& a) { return cmd_scan_generic<OrderCli<2>>(a); }
 
 template <typename Cli>
 int cmd_merge_generic(const Args& a) {
-  std::vector<typename Cli::ShardResult> shards;
+  std::vector<shard::BasicShardResult<typename Cli::Scored>> shards;
   shards.reserve(a.positional.size());
   for (const auto& path : a.positional) {
-    shards.push_back(Cli::read_shard_file(path));
+    shards.push_back(
+        shard::read_shard_result_file_as<typename Cli::Scored>(path));
   }
-  const auto m = Cli::merge(shards, a.has("partial")
-                                        ? shard::MergeCoverage::kContiguous
-                                        : shard::MergeCoverage::kFullScan);
+  const auto m = shard::merge_shards_of<Cli::kOrder>(
+      shards, a.has("partial") ? shard::MergeCoverage::kContiguous
+                               : shard::MergeCoverage::kFullScan);
   if (a.has("out")) {
     shard::write_shard_result_file(a.get("out", ""), shard::to_shard_result(m));
     std::printf("# wrote merged result %s\n", a.get("out", "").c_str());
@@ -599,7 +581,8 @@ int cmd_merge_generic(const Args& a) {
       "# merged %llu shards: %llu %s, %.3f s compute (slowest shard "
       "%.3f s), %.2f Gel/s aggregate, objective %s, fingerprint %016llx\n",
       static_cast<unsigned long long>(m.num_shards),
-      static_cast<unsigned long long>(Cli::evaluated(m.result)), Cli::noun().c_str(),
+      static_cast<unsigned long long>(m.result.combinations_evaluated),
+      Cli::noun().c_str(),
       m.result.seconds, m.max_shard_seconds, aggregate_eps / 1e9,
       m.objective.c_str(), static_cast<unsigned long long>(m.fingerprint));
   Cli::print_csv(m.result.best);
@@ -642,15 +625,16 @@ int cmd_baseline(const Args& a) {
   }
   const auto d = load(a.positional[0]);
   baseline::Mpi3SnpEngine engine(d);
-  const auto r = engine.run(static_cast<unsigned>(a.get_int("threads", 1)),
-                            static_cast<std::size_t>(a.get_int("top", 10)));
+  const auto r =
+      engine.run(static_cast<unsigned>(get_uint_or_die(a, "threads", 1)),
+                 static_cast<std::size_t>(get_uint_or_die(a, "top", 10)));
   std::printf("# %llu triplets, %.3f s, %.2f Gel/s (MPI3SNP-style, MI)\n",
               static_cast<unsigned long long>(r.triplets_evaluated), r.seconds,
               r.elements_per_second() / 1e9);
   std::printf("rank,snp_x,snp_y,snp_z,score\n");
   for (std::size_t i = 0; i < r.best.size(); ++i) {
-    std::printf("%zu,%u,%u,%u,%.6f\n", i + 1, r.best[i].triplet.x,
-                r.best[i].triplet.y, r.best[i].triplet.z, r.best[i].score);
+    std::printf("%zu,%u,%u,%u,%.6f\n", i + 1, r.best[i].snps[0],
+                r.best[i].snps[1], r.best[i].snps[2], r.best[i].score);
   }
   return 0;
 }
@@ -703,11 +687,11 @@ int cmd_significance(const Args& a) {
   }
   const auto d = load(a.positional[0]);
   const auto permutations =
-      static_cast<unsigned>(a.get_int("permutations", 19));
-  const auto seed = static_cast<std::uint64_t>(a.get_int("seed", 7));
+      static_cast<unsigned>(get_uint_or_die(a, "permutations", 19));
+  const auto seed = get_uint_or_die(a, "seed", 7);
   const auto objective = parse_objective(a.get("objective", "k2"));
-  const auto threads = static_cast<unsigned>(a.get_int("threads", 0));
-  const auto batch = static_cast<unsigned>(a.get_int("batch", 0));
+  const auto threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
+  const auto batch = static_cast<unsigned>(get_uint_or_die(a, "batch", 0));
   const bool progress = a.has("progress");
   const auto isa = parse_isa_flag(a);
   core::ConfigResolver config = isa ? core::ConfigResolver{}
@@ -805,7 +789,8 @@ int cmd_coordinate(const Args& a) {
         a, "block-size",
         core::autotune_tiling(core::detect_l1_config(),
                               core::kernel_vector_words(
-                                  core::best_kernel_isa()))
+                                  core::best_kernel_isa()),
+                              3, false)
             .bs);
   }
   co.spool = a.get("spool", ".");
