@@ -86,23 +86,34 @@ done
 # A negative count flag is a usage error (exit 2) naming the flag, never a
 # two's-complement wrap into a huge count (`--threads -1` must not ask for
 # 2^32-1 workers).
-expect_usage_error() {
-  local flag=$1; shift
+expect_exit2() {
+  local message=$1; shift
   local rc=0
   "$TRIGEN" "$@" > /dev/null 2> err.txt || rc=$?
   if [ "$rc" -ne 2 ]; then
     echo "$*: expected exit 2, got $rc" >&2
     exit 1
   fi
-  grep -q -- "--$flag expects a non-negative integer" err.txt \
-    || { echo "$*: failed without naming --$flag" >&2; exit 1; }
+  grep -q -- "$message" err.txt \
+    || { echo "$*: failed without printing '$message'" >&2; exit 1; }
 }
-for flag in threads top; do
-  expect_usage_error "$flag" scan d.tg --"$flag" -1
-  expect_usage_error "$flag" baseline d.tg --"$flag" -1
-done
-for flag in permutations batch seed threads; do
-  expect_usage_error "$flag" significance d.tg --"$flag" -1
+expect_usage_error() {
+  expect_exit2 "--$1 expects a non-negative integer" "${@:2}"
+}
+# Every flag is checked before the dataset is read, so the same usage
+# errors on a missing dataset still exit 2 (not 1 with "cannot open").
+for data in d.tg missing.tg; do
+  for flag in threads top; do
+    expect_usage_error "$flag" scan "$data" --"$flag" -1
+    expect_usage_error "$flag" baseline "$data" --"$flag" -1
+  done
+  for flag in permutations batch seed threads; do
+    expect_usage_error "$flag" significance "$data" --"$flag" -1
+  done
+  for cmd in scan significance; do
+    expect_exit2 "--order expects" "$cmd" "$data" --order 9
+    expect_exit2 "--isa/TRIGEN_ISA expects" "$cmd" "$data" --isa bogus
+  done
 done
 for flag in snps samples seed; do
   expect_usage_error "$flag" generate bad.tg --"$flag" -1

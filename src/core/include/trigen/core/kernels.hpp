@@ -13,10 +13,14 @@
 ///    by NOR, there is no phenotype AND, and the word range allows the
 ///    blocked engine (V3/V4/V5) to tile the sample dimension.
 ///
-/// The triple-block kernel has one implementation per vectorization
-/// strategy (scalar, AVX2, AVX-512 + extracts, AVX-512 + VPOPCNTDQ),
-/// matching the per-ISA strategies of the paper's V4; the scalar
-/// implementation doubles as the V2/V3 kernel.
+/// Every kernel family has one implementation per vectorization strategy
+/// (scalar, AVX2 + extracts, AVX2 Harley-Seal, AVX-512 + extracts,
+/// AVX-512 + VPOPCNTDQ), matching the per-ISA strategies of the paper's
+/// V4; the scalar implementations double as the V2/V3 kernels and as the
+/// reference the vector ones are tested against.  The strategies differ
+/// only in vector width and in how a popcount is taken, so each vector
+/// kernel shape is written once, as a template over a per-strategy policy
+/// (src/core/kernels_simd.hpp), and instantiated per strategy.
 ///
 /// The blocked engine's direct (V3/V4) path names one kernel per order,
 /// chosen at compile time by `DirectKernel<K>` / `get_direct_kernel<K>`:
@@ -38,8 +42,9 @@
 /// nine-plane `pair_plane_build` kernel remains only as rung 2 of the
 /// k >= 4 ladder and of the batched k >= 3 engine (the batched k = 2 path
 /// runs the batch kernels straight over x's two stored planes).
-/// `triple_block_cached` has no caller in the engines any more; it is kept
-/// only for perfbench's kernel probe and the kernel benchmarks.
+/// `triple_block_cached` has no caller in the engines any more and no body
+/// of its own: it is the generic `finalize` kernel at count 9, kept only
+/// for perfbench's kernel probe and the kernel benchmarks.
 ///
 /// NOR padding: plane tail bits are zero, so an inferred genotype-2 plane
 /// has ones there and the kernels that form one over-count the
@@ -193,8 +198,9 @@ inline void complete_triple_row(const dataset::PhenoSplitPlanes& p, int c,
 /// The nine-plane V5 phases for one vectorization strategy plus the
 /// counts-only pair kernel.  `build` is rung 2 of the k >= 4 ladder and of
 /// the batched k >= 3 engine; `count` is the k = 2 direct kernel and fills
-/// the pair tables of the V5 order-3 path; `cached` is called only by
-/// perfbench's kernel probe and the kernel benchmarks.
+/// the pair tables of the V5 order-3 path; `cached` is the strategy's
+/// generic `finalize` at count 9, called only by perfbench's kernel probe
+/// and the kernel benchmarks.
 struct CachedKernelSet {
   PairPlaneBuildKernel build = nullptr;
   TripleBlockCachedKernel cached = nullptr;
@@ -364,6 +370,7 @@ TripleBlockKernel get_kernel(KernelIsa isa);
 /// Fetch the V5 two-phase kernel set for `isa`; throws std::runtime_error
 /// if unavailable.  Availability is identical to get_kernel's: every ISA
 /// that carries a triple-block kernel carries the cached pair as well.
+/// `cached` runs get_generic_kernels(isa).finalize at count 9.
 CachedKernelSet get_cached_kernels(KernelIsa isa);
 
 /// Fetch the order-generic kernel family for `isa`; throws

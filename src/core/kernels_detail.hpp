@@ -1,16 +1,16 @@
 #pragma once
 /// \file kernels_detail.hpp
-/// \brief Internal declarations of the per-ISA triple-block kernel
-/// implementations.
+/// \brief Internal declarations of the per-strategy kernel tables.
 ///
-/// Each vector implementation lives in its own translation unit
-/// (kernels_avx2.cpp, kernels_avx512.cpp, kernels_avx512vpopcnt.cpp) that the
-/// build system compiles with exactly the ISA flags that implementation
-/// needs (-mavx2 / -mavx512f -mavx512bw / -mavx512vpopcntdq).  The dispatch
-/// registry in kernels_dispatch.cpp is compiled portably and selects among
-/// them at runtime via cpu_features(), so a binary built without
-/// -march=native still carries every variant the compiler can emit and never
-/// executes one the host cannot run.
+/// Each vector strategy lives in a policy translation unit
+/// (kernels_avx2.cpp, kernels_avx512.cpp, kernels_avx512vpopcnt.cpp) that
+/// the build system compiles with exactly the ISA flags that strategy needs
+/// (-mavx2 / -mavx512f -mavx512bw / -mavx512vpopcntdq) and that
+/// instantiates the shared kernel templates of kernels_simd.hpp over its
+/// policy.  The dispatch registry in kernels_dispatch.cpp is compiled
+/// portably and selects among the tables at runtime via cpu_features(), so
+/// a binary built without -march=native still carries every variant the
+/// compiler can emit and never executes one the host cannot run.
 ///
 /// Which variants were compiled in is communicated by the build system
 /// through the TRIGEN_KERNEL_AVX2 / TRIGEN_KERNEL_AVX512 /
@@ -35,7 +35,39 @@
 
 namespace trigen::core::detail {
 
-// Defined in kernels_scalar.cpp; always present.
+/// The kernel bodies one vectorization strategy owns.  A null entry is one
+/// the strategy does not carry: the get_*_kernels registry fills it from
+/// the widest compiled generic table (AVX2 extract, or scalar).
+/// `CachedKernelSet::cached` has no entry: it is `finalize` at count 9.
+struct KernelTable {
+  TripleBlockKernel triple = nullptr;
+  PairPlaneBuildKernel build = nullptr;
+  PairPlaneCountKernel count = nullptr;
+  PrefixExtendKernel extend = nullptr;
+  PrefixExtendKernel extend01 = nullptr;
+  PrefixFinalKernel finalize = nullptr;
+  TupleBlockKernel direct = nullptr;
+  BatchLabelPopsKernel label_pops = nullptr;
+  BatchFinalKernel batch_final = nullptr;
+};
+
+// kernels_scalar.cpp; always present.
+extern const KernelTable kScalarKernels;
+#if defined(TRIGEN_KERNEL_AVX2)
+// kernels_avx2.cpp (compiled with -mavx2).
+extern const KernelTable kAvx2ExtractKernels;
+extern const KernelTable kAvx2HarleySealKernels;
+#endif
+#if defined(TRIGEN_KERNEL_AVX512)
+// kernels_avx512.cpp (compiled with -mavx512f -mavx512bw).
+extern const KernelTable kAvx512ExtractKernels;
+#endif
+#if defined(TRIGEN_KERNEL_AVX512VPOPCNT)
+// kernels_avx512vpopcnt.cpp (compiled with -mavx512vpopcntdq).
+extern const KernelTable kAvx512VpopcntKernels;
+#endif
+
+// The scalar bodies the vector kernels hand their word tails to.
 void triple_block_scalar(const Word* TRIGEN_RESTRICT x0,
                          const Word* TRIGEN_RESTRICT x1,
                          const Word* TRIGEN_RESTRICT y0,
@@ -51,13 +83,6 @@ void pair_plane_build_scalar(const Word* TRIGEN_RESTRICT x0,
                              std::size_t w_begin, std::size_t w_end,
                              Word* TRIGEN_RESTRICT xy, std::size_t stride,
                              std::uint32_t* TRIGEN_RESTRICT xy_pop9);
-void triple_block_cached_scalar(const Word* TRIGEN_RESTRICT xy,
-                                std::size_t stride,
-                                const std::uint32_t* TRIGEN_RESTRICT xy_pop9,
-                                const Word* TRIGEN_RESTRICT z0,
-                                const Word* TRIGEN_RESTRICT z1,
-                                std::size_t w_begin, std::size_t w_end,
-                                std::uint32_t* TRIGEN_RESTRICT ft27);
 void pair_plane_count_scalar(const Word* TRIGEN_RESTRICT x0,
                              const Word* TRIGEN_RESTRICT x1,
                              const Word* TRIGEN_RESTRICT y0,
@@ -76,232 +101,9 @@ void prefix_extend01_scalar(
     const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
     std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
     std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops);
-void prefix_final_scalar(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
-                         std::size_t stride,
-                         const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
-                         const Word* TRIGEN_RESTRICT z0,
-                         const Word* TRIGEN_RESTRICT z1, std::size_t w_begin,
-                         std::size_t w_end, std::uint32_t* TRIGEN_RESTRICT ft);
 void tuple_block_scalar(const Word* const* TRIGEN_RESTRICT g0,
                         const Word* const* TRIGEN_RESTRICT g1, unsigned k,
                         std::size_t w_begin, std::size_t w_end,
                         std::uint32_t* TRIGEN_RESTRICT ft);
-void batch_label_pops_scalar(const Word* TRIGEN_RESTRICT prefix,
-                             std::size_t count, std::size_t stride,
-                             const Word* TRIGEN_RESTRICT labels,
-                             std::size_t num_labels, std::size_t lstride,
-                             std::size_t w_begin, std::size_t w_end,
-                             std::uint32_t* TRIGEN_RESTRICT label_pops);
-void batch_final_scalar(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
-                        std::size_t stride,
-                        const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
-                        const std::uint32_t* TRIGEN_RESTRICT label_pops,
-                        const Word* TRIGEN_RESTRICT z0,
-                        const Word* TRIGEN_RESTRICT z1,
-                        const Word* TRIGEN_RESTRICT labels,
-                        std::size_t num_labels, std::size_t lstride,
-                        std::size_t w_begin, std::size_t w_end,
-                        std::uint32_t* TRIGEN_RESTRICT ft,
-                        std::size_t ft_stride);
-
-#if defined(TRIGEN_KERNEL_AVX2)
-// Defined in kernels_avx2.cpp (compiled with -mavx2).
-void triple_block_avx2(const Word* TRIGEN_RESTRICT x0,
-                       const Word* TRIGEN_RESTRICT x1,
-                       const Word* TRIGEN_RESTRICT y0,
-                       const Word* TRIGEN_RESTRICT y1,
-                       const Word* TRIGEN_RESTRICT z0,
-                       const Word* TRIGEN_RESTRICT z1,
-                       std::size_t w_begin, std::size_t w_end,
-                       std::uint32_t* TRIGEN_RESTRICT ft27);
-void triple_block_avx2_harley_seal(const Word* TRIGEN_RESTRICT x0,
-                                   const Word* TRIGEN_RESTRICT x1,
-                                   const Word* TRIGEN_RESTRICT y0,
-                                   const Word* TRIGEN_RESTRICT y1,
-                                   const Word* TRIGEN_RESTRICT z0,
-                                   const Word* TRIGEN_RESTRICT z1,
-                                   std::size_t w_begin, std::size_t w_end,
-                                   std::uint32_t* TRIGEN_RESTRICT ft27);
-void pair_plane_build_avx2(const Word* TRIGEN_RESTRICT x0,
-                           const Word* TRIGEN_RESTRICT x1,
-                           const Word* TRIGEN_RESTRICT y0,
-                           const Word* TRIGEN_RESTRICT y1,
-                           std::size_t w_begin, std::size_t w_end,
-                           Word* TRIGEN_RESTRICT xy, std::size_t stride,
-                           std::uint32_t* TRIGEN_RESTRICT xy_pop9);
-void triple_block_cached_avx2(const Word* TRIGEN_RESTRICT xy,
-                              std::size_t stride,
-                              const std::uint32_t* TRIGEN_RESTRICT xy_pop9,
-                              const Word* TRIGEN_RESTRICT z0,
-                              const Word* TRIGEN_RESTRICT z1,
-                              std::size_t w_begin, std::size_t w_end,
-                              std::uint32_t* TRIGEN_RESTRICT ft27);
-void pair_plane_count_avx2(const Word* TRIGEN_RESTRICT x0,
-                           const Word* TRIGEN_RESTRICT x1,
-                           const Word* TRIGEN_RESTRICT y0,
-                           const Word* TRIGEN_RESTRICT y1,
-                           std::size_t w_begin, std::size_t w_end,
-                           std::uint32_t* TRIGEN_RESTRICT xy_pop9);
-void pair_plane_build_avx2_harley_seal(
-    const Word* TRIGEN_RESTRICT x0, const Word* TRIGEN_RESTRICT x1,
-    const Word* TRIGEN_RESTRICT y0, const Word* TRIGEN_RESTRICT y1,
-    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT xy,
-    std::size_t stride, std::uint32_t* TRIGEN_RESTRICT xy_pop9);
-void triple_block_cached_avx2_harley_seal(
-    const Word* TRIGEN_RESTRICT xy, std::size_t stride,
-    const std::uint32_t* TRIGEN_RESTRICT xy_pop9,
-    const Word* TRIGEN_RESTRICT z0, const Word* TRIGEN_RESTRICT z1,
-    std::size_t w_begin, std::size_t w_end,
-    std::uint32_t* TRIGEN_RESTRICT ft27);
-void pair_plane_count_avx2_harley_seal(
-    const Word* TRIGEN_RESTRICT x0, const Word* TRIGEN_RESTRICT x1,
-    const Word* TRIGEN_RESTRICT y0, const Word* TRIGEN_RESTRICT y1,
-    std::size_t w_begin, std::size_t w_end,
-    std::uint32_t* TRIGEN_RESTRICT xy_pop9);
-void prefix_extend_avx2(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
-                        std::size_t stride, const Word* TRIGEN_RESTRICT s0,
-                        const Word* TRIGEN_RESTRICT s1, std::size_t w_begin,
-                        std::size_t w_end, Word* TRIGEN_RESTRICT out,
-                        std::size_t out_stride,
-                        std::uint32_t* TRIGEN_RESTRICT out_pops);
-void prefix_extend01_avx2(
-    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
-    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
-    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
-    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops);
-void prefix_extend01_avx2_harley_seal(
-    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
-    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
-    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
-    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops);
-void prefix_final_avx2(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
-                       std::size_t stride,
-                       const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
-                       const Word* TRIGEN_RESTRICT z0,
-                       const Word* TRIGEN_RESTRICT z1, std::size_t w_begin,
-                       std::size_t w_end, std::uint32_t* TRIGEN_RESTRICT ft);
-void tuple_block_avx2(const Word* const* TRIGEN_RESTRICT g0,
-                      const Word* const* TRIGEN_RESTRICT g1, unsigned k,
-                      std::size_t w_begin, std::size_t w_end,
-                      std::uint32_t* TRIGEN_RESTRICT ft);
-void batch_label_pops_avx2(const Word* TRIGEN_RESTRICT prefix,
-                           std::size_t count, std::size_t stride,
-                           const Word* TRIGEN_RESTRICT labels,
-                           std::size_t num_labels, std::size_t lstride,
-                           std::size_t w_begin, std::size_t w_end,
-                           std::uint32_t* TRIGEN_RESTRICT label_pops);
-void batch_final_avx2(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
-                      std::size_t stride,
-                      const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
-                      const std::uint32_t* TRIGEN_RESTRICT label_pops,
-                      const Word* TRIGEN_RESTRICT z0,
-                      const Word* TRIGEN_RESTRICT z1,
-                      const Word* TRIGEN_RESTRICT labels,
-                      std::size_t num_labels, std::size_t lstride,
-                      std::size_t w_begin, std::size_t w_end,
-                      std::uint32_t* TRIGEN_RESTRICT ft,
-                      std::size_t ft_stride);
-#endif
-
-#if defined(TRIGEN_KERNEL_AVX512)
-// Defined in kernels_avx512.cpp (compiled with -mavx512f -mavx512bw).
-void triple_block_avx512_extract(const Word* TRIGEN_RESTRICT x0,
-                                 const Word* TRIGEN_RESTRICT x1,
-                                 const Word* TRIGEN_RESTRICT y0,
-                                 const Word* TRIGEN_RESTRICT y1,
-                                 const Word* TRIGEN_RESTRICT z0,
-                                 const Word* TRIGEN_RESTRICT z1,
-                                 std::size_t w_begin, std::size_t w_end,
-                                 std::uint32_t* TRIGEN_RESTRICT ft27);
-void pair_plane_build_avx512_extract(
-    const Word* TRIGEN_RESTRICT x0, const Word* TRIGEN_RESTRICT x1,
-    const Word* TRIGEN_RESTRICT y0, const Word* TRIGEN_RESTRICT y1,
-    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT xy,
-    std::size_t stride, std::uint32_t* TRIGEN_RESTRICT xy_pop9);
-void triple_block_cached_avx512_extract(
-    const Word* TRIGEN_RESTRICT xy, std::size_t stride,
-    const std::uint32_t* TRIGEN_RESTRICT xy_pop9,
-    const Word* TRIGEN_RESTRICT z0, const Word* TRIGEN_RESTRICT z1,
-    std::size_t w_begin, std::size_t w_end,
-    std::uint32_t* TRIGEN_RESTRICT ft27);
-void pair_plane_count_avx512_extract(
-    const Word* TRIGEN_RESTRICT x0, const Word* TRIGEN_RESTRICT x1,
-    const Word* TRIGEN_RESTRICT y0, const Word* TRIGEN_RESTRICT y1,
-    std::size_t w_begin, std::size_t w_end,
-    std::uint32_t* TRIGEN_RESTRICT xy_pop9);
-void prefix_extend01_avx512_extract(
-    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
-    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
-    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
-    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops);
-void batch_label_pops_avx512(const Word* TRIGEN_RESTRICT prefix,
-                             std::size_t count, std::size_t stride,
-                             const Word* TRIGEN_RESTRICT labels,
-                             std::size_t num_labels, std::size_t lstride,
-                             std::size_t w_begin, std::size_t w_end,
-                             std::uint32_t* TRIGEN_RESTRICT label_pops);
-void batch_final_avx512(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
-                        std::size_t stride,
-                        const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
-                        const std::uint32_t* TRIGEN_RESTRICT label_pops,
-                        const Word* TRIGEN_RESTRICT z0,
-                        const Word* TRIGEN_RESTRICT z1,
-                        const Word* TRIGEN_RESTRICT labels,
-                        std::size_t num_labels, std::size_t lstride,
-                        std::size_t w_begin, std::size_t w_end,
-                        std::uint32_t* TRIGEN_RESTRICT ft,
-                        std::size_t ft_stride);
-#endif
-
-#if defined(TRIGEN_KERNEL_AVX512VPOPCNT)
-// Defined in kernels_avx512vpopcnt.cpp (compiled with -mavx512vpopcntdq).
-void triple_block_avx512_vpopcnt(const Word* TRIGEN_RESTRICT x0,
-                                 const Word* TRIGEN_RESTRICT x1,
-                                 const Word* TRIGEN_RESTRICT y0,
-                                 const Word* TRIGEN_RESTRICT y1,
-                                 const Word* TRIGEN_RESTRICT z0,
-                                 const Word* TRIGEN_RESTRICT z1,
-                                 std::size_t w_begin, std::size_t w_end,
-                                 std::uint32_t* TRIGEN_RESTRICT ft27);
-void pair_plane_build_avx512_vpopcnt(
-    const Word* TRIGEN_RESTRICT x0, const Word* TRIGEN_RESTRICT x1,
-    const Word* TRIGEN_RESTRICT y0, const Word* TRIGEN_RESTRICT y1,
-    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT xy,
-    std::size_t stride, std::uint32_t* TRIGEN_RESTRICT xy_pop9);
-void triple_block_cached_avx512_vpopcnt(
-    const Word* TRIGEN_RESTRICT xy, std::size_t stride,
-    const std::uint32_t* TRIGEN_RESTRICT xy_pop9,
-    const Word* TRIGEN_RESTRICT z0, const Word* TRIGEN_RESTRICT z1,
-    std::size_t w_begin, std::size_t w_end,
-    std::uint32_t* TRIGEN_RESTRICT ft27);
-void pair_plane_count_avx512_vpopcnt(
-    const Word* TRIGEN_RESTRICT x0, const Word* TRIGEN_RESTRICT x1,
-    const Word* TRIGEN_RESTRICT y0, const Word* TRIGEN_RESTRICT y1,
-    std::size_t w_begin, std::size_t w_end,
-    std::uint32_t* TRIGEN_RESTRICT xy_pop9);
-void prefix_extend01_avx512_vpopcnt(
-    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
-    const Word* TRIGEN_RESTRICT s0, const Word* TRIGEN_RESTRICT s1,
-    std::size_t w_begin, std::size_t w_end, Word* TRIGEN_RESTRICT out,
-    std::size_t out_stride, std::uint32_t* TRIGEN_RESTRICT out_pops);
-void prefix_final_avx512_vpopcnt(
-    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
-    const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
-    const Word* TRIGEN_RESTRICT z0, const Word* TRIGEN_RESTRICT z1,
-    std::size_t w_begin, std::size_t w_end, std::uint32_t* TRIGEN_RESTRICT ft);
-void batch_label_pops_avx512_vpopcnt(
-    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
-    const Word* TRIGEN_RESTRICT labels, std::size_t num_labels,
-    std::size_t lstride, std::size_t w_begin, std::size_t w_end,
-    std::uint32_t* TRIGEN_RESTRICT label_pops);
-void batch_final_avx512_vpopcnt(
-    const Word* TRIGEN_RESTRICT prefix, std::size_t count, std::size_t stride,
-    const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
-    const std::uint32_t* TRIGEN_RESTRICT label_pops,
-    const Word* TRIGEN_RESTRICT z0, const Word* TRIGEN_RESTRICT z1,
-    const Word* TRIGEN_RESTRICT labels, std::size_t num_labels,
-    std::size_t lstride, std::size_t w_begin, std::size_t w_end,
-    std::uint32_t* TRIGEN_RESTRICT ft, std::size_t ft_stride);
-#endif
 
 }  // namespace trigen::core::detail

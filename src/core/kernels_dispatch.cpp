@@ -117,142 +117,107 @@ std::optional<KernelFamily> parse_kernel_family(const std::string& name) {
   return std::nullopt;
 }
 
-TripleBlockKernel get_kernel(KernelIsa isa) {
+namespace {
+
+/// The table whose bodies fill every entry a strategy does not own: the
+/// widest compiled generic path.  Any host that can execute an AVX-512
+/// strategy can execute AVX2, and every body is exact, so results are
+/// bit-identical across the mapping.
+#if defined(TRIGEN_KERNEL_AVX2)
+const detail::KernelTable& kWidestGeneric = detail::kAvx2ExtractKernels;
+#else
+const detail::KernelTable& kWidestGeneric = detail::kScalarKernels;
+#endif
+
+/// The kernel set of `isa` with every null entry filled from
+/// kWidestGeneric; throws when `isa` cannot run on this host.
+detail::KernelTable kernel_table(KernelIsa isa) {
   if (!kernel_available(isa)) {
     throw std::runtime_error("kernel '" + kernel_isa_name(isa) +
                              "' not available on this host");
   }
+  detail::KernelTable t;
   switch (isa) {
     case KernelIsa::kScalar:
-      return &detail::triple_block_scalar;
+      t = detail::kScalarKernels;
+      break;
 #if defined(TRIGEN_KERNEL_AVX2)
     case KernelIsa::kAvx2:
-      return &detail::triple_block_avx2;
+      t = detail::kAvx2ExtractKernels;
+      break;
     case KernelIsa::kAvx2HarleySeal:
-      return &detail::triple_block_avx2_harley_seal;
+      t = detail::kAvx2HarleySealKernels;
+      break;
 #endif
 #if defined(TRIGEN_KERNEL_AVX512)
     case KernelIsa::kAvx512Extract:
-      return &detail::triple_block_avx512_extract;
+      t = detail::kAvx512ExtractKernels;
+      break;
 #endif
 #if defined(TRIGEN_KERNEL_AVX512VPOPCNT)
     case KernelIsa::kAvx512Vpopcnt:
-      return &detail::triple_block_avx512_vpopcnt;
+      t = detail::kAvx512VpopcntKernels;
+      break;
 #endif
     default:
       throw std::runtime_error("kernel not compiled in");
   }
+  const detail::KernelTable& w = kWidestGeneric;
+  if (t.extend == nullptr) t.extend = w.extend;
+  if (t.finalize == nullptr) t.finalize = w.finalize;
+  if (t.direct == nullptr) t.direct = w.direct;
+  if (t.label_pops == nullptr) t.label_pops = w.label_pops;
+  if (t.batch_final == nullptr) t.batch_final = w.batch_final;
+  return t;
+}
+
+/// CachedKernelSet::cached of strategy I: its finalize at count 9.
+template <KernelIsa I>
+void finalize_nine_planes(const Word* xy, std::size_t stride,
+                          const std::uint32_t* xy_pop9, const Word* z0,
+                          const Word* z1, std::size_t w_begin,
+                          std::size_t w_end, std::uint32_t* ft27) {
+  static const PrefixFinalKernel finalize = kernel_table(I).finalize;
+  finalize(xy, 9, stride, xy_pop9, z0, z1, w_begin, w_end, ft27);
+}
+
+}  // namespace
+
+TripleBlockKernel get_kernel(KernelIsa isa) {
+  return kernel_table(isa).triple;
 }
 
 CachedKernelSet get_cached_kernels(KernelIsa isa) {
-  if (!kernel_available(isa)) {
-    throw std::runtime_error("kernel '" + kernel_isa_name(isa) +
-                             "' not available on this host");
-  }
+  const detail::KernelTable t = kernel_table(isa);
+  TripleBlockCachedKernel cached = nullptr;
   switch (isa) {
     case KernelIsa::kScalar:
-      return {&detail::pair_plane_build_scalar,
-              &detail::triple_block_cached_scalar,
-              &detail::pair_plane_count_scalar};
-#if defined(TRIGEN_KERNEL_AVX2)
+      cached = &finalize_nine_planes<KernelIsa::kScalar>;
+      break;
     case KernelIsa::kAvx2:
-      return {&detail::pair_plane_build_avx2,
-              &detail::triple_block_cached_avx2,
-              &detail::pair_plane_count_avx2};
+      cached = &finalize_nine_planes<KernelIsa::kAvx2>;
+      break;
     case KernelIsa::kAvx2HarleySeal:
-      return {&detail::pair_plane_build_avx2_harley_seal,
-              &detail::triple_block_cached_avx2_harley_seal,
-              &detail::pair_plane_count_avx2_harley_seal};
-#endif
-#if defined(TRIGEN_KERNEL_AVX512)
+      cached = &finalize_nine_planes<KernelIsa::kAvx2HarleySeal>;
+      break;
     case KernelIsa::kAvx512Extract:
-      return {&detail::pair_plane_build_avx512_extract,
-              &detail::triple_block_cached_avx512_extract,
-              &detail::pair_plane_count_avx512_extract};
-#endif
-#if defined(TRIGEN_KERNEL_AVX512VPOPCNT)
+      cached = &finalize_nine_planes<KernelIsa::kAvx512Extract>;
+      break;
     case KernelIsa::kAvx512Vpopcnt:
-      return {&detail::pair_plane_build_avx512_vpopcnt,
-              &detail::triple_block_cached_avx512_vpopcnt,
-              &detail::pair_plane_count_avx512_vpopcnt};
-#endif
-    default:
-      throw std::runtime_error("kernel not compiled in");
+      cached = &finalize_nine_planes<KernelIsa::kAvx512Vpopcnt>;
+      break;
   }
+  return {t.build, cached, t.count};
 }
 
 GenericKernelSet get_generic_kernels(KernelIsa isa) {
-  if (!kernel_available(isa)) {
-    throw std::runtime_error("kernel '" + kernel_isa_name(isa) +
-                             "' not available on this host");
-  }
-  // Each strategy has its own extend01, and VPOPCNTDQ its own finalize;
-  // the rest maps to the widest compiled generic path.  An
-  // AVX-512-capable host always executes AVX2, and every variant is exact,
-  // so results are bit-identical across the mapping.
-#if defined(TRIGEN_KERNEL_AVX2)
-  GenericKernelSet k{&detail::prefix_extend_avx2, nullptr,
-                     &detail::prefix_final_avx2, &detail::tuple_block_avx2};
-#else
-  GenericKernelSet k{&detail::prefix_extend_scalar, nullptr,
-                     &detail::prefix_final_scalar, &detail::tuple_block_scalar};
-#endif
-  switch (isa) {
-    case KernelIsa::kScalar:
-      return {&detail::prefix_extend_scalar, &detail::prefix_extend01_scalar,
-              &detail::prefix_final_scalar, &detail::tuple_block_scalar};
-#if defined(TRIGEN_KERNEL_AVX2)
-    case KernelIsa::kAvx2:
-      k.extend01 = &detail::prefix_extend01_avx2;
-      return k;
-    case KernelIsa::kAvx2HarleySeal:
-      k.extend01 = &detail::prefix_extend01_avx2_harley_seal;
-      return k;
-#endif
-#if defined(TRIGEN_KERNEL_AVX512)
-    case KernelIsa::kAvx512Extract:
-      k.extend01 = &detail::prefix_extend01_avx512_extract;
-      return k;
-#endif
-#if defined(TRIGEN_KERNEL_AVX512VPOPCNT)
-    case KernelIsa::kAvx512Vpopcnt:
-      k.extend01 = &detail::prefix_extend01_avx512_vpopcnt;
-      k.finalize = &detail::prefix_final_avx512_vpopcnt;
-      return k;
-#endif
-    default:
-      throw std::runtime_error("kernel not compiled in");
-  }
+  const detail::KernelTable t = kernel_table(isa);
+  return {t.extend, t.extend01, t.finalize, t.direct};
 }
 
 BatchKernelSet get_batch_kernels(KernelIsa isa) {
-  if (!kernel_available(isa)) {
-    throw std::runtime_error("kernel '" + kernel_isa_name(isa) +
-                             "' not available on this host");
-  }
-  switch (isa) {
-    case KernelIsa::kScalar:
-      return {&detail::batch_label_pops_scalar, &detail::batch_final_scalar};
-#if defined(TRIGEN_KERNEL_AVX2)
-    case KernelIsa::kAvx2:
-    case KernelIsa::kAvx2HarleySeal:
-      // Per-dword popcounts need the nibble LUT regardless of the triple
-      // kernel's popcount strategy, so both AVX2 variants share one batch
-      // implementation (exact, hence bit-identical across the mapping).
-      return {&detail::batch_label_pops_avx2, &detail::batch_final_avx2};
-#endif
-#if defined(TRIGEN_KERNEL_AVX512)
-    case KernelIsa::kAvx512Extract:
-      return {&detail::batch_label_pops_avx512, &detail::batch_final_avx512};
-#endif
-#if defined(TRIGEN_KERNEL_AVX512VPOPCNT)
-    case KernelIsa::kAvx512Vpopcnt:
-      return {&detail::batch_label_pops_avx512_vpopcnt,
-              &detail::batch_final_avx512_vpopcnt};
-#endif
-    default:
-      throw std::runtime_error("kernel not compiled in");
-  }
+  const detail::KernelTable t = kernel_table(isa);
+  return {t.label_pops, t.batch_final};
 }
 
 std::size_t kernel_vector_words(KernelIsa isa) {

@@ -71,31 +71,6 @@ void pair_plane_count_scalar(const Word* TRIGEN_RESTRICT x0,
   xy_pop9[4] += c11;
 }
 
-void triple_block_cached_scalar(const Word* TRIGEN_RESTRICT xy,
-                                std::size_t stride,
-                                const std::uint32_t* TRIGEN_RESTRICT xy_pop9,
-                                const Word* TRIGEN_RESTRICT z0,
-                                const Word* TRIGEN_RESTRICT z1,
-                                std::size_t w_begin, std::size_t w_end,
-                                std::uint32_t* TRIGEN_RESTRICT ft27) {
-  const std::size_t n = w_end - w_begin;
-  for (int p = 0; p < 9; ++p) {
-    const Word* TRIGEN_RESTRICT xyp =
-        xy + static_cast<std::size_t>(p) * stride;
-    std::uint32_t c0 = 0;
-    std::uint32_t c1 = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-      const Word v = xyp[r];
-      c0 += static_cast<std::uint32_t>(std::popcount(v & z0[w_begin + r]));
-      c1 += static_cast<std::uint32_t>(std::popcount(v & z1[w_begin + r]));
-    }
-    const int cell = (p / 3) * 9 + (p % 3) * 3;
-    ft27[cell] += c0;
-    ft27[cell + 1] += c1;
-    ft27[cell + 2] += xy_pop9[p] - c0 - c1;
-  }
-}
-
 void prefix_extend_scalar(const Word* TRIGEN_RESTRICT prefix,
                           std::size_t count, std::size_t stride,
                           const Word* TRIGEN_RESTRICT s0,
@@ -159,6 +134,8 @@ void prefix_extend01_scalar(
   }
 }
 
+namespace {
+
 void prefix_final_scalar(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
                          std::size_t stride,
                          const std::uint32_t* TRIGEN_RESTRICT prefix_pops,
@@ -181,6 +158,8 @@ void prefix_final_scalar(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
     ft[t * 3 + 2] += prefix_pops[t] - c0 - c1;
   }
 }
+
+}  // namespace
 
 void tuple_block_scalar(const Word* const* TRIGEN_RESTRICT g0,
                         const Word* const* TRIGEN_RESTRICT g1, unsigned k,
@@ -208,6 +187,8 @@ void tuple_block_scalar(const Word* const* TRIGEN_RESTRICT g0,
     descend(descend, 0, ~Word{0}, 0);
   }
 }
+
+namespace {
 
 void batch_label_pops_scalar(const Word* TRIGEN_RESTRICT prefix,
                              std::size_t count, std::size_t stride,
@@ -275,6 +256,20 @@ void batch_final_scalar(const Word* TRIGEN_RESTRICT prefix, std::size_t count,
     }
   }
 }
+
+}  // namespace
+
+constinit const KernelTable kScalarKernels = {
+    .triple = &triple_block_scalar,
+    .build = &pair_plane_build_scalar,
+    .count = &pair_plane_count_scalar,
+    .extend = &prefix_extend_scalar,
+    .extend01 = &prefix_extend01_scalar,
+    .finalize = &prefix_final_scalar,
+    .direct = &tuple_block_scalar,
+    .label_pops = &batch_label_pops_scalar,
+    .batch_final = &batch_final_scalar,
+};
 
 }  // namespace detail
 

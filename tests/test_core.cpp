@@ -112,6 +112,32 @@ TEST(KernelRegistry, CachedKernelsExistForEveryAvailableIsa) {
   }
 }
 
+TEST(KernelRegistry, StrategiesShareTheMappedBodies) {
+  // Which strategy runs which body: every AVX strategy runs the AVX2
+  // extract extend and direct; only VPOPCNTDQ has its own finalize; both
+  // AVX2 strategies share one batch pair; every strategy has its own
+  // triple-block, build, count and extend01.
+  if (!kernel_available(KernelIsa::kAvx2)) GTEST_SKIP() << "no AVX2";
+  const GenericKernelSet avx2 = get_generic_kernels(KernelIsa::kAvx2);
+  const BatchKernelSet avx2_batch = get_batch_kernels(KernelIsa::kAvx2);
+  for (const KernelIsa isa : all_kernel_isas()) {
+    if (isa == KernelIsa::kScalar || !kernel_available(isa)) continue;
+    const bool own = isa != KernelIsa::kAvx2;
+    const GenericKernelSet g = get_generic_kernels(isa);
+    const BatchKernelSet b = get_batch_kernels(isa);
+    EXPECT_EQ(g.extend, avx2.extend) << kernel_isa_name(isa);
+    EXPECT_EQ(g.direct, avx2.direct) << kernel_isa_name(isa);
+    EXPECT_EQ(g.finalize == avx2.finalize, isa != KernelIsa::kAvx512Vpopcnt)
+        << kernel_isa_name(isa);
+    EXPECT_EQ(b.finalize == avx2_batch.finalize,
+              isa == KernelIsa::kAvx2 || isa == KernelIsa::kAvx2HarleySeal)
+        << kernel_isa_name(isa);
+    EXPECT_EQ(g.extend01 != avx2.extend01, own) << kernel_isa_name(isa);
+    EXPECT_EQ(get_kernel(isa) != get_kernel(KernelIsa::kAvx2), own)
+        << kernel_isa_name(isa);
+  }
+}
+
 TEST(KernelRegistry, AvailableImpliesCompiledIn) {
   const auto& all = all_kernel_isas();
   const std::set<KernelIsa> compiled(all.begin(), all.end());
@@ -465,60 +491,179 @@ TEST(BlockedEngine, CachedClipEmitsExactlyTheTripletsInRange) {
 // The 2^k-cell order-3 path: extend01 + finalize(4) + pair-table completion
 // --------------------------------------------------------------------------
 
-TEST(Kernels, Extend01AndFinalizeMatchScalarOnEveryIsa) {
-  // Random planes, word ranges with a nonzero start and tails that are not
-  // a multiple of 16 words, every count the engines use: each vector body
-  // must reproduce the scalar one word for word and count for count.
-  std::mt19937_64 rng(91);
-  const std::size_t words = 200;
-  const std::size_t stride = 176;  // >= the longest range below
-  std::vector<Word> s0(words), s1(words), z0(words), z1(words);
-  for (std::size_t w = 0; w < words; ++w) {
-    const auto a = static_cast<Word>(rng());
-    const auto b = static_cast<Word>(rng()) & ~a;  // a genotype partition
-    s0[w] = a;
-    s1[w] = b;
-    z0[w] = static_cast<Word>(rng());
-    z1[w] = static_cast<Word>(rng()) & ~z0[w];
-  }
-  const GenericKernelSet ref = get_generic_kernels(KernelIsa::kScalar);
-  for (const std::size_t count : {std::size_t{2}, std::size_t{4},
-                                  std::size_t{9}, std::size_t{27}}) {
-    aligned_vector<Word> prefix(count * stride);
-    for (auto& v : prefix) v = static_cast<Word>(rng());
-    std::vector<std::uint32_t> pops(count);
-    for (auto& v : pops) v = static_cast<std::uint32_t>(rng() % 4096);
-    for (const auto& [w0, w1] :
-         {std::pair<std::size_t, std::size_t>{3, 3 + 37},
-          std::pair<std::size_t, std::size_t>{5, 5 + 3 * 16 + 7},
-          std::pair<std::size_t, std::size_t>{16, 16 + 9 * 16 + 13}}) {
-      aligned_vector<Word> want_planes(2 * count * stride, 0);
-      std::vector<std::uint32_t> want_pops(2 * count, 7);
-      ref.extend01(prefix.data(), count, stride, s0.data(), s1.data(), w0,
-                   w1, want_planes.data(), stride, want_pops.data());
-      std::vector<std::uint32_t> want_ft(count * 3, 11);
-      ref.finalize(prefix.data(), count, stride, pops.data(), z0.data(),
-                   z1.data(), w0, w1, want_ft.data());
-      for (const KernelIsa isa : all_kernel_isas()) {
-        if (!kernel_available(isa)) continue;
-        const GenericKernelSet k = get_generic_kernels(isa);
-        aligned_vector<Word> got_planes(2 * count * stride, 0);
-        std::vector<std::uint32_t> got_pops(2 * count, 7);
-        k.extend01(prefix.data(), count, stride, s0.data(), s1.data(), w0, w1,
-                   got_planes.data(), stride, got_pops.data());
-        ASSERT_TRUE(std::equal(want_planes.begin(), want_planes.end(),
-                               got_planes.begin()))
-            << kernel_isa_name(isa) << " count " << count << " [" << w0
-            << ", " << w1 << ")";
-        ASSERT_EQ(got_pops, want_pops)
-            << kernel_isa_name(isa) << " count " << count;
-        std::vector<std::uint32_t> got_ft(count * 3, 11);
-        k.finalize(prefix.data(), count, stride, pops.data(), z0.data(),
-                   z1.data(), w0, w1, got_ft.data());
-        ASSERT_EQ(got_ft, want_ft)
-            << kernel_isa_name(isa) << " count " << count << " [" << w0
-            << ", " << w1 << ")";
+/// Random operands shared by every kernel family: kMaxOrder SNPs whose
+/// genotype-0/1 planes are disjoint (a genotype partition), and 27 cached
+/// prefix planes with arbitrary chunk popcounts.
+struct KernelOperands {
+  static constexpr std::size_t kWords = 200;
+  static constexpr std::size_t kStride = 208;  // >= kWords, 16-word multiple
+  std::vector<std::vector<Word>> g0, g1;
+  aligned_vector<Word> prefix;
+  std::vector<std::uint32_t> pops;
+
+  KernelOperands() {
+    std::mt19937_64 rng(91);
+    for (unsigned i = 0; i < combinatorics::kMaxOrder; ++i) {
+      std::vector<Word> a(kWords), b(kWords);
+      for (std::size_t w = 0; w < kWords; ++w) {
+        a[w] = static_cast<Word>(rng());
+        b[w] = static_cast<Word>(rng()) & ~a[w];
       }
+      g0.push_back(std::move(a));
+      g1.push_back(std::move(b));
+    }
+    prefix.resize(27 * kStride);
+    for (auto& v : prefix) v = static_cast<Word>(rng());
+    pops.resize(27);
+    for (auto& v : pops) v = static_cast<std::uint32_t>(rng() % 4096);
+  }
+};
+
+/// One kernel family of `isa` run over words [w0, w1): every plane word and
+/// count it wrote.  Outputs start from nonzero fills, so the "adds into"
+/// contract is checked too.
+using KernelFamilyRun = std::vector<std::uint32_t> (*)(
+    KernelIsa isa, const KernelOperands& op, std::size_t w0, std::size_t w1);
+
+/// The prefix-plane counts every ladder kernel is run at: the engines'
+/// 2, 4, 9 and 27 plus counts that leave 1..3 planes after whole groups.
+constexpr std::size_t kLadderCounts[] = {1, 2, 3, 4, 5, 9, 27};
+
+std::vector<std::uint32_t> run_extend(PrefixExtendKernel k, std::size_t g,
+                                      const KernelOperands& op,
+                                      std::size_t w0, std::size_t w1) {
+  std::vector<std::uint32_t> got;
+  for (const std::size_t count : kLadderCounts) {
+    aligned_vector<Word> out(g * count * KernelOperands::kStride, 0);
+    std::vector<std::uint32_t> pops(g * count, 7);
+    k(op.prefix.data(), count, KernelOperands::kStride, op.g0[0].data(),
+      op.g1[0].data(), w0, w1, out.data(), KernelOperands::kStride,
+      pops.data());
+    got.insert(got.end(), out.begin(), out.end());
+    got.insert(got.end(), pops.begin(), pops.end());
+  }
+  return got;
+}
+
+template <unsigned K>
+std::vector<std::uint32_t> run_direct(KernelIsa isa, const KernelOperands& op,
+                                      std::size_t w0, std::size_t w1) {
+  std::vector<const Word*> g0, g1;
+  for (unsigned i = 0; i < K; ++i) {
+    g0.push_back(op.g0[i].data());
+    g1.push_back(op.g1[i].data());
+  }
+  std::vector<std::uint32_t> ft(scoring::num_cells(K), 1);
+  get_generic_kernels(isa).direct(g0.data(), g1.data(), K, w0, w1, ft.data());
+  // The order-K kernel the direct (V3/V4) engine runs, pair and triple
+  // kernels included.
+  std::vector<std::uint32_t> ft_k(scoring::num_cells(K), 1);
+  get_direct_kernel<K>(isa)(g0.data(), g1.data(), w0, w1, ft_k.data());
+  ft.insert(ft.end(), ft_k.begin(), ft_k.end());
+  return ft;
+}
+
+const std::vector<std::pair<const char*, KernelFamilyRun>>& kernel_families() {
+  static const std::vector<std::pair<const char*, KernelFamilyRun>> v = {
+      {"triple_block",
+       [](KernelIsa isa, const KernelOperands& op, std::size_t w0,
+          std::size_t w1) {
+         std::vector<std::uint32_t> ft(27, 5);
+         get_kernel(isa)(op.g0[0].data(), op.g1[0].data(), op.g0[1].data(),
+                         op.g1[1].data(), op.g0[2].data(), op.g1[2].data(),
+                         w0, w1, ft.data());
+         return ft;
+       }},
+      {"pair_plane_build",
+       [](KernelIsa isa, const KernelOperands& op, std::size_t w0,
+          std::size_t w1) {
+         std::vector<std::uint32_t> got(9 * KernelOperands::kStride + 9, 3);
+         aligned_vector<Word> xy(9 * KernelOperands::kStride, 0);
+         get_cached_kernels(isa).build(
+             op.g0[0].data(), op.g1[0].data(), op.g0[1].data(),
+             op.g1[1].data(), w0, w1, xy.data(), KernelOperands::kStride,
+             got.data() + xy.size());
+         std::copy(xy.begin(), xy.end(), got.begin());
+         return got;
+       }},
+      {"pair_count",
+       [](KernelIsa isa, const KernelOperands& op, std::size_t w0,
+          std::size_t w1) {
+         std::vector<std::uint32_t> pop9(9, 3);
+         get_cached_kernels(isa).count(op.g0[0].data(), op.g1[0].data(),
+                                       op.g0[1].data(), op.g1[1].data(), w0,
+                                       w1, pop9.data());
+         return pop9;
+       }},
+      {"triple_block_cached",
+       [](KernelIsa isa, const KernelOperands& op, std::size_t w0,
+          std::size_t w1) {
+         std::vector<std::uint32_t> ft(27, 11);
+         get_cached_kernels(isa).cached(
+             op.prefix.data(), KernelOperands::kStride, op.pops.data(),
+             op.g0[2].data(), op.g1[2].data(), w0, w1, ft.data());
+         return ft;
+       }},
+      {"extend",
+       [](KernelIsa isa, const KernelOperands& op, std::size_t w0,
+          std::size_t w1) {
+         return run_extend(get_generic_kernels(isa).extend, 3, op, w0, w1);
+       }},
+      {"extend01",
+       [](KernelIsa isa, const KernelOperands& op, std::size_t w0,
+          std::size_t w1) {
+         return run_extend(get_generic_kernels(isa).extend01, 2, op, w0, w1);
+       }},
+      {"finalize",
+       [](KernelIsa isa, const KernelOperands& op, std::size_t w0,
+          std::size_t w1) {
+         std::vector<std::uint32_t> got;
+         for (const std::size_t count : kLadderCounts) {
+           std::vector<std::uint32_t> ft(count * 3, 11);
+           get_generic_kernels(isa).finalize(
+               op.prefix.data(), count, KernelOperands::kStride,
+               op.pops.data(), op.g0[2].data(), op.g1[2].data(), w0, w1,
+               ft.data());
+           got.insert(got.end(), ft.begin(), ft.end());
+         }
+         return got;
+       }},
+      {"direct_k2", &run_direct<2>},
+      {"direct_k3", &run_direct<3>},
+      {"direct_k4", &run_direct<4>},
+      {"direct_k5", &run_direct<5>},
+      {"direct_k6", &run_direct<6>},
+  };
+  return v;
+}
+
+class KernelFamilyTest : public ::testing::TestWithParam<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryFamily, KernelFamilyTest,
+    ::testing::Range(std::size_t{0}, kernel_families().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::string(kernel_families()[info.param].first);
+    });
+
+TEST_P(KernelFamilyTest, MatchesScalarOnEveryIsaAndWordRange) {
+  // Word ranges with zero and nonzero starts, empty and whole-plane ones,
+  // and tails that are not a multiple of 8 or 16 words: every vector body
+  // must reproduce the scalar one word for word and count for count.
+  const auto& [name, run] = kernel_families()[GetParam()];
+  static const KernelOperands op;
+  for (const auto& [w0, w1] : {std::pair<std::size_t, std::size_t>{0, 200},
+                               {0, 16},
+                               {3, 3 + 37},
+                               {5, 5 + 3 * 16 + 7},
+                               {16, 16 + 9 * 16 + 13},
+                               {7, 7}}) {
+    const std::vector<std::uint32_t> want = run(KernelIsa::kScalar, op, w0, w1);
+    for (const KernelIsa isa : all_kernel_isas()) {
+      if (!kernel_available(isa)) continue;
+      ASSERT_EQ(run(isa, op, w0, w1), want)
+          << name << " on " << kernel_isa_name(isa) << " over [" << w0
+          << ", " << w1 << ")";
     }
   }
 }

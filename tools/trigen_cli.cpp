@@ -623,11 +623,11 @@ int cmd_baseline(const Args& a) {
     std::puts("usage: trigen baseline DATASET.tg[b] [--top K] [--threads T]");
     return 2;
   }
+  const auto threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 1));
+  const auto top = static_cast<std::size_t>(get_uint_or_die(a, "top", 10));
   const auto d = load(a.positional[0]);
   baseline::Mpi3SnpEngine engine(d);
-  const auto r =
-      engine.run(static_cast<unsigned>(get_uint_or_die(a, "threads", 1)),
-                 static_cast<std::size_t>(get_uint_or_die(a, "top", 10)));
+  const auto r = engine.run(threads, top);
   std::printf("# %llu triplets, %.3f s, %.2f Gel/s (MPI3SNP-style, MI)\n",
               static_cast<unsigned long long>(r.triplets_evaluated), r.seconds,
               r.elements_per_second() / 1e9);
@@ -685,7 +685,7 @@ int cmd_significance(const Args& a) {
                 combinatorics::kMaxOrder);
     return a.has("help") ? 0 : 2;
   }
-  const auto d = load(a.positional[0]);
+  // Every flag, --order included, is checked before the dataset is read.
   const auto permutations =
       static_cast<unsigned>(get_uint_or_die(a, "permutations", 19));
   const auto seed = get_uint_or_die(a, "seed", 7);
@@ -700,8 +700,8 @@ int cmd_significance(const Args& a) {
   if (combinatorics::with_order(
           static_cast<std::uint64_t>(a.get_int("order", 3)), [&](auto kc) {
             rc = cmd_significance_of<decltype(kc)::value>(
-                d, permutations, seed, objective, threads, batch, progress,
-                isa, std::move(config));
+                load(a.positional[0]), permutations, seed, objective, threads,
+                batch, progress, isa, std::move(config));
           })) {
     return rc;
   }
