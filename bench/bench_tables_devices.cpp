@@ -29,8 +29,11 @@ int main() {
                 dev.vector_popcnt ? "yes" : "no",
                 std::to_string(dev.l1d_bytes / 1024) + "kB/" +
                     std::to_string(dev.l1d_ways) + "w",
-                "<" + std::to_string(tiling.bs) + "," +
-                    std::to_string(tiling.bp_words) + ">"});
+                std::string("<")  // appended: see -Wrestrict in gcc 12
+                    .append(std::to_string(tiling.bs))
+                    .append(",")
+                    .append(std::to_string(tiling.bp_words))
+                    .append(">")});
   }
   std::printf("%s", ct.to_ascii().c_str());
 

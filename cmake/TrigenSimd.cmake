@@ -85,7 +85,15 @@ function(trigen_add_isa_source target tier source)
     return()
   endif()
   target_sources(${target} PRIVATE ${source})
+  set(_options "${TRIGEN_${tier}_FLAGS}")
+  # GCC 12 reports -W(maybe-)uninitialized from inside its own AVX-512
+  # intrinsic header (the undefined-vector operand of
+  # _mm512_extracti64x4_epi64 and _mm512_broadcast_i32x4); those two
+  # warnings are off in the AVX-512 sources only.
+  if(CMAKE_CXX_COMPILER_ID STREQUAL "GNU" AND tier MATCHES "^AVX512")
+    list(APPEND _options -Wno-maybe-uninitialized -Wno-uninitialized)
+  endif()
   set_source_files_properties(${source}
-    PROPERTIES COMPILE_OPTIONS "${TRIGEN_${tier}_FLAGS}")
+    PROPERTIES COMPILE_OPTIONS "${_options}")
   target_compile_definitions(${target} PRIVATE TRIGEN_KERNEL_${tier}=1)
 endfunction()

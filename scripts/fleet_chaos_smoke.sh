@@ -51,8 +51,7 @@ coordinate() { # $1 = log file
 
 work() { # $1 = worker name
   # reconnect-ms must cover the coordinator kill->relaunch gap below
-  # (well under a second) but also bounds the benign tail where a worker
-  # sleeping on a `wait` hint outlives the finished coordinator.
+  # (well under a second).
   "$TRIGEN" work d.tg --socket fleet.sock --id "$1" --threads 1 \
     --version 1 --reconnect-ms 5000 2>> "$1.log" &
 }

@@ -24,18 +24,23 @@ cd "$workdir"
   --plant 5,19,37 --model xor3 --effect 0.8
 
 # --- 1+2: concurrent jobs + malformed battery in one session ------------
-{
-  echo 'ping'
-  echo 'scan j1 order=3 top=8'
-  echo 'significance j2 order=2 permutations=9 seed=5'
-  echo 'bogus request'
-  echo 'scan j1 order=2'                 # duplicate live id
-  echo 'scan j4 order=9'                 # bad order
-  echo 'scan j5 top=0'                   # bad top
-  echo 'significance j6 permutations=-2' # negative count
-  echo 'cancel ghost'                    # unknown job
-  echo 'scan j3 order=2 top=8'
-} | "$TRIGEN" serve d.tg --threads 4 > session.out || rc=$?
+# One printf writes the whole session at once, so the server reads the
+# duplicate `scan j1` just after j1's own line, well before j1 can finish
+# (with one echo per line, a loaded host could finish j1 in between).  The battery: a bogus verb, a duplicate
+# live id (j1), a bad order (j4), a bad top (j5), a negative count (j6)
+# and an unknown job (ghost).
+printf '%s\n' \
+  'ping' \
+  'scan j1 order=3 top=8' \
+  'significance j2 order=2 permutations=9 seed=5' \
+  'bogus request' \
+  'scan j1 order=2' \
+  'scan j4 order=9' \
+  'scan j5 top=0' \
+  'significance j6 permutations=-2' \
+  'cancel ghost' \
+  'scan j3 order=2 top=8' \
+  | "$TRIGEN" serve d.tg --threads 4 > session.out || rc=$?
 rc=${rc:-0}
 if [ "$rc" -ne 0 ]; then
   echo "clean serve session expected exit 0, got $rc" >&2

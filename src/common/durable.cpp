@@ -216,7 +216,10 @@ unsigned RecordReader::preamble(const char* magic, unsigned max_version) {
   }
   tok = token("format version");
   for (unsigned v = 1; v <= max_version; ++v) {
-    if (tok == "v" + std::to_string(v)) return v;
+    if (tok.size() > 1 && tok[0] == 'v' &&
+        tok.compare(1, std::string::npos, std::to_string(v)) == 0) {
+      return v;
+    }
   }
   fail("unsupported format version '" + tok + "' (this build reads v1" +
        (max_version > 1 ? "..v" + std::to_string(max_version) : "") +

@@ -44,7 +44,9 @@ struct Args {
       const bool next_is_flag =
           i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) == 0;
       if (switches.count(key) != 0 || i + 1 >= argc || next_is_flag) {
-        a.flags[key] = "1";
+        // Moved in from a std::string: gcc 12 flags `= "1"` here with a
+        // false -Wrestrict.
+        a.flags[key] = std::string("1");
       } else {
         a.flags[key] = argv[++i];
       }

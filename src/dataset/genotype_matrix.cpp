@@ -3,6 +3,16 @@
 #include <algorithm>
 
 namespace trigen::dataset {
+namespace {
+
+/// The largest byte of `v`; a branch-free reduction the compiler vectorizes.
+std::uint8_t max_of(std::span<const std::uint8_t> v) {
+  std::uint8_t top = 0;
+  for (const std::uint8_t x : v) top = std::max(top, x);
+  return top;
+}
+
+}  // namespace
 
 GenotypeMatrix::GenotypeMatrix(std::size_t num_snps, std::size_t num_samples)
     : num_snps_(num_snps),
@@ -24,6 +34,16 @@ void GenotypeMatrix::set(std::size_t snp, std::size_t sample, Genotype g) {
   geno_[snp * num_samples_ + sample] = g;
 }
 
+void GenotypeMatrix::set_row(std::size_t snp, std::span<const Genotype> row) {
+  if (snp >= num_snps_ || row.size() != num_samples_) {
+    throw std::out_of_range("GenotypeMatrix::set_row: index out of range");
+  }
+  if (max_of(row) > 2) {
+    throw std::invalid_argument("GenotypeMatrix: genotype must be 0..2");
+  }
+  std::copy(row.begin(), row.end(), &geno_[snp * num_samples_]);
+}
+
 void GenotypeMatrix::set_phenotype(std::size_t sample, Phenotype p) {
   if (sample >= num_samples_) {
     throw std::out_of_range("GenotypeMatrix::set_phenotype: out of range");
@@ -40,11 +60,7 @@ std::size_t GenotypeMatrix::class_count(Phenotype c) const {
 }
 
 bool GenotypeMatrix::valid() const {
-  const bool geno_ok =
-      std::all_of(geno_.begin(), geno_.end(), [](Genotype g) { return g <= 2; });
-  const bool pheno_ok = std::all_of(pheno_.begin(), pheno_.end(),
-                                    [](Phenotype p) { return p <= 1; });
-  return geno_ok && pheno_ok;
+  return max_of(geno_) <= 2 && max_of(pheno_) <= 1;
 }
 
 }  // namespace trigen::dataset

@@ -104,6 +104,9 @@ class BitPlanesV1 {
 /// cuts memory traffic to 2/3 and removes the phenotype plane entirely.
 class PhenoSplitPlanes {
  public:
+  /// Built one SNP row at a time: a class-order permute (controls, then
+  /// cases), then a pack of 32 samples per word (a compare and a movemask
+  /// per 16 bytes), with the counts taken from the packed words.
   static PhenoSplitPlanes build(const GenotypeMatrix& d);
 
   /// Phenotype-agnostic variant for batched multi-phenotype scans: class 0
@@ -208,59 +211,20 @@ class PhenotypeBatch {
 };
 
 // ---------------------------------------------------------------------------
-// V3 (GPU): transposed layout for coalesced loads
-// ---------------------------------------------------------------------------
-
-/// Sample-word-major layout: for a fixed sample word, the planes of all
-/// SNPs are adjacent, so consecutive GPU threads (which own consecutive SNP
-/// triplets) load consecutive memory — the coalescing condition of §IV-B.
-class TransposedPlanes {
- public:
-  static TransposedPlanes build(const GenotypeMatrix& d);
-
-  std::size_t num_snps() const { return num_snps_; }
-  std::size_t samples(int c) const { return samples_[static_cast<std::size_t>(c)]; }
-  std::size_t words(int c) const { return words_[static_cast<std::size_t>(c)]; }
-  std::size_t pad_bits(int c) const {
-    return words(c) * kWordBits - samples(c);
-  }
-
-  /// Word `w` of the genotype-`g` plane of `snp` in class `c`.
-  Word word(int c, std::size_t w, std::size_t snp, int g) const {
-    return planes_[static_cast<std::size_t>(c)]
-                  [(w * num_snps_ + snp) * 2 + static_cast<std::size_t>(g)];
-  }
-
-  /// Base pointer for cost-model / stride analysis.
-  const Word* data(int c) const {
-    return planes_[static_cast<std::size_t>(c)].data();
-  }
-  /// Distance in words between the same plane of SNP m and SNP m+1 for a
-  /// fixed sample word (the coalescing stride).
-  std::size_t snp_stride() const { return 2; }
-
- private:
-  std::size_t num_snps_ = 0;
-  std::array<std::size_t, 2> samples_{};
-  std::array<std::size_t, 2> words_{};
-  std::array<aligned_vector<Word>, 2> planes_;  // [word][snp][genotype(2)]
-};
-
-// ---------------------------------------------------------------------------
-// V4 (GPU): SNP-tiled layout
+// V4 (GPU): SNP-tiled layout, and V3 (GPU): the transposed layout
 // ---------------------------------------------------------------------------
 
 /// Tiled layout: SNPs are grouped in tiles of `tile` SNPs; within a tile the
 /// `tile` words belonging to one sample word are adjacent.  This bounds the
 /// stride between consecutive sample words of the same SNP to `tile` words,
 /// improving cache-line reuse inside a thread group of size `tile` (§IV-B).
+/// It holds the class-split planes' words, rearranged.
 class TiledPlanes {
  public:
   /// `tile` is the paper's BS; "for most architectures a multiple of 32/64".
   static TiledPlanes build(const GenotypeMatrix& d, std::size_t tile);
 
   std::size_t num_snps() const { return num_snps_; }
-  std::size_t tile() const { return tile_; }
   /// SNP count rounded up to a whole number of tiles.
   std::size_t padded_snps() const { return padded_snps_; }
   std::size_t samples(int c) const { return samples_[static_cast<std::size_t>(c)]; }
@@ -269,16 +233,11 @@ class TiledPlanes {
     return words(c) * kWordBits - samples(c);
   }
 
+  /// Word `w` of the genotype-`g` plane of `snp` in class `c`.
   Word word(int c, std::size_t w, std::size_t snp, int g) const {
-    const std::size_t tile_idx = snp / tile_;
-    const std::size_t in_tile = snp % tile_;
-    return planes_[static_cast<std::size_t>(c)]
-                  [(((tile_idx * words_[static_cast<std::size_t>(c)]) + w) * tile_ +
-                    in_tile) * 2 + static_cast<std::size_t>(g)];
-  }
-
-  const Word* data(int c) const {
-    return planes_[static_cast<std::size_t>(c)].data();
+    const auto cs = static_cast<std::size_t>(c);
+    return planes_[cs][((snp / tile_ * words_[cs] + w) * tile_ + snp % tile_) *
+                           2 + static_cast<std::size_t>(g)];
   }
 
  private:
@@ -288,6 +247,15 @@ class TiledPlanes {
   std::array<std::size_t, 2> samples_{};
   std::array<std::size_t, 2> words_{};
   std::array<aligned_vector<Word>, 2> planes_;  // [tile][word][snp-in-tile][g]
+};
+
+/// Sample-word-major layout: for a fixed sample word, the planes of all
+/// SNPs are adjacent, so consecutive GPU threads (which own consecutive SNP
+/// triplets) load consecutive memory — the coalescing condition of §IV-B.
+/// It is the tiled layout with one tile spanning every SNP.
+class TransposedPlanes : public TiledPlanes {
+ public:
+  static TransposedPlanes build(const GenotypeMatrix& d);
 };
 
 }  // namespace trigen::dataset

@@ -20,9 +20,6 @@ using Genotype = std::uint8_t;
 /// Phenotype class: 0 = control, 1 = case.
 using Phenotype = std::uint8_t;
 
-inline constexpr int kGenotypeValues = 3;  ///< {0,1,2}
-inline constexpr int kPhenotypeClasses = 2;  ///< {control, case}
-
 /// Dense SNP-major genotype matrix with a per-sample phenotype vector.
 ///
 /// This is the *unencoded* representation; the kernels never touch it
@@ -46,6 +43,9 @@ class GenotypeMatrix {
 
   /// Sets a genotype; throws std::out_of_range / invalid_argument on misuse.
   void set(std::size_t snp, std::size_t sample, Genotype g);
+  /// Sets all of SNP `snp`'s genotypes, checked like `set` (a `row` of
+  /// other than `num_samples()` values is out of range).
+  void set_row(std::size_t snp, std::span<const Genotype> row);
 
   Phenotype phenotype(std::size_t sample) const { return pheno_[sample]; }
   void set_phenotype(std::size_t sample, Phenotype p);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "trigen/common/rng.hpp"
@@ -9,10 +10,25 @@
 namespace trigen::dataset {
 namespace {
 
-/// Minor allele count contributed by one genotype value (0, 1 or 2).
-int minor_alleles(int g) { return g; }
-
-double clamp01(double p) { return std::clamp(p, 0.0, 0.95); }
+/// The penetrance table of `model` over the minor alleles (a genotype
+/// value is its minor allele count) of the first `snps` planted SNPs, with
+/// every probability clamped to [0, 0.95]; the threshold model steps up at
+/// `snps` alleles.
+PenetranceTable table_of(InteractionModel model, double baseline,
+                         double effect, int snps) {
+  PenetranceTable t;
+  for (int cell = 0; cell < 27; ++cell) {  // cell = gx * 9 + gy * 3 + gz
+    const int alleles = cell / 9 + cell / 3 % 3 + (snps == 3 ? cell % 3 : 0);
+    const bool raised = model == InteractionModel::kThreshold
+                            ? alleles >= snps
+                            : alleles % 2 == 1;  // kXor3
+    const double p = model == InteractionModel::kMultiplicative
+                         ? baseline * std::pow(1.0 + effect, alleles)
+                         : (raised ? baseline + effect : baseline);
+    t.p[static_cast<std::size_t>(cell)] = std::clamp(p, 0.0, 0.95);
+  }
+  return t;
+}
 
 /// Draws one genotype under Hardy-Weinberg equilibrium for MAF `q`:
 /// P(0) = (1-q)^2, P(1) = 2q(1-q), P(2) = q^2.
@@ -57,55 +73,12 @@ bool PenetranceTable::valid() const {
 
 PenetranceTable make_penetrance(InteractionModel model, double baseline,
                                 double effect) {
-  PenetranceTable t;
-  for (int gx = 0; gx < 3; ++gx) {
-    for (int gy = 0; gy < 3; ++gy) {
-      for (int gz = 0; gz < 3; ++gz) {
-        const int alleles =
-            minor_alleles(gx) + minor_alleles(gy) + minor_alleles(gz);
-        double p = baseline;
-        switch (model) {
-          case InteractionModel::kThreshold:
-            if (alleles >= 3) p = baseline + effect;
-            break;
-          case InteractionModel::kXor3:
-            if (alleles % 2 == 1) p = baseline + effect;
-            break;
-          case InteractionModel::kMultiplicative:
-            p = baseline * std::pow(1.0 + effect, alleles);
-            break;
-        }
-        t.p[static_cast<std::size_t>(gx * 9 + gy * 3 + gz)] = clamp01(p);
-      }
-    }
-  }
-  return t;
+  return table_of(model, baseline, effect, 3);
 }
 
 PenetranceTable make_penetrance_pairwise(InteractionModel model,
                                          double baseline, double effect) {
-  PenetranceTable t;
-  for (int gx = 0; gx < 3; ++gx) {
-    for (int gy = 0; gy < 3; ++gy) {
-      const int alleles = minor_alleles(gx) + minor_alleles(gy);
-      double p = baseline;
-      switch (model) {
-        case InteractionModel::kThreshold:
-          if (alleles >= 2) p = baseline + effect;
-          break;
-        case InteractionModel::kXor3:
-          if (alleles % 2 == 1) p = baseline + effect;
-          break;
-        case InteractionModel::kMultiplicative:
-          p = baseline * std::pow(1.0 + effect, alleles);
-          break;
-      }
-      for (int gz = 0; gz < 3; ++gz) {
-        t.p[static_cast<std::size_t>(gx * 9 + gy * 3 + gz)] = clamp01(p);
-      }
-    }
-  }
-  return t;
+  return table_of(model, baseline, effect, 2);
 }
 
 GenotypeMatrix generate(const SyntheticSpec& spec) {
@@ -150,7 +123,7 @@ GenotypeMatrix generate_balanced(std::size_t num_snps, std::size_t num_samples,
   // Overwrite phenotypes with an exactly balanced, deterministic shuffle.
   Xoshiro256 rng(seed ^ 0xB5EFB5EFB5EFB5EFull);
   std::vector<std::size_t> order(num_samples);
-  for (std::size_t j = 0; j < num_samples; ++j) order[j] = j;
+  std::iota(order.begin(), order.end(), std::size_t{0});
   for (std::size_t j = num_samples; j > 1; --j) {  // Fisher-Yates
     std::swap(order[j - 1], order[rng.bounded(j)]);
   }

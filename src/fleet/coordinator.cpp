@@ -40,7 +40,13 @@ std::string response(const char* kind, const std::string& id,
 }
 
 std::string range_str(const combinatorics::RankRange& r) {
-  return "[" + std::to_string(r.first) + ", " + std::to_string(r.last) + ")";
+  // Appended piecewise: gcc 12 misreads "[" + std::string as overlapping
+  // copies (-Wrestrict).
+  return std::string("[")
+      .append(std::to_string(r.first))
+      .append(", ")
+      .append(std::to_string(r.last))
+      .append(")");
 }
 
 std::uint64_t steady_now_ms() {

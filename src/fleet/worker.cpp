@@ -87,8 +87,18 @@ class Connection {
     return true;
   }
 
-  /// Sends one request line and reads one reply line.  Empty optional =
-  /// connection lost (already closed).
+  /// True when the peer sent something or closed within `ms` (with no
+  /// connection, just waits `ms`).
+  bool readable_within(int ms) {
+    struct pollfd p{};
+    p.fd = fd_;
+    p.events = POLLIN;
+    return ::poll(&p, 1, ms) > 0;
+  }
+
+  /// Sends one request line and reads one reply line, or the last line
+  /// the peer sent before it closed.  Empty optional = connection lost
+  /// (already closed).
   std::optional<std::string> exchange(const std::string& line) {
     if (fd_ < 0) return std::nullopt;
     std::string out = line;
@@ -99,8 +109,9 @@ class Connection {
           ::send(fd_, out.data() + off, out.size() - off, MSG_NOSIGNAL);
       if (w < 0) {
         if (errno == EINTR) continue;
-        close();
-        return std::nullopt;
+        // The peer closed.  A line it sent first (the endpoint's `bye`
+        // while we waited between requests) is still readable.
+        return read_line();
       }
       off += static_cast<std::size_t>(w);
     }
@@ -231,6 +242,8 @@ struct Session {
   std::uint64_t fingerprint;
   Connection conn;
   DetectorCache detectors;
+  /// The coordinator's endpoint ended the session (a `bye` reply).
+  bool ended = false;
 
   void log(const std::string& msg) const {
     if (opt.log) opt.log(msg);
@@ -250,15 +263,32 @@ struct Session {
     return false;
   }
 
+  /// Waits `ms` between requests in interrupt-aware slices, returning early
+  /// when the coordinator sends or closes: its `bye` can come while we
+  /// wait, and the next request reads it.
+  void wait_ms(std::uint64_t ms) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+    while (!is_interrupted(opt) &&
+           std::chrono::steady_clock::now() < deadline) {
+      if (conn.readable_within(50)) return;
+    }
+  }
+
   /// Request/reply with one transparent reconnect-and-resend.  All fleet
   /// requests are idempotent or safely re-askable (a duplicated lease ask
   /// just gets the next shard; a duplicated renew/complete/abandon gets
   /// `lease-lost` at worst), so the retry never double-applies work.
+  /// Once the endpoint has said `bye` the session is over: nothing more
+  /// is sent, and no reconnect is tried.
   std::optional<Reply> request(const std::string& line) {
-    for (int attempt = 0; attempt < 2; ++attempt) {
+    for (int attempt = 0; attempt < 2 && !ended; ++attempt) {
       if (!ensure_connected()) return std::nullopt;
-      const auto raw = conn.exchange(line);
-      if (raw) return parse_reply(*raw);
+      if (const auto raw = conn.exchange(line)) {
+        Reply reply = parse_reply(*raw);
+        ended = reply.verb == "bye";
+        return reply;
+      }
       // connection dropped mid-exchange; one reconnect, then resend
     }
     return std::nullopt;
@@ -312,7 +342,7 @@ ShardOutcome run_granted_shard(Session& s, const Reply& grant) {
         s.request("renew " + s.opt.id + " shard=" +
                   std::to_string(shard_id) + " watermark=" +
                   std::to_string(range.first + done));
-    if (!reply) {
+    if (!reply || s.ended) {
       disconnected = true;
       return false;
     }
@@ -356,6 +386,7 @@ ShardOutcome run_granted_shard(Session& s, const Reply& grant) {
   const auto reply = s.request("complete " + s.opt.id +
                                " shard=" + std::to_string(shard_id));
   if (!reply) return ShardOutcome::kDisconnected;
+  if (s.ended) return ShardOutcome::kCompleted;  // the lease loop says bye
   if (reply->kind == "ok") {
     s.log(shard_tag + ": complete");
   } else {
@@ -372,10 +403,17 @@ ShardOutcome run_granted_shard(Session& s, const Reply& grant) {
 int run_worker(const dataset::GenotypeMatrix& dataset,
                const std::string& socket_path, const WorkerOptions& options) {
   Session s{dataset, socket_path, options,
-            shard::dataset_fingerprint(dataset), {}, {}};
+            shard::dataset_fingerprint(dataset), {}, {}, false};
 
   while (!is_interrupted(options)) {
     const auto reply = s.request("lease " + options.id);
+    if (s.ended) {
+      // The endpoint broadcast its end-of-session farewell: the
+      // coordinator finished (or was told to shut down) while a request
+      // of ours was in flight or we waited between requests.
+      s.log("coordinator session ended; exiting");
+      return kExitOk;
+    }
     if (!reply) {
       if (is_interrupted(options)) break;
       s.log("coordinator unreachable for " +
@@ -397,15 +435,8 @@ int run_worker(const dataset::GenotypeMatrix& dataset,
       return kExitAborted;
     }
     if (reply->verb == "wait") {
-      sleep_ms(options, param_u64(*reply, "ms"));
+      s.wait_ms(param_u64(*reply, "ms"));
       continue;
-    }
-    if (reply->verb == "bye") {
-      // The endpoint broadcast its end-of-session farewell: the
-      // coordinator finished (or was told to shut down) while our lease
-      // request was in flight.  Session over either way.
-      s.log("coordinator session ended; exiting");
-      return kExitOk;
     }
     if (reply->verb != "lease") {
       s.log("unexpected coordinator reply verb '" + reply->verb + "'");

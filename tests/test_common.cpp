@@ -75,7 +75,9 @@ TEST(Cpuid, FeatureImplications) {
     EXPECT_TRUE(f.avx2);
     EXPECT_TRUE(f.sse42);
   }
-  if (f.avx512vpopcntdq) EXPECT_TRUE(f.avx512f);
+  if (f.avx512vpopcntdq) {
+    EXPECT_TRUE(f.avx512f);
+  }
 }
 
 TEST(Cpuid, BrandStringNonEmpty) {
@@ -190,7 +192,7 @@ TEST(Stopwatch, TimeBestOfRunsAtLeastMinReps) {
 TEST(Stopwatch, TimeBestOfReturnsPositive) {
   const double t = time_best_of([] {
     volatile int x = 0;
-    for (int i = 0; i < 10000; ++i) x += i;
+    for (int i = 0; i < 10000; ++i) x = x + i;
   });
   EXPECT_GT(t, 0.0);
 }

@@ -246,7 +246,7 @@ TEST(Kernels, CachedKernelWordSubrangesCompose) {
     ks.cached(cache.planes(), cache.stride(), cache.pops(),
               planes.plane(c, 2, 0), planes.plane(c, 2, 1), 0, words, full);
     const std::size_t mid = words / 2;
-    for (const auto range :
+    for (const auto& range :
          {std::pair<std::size_t, std::size_t>{0, mid},
           std::pair<std::size_t, std::size_t>{mid, words}}) {
       std::fill(cache.pops(), cache.pops() + 9, 0u);
@@ -1400,7 +1400,9 @@ TEST(Detector, TopKSortedAndUnique) {
   ASSERT_EQ(r.best.size(), 20u);
   std::set<std::uint64_t> ranks;
   for (std::size_t i = 0; i < r.best.size(); ++i) {
-    if (i > 0) EXPECT_LE(r.best[i - 1].score, r.best[i].score);
+    if (i > 0) {
+      EXPECT_LE(r.best[i - 1].score, r.best[i].score);
+    }
     ranks.insert(combinatorics::rank_combination<3>(r.best[i].snps));
   }
   EXPECT_EQ(ranks.size(), 20u);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "test_util.hpp"
 #include "trigen/dataset/bitplanes.hpp"
@@ -57,6 +60,19 @@ TEST(GenotypeMatrix, InvalidValuesThrow) {
   GenotypeMatrix d(2, 3);
   EXPECT_THROW(d.set(0, 0, 3), std::invalid_argument);
   EXPECT_THROW(d.set_phenotype(0, 2), std::invalid_argument);
+}
+
+TEST(GenotypeMatrix, SetRowIsCheckedLikeSet) {
+  GenotypeMatrix d(2, 3);
+  const std::vector<Genotype> row = {2, 0, 1};
+  d.set_row(1, row);
+  for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(d.at(1, j), row[j]);
+  EXPECT_THROW(d.set_row(2, row), std::out_of_range);
+  EXPECT_THROW(d.set_row(0, std::vector<Genotype>{0, 1}), std::out_of_range);
+  EXPECT_THROW(d.set_row(0, std::vector<Genotype>{0, 3, 1}),
+               std::invalid_argument);
+  EXPECT_EQ(d.at(0, 1), 0);  // a rejected row writes nothing
+  EXPECT_TRUE(d.valid());
 }
 
 TEST(GenotypeMatrix, ClassCountsSumToN) {
@@ -260,6 +276,145 @@ TEST_P(LayoutTest, TiledMatchesPhenoSplitForSeveralTiles) {
         }
       }
     }
+  }
+}
+
+// --------------------------------------------------------------------------
+// Byte identity against a per-sample reference on the edge shapes
+// --------------------------------------------------------------------------
+
+/// Every layout word, built one sample at a time from `d.at()`: the
+/// class-split planes and counts, the V1 planes and the combined planes.
+struct ReferenceLayouts {
+  std::array<std::vector<Word>, 2> split;   // [snp][g(2)][word] per class
+  std::array<std::vector<std::uint32_t>, 2> counts;  // [snp][g(2)]
+  std::array<std::size_t, 2> samples{};
+  std::vector<Word> v1;        // [snp][g(3)][word]
+  std::vector<Word> v1_pheno;  // [word]
+  std::vector<Word> combined;  // [snp][g(2)][word]
+
+  explicit ReferenceLayouts(const GenotypeMatrix& d) {
+    const std::size_t n = d.num_samples();
+    const std::size_t snps = d.num_snps();
+    std::array<std::vector<std::size_t>, 2> members;
+    for (std::size_t j = 0; j < n; ++j) members[d.phenotype(j)].push_back(j);
+    auto put = [](std::vector<Word>& planes, std::size_t plane,
+                  std::size_t words, std::size_t bit) {
+      planes[plane * words + bit / kWordBits] |= Word{1} << (bit % kWordBits);
+    };
+    for (std::size_t c = 0; c < 2; ++c) {
+      samples[c] = members[c].size();
+      const std::size_t words = padded_words_for(samples[c]);
+      split[c].assign(snps * 2 * words, 0);
+      counts[c].assign(snps * 2, 0);
+      for (std::size_t m = 0; m < snps; ++m) {
+        for (std::size_t p = 0; p < members[c].size(); ++p) {
+          const Genotype g = d.at(m, members[c][p]);
+          if (g > 1) continue;
+          put(split[c], m * 2 + g, words, p);
+          ++counts[c][m * 2 + g];
+        }
+      }
+    }
+    const std::size_t words = padded_words_for(n);
+    v1.assign(snps * 3 * words, 0);
+    v1_pheno.assign(words, 0);
+    combined.assign(snps * 2 * words, 0);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (d.phenotype(j) == 1) put(v1_pheno, 0, words, j);
+      for (std::size_t m = 0; m < snps; ++m) {
+        const Genotype g = d.at(m, j);
+        put(v1, m * 3 + g, words, j);
+        if (g <= 1) put(combined, m * 2 + g, words, j);
+      }
+    }
+  }
+};
+
+/// The `words`-word planes of `snps` SNPs x `per_snp` genotypes of a layout
+/// whose plane (m, g) starts at `plane(m, g)`, copied out in order.
+template <typename PlaneFn>
+std::vector<Word> words_of(std::size_t snps, int per_snp, std::size_t words,
+                           PlaneFn&& plane) {
+  std::vector<Word> out;
+  for (std::size_t m = 0; m < snps; ++m) {
+    for (int g = 0; g < per_snp; ++g) {
+      const Word* p = plane(m, g);
+      out.insert(out.end(), p, p + words);
+    }
+  }
+  return out;
+}
+
+void expect_layouts_match_reference(const GenotypeMatrix& d) {
+  const ReferenceLayouts ref(d);
+  const std::size_t snps = d.num_snps();
+  const PhenoSplitPlanes split = PhenoSplitPlanes::build(d);
+  ASSERT_EQ(split.num_snps(), snps);
+  for (int c = 0; c < 2; ++c) {
+    const auto cs = static_cast<std::size_t>(c);
+    ASSERT_EQ(split.samples(c), ref.samples[cs]) << "class " << c;
+    ASSERT_EQ(split.words(c), padded_words_for(ref.samples[cs]));
+    EXPECT_EQ(split.pad_bits(c),
+              split.words(c) * kWordBits - ref.samples[cs]);
+    EXPECT_EQ(words_of(snps, 2, split.words(c),
+                       [&](std::size_t m, int g) {
+                         return split.plane(c, m, g);
+                       }),
+              ref.split[cs])
+        << "class " << c;
+    for (std::size_t m = 0; m < snps; ++m) {
+      for (int g = 0; g < 2; ++g) {
+        EXPECT_EQ(split.genotype_count(c, m, g),
+                  ref.counts[cs][m * 2 + static_cast<std::size_t>(g)])
+            << "class " << c << " snp " << m << " g " << g;
+      }
+    }
+  }
+
+  const std::size_t words = padded_words_for(d.num_samples());
+  const BitPlanesV1 v1 = BitPlanesV1::build(split, d.phenotypes());
+  ASSERT_EQ(v1.words(), words);
+  EXPECT_EQ(words_of(snps, 3, words,
+                     [&](std::size_t m, int g) { return v1.plane(m, g); }),
+            ref.v1);
+  EXPECT_EQ(std::vector<Word>(v1.phenotype_plane(),
+                              v1.phenotype_plane() + words),
+            ref.v1_pheno);
+
+  const PhenoSplitPlanes all =
+      PhenoSplitPlanes::build_combined(split, d.phenotypes());
+  ASSERT_EQ(all.samples(0), d.num_samples());
+  ASSERT_EQ(all.samples(1), 0u);
+  ASSERT_EQ(all.words(0), words);
+  EXPECT_EQ(all.pad_bits(0), words * kWordBits - d.num_samples());
+  EXPECT_EQ(words_of(snps, 2, words,
+                     [&](std::size_t m, int g) { return all.plane(0, m, g); }),
+            ref.combined);
+  for (std::size_t m = 0; m < snps; ++m) {
+    for (int g = 0; g < 2; ++g) {
+      const std::size_t row = m * 2 + static_cast<std::size_t>(g);
+      EXPECT_EQ(all.genotype_count(0, m, g),
+                ref.counts[0][row] + ref.counts[1][row]);
+      EXPECT_EQ(all.genotype_count(1, m, g), 0u);
+    }
+  }
+}
+
+TEST(LayoutIdentity, EdgeClassSizesMatchThePerSampleReference) {
+  std::uint64_t seed = 100;
+  for (const auto& sizes : trigen::test::edge_class_sizes()) {
+    SCOPED_TRACE(std::to_string(sizes.controls) + " controls, " +
+                 std::to_string(sizes.cases) + " cases");
+    expect_layouts_match_reference(trigen::test::edge_dataset(sizes, ++seed));
+  }
+}
+
+TEST(LayoutIdentity, OddSampleCountsMatchThePerSampleReference) {
+  for (const std::size_t n : {1u, 31u, 32u, 33u, 63u, 65u, 1057u}) {
+    SCOPED_TRACE(std::to_string(n) + " samples");
+    expect_layouts_match_reference(random_dataset({7, n, 200 + n}));
+    expect_layouts_match_reference(random_dataset({7, n, 300 + n}, 0.1));
   }
 }
 
@@ -559,6 +714,136 @@ TEST(IoBinaryStrictness, ImplausibleHeaderShapesAreParseErrors) {
   for (int i = 0; i < 16; ++i) zero.write("\0", 1);
   expect_message_contains(binary_error_of(zero.str()),
                           "zero-sized dataset");
+}
+
+// --------------------------------------------------------------------------
+// TRIGEN1 text corruption battery: each case fails with its exact message
+// --------------------------------------------------------------------------
+
+/// Runs the text reader on `text`, expecting a throw; returns the message.
+std::string text_error_of(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    read_text(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected read_text to reject the text";
+  return {};
+}
+
+std::string io_error(const std::string& what) {
+  return "trigen dataset I/O: " + what;
+}
+
+TEST(IoTextStrictness, BadMagicAndMalformedHeader) {
+  EXPECT_EQ(text_error_of("TRIGEN2 1 4\n0120\n0101\n"),
+            io_error("bad magic, expected TRIGEN1"));
+  EXPECT_EQ(text_error_of("TRIGEN1 one 4\n0120\n0101\n"),
+            io_error("malformed text header"));
+  EXPECT_EQ(text_error_of("TRIGEN1 1"), io_error("malformed text header"));
+}
+
+TEST(IoTextStrictness, ImplausibleAndZeroShapes) {
+  EXPECT_EQ(text_error_of("TRIGEN1 5000000 4\n"),
+            io_error("implausible dataset shape in header (5000000 x 4)"));
+  EXPECT_EQ(text_error_of("TRIGEN1 4096 262144\n"),
+            io_error("implausible dataset shape in header (4096 x 262144)"));
+  EXPECT_EQ(text_error_of("TRIGEN1 0 4\n"),
+            io_error("zero-sized dataset in header"));
+}
+
+TEST(IoTextStrictness, TruncatedAtSnpLine) {
+  EXPECT_EQ(text_error_of("TRIGEN1 3 4"), io_error("truncated at SNP line 1"));
+  EXPECT_EQ(text_error_of("TRIGEN1 3 4\n"),
+            io_error("truncated at SNP line 1"));
+  EXPECT_EQ(text_error_of("TRIGEN1 3 4\n0120\n"),
+            io_error("truncated at SNP line 2"));
+  // A full-length last line without its newline still counts as a line.
+  EXPECT_EQ(text_error_of("TRIGEN1 3 4\n0120\n2101"),
+            io_error("truncated at SNP line 3"));
+}
+
+TEST(IoTextStrictness, ShortAndLongLinesReportTheirRealLength) {
+  EXPECT_EQ(text_error_of("TRIGEN1 2 4\n0120\n012\n0101\n"),
+            io_error("SNP line 2 has 3 chars, expected 4"));
+  EXPECT_EQ(text_error_of("TRIGEN1 2 4\n\n0120\n0101\n"),
+            io_error("SNP line 1 has 0 chars, expected 4"));
+  EXPECT_EQ(text_error_of("TRIGEN1 2 4\n0120\n01"),
+            io_error("SNP line 2 has 2 chars, expected 4"));
+  EXPECT_EQ(text_error_of("TRIGEN1 2 4\n0120\n01201\n0101\n"),
+            io_error("SNP line 2 has 5 chars, expected 4"));
+  EXPECT_EQ(text_error_of("TRIGEN1 2 4\n01201201201\n0120\n0101\n"),
+            io_error("SNP line 1 has 11 chars, expected 4"));
+  EXPECT_EQ(text_error_of("TRIGEN1 2 4\n0120\n012012"),
+            io_error("SNP line 2 has 6 chars, expected 4"));
+  // The length is checked before the characters.
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\n01x\n0101\n"),
+            io_error("SNP line 1 has 3 chars, expected 4"));
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\n" + std::string(70, '1') + "x\n"),
+            io_error("SNP line 1 has 71 chars, expected 4"));
+}
+
+TEST(IoTextStrictness, InvalidGenotypeNamesTheFirstBadCharAndItsLine) {
+  EXPECT_EQ(text_error_of("TRIGEN1 2 4\n0120\n0130\n0101\n"),
+            io_error("invalid genotype '3' at SNP line 2"));
+  EXPECT_EQ(text_error_of("TRIGEN1 2 4\n0120\n0x/9\n0101\n"),
+            io_error("invalid genotype 'x' at SNP line 2"));
+  // Past the first 16-byte block of a wider row, and in its tail.
+  std::string row(40, '2');
+  row[37] = ' ';
+  EXPECT_EQ(text_error_of("TRIGEN1 1 40\n" + row + "\n"),
+            io_error("invalid genotype ' ' at SNP line 1"));
+  row = std::string(40, '0');
+  row[20] = '/';
+  row[39] = '3';
+  EXPECT_EQ(text_error_of("TRIGEN1 1 40\n" + row + "\n"),
+            io_error("invalid genotype '/' at SNP line 1"));
+}
+
+TEST(IoTextStrictness, CrLfLinesAreOneCharTooLong) {
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\r\n0120\r\n0101\r\n"),
+            io_error("SNP line 1 has 5 chars, expected 4"));
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\n0120\n0101\r\n"),
+            io_error("phenotype line length mismatch"));
+}
+
+TEST(IoTextStrictness, MissingOrShortPhenotypeLine) {
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\n0120\n"),
+            io_error("missing phenotype line"));
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\n0120"),
+            io_error("missing phenotype line"));
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\n0120\n010\n"),
+            io_error("phenotype line length mismatch"));
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\n0120\n\n0101\n"),
+            io_error("phenotype line length mismatch"));
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\n0120\n01011\n"),
+            io_error("phenotype line length mismatch"));
+}
+
+TEST(IoTextStrictness, InvalidPhenotype) {
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\n0120\n0121\n"),
+            io_error("invalid phenotype '2'"));
+  EXPECT_EQ(text_error_of("TRIGEN1 1 4\n0120\n01 1\n"),
+            io_error("invalid phenotype ' '"));
+}
+
+TEST(IoTextStrictness, UnterminatedPhenotypeLineAndTrailingBytesAreAccepted) {
+  GenotypeMatrix want(2, 4);
+  for (std::size_t j = 0; j < 4; ++j) {
+    want.set(0, j, static_cast<Genotype>(j % 3));
+    want.set(1, j, static_cast<Genotype>(2 - j % 3));
+    want.set_phenotype(j, static_cast<Phenotype>(j == 1 || j == 2));
+  }
+  for (const char* text :
+       {"TRIGEN1 2 4\n0120\n2102\n0110\n", "TRIGEN1 2 4\n0120\n2102\n0110",
+        "TRIGEN1 2 4\n0120\n2102\n0110\ntrailing bytes\n\n9",
+        "TRIGEN1 2 4 header remarks\n0120\n2102\n0110\n",
+        "TRIGEN1\n2\n4\n0120\n2102\n0110\n"}) {
+    SCOPED_TRACE(text);
+    std::stringstream ss(text);
+    EXPECT_EQ(read_text(ss), want);
+  }
 }
 
 TEST(Io, FileRoundTrip) {

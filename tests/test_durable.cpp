@@ -2,8 +2,8 @@
 /// built on it: the strict codec and record reader, golden files that pin
 /// every writer's bytes (TRIGEN-SHARD v1/v2, TRIGEN-CHECKPOINT v2,
 /// TRIGEN-FLEET v1, TRIGEN-TUNE v1), the all-or-nothing writer under a
-/// file-size limit, and a seeded mutation fuzzer over the golden files and
-/// the serve/fleet protocol lines.
+/// file-size limit, and a seeded mutation fuzzer over the golden files, the
+/// two dataset formats and the serve/fleet protocol lines.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,8 @@
 
 #include "trigen/common/durable.hpp"
 #include "trigen/dataset/genotype_matrix.hpp"
+#include "trigen/dataset/io.hpp"
+#include "trigen/dataset/synthetic.hpp"
 #include "trigen/fleet/state.hpp"
 #include "trigen/serve/protocol.hpp"
 #include "trigen/shard/plan.hpp"
@@ -572,6 +574,68 @@ TEST(DurableFuzz, FormatMutantsParseStablyOrThrowRuntimeError) {
       EXPECT_FALSE(m.truncated) << "accepted a truncated file";
       // Whatever parsed is a fixed point of write(parse(.)).
       EXPECT_EQ(f.round_trip(once), once);
+    }
+  }
+}
+
+/// One dataset format: its reader and writer, and how many bytes at the
+/// end of a written file its reader can do without (the text format's last
+/// newline).
+struct DatasetFormat {
+  std::string name;
+  std::function<dataset::GenotypeMatrix(std::istream&)> read;
+  std::function<void(std::ostream&, const dataset::GenotypeMatrix&)> write;
+  std::size_t optional_tail;
+};
+
+TEST(DurableFuzz, DatasetMutantsParseToAValidMatrixOrThrowRuntimeError) {
+  // Ten samples: the binary shape field holds a '\n' byte, so the line
+  // mutations also cut and reorder the .tgb header.
+  dataset::SyntheticSpec spec;
+  spec.num_snps = 5;
+  spec.num_samples = 10;
+  spec.seed = 11;
+  const dataset::GenotypeMatrix d = dataset::generate(spec);
+  const std::vector<DatasetFormat> formats = {
+      {".tg", [](std::istream& is) { return dataset::read_text(is); },
+       [](std::ostream& os, const dataset::GenotypeMatrix& m) {
+         dataset::write_text(os, m);
+       },
+       1},
+      {".tgb", [](std::istream& is) { return dataset::read_binary(is); },
+       [](std::ostream& os, const dataset::GenotypeMatrix& m) {
+         dataset::write_binary(os, m);
+       },
+       0},
+  };
+  for (const DatasetFormat& f : formats) {
+    std::ostringstream os;
+    f.write(os, d);
+    std::vector<Mutant> mutants = mutants_of(os.str(), kFuzzSeed, 400);
+    const std::size_t size = os.str().size();
+    for (std::size_t n = 0; n < size; ++n) {
+      mutants.push_back({"cut to " + std::to_string(n) + " bytes",
+                         os.str().substr(0, n), n + f.optional_tail < size});
+    }
+    for (const Mutant& m : mutants) {
+      SCOPED_TRACE(f.name + " [seed " + std::to_string(kFuzzSeed) + "]: " +
+                   m.how);
+      std::istringstream is(m.text);
+      dataset::GenotypeMatrix parsed;
+      try {
+        parsed = f.read(is);
+      } catch (const std::runtime_error&) {
+        continue;  // rejected with a parse error: fine
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "non-runtime_error exception: " << e.what();
+        continue;
+      }
+      EXPECT_FALSE(m.truncated) << "accepted a truncated file";
+      EXPECT_TRUE(parsed.valid());
+      // Whatever parsed writes back to bytes that parse to the same matrix.
+      std::stringstream again;
+      f.write(again, parsed);
+      EXPECT_EQ(f.read(again), parsed);
     }
   }
 }

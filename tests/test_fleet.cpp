@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -703,21 +708,42 @@ std::vector<std::string> drain_socket_fleet(Rig& rig, CoordinatorOptions co) {
         serve::run_socket_endpoint(coordinator, sock, interrupted);
   });
 
-  auto worker = [&](const std::string& id, int& rc) {
+  // Workers start once the endpoint listens.  (One that never reaches a
+  // coordinator rightly waits out its whole reconnect budget.)
+  for (int i = 0; i < 1000 && !std::filesystem::exists(sock); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  struct Exit {
+    int rc = -1;
+    bool scanned = false;      ///< took part in the session
+    bool unreachable = false;  ///< gave up on the coordinator
+  };
+  auto worker = [&](const std::string& id, Exit& exit) {
     WorkerOptions wo;
     wo.id = id;
     wo.threads = 1;
     wo.reconnect_ms = 10000;
     wo.interrupted = &interrupted;
-    rc = run_worker(rig.data, sock, wo);
+    wo.log = [&exit](const std::string& line) {
+      exit.scanned |= line.find("scanning") != std::string::npos;
+      exit.unreachable |= line.find("unreachable") != std::string::npos;
+    };
+    exit.rc = run_worker(rig.data, sock, wo);
   };
-  int rc1 = -1, rc2 = -1;
-  std::thread w1(worker, "w1", std::ref(rc1));
-  std::thread w2(worker, "w2", std::ref(rc2));
+  Exit e1, e2;
+  std::thread w1(worker, "w1", std::ref(e1));
+  std::thread w2(worker, "w2", std::ref(e2));
   w1.join();
   w2.join();
   if (!coordinator.finished()) interrupted = true;
   endpoint.join();
+  // A worker of the session reads the drained endpoint's `bye`, also when
+  // it was waiting between requests as the endpoint closed; it does not
+  // wait out its reconnect budget as if the coordinator had crashed.
+  for (const Exit* e : {&e1, &e2}) {
+    EXPECT_FALSE(e->scanned && e->unreachable);
+  }
+  const int rc1 = e1.rc, rc2 = e2.rc;
 
   EXPECT_TRUE(coordinator.finished()) << core::objective_name(objective);
   EXPECT_EQ(endpoint_rc, 0);
@@ -737,6 +763,59 @@ TEST(FleetSocket, TwoWorkersDrainTheFleetBitIdentically) {
   auto co = rig.base_options();
   co.lease_ms = 30000;  // real clock from here on; no fake expiries
   EXPECT_EQ(drain_socket_fleet(rig, co), rig.reference_csv());
+}
+
+TEST(FleetSocket, WorkerReachesARestartedCoordinatorWithinItsBudget) {
+  Rig rig("socket-restart");
+  auto co = rig.base_options();
+  co.shards = 6;
+  co.lease_ms = 30000;
+  co.now_ms = {};
+  co.spool = rig.spool;
+  co.out = rig.spool + "/fleet.csv";
+  FleetCoordinator coordinator(rig.data, std::move(co));
+  const std::string sock = rig.spool + "/coord.sock";
+
+  // A coordinator that dies with the worker's lease request unanswered:
+  // no `bye`, and its socket file stays behind, as after a kill.
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(sock.size(), sizeof addr.sun_path);
+  std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  std::atomic<bool> interrupted{false};
+  int endpoint_rc = -1;
+  std::thread endpoint([&] {
+    const int conn = ::accept(listener, nullptr, nullptr);
+    char request[256];
+    if (conn >= 0) {
+      EXPECT_GT(::read(conn, request, sizeof request), 0);
+    }
+    ::close(listener);
+    if (conn >= 0) ::close(conn);
+    // The restart, well inside the worker's reconnect budget.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    endpoint_rc = serve::run_socket_endpoint(coordinator, sock, interrupted);
+  });
+
+  WorkerOptions wo;
+  wo.id = "w1";
+  wo.threads = 1;
+  wo.reconnect_ms = 10000;
+  wo.interrupted = &interrupted;
+  const int rc = run_worker(rig.data, sock, wo);
+  if (!coordinator.finished()) interrupted = true;
+  endpoint.join();
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(endpoint_rc, 0);
+  EXPECT_TRUE(coordinator.finished());
+  EXPECT_EQ(coordinator.final_csv(), rig.reference_csv());
 }
 
 TEST(FleetSocket, EveryObjectiveDrainsToTheSingleProcessCsv) {

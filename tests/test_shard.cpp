@@ -1453,7 +1453,9 @@ TEST_F(ShardRunner, KilledAndResumedShardedScanMergesToTheFullScan) {
     }
     const auto rep = run_shard_of<3>(*det_, fp_, opt);
     ASSERT_TRUE(rep.completed) << i;
-    if (i == 2) EXPECT_TRUE(rep.resumed);
+    if (i == 2) {
+      EXPECT_TRUE(rep.resumed);
+    }
     write_shard_result_file(shard_file, rep.result);
     files.push_back(shard_file);
   }
