@@ -48,17 +48,6 @@ namespace {
 
 using namespace trigen;
 
-unsigned lanes_for(core::KernelIsa isa) {
-  switch (isa) {
-    case core::KernelIsa::kScalar: return 1;
-    case core::KernelIsa::kAvx2:
-    case core::KernelIsa::kAvx2HarleySeal: return 8;
-    case core::KernelIsa::kAvx512Extract:
-    case core::KernelIsa::kAvx512Vpopcnt: return 16;
-  }
-  return 1;
-}
-
 /// Value following `flag` in argv, or `fallback`.
 const char* get_arg(int argc, char** argv, const char* flag,
                     const char* fallback) {
@@ -217,6 +206,7 @@ int main(int argc, char** argv) {
     const core::Detector det(d);
     for (const core::KernelIsa isa : core::all_kernel_isas()) {
       if (!core::kernel_available(isa)) continue;
+      const auto lanes = static_cast<double>(core::kernel_vector_words(isa));
       for (const core::CpuVersion version : versions) {
         core::DetectorOptions opt;
         opt.version = version;
@@ -238,7 +228,7 @@ int main(int argc, char** argv) {
                       core::kernel_isa_name(isa),
                       TextTable::fmt(eps / 1e9, 2),
                       TextTable::fmt(per_cyc, 2),
-                      TextTable::fmt(per_cyc / lanes_for(isa), 3)});
+                      TextTable::fmt(per_cyc / lanes, 3)});
         log.push_back({"fig3_cpu/" + core::cpu_version_name(version) + "/" +
                            core::kernel_isa_name(isa) +
                            "/snps=" + std::to_string(snps),

@@ -1,10 +1,10 @@
 # TrigenSimd.cmake — per-ISA compiler flag detection for the SIMD kernels.
 #
-# The kernel translation units (src/core/kernels_avx2.cpp, ..., and the
-# src/simd/popcount_*.cpp mirrors) are compiled with per-file ISA flags so
-# that a portable build (no -march=native) still carries every vector
-# variant the compiler can emit.  Runtime dispatch via trigen::cpu_features()
-# remains the single authority on what actually executes.
+# The kernel translation units (src/core/kernels_avx2.cpp, ...) are
+# compiled with per-file ISA flags so that a portable build (no
+# -march=native) still carries every vector variant the compiler can emit.
+# Runtime dispatch via trigen::cpu_features() remains the single authority
+# on what actually executes.
 #
 # Defines, for each ISA tier the compiler supports:
 #   TRIGEN_HAVE_AVX2            / TRIGEN_AVX2_FLAGS            (-mavx2)

@@ -14,7 +14,7 @@
 ///    blocked engine (V3/V4/V5) to tile the sample dimension.
 ///
 /// Every kernel family has one implementation per vectorization strategy
-/// (scalar, AVX2 + extracts, AVX2 Harley-Seal, AVX-512 + extracts,
+/// (scalar, AVX2 + extracts, AVX2 lookup, AVX-512 + extracts,
 /// AVX-512 + VPOPCNTDQ), matching the per-ISA strategies of the paper's
 /// V4; the scalar implementations double as the V2/V3 kernels and as the
 /// reference the vector ones are tested against.  The strategies differ
@@ -339,25 +339,27 @@ struct BatchKernelSet {
 enum class KernelIsa {
   kScalar,         ///< 32-bit words, builtin POPCNT (V2/V3 and AVX-less V4)
   kAvx2,           ///< 256-bit AND/NOR, 4x extract + scalar POPCNT
-  kAvx2HarleySeal, ///< 256-bit AND/NOR, vpshufb nibble-LUT popcount
+  kAvx2Lookup,     ///< 256-bit AND/NOR, vpshufb nibble-LUT popcount
                    ///< (ablation: the SWAR alternative to extract+POPCNT
                    ///< on AVX CPUs without vector POPCNT)
   kAvx512Extract,  ///< 512-bit AND/NOR, extracti64x4 + extract + scalar POPCNT
   kAvx512Vpopcnt,  ///< 512-bit AND/NOR, VPOPCNTDQ + per-cell reduce
 };
 
-/// All strategies compiled into this binary.
+/// All strategies compiled into this binary: scalar first, the lookup
+/// ablation before `kAvx2`, then the AVX-512 strategies.
 const std::vector<KernelIsa>& all_kernel_isas();
 
 /// True when the host CPU can execute `isa`.
 bool kernel_available(KernelIsa isa);
 
-/// Widest strategy available on the host.
+/// The last entry of all_kernel_isas() the host can execute: the widest
+/// available strategy, and never the lookup ablation while `kAvx2` runs.
 KernelIsa best_kernel_isa();
 
 std::string kernel_isa_name(KernelIsa isa);
 
-/// Inverse of kernel_isa_name ("scalar", "avx2", "avx2-harley-seal",
+/// Inverse of kernel_isa_name ("scalar", "avx2", "avx2-lookup",
 /// "avx512-extract", "avx512-vpopcnt"); nullopt for unknown names.  Only
 /// names of strategies compiled into this binary resolve — callers decide
 /// whether an unavailable-on-this-host strategy is an error (the CLI's

@@ -1,6 +1,6 @@
 /// \file kernels_avx2.cpp
 /// \brief AVX2 policies (paper §IV-A, the "AVX" V4 strategy, plus the
-/// Harley-Seal ablation) and their kernel tables.
+/// nibble-lookup ablation) and their kernel tables.
 ///
 /// This translation unit is compiled with -mavx2 regardless of the global
 /// architecture flags; nothing here may run unless the runtime dispatcher
@@ -73,10 +73,11 @@ struct Avx2Extract {
   static std::uint32_t sum(Acc acc) { return acc; }
 };
 
-/// Ablation: the SWAR alternative to extract + POPCNT.  Nibble-LUT byte
+/// Ablation: the SWAR alternative to extract + POPCNT, the "AVX2 lookup"
+/// method of Mula, Kurz and Lemire (arXiv:1611.07612).  Nibble-LUT byte
 /// counts are folded by SAD into 64-bit lanes (no overflow for any
 /// realistic plane length), with one extract chain per reduction.
-struct Avx2HarleySeal : Avx2Extract {
+struct Avx2Lookup : Avx2Extract {
   using Acc = __m256i;
   static Acc zero() { return _mm256_setzero_si256(); }
   static Acc add(Acc acc, V v) {
@@ -108,11 +109,11 @@ constinit const KernelTable kAvx2ExtractKernels = {
     .batch_final = &batch_final<Avx2Extract>,
 };
 
-constinit const KernelTable kAvx2HarleySealKernels = {
-    .triple = &triple_block<Avx2HarleySeal>,
-    .build = &pair_plane_build<Avx2HarleySeal>,
-    .count = &pair_plane_count<Avx2HarleySeal>,
-    .extend01 = &prefix_extend<Avx2HarleySeal, 2>,
+constinit const KernelTable kAvx2LookupKernels = {
+    .triple = &triple_block<Avx2Lookup>,
+    .build = &pair_plane_build<Avx2Lookup>,
+    .count = &pair_plane_count<Avx2Lookup>,
+    .extend01 = &prefix_extend<Avx2Lookup, 2>,
 };
 
 }  // namespace trigen::core::detail

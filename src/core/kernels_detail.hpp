@@ -56,7 +56,7 @@ extern const KernelTable kScalarKernels;
 #if defined(TRIGEN_KERNEL_AVX2)
 // kernels_avx2.cpp (compiled with -mavx2).
 extern const KernelTable kAvx2ExtractKernels;
-extern const KernelTable kAvx2HarleySealKernels;
+extern const KernelTable kAvx2LookupKernels;
 #endif
 #if defined(TRIGEN_KERNEL_AVX512)
 // kernels_avx512.cpp (compiled with -mavx512f -mavx512bw).

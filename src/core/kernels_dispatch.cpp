@@ -23,8 +23,10 @@ const std::vector<KernelIsa>& all_kernel_isas() {
   static const std::vector<KernelIsa> v = [] {
     std::vector<KernelIsa> out = {KernelIsa::kScalar};
 #if defined(TRIGEN_KERNEL_AVX2)
+    // The lookup ablation first: best_kernel_isa() takes the last entry
+    // the host runs, so an AVX2-only host defaults to the paper's extract.
+    out.push_back(KernelIsa::kAvx2Lookup);
     out.push_back(KernelIsa::kAvx2);
-    out.push_back(KernelIsa::kAvx2HarleySeal);
 #endif
 #if defined(TRIGEN_KERNEL_AVX512)
     out.push_back(KernelIsa::kAvx512Extract);
@@ -43,7 +45,7 @@ bool kernel_available(KernelIsa isa) {
     case KernelIsa::kScalar:
       return true;
     case KernelIsa::kAvx2:
-    case KernelIsa::kAvx2HarleySeal:
+    case KernelIsa::kAvx2Lookup:
 #if defined(TRIGEN_KERNEL_AVX2)
       return f.avx2;
 #else
@@ -77,7 +79,7 @@ std::string kernel_isa_name(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar: return "scalar";
     case KernelIsa::kAvx2: return "avx2";
-    case KernelIsa::kAvx2HarleySeal: return "avx2-harley-seal";
+    case KernelIsa::kAvx2Lookup: return "avx2-lookup";
     case KernelIsa::kAvx512Extract: return "avx512-extract";
     case KernelIsa::kAvx512Vpopcnt: return "avx512-vpopcnt";
   }
@@ -145,8 +147,8 @@ detail::KernelTable kernel_table(KernelIsa isa) {
     case KernelIsa::kAvx2:
       t = detail::kAvx2ExtractKernels;
       break;
-    case KernelIsa::kAvx2HarleySeal:
-      t = detail::kAvx2HarleySealKernels;
+    case KernelIsa::kAvx2Lookup:
+      t = detail::kAvx2LookupKernels;
       break;
 #endif
 #if defined(TRIGEN_KERNEL_AVX512)
@@ -197,8 +199,8 @@ CachedKernelSet get_cached_kernels(KernelIsa isa) {
     case KernelIsa::kAvx2:
       cached = &finalize_nine_planes<KernelIsa::kAvx2>;
       break;
-    case KernelIsa::kAvx2HarleySeal:
-      cached = &finalize_nine_planes<KernelIsa::kAvx2HarleySeal>;
+    case KernelIsa::kAvx2Lookup:
+      cached = &finalize_nine_planes<KernelIsa::kAvx2Lookup>;
       break;
     case KernelIsa::kAvx512Extract:
       cached = &finalize_nine_planes<KernelIsa::kAvx512Extract>;
@@ -224,7 +226,7 @@ std::size_t kernel_vector_words(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar: return 1;
     case KernelIsa::kAvx2:
-    case KernelIsa::kAvx2HarleySeal: return 8;
+    case KernelIsa::kAvx2Lookup: return 8;
     case KernelIsa::kAvx512Extract:
     case KernelIsa::kAvx512Vpopcnt: return 16;
   }

@@ -249,12 +249,10 @@ struct Session {
     if (opt.log) opt.log(msg);
   }
 
-  /// (Re)establishes the connection within the reconnect budget.  False =
-  /// budget exhausted or interrupted.
-  bool ensure_connected() {
+  /// (Re)establishes the connection by `deadline`.  False = deadline
+  /// passed or interrupted.
+  bool ensure_connected(std::chrono::steady_clock::time_point deadline) {
     if (conn.connected()) return true;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(opt.reconnect_ms);
     while (!is_interrupted(opt)) {
       if (conn.connect(socket_path)) return true;
       if (std::chrono::steady_clock::now() >= deadline) return false;
@@ -275,21 +273,34 @@ struct Session {
     }
   }
 
-  /// Request/reply with one transparent reconnect-and-resend.  All fleet
+  /// Request/reply with transparent reconnect-and-resend until one
+  /// `reconnect_ms` budget, started when the connection is first found
+  /// down, runs out: a reconnect can land in the backlog of a coordinator
+  /// that then closes its listener, so one retry is not enough.  All fleet
   /// requests are idempotent or safely re-askable (a duplicated lease ask
   /// just gets the next shard; a duplicated renew/complete/abandon gets
-  /// `lease-lost` at worst), so the retry never double-applies work.
-  /// Once the endpoint has said `bye` the session is over: nothing more
-  /// is sent, and no reconnect is tried.
+  /// `lease-lost` at worst), so the retries never double-apply work.  Once
+  /// the endpoint has said `bye` the session is over: nothing more is
+  /// sent, and no reconnect is tried.
   std::optional<Reply> request(const std::string& line) {
-    for (int attempt = 0; attempt < 2 && !ended; ++attempt) {
-      if (!ensure_connected()) return std::nullopt;
+    std::optional<std::chrono::steady_clock::time_point> deadline;
+    for (int attempt = 0; !ended; ++attempt) {
+      if (!conn.connected()) {
+        const auto now = std::chrono::steady_clock::now();
+        if (!deadline) {
+          deadline = now + std::chrono::milliseconds(opt.reconnect_ms);
+        } else if (now >= *deadline) {
+          break;
+        }
+        // The first resend follows a drop at once; later ones are paced.
+        if (attempt > 1) sleep_ms(opt, opt.poll_ms);
+        if (!ensure_connected(*deadline)) break;
+      }
       if (const auto raw = conn.exchange(line)) {
         Reply reply = parse_reply(*raw);
         ended = reply.verb == "bye";
         return reply;
       }
-      // connection dropped mid-exchange; one reconnect, then resend
     }
     return std::nullopt;
   }

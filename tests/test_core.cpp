@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <random>
 #include <set>
@@ -45,8 +46,8 @@ TEST(KernelRegistry, BestIsAvailable) {
 /// metadata (vector width, name) must be answerable for all of them.
 const std::vector<KernelIsa>& every_isa() {
   static const std::vector<KernelIsa> v = {
-      KernelIsa::kScalar,        KernelIsa::kAvx2,
-      KernelIsa::kAvx2HarleySeal, KernelIsa::kAvx512Extract,
+      KernelIsa::kScalar,     KernelIsa::kAvx2,
+      KernelIsa::kAvx2Lookup, KernelIsa::kAvx512Extract,
       KernelIsa::kAvx512Vpopcnt};
   return v;
 }
@@ -54,7 +55,7 @@ const std::vector<KernelIsa>& every_isa() {
 TEST(KernelRegistry, VectorWordsMatchIsa) {
   EXPECT_EQ(kernel_vector_words(KernelIsa::kScalar), 1u);
   EXPECT_EQ(kernel_vector_words(KernelIsa::kAvx2), 8u);
-  EXPECT_EQ(kernel_vector_words(KernelIsa::kAvx2HarleySeal), 8u);
+  EXPECT_EQ(kernel_vector_words(KernelIsa::kAvx2Lookup), 8u);
   EXPECT_EQ(kernel_vector_words(KernelIsa::kAvx512Extract), 16u);
   EXPECT_EQ(kernel_vector_words(KernelIsa::kAvx512Vpopcnt), 16u);
 }
@@ -130,12 +131,26 @@ TEST(KernelRegistry, StrategiesShareTheMappedBodies) {
     EXPECT_EQ(g.finalize == avx2.finalize, isa != KernelIsa::kAvx512Vpopcnt)
         << kernel_isa_name(isa);
     EXPECT_EQ(b.finalize == avx2_batch.finalize,
-              isa == KernelIsa::kAvx2 || isa == KernelIsa::kAvx2HarleySeal)
+              isa == KernelIsa::kAvx2 || isa == KernelIsa::kAvx2Lookup)
         << kernel_isa_name(isa);
     EXPECT_EQ(g.extend01 != avx2.extend01, own) << kernel_isa_name(isa);
     EXPECT_EQ(get_kernel(isa) != get_kernel(KernelIsa::kAvx2), own)
         << kernel_isa_name(isa);
   }
+}
+
+TEST(KernelRegistry, PaperExtractComesAfterTheLookupAblation) {
+  // best_kernel_isa() takes the last entry the host runs, so an AVX2-only
+  // host defaults to the paper's extract strategy, never the ablation.
+  const auto& all = all_kernel_isas();
+  const auto lookup =
+      std::find(all.begin(), all.end(), KernelIsa::kAvx2Lookup);
+  const auto extract = std::find(all.begin(), all.end(), KernelIsa::kAvx2);
+  if (lookup == all.end() || extract == all.end()) {
+    GTEST_SKIP() << "AVX2 strategies not compiled in";
+  }
+  EXPECT_LT(lookup, extract);
+  EXPECT_NE(best_kernel_isa(), KernelIsa::kAvx2Lookup);
 }
 
 TEST(KernelRegistry, AvailableImpliesCompiledIn) {
@@ -491,29 +506,58 @@ TEST(BlockedEngine, CachedClipEmitsExactlyTheTripletsInRange) {
 // The 2^k-cell order-3 path: extend01 + finalize(4) + pair-table completion
 // --------------------------------------------------------------------------
 
-/// Random operands shared by every kernel family: kMaxOrder SNPs whose
+/// Operands shared by every kernel family: kMaxOrder SNPs whose
 /// genotype-0/1 planes are disjoint (a genotype partition), and 27 cached
-/// prefix planes with arbitrary chunk popcounts.
+/// prefix planes with arbitrary chunk popcounts.  Besides random words,
+/// the extreme fills run every popcount accumulator on empty, saturated
+/// and one-bit lanes.
 struct KernelOperands {
+  enum class Fill {
+    kRandom,
+    kZeros,          ///< every sample genotype 2; prefix planes empty
+    kOnes,           ///< every sample genotype 0; prefix planes full
+    kOneBitPerWord,  ///< bit w % 32 (genotype 0) and the next (genotype 1)
+  };
   static constexpr std::size_t kWords = 200;
   static constexpr std::size_t kStride = 208;  // >= kWords, 16-word multiple
   std::vector<std::vector<Word>> g0, g1;
   aligned_vector<Word> prefix;
   std::vector<std::uint32_t> pops;
 
-  KernelOperands() {
+  explicit KernelOperands(Fill fill) {
     std::mt19937_64 rng(91);
+    const auto one_bit = [](std::size_t w) { return Word{1} << (w % 32); };
     for (unsigned i = 0; i < combinatorics::kMaxOrder; ++i) {
       std::vector<Word> a(kWords), b(kWords);
       for (std::size_t w = 0; w < kWords; ++w) {
-        a[w] = static_cast<Word>(rng());
-        b[w] = static_cast<Word>(rng()) & ~a[w];
+        switch (fill) {
+          case Fill::kRandom:
+            a[w] = static_cast<Word>(rng());
+            b[w] = static_cast<Word>(rng()) & ~a[w];
+            break;
+          case Fill::kZeros:
+            break;
+          case Fill::kOnes:
+            a[w] = ~Word{0};
+            break;
+          case Fill::kOneBitPerWord:
+            a[w] = one_bit(w);
+            b[w] = one_bit(w + 1);
+            break;
+        }
       }
       g0.push_back(std::move(a));
       g1.push_back(std::move(b));
     }
     prefix.resize(27 * kStride);
-    for (auto& v : prefix) v = static_cast<Word>(rng());
+    for (std::size_t j = 0; j < prefix.size(); ++j) {
+      switch (fill) {
+        case Fill::kRandom: prefix[j] = static_cast<Word>(rng()); break;
+        case Fill::kZeros: prefix[j] = 0; break;
+        case Fill::kOnes: prefix[j] = ~Word{0}; break;
+        case Fill::kOneBitPerWord: prefix[j] = one_bit(j % kStride); break;
+      }
+    }
     pops.resize(27);
     for (auto& v : pops) v = static_cast<std::uint32_t>(rng() % 4096);
   }
@@ -637,21 +681,41 @@ const std::vector<std::pair<const char*, KernelFamilyRun>>& kernel_families() {
   return v;
 }
 
-class KernelFamilyTest : public ::testing::TestWithParam<std::size_t> {};
+/// Operand fills, each named by its test-name suffix; random operands keep
+/// the bare family name.
+const std::pair<KernelOperands::Fill, const char*> kFills[] = {
+    {KernelOperands::Fill::kRandom, ""},
+    {KernelOperands::Fill::kZeros, "_zeros"},
+    {KernelOperands::Fill::kOnes, "_ones"},
+    {KernelOperands::Fill::kOneBitPerWord, "_one_bit_per_word"},
+};
+
+/// (kernel family, index into kFills).
+using KernelFamilyParam = std::tuple<std::size_t, std::size_t>;
+
+class KernelFamilyTest : public ::testing::TestWithParam<KernelFamilyParam> {};
 
 INSTANTIATE_TEST_SUITE_P(
     EveryFamily, KernelFamilyTest,
-    ::testing::Range(std::size_t{0}, kernel_families().size()),
-    [](const ::testing::TestParamInfo<std::size_t>& info) {
-      return std::string(kernel_families()[info.param].first);
+    ::testing::Combine(
+        ::testing::Range(std::size_t{0}, kernel_families().size()),
+        ::testing::Range(std::size_t{0}, std::size(kFills))),
+    [](const ::testing::TestParamInfo<KernelFamilyParam>& info) {
+      return std::string(kernel_families()[std::get<0>(info.param)].first) +
+             kFills[std::get<1>(info.param)].second;
     });
 
 TEST_P(KernelFamilyTest, MatchesScalarOnEveryIsaAndWordRange) {
   // Word ranges with zero and nonzero starts, empty and whole-plane ones,
   // and tails that are not a multiple of 8 or 16 words: every vector body
   // must reproduce the scalar one word for word and count for count.
-  const auto& [name, run] = kernel_families()[GetParam()];
-  static const KernelOperands op;
+  const auto [family, fill] = GetParam();
+  const auto& [name, run] = kernel_families()[family];
+  static const KernelOperands operand_sets[] = {
+      KernelOperands(kFills[0].first), KernelOperands(kFills[1].first),
+      KernelOperands(kFills[2].first), KernelOperands(kFills[3].first)};
+  static_assert(std::size(operand_sets) == std::size(kFills));
+  const KernelOperands& op = operand_sets[fill];
   for (const auto& [w0, w1] : {std::pair<std::size_t, std::size_t>{0, 200},
                                {0, 16},
                                {3, 3 + 37},

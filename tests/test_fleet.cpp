@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -765,8 +766,14 @@ TEST(FleetSocket, TwoWorkersDrainTheFleetBitIdentically) {
   EXPECT_EQ(drain_socket_fleet(rig, co), rig.reference_csv());
 }
 
-TEST(FleetSocket, WorkerReachesARestartedCoordinatorWithinItsBudget) {
-  Rig rig("socket-restart");
+/// Which socket a killed coordinator closes first.
+enum class CloseOrder { kListenerFirst, kConnectionFirst };
+
+/// A coordinator dies with the worker's lease request unanswered and comes
+/// back 300 ms later; the worker must drain the fleet through it.
+void expect_worker_reaches_restarted_coordinator(CloseOrder order) {
+  const bool connection_first = order == CloseOrder::kConnectionFirst;
+  Rig rig(connection_first ? "socket-restart-conn" : "socket-restart-lsn");
   auto co = rig.base_options();
   co.shards = 6;
   co.lease_ms = 30000;
@@ -797,8 +804,15 @@ TEST(FleetSocket, WorkerReachesARestartedCoordinatorWithinItsBudget) {
     if (conn >= 0) {
       EXPECT_GT(::read(conn, request, sizeof request), 0);
     }
+    // Connection first: the worker's resend lands in the backlog of the
+    // listener, which then closes, so the resent request drops too.
+    if (connection_first && conn >= 0) {
+      ::close(conn);
+      pollfd pending{listener, POLLIN, 0};
+      EXPECT_EQ(::poll(&pending, 1, 5000), 1);
+    }
     ::close(listener);
-    if (conn >= 0) ::close(conn);
+    if (!connection_first && conn >= 0) ::close(conn);
     // The restart, well inside the worker's reconnect budget.
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     endpoint_rc = serve::run_socket_endpoint(coordinator, sock, interrupted);
@@ -816,6 +830,15 @@ TEST(FleetSocket, WorkerReachesARestartedCoordinatorWithinItsBudget) {
   EXPECT_EQ(endpoint_rc, 0);
   EXPECT_TRUE(coordinator.finished());
   EXPECT_EQ(coordinator.final_csv(), rig.reference_csv());
+}
+
+TEST(FleetSocket, WorkerReachesARestartedCoordinatorWithinItsBudget) {
+  for (const CloseOrder order :
+       {CloseOrder::kListenerFirst, CloseOrder::kConnectionFirst}) {
+    SCOPED_TRACE(order == CloseOrder::kListenerFirst ? "listener first"
+                                                     : "connection first");
+    expect_worker_reaches_restarted_coordinator(order);
+  }
 }
 
 TEST(FleetSocket, EveryObjectiveDrainsToTheSingleProcessCsv) {

@@ -413,13 +413,16 @@ TEST(ServeServer, StatusReportsLiveJobs) {
   serve::ServeOptions so;
   so.threads = 1;
   so.chunk = 1;
-  serve::ScanServer server(test::planted_dataset(16, 96, 9), so);
+  // 9880 one-rank chunks: the job is still live when `status` arrives
+  // even if this thread is descheduled for a while; it is cancelled after.
+  serve::ScanServer server(test::planted_dataset(40, 200, 9), so);
   Collector c;
   ASSERT_TRUE(server.submit_line("scan s1 order=3", c.sink()));
   Collector st;
   ASSERT_TRUE(server.submit_line("status", st.sink()));
   EXPECT_TRUE(st.any_starts_with("event s1 progress "));
   EXPECT_TRUE(st.any_starts_with("ok - jobs=1"));
+  ASSERT_TRUE(server.submit_line("cancel s1", c.sink()));
   ASSERT_TRUE(server.drain());
 }
 
