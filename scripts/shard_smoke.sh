@@ -113,6 +113,15 @@ for data in d.tg missing.tg; do
   for cmd in scan significance; do
     expect_exit2 "--order expects" "$cmd" "$data" --order 9
     expect_exit2 "--isa/TRIGEN_ISA expects" "$cmd" "$data" --isa bogus
+    TRIGEN_ISA=bogus expect_exit2 "--isa/TRIGEN_ISA expects" "$cmd" "$data"
+  done
+  # The retired autotuner: `tune`, --profile and --no-tune print a one-line
+  # removal notice; --no-tune is still a switch, so the dataset path after
+  # it stays a positional.
+  expect_exit2 "were removed" tune "$data"
+  for cmd in scan significance serve work; do
+    expect_exit2 "were removed" "$cmd" "$data" --profile p.profile
+    expect_exit2 "were removed" "$cmd" --no-tune "$data"
   done
 done
 for flag in snps samples seed; do

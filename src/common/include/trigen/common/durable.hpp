@@ -2,9 +2,9 @@
 /// \file durable.hpp
 /// \brief The durable-record layer under every trigen text artifact.
 ///
-/// Shard results, checkpoints, the fleet lease table and tuning profiles
-/// are all small line-oriented text files that must survive crashes and
-/// reject corruption.  This module holds the plumbing they share:
+/// Shard results, checkpoints and the fleet lease table are all small
+/// line-oriented text files that must survive crashes and reject
+/// corruption.  This module holds the plumbing they share:
 ///
 /// - one writer, write_file_durably: write → fsync → rename → directory
 ///   sync, with one retry/errno policy and path + errno errors;

@@ -15,8 +15,8 @@
 ///
 /// The sysfs root is injectable so the parser is unit-testable against a
 /// fake `sys/devices/system/node` tree; the node count also feeds the
-/// autotuner's host fingerprint (a profile measured on a 1-node VM must
-/// not configure the 2-socket production box).
+/// host fingerprint the benchmark stamps into its reports (a measurement
+/// on a 1-node VM must not be compared with the 2-socket production box).
 
 #include <string>
 #include <vector>

@@ -67,7 +67,7 @@ std::optional<CpuVersion> cpu_version_from_number(std::uint64_t n);
 
 /// The kernel family that dominates an order-`order` scan at `version`
 /// (`batched` overrides both: run_batched always ends in the batched
-/// finalize).  This is the family a detector asks its ConfigResolver about.
+/// finalize).  Kept for the benchmark's probes (see kernel_config.hpp).
 KernelFamily scan_kernel_family(unsigned order, CpuVersion version,
                                 bool batched);
 
@@ -130,15 +130,6 @@ struct ScanOptionsBase {
   /// Optional progress callback, reported in combinations scanned out of
   /// `range.size()` (serialized, monotone; runs on worker threads).
   ProgressFn progress{};
-  /// Optional empirical-tuning lookup (see kernel_config.hpp; trigen::tune
-  /// provides one from a per-host TRIGEN-TUNE profile).  Consulted by the
-  /// vector versions (V4/V5) and run_batched only when `isa_auto` is set
-  /// AND `tiling` is invalid — an explicit pin of either field keeps the
-  /// whole configuration explicit/analytic.  A miss, an unset resolver, or
-  /// a choice whose ISA this host cannot execute falls back to
-  /// best_kernel_isa() and the analytic autotune_tiling model.  Results
-  /// are bit-identical either way; only speed differs.
-  ConfigResolver config{};
 };
 
 /// Detection parameters for the order-K scan.

@@ -1,40 +1,18 @@
 #pragma once
 /// \file kernel_config.hpp
-/// \brief The (ISA, tiling) resolution seam between scans and the autotuner.
+/// \brief The kernel family that dominates a scan configuration.
 ///
-/// The analytic L1 model (tiling.hpp) and `best_kernel_isa()` give every
-/// scan a reasonable default configuration, but the measured ranking flips
-/// per kernel family and working-set size (see BENCH_cpu.json).  This
-/// header defines the seam through which an *empirical* source of truth —
-/// trigen::tune's per-host profile of measured winners — overrides those
-/// defaults without the core depending on the tuner:
-///
-///   * `KernelFamily` names the kernel family that dominates a scan
-///     configuration (the unit the tuner measures and keys entries by);
-///   * `KernelConfigRequest` describes what a scan is about to run;
-///   * a `ConfigResolver` (stored on ScanOptionsBase::config) maps a
-///     request to a measured `KernelConfigChoice`, or nullopt to fall back
-///     to the analytic model.
-///
-/// The detector consults the resolver only when both the ISA and the
-/// tiling are still "auto" — an explicit `--isa` or tiling pin always
-/// wins, and a mixed measured-ISA/explicit-tiling configuration (whose
-/// measurement would be meaningless) can never arise.
-
-#include <cstddef>
-#include <functional>
-#include <optional>
-#include <string>
-
-#include "trigen/core/kernels.hpp"
-#include "trigen/core/tiling.hpp"
+/// `KernelFamily` and `scan_kernel_family` (detector.hpp) stay only because
+/// the benchmark's traced probes (perfbench/src/probes.cpp) switch over
+/// them to name the kernel a workload's default scan runs.  Nothing in the
+/// library branches on a family: every scan takes its ISA from
+/// best_kernel_isa() or an explicit pin, and its tiles from an explicit pin
+/// or the analytic autotune_tiling model (tiling.hpp).
 
 namespace trigen::core {
 
-/// The kernel family a scan configuration's hot loop is dominated by.
-/// These are the measurement units of the empirical autotuner: one family
-/// per (order band, ladder rung), plus the V5 build phase on its own (its
-/// ISA ranking differs from the whole-scan families it feeds).
+/// The kernel family a scan configuration's hot loop is dominated by: one
+/// per (order band, ladder rung), plus the V5 build phase on its own.
 enum class KernelFamily {
   kPairCount,          ///< order 2, counts-only pair kernel (V3–V5)
   kTripleBlock,        ///< order 3, direct triple-block kernel (V4)
@@ -44,32 +22,5 @@ enum class KernelFamily {
   kPrefixLadder,       ///< order >= 4, prefix-extend + finalize ladder (V5)
   kFinalizeBatched,    ///< batched multi-phenotype finalize (run_batched)
 };
-
-/// Stable lowercase name used in profile files and reports
-/// ("pair_count", "triple_block", ...).
-std::string kernel_family_name(KernelFamily f);
-
-/// Inverse of kernel_family_name; nullopt for unknown names.
-std::optional<KernelFamily> parse_kernel_family(const std::string& name);
-
-/// What a scan is about to run, in the tuner's key space.
-struct KernelConfigRequest {
-  KernelFamily family = KernelFamily::kTripleBlock;
-  unsigned order = 3;
-  std::size_t n_samples = 0;    ///< dataset samples (bucketed by the tuner)
-  std::size_t batch_slots = 0;  ///< partitions of a batched run; 0 = plain
-};
-
-/// A measured winner: the ISA and tiling to run the request with.
-struct KernelConfigChoice {
-  KernelIsa isa = KernelIsa::kScalar;
-  TilingParams tiling{0, 0};
-};
-
-/// Profile lookup callback.  Returning nullopt (no entry for this host /
-/// family / size bucket — e.g. a profile tuned for a different dataset
-/// scale) falls back to best_kernel_isa() + the analytic tiling model.
-using ConfigResolver =
-    std::function<std::optional<KernelConfigChoice>(const KernelConfigRequest&)>;
 
 }  // namespace trigen::core

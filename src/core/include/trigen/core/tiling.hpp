@@ -40,12 +40,14 @@ struct L1Config {
 /// kernel's vector width ("B_P is rounded to the closest multiple of the
 /// number of 32-bit integers that fit in the vector registers").  B_S
 /// solves B_S^order * 4 * 2 * 3^order <= size_FT (the tables of one block
-/// tuple hold 3^order cells per class), and the streamed-block budget
-/// covers the prefix-plane ladder when `cached` is set (the V5 engine):
-/// the four {0,1} planes of rung 2 at order 3 (pair_cache_bytes), so B_P
-/// solves B_S*B_P*4*2 + 4*B_P*4 <= size_Block instead of the plain
-/// two-plane-stream formula, and rungs 2..order-1 with sum 3^j planes of
-/// B_P words each above (prefix_cache_bytes).
+/// tuple hold 3^order cells per class), and B_P solves the streamed-block
+/// formula B_S*B_P*4*2 <= size_Block.  When `cached` is set (the V5
+/// engine) at order 3, the block budget also covers the four {0,1} planes
+/// of rung 2 (pair_cache_bytes): B_S*B_P*4*2 + 4*B_P*4 <= size_Block.  At
+/// order >= 4 the V5 ladder's tables and rungs stream instead of staying
+/// L1-resident, so it takes B_S = 3 (enough last-axis SNPs to amortize each
+/// per-prefix rung rebuild; see tiling.cpp for the measurement) and B_P
+/// from the plain two-plane formula at that B_S.
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              unsigned order, bool cached);
 

@@ -15,12 +15,46 @@
 
 namespace trigen::core {
 
+namespace {
+
+/// B_S of the V5 ladder at order >= 4.  The engine streams sample chunks
+/// on the outer loop, so each (z, chunk) finalize reads 3^(k-1) last-rung
+/// planes of B_P words but writes only one 3^k-cell table, and each
+/// prefix's last rung is rebuilt once per chunk and shared by the B_S
+/// last-axis SNPs after it.  The tables therefore stream (they never needed
+/// L1), and B_S only has to amortize the rebuild.  At B_S = 1 every block
+/// tuple is one combination and every rung is rebuilt per combination.
+/// One-thread V5 scans on a 4-vCPU AVX-512 Xeon (48 kB 12-way L1D) ran
+/// k = 4 (48 SNPs x 8192) 0.47-0.59 s at (2, 96) and 0.27-0.41 s at
+/// (3..6, 256); k = 5 (30 x 4096) 0.96-1.70 s at (1, 32) and 0.46-0.64 s
+/// at (3, 64..512); k = 6 (24 x 4096) 4.0-5.4 s at (1, 16) and 1.37-2.0 s
+/// at (3, 256).  B_S = 4 was no faster at k = 6, and its B_S^k * 2 * 3^k *
+/// 4-byte tables take 24 MB per thread against 4.3 MB at B_S = 3.
+constexpr std::size_t kLadderBlockSnps = 3;
+
+}  // namespace
+
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              unsigned order, bool cached) {
   const double way_bytes =
       static_cast<double>(l1.size_bytes) / std::max(1u, l1.ways);
   const double size_ft = way_bytes * l1.ways_for_tables;
   const double size_block = way_bytes * l1.ways_for_block;
+
+  if (cached && order >= 4) {
+    // The rungs stream from L2 like the tables: holding even the last one
+    // (3^(k-1) planes) in a 16 kB block budget would cap B_P at three
+    // AVX-512 granules at k = 5 and one at k = 6, and each finalize call
+    // reduces 3^(k-1) plane accumulators however few words it covers.  So
+    // only the paper's two-plane block formula, B_S * B_P * 4 * 2 <=
+    // size_Block, sizes B_P.
+    std::size_t bp = static_cast<std::size_t>(
+        size_block / (4.0 * 2 * static_cast<double>(kLadderBlockSnps)));
+    const std::size_t granule =
+        std::max(vector_words, dataset::kWordsPerVector);
+    bp = std::max(granule, bp / granule * granule);
+    return TilingParams{kLadderBlockSnps, bp};
+  }
 
   // B_S^order * 4 * 2 * 3^order <= size_FT
   const double cells = static_cast<double>(pow3(order));
@@ -37,19 +71,15 @@ TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
   }
 
   // B_S * B_P * 4 * 2 <= size_Block, B_P a multiple of the vector width.
-  // The cached engine keeps the prefix-plane ladder (rungs 2..order-1) hot
-  // alongside the streamed block, so its chunk adds the ladder's bytes to
-  // the budget: the four {0,1} planes of rung 2 at order 3, every rung's
-  // 3^j planes above.  PrefixPlaneCache rounds its per-plane stride up to
-  // a whole number of AVX-512 registers, so B_P itself is rounded to that
-  // granularity — stride == B_P and the budgeted footprint is the one the
-  // scan touches.
-  const bool has_cache_planes = cached && order >= 3;
-  const std::size_t ladder_bytes =
-      order == 3 ? pair_cache_bytes(1) : prefix_cache_bytes(1, order);
+  // The cached engine at order 3 keeps the four {0,1} planes of rung 2 hot
+  // alongside the streamed block, so its chunk adds them to the budget.
+  // PrefixPlaneCache rounds its per-plane stride up to a whole number of
+  // AVX-512 registers, so B_P itself is rounded to that granularity —
+  // stride == B_P and the budgeted footprint is the one the scan touches.
+  const bool has_cache_planes = cached && order == 3;
   const double bytes_per_bp =
       4.0 * 2 * static_cast<double>(bs) +
-      (has_cache_planes ? static_cast<double>(ladder_bytes) : 0.0);
+      (has_cache_planes ? static_cast<double>(pair_cache_bytes(1)) : 0.0);
   std::size_t bp = static_cast<std::size_t>(size_block / bytes_per_bp);
   const std::size_t granule =
       has_cache_planes ? std::max(vector_words, dataset::kWordsPerVector)

@@ -44,8 +44,7 @@ struct WorkerOptions {
   std::string id = "worker";
   unsigned threads = 0;  ///< 0 = hardware concurrency
   core::CpuVersion version = core::ScanOptionsBase{}.version;
-  std::optional<core::KernelIsa> isa;  ///< pin a kernel ISA (else auto/config)
-  core::ConfigResolver config;         ///< tuning-profile resolver
+  std::optional<core::KernelIsa> isa;  ///< pin a kernel ISA (else auto)
   std::uint64_t poll_ms = 200;         ///< wait/retry granularity
   /// Budget for re-reaching a lost coordinator before giving up (exit 0).
   std::uint64_t reconnect_ms = 15000;

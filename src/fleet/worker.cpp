@@ -334,8 +334,6 @@ ShardOutcome run_granted_shard(Session& s, const Reply& grant) {
   if (s.opt.isa) {
     ro.detector.isa = *s.opt.isa;
     ro.detector.isa_auto = false;
-  } else {
-    ro.detector.config = s.opt.config;
   }
   ro.range = range;
   ro.checkpoint_every = param_u64(grant, "checkpoint_every");

@@ -34,7 +34,6 @@
 #include <memory>
 #include <string>
 
-#include "trigen/core/kernel_config.hpp"
 #include "trigen/dataset/genotype_matrix.hpp"
 #include "trigen/serve/protocol.hpp"
 
@@ -95,11 +94,6 @@ struct ServeOptions {
   /// Directory for shutdown checkpoints of incomplete scan jobs
   /// ("serve-<jobid>.ckpt").  Must exist.
   std::string checkpoint_dir = ".";
-  /// Optional empirical-tuning lookup applied to every job's detector
-  /// options (see core/kernel_config.hpp; `trigen serve --profile` wires a
-  /// per-host TRIGEN-TUNE profile in).  Jobs resolve through it only in
-  /// the default auto configuration; results are bit-identical either way.
-  core::ConfigResolver config{};
 };
 
 class ScanServer final : public LineService {

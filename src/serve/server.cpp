@@ -488,7 +488,6 @@ struct ScanServer::Impl {
       const core::CpuVersion version = param_version(req.params);
       dopt.version = version;
       dopt.threads = 1;  // parallelism comes from the shared pool
-      dopt.config = opt.config;
       core::ensure_default_scorer(dopt, d.num_samples());
       const std::uint64_t total = rank_space(d.num_snps(), K);
       combinatorics::RankRange range{0, total};
@@ -523,7 +522,6 @@ struct ScanServer::Impl {
       dopt.objective = param_objective(req.params);
       dopt.top_k = 1;
       dopt.threads = 1;
-      dopt.config = opt.config;
       core::ensure_default_scorer(dopt, d.num_samples());
       const std::uint64_t total = rank_space(d.num_snps(), K);
       if (total == 0) reject("dataset has no order-" + std::to_string(K) +

@@ -1,17 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
+
+#include <sys/stat.h>
 
 #include "trigen/common/aligned.hpp"
 #include "trigen/common/args.hpp"
 #include "trigen/common/cpuid.hpp"
 #include "trigen/common/log.hpp"
+#include "trigen/common/numa.hpp"
 #include "trigen/common/rng.hpp"
 #include "trigen/common/stopwatch.hpp"
 #include "trigen/common/table.hpp"
+#include "trigen/core/tiling.hpp"
+#include "trigen/tune/profile.hpp"
 
 namespace trigen {
 namespace {
@@ -358,6 +367,115 @@ TEST(Args, GetUintRejectsGarbageAndOverflow) {
   EXPECT_THROW(a.get_uint("shards", 0), std::invalid_argument);
   EXPECT_THROW(a.get_uint("shard", 0), std::invalid_argument);
   EXPECT_THROW(a.get_uint("checkpoint-every", 0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// NUMA topology from injectable (fake) sysfs trees
+// ---------------------------------------------------------------------------
+
+TEST(NumaSysfs, TopologyFromFakeTree) {
+  const std::string root = ::testing::TempDir() + "trigen_common_sysfs_node";
+  ::mkdir(root.c_str(), 0777);
+  ::mkdir((root + "/node0").c_str(), 0777);
+  ::mkdir((root + "/node2").c_str(), 0777);  // sparse numbering
+  const auto write_file = [](const std::string& path, const char* content) {
+    std::ofstream(path) << content;
+  };
+  write_file(root + "/online", "0,2");
+  write_file(root + "/node0/cpulist", "0-3");
+  write_file(root + "/node2/cpulist", "4-5,8");
+  const NumaTopology topo = read_numa_topology(root);
+  ASSERT_EQ(topo.nodes(), 2u);
+  EXPECT_EQ(topo.node_cpus[0], (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(topo.node_cpus[1], (std::vector<int>{4, 5, 8}));
+}
+
+TEST(NumaSysfs, MissingTreeYieldsOneNode) {
+  const NumaTopology topo =
+      read_numa_topology(::testing::TempDir() + "trigen_common_no_such_dir");
+  EXPECT_EQ(topo.nodes(), 1u);
+  // One-node topologies never bind (the no-op contract).
+  EXPECT_EQ(bind_thread_round_robin(topo, 0), -1);
+}
+
+TEST(NumaSysfs, ParseCpuList) {
+  EXPECT_EQ(parse_cpu_list("0-3,8,10-11"),
+            (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
+  EXPECT_EQ(parse_cpu_list("7"), (std::vector<int>{7}));
+  EXPECT_TRUE(parse_cpu_list("").empty());
+  EXPECT_TRUE(parse_cpu_list("banana").empty());
+  // Inverted ranges stop the parse instead of exploding.
+  EXPECT_EQ(parse_cpu_list("5-2"), (std::vector<int>{}));
+}
+
+// ---------------------------------------------------------------------------
+// Host fingerprint (the benchmark stamps it into every report)
+// ---------------------------------------------------------------------------
+
+tune::HostFingerprint sample_fingerprint() {
+  tune::HostFingerprint f;
+  f.cpu_brand = "Sample CPU @ 2.00GHz";
+  f.feature_mask = 0x1f;
+  f.l1_size_bytes = 32 * 1024;
+  f.l1_ways = 8;
+  f.numa_nodes = 2;
+  return f;
+}
+
+TEST(HostFingerprint, DigestCoversEveryField) {
+  // Two hosts that differ in any one field must not share a digest, or a
+  // report from one would be compared as if it came from the other.
+  const tune::HostFingerprint base = sample_fingerprint();
+  std::vector<tune::HostFingerprint> variants(5, base);
+  variants[0].cpu_brand += "X";
+  variants[1].feature_mask ^= 0x20;
+  variants[2].l1_size_bytes = 48 * 1024;
+  variants[3].l1_ways = 12;
+  variants[4].numa_nodes = 1;
+  std::set<std::uint64_t> digests = {base.digest()};
+  for (const tune::HostFingerprint& v : variants) {
+    EXPECT_FALSE(v == base);
+    digests.insert(v.digest());
+  }
+  EXPECT_EQ(digests.size(), variants.size() + 1);
+}
+
+TEST(HostFingerprint, EqualFingerprintsShareADigest) {
+  const tune::HostFingerprint a = sample_fingerprint();
+  tune::HostFingerprint b;
+  b.cpu_brand = std::string("Sample CPU") + " @ 2.00GHz";
+  b.feature_mask = 0x1f;
+  b.l1_size_bytes = 32 * 1024;
+  b.l1_ways = 8;
+  b.numa_nodes = 2;
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(a.digest(), b.digest());
+  // The digest is a pure function of the fields: stable across calls.
+  EXPECT_EQ(a.digest(), a.digest());
+}
+
+TEST(HostFingerprint, ThisHostDescribesTheExecutingHostOnce) {
+  const tune::HostFingerprint& fp = tune::this_host_fingerprint();
+  EXPECT_EQ(&fp, &tune::this_host_fingerprint());
+  EXPECT_EQ(fp.cpu_brand, cpu_brand_string());
+  const CpuFeatures& f = cpu_features();
+  EXPECT_EQ((fp.feature_mask & 1u) != 0, f.sse42);
+  EXPECT_EQ((fp.feature_mask & 2u) != 0, f.avx2);
+  EXPECT_EQ((fp.feature_mask & 4u) != 0, f.avx512f);
+  EXPECT_EQ((fp.feature_mask & 8u) != 0, f.avx512bw);
+  EXPECT_EQ((fp.feature_mask & 16u) != 0, f.avx512vl);
+  EXPECT_EQ((fp.feature_mask & 32u) != 0, f.avx512vpopcntdq);
+  EXPECT_EQ(fp.feature_mask >> 6, 0u);
+  EXPECT_EQ(fp.numa_nodes, numa_topology().nodes());
+  // The L1 geometry is the one some CPU of this host reports.
+  bool matched = false;
+  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+  for (unsigned c = 0; c < cpus && !matched; ++c) {
+    const core::L1Config l1 =
+        core::detect_l1_config("/sys/devices/system/cpu", static_cast<int>(c));
+    matched = l1.size_bytes == fp.l1_size_bytes && l1.ways == fp.l1_ways;
+  }
+  EXPECT_TRUE(matched) << fp.l1_size_bytes << " B " << fp.l1_ways << "-way";
 }
 
 }  // namespace

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <random>
 #include <set>
 #include <thread>
 #include <tuple>
+
+#include <sys/stat.h>
 
 #include "test_util.hpp"
 #include "trigen/core/blocked_engine.hpp"
@@ -81,6 +84,31 @@ TEST(KernelRegistry, CompiledInIsasAreUniqueAndStartWithScalar) {
   EXPECT_EQ(all.front(), KernelIsa::kScalar);
   std::set<KernelIsa> unique(all.begin(), all.end());
   EXPECT_EQ(unique.size(), all.size());
+}
+
+TEST(KernelRegistry, KernelIsaParsesEveryName) {
+  for (const KernelIsa isa : all_kernel_isas()) {
+    const auto parsed = parse_kernel_isa(kernel_isa_name(isa));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, isa);
+  }
+  EXPECT_FALSE(parse_kernel_isa("sse9").has_value());
+  EXPECT_FALSE(parse_kernel_isa("").has_value());
+}
+
+TEST(KernelRegistry, ScanKernelFamilyMatchesLadder) {
+  EXPECT_EQ(scan_kernel_family(2, CpuVersion::kV4Vector, false),
+            KernelFamily::kPairCount);
+  EXPECT_EQ(scan_kernel_family(3, CpuVersion::kV4Vector, false),
+            KernelFamily::kTripleBlock);
+  EXPECT_EQ(scan_kernel_family(3, CpuVersion::kV5PairCache, false),
+            KernelFamily::kTripleBlockCached);
+  EXPECT_EQ(scan_kernel_family(4, CpuVersion::kV4Vector, false),
+            KernelFamily::kTupleBlock);
+  EXPECT_EQ(scan_kernel_family(5, CpuVersion::kV5PairCache, false),
+            KernelFamily::kPrefixLadder);
+  EXPECT_EQ(scan_kernel_family(3, CpuVersion::kV4Vector, true),
+            KernelFamily::kFinalizeBatched);
 }
 
 TEST(KernelRegistry, GetKernelThrowsForUnavailableIsa) {
@@ -1058,7 +1086,7 @@ TEST(Alignment, PairPlaneCachePlanesAre64ByteAligned) {
 }
 
 // --------------------------------------------------------------------------
-// Tiling autotuner
+// Analytic tiling model
 // --------------------------------------------------------------------------
 
 TEST(Tiling, PaperIceLakeConfig) {
@@ -1125,6 +1153,273 @@ TEST(Tiling, PairCacheFootprintStaysInsideTheL1Budget) {
   }
 }
 
+TEST(Tiling, GoldenPicksAtEveryOrderEngineAndBatchWidth) {
+  // The analytic model's picks over k = 2..6, direct (V3/V4) and cached
+  // (V5) engines, unbatched and 8/64-slot batches, at the two reference
+  // L1 geometries and both vector widths.  The k >= 4 cached unbatched
+  // rows follow the ladder rule (B_S = 3); every other row is the paper's
+  // L1 budget or the batched budget.
+  const L1Config kL1Ice{48 * 1024, 12, 7, 4};
+  const L1Config kL1Avx{32 * 1024, 8, 7, 1};
+  struct Pick {
+    std::size_t bs, bp;
+  };
+  struct Row {
+    L1Config l1;
+    std::size_t vw;
+    unsigned order;
+    bool cached;
+    Pick by_slots[3];  // batch slots 0, 8, 64
+  };
+  const Row rows[] = {
+      {kL1Ice, 8, 2, false, {{19, 104}, {64, 256}, {64, 256}}},
+      {kL1Ice, 8, 2, true, {{19, 104}, {64, 256}, {64, 256}}},
+      {kL1Ice, 8, 3, false, {{5, 408}, {64, 256}, {64, 256}}},
+      {kL1Ice, 8, 3, true, {{5, 288}, {64, 256}, {64, 256}}},
+      {kL1Ice, 8, 4, false, {{2, 1024}, {64, 256}, {24, 256}}},
+      {kL1Ice, 8, 4, true, {{3, 672}, {64, 256}, {24, 256}}},
+      {kL1Ice, 8, 5, false, {{1, 2048}, {59, 256}, {8, 256}}},
+      {kL1Ice, 8, 5, true, {{3, 672}, {59, 256}, {8, 256}}},
+      {kL1Ice, 8, 6, false, {{1, 2048}, {19, 256}, {4, 256}}},
+      {kL1Ice, 8, 6, true, {{3, 672}, {19, 256}, {4, 256}}},
+      {kL1Ice, 16, 2, false, {{19, 96}, {64, 256}, {64, 256}}},
+      {kL1Ice, 16, 2, true, {{19, 96}, {64, 256}, {64, 256}}},
+      {kL1Ice, 16, 3, false, {{5, 400}, {64, 256}, {64, 256}}},
+      {kL1Ice, 16, 3, true, {{5, 288}, {64, 256}, {64, 256}}},
+      {kL1Ice, 16, 4, false, {{2, 1024}, {64, 256}, {24, 256}}},
+      {kL1Ice, 16, 4, true, {{3, 672}, {64, 256}, {24, 256}}},
+      {kL1Ice, 16, 5, false, {{1, 2048}, {59, 256}, {8, 256}}},
+      {kL1Ice, 16, 5, true, {{3, 672}, {59, 256}, {8, 256}}},
+      {kL1Ice, 16, 6, false, {{1, 2048}, {19, 256}, {4, 256}}},
+      {kL1Ice, 16, 6, true, {{3, 672}, {19, 256}, {4, 256}}},
+      {kL1Avx, 8, 2, false, {{19, 24}, {64, 256}, {64, 256}}},
+      {kL1Avx, 8, 2, true, {{19, 24}, {64, 256}, {64, 256}}},
+      {kL1Avx, 8, 3, false, {{5, 96}, {64, 256}, {64, 256}}},
+      {kL1Avx, 8, 3, true, {{5, 64}, {64, 256}, {64, 256}}},
+      {kL1Avx, 8, 4, false, {{2, 256}, {64, 256}, {24, 256}}},
+      {kL1Avx, 8, 4, true, {{3, 160}, {64, 256}, {24, 256}}},
+      {kL1Avx, 8, 5, false, {{1, 512}, {59, 256}, {8, 256}}},
+      {kL1Avx, 8, 5, true, {{3, 160}, {59, 256}, {8, 256}}},
+      {kL1Avx, 8, 6, false, {{1, 512}, {19, 256}, {4, 256}}},
+      {kL1Avx, 8, 6, true, {{3, 160}, {19, 256}, {4, 256}}},
+      {kL1Avx, 16, 2, false, {{19, 16}, {64, 256}, {64, 256}}},
+      {kL1Avx, 16, 2, true, {{19, 16}, {64, 256}, {64, 256}}},
+      {kL1Avx, 16, 3, false, {{5, 96}, {64, 256}, {64, 256}}},
+      {kL1Avx, 16, 3, true, {{5, 64}, {64, 256}, {64, 256}}},
+      {kL1Avx, 16, 4, false, {{2, 256}, {64, 256}, {24, 256}}},
+      {kL1Avx, 16, 4, true, {{3, 160}, {64, 256}, {24, 256}}},
+      {kL1Avx, 16, 5, false, {{1, 512}, {59, 256}, {8, 256}}},
+      {kL1Avx, 16, 5, true, {{3, 160}, {59, 256}, {8, 256}}},
+      {kL1Avx, 16, 6, false, {{1, 512}, {19, 256}, {4, 256}}},
+      {kL1Avx, 16, 6, true, {{3, 160}, {19, 256}, {4, 256}}},
+  };
+  const std::size_t slots[] = {0, 8, 64};
+  for (const Row& r : rows) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      // The PhenotypeBatch stride: slots rounded up to a 16-lane granule.
+      const std::size_t stride = (slots[i] + 15) / 16 * 16;
+      const TilingParams p =
+          autotune_tiling(r.l1, r.vw, r.order, r.cached, slots[i], stride);
+      SCOPED_TRACE(::testing::Message()
+                   << "L1 " << r.l1.size_bytes << " vw " << r.vw << " k "
+                   << r.order << " cached " << r.cached << " slots "
+                   << slots[i]);
+      EXPECT_EQ(p.bs, r.by_slots[i].bs);
+      EXPECT_EQ(p.bp_words, r.by_slots[i].bp);
+      // The V5 ladder never tiles a block tuple as one combination.
+      if (r.cached && r.order >= 4) {
+        EXPECT_GE(p.bs, 2u);
+      }
+    }
+  }
+}
+
+/// L1 geometries the property tests below sweep: the paper's two reference
+/// caches plus a wider and a narrower one.
+const std::vector<L1Config>& sweep_geometries() {
+  static const std::vector<L1Config> all = {
+      L1Config{48 * 1024, 12, 7, 4}, L1Config{32 * 1024, 8, 7, 1},
+      L1Config{64 * 1024, 16, 7, 8}, L1Config{24 * 1024, 6, 4, 2}};
+  return all;
+}
+
+TEST(Tiling, LadderPickNeverTilesOneCombinationPerBlock) {
+  // At B_S = 1 every block tuple is one combination and the V5 ladder
+  // rebuilds every rung per combination; the k >= 4 rule must never land
+  // there, whatever the cache geometry or vector width.
+  for (const L1Config& l1 : sweep_geometries()) {
+    for (const std::size_t vec : {std::size_t{1}, std::size_t{8},
+                                  std::size_t{16}}) {
+      for (unsigned k = 4; k <= 6; ++k) {
+        EXPECT_GE(autotune_tiling(l1, vec, k, true).bs, 2u)
+            << "L1 " << l1.size_bytes << " vec " << vec << " k " << k;
+      }
+    }
+  }
+}
+
+TEST(Tiling, LadderPickFitsTheTwoPlaneBlockBudget) {
+  // B_P comes from the paper's B_S * B_P * 4 * 2 <= size_Block at the
+  // ladder's B_S, on the prefix-plane cache's AVX-512 stride granule.
+  for (const L1Config& l1 : sweep_geometries()) {
+    const std::size_t block_budget =
+        l1.size_bytes / l1.ways * l1.ways_for_block;
+    for (const std::size_t vec : {std::size_t{1}, std::size_t{8},
+                                  std::size_t{16}}) {
+      for (unsigned k = 4; k <= 6; ++k) {
+        const TilingParams p = autotune_tiling(l1, vec, k, true);
+        SCOPED_TRACE(::testing::Message() << "L1 " << l1.size_bytes
+                                          << " vec " << vec << " k " << k);
+        EXPECT_LE(block_bytes(p.bs, p.bp_words), block_budget);
+        // The largest granule multiple that fits: one more would not.
+        EXPECT_GT(block_bytes(p.bs, p.bp_words + dataset::kWordsPerVector),
+                  block_budget);
+        EXPECT_EQ(p.bp_words % dataset::kWordsPerVector, 0u);
+        EXPECT_EQ(p.bp_words % vec, 0u);
+      }
+    }
+  }
+}
+
+TEST(Tiling, LadderPickDoesNotDependOnTheOrder) {
+  // The ladder's tables and rungs stream at every k >= 4, so nothing in the
+  // rule scales with 3^k: k = 4, 5 and 6 get one tile.
+  for (const L1Config& l1 : sweep_geometries()) {
+    for (const std::size_t vec : {std::size_t{8}, std::size_t{16}}) {
+      const TilingParams k4 = autotune_tiling(l1, vec, 4, true);
+      for (unsigned k = 5; k <= 6; ++k) {
+        const TilingParams p = autotune_tiling(l1, vec, k, true);
+        EXPECT_EQ(p.bs, k4.bs) << "L1 " << l1.size_bytes << " k " << k;
+        EXPECT_EQ(p.bp_words, k4.bp_words)
+            << "L1 " << l1.size_bytes << " k " << k;
+      }
+    }
+  }
+}
+
+TEST(Tiling, LadderScratchTablesStayUnderFiveMegabytesPerThread) {
+  // Every scan thread holds one TupleBlockScratch of B_S^k two-class
+  // 3^k-cell tables.  At k = 6 that is 4.3 MB at B_S = 3 and would be
+  // 24 MB at B_S = 4, for no measured gain.
+  for (const L1Config& l1 : sweep_geometries()) {
+    for (unsigned k = 4; k <= 6; ++k) {
+      const TilingParams p = autotune_tiling(l1, 16, k, true);
+      EXPECT_LE(tuple_tables_bytes(p.bs, k), std::size_t{5} << 20)
+          << "L1 " << l1.size_bytes << " k " << k;
+    }
+    // The byte formula is what the scratch actually allocates.
+    const TilingParams p6 = autotune_tiling(l1, 16, 6, true);
+    TupleBlockScratch<6> scratch(p6.bs);
+    const std::size_t locals = p6.bs * p6.bs * p6.bs * p6.bs * p6.bs * p6.bs;
+    EXPECT_EQ(static_cast<std::size_t>(scratch.table(locals - 1, 1) + pow3(6) -
+                                       scratch.table(0, 0)) *
+                  sizeof(std::uint32_t),
+              tuple_tables_bytes(p6.bs, 6));
+  }
+  EXPECT_EQ(tuple_tables_bytes(3, 6), std::size_t{4251528});
+  EXPECT_EQ(tuple_tables_bytes(4, 6), std::size_t{23887872});
+}
+
+TEST(Tiling, DirectPicksAtHighOrderKeepTheTableBudget) {
+  // The direct (V3/V4) engine keeps a block tuple's tables L1-resident, so
+  // its k >= 4 picks stay on the paper's B_S^k * 4 * 2 * 3^k <= size_FT:
+  // the largest B_S that fits, or 1 when none does.
+  for (const L1Config& l1 : sweep_geometries()) {
+    const std::size_t ft_budget = l1.size_bytes / l1.ways * l1.ways_for_tables;
+    for (unsigned k = 4; k <= 6; ++k) {
+      const TilingParams p = autotune_tiling(l1, 16, k, false);
+      SCOPED_TRACE(::testing::Message() << "L1 " << l1.size_bytes << " k "
+                                        << k);
+      ASSERT_GE(p.bs, 1u);
+      if (p.bs > 1) {
+        EXPECT_LE(tuple_tables_bytes(p.bs, k), ft_budget);
+      }
+      EXPECT_GT(tuple_tables_bytes(p.bs + 1, k), ft_budget);
+      EXPECT_EQ(p.bp_words % 16, 0u);
+    }
+  }
+}
+
+TEST(Tiling, BatchedPicksStayInsideTheirClamps) {
+  // The batched budget keeps B_S in [4, 64] and floors B_P at sixteen
+  // AVX-512 granules, whatever the partition count, order or engine.
+  for (const L1Config& l1 : sweep_geometries()) {
+    for (const std::size_t slots :
+         {std::size_t{1}, std::size_t{8}, std::size_t{63}, std::size_t{64},
+          std::size_t{1000}}) {
+      const std::size_t stride = (slots + 15) / 16 * 16;
+      for (unsigned k = 2; k <= 6; ++k) {
+        for (const bool cached : {false, true}) {
+          const TilingParams p =
+              autotune_tiling(l1, 16, k, cached, slots, stride);
+          SCOPED_TRACE(::testing::Message()
+                       << "L1 " << l1.size_bytes << " slots " << slots
+                       << " k " << k << " cached " << cached);
+          EXPECT_GE(p.bs, 4u);
+          EXPECT_LE(p.bs, 64u);
+          EXPECT_GE(p.bp_words, 16 * dataset::kWordsPerVector);
+          EXPECT_EQ(p.bp_words % dataset::kWordsPerVector, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(Tiling, DegenerateGeometriesStillYieldAValidTiling) {
+  // A sysfs tree that reports nonsense (no size, no ways, no block ways)
+  // must still produce a tile the engine can run.
+  for (const L1Config& l1 :
+       {L1Config{0, 0, 0, 0}, L1Config{4096, 4, 3, 1},
+        L1Config{1024, 1, 1, 1}, L1Config{48 * 1024, 12, 0, 0}}) {
+    for (unsigned k = 2; k <= 6; ++k) {
+      for (const bool cached : {false, true}) {
+        for (const std::size_t slots : {std::size_t{0}, std::size_t{8}}) {
+          const TilingParams p = autotune_tiling(l1, 16, k, cached, slots,
+                                                 (slots + 15) / 16 * 16);
+          EXPECT_TRUE(p.valid())
+              << "L1 " << l1.size_bytes << "/" << l1.ways << " k " << k
+              << " cached " << cached << " slots " << slots;
+          EXPECT_EQ(p.bp_words % 16, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(Tiling, MoreBlockWaysNeverShrinkBp) {
+  for (unsigned k = 2; k <= 6; ++k) {
+    for (const bool cached : {false, true}) {
+      for (const std::size_t slots : {std::size_t{0}, std::size_t{8}}) {
+        std::size_t prev = 0;
+        for (unsigned block_ways = 1; block_ways <= 8; ++block_ways) {
+          const L1Config l1{64 * 1024, 16, 7, block_ways};
+          const std::size_t bp =
+              autotune_tiling(l1, 16, k, cached, slots, 16).bp_words;
+          EXPECT_GE(bp, prev) << "k " << k << " cached " << cached
+                              << " slots " << slots << " ways "
+                              << block_ways;
+          prev = bp;
+        }
+      }
+    }
+  }
+}
+
+TEST(Tiling, MoreTableWaysNeverShrinkBs) {
+  for (unsigned k = 2; k <= 6; ++k) {
+    for (const bool cached : {false, true}) {
+      std::size_t prev = 0;
+      for (unsigned table_ways = 1; table_ways <= 12; ++table_ways) {
+        const L1Config l1{64 * 1024, 16, table_ways, 2};
+        const std::size_t bs = autotune_tiling(l1, 16, k, cached).bs;
+        EXPECT_GE(bs, prev) << "k " << k << " cached " << cached << " ways "
+                            << table_ways;
+        prev = bs;
+      }
+    }
+  }
+}
+
 TEST(Tiling, DetectedHostConfigIsUsable) {
   const L1Config l1 = detect_l1_config();
   EXPECT_GT(l1.size_bytes, 0u);
@@ -1132,6 +1427,44 @@ TEST(Tiling, DetectedHostConfigIsUsable) {
   const TilingParams p = autotune_tiling(l1, 16, 3, false);
   EXPECT_TRUE(p.valid());
   EXPECT_GE(p.bs, 1u);
+}
+
+TEST(Tiling, L1ConfigReadsRequestedCpuFromFakeTree) {
+  const std::string root = ::testing::TempDir() + "trigen_core_sysfs_cpu";
+  ::mkdir(root.c_str(), 0777);
+  // cpu0: a 32K/8-way L1D at index0.  cpu1: instruction cache at index0
+  // (must be skipped) and a 48K/12-way Unified L1 at index1.
+  for (const char* d :
+       {"/cpu0", "/cpu0/cache", "/cpu0/cache/index0", "/cpu1", "/cpu1/cache",
+        "/cpu1/cache/index0", "/cpu1/cache/index1"}) {
+    ::mkdir((root + d).c_str(), 0777);
+  }
+  const auto write_file = [](const std::string& path, const char* content) {
+    std::ofstream(path) << content;
+  };
+  write_file(root + "/cpu0/cache/index0/level", "1");
+  write_file(root + "/cpu0/cache/index0/type", "Data");
+  write_file(root + "/cpu0/cache/index0/size", "32K");
+  write_file(root + "/cpu0/cache/index0/ways_of_associativity", "8");
+  write_file(root + "/cpu1/cache/index0/level", "1");
+  write_file(root + "/cpu1/cache/index0/type", "Instruction");
+  write_file(root + "/cpu1/cache/index0/size", "32K");
+  write_file(root + "/cpu1/cache/index0/ways_of_associativity", "8");
+  write_file(root + "/cpu1/cache/index1/level", "1");
+  write_file(root + "/cpu1/cache/index1/type", "Unified");
+  write_file(root + "/cpu1/cache/index1/size", "48K");
+  write_file(root + "/cpu1/cache/index1/ways_of_associativity", "12");
+
+  const L1Config c0 = detect_l1_config(root, 0);
+  EXPECT_EQ(c0.size_bytes, 32u * 1024);
+  EXPECT_EQ(c0.ways, 8u);
+  const L1Config c1 = detect_l1_config(root, 1);
+  EXPECT_EQ(c1.size_bytes, 48u * 1024);
+  EXPECT_EQ(c1.ways, 12u);
+  // A CPU with no entries falls back to cpu0's geometry.
+  const L1Config c9 = detect_l1_config(root, 9);
+  EXPECT_EQ(c9.size_bytes, 32u * 1024);
+  EXPECT_EQ(c9.ways, 8u);
 }
 
 TEST(Tiling, MemoizedHostConfigMatchesADirectReadFromEveryThread) {

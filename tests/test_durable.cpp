@@ -1,7 +1,7 @@
 /// Tests for the durable-record layer (common/durable.hpp) and the formats
 /// built on it: the strict codec and record reader, golden files that pin
 /// every writer's bytes (TRIGEN-SHARD v1/v2, TRIGEN-CHECKPOINT v2,
-/// TRIGEN-FLEET v1, TRIGEN-TUNE v1), the all-or-nothing writer under a
+/// TRIGEN-FLEET v1), the all-or-nothing writer under a
 /// file-size limit, and a seeded mutation fuzzer over the golden files, the
 /// two dataset formats and the serve/fleet protocol lines.
 
@@ -107,41 +107,6 @@ fleet::FleetState golden_fleet_state() {
   return s;
 }
 
-tune::TuningProfile golden_profile() {
-  tune::TuningProfile p;
-  p.host.cpu_brand = "Golden CPU Model 9 @ 1.00GHz";
-  p.host.feature_mask = 0x3f;
-  p.host.l1_size_bytes = 49152;
-  p.host.l1_ways = 12;
-  p.host.numa_nodes = 2;
-  tune::ProfileKey k1;
-  k1.family = core::KernelFamily::kTripleBlockCached;
-  k1.order = 3;
-  k1.bucket_words = 16;
-  tune::ProfileEntry e1;
-  e1.isa = core::KernelIsa::kScalar;
-  e1.tiling = {6, 208};
-  e1.throughput = 2.2377941e9;
-  e1.analytic_isa = core::KernelIsa::kScalar;
-  e1.analytic_tiling = {5, 208};
-  e1.analytic_throughput = 2.0840306e9;
-  p.entries[k1] = e1;
-  tune::ProfileKey k2;
-  k2.family = core::KernelFamily::kFinalizeBatched;
-  k2.order = 2;
-  k2.bucket_words = 2048;
-  k2.batch_slots = 16;
-  tune::ProfileEntry e2;
-  e2.isa = core::KernelIsa::kScalar;
-  e2.tiling = {64, 256};
-  e2.throughput = 0.125;
-  e2.analytic_isa = core::KernelIsa::kScalar;
-  e2.analytic_tiling = {64, 256};
-  e2.analytic_throughput = 0.0625;
-  p.entries[k2] = e2;
-  return p;
-}
-
 /// A 5 x 37 dataset with a fixed genotype/phenotype pattern, so its
 /// FNV-1a fingerprint is a constant.
 dataset::GenotypeMatrix golden_dataset() {
@@ -219,10 +184,6 @@ const std::vector<Format>& formats() {
                        shard::read_checkpoint_as<core::ScoredOf<2>>(is));
        }},
       {"fleet_v1", fleet_round_trip},
-      {"tune_v1",
-       [](const std::string& t) {
-         return tune::serialize_profile(tune::parse_profile(t));
-       }},
   };
   return all;
 }
@@ -290,7 +251,13 @@ TEST(DurableCodec, Fnv1aMatchesReferenceVectorsAndPinnedDigests) {
   // Pinned digests: every fingerprint already on disk depends on them.
   EXPECT_EQ(shard::dataset_fingerprint(golden_dataset()),
             0x3be0ba002a6153b9ull);
-  EXPECT_EQ(golden_profile().host.digest(), 0xa13ead21a3a3060bull);
+  tune::HostFingerprint host;
+  host.cpu_brand = "Golden CPU Model 9 @ 1.00GHz";
+  host.feature_mask = 0x3f;
+  host.l1_size_bytes = 49152;
+  host.l1_ways = 12;
+  host.numa_nodes = 2;
+  EXPECT_EQ(host.digest(), 0xa13ead21a3a3060bull);
 }
 
 // --------------------------------------------------------------------------
@@ -370,8 +337,6 @@ TEST(DurableGolden, WritersReproduceGoldenFilesByteForByte) {
   fleet::write_fleet_state_file(fleet_path, golden_fleet_state());
   EXPECT_EQ(read_file(fleet_path), golden("fleet_v1"));
 
-  EXPECT_EQ(tune::serialize_profile(golden_profile()), golden("tune_v1"));
-
   // The file writers emit the same bytes as the stream writers.
   const std::string shard_path = temp_path("golden.shard");
   shard::write_shard_result_file(shard_path, golden_shard_result());
@@ -379,9 +344,6 @@ TEST(DurableGolden, WritersReproduceGoldenFilesByteForByte) {
   const std::string ckpt_path = temp_path("golden.ckpt");
   shard::write_checkpoint_file(ckpt_path, golden_checkpoint());
   EXPECT_EQ(read_file(ckpt_path), golden("checkpoint_v2"));
-  const std::string tune_path = temp_path("golden.profile");
-  tune::write_profile_file(tune_path, golden_profile());
-  EXPECT_EQ(read_file(tune_path), golden("tune_v1"));
 }
 
 TEST(DurableGolden, ReadersAcceptGoldenFilesAndRoundTripThem) {
@@ -479,13 +441,6 @@ TEST(DurableWrite, EveryWriterIsAllOrNothingUnderEfbig) {
       fleet_path,
       [&] { fleet::write_fleet_state_file(fleet_path, golden_fleet_state()); },
       [&] { fleet::write_fleet_state_file(fleet_path, s2); });
-
-  tune::TuningProfile p2 = golden_profile();
-  p2.host.numa_nodes = 4;
-  const std::string tune_path = temp_path("efbig.profile");
-  expect_all_or_nothing(
-      tune_path, [&] { tune::write_profile_file(tune_path, golden_profile()); },
-      [&] { tune::write_profile_file(tune_path, p2); });
 }
 
 // --------------------------------------------------------------------------

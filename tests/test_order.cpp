@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "test_util.hpp"
@@ -239,6 +241,149 @@ TEST(Order4Isa, RandomRankSplitsReproduceTheFullTopKOnEveryIsa) {
       expect_same_best<4>(merged.sorted(), want,
                           std::string(core::kernel_isa_name(isa)) +
                               " round " + std::to_string(round));
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
+// The analytic tile at K >= 4 (no explicit tiling): the V5 ladder runs at
+// B_S = 3 and the two-plane B_P, on every order, ISA, split and thread count
+// --------------------------------------------------------------------------
+
+template <typename Order>
+class LadderTilingTest : public ::testing::Test {};
+
+using HighOrders = ::testing::Types<std::integral_constant<unsigned, 4>,
+                                    std::integral_constant<unsigned, 5>,
+                                    std::integral_constant<unsigned, 6>>;
+
+struct OrderName {
+  template <typename Order>
+  static std::string GetName(int) {
+    return "K" + std::to_string(Order::value);
+  }
+};
+
+TYPED_TEST_SUITE(LadderTilingTest, HighOrders, OrderName);
+
+TYPED_TEST(LadderTilingTest, DefaultTilingIsTheAnalyticPick) {
+  constexpr unsigned K = TypeParam::value;
+  const auto d = random_dataset({K + 4, 300, 71});
+  const BasicDetector<K> det(d);
+  for (const CpuVersion v :
+       {CpuVersion::kV4Vector, CpuVersion::kV5PairCache}) {
+    BasicDetectorOptions<K> opt;
+    opt.version = v;
+    const auto r = det.run(opt);
+    const core::TilingParams want = core::autotune_tiling(
+        core::detect_l1_config(), core::kernel_vector_words(r.isa_used), K,
+        v == CpuVersion::kV5PairCache);
+    EXPECT_EQ(r.tiling_used.bs, want.bs) << core::cpu_version_name(v);
+    EXPECT_EQ(r.tiling_used.bp_words, want.bp_words)
+        << core::cpu_version_name(v);
+    if (v == CpuVersion::kV5PairCache) {
+      EXPECT_GE(r.tiling_used.bs, 2u);
+    }
+  }
+}
+
+TYPED_TEST(LadderTilingTest, ExplicitTilingOverridesTheAnalyticPick) {
+  // An explicit tile is the only override of the model; B_S = 1 (one
+  // combination per block tuple) stays runnable when asked for.
+  constexpr unsigned K = TypeParam::value;
+  const auto d = random_dataset({K + 5, 230, 89});
+  const BasicDetector<K> det(d);
+  const auto want = brute_force_topk<K>(d, Objective::kK2, 8);
+  for (const core::TilingParams pin :
+       {core::TilingParams{1, 16}, core::TilingParams{2, 8},
+        core::TilingParams{4, 48}}) {
+    BasicDetectorOptions<K> opt;
+    opt.tiling = pin;
+    opt.top_k = 8;
+    const auto r = det.run(opt);
+    EXPECT_EQ(r.tiling_used.bs, pin.bs);
+    EXPECT_EQ(r.tiling_used.bp_words, pin.bp_words);
+    expect_same_best<K>(r.best, want,
+                        "pin (" + std::to_string(pin.bs) + ", " +
+                            std::to_string(pin.bp_words) + ")");
+  }
+}
+
+TYPED_TEST(LadderTilingTest, MatchesBruteForceAcrossChunkBoundariesOnEveryIsa) {
+  // Four chunks' worth of samples (two per class), plus a ragged tail, so
+  // every per-prefix rung is rebuilt across chunk boundaries.
+  constexpr unsigned K = TypeParam::value;
+  const core::TilingParams pick =
+      core::autotune_tiling(core::detect_l1_config(), 16, K, true);
+  const std::size_t samples = 4 * pick.bp_words * 32 + 77;
+  const auto d = random_dataset({K + 3, samples, 83});
+  const BasicDetector<K> det(d);
+  const auto want = brute_force_topk<K>(d, Objective::kK2, 10);
+  for (const CpuVersion v :
+       {CpuVersion::kV4Vector, CpuVersion::kV5PairCache}) {
+    for (const KernelIsa isa : core::all_kernel_isas()) {
+      if (!core::kernel_available(isa)) continue;
+      BasicDetectorOptions<K> opt;
+      opt.version = v;
+      opt.isa = isa;
+      opt.isa_auto = false;
+      opt.top_k = 10;
+      const auto r = det.run(opt);
+      EXPECT_EQ(r.combinations_evaluated, n_choose_k(K + 3, K));
+      expect_same_best<K>(r.best, want,
+                          std::string(core::cpu_version_name(v)) + "/" +
+                              core::kernel_isa_name(isa));
+    }
+  }
+}
+
+TYPED_TEST(LadderTilingTest, RandomRankSplitsReproduceTheFullTopK) {
+  constexpr unsigned K = TypeParam::value;
+  const auto d = random_dataset({K + 6, 260, 97});
+  const BasicDetector<K> det(d);
+  const std::uint64_t total = n_choose_k(K + 6, K);
+  const auto want = brute_force_topk<K>(d, Objective::kK2, 10);
+  Xoshiro256 rng(5150 + K);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::uint64_t> cuts = {0, total};
+    for (int c = 0; c < 2 + 2 * round; ++c) {
+      cuts.push_back(1 + rng.bounded(total - 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+    core::BasicTopK<core::ScoredOf<K>> merged(10);
+    std::uint64_t covered = 0;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      BasicDetectorOptions<K> opt;
+      opt.top_k = 10;
+      opt.range = {cuts[i], cuts[i + 1]};
+      const auto r = det.run(opt);
+      covered += r.combinations_evaluated;
+      for (const auto& s : r.best) merged.push(s);
+    }
+    ASSERT_EQ(covered, total);
+    expect_same_best<K>(merged.sorted(), want,
+                        "round " + std::to_string(round));
+  }
+}
+
+TYPED_TEST(LadderTilingTest, ThreadCountDoesNotChangeTheTopK) {
+  constexpr unsigned K = TypeParam::value;
+  const auto d = random_dataset({K + 7, 400, 101});
+  const BasicDetector<K> det(d);
+  const auto want = brute_force_topk<K>(d, Objective::kK2, 12);
+  for (const unsigned threads : {1u, 2u, 3u}) {
+    for (const std::uint64_t chunk : {std::uint64_t{0}, std::uint64_t{1}}) {
+      BasicDetectorOptions<K> opt;
+      opt.threads = threads;
+      opt.chunk_size = chunk;
+      opt.top_k = 12;
+      const auto r = det.run(opt);
+      EXPECT_EQ(r.threads_used, threads);
+      expect_same_best<K>(r.best, want,
+                          std::to_string(threads) + " threads, chunk " +
+                              std::to_string(chunk));
     }
   }
 }

@@ -52,10 +52,7 @@
 #include "trigen/shard/runner.hpp"
 #include "trigen/stats/permutation.hpp"
 #include "trigen/stats/report.hpp"
-#include "trigen/tune/microbench.hpp"
-#include "trigen/tune/profile.hpp"
 
-#include <sys/stat.h>
 #ifndef _WIN32
 #include <unistd.h>
 #endif
@@ -66,10 +63,12 @@ using namespace trigen;
 
 /// Flags that never take a value (see Args::parse) — shared across all
 /// subcommands so e.g. `trigen scan --progress data.tg` keeps its
-/// positional.
+/// positional.  `no-tune` is retired but stays a switch, so
+/// `trigen scan --no-tune data.tg` reaches the removal notice in main()
+/// instead of swallowing the dataset path.
 const std::set<std::string>& cli_switches() {
   static const std::set<std::string> s = {"help", "partial", "progress",
-                                          "quick", "no-tune", "json"};
+                                          "no-tune"};
   return s;
 }
 
@@ -209,37 +208,6 @@ std::optional<core::KernelIsa> parse_isa_flag(const Args& a) {
   return isa;
 }
 
-/// Resolves the tuning profile for scan/significance/serve: --no-tune
-/// disables lookup, --profile PATH must load (hard error otherwise), and
-/// with neither flag the default profile path is used when a file is
-/// there — a missing default is normal (analytic model), a corrupt or
-/// foreign one warns and falls back rather than failing the scan.
-core::ConfigResolver load_tuning_resolver(const Args& a) {
-  if (a.has("no-tune")) return {};
-  const bool explicit_profile = a.has("profile");
-  const std::string path =
-      explicit_profile ? a.get("profile", "") : tune::default_profile_path();
-  if (!explicit_profile) {
-    struct stat st {};
-    if (::stat(path.c_str(), &st) != 0) return {};
-  }
-  try {
-    auto profile = std::make_shared<const tune::TuningProfile>(
-        tune::load_profile_for_this_host(path));
-    return tune::make_resolver(std::move(profile));
-  } catch (const std::exception& e) {
-    if (explicit_profile) {
-      std::fprintf(stderr, "--profile %s: %s\n", path.c_str(), e.what());
-      std::exit(1);
-    }
-    std::fprintf(stderr,
-                 "warning: ignoring tuning profile %s (%s); using the "
-                 "analytic model\n",
-                 path.c_str(), e.what());
-    return {};
-  }
-}
-
 int cmd_generate(const Args& a) {
   if (a.positional.empty() || a.has("help")) {
     std::puts("usage: trigen generate OUT.tg[b] --snps M --samples N [--seed S]\n"
@@ -362,7 +330,7 @@ void print_scan_usage() {
   std::printf(
       "usage: trigen %s DATASET.tg[b] [--objective k2|mi|chi2]\n"
       "  [--top K] [--threads T] [--version 1|2|3|4|5]\n"
-      "  [--isa NAME|auto] [--profile FILE] [--no-tune]\n"
+      "  [--isa NAME|auto]\n"
       "  [--range FIRST:LAST] [--progress]\n"
       "  [--shards W --shard I [--split even|block]]\n"
       "  [--out FILE.shard] [--checkpoint FILE.ckpt]\n"
@@ -404,8 +372,6 @@ int cmd_scan_generic(const Args& a) {
   if (const auto isa = parse_isa_flag(a)) {
     opt.isa = *isa;
     opt.isa_auto = false;
-  } else {
-    opt.config = load_tuning_resolver(a);
   }
   const auto d = load(a.positional[0]);
   typename Cli::Detector det(d);
@@ -647,8 +613,7 @@ int cmd_significance_of(const dataset::GenotypeMatrix& d,
                         unsigned permutations, std::uint64_t seed,
                         core::Objective objective, unsigned threads,
                         unsigned batch, bool progress,
-                        std::optional<core::KernelIsa> isa,
-                        core::ConfigResolver config) {
+                        std::optional<core::KernelIsa> isa) {
   stats::BasicPermutationTestOptions<K> opt;
   opt.permutations = permutations;
   opt.seed = seed;
@@ -658,8 +623,6 @@ int cmd_significance_of(const dataset::GenotypeMatrix& d,
   if (isa) {
     opt.detector.isa = *isa;
     opt.detector.isa_auto = false;
-  } else {
-    opt.detector.config = std::move(config);
   }
   if (progress) opt.detector.progress = make_progress_printer("significance");
   const auto r = stats::permutation_test_of<K>(d, opt);
@@ -694,14 +657,12 @@ int cmd_significance(const Args& a) {
   const auto batch = static_cast<unsigned>(get_uint_or_die(a, "batch", 0));
   const bool progress = a.has("progress");
   const auto isa = parse_isa_flag(a);
-  core::ConfigResolver config = isa ? core::ConfigResolver{}
-                                    : load_tuning_resolver(a);
   int rc = 0;
   if (combinatorics::with_order(
           static_cast<std::uint64_t>(a.get_int("order", 3)), [&](auto kc) {
             rc = cmd_significance_of<decltype(kc)::value>(
                 load(a.positional[0]), permutations, seed, objective, threads,
-                batch, progress, isa, std::move(config));
+                batch, progress, isa);
           })) {
     return rc;
   }
@@ -739,7 +700,6 @@ int cmd_serve(const Args& a) {
   so.threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
   so.chunk = get_uint_or_die(a, "chunk", 0);
   so.checkpoint_dir = a.get("checkpoint-dir", ".");
-  so.config = load_tuning_resolver(a);
   serve::ScanServer server(load(a.positional[0]), so);
   install_interrupt_handler();
 #ifndef _WIN32
@@ -823,7 +783,7 @@ int cmd_work(const Args& a) {
     std::puts(
         "usage: trigen work DATASET.tg[b] --socket PATH [--id NAME]\n"
         "  [--threads T] [--version 1|2|3|4|5] [--isa NAME|auto]\n"
-        "  [--profile FILE] [--no-tune] [--poll-ms MS] [--reconnect-ms MS]\n"
+        "  [--poll-ms MS] [--reconnect-ms MS]\n"
         "Joins the fleet at the `trigen coordinate` socket and scans\n"
         "leased shards until the fleet is drained (exit 0).  The dataset\n"
         "must be the one the coordinator planned (fingerprint-checked).\n"
@@ -842,11 +802,7 @@ int cmd_work(const Args& a) {
 #endif
   wo.threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
   wo.version = parse_version(a);
-  if (const auto isa = parse_isa_flag(a)) {
-    wo.isa = *isa;
-  } else {
-    wo.config = load_tuning_resolver(a);
-  }
+  if (const auto isa = parse_isa_flag(a)) wo.isa = *isa;
   wo.poll_ms = get_uint_or_die(a, "poll-ms", 200);
   wo.reconnect_ms = get_uint_or_die(a, "reconnect-ms", 15000);
   wo.log = [&wo](const std::string& line) {
@@ -856,88 +812,6 @@ int cmd_work(const Args& a) {
   install_interrupt_handler();
   const auto d = load(a.positional[0]);
   return fleet::run_worker(d, a.get("socket", ""), wo);
-}
-
-/// `trigen tune`: run the microbench grid, persist the per-host profile.
-int cmd_tune(const Args& a) {
-  if (a.has("help")) {
-    std::puts(
-        "usage: trigen tune [DATASET.tg[b]] [--out FILE] [--profile FILE]\n"
-        "  [--samples N] [--orders 2,3,4] [--batch P] [--seed S]\n"
-        "  [--quick] [--json]\n"
-        "Measures every compiled kernel ISA and a tiling neighborhood\n"
-        "around the analytic point on synthetic bitplanes, then writes the\n"
-        "measured-fastest (ISA, tiling) per kernel family and order to a\n"
-        "per-host profile that scan/scan2/significance/serve pick up\n"
-        "automatically (or via --profile).  Passing a dataset sizes the\n"
-        "measurement for its sample count (otherwise --samples, default\n"
-        "4096).  --quick cuts repeats and the tiling neighborhood (smoke\n"
-        "tests); --json prints the measured grid as JSON for the bench\n"
-        "fold.  An existing same-host profile is extended, not replaced;\n"
-        "results are bit-identical with or without a profile — only speed\n"
-        "differs.");
-    return 0;
-  }
-  tune::TuneOptions topt;
-  topt.n_samples = get_uint_or_die(a, "samples", 4096);
-  if (!a.positional.empty()) {
-    topt.n_samples = load(a.positional[0]).num_samples();
-  }
-  topt.quick = a.has("quick");
-  topt.seed = get_uint_or_die(a, "seed", 42);
-  topt.batch_slots = get_uint_or_die(a, "batch", 8);
-  if (a.has("orders")) {
-    topt.orders.clear();
-    const std::string spec = a.get("orders", "");
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-      const std::size_t comma = spec.find(',', pos);
-      const std::string tok = spec.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      char* end = nullptr;
-      const long k = std::strtol(tok.c_str(), &end, 10);
-      if (tok.empty() || end != tok.c_str() + tok.size() || k < 2 || k > 6) {
-        std::fprintf(stderr,
-                     "--orders expects a comma list of orders in [2, 6] "
-                     "(got '%s')\n",
-                     spec.c_str());
-        return 2;
-      }
-      topt.orders.push_back(static_cast<unsigned>(k));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
-  topt.log = [](const std::string& line) {
-    std::fprintf(stderr, "tune: %s\n", line.c_str());
-  };
-
-  const std::string out =
-      a.has("out") ? a.get("out", "")
-                   : a.has("profile") ? a.get("profile", "")
-                                      : tune::default_profile_path();
-  const tune::TuneReport report = tune::run_tuning_grid(topt);
-  tune::TuningProfile profile = report.to_profile();
-  // Extend an existing same-host profile (other buckets/orders keep their
-  // entries); a foreign or unreadable file is simply replaced.
-  struct stat st {};
-  if (::stat(out.c_str(), &st) == 0) {
-    try {
-      tune::TuningProfile existing = tune::load_profile_for_this_host(out);
-      existing.merge_from(profile);
-      profile = std::move(existing);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "tune: replacing %s (%s)\n", out.c_str(),
-                   e.what());
-    }
-  }
-  tune::write_profile_file(out, profile);
-  std::fprintf(stderr, "tune: wrote %s (%zu entries)\n", out.c_str(),
-               profile.entries.size());
-  if (a.has("json")) {
-    std::printf("%s", tune::tune_report_json(report).c_str());
-  }
-  return 0;
 }
 
 int cmd_devices(const Args&) {
@@ -962,7 +836,7 @@ int cmd_devices(const Args&) {
 int usage() {
   std::puts(
       "trigen — exhaustive gene interaction detection (IPDPS'22 reproduction)\n"
-      "usage: trigen <generate|info|convert|scan|scan2|merge|baseline|significance|serve|coordinate|work|tune|devices> ...\n"
+      "usage: trigen <generate|info|convert|scan|scan2|merge|baseline|significance|serve|coordinate|work|devices> ...\n"
       "  generate OUT.tg[b] --snps M --samples N [--seed S] [--maf-min F]\n"
       "    [--maf-max F] [--prevalence F] [--plant x,y,z --model M\n"
       "    --baseline F --effect F]\n"
@@ -984,13 +858,9 @@ int usage() {
       "  coordinate DATASET.tg[b] --out FILE.csv [--socket PATH]\n"
       "    [--spool DIR] [--order k] [--shards W] [--lease-ms MS] ...\n"
       "  work DATASET.tg[b] --socket PATH [--id NAME] [--threads T] ...\n"
-      "  tune [DATASET.tg[b]] [--out FILE] [--samples N] [--orders 2,3,4]\n"
-      "    [--quick] [--json]\n"
       "  devices\n"
-      "scan/scan2/significance/serve also take --isa NAME|auto (or\n"
-      "$TRIGEN_ISA), --profile FILE and --no-tune: a `trigen tune` profile\n"
-      "picks the measured-fastest kernel configuration per host (results\n"
-      "are bit-identical; only speed differs).\n"
+      "scan/scan2/significance/work also take --isa NAME|auto (or\n"
+      "$TRIGEN_ISA); tiles come from the host's L1 geometry.\n"
       "Run `trigen <subcommand> --help` for details.");
   return 2;
 }
@@ -1001,6 +871,13 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   const Args args = Args::parse(argc, argv, 2, cli_switches());
+  // The empirical autotuner is gone: say so before any dataset is read.
+  if (cmd == "tune" || args.has("profile") || args.has("no-tune")) {
+    std::fprintf(stderr,
+                 "trigen: `tune`, --profile and --no-tune were removed; tiles "
+                 "now come from the analytic L1 model alone\n");
+    return 2;
+  }
   try {
     if (cmd == "generate") return cmd_generate(args);
     if (cmd == "info") return cmd_info(args);
@@ -1013,7 +890,6 @@ int main(int argc, char** argv) {
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "coordinate") return cmd_coordinate(args);
     if (cmd == "work") return cmd_work(args);
-    if (cmd == "tune") return cmd_tune(args);
     if (cmd == "devices") return cmd_devices(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "trigen %s: %s\n", cmd.c_str(), e.what());
