@@ -29,10 +29,13 @@
 /// measured at k = 4, 5 and 6, V4 (direct kernels) against V5 (the
 /// prefix-plane ladder), since V5 is the default rung at every order.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -125,15 +128,24 @@ void bench_generic_order(std::size_t snps, std::size_t samples,
 /// paths run the identical seeded test (sequential = one full scan per
 /// permutation, batched = ONE scan scoring observed + all nulls as label
 /// partitions), their results are cross-checked bit-for-bit, and the
-/// wall-clock ratio is logged as the trajectory speedup entry.
+/// wall-clock ratio is logged as the trajectory speedup entry.  `isa`
+/// pins the kernel strategy (auto when empty); each path's time is the
+/// median of `reps` runs, alternating the two paths.  The table row starts
+/// with `row`, and the log entries end in `suffix`.
 template <unsigned K>
 void bench_permutation(const dataset::GenotypeMatrix& d, unsigned perms,
-                       std::size_t samples, TextTable& table,
+                       std::size_t samples, std::optional<core::KernelIsa> isa,
+                       int reps, const std::string& row,
+                       const std::string& suffix, TextTable& table,
                        std::vector<Measurement>& log) {
   stats::BasicPermutationTestOptions<K> opt;
   opt.permutations = perms;
   opt.seed = 21;
   opt.detector.threads = 1;
+  if (isa) {
+    opt.detector.isa = *isa;
+    opt.detector.isa_auto = false;
+  }
   const auto timed = [&](unsigned batch) {
     auto o = opt;
     o.batch = batch;
@@ -144,8 +156,21 @@ void bench_permutation(const dataset::GenotypeMatrix& d, unsigned perms,
             .count();
     return std::make_pair(std::move(r), s);
   };
-  const auto [seq, seq_s] = timed(1);
-  const auto [bat, bat_s] = timed(0);
+  std::vector<double> seq_times, bat_times;
+  stats::BasicPermutationTestResult<K> seq, bat;
+  for (int i = 0; i < reps; ++i) {
+    double s = 0.0;
+    std::tie(seq, s) = timed(1);
+    seq_times.push_back(s);
+    std::tie(bat, s) = timed(0);
+    bat_times.push_back(s);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double seq_s = median(seq_times);
+  const double bat_s = median(bat_times);
   const bool identical = seq.p_value == bat.p_value &&
                          seq.observed.score == bat.observed.score &&
                          seq.null_scores == bat.null_scores;
@@ -155,10 +180,9 @@ void bench_permutation(const dataset::GenotypeMatrix& d, unsigned perms,
       static_cast<double>(combinatorics::n_choose_k(d.num_snps(), K)) *
       (1.0 + perms);
   const double speed = bat_s > 0.0 ? seq_s / bat_s : 0.0;
-  table.add_row({std::to_string(K), TextTable::fmt(seq_s, 2),
-                 TextTable::fmt(bat_s, 2), TextTable::fmt(speed, 2),
+  table.add_row({row, TextTable::fmt(seq_s * 1e3, 1),
+                 TextTable::fmt(bat_s * 1e3, 1), TextTable::fmt(speed, 2),
                  identical ? "yes" : "MISMATCH"});
-  const std::string suffix = "/order=" + std::to_string(K);
   log.push_back({"fig3_cpu/perm_sequential" + suffix,
                  seq_s * 1e9 / tables, tables / seq_s,
                  tables / seq_s * static_cast<double>(samples)});
@@ -277,14 +301,39 @@ int main(int argc, char** argv) {
     const std::size_t snps_p = 64;
     const unsigned perms = 64;
     const auto dp = bench::paper_style_dataset(snps_p, samples);
-    TextTable perm({"order", "sequential s", "batched s", "speedup",
+    TextTable perm({"order", "sequential ms", "batched ms", "speedup",
                     "bit-identical"});
-    bench_permutation<2>(dp, perms, samples, perm, log);
-    bench_permutation<3>(dp, perms, samples, perm, log);
+    bench_permutation<2>(dp, perms, samples, std::nullopt, 1, "2",
+                         "/order=2", perm, log);
+    bench_permutation<3>(dp, perms, samples, std::nullopt, 1, "3",
+                         "/order=3", perm, log);
     std::printf(
         "\nPermutation test (%u permutations, %zu SNPs, %zu samples), "
         "batched vs sequential, one core:\n%s",
         perms, snps_p, samples, perm.to_ascii().c_str());
+  }
+
+  // ---- the served significance job's shape, every ISA ------------------
+  // `significance order=2 permutations=19` on 200 SNPs x 4096 samples (20
+  // partitions), one core, each path the median of seven alternating runs:
+  // the batched order-2 engine against 20 sequential pair scans on every
+  // strategy the host executes.
+  {
+    const std::size_t snps_s = 200, samples_s = 4096;
+    const unsigned perms = 19;
+    const auto ds = bench::paper_style_dataset(snps_s, samples_s);
+    TextTable serve({"strategy", "sequential ms", "batched ms", "speedup",
+                     "bit-identical"});
+    for (const core::KernelIsa isa : core::all_kernel_isas()) {
+      if (!core::kernel_available(isa)) continue;
+      const std::string name = core::kernel_isa_name(isa);
+      bench_permutation<2>(ds, perms, samples_s, isa, 7, name,
+                           "/order=2/serve/" + name, serve, log);
+    }
+    std::printf(
+        "\nServed permutation-test shape (order 2, %u permutations, %zu "
+        "SNPs, %zu samples), batched vs sequential, one core:\n%s",
+        perms, snps_s, samples_s, serve.to_ascii().c_str());
   }
 
   // ---- Table-I device projection -----------------------------------------

@@ -9,7 +9,10 @@
 #   * 24 SNPs x 300 samples, 16 permutations, orders 2 and 3, default ISA;
 #   * 12 SNPs x 1057 samples (a padded last word), 40 permutations (41
 #     partitions: three 16-lane label groups), every order 2..6 under every
-#     ISA this host executes.
+#     ISA this host executes;
+#   * the same data at order 2 with 2, 5 and 19 permutations (3, 6 and 20
+#     partitions: finalize group remainders 3, 2 and 0, and the serve
+#     significance shape), under every ISA this host executes.
 #
 # usage: scripts/significance_smoke.sh path/to/trigen
 set -euo pipefail
@@ -29,7 +32,7 @@ cd "$workdir"
 check() {
   local data=$1 perms=$2 k=$3
   shift 3
-  local what="$data order $k${*:+ $*}"
+  local what="$data order $k, $perms permutations${*:+ $*}"
   "$TRIGEN" significance "$data" --order "$k" --permutations "$perms" \
     --seed 21 --threads 2 "$@" > batched.txt
   "$TRIGEN" significance "$data" --order "$k" --permutations "$perms" \
@@ -63,6 +66,9 @@ isas=$("$TRIGEN" scan padded.tg --isa list 2>&1 >/dev/null \
 for isa in $isas; do
   for k in 2 3 4 5 6; do
     check padded.tg 40 "$k" --isa "$isa"
+  done
+  for perms in 2 5 19; do
+    check padded.tg "$perms" 2 --isa "$isa"
   done
 done
 

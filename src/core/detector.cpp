@@ -387,7 +387,7 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
 
   // Always the batched blocked engine (the whole point is amortizing the
   // prefix planes), with the batch-aware budget: the per-tuple tables grow
-  // to 1 + P slots and the resident label rows join the streamed block.
+  // to 1 + P slots and the label planes join each chunk's working set.
   TilingParams tiling = options.tiling;
   if (!tiling.valid()) {
     tiling = autotune_tiling(detect_l1_config(),

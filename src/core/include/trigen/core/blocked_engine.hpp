@@ -38,10 +38,16 @@
 /// the per-SNP genotype counts, *are* the 9-cell table.
 ///
 /// The batched engine (`scan_block_tuple_batched`) scores P phenotype
-/// partitions in one pass over the phenotype-agnostic combined layout: at
-/// k >= 3 against the last rung of the full ladder, at k = 2 against x's
-/// two stored planes (4 of the 9 cells, the rest completed from per-SNP and
-/// per-partition genotype counts).
+/// partitions in one pass over the phenotype-agnostic combined layout.  At
+/// k = 2 it runs the sequential word-vector kernels over the batch's
+/// partition-major label planes (`PhenotypeBatch::plane`): per pair and
+/// chunk, `extend01` forms the four x_a ∩ z_b planes and two `finalize`
+/// passes with count = P count every partition's case cells against them,
+/// so the sample words stay the vector axis (4 of the 9 cells, the rest
+/// completed from per-SNP and per-partition genotype counts).  At k >= 3 it
+/// runs the lane kernels (BatchKernelSet) against the last rung of the full
+/// ladder and the word-interleaved label rows (`PhenotypeBatch::
+/// word_labels`), broadcasting each cell word across the partitions.
 ///
 /// The block-tuple rank math and the rank-range -> block-tuple mapping live
 /// in trigen/combinatorics/block_partition.hpp; the names are re-exported
@@ -76,8 +82,9 @@ using combinatorics::LastAxisWindow;
 /// popcounts.  Planes share one stride rounded up to a whole number of
 /// AVX-512 registers, so every plane start stays 64-byte aligned
 /// (aligned_vector provides the base alignment).  The order-3 scan uses
-/// only the first four planes of rung 2 (its xa∩yb, a, b in {0, 1}); the
-/// batched order-3 engine uses all nine.
+/// only the first four planes of rung 2 (its xa∩yb, a, b in {0, 1}), and
+/// the batched order-2 engine holds a pair's four x_a ∩ z_b planes there;
+/// the batched order-3 engine uses all nine.
 class PrefixPlaneCache {
  public:
   /// Grows the ladder to cover rungs 2..order-1 with at least `words` of
@@ -525,63 +532,68 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
 // Batched multi-phenotype engine
 // ---------------------------------------------------------------------------
 
-/// Per-thread cache of the per-partition genotype counts that complete the
-/// batched order-2 rows: for every SNP z of one last-axis block,
-/// |z_b ∩ L_p| for b in {0, 1} and every partition p of a batch, counted by
-/// the batch label-popcount kernel over all words the first time an emitted
-/// pair needs them.  Every count is dropped when the cache moves to another
-/// block, so memory stays O(B_S · P) and a ranged scan counts only the SNPs
-/// its windows touch (the PairTableCache idiom).
-class LabelPopsCache {
+/// Per-thread cache of the per-partition case genotype counts that complete
+/// the batched order-2 rows: |s_b ∩ L_p| for b in {0, 1}, every SNP s of the
+/// combined layout and every partition p of a batch.  A SNP's counts are
+/// taken the first time an emitted pair needs them, by one `finalize` over
+/// the batch's partition-major label planes (count = P, s's two stored
+/// planes as the operands, all words), and kept for the whole scan: they
+/// serve s both as x (the (a, 2) cells) and as z (the (2, b) cells) of every
+/// later pair, so a full scan counts each SNP once per thread and a ranged
+/// scan only the SNPs its pairs touch.  Memory is 12 bytes per SNP and
+/// partition.
+class CaseGenotypeCounts {
  public:
-  /// Serves the last-axis block of `planes` (the combined layout) whose
-  /// SNPs start at `z_base` (at most `bs` of them), against `batch`.
+  /// Serves `planes` (the combined layout) against `batch`, dropping every
+  /// count taken for another dataset or batch.
   void select(const dataset::PhenoSplitPlanes& planes,
-              const dataset::PhenotypeBatch& batch, std::size_t bs,
-              std::size_t z_base) {
-    if (&planes == planes_ && &batch == batch_ && bs == bs_ &&
-        z_base == z_base_) {
-      return;
-    }
+              const dataset::PhenotypeBatch& batch) {
+    if (&planes == planes_ && &batch == batch_) return;
     planes_ = &planes;
     batch_ = &batch;
-    bs_ = bs;
-    z_base_ = z_base;
-    pops_.resize(bs * 2 * batch.stride());
-    counted_.assign(bs, 0);
+    counts_.resize(planes.num_snps() * 3 * batch.size());
+    counted_.assign(planes.num_snps(), 0);
+    no_pops_.assign(batch.size(), 0);
   }
 
-  /// |z_b ∩ L_p| of SNP z of the selected block at [b * batch.stride() +
-  /// p], counted with `kernel` on first use.
-  const std::uint32_t* pops(BatchLabelPopsKernel kernel, std::size_t z) {
-    const std::size_t lstride = batch_->stride();
-    const std::size_t slot = z - z_base_;
-    std::uint32_t* t = pops_.data() + slot * 2 * lstride;
-    if (counted_[slot] == 0) {
-      const std::size_t words = planes_->words(0);
-      std::fill(t, t + 2 * lstride, 0u);
-      // z's two stored planes sit `words` apart: a two-plane prefix view.
-      kernel(planes_->plane(0, z, 0), 2, words, batch_->word_labels(),
-             batch_->size(), lstride, 0, words, t);
-      counted_[slot] = 1;
+  /// |s_b ∩ L_p| of SNP `s` at [p * 3 + b], b in {0, 1} (the layout
+  /// `finalize` leaves; entry b = 2 is unused), counted with `finalize` on
+  /// first use.
+  const std::uint32_t* of(PrefixFinalKernel finalize, std::size_t s) {
+    const std::size_t num_labels = batch_->size();
+    std::uint32_t* t = counts_.data() + s * 3 * num_labels;
+    if (counted_[s] == 0) {
+      std::fill(t, t + 3 * num_labels, 0u);
+      finalize(batch_->plane(0), num_labels, batch_->words(), no_pops(),
+               planes_->plane(0, s, 0), planes_->plane(0, s, 1), 0,
+               batch_->words(), t);
+      counted_[s] = 1;
     }
     return t;
   }
 
+  /// P zero prefix popcounts, for `finalize` passes over the label planes
+  /// whose genotype-2 outputs (entry 2 of each triple) are never read.
+  const std::uint32_t* no_pops() const { return no_pops_.data(); }
+
  private:
   const dataset::PhenoSplitPlanes* planes_ = nullptr;
   const dataset::PhenotypeBatch* batch_ = nullptr;
-  std::size_t bs_ = 0;
-  std::size_t z_base_ = 0;
-  std::vector<std::uint32_t> pops_;    ///< [z - z_base][b][lane]
-  std::vector<std::uint8_t> counted_;  ///< [z - z_base]
+  std::vector<std::uint32_t> counts_;   ///< [snp][partition][3]
+  std::vector<std::uint8_t> counted_;   ///< [snp]
+  std::vector<std::uint32_t> no_pops_;  ///< [partition], all zero
 };
 
-/// Per-thread scratch of the batched engine: the prefix-plane ladder
-/// (order >= 3), the chunk |prefix ∩ label| popcounts, the order-2
-/// LabelPopsCache, and the live (1 + P)-slot tables (slot 0 totals, slot
-/// 1+p the case table of partition p) of all B_S final-axis combinations
-/// of one prefix.
+/// Per-thread scratch of the batched engine: the prefix-plane ladder (the
+/// last rung at order >= 3; at order 2 its first four planes hold a pair's
+/// x_a ∩ z_b chunk planes), the chunk |prefix ∩ label| popcounts (order
+/// >= 3), the order-2 CaseGenotypeCounts, and one table group for each of
+/// the B_S final-axis combinations of a prefix.  At order >= 3 a group is
+/// 1 + P tables (slot 0 the totals, slot 1+p the case table of partition
+/// p).  At order 2 it holds the four counted totals cells {0,1} x {0,1} at
+/// [a * 2 + b], then for a = 0 and 1 the P (a, 0), (a, 1), unused triples
+/// `finalize` accumulates, at [4 + a * 3P + p * 3 + b]; 4 + 6P cells fit in
+/// the 9 (1 + P) of a group.
 template <unsigned K>
 class BatchTupleScratch {
  public:
@@ -591,11 +603,11 @@ class BatchTupleScratch {
       : bs_(bs),
         slots_(slots),
         tables_(bs * (1 + slots) * kCells),
-        label_pops_(pow3(K - 1) * lstride) {}
+        label_pops_(K >= 3 ? pow3(K - 1) * lstride : 0) {}
 
   std::size_t bs() const { return bs_; }
   std::size_t slots() const { return slots_; }
-  /// The (1 + P)-slot table group of final-axis combination `z_rel`.
+  /// The table group of final-axis combination `z_rel`.
   std::uint32_t* tables(std::size_t z_rel) {
     return tables_.data() + z_rel * (1 + slots_) * kCells;
   }
@@ -607,12 +619,12 @@ class BatchTupleScratch {
               0u);
   }
   /// Rows of |prefix plane ∩ L_p|, `lstride` lanes each: one per prefix
-  /// plane (at most 3^(K-1)).
+  /// plane (3^(K-1); unallocated at order 2).
   std::uint32_t* label_pops() { return label_pops_.data(); }
   PrefixPlaneCache& prefix_cache() { return cache_; }
-  /// Per-partition genotype counts completing order-2 rows (unallocated
-  /// at higher orders).
-  LabelPopsCache& z_label_pops() { return z_pops_; }
+  /// Per-partition case genotype counts completing order-2 rows
+  /// (unallocated at higher orders).
+  CaseGenotypeCounts& case_counts() { return case_counts_; }
 
  private:
   std::size_t bs_;
@@ -620,38 +632,123 @@ class BatchTupleScratch {
   std::vector<std::uint32_t> tables_;
   std::vector<std::uint32_t> label_pops_;
   PrefixPlaneCache cache_;
-  LabelPopsCache z_pops_;
+  CaseGenotypeCounts case_counts_;
 };
+
+namespace engine_detail {
+
+/// The batched order-2 pass over the pairs of one block pair: with
+/// `each_prefix` as in scan_block_tuple_impl, counts every in-window pair
+/// (x, z) against all partitions of `batch` with the sequential word-vector
+/// kernels and emits its P tables.  Per pair and chunk, `extend01` over x's
+/// two stored planes and z writes the four planes u_ab = x_a ∩ z_b (a, b in
+/// {0, 1}) to the scratch ladder and adds their pops, the totals' {0,1}
+/// cells; two `finalize` passes with count = P over the partition-major
+/// label planes take (u_a0, u_a1) as operands and add every partition's
+/// case cells (a, 0) and (a, 1).  The emit completes the totals with
+/// complete_pair_row over the combined layout's one class, and each case
+/// row's (a, 2) and (2, b) cells from the per-SNP case genotype counts
+/// (CaseGenotypeCounts) with complete_pair_y2_column and
+/// complete_pair_x2_row.  No genotype-2 plane is formed, so there is no
+/// padding term.
+template <typename EachPrefix, typename OnTable>
+void scan_pairs_batched(const dataset::PhenoSplitPlanes& planes,
+                        const dataset::PhenotypeBatch& batch,
+                        const TilingParams& tiling,
+                        const GenericKernelSet& generic,
+                        BatchTupleScratch<2>& scratch,
+                        const EachPrefix& each_prefix, OnTable&& on_table) {
+  const std::size_t num_labels = batch.size();
+  const std::size_t words = planes.words(0);
+  PrefixPlaneCache& cache = scratch.prefix_cache();
+  // B_P may exceed the plane (the order-2 budget allows chunks of
+  // thousands of words); the pair planes only ever hold one chunk.
+  cache.ensure(3, std::min(tiling.bp_words, words));
+  Word* const u = cache.rung(2);
+  const std::size_t us = cache.stride();
+  CaseGenotypeCounts& case_counts = scratch.case_counts();
+  case_counts.select(planes, batch);
+
+  each_prefix([&](const combinatorics::Combination<2>& prefix, unsigned,
+                  std::size_t, std::size_t z_lo, std::size_t z_hi) {
+    const std::size_t x = prefix[0];
+    scratch.clear_tables(z_hi - z_lo);
+    // Chunk loop outside the z loop: the chunk's label planes and x's
+    // planes stay hot for every z of the window.
+    for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+      const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
+      for (std::size_t z = z_lo; z < z_hi; ++z) {
+        std::uint32_t* group = scratch.tables(z - z_lo);
+        // Rung 1 is a view: x's two stored planes sit `words` apart.
+        generic.extend01(planes.plane(0, x, 0) + w0, 2, words,
+                         planes.plane(0, z, 0), planes.plane(0, z, 1), w0,
+                         w1, u, us, group);
+        for (std::size_t a = 0; a < 2; ++a) {
+          generic.finalize(batch.plane(0) + w0, num_labels, batch.words(),
+                           case_counts.no_pops(), u + 2 * a * us,
+                           u + (2 * a + 1) * us, 0, w1 - w0,
+                           group + 4 + a * 3 * num_labels);
+        }
+      }
+    }
+    combinatorics::Combination<2> comb = prefix;
+    const std::uint32_t* cx = case_counts.of(generic.finalize, x);
+    for (std::size_t z = z_lo; z < z_hi; ++z) {
+      comb[1] = static_cast<std::uint32_t>(z);
+      const std::uint32_t* group = scratch.tables(z - z_lo);
+      std::uint32_t totals[9] = {group[0], group[1], 0, group[2], group[3]};
+      complete_pair_row(planes, 0, x, z, totals);
+      const std::uint32_t* cz = case_counts.of(generic.finalize, z);
+      for (std::size_t p = 0; p < num_labels; ++p) {
+        const std::uint32_t* a0 = group + 4 + p * 3;
+        const std::uint32_t* a1 = a0 + 3 * num_labels;
+        scoring::BasicContingencyTable<2> t;
+        std::uint32_t* row = t.counts[1].data();
+        row[0] = a0[0];
+        row[1] = a0[1];
+        row[3] = a1[0];
+        row[4] = a1[1];
+        complete_pair_y2_column(cx[p * 3], cx[p * 3 + 1], row);
+        complete_pair_x2_row(cz[p * 3], cz[p * 3 + 1],
+                             static_cast<std::uint32_t>(batch.cases(p)), row);
+        for (std::size_t i = 0; i < 9; ++i) {
+          t.counts[0][i] = totals[i] - row[i];
+        }
+        on_table(static_cast<const combinatorics::Combination<2>&>(comb), p,
+                 t);
+      }
+    }
+  });
+}
+
+}  // namespace engine_detail
 
 /// Batched scan at any order K: evaluates every combination of block tuple
 /// `bt` within the range of `clip` against ALL partitions of `batch` in one
 /// pass, and calls `on_table(const Combination<K>&, std::size_t partition,
 /// const BasicContingencyTable<K>&)` for each (partition index ascending
-/// within a combination).
+/// within a combination).  `planes` must be the phenotype-agnostic combined
+/// layout (`PhenoSplitPlanes::build_combined`), read from class 0 (all
+/// samples).  Prefixes whose last-axis window is empty build nothing.
 ///
-/// `planes` must be the phenotype-agnostic combined layout
-/// (`PhenoSplitPlanes::build_combined`): the prefix planes come from class
-/// 0 (all samples) exactly once per prefix and chunk, the batch kernel
-/// counts |prefix ∩ L_p| once per chunk, and each final-axis SNP then costs
-/// two broadcast-AND-popcount streams per prefix plane and partition — the
-/// plane streaming and prefix work are amortized across all P partitions.
-/// Prefixes whose last-axis window is empty build nothing.
-///
-/// K = 2 counts 4 of the 9 cells: the prefix planes are a view of x's two
-/// stored planes (x1 sits `words` after x0), and `bkern.finalize` with
-/// count 2 counts xa∩zb for a, b in {0, 1} for the totals and every
-/// partition, deriving each case row's (a, 2) cells from |xa ∩ L_p|.  The
-/// emit completes the rest: the totals with complete_pair_row over the
-/// combined layout's one class (the per-SNP genotype counts and N), each
-/// partition's x = 2 case row with complete_pair_x2_row from |zb ∩ L_p|
-/// (the scratch LabelPopsCache) and its case count.  No genotype-2 plane is
-/// formed, so there is no padding term.
+/// K = 2 counts 4 of the 9 cells per pair, for the totals and every
+/// partition, with the sequential word-vector kernels over the batch's
+/// partition-major label planes (engine_detail::scan_pairs_batched): the
+/// sample words are the vector axis, and a pair costs four AND + POPCNT
+/// streams per label plane.  `cached` and `bkern` are unused.
 ///
 /// K >= 3 runs the ladder (update_ladder, all 3^(K-1) planes of the last
-/// rung) and counts every cell; the control table inherits the combined
-/// planes' phantom all-genotype-2 padding, subtracted at emit.  Tables are
-/// exact integer counts at every order, so every partition's result is
-/// bit-identical to a dedicated sequential scan of that partition.
+/// rung) once per prefix and chunk, the lane kernel `bkern.label_pops`
+/// counts |prefix ∩ L_p| once per chunk over the word-interleaved label
+/// rows, and each final-axis SNP then costs two broadcast-AND-popcount
+/// streams per prefix plane and partition (`bkern.finalize`) — the plane
+/// streaming and prefix work are amortized across all P partitions.  Every
+/// cell is counted; the control table inherits the combined planes' phantom
+/// all-genotype-2 padding, subtracted at emit.
+///
+/// Tables are exact integer counts at every order, so every partition's
+/// result is bit-identical to a dedicated sequential scan of that
+/// partition.
 template <unsigned K, typename OnTable>
 void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
                               const dataset::PhenotypeBatch& batch,
@@ -663,103 +760,75 @@ void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
                               const BlockTuple<K>& bt,
                               const LastAxisWindow<K>& clip,
                               OnTable&& on_table) {
-  constexpr std::size_t kCells = BatchTupleScratch<K>::kCells;
   const std::size_t bs = tiling.bs;
   const std::size_t m = planes.num_snps();
   std::array<std::size_t, K> base;
   std::array<std::size_t, K> end;
   if (!engine_detail::block_extents<K>(m, bs, bt, base, end)) return;
   if (!clip.admits(combinatorics::BlockGrid{m, bs}, bt)) return;
-
-  const std::size_t num_labels = batch.size();
-  const std::size_t lstride = batch.stride();
-  const Word* labels = batch.word_labels();
-  const std::size_t words = planes.words(0);
-  // Prefix planes each final-axis SNP combines with: x's two stored planes
-  // at K = 2, the last ladder rung's 3^(K-1) planes above.
-  constexpr std::size_t count = K == 2 ? 2 : pow3(K - 1);
-  PrefixPlaneCache& cache = scratch.prefix_cache();
-  LabelPopsCache& z_pops = scratch.z_label_pops();
+  const auto each_prefix = [&](auto&& fn) {
+    engine_detail::for_each_prefix<K>(base, end, bs, clip, fn);
+  };
   if constexpr (K == 2) {
-    z_pops.select(planes, batch, bs, base[1]);
+    engine_detail::scan_pairs_batched(planes, batch, tiling, generic, scratch,
+                                      each_prefix,
+                                      static_cast<OnTable&&>(on_table));
   } else {
+    constexpr std::size_t kCells = BatchTupleScratch<K>::kCells;
+    const std::size_t num_labels = batch.size();
+    const std::size_t lstride = batch.stride();
+    const Word* labels = batch.word_labels();
+    const std::size_t words = planes.words(0);
+    constexpr std::size_t count = pow3(K - 1);
+    PrefixPlaneCache& cache = scratch.prefix_cache();
     cache.ensure(K, tiling.bp_words);
-  }
 
-  engine_detail::for_each_prefix<K>(
-      base, end, bs, clip,
-      [&](const combinatorics::Combination<K>& prefix, unsigned, std::size_t,
-          std::size_t z_lo, std::size_t z_hi) {
-        scratch.clear_tables(z_hi - z_lo);
-        // Chunk loop inside the prefix: the prefix planes and the per-chunk
-        // label popcounts are built once and reused by every final-axis SNP
-        // and every partition.
-        for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-          const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-          const Word* rung = nullptr;
-          std::size_t stride = 0;
-          const std::uint32_t* rung_pops = nullptr;
-          if constexpr (K == 2) {
-            // The emit overwrites the totals' (a, 2) cells, so x's planes
-            // need no chunk popcounts.
-            static constexpr std::uint32_t kNoPops[2] = {};
-            rung = planes.plane(0, prefix[0], 0) + w0;
-            stride = words;
-            rung_pops = kNoPops;
-          } else {
-            engine_detail::update_ladder<K>(planes, 0, prefix, 0, w0, w1,
-                                            cached, generic, cache);
-            rung = cache.rung(K - 1);
-            stride = cache.stride();
-            rung_pops = cache.rung_pops(K - 1);
-          }
-          std::fill(scratch.label_pops(),
-                    scratch.label_pops() + count * lstride, 0u);
-          bkern.label_pops(rung, count, stride, labels, num_labels, lstride,
-                           w0, w1, scratch.label_pops());
-          for (std::size_t z = z_lo; z < z_hi; ++z) {
-            bkern.finalize(rung, count, stride, rung_pops,
-                           scratch.label_pops(), planes.plane(0, z, 0),
-                           planes.plane(0, z, 1), labels, num_labels, lstride,
-                           w0, w1, scratch.tables(z - z_lo), kCells);
-          }
-        }
-        // Emit: slot 0 holds the phenotype-independent totals, slot 1+p the
-        // exact case table of partition p (label planes are zero-padded),
-        // and the control table is totals − case.
-        combinatorics::Combination<K> comb = prefix;
+    each_prefix([&](const combinatorics::Combination<K>& prefix, unsigned,
+                    std::size_t, std::size_t z_lo, std::size_t z_hi) {
+      scratch.clear_tables(z_hi - z_lo);
+      // Chunk loop inside the prefix: the ladder and the per-chunk label
+      // popcounts are built once and reused by every final-axis SNP and
+      // every partition.
+      for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+        const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
+        engine_detail::update_ladder<K>(planes, 0, prefix, 0, w0, w1, cached,
+                                        generic, cache);
+        const Word* rung = cache.rung(K - 1);
+        std::fill(scratch.label_pops(),
+                  scratch.label_pops() + count * lstride, 0u);
+        bkern.label_pops(rung, count, cache.stride(), labels, num_labels,
+                         lstride, w0, w1, scratch.label_pops());
         for (std::size_t z = z_lo; z < z_hi; ++z) {
-          comb[K - 1] = static_cast<std::uint32_t>(z);
-          std::uint32_t* group = scratch.tables(z - z_lo);
-          const std::uint32_t* zl = nullptr;
-          if constexpr (K == 2) {
-            complete_pair_row(planes, 0, prefix[0], z, group);
-            zl = z_pops.pops(bkern.label_pops, z);
-          }
-          for (std::size_t p = 0; p < num_labels; ++p) {
-            const std::uint32_t* case_ft = group + (1 + p) * kCells;
-            scoring::BasicContingencyTable<K> t;
-            std::copy(case_ft, case_ft + kCells, t.counts[1].begin());
-            if constexpr (K == 2) {
-              complete_pair_x2_row(
-                  zl[p], zl[lstride + p],
-                  static_cast<std::uint32_t>(batch.cases(p)),
-                  t.counts[1].data());
-            }
-            for (std::size_t i = 0; i < kCells; ++i) {
-              t.counts[0][i] = group[i] - t.counts[1][i];
-            }
-            if constexpr (K >= 3) {
-              // Only the control table inherits the combined planes'
-              // phantom all-genotype-2 padding.
-              t.counts[0][kCells - 1] -=
-                  static_cast<std::uint32_t>(planes.pad_bits(0));
-            }
-            on_table(static_cast<const combinatorics::Combination<K>&>(comb),
-                     p, t);
-          }
+          bkern.finalize(rung, count, cache.stride(), cache.rung_pops(K - 1),
+                         scratch.label_pops(), planes.plane(0, z, 0),
+                         planes.plane(0, z, 1), labels, num_labels, lstride,
+                         w0, w1, scratch.tables(z - z_lo), kCells);
         }
-      });
+      }
+      // Emit: slot 0 holds the phenotype-independent totals, slot 1+p the
+      // exact case table of partition p (label planes are zero-padded),
+      // and the control table is totals − case.
+      combinatorics::Combination<K> comb = prefix;
+      for (std::size_t z = z_lo; z < z_hi; ++z) {
+        comb[K - 1] = static_cast<std::uint32_t>(z);
+        const std::uint32_t* group = scratch.tables(z - z_lo);
+        for (std::size_t p = 0; p < num_labels; ++p) {
+          const std::uint32_t* case_ft = group + (1 + p) * kCells;
+          scoring::BasicContingencyTable<K> t;
+          std::copy(case_ft, case_ft + kCells, t.counts[1].begin());
+          for (std::size_t i = 0; i < kCells; ++i) {
+            t.counts[0][i] = group[i] - t.counts[1][i];
+          }
+          // Only the control table inherits the combined planes' phantom
+          // all-genotype-2 padding.
+          t.counts[0][kCells - 1] -=
+              static_cast<std::uint32_t>(planes.pad_bits(0));
+          on_table(static_cast<const combinatorics::Combination<K>&>(comb),
+                   p, t);
+        }
+      }
+    });
+  }
 }
 
 }  // namespace trigen::core

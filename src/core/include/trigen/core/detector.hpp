@@ -224,7 +224,8 @@ class BasicDetector {
   /// to a dedicated run() with that partition as the phenotype (same
   /// integer tables, same scorer, same deterministic merge).  Always runs
   /// the batched blocked engine (scan_block_tuple_batched: the prefix-plane
-  /// ladder at K >= 3, x's two stored planes and 4 of the 9 cells at
+  /// ladder and the lane kernels at K >= 3, the sequential word-vector
+  /// kernels over partition-major label planes and 4 of the 9 cells at
   /// K = 2); `options.version` is ignored.  This is the
   /// engine under permutation testing (observed + shuffled nulls = one
   /// batch) and multi-trait scans.

@@ -40,8 +40,8 @@
 /// counts-only pair kernel plus the per-SNP genotype counts.  Every step is
 /// exact integer arithmetic, so V5 is bit-identical to V2-V4.  The
 /// nine-plane `pair_plane_build` kernel remains only as rung 2 of the
-/// k >= 4 ladder and of the batched k >= 3 engine (the batched k = 2 path
-/// runs the batch kernels straight over x's two stored planes).
+/// k >= 4 ladder and of the batched k >= 3 engine.  The batched k = 2 path
+/// runs `extend01` and `finalize` too (see the batched section below).
 /// `triple_block_cached` has no caller in the engines any more and no body
 /// of its own: it is the generic `finalize` kernel at count 9, kept only
 /// for perfbench's kernel probe and the kernel benchmarks.
@@ -131,8 +131,8 @@ inline constexpr std::size_t kPairCountCells[4] = {0, 1, 3, 4};
 ///   n(2,b) = S_y(b) − n(0,b) − n(1,b),
 ///   n(2,2) = n − Σ_{a<2, g} n(a,g) − n(2,0) − n(2,1).
 /// Overwrites cells 6, 7 and 8.  complete_pair_row applies it to a class;
-/// the batched pair path applies it to the totals and to the case set of
-/// every partition.
+/// the batched pair path applies it (with complete_pair_y2_column) to the
+/// case set of every partition.
 inline void complete_pair_x2_row(std::uint32_t sy0, std::uint32_t sy1,
                                  std::uint32_t n, std::uint32_t* row) {
   row[6] = sy0 - row[0] - row[3];
@@ -141,17 +141,27 @@ inline void complete_pair_x2_row(std::uint32_t sy0, std::uint32_t sy1,
            row[7];
 }
 
+/// The column analogue: completes the y = 2 cells of the x = 0 and x = 1
+/// rows of a pair row whose cells 0, 1, 3 and 4 hold exact counts over a
+/// set `sx0` and `sx1` of whose samples have genotype 0 and 1 at x:
+///   n(a,2) = S_x(a) − n(a,0) − n(a,1).
+/// Overwrites cells 2 and 5.
+inline void complete_pair_y2_column(std::uint32_t sx0, std::uint32_t sx1,
+                                    std::uint32_t* row) {
+  row[2] = sx0 - row[0] - row[1];
+  row[5] = sx1 - row[3] - row[4];
+}
+
 /// Completes one class row of the pair (x, y) table whose cells 0, 1, 3
 /// and 4 hold the exact counts over the whole class (as a
-/// PairPlaneCountKernel leaves them): with S_x(a) the class's count of
-/// genotype a at x, n(a,2) = S_x(a) − n(a,0) − n(a,1), and the x = 2 row
-/// follows from S_y(b) and the class size (complete_pair_x2_row).
-/// Overwrites cells 2, 5, 6, 7 and 8.
+/// PairPlaneCountKernel leaves them) from the class's genotype counts S_x
+/// and S_y and its size (complete_pair_y2_column, then
+/// complete_pair_x2_row).  Overwrites cells 2, 5, 6, 7 and 8.
 inline void complete_pair_row(const dataset::PhenoSplitPlanes& p, int c,
                               std::size_t x, std::size_t y,
                               std::uint32_t* row) {
-  row[2] = p.genotype_count(c, x, 0) - row[0] - row[1];
-  row[5] = p.genotype_count(c, x, 1) - row[3] - row[4];
+  complete_pair_y2_column(p.genotype_count(c, x, 0), p.genotype_count(c, x, 1),
+                          row);
   complete_pair_x2_row(p.genotype_count(c, y, 0), p.genotype_count(c, y, 1),
                        static_cast<std::uint32_t>(p.samples(c)), row);
 }
@@ -283,20 +293,33 @@ struct GenericKernelSet {
 //
 // Everything upstream of the final case/control split — streaming genotype
 // planes, building the prefix-plane ladder — is phenotype-independent.  The
-// batched kernels exploit that: the engine builds the ladder over *combined*
-// planes (all samples, no class split) once, and the final popcount pass
-// scores P phenotype partitions at a time against a word-interleaved label
-// matrix `labels[w * lstride + p]` (lane p of row w is word w of partition
+// batched engine exploits that: it builds the ladder over *combined* planes
+// (all samples, no class split) once, and the final popcount pass scores P
+// phenotype partitions against their packed case planes.  Label planes have
+// zero tail bits, so case counts need no padding correction.
+//
+// At order 2 no batch-specific kernel runs.  The engine reads the batch's
+// partition-major label planes (`PhenotypeBatch::plane`, one `words`-long
+// plane per partition, so the P planes are one prefix operand of count P)
+// with the sequential word-vector kernels: per pair (x, z) and chunk,
+// `extend01` over x's two stored planes and z writes the four planes
+// u_ab = x_a ∩ z_b (their pops are the totals' {0,1} cells), and two
+// `finalize` passes with count = P take (u_a0, u_a1) as the operands and
+// count the case cells (a, 0) and (a, 1) of every partition — the sample
+// words are the vector axis, as in every sequential kernel.  The (a, 2) and
+// (2, b) case cells follow from per-SNP case genotype counts (one `finalize`
+// over the label planes per SNP), and the control rows are totals − cases.
+// No genotype-2 plane is formed, so there is no padding term.
+//
+// At order >= 3 the lane kernels below score the ladder's last rung against
+// the word-interleaved label matrix `labels[w * lstride + p]`
+// (`PhenotypeBatch::word_labels`; lane p of row w is word w of partition
 // p's case plane; rows are padded to a whole vector register).  Per cell
-// word u = prefix ∩ z the vector kernels broadcast u and AND it against 8
-// or 16 label lanes per instruction, so the marginal cost of one extra
-// phenotype is ~1/8 (AVX2) or ~1/16 (AVX-512) of a dedicated pass.  Label
-// planes have zero tail bits, so case counts need no padding correction;
-// control rows are derived as totals - cases with the usual all-genotype-2
-// padding subtraction on the totals side.  At order 2 the prefix planes are
-// x's two stored planes (count = 2), no genotype-2 plane is formed and the
-// x = 2 rows are completed from genotype counts instead, with no padding
-// term.
+// word u = prefix ∩ z they broadcast u and AND it against 8 or 16 label
+// lanes per instruction, so the marginal cost of one extra phenotype is
+// ~1/8 (AVX2) or ~1/16 (AVX-512) of a dedicated pass.  Control rows are
+// derived as totals - cases with the usual all-genotype-2 padding
+// subtraction on the totals side.
 
 /// Chunk popcounts |prefix_t ∩ L_p| for every cached plane t and label lane
 /// p: `label_pops[t * lstride + p]` is *added to* (callers zero per chunk).
@@ -329,7 +352,8 @@ using BatchFinalKernel = void (*)(const Word* prefix, std::size_t count,
                                   std::size_t w_end, std::uint32_t* ft,
                                   std::size_t ft_stride);
 
-/// The batched multi-phenotype kernel pair for one vectorization strategy.
+/// The batched multi-phenotype lane-kernel pair for one vectorization
+/// strategy (the batched k >= 3 engine).
 struct BatchKernelSet {
   BatchLabelPopsKernel label_pops = nullptr;
   BatchFinalKernel finalize = nullptr;
@@ -424,7 +448,7 @@ DirectKernel<K> get_direct_kernel(KernelIsa isa) {
   }
 }
 
-/// Fetch the batched multi-phenotype kernels for `isa`; throws
+/// Fetch the batched multi-phenotype lane kernels for `isa`; throws
 /// std::runtime_error if unavailable.  The scalar strategy maps to the
 /// scalar batch kernels; both AVX2 strategies share one LUT-based variant
 /// (per-dword popcounts need the nibble LUT regardless of the triple

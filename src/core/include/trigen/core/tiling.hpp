@@ -55,10 +55,14 @@ TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
 /// covers 1 + `batch_slots` tables per tuple (totals plus one case table per
 /// partition; at every order the batched engine keeps the tables of all
 /// B_S final-axis SNPs of a prefix live, so B_S is sized, within [4, 64],
-/// against a 512 kB budget of (1+P)*3^order*4 bytes per SNP), and the
-/// streamed-block budget adds the resident label planes — `label_stride`
-/// lanes (the PhenotypeBatch stride) per sample word.  `batch_slots == 0`
-/// degrades to the overload above.
+/// against a 512 kB budget of (1+P)*3^order*4 bytes per SNP).  At order 2
+/// B_P is the longest chunk whose working set — P partition-major label
+/// planes, the four x_a ∩ z_b planes and x's and z's two planes, (P + 8) *
+/// 4 bytes per word, plus B_S per-z accumulators of 4 + 6P cells — fits
+/// that 512 kB budget; at order >= 3 the L1 streamed-block budget adds the
+/// word-interleaved label rows, `label_stride` lanes (the PhenotypeBatch
+/// stride) per sample word.  B_P is floored at sixteen AVX-512 granules.
+/// `batch_slots == 0` degrades to the overload above.
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              unsigned order, bool cached,
                              std::size_t batch_slots,

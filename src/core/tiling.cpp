@@ -104,31 +104,51 @@ TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
   // case table per partition), but unlike the sequential engine those
   // tables are only touched in a sequential writeback after each chunk's
   // word loop — they stream, they do not need L1 residency.  At every
-  // order B_S is sized for completion reuse (every extra z amortizes the
-  // per-chunk prefix planes and label popcounts) against an L2-scale table
-  // budget.
+  // order B_S is sized for completion reuse (at order >= 3 every extra z
+  // amortizes the per-chunk prefix planes and label popcounts) against an
+  // L2-scale table budget.
   constexpr double kBatchTableBudget = 512.0 * 1024.0;
   const double per_z = (1.0 + static_cast<double>(batch_slots)) *
                        static_cast<double>(pow3(order)) * 4.0;
   std::size_t bs = static_cast<std::size_t>(kBatchTableBudget / per_z);
   bs = std::min<std::size_t>(std::max<std::size_t>(4, bs), 64);
 
-  // Streamed-block budget per word: one completion's two genotype planes
-  // (only one z is hot at a time), the prefix-plane ladder (none at
-  // order 2), and the label rows.  At real partition counts the label
-  // rows cannot be L1-resident for any usable chunk anyway — they stream
-  // linearly from L2 — so the chunk is floored at sixteen granules: tiny
-  // chunks only multiply the per-chunk ladder builds, label-pops passes
-  // and table writebacks.
-  const bool has_cache_planes = cached && order >= 3;
-  const double bytes_per_bp =
-      4.0 * 2 +
-      (has_cache_planes ? static_cast<double>(prefix_cache_bytes(1, order))
-                        : 0.0) +
-      4.0 * static_cast<double>(label_stride);
-  std::size_t bp = static_cast<std::size_t>(size_block / bytes_per_bp);
+  // Both chunk rules below are floored at sixteen granules: tiny chunks
+  // only multiply the per-chunk fixed costs (at order >= 3 the ladder
+  // builds, label-pops passes and table writebacks; at order 2 the two
+  // accumulator reductions per label plane of every finalize call).
+  double bytes_per_bp = 0.0;
+  double budget = 0.0;
+  if (order == 2) {
+    // Order 2 runs the sequential word-vector kernels over partition-major
+    // label planes.  Per (z, chunk) it reads P label planes and x's and z's
+    // two planes each and writes and rereads the four x_a ∩ z_b planes, so
+    // a chunk word costs (P + 8) * 4 bytes, and the chunk is as long as
+    // that working set plus the B_S per-z accumulators (4 + 6P cells each)
+    // allows in the L2-scale budget: one chunk for every plane up to 16384
+    // samples at P = 64 (128 kB of label planes).  One-thread P = 64 scans
+    // of 100 SNPs x 16384 samples on a 4-vCPU AVX-512 Xeon (2 MB L2) took
+    // 54, 43, 37 and 33 ms at B_P = 64, 128, 256 and 512 words.
+    const double slots = static_cast<double>(batch_slots);
+    const double accumulators =
+        static_cast<double>(bs) * (4.0 + 6.0 * slots) * 4.0;
+    bytes_per_bp = 4.0 * (slots + 8.0);
+    budget = std::max(0.0, kBatchTableBudget - accumulators);
+  } else {
+    // Order >= 3: the streamed L1 block holds one completion's two genotype
+    // planes (only one z is hot at a time), the prefix-plane ladder and the
+    // word-interleaved label rows.  At real partition counts the label rows
+    // cannot be L1-resident for any usable chunk anyway — they stream
+    // linearly from L2, and the floor takes over.
+    bytes_per_bp =
+        4.0 * 2 +
+        (cached ? static_cast<double>(prefix_cache_bytes(1, order)) : 0.0) +
+        4.0 * static_cast<double>(label_stride);
+    budget = size_block;
+  }
   const std::size_t granule =
       std::max(vector_words, dataset::kWordsPerVector);
+  std::size_t bp = static_cast<std::size_t>(budget / bytes_per_bp);
   bp = bp / granule * granule;
   bp = std::max<std::size_t>(16 * granule, bp);
 

@@ -208,13 +208,15 @@ PhenotypeBatch PhenotypeBatch::build(
       kWordsPerVector;
   out.cases_.resize(partitions.size());
   out.labels_.assign(out.words_ * out.stride_, 0);
-  std::vector<Word> controls(out.words_), cases(out.words_);
+  out.planes_.assign(out.words_ * partitions.size(), 0);
+  std::vector<Word> controls(out.words_);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     const auto& labels = partitions[p];
     if (labels.size() != num_samples)
       throw std::invalid_argument("PhenotypeBatch: partition size mismatch");
-    const auto counts = pack_row<2>(labels.data(), num_samples,
-                                    {controls.data(), cases.data()});
+    Word* cases = out.planes_.data() + p * out.words_;
+    const auto counts =
+        pack_row<2>(labels.data(), num_samples, {controls.data(), cases});
     if (counts[0] + counts[1] != num_samples)
       throw std::invalid_argument("PhenotypeBatch: label out of range");
     out.cases_[p] = counts[1];

@@ -166,18 +166,29 @@ class PhenoSplitPlanes {
 // Batched multi-phenotype label planes
 // ---------------------------------------------------------------------------
 
-/// P packed phenotype partitions of one sample set, in the word-interleaved
-/// layout the batched kernels consume: `word_labels()[w * stride() + p]` is
-/// word `w` of partition `p`'s *case* plane (bit j set = sample w*32+j is a
-/// case under partition p).  Interleaving puts the P lanes of one sample
-/// word contiguously, so a kernel broadcasts a genotype word once and ANDs
-/// it against 8 (AVX2) or 16 (AVX-512) partitions per instruction.
+/// P packed phenotype partitions of one sample set, kept in two layouts of
+/// the same case planes (bit j of word w of partition p's plane set = sample
+/// w*32+j is a case under partition p):
 ///
-/// `stride()` is P rounded up to `kWordsPerVector`, keeping each word-row
-/// vector-aligned; surplus lanes and the tail bits beyond `num_samples()`
-/// are zero, so case cells never need pad correction — only control cells
-/// (derived as totals − case) inherit the combined planes' phantom
-/// genotype-2 padding, exposed via `pad_bits()`.
+///  * partition-major (`plane(p)`): one `words()`-long plane per partition,
+///    each 64-byte aligned (`words()` is a whole number of AVX-512
+///    registers) with zero tail bits; plane p+1 starts `words()` words after
+///    plane p, so the P planes are one prefix operand of `count` = P and
+///    `stride` = `words()` for the sequential word-vector kernels.  The
+///    batched order-2 engine reads this layout: it vectorizes the sample
+///    words and counts one label plane against a pair's planes per pass.
+///  * word-interleaved (`word_labels()`): `word_labels()[w * stride() + p]`
+///    is word `w` of partition `p`'s plane, so the P lanes of one sample
+///    word are contiguous and a kernel broadcasts a genotype word once and
+///    ANDs it against 8 (AVX2) or 16 (AVX-512) partitions per instruction.
+///    The batched k >= 3 engine's lane kernels (BatchKernelSet) read this
+///    layout.  `stride()` is P rounded up to `kWordsPerVector`, keeping each
+///    word-row vector-aligned; surplus lanes are zero.
+///
+/// Tail bits beyond `num_samples()` are zero in both layouts, so case cells
+/// never need pad correction — only control cells (derived as totals −
+/// case) inherit the combined planes' phantom genotype-2 padding where an
+/// engine forms a NOR plane, exposed via `pad_bits()`.
 class PhenotypeBatch {
  public:
   /// Packs `partitions` (each a per-sample 0/1 label vector of length
@@ -197,6 +208,9 @@ class PhenotypeBatch {
   /// Word-interleaved label planes: word `w` of partition `p` is at
   /// `word_labels()[w * stride() + p]`.
   const Word* word_labels() const { return labels_.data(); }
+  /// Partition-major case plane of partition `p`: `words()` words, 64-byte
+  /// aligned, zero tail bits; plane p+1 follows at `plane(p) + words()`.
+  const Word* plane(std::size_t p) const { return planes_.data() + p * words_; }
   /// Case count of partition `p` (its per-partition sample split).
   std::size_t cases(std::size_t p) const { return cases_[p]; }
   /// Zero-padding tail bits shared by every partition's sample space.
@@ -208,6 +222,7 @@ class PhenotypeBatch {
   std::size_t stride_ = 0;
   std::vector<std::size_t> cases_;
   aligned_vector<Word> labels_;  // [word][partition lane]
+  aligned_vector<Word> planes_;  // [partition][word]
 };
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@
 /// P-partition batched scan must reproduce P dedicated per-phenotype scans
 /// exactly — same integer tables, same normalized scores bit-for-bit, same
 /// deterministic top-k — for k in {2, 3, 4}, on every compiled-in ISA,
-/// over the full rank space and over arbitrary rank splits.  On top of
-/// that: the batch kernels against their scalar reference, degenerate
+/// over the full rank space and over arbitrary rank splits, and for the
+/// order-2 path over every finalize group remainder, sample counts around
+/// the word and plane granules and serve-style 64-chunk splits.  On top of
+/// that: PhenotypeBatch's two label layouts, the batch kernels against
+/// their scalar reference, degenerate
 /// (all-case / all-control / single-sample-class) partitions, edge
 /// datasets (monomorphic SNPs, class sizes around word and plane
 /// boundaries), the batched-vs-sequential permutation test, and the
@@ -143,6 +146,47 @@ TEST(PhenotypeBatch, PacksWordInterleavedLabelPlanes) {
   }
 }
 
+TEST(PhenotypeBatch, KeepsPartitionMajorPlanesOfTheSameWords) {
+  // Partition counts around the 16-lane stride and sample counts around
+  // the word and the 16-word plane granule.
+  for (const std::size_t n : {std::size_t{31}, std::size_t{32},
+                              std::size_t{33}, std::size_t{1057}}) {
+    for (const std::size_t nparts : {std::size_t{1}, std::size_t{17}}) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " P " << nparts);
+      Xoshiro256 rng(n * 100 + nparts);
+      std::vector<std::vector<Phenotype>> parts(nparts,
+                                                std::vector<Phenotype>(n));
+      for (auto& labels : parts) {
+        for (Phenotype& l : labels) l = static_cast<Phenotype>(rng() & 1);
+      }
+      const PhenotypeBatch batch = PhenotypeBatch::build(n, parts);
+      for (std::size_t p = 0; p < nparts; ++p) {
+        const Word* plane = batch.plane(p);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(plane) % 64, 0u) << p;
+        if (p > 0) {
+          EXPECT_EQ(plane, batch.plane(p - 1) + batch.words());
+        }
+        std::size_t set = 0;
+        for (std::size_t w = 0; w < batch.words(); ++w) {
+          EXPECT_EQ(plane[w], batch.word_labels()[w * batch.stride() + p])
+              << p << " word " << w;
+          set += static_cast<std::size_t>(std::popcount(plane[w]));
+          for (std::size_t b = 0; b < dataset::kWordBits; ++b) {
+            const std::size_t j = w * dataset::kWordBits + b;
+            const Word bit = plane[w] >> b & 1;
+            if (j < n) {
+              EXPECT_EQ(bit, Word{parts[p][j]}) << p << " sample " << j;
+            } else {
+              EXPECT_EQ(bit, Word{0}) << p << " tail bit " << j;
+            }
+          }
+        }
+        EXPECT_EQ(set, batch.cases(p));
+      }
+    }
+  }
+}
+
 TEST(PhenotypeBatch, RejectsBadInput) {
   EXPECT_THROW(PhenotypeBatch::build(4, {}), std::invalid_argument);
   EXPECT_THROW(PhenotypeBatch::build(4, {std::vector<Phenotype>(3, 0)}),
@@ -161,8 +205,8 @@ TEST(BatchKernels, EveryIsaMatchesScalar) {
   constexpr std::size_t kLStride = 32;    // label lane stride
   constexpr std::size_t kWords = 27;      // odd word count: no vector shape
   // Prefix shapes: nine planes at a padded cache stride (a k = 3 final
-  // rung), and two planes at the unpadded word stride (the k = 2 prefix, a
-  // SNP's two stored planes with x1 right after x0).
+  // rung), and two planes at an unpadded odd stride (any count and stride
+  // the kernel signature admits).
   struct PrefixShape {
     std::size_t count;
     std::size_t stride;
@@ -293,6 +337,102 @@ TEST(BatchedScan, MatchesSequentialOnRandomRankSplits) {
   split_case(std::integral_constant<unsigned, 2>{});
   split_case(std::integral_constant<unsigned, 3>{});
   split_case(std::integral_constant<unsigned, 4>{});
+}
+
+/// The order-2 path (word-vector kernels over partition-major label planes)
+/// against P dedicated sequential scans, every pair's score compared: P in
+/// {1, 2, 3, 4, 5, 16, 17, 20, 33} covers every finalize group remainder
+/// (groups of 1 or 4 label planes) and the edges of the 8- and 16-lane
+/// label groups the lane kernels used; sample counts sit around the word
+/// and the 16-word plane granule.  On every compiled ISA: a whole scan at
+/// the auto tiling and at a 3-SNP, 16-word tiling (several blocks, and
+/// chunks that split the planes), random rank splits, and a serve-style
+/// split into 64 ranged runs merged per partition.
+TEST(BatchedScan, PairPathMatchesSequentialOverPartitionsSamplesIsasAndSplits) {
+  const std::size_t kParts[] = {1, 2, 3, 4, 5, 16, 17, 20, 33};
+  std::uint64_t seed = 700;
+  for (const std::size_t n : {std::size_t{31}, std::size_t{32},
+                              std::size_t{33}, std::size_t{100},
+                              std::size_t{1057}}) {
+    SCOPED_TRACE(::testing::Message() << "samples " << n);
+    const GenotypeMatrix d = random_dataset({13, n, seed++}, 0.4);
+    const BasicDetector<2> det(d);
+    const std::uint64_t total = combinatorics::n_choose_k(d.num_snps(), 2);
+    BasicDetectorOptions<2> opt;
+    opt.top_k = total + 16;  // every pair's score is compared
+    opt.threads = 1;
+    const auto all_parts = make_partitions(d, 33, seed++);
+    std::vector<std::vector<core::ScoredOf<2>>> sequential;
+    for (const auto& labels : all_parts) {
+      sequential.push_back(sequential_best<2>(d, labels, opt));
+    }
+    Xoshiro256 rng(seed++);
+    for (const std::size_t nparts : kParts) {
+      SCOPED_TRACE(::testing::Message() << "P " << nparts);
+      const std::vector<std::vector<Phenotype>> parts(
+          all_parts.begin(),
+          all_parts.begin() + static_cast<std::ptrdiff_t>(nparts));
+      const PhenotypeBatch batch = PhenotypeBatch::build(n, parts);
+      for (const KernelIsa isa : compiled_isas()) {
+        SCOPED_TRACE(core::kernel_isa_name(isa));
+        BasicDetectorOptions<2> o = opt;
+        o.isa = isa;
+        o.isa_auto = false;
+        const auto expect_all = [&](const auto& best, const char* what) {
+          ASSERT_EQ(best.size(), nparts) << what;
+          for (std::size_t p = 0; p < nparts; ++p) {
+            SCOPED_TRACE(p);
+            expect_same_ranking<2>(best[p], sequential[p], what);
+          }
+        };
+        expect_all(det.run_batched(batch, o).best, "whole, auto tiling");
+        {
+          BasicDetectorOptions<2> small = o;
+          small.tiling = core::TilingParams{3, 16};
+          small.threads = 2;
+          expect_all(det.run_batched(batch, small).best, "whole, 3x16 tiles");
+        }
+        // Random rank splits: the pieces of a random three-way cut.
+        {
+          std::uint64_t a = rng.bounded(total);
+          std::uint64_t b = rng.bounded(total);
+          if (a > b) std::swap(a, b);
+          std::vector<core::BasicTopK<core::ScoredOf<2>>> merged(
+              nparts, core::BasicTopK<core::ScoredOf<2>>(opt.top_k));
+          for (const combinatorics::RankRange r :
+               {combinatorics::RankRange{0, a}, combinatorics::RankRange{a, b},
+                combinatorics::RankRange{b, total}}) {
+            if (r.empty()) continue;  // an empty range means "all"
+            o.range = r;
+            const auto piece = det.run_batched(batch, o);
+            for (std::size_t p = 0; p < nparts; ++p) {
+              for (const auto& e : piece.best[p]) merged[p].push(e);
+            }
+          }
+          std::vector<std::vector<core::ScoredOf<2>>> best;
+          for (auto& m : merged) best.push_back(m.sorted());
+          expect_all(best, "random split");
+        }
+        // Serve-style: 64 ranged runs, one per chunk of the rank space.
+        {
+          std::vector<core::BasicTopK<core::ScoredOf<2>>> merged(
+              nparts, core::BasicTopK<core::ScoredOf<2>>(opt.top_k));
+          for (std::uint64_t i = 0; i < 64; ++i) {
+            o.range = {total * i / 64, total * (i + 1) / 64};
+            if (o.range.empty()) continue;
+            const auto chunk = det.run_batched(batch, o);
+            for (std::size_t p = 0; p < nparts; ++p) {
+              for (const auto& e : chunk.best[p]) merged[p].push(e);
+            }
+          }
+          std::vector<std::vector<core::ScoredOf<2>>> best;
+          for (auto& m : merged) best.push_back(m.sorted());
+          expect_all(best, "64-chunk split");
+        }
+        o.range = {};
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -495,13 +635,29 @@ TEST(BatchTiling, BudgetsTablesAndLabelPlanes) {
       EXPECT_LE(t.bs, 64u);
       EXPECT_LE(t.bs, prev_bs);
       prev_bs = t.bs;
-      // Chunks are granule-aligned and floored at sixteen granules: label
-      // rows stream from L2 at real P, so tiny chunks only multiply the
-      // per-chunk ladder, label-pops and writeback overheads.
+      // Chunks are granule-aligned and floored at sixteen granules: tiny
+      // chunks only multiply the per-chunk fixed costs (ladder builds,
+      // label-pops passes, writebacks, finalize reductions).
       EXPECT_EQ(t.bp_words % dataset::kWordsPerVector, 0u);
-      EXPECT_GE(t.bp_words, 16 * dataset::kWordsPerVector);
+      const std::size_t floor = 16 * dataset::kWordsPerVector;
+      EXPECT_GE(t.bp_words, floor);
+      if (order == 2) {
+        // Above the floor the order-2 chunk is the longest whose working
+        // set fits the L2-scale budget: P label planes, the four x_a ∩ z_b
+        // planes and x's and z's two planes each per chunk word, plus the
+        // B_S per-z accumulators (4 + 6P cells).
+        const auto working = [&](std::size_t bp) {
+          return bp * 4 * (slots + 8) + t.bs * (4 + 6 * slots) * 4;
+        };
+        EXPECT_TRUE(working(t.bp_words) <= 512 * 1024 || t.bp_words == floor);
+        EXPECT_GT(working(t.bp_words + dataset::kWordsPerVector), 512u * 1024);
+      }
     }
   }
+  // At P = 64 and 16384 samples one order-2 chunk covers the whole plane:
+  // the 128 kB of label planes stay L2-resident for every pair.
+  const auto wide = core::autotune_tiling(l1, 16, 2, true, 64, 64);
+  EXPECT_GE(wide.bp_words, dataset::padded_words_for(16384));
 }
 
 }  // namespace

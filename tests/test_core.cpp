@@ -1158,7 +1158,8 @@ TEST(Tiling, GoldenPicksAtEveryOrderEngineAndBatchWidth) {
   // (V5) engines, unbatched and 8/64-slot batches, at the two reference
   // L1 geometries and both vector widths.  The k >= 4 cached unbatched
   // rows follow the ladder rule (B_S = 3); every other row is the paper's
-  // L1 budget or the batched budget.
+  // L1 budget or the batched budget, whose k = 2 chunk is sized from the
+  // L2-scale budget alone (the same at either L1 geometry).
   const L1Config kL1Ice{48 * 1024, 12, 7, 4};
   const L1Config kL1Avx{32 * 1024, 8, 7, 1};
   struct Pick {
@@ -1172,8 +1173,8 @@ TEST(Tiling, GoldenPicksAtEveryOrderEngineAndBatchWidth) {
     Pick by_slots[3];  // batch slots 0, 8, 64
   };
   const Row rows[] = {
-      {kL1Ice, 8, 2, false, {{19, 104}, {64, 256}, {64, 256}}},
-      {kL1Ice, 8, 2, true, {{19, 104}, {64, 256}, {64, 256}}},
+      {kL1Ice, 8, 2, false, {{19, 104}, {64, 7984}, {64, 1472}}},
+      {kL1Ice, 8, 2, true, {{19, 104}, {64, 7984}, {64, 1472}}},
       {kL1Ice, 8, 3, false, {{5, 408}, {64, 256}, {64, 256}}},
       {kL1Ice, 8, 3, true, {{5, 288}, {64, 256}, {64, 256}}},
       {kL1Ice, 8, 4, false, {{2, 1024}, {64, 256}, {24, 256}}},
@@ -1182,8 +1183,8 @@ TEST(Tiling, GoldenPicksAtEveryOrderEngineAndBatchWidth) {
       {kL1Ice, 8, 5, true, {{3, 672}, {59, 256}, {8, 256}}},
       {kL1Ice, 8, 6, false, {{1, 2048}, {19, 256}, {4, 256}}},
       {kL1Ice, 8, 6, true, {{3, 672}, {19, 256}, {4, 256}}},
-      {kL1Ice, 16, 2, false, {{19, 96}, {64, 256}, {64, 256}}},
-      {kL1Ice, 16, 2, true, {{19, 96}, {64, 256}, {64, 256}}},
+      {kL1Ice, 16, 2, false, {{19, 96}, {64, 7984}, {64, 1472}}},
+      {kL1Ice, 16, 2, true, {{19, 96}, {64, 7984}, {64, 1472}}},
       {kL1Ice, 16, 3, false, {{5, 400}, {64, 256}, {64, 256}}},
       {kL1Ice, 16, 3, true, {{5, 288}, {64, 256}, {64, 256}}},
       {kL1Ice, 16, 4, false, {{2, 1024}, {64, 256}, {24, 256}}},
@@ -1192,8 +1193,8 @@ TEST(Tiling, GoldenPicksAtEveryOrderEngineAndBatchWidth) {
       {kL1Ice, 16, 5, true, {{3, 672}, {59, 256}, {8, 256}}},
       {kL1Ice, 16, 6, false, {{1, 2048}, {19, 256}, {4, 256}}},
       {kL1Ice, 16, 6, true, {{3, 672}, {19, 256}, {4, 256}}},
-      {kL1Avx, 8, 2, false, {{19, 24}, {64, 256}, {64, 256}}},
-      {kL1Avx, 8, 2, true, {{19, 24}, {64, 256}, {64, 256}}},
+      {kL1Avx, 8, 2, false, {{19, 24}, {64, 7984}, {64, 1472}}},
+      {kL1Avx, 8, 2, true, {{19, 24}, {64, 7984}, {64, 1472}}},
       {kL1Avx, 8, 3, false, {{5, 96}, {64, 256}, {64, 256}}},
       {kL1Avx, 8, 3, true, {{5, 64}, {64, 256}, {64, 256}}},
       {kL1Avx, 8, 4, false, {{2, 256}, {64, 256}, {24, 256}}},
@@ -1202,8 +1203,8 @@ TEST(Tiling, GoldenPicksAtEveryOrderEngineAndBatchWidth) {
       {kL1Avx, 8, 5, true, {{3, 160}, {59, 256}, {8, 256}}},
       {kL1Avx, 8, 6, false, {{1, 512}, {19, 256}, {4, 256}}},
       {kL1Avx, 8, 6, true, {{3, 160}, {19, 256}, {4, 256}}},
-      {kL1Avx, 16, 2, false, {{19, 16}, {64, 256}, {64, 256}}},
-      {kL1Avx, 16, 2, true, {{19, 16}, {64, 256}, {64, 256}}},
+      {kL1Avx, 16, 2, false, {{19, 16}, {64, 7984}, {64, 1472}}},
+      {kL1Avx, 16, 2, true, {{19, 16}, {64, 7984}, {64, 1472}}},
       {kL1Avx, 16, 3, false, {{5, 96}, {64, 256}, {64, 256}}},
       {kL1Avx, 16, 3, true, {{5, 64}, {64, 256}, {64, 256}}},
       {kL1Avx, 16, 4, false, {{2, 256}, {64, 256}, {24, 256}}},
