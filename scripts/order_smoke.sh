@@ -5,9 +5,10 @@
 # worker killed partway and resumed from its checkpoint) -> `merge` ->
 # diff against the unsharded scan.  The CSV sections (everything but the
 # '#' comment lines, which carry timings) must be byte-identical.  Also
-# checks that `merge` refuses to mix interaction orders, and that at each
+# checks that `merge` refuses to mix interaction orders, that at each
 # order a scan without --version runs the default rung `scan --help` names
-# and prints the same CSV as --version 3 and --version 4.
+# and prints the same CSV as --version 3 and --version 4, and that
+# `--split block` cuts at orders 2 and 4 fall on the scan's own grid.
 #
 # usage: scripts/order_smoke.sh path/to/trigen
 set -euo pipefail
@@ -127,6 +128,36 @@ for k in 2 3 4; do
       || { echo "order $k: $f and V4 print different CSV" >&2; exit 1; }
   done
   echo "order $k: default rung $default:$(rung "implicit$k.txt"), V3 and V4 print the same CSV"
+done
+
+# `--split block` cuts a plan at the block layers of the grid the scan
+# tiles with.  At orders 2 and 4 that grid differs from order 3's, so
+# every interior boundary of a 3-shard plan must be C(b * B_S, k) for the
+# B_S that the shard's own run reports in its header.
+choose() {
+  awk -v n="$1" -v k="$2" 'BEGIN { c = k > n ? 0 : 1
+    for (i = 1; i <= k && c > 0; i++) c = c * (n - k + i) / i
+    printf "%d\n", c }'
+}
+for k in 2 4; do
+  for i in 0 1; do
+    "$TRIGEN" scan d.tg --order "$k" --top 3 --threads 2 --shards 3 \
+      --shard "$i" --split block > "block${k}_$i.txt"
+    bs=$(head -1 "block${k}_$i.txt" | sed -n 's/.*, B_S \([0-9]*\),.*/\1/p')
+    end=$(sed -n 's/^# partition: ranks \[[0-9]*, \([0-9]*\)).*/\1/p' \
+      "block${k}_$i.txt")
+    [ -n "$bs" ] && [ -n "$end" ] \
+      || { echo "order $k: shard $i header lacks B_S or its partition" >&2
+           exit 1; }
+    on_cut=no
+    for ((z = 0; z < 48; z += bs)); do
+      [ "$(choose "$z" "$k")" = "$end" ] && on_cut=yes
+    done
+    [ "$on_cut" = yes ] \
+      || { echo "order $k: --split block boundary $end is not a B_S = $bs layer cut" >&2
+           exit 1; }
+  done
+  echo "order $k: --split block cuts on the B_S $bs grid the scan runs"
 done
 
 echo "order smoke: orders 2, 3 and 4 shard, resume and merge exactly"

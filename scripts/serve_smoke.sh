@@ -3,8 +3,10 @@
 # CLI binary, pipe mode:
 #
 #   1. one session runs an order-3 scan, a batched order-2 significance
-#      test and an order-2 scan CONCURRENTLY; each job's `data` payload
-#      must be byte-identical to the standalone scan/significance run;
+#      test, an order-2 scan, a ranged order-3 scan (V5) and an order-3
+#      scan under V3 CONCURRENTLY, each cut into chunks on its own block
+#      grid; each job's `data` payload must be byte-identical to the
+#      standalone scan/significance run;
 #   2. a malformed-request battery gets one `error` line each and must not
 #      disturb the jobs running alongside it;
 #   3. `shutdown` mid-job exits 3 and leaves a resumable checkpoint that
@@ -40,6 +42,8 @@ printf '%s\n' \
   'significance j6 permutations=-2' \
   'cancel ghost' \
   'scan j3 order=2 top=8' \
+  'scan j7 order=3 top=8 range=1000:9000' \
+  'scan j8 order=3 top=8 version=3' \
   | "$TRIGEN" serve d.tg --threads 4 > session.out || rc=$?
 rc=${rc:-0}
 if [ "$rc" -ne 0 ]; then
@@ -53,7 +57,7 @@ if [ "$errors" -ne 6 ]; then
   grep '^error ' session.out >&2
   exit 1
 fi
-for id in j1 j2 j3; do
+for id in j1 j2 j3 j7 j8; do
   grep -q "^done $id " session.out \
     || { echo "job $id did not complete" >&2; exit 1; }
 done
@@ -61,10 +65,14 @@ done
 sed -n 's/^data j1 //p' session.out > j1.csv
 sed -n 's/^data j2 //p' session.out > j2.txt
 sed -n 's/^data j3 //p' session.out > j3.csv
+sed -n 's/^data j7 //p' session.out > j7.csv
+sed -n 's/^data j8 //p' session.out > j8.csv
 
 "$TRIGEN" scan d.tg --top 8 | grep -v '^#' > ref1.csv
 "$TRIGEN" significance d.tg --order 2 --permutations 9 --seed 5 > ref2.txt
 "$TRIGEN" scan2 d.tg --top 8 | grep -v '^#' > ref3.csv
+"$TRIGEN" scan d.tg --top 8 --range 1000:9000 | grep -v '^#' > ref7.csv
+"$TRIGEN" scan d.tg --top 8 --version 3 | grep -v '^#' > ref8.csv
 
 diff j1.csv ref1.csv \
   || { echo "serve order-3 scan differs from standalone scan" >&2; exit 1; }
@@ -72,6 +80,10 @@ diff j2.txt ref2.txt \
   || { echo "serve significance differs from standalone run" >&2; exit 1; }
 diff j3.csv ref3.csv \
   || { echo "serve order-2 scan differs from standalone scan2" >&2; exit 1; }
+diff j7.csv ref7.csv \
+  || { echo "serve ranged V5 order-3 scan differs from scan --range" >&2; exit 1; }
+diff j8.csv ref8.csv \
+  || { echo "serve V3 order-3 scan differs from scan --version 3" >&2; exit 1; }
 
 # --- 3: shutdown mid-job checkpoints and resumes exactly ----------------
 "$TRIGEN" generate slow.tg --snps 200 --samples 512 --seed 31 \

@@ -95,6 +95,25 @@ struct BlockGrid {
   std::uint64_t num_blocks() const { return bs == 0 ? 0 : (m + bs - 1) / bs; }
 };
 
+/// The first block-layer cut at or after `rank` in the order-`order` rank
+/// space of grid `g` (g.bs >= 1): the smallest C(b * g.bs, order) >= rank,
+/// or the end of the space, C(g.m, order), when no layer boundary comes
+/// first (also for any `rank` past the end).  The ranks below a cut are
+/// exactly the combinations whose top index lies below b * g.bs, so a rank
+/// range between two cuts holds whole top-axis blocks of the tiled engines
+/// and splits no prefix's last-axis window.  A cut is its own fixed point.
+inline std::uint64_t next_block_layer_cut(const BlockGrid& g, unsigned order,
+                                          std::uint64_t rank) {
+  const std::uint64_t total = n_choose_k(g.m, order);
+  if (rank == 0 || rank >= total) return std::min(rank, total);
+  // z = top index of the combination of rank `rank`: C(z, order) <= rank.
+  const std::uint64_t z = detail::max_n_with_binom_le(rank, order);
+  const std::uint64_t layer = z / g.bs * g.bs;
+  if (layer == z && n_choose_k(z, order) == rank) return rank;
+  const std::uint64_t next = layer + g.bs;
+  return next >= g.m ? total : n_choose_k(next, order);
+}
+
 /// Colex-minimum `lo` and colex-maximum `hi` combinations of block tuple
 /// `bt` on grid `g`; false (outputs unspecified) when the block tuple
 /// contains no valid combination (degenerate diagonal blocks for small bs,

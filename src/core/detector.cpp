@@ -170,6 +170,29 @@ unsigned resolve_threads(unsigned requested) {
 
 }  // namespace
 
+KernelIsa scan_isa(const ScanOptionsBase& options, bool batched) {
+  const CpuVersion v = options.version;
+  if (batched || v == CpuVersion::kV4Vector || v == CpuVersion::kV5PairCache) {
+    return options.isa_auto ? best_kernel_isa() : options.isa;
+  }
+  if (v == CpuVersion::kV2Split && !options.isa_auto) return options.isa;
+  return KernelIsa::kScalar;
+}
+
+TilingParams scan_tiling(const ScanOptionsBase& options, unsigned order,
+                         std::size_t batch_slots, std::size_t label_stride) {
+  const bool batched = batch_slots != 0;
+  if (!batched && (options.version == CpuVersion::kV1Naive ||
+                   options.version == CpuVersion::kV2Split)) {
+    return TilingParams{0, 0};
+  }
+  if (options.tiling.valid()) return options.tiling;
+  return autotune_tiling(
+      detect_l1_config(), kernel_vector_words(scan_isa(options, batched)),
+      order, batched || options.version == CpuVersion::kV5PairCache,
+      batch_slots, label_stride);
+}
+
 template <unsigned K>
 scoring::BasicContingencyTable<K> BasicDetector<K>::contingency(
     const Combination<K>& snps, KernelIsa isa) const {
@@ -188,18 +211,7 @@ BasicDetectionResult<K> BasicDetector<K>::run(
   BasicDetectionResult<K> result;
   result.threads_used = resolve_threads(options.threads);
   const bool cached = options.version == CpuVersion::kV5PairCache;
-  const bool vector_version =
-      options.version == CpuVersion::kV4Vector || cached;
-  // V1 and V3 are scalar by definition; V4/V5 default to the widest
-  // available strategy.  V2 honors an explicitly requested ISA (the
-  // heterogeneous coordinator pairs the per-combination path with a vector
-  // kernel).
-  result.isa_used = KernelIsa::kScalar;
-  if (vector_version) {
-    result.isa_used = options.isa_auto ? best_kernel_isa() : options.isa;
-  } else if (options.version == CpuVersion::kV2Split && !options.isa_auto) {
-    result.isa_used = options.isa;
-  }
+  result.isa_used = scan_isa(options, false);
   if (!kernel_available(result.isa_used)) {
     throw std::runtime_error("requested kernel ISA not available: " +
                              kernel_isa_name(result.isa_used));
@@ -238,9 +250,10 @@ BasicDetectionResult<K> BasicDetector<K>::run(
 
   Stopwatch sw;
   BasicTopK<Scored> merged(options.top_k);
-  const bool blocked =
-      options.version == CpuVersion::kV3Blocked || vector_version;
-  if (!blocked) {
+  // V1/V2 have no tiles; V3/V4/V5 run the tiling model's.
+  const TilingParams tiling = scan_tiling(options, K);
+  result.tiling_used = tiling;
+  if (!tiling.valid()) {
     // V1/V2: work unit = one combination rank inside `range`.
     const bool naive = options.version == CpuVersion::kV1Naive;
     const dataset::BitPlanesV1* const v1 =
@@ -259,19 +272,10 @@ BasicDetectionResult<K> BasicDetector<K>::run(
               });
           return r.size();
         });
-    result.tiling_used = TilingParams{0, 0};
   } else {
     // V3/V4/V5: work unit = one block tuple of the partition covering
     // `range`; a partial range is clipped by the exact per-prefix
-    // last-axis window, so only in-range combinations are computed.  The
-    // analytic tiling model sizes V5's ladder apart from the direct engine.
-    TilingParams tiling = options.tiling;
-    if (!tiling.valid()) {
-      tiling = autotune_tiling(detect_l1_config(),
-                               kernel_vector_words(result.isa_used), K,
-                               cached);
-    }
-    result.tiling_used = tiling;
+    // last-axis window, so only in-range combinations are computed.
     const combinatorics::BlockGrid grid{m, tiling.bs};
     const combinatorics::BlockPartition part =
         combinatorics::partition_block_tuples<K>(grid, range);
@@ -355,7 +359,7 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
   BasicBatchDetectionResult<K> result;
   result.threads_used = resolve_threads(options.threads);
   const std::size_t slots = batch.size();
-  result.isa_used = options.isa_auto ? best_kernel_isa() : options.isa;
+  result.isa_used = scan_isa(options, true);
   if (!kernel_available(result.isa_used)) {
     throw std::runtime_error("requested kernel ISA not available: " +
                              kernel_isa_name(result.isa_used));
@@ -388,12 +392,7 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
   // Always the batched blocked engine (the whole point is amortizing the
   // prefix planes), with the batch-aware budget: the per-tuple tables grow
   // to 1 + P slots and the label planes join each chunk's working set.
-  TilingParams tiling = options.tiling;
-  if (!tiling.valid()) {
-    tiling = autotune_tiling(detect_l1_config(),
-                             kernel_vector_words(result.isa_used), K, true,
-                             slots, batch.stride());
-  }
+  const TilingParams tiling = scan_tiling(options, K, slots, batch.stride());
   result.tiling_used = tiling;
 
   const dataset::PhenoSplitPlanes& combined = impl_->combined();

@@ -132,6 +132,27 @@ struct ScanOptionsBase {
   ProgressFn progress{};
 };
 
+/// The kernel strategy a scan with `options` runs: run_batched (`batched`)
+/// and V4/V5 take `options.isa`, or the widest available one when
+/// `isa_auto`; V2 honors an explicit ISA (the heterogeneous coordinator
+/// pairs the per-combination path with a vector kernel); V1 and V3 are
+/// scalar by definition.
+KernelIsa scan_isa(const ScanOptionsBase& options, bool batched);
+
+/// The tiles an order-`order` scan with `options` runs: run() when
+/// `batch_slots` is 0, run_batched() over a batch of `batch_slots`
+/// partitions and `label_stride` lanes otherwise.  `options.tiling` when
+/// valid, else the analytic model (autotune_tiling) for the host's L1D, the
+/// engine the version picks (the V5 ladder, or the batched engine whatever
+/// the version) and scan_isa's vector width.  {0, 0} for the
+/// per-combination versions V1/V2, which have no tiles.  run() and
+/// run_batched() report exactly this as `tiling_used`, so callers that cut
+/// rank ranges at block-layer boundaries (shard plans, served chunks) size
+/// B_S with it.
+TilingParams scan_tiling(const ScanOptionsBase& options, unsigned order,
+                         std::size_t batch_slots = 0,
+                         std::size_t label_stride = 0);
+
 /// Detection parameters for the order-K scan.
 template <unsigned K>
 struct BasicDetectorOptions : ScanOptionsBase {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "trigen/combinatorics/block_partition.hpp"
 #include "trigen/common/durable.hpp"
 #include "trigen/common/rng.hpp"
 #include "trigen/core/detector.hpp"
@@ -94,6 +95,27 @@ std::uint64_t rank_space(std::uint64_t num_snps, unsigned order) {
 
 // -- Jobs -------------------------------------------------------------------
 
+/// A chunk grows to the next block-layer cut, but to no more than this
+/// many targets: on a one-thread pool a chunk holds up every other live
+/// job, and the batched k = 2 grid (B_S = 64) cuts 200 SNPs into four
+/// layers, the largest half the job.  On a 4-vCPU AVX-512 Xeon VM,
+/// serve_mix (10 s runs, seed 1) read job_p90_s 0.060 s uncapped against
+/// 0.047-0.048 s with equal chunks and 0.048-0.049 s at 16 targets, whose
+/// jobs_per_s (102-105) kept most of the uncapped gain (104-110, from 85).
+constexpr std::uint64_t kMaxChunkTargets = 16;
+
+/// How a job's rank range is cut into chunks: `ranks` ranks each (the last
+/// chunk may be shorter), each extended to the next block-layer cut of the
+/// order-`order` space on `grid` when `grid.bs` is nonzero, up to
+/// kMaxChunkTargets * `ranks`.  That grid is the one the job's runs tile
+/// with, so a chunk splits a prefix's last-axis window only at the job's
+/// first rank or where a layer outgrows the cap.
+struct Chunking {
+  std::uint64_t ranks = 1;
+  combinatorics::BlockGrid grid{0, 0};  ///< bs == 0: exact equal chunks
+  unsigned order = 0;
+};
+
 /// One queued/running job.  Scheduling state (chunk cursor, in-flight
 /// count, cancellation request) is guarded by the *server* mutex; result
 /// state (pending chunk results, committed prefix, emitted events) by the
@@ -102,19 +124,32 @@ std::uint64_t rank_space(std::uint64_t num_snps, unsigned order) {
 /// computing.
 class JobBase {
  public:
-  JobBase(std::string id, combinatorics::RankRange range, std::uint64_t chunk)
+  JobBase(std::string id, combinatorics::RankRange range, Chunking chunking)
       : id(std::move(id)),
         range(range),
-        chunk(chunk),
+        chunking(chunking),
         next_issue(range.first) {}
   virtual ~JobBase() = default;
 
   // --- scheduling; caller holds the server mutex ---
   bool has_claimable() const { return !cancelled && next_issue < range.last; }
+  /// The next chunk: `chunking.ranks` ranks, extended to the next
+  /// block-layer cut (within kMaxChunkTargets targets) when the job has a
+  /// grid.
   combinatorics::RankRange claim() {
     const std::uint64_t first = next_issue;
-    next_issue = std::min(first + chunk, range.last);
-    return {first, next_issue};
+    std::uint64_t last =
+        first + std::min(chunking.ranks, range.last - first);
+    if (chunking.grid.bs != 0 && last < range.last) {
+      const std::uint64_t cap =
+          first + std::min(kMaxChunkTargets * chunking.ranks,
+                           range.last - first);
+      last = std::min(combinatorics::next_block_layer_cut(
+                          chunking.grid, chunking.order, last),
+                      cap);
+    }
+    next_issue = last;
+    return {first, last};
   }
 
   /// Runs one claimed chunk on a worker thread and commits its result.
@@ -135,7 +170,7 @@ class JobBase {
 
   const std::string id;
   const combinatorics::RankRange range;
-  const std::uint64_t chunk;
+  const Chunking chunking;
   std::uint64_t next_issue;      ///< server-mutex guarded chunk cursor
   std::uint64_t inflight = 0;    ///< server-mutex guarded
   bool cancelled = false;        ///< server-mutex guarded (claim barrier)
@@ -151,8 +186,8 @@ template <typename ChunkValue, typename Derived>
 class OrderedCommitJob : public JobBase {
  public:
   OrderedCommitJob(std::string id, EventSink sink,
-                   combinatorics::RankRange range, std::uint64_t chunk)
-      : JobBase(std::move(id), range, chunk),
+                   combinatorics::RankRange range, Chunking chunking)
+      : JobBase(std::move(id), range, chunking),
         sink_(std::move(sink)),
         watermark_(range.first) {}
 
@@ -233,8 +268,8 @@ class ScanJob final
   ScanJob(std::string id, EventSink sink,
           std::shared_ptr<const core::BasicDetector<K>> det,
           core::BasicDetectorOptions<K> dopt, combinatorics::RankRange range,
-          std::uint64_t chunk, std::uint64_t fingerprint)
-      : Base(std::move(id), std::move(sink), range, chunk),
+          Chunking chunking, std::uint64_t fingerprint)
+      : Base(std::move(id), std::move(sink), range, chunking),
         det_(std::move(det)),
         dopt_(std::move(dopt)),
         fingerprint_(fingerprint),
@@ -312,8 +347,8 @@ class SignificanceJob final
                   std::shared_ptr<const core::BasicDetector<K>> det,
                   core::BasicDetectorOptions<K> dopt,
                   dataset::PhenotypeBatch batch, unsigned permutations,
-                  combinatorics::RankRange range, std::uint64_t chunk)
-      : Base(std::move(id), std::move(sink), range, chunk),
+                  combinatorics::RankRange range, Chunking chunking)
+      : Base(std::move(id), std::move(sink), range, chunking),
         det_(std::move(det)),
         dopt_(std::move(dopt)),
         batch_(std::move(batch)),
@@ -403,19 +438,28 @@ struct ScanServer::Impl {
     return std::static_pointer_cast<const core::BasicDetector<K>>(slot);
   }
 
-  std::uint64_t chunk_for(std::uint64_t ranks) const {
-    if (opt.chunk != 0) return opt.chunk;
+  /// Chunks of a job over `ranks` ranks of the order-`order` space, cut at
+  /// the block layers of a `bs`-SNP grid (0: exact equal chunks).
+  Chunking chunk_for(std::uint64_t ranks, unsigned order,
+                     std::uint64_t bs) const {
+    if (opt.chunk != 0) return {opt.chunk, {0, 0}, order};
     // Enough chunks that the pool interleaves concurrent jobs and a
     // shutdown only waits for small in-flight pieces, few enough that the
     // per-chunk detector-call overhead stays small.  Each chunk is one
     // ranged run(), and the blocked engines compute only the chunk's own
-    // combinations, so what a chunk adds is the fixed cost of a run: on a
-    // 4-vCPU AVX-512 Xeon VM, one thread, 200 SNPs x 4096 samples, 64
-    // chunks took 1.15x one whole run both for a full k = 2 scan (about
-    // 9 us per chunk) and for a k = 3 scan over a 32nd of the space (about
-    // 45 us per chunk).
-    return std::max<std::uint64_t>(
-        1, ranks / std::max<std::uint64_t>(64, 4ull * pool_size));
+    // combinations, so what a chunk adds is the fixed cost of a run plus
+    // the per-prefix work a block tuple shares among its last-axis SNPs:
+    // a chunk that ends inside a top-axis block leaves the prefixes there
+    // with short windows, and the next chunk rebuilds their rungs for the
+    // rest.  So the chunks of a blocked run end at the next block-layer
+    // cut of its own grid (see kMaxChunkTargets for the cap).  On a 4-vCPU AVX-512 Xeon VM, one thread,
+    // 200 SNPs x 4096 samples, against one whole run: a k = 3 V5 scan over
+    // a 32nd of the space took 1.5-1.8x in 64 equal chunks and 0.94-1.05x
+    // in cut chunks, and a full k = 2 scan 1.4-1.5x and 1.03-1.22x.
+    return {std::max<std::uint64_t>(
+                1, ranks / std::max<std::uint64_t>(64, 4ull * pool_size)),
+            {d.num_snps(), bs},
+            order};
   }
 
   bool any_claimable() const {
@@ -489,6 +533,8 @@ struct ScanServer::Impl {
       dopt.version = version;
       dopt.threads = 1;  // parallelism comes from the shared pool
       core::ensure_default_scorer(dopt, d.num_samples());
+      // Pinned: the chunks end on this tiling's block layers.
+      dopt.tiling = core::scan_tiling(dopt, K);
       const std::uint64_t total = rank_space(d.num_snps(), K);
       combinatorics::RankRange range{0, total};
       if (const auto it = req.params.find("range"); it != req.params.end()) {
@@ -501,9 +547,10 @@ struct ScanServer::Impl {
       }
       if (total == 0) reject("dataset has no order-" + std::to_string(K) +
                              " combinations");
-      auto job = std::make_shared<ScanJob<K>>(
-          req.id, sink, detector<K>(), std::move(dopt), range,
-          chunk_for(range.size()), fingerprint);
+      const Chunking chunking = chunk_for(range.size(), K, dopt.tiling.bs);
+      auto job = std::make_shared<ScanJob<K>>(req.id, sink, detector<K>(),
+                                              std::move(dopt), range,
+                                              chunking, fingerprint);
       add_job(std::move(job), sink,
               "accepted scan order=" + std::to_string(K) +
                   " ranks=" + std::to_string(range.size()) + " version=" +
@@ -541,10 +588,11 @@ struct ScanServer::Impl {
         parts.push_back(stats::shuffled_labels(d, seeds.next()));
       }
       auto batch = dataset::PhenotypeBatch::build(d.num_samples(), parts);
+      dopt.tiling = core::scan_tiling(dopt, K, batch.size(), batch.stride());
+      const Chunking chunking = chunk_for(total, K, dopt.tiling.bs);
       auto job = std::make_shared<SignificanceJob<K>>(
           req.id, sink, detector<K>(), std::move(dopt), std::move(batch),
-          permutations, combinatorics::RankRange{0, total},
-          chunk_for(total));
+          permutations, combinatorics::RankRange{0, total}, chunking);
       add_job(std::move(job), sink,
               "accepted significance order=" + std::to_string(K) +
                   " permutations=" + std::to_string(permutations) +

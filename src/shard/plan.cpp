@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "trigen/combinatorics/combinations.hpp"
+#include "trigen/combinatorics/block_partition.hpp"
 #include "trigen/common/durable.hpp"
 
 namespace trigen::shard {
@@ -45,7 +45,7 @@ std::vector<combinatorics::RankRange> plan_shards(std::uint64_t num_snps,
 
   // Boundary ranks between shards: boundaries[i] ends shard i.  Even split
   // first; kBlockAligned then snaps each interior boundary to a block-layer
-  // cut C(b*bs, 3), keeping the sequence strictly increasing.
+  // cut C(b*bs, order), keeping the sequence strictly increasing.
   std::vector<std::uint64_t> bounds(workers);
   for (unsigned i = 0; i < workers; ++i) {
     bounds[i] = total * (i + 1) / workers;
@@ -55,10 +55,13 @@ std::vector<combinatorics::RankRange> plan_shards(std::uint64_t num_snps,
       throw std::invalid_argument(
           "plan_shards: block-aligned split needs block_size >= 1");
     }
+    const combinatorics::BlockGrid grid{num_snps, block_size};
     std::vector<std::uint64_t> cuts;  // strictly increasing, in (0, total)
-    for (std::uint64_t z = block_size; z < num_snps; z += block_size) {
-      const std::uint64_t c = combinatorics::n_choose_k(z, order);
-      if (c > 0 && c < total) cuts.push_back(c);
+    const auto cut_at = [&](std::uint64_t rank) {
+      return combinatorics::next_block_layer_cut(grid, order, rank);
+    };
+    for (std::uint64_t c = cut_at(1); c < total; c = cut_at(c + 1)) {
+      cuts.push_back(c);
     }
     if (cuts.size() + 1 < workers) {
       throw std::invalid_argument(

@@ -30,7 +30,9 @@ struct BasicPermutationTestOptions {
   /// Partitions scored per batched scan.  0 (the default) scores observed +
   /// every null in ONE batched pass — the genotype streaming and
   /// prefix-plane ladder are amortized across all of them, making the test
-  /// ~P× cheaper than sequential re-scans.  1 selects the legacy
+  /// ~P× cheaper than sequential re-scans; at order 2 on the scalar
+  /// strategy, where batching saves only the detector builds, it runs
+  /// the sequential path instead.  1 selects the legacy
   /// sequential path (one scan per permutation; the cross-check target and
   /// the low-memory fallback).  Values >= 2 chunk the batched pass, capping
   /// the live per-thread tables when permutations is very large.  Every

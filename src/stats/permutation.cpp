@@ -163,7 +163,15 @@ BasicPermutationTestResult<K> permutation_test_of(
   core::BasicDetectorOptions<K> dopt = options.detector;
   dopt.top_k = 1;
   core::ensure_default_scorer(dopt, d.num_samples());
-  if (options.batch == 1) {
+  // On the scalar strategy the batched order-2 pass saves only the detector
+  // builds: each partition still costs its own AND + POPCNT per word and
+  // pair, and the partition bookkeeping costs more than the builds it saves
+  // (one-core 200 x 4096, 19 permutations: 744 ms batched against 693 ms
+  // sequential).  So the default batch runs the sequential body there.
+  const bool scalar_pairs = K == 2 && options.batch == 0 &&
+                            core::scan_isa(dopt, true) ==
+                                core::KernelIsa::kScalar;
+  if (options.batch == 1 || scalar_pairs) {
     return permutation_test_sequential<K>(d, options.permutations,
                                           options.seed, std::move(dopt));
   }

@@ -310,6 +310,32 @@ TEST(BlockPartition, EmptyRangeYieldsEmptyRun) {
   EXPECT_TRUE(partition_block_tuples<3>(g, {}).block_ranks.empty());
 }
 
+TEST(BlockLayerCut, MatchesBruteForceExhaustively) {
+  for (unsigned k = 2; k <= 6; ++k) {
+    for (std::uint64_t m = k; m <= 14; ++m) {
+      const std::uint64_t total = n_choose_k(m, k);
+      for (std::uint64_t bs = 1; bs <= m + 1; ++bs) {
+        const BlockGrid g{m, bs};
+        std::set<std::uint64_t> cuts{total};
+        for (std::uint64_t z = 0; z < m; z += bs) cuts.insert(n_choose_k(z, k));
+        std::uint64_t prev = 0;
+        for (std::uint64_t r = 0; r <= total + 2; ++r) {
+          const std::uint64_t c = next_block_layer_cut(g, k, r);
+          const auto want = cuts.lower_bound(r);
+          ASSERT_EQ(c, want == cuts.end() ? total : *want)
+              << "k=" << k << " m=" << m << " bs=" << bs << " rank " << r;
+          ASSERT_TRUE(cuts.count(c)) << "not a cut: " << c;
+          if (cuts.count(r)) {
+            ASSERT_EQ(c, r) << "a cut must be a fixed point";
+          }
+          ASSERT_GE(c, prev) << "cuts must be monotone in the rank";
+          prev = c;
+        }
+      }
+    }
+  }
+}
+
 TEST(BlockTupleRank, SuccessorWalksEveryRankInOrder) {
   const auto walk = [](auto order_tag) {
     constexpr unsigned K = decltype(order_tag)::value;

@@ -12,6 +12,7 @@
 #endif
 
 #include "test_util.hpp"
+#include "trigen/combinatorics/block_partition.hpp"
 #include "trigen/core/detector.hpp"
 #include "trigen/core/scan_csv.hpp"
 #include "trigen/serve/endpoint.hpp"
@@ -424,6 +425,161 @@ TEST(ServeServer, StatusReportsLiveJobs) {
   EXPECT_TRUE(st.any_starts_with("ok - jobs=1"));
   ASSERT_TRUE(server.submit_line("cancel s1", c.sink()));
   ASSERT_TRUE(server.drain());
+}
+
+/// The rank ends of the chunks that `id`'s progress events report, as
+/// absolute ranks (`first` is the job's first rank).
+std::vector<std::uint64_t> progress_ends(const Collector& c,
+                                         const std::string& id,
+                                         std::uint64_t first) {
+  const std::string prefix = "event " + id + " progress ";
+  std::vector<std::uint64_t> ends;
+  for (const auto& l : c.lines()) {
+    if (l.compare(0, prefix.size(), prefix) != 0) continue;
+    ends.push_back(first + std::stoull(l.substr(prefix.size())));
+  }
+  return ends;
+}
+
+/// Checks the chunking of a one-thread job over `range`: the events report
+/// every chunk, in order, and the last one ends the range.  With a grid
+/// (`bs` != 0) every chunk but the last is at least the target, a 64th of
+/// the range, and ends on a block-layer cut unless it reached the server's
+/// cap of 16 targets; without one the chunks are exactly `equal` ranks
+/// each.
+void expect_chunk_ends(const std::vector<std::uint64_t>& ends, unsigned k,
+                       std::size_t m, combinatorics::RankRange range,
+                       std::uint64_t bs, std::uint64_t equal = 0) {
+  ASSERT_FALSE(ends.empty());
+  EXPECT_EQ(ends.back(), range.last);
+  std::uint64_t prev = range.first;
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    ASSERT_GT(ends[i], prev) << "chunk " << i;
+    if (i + 1 < ends.size()) {
+      if (bs != 0) {
+        const std::uint64_t target = range.size() / 64;
+        EXPECT_GE(ends[i] - prev, target) << "chunk " << i;
+        const bool on_cut =
+            combinatorics::next_block_layer_cut({m, bs}, k, ends[i]) ==
+            ends[i];
+        EXPECT_TRUE(on_cut || ends[i] - prev == 16 * target)
+            << "chunk " << i << " ends at rank " << ends[i]
+            << ", not on a B_S = " << bs << " layer cut";
+      } else {
+        EXPECT_EQ(ends[i] - prev, equal) << "chunk " << i;
+      }
+    }
+    prev = ends[i];
+  }
+}
+
+TEST(ServeChunks, AutoChunksEndOnTheRunsBlockLayers) {
+  // 70 SNPs: several B_S layers at k = 2 and 3 for the sequential engines
+  // and two at the batched engine's B_S = 64.
+  const auto d = test::planted_dataset(70, 128, 4);
+  const std::size_t m = d.num_snps();
+  serve::ServeOptions so;
+  so.threads = 1;
+  serve::ScanServer server(d, so);
+  Collector c;
+  ASSERT_TRUE(server.submit_line("scan a order=2 top=5", c.sink()));
+  ASSERT_TRUE(server.submit_line("scan b order=3 top=5 range=777:40000",
+                                 c.sink()));
+  ASSERT_TRUE(server.submit_line(
+      "scan v3 order=3 top=5 range=777:40000 version=3", c.sink()));
+  ASSERT_TRUE(server.submit_line("scan v1 order=3 top=5 version=1",
+                                 c.sink()));
+  ASSERT_TRUE(server.submit_line(
+      "significance s2 order=2 permutations=5 seed=3", c.sink()));
+  ASSERT_TRUE(server.submit_line(
+      "significance s3 order=3 permutations=3 seed=8", c.sink()));
+  ASSERT_TRUE(server.drain());
+
+  const auto scan_of = [&](auto kc, core::CpuVersion v,
+                           combinatorics::RankRange range) {
+    constexpr unsigned K = decltype(kc)::value;
+    core::BasicDetector<K> det(d);
+    core::BasicDetectorOptions<K> o;
+    o.top_k = 5;
+    o.version = v;
+    o.range = range;
+    core::ensure_default_scorer(o, d.num_samples());
+    const auto r = det.run(o);
+    return std::make_pair(core::scan_csv_lines<K>(r.best), r.tiling_used.bs);
+  };
+  const combinatorics::RankRange ranged{777, 40000};
+  const combinatorics::RankRange all2{0, combinatorics::n_choose_k(m, 2)};
+  const combinatorics::RankRange all3{0, combinatorics::n_choose_k(m, 3)};
+  const auto [a, a_bs] = scan_of(std::integral_constant<unsigned, 2>{},
+                                 core::CpuVersion::kV5PairCache, {});
+  EXPECT_EQ(c.payload("a"), a);
+  expect_chunk_ends(progress_ends(c, "a", 0), 2, m, all2, a_bs);
+  const auto [b, b_bs] = scan_of(std::integral_constant<unsigned, 3>{},
+                                 core::CpuVersion::kV5PairCache, ranged);
+  EXPECT_EQ(c.payload("b"), b);
+  expect_chunk_ends(progress_ends(c, "b", ranged.first), 3, m, ranged, b_bs);
+  const auto [v3, v3_bs] = scan_of(std::integral_constant<unsigned, 3>{},
+                                   core::CpuVersion::kV3Blocked, ranged);
+  EXPECT_EQ(c.payload("v3"), v3);
+  expect_chunk_ends(progress_ends(c, "v3", ranged.first), 3, m, ranged,
+                    v3_bs);
+  const auto [v1, v1_bs] = scan_of(std::integral_constant<unsigned, 3>{},
+                                   core::CpuVersion::kV1Naive, {});
+  EXPECT_EQ(v1_bs, 0u);
+  EXPECT_EQ(c.payload("v1"), v1);
+  expect_chunk_ends(progress_ends(c, "v1", 0), 3, m, all3, 0,
+                    all3.size() / 64);
+
+  // The batched engine's grid: B_S of a (1 + P)-partition batch.
+  const auto batch_bs = [&](unsigned order, unsigned permutations) {
+    std::vector<std::vector<dataset::Phenotype>> parts(
+        permutations + 1,
+        std::vector<dataset::Phenotype>(d.phenotypes().begin(),
+                                        d.phenotypes().end()));
+    const auto batch = dataset::PhenotypeBatch::build(d.num_samples(), parts);
+    return core::scan_tiling(core::ScanOptionsBase{}, order, batch.size(),
+                             batch.stride())
+        .bs;
+  };
+  stats::BasicPermutationTestOptions<2> p2;
+  p2.permutations = 5;
+  p2.seed = 3;
+  EXPECT_EQ(c.payload("s2"), stats::significance_report<2>(
+                                 stats::permutation_test_of<2>(d, p2), 5));
+  expect_chunk_ends(progress_ends(c, "s2", 0), 2, m, all2, batch_bs(2, 5));
+  stats::BasicPermutationTestOptions<3> p3;
+  p3.permutations = 3;
+  p3.seed = 8;
+  EXPECT_EQ(c.payload("s3"), stats::significance_report<3>(
+                                 stats::permutation_test_of<3>(d, p3), 3));
+  const auto s3_ends = progress_ends(c, "s3", 0);
+  EXPECT_GE(s3_ends.size(), 2u) << "70 SNPs span two batched k = 3 layers";
+  expect_chunk_ends(s3_ends, 3, m, all3, batch_bs(3, 3));
+}
+
+TEST(ServeChunks, ExplicitChunkKeepsExactEqualChunks) {
+  const auto d = test::planted_dataset(30, 96, 6);
+  serve::ServeOptions so;
+  so.threads = 1;
+  so.chunk = 37;
+  serve::ScanServer server(d, so);
+  Collector c;
+  ASSERT_TRUE(server.submit_line("scan e order=3 top=4 range=5:3000",
+                                 c.sink()));
+  ASSERT_TRUE(server.submit_line(
+      "significance s order=2 permutations=4 seed=2", c.sink()));
+  ASSERT_TRUE(server.drain());
+  expect_chunk_ends(progress_ends(c, "e", 5), 3, d.num_snps(), {5, 3000}, 0,
+                    37);
+  expect_chunk_ends(progress_ends(c, "s", 0), 2, d.num_snps(),
+                    {0, combinatorics::n_choose_k(d.num_snps(), 2)}, 0, 37);
+
+  core::BasicDetector<3> det(d);
+  core::BasicDetectorOptions<3> o;
+  o.top_k = 4;
+  o.range = {5, 3000};
+  core::ensure_default_scorer(o, d.num_samples());
+  EXPECT_EQ(c.payload("e"), core::scan_csv_lines<3>(det.run(o).best));
 }
 
 }  // namespace

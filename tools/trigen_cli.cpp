@@ -344,6 +344,9 @@ void print_scan_usage() {
       "including the blocked V3/V4/V5 (shard results merge exactly);\n"
       "--progress reports percent scanned on stderr.\n"
       "--shards/--shard scans shard I (0-based) of a W-way plan;\n"
+      "--split block cuts it at the block layers of the grid this\n"
+      "--version tiles with (V1/V2 have none and split evenly), so\n"
+      "every shard of one plan takes the same --version;\n"
       "--out writes a portable shard result file for `trigen merge`;\n"
       "--checkpoint persists progress after every chunk and resumes\n"
       "from it when the file already exists; --stop-after stops\n"
@@ -396,12 +399,9 @@ int cmd_scan_generic(const Args& a) {
     shard::SplitStrategy strategy = shard::SplitStrategy::kEvenRanks;
     std::uint64_t bs = 0;
     if (split == "block") {
-      strategy = shard::SplitStrategy::kBlockAligned;
-      bs = core::autotune_tiling(core::detect_l1_config(),
-                                 core::kernel_vector_words(
-                                     core::best_kernel_isa()),
-                                 3, false)
-               .bs;
+      // The grid this scan tiles with; V1/V2 have none and split evenly.
+      bs = core::scan_tiling(opt, Cli::kOrder).bs;
+      if (bs != 0) strategy = shard::SplitStrategy::kBlockAligned;
     } else if (split != "even") {
       std::fprintf(stderr, "--split expects even|block\n");
       return 2;
@@ -489,12 +489,19 @@ int cmd_scan_generic(const Args& a) {
 
   if (a.has("progress")) opt.progress = make_progress_printer(Cli::label());
   const auto r = det.run(opt);
-  std::printf("# %llu %s, %.3f s, %.2f Gel/s, %s, kernel %s, %u thread(s)\n",
+  // The tiles of the blocked rungs: the grid `--split block` cuts on.
+  std::string tiles;
+  if (r.tiling_used.valid()) {
+    tiles.append(", B_S ").append(std::to_string(r.tiling_used.bs));
+    tiles.append(", B_P ").append(std::to_string(r.tiling_used.bp_words));
+  }
+  std::printf("# %llu %s, %.3f s, %.2f Gel/s, %s, kernel %s%s, %u thread(s)\n",
               static_cast<unsigned long long>(r.combinations_evaluated),
               Cli::noun().c_str(),
               r.seconds, r.elements_per_second() / 1e9,
               core::cpu_version_name(opt.version).c_str(),
-              core::kernel_isa_name(r.isa_used).c_str(), r.threads_used);
+              core::kernel_isa_name(r.isa_used).c_str(), tiles.c_str(),
+              r.threads_used);
   std::printf("# partition: ranks [%llu, %llu) of %llu (%.1f%% of the space)\n",
               static_cast<unsigned long long>(eff.first),
               static_cast<unsigned long long>(eff.last),
@@ -735,6 +742,8 @@ int cmd_coordinate(const Args& a) {
         "bit-identical to a single-process `trigen scan`.  The lease table\n"
         "persists atomically in --spool/fleet.state: rerunning the same\n"
         "command over the same spool resumes without double-counting.\n"
+        "--split block cuts shards at the block layers of a B-SNP grid\n"
+        "(default: the grid the default rung tiles with at order K).\n"
         "Exits 0 complete, 3 interrupted/stalled (resumable).");
     return a.has("help") ? 0 : 2;
   }
@@ -745,13 +754,10 @@ int cmd_coordinate(const Args& a) {
   co.shards = static_cast<unsigned>(get_uint_or_die(a, "shards", 16));
   if (a.get("split", "even") == "block") {
     co.split = shard::SplitStrategy::kBlockAligned;
+    // Default: the grid of the workers' default rung at this order.
+    core::ScanOptionsBase worker;
     co.block_size = get_uint_or_die(
-        a, "block-size",
-        core::autotune_tiling(core::detect_l1_config(),
-                              core::kernel_vector_words(
-                                  core::best_kernel_isa()),
-                              3, false)
-            .bs);
+        a, "block-size", core::scan_tiling(worker, co.order).bs);
   }
   co.spool = a.get("spool", ".");
   co.out = a.get("out", "");
