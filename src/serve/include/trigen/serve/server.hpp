@@ -14,9 +14,8 @@
 ///     starves behind a long one and adding a job never spawns threads.
 ///     A blocked job's chunks (V3-V5 scans, every significance job) end
 ///     at block-layer cuts of the grid its runs tile with (unless a layer
-///     outgrows 16 chunk targets), so chunks rarely split a block tuple's
-///     last-axis SNPs and a chunked job costs about what one whole run
-///     does (see ServeOptions::chunk).
+///     outgrows the chunk cap), so chunks rarely split a block tuple's
+///     last-axis SNPs (see ServeOptions::chunk).
 ///   * Chunk results commit in rank order into a per-job accumulator with
 ///     the same rank-tie-broken top-k merge as the standalone CLI, so a
 ///     job's payload is bit-identical to the equivalent `trigen scan` /
@@ -97,10 +96,8 @@ struct ServeOptions {
   /// job: at least a 64th of it (4 per pool thread past 16 threads), so
   /// the pool interleaves jobs and shutdown drains quickly, and for the
   /// blocked runs extended to the next block-layer cut C(b * B_S, k), up
-  /// to 16 times that target.  One
-  /// thread, 200 SNPs x 4096 samples: a k = 3 V5 scan over a 32nd of the
-  /// space cost 1.5-1.8x a whole run in 64 equal chunks and 0.94-1.05x in
-  /// cut chunks; a k = 2 significance job 1.16x and 0.97-1.03x.
+  /// to 16 times that target.  The measured cost of chunked against whole
+  /// runs is at `chunk_for` in server.cpp.
   std::uint64_t chunk = 0;
   /// Directory for shutdown checkpoints of incomplete scan jobs
   /// ("serve-<jobid>.ckpt").  Must exist.

@@ -96,12 +96,8 @@ std::uint64_t rank_space(std::uint64_t num_snps, unsigned order) {
 // -- Jobs -------------------------------------------------------------------
 
 /// A chunk grows to the next block-layer cut, but to no more than this
-/// many targets: on a one-thread pool a chunk holds up every other live
-/// job, and the batched k = 2 grid (B_S = 64) cuts 200 SNPs into four
-/// layers, the largest half the job.  On a 4-vCPU AVX-512 Xeon VM,
-/// serve_mix (10 s runs, seed 1) read job_p90_s 0.060 s uncapped against
-/// 0.047-0.048 s with equal chunks and 0.048-0.049 s at 16 targets, whose
-/// jobs_per_s (102-105) kept most of the uncapped gain (104-110, from 85).
+/// many targets: on a small pool one large chunk holds up every other live
+/// job (see chunk_for for the measurements behind the value).
 constexpr std::uint64_t kMaxChunkTargets = 16;
 
 /// How a job's rank range is cut into chunks: `ranks` ranks each (the last
@@ -452,10 +448,19 @@ struct ScanServer::Impl {
     // a chunk that ends inside a top-axis block leaves the prefixes there
     // with short windows, and the next chunk rebuilds their rungs for the
     // rest.  So the chunks of a blocked run end at the next block-layer
-    // cut of its own grid (see kMaxChunkTargets for the cap).  On a 4-vCPU AVX-512 Xeon VM, one thread,
-    // 200 SNPs x 4096 samples, against one whole run: a k = 3 V5 scan over
-    // a 32nd of the space took 1.5-1.8x in 64 equal chunks and 0.94-1.05x
-    // in cut chunks, and a full k = 2 scan 1.4-1.5x and 1.03-1.22x.
+    // cut of its own grid, within kMaxChunkTargets targets.
+    //
+    // Measured on a 4-vCPU AVX-512 Xeon VM, one thread, 200 SNPs x 4096
+    // samples, against one whole run (equal: 65 chunks of a 64th; cut: as
+    // claim() cuts them): a k = 3 V5 scan over the first 32nd of the space
+    // took 1.39-1.55x equal and 0.97-1.08x in 10 cut chunks, over the fifth
+    // 32nd 1.55-1.74x and 1.15-1.16x in 5 (three end on the cap); a full
+    // k = 2 V5 scan 1.41-2.16x and 1.02-1.52x in 10; a k = 2 significance
+    // job with 19 permutations (batched B_S 64) 1.08-1.11x and 0.94-1.01x
+    // in 6 (three end on the cap).  Uncapped, that job's four layers make
+    // four uneven chunks, the largest half the job, and serve_mix's
+    // job_p90_s rose from 0.047 s to 0.060 s; a cap of 4 targets kept
+    // little of the jobs_per_s gain.
     return {std::max<std::uint64_t>(
                 1, ranks / std::max<std::uint64_t>(64, 4ull * pool_size)),
             {d.num_snps(), bs},

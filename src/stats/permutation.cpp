@@ -166,8 +166,9 @@ BasicPermutationTestResult<K> permutation_test_of(
   // On the scalar strategy the batched order-2 pass saves only the detector
   // builds: each partition still costs its own AND + POPCNT per word and
   // pair, and the partition bookkeeping costs more than the builds it saves
-  // (one-core 200 x 4096, 19 permutations: 744 ms batched against 693 ms
-  // sequential).  So the default batch runs the sequential body there.
+  // (one core, 200 x 4096, 19 permutations, median of 11 alternating runs:
+  // 804 ms batched against 766 ms sequential).  So the default batch runs
+  // the sequential body there.
   const bool scalar_pairs = K == 2 && options.batch == 0 &&
                             core::scan_isa(dopt, true) ==
                                 core::KernelIsa::kScalar;
